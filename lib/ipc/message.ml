@@ -61,8 +61,7 @@ let carried_mapped_bytes t =
     (fun acc item ->
       match item with
       | Ool { ool_data; transfer = Map_transfer } -> acc + Bytes.length ool_data
-      | Ool_region r -> acc + r.region_size
-      | Ool_copy _ | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
+      | Ool_region _ | Ool_copy _ | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
     0 t.body
 
 let wire_bytes t =
@@ -94,16 +93,6 @@ let caps t =
 let ool_payloads t =
   List.filter_map
     (function Ool o -> Some o.ool_data | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
-    t.body
-
-let ool_regions t =
-  List.filter_map
-    (function Ool_region r -> Some r | Data _ | Caps _ | Ool _ | Ool_copy _ -> None)
-    t.body
-
-let ool_copies t =
-  List.filter_map
-    (function Ool_copy c -> Some c | Data _ | Caps _ | Ool _ | Ool_region _ -> None)
     t.body
 
 let pp fmt t =

@@ -33,8 +33,7 @@ and item =
   | Ool_region of ool_region
       (** out-of-line *address-space region* as named by the sender: the
           kernel resolves it into an {!Ool_copy} at send time
-          ([vm_map_copyin]); unresolved regions are mapped eagerly at
-          receive time (legacy path). *)
+          ([vm_map_copyin]). *)
   | Ool_copy of copy_object
       (** a kernel-held copy object: the snapshot of a sender region
           taken at send time. The message carries only this handle — no
@@ -84,10 +83,10 @@ val mapped_bytes : t -> int
     [Ool_region]s, and copy objects). *)
 
 val carried_mapped_bytes : t -> int
-(** Mapped bytes whose payload still travels with the message (legacy
-    [Map_transfer] [Ool] items and unresolved [Ool_region]s) — the
-    portion {!Transport.send_cost_us} must still charge map ops for.
-    [Ool_copy] items are excluded: copyin/copyout charge their own. *)
+(** Mapped bytes whose payload travels with the message ([Map_transfer]
+    [Ool] items) — the portion {!Transport.send_cost_us} charges map ops
+    for. Regions and copy objects are excluded: copyin/copyout charge
+    their own. *)
 
 val wire_bytes : t -> int
 (** Bytes that cross the network for a remote send: inline data, carried
@@ -103,7 +102,5 @@ val caps : t -> cap list
 (** All capabilities in body order. *)
 
 val ool_payloads : t -> bytes list
-val ool_regions : t -> ool_region list
-val ool_copies : t -> copy_object list
 
 val pp : Format.formatter -> t -> unit

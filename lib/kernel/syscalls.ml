@@ -47,9 +47,26 @@ let resolve_ool t msg =
     { msg with Message.body = List.map resolve msg.Message.body }
   end
 
+(* A message that never left drops the local snapshots [resolve_ool]
+   took for it, returning their object references. *)
+let discard_resolved ~orig sent =
+  List.iter2
+    (fun before after ->
+      match (before, after) with
+      | Message.Ool_region _, Message.Ool_copy { Message.cp_payload = Vm_map.Vm_copy_handle c; _ }
+        ->
+        Vm_map.copy_discard c
+      | _ -> ())
+    orig.Message.body sent.Message.body
+
 let msg_send t ?timeout msg =
   enter t;
-  Transport.send t.t_node ?timeout (resolve_ool t msg)
+  let sent = resolve_ool t msg in
+  match Transport.send t.t_node ?timeout sent with
+  | Ok () -> Ok ()
+  | Error _ as e ->
+    discard_resolved ~orig:msg sent;
+    e
 
 let msg_receive t ?(from = `Any) ?timeout () =
   enter t;
@@ -57,7 +74,12 @@ let msg_receive t ?(from = `Any) ?timeout () =
 
 let msg_rpc t msg ?send_timeout ?recv_timeout () =
   enter t;
-  Transport.rpc t.t_node t.t_space msg ?send_timeout ?recv_timeout ()
+  let sent = resolve_ool t msg in
+  match Transport.rpc t.t_node t.t_space sent ?send_timeout ?recv_timeout () with
+  | Error (`Send _) as e ->
+    discard_resolved ~orig:msg sent;
+    e
+  | (Ok _ | Error (`Recv _)) as r -> r
 
 (* --- Table 3-2 ---------------------------------------------------------- *)
 
@@ -208,17 +230,7 @@ let vm_allocate_with_pager t ?addr ~size ~anywhere ~memory_object ~offset () =
   Mach_vm.Pager_client.ensure_initialized kctx obj;
   Vm_map.allocate_with_object t.t_map ?addr ~size ~anywhere ~obj ~offset ()
 
-(* --- region transfer ---------------------------------------------------- *)
-
-let transfer_region ~from_task ~to_task ~addr ~size =
-  enter from_task;
-  if from_task.t_kernel != to_task.t_kernel then
-    invalid_arg "Syscalls.transfer_region: tasks on different hosts";
-  let kctx = from_task.t_kernel.k_kctx in
-  let pages = Kctx.pages_of_bytes kctx size in
-  Cpu.compute from_task.t_kernel
-    (float_of_int pages *. from_task.t_kernel.k_params.Mach_hw.Machine.map_op_us);
-  Vm_map.copy_region ~src:from_task.t_map ~src_addr:addr ~size ~dst:to_task.t_map ()
+(* --- out-of-line regions ------------------------------------------------- *)
 
 let ool_region t ~addr ~size =
   Message.Ool_region { Message.src_task = t.t_id; src_addr = addr; region_size = size }
@@ -248,14 +260,8 @@ let map_ool t msg =
         in
         Some (addr, cp_size)
       | Message.Ool_copy _ -> invalid_arg "Syscalls.map_ool: unknown copy payload"
-      | Message.Ool_region { Message.src_task; src_addr; region_size } -> (
-        (* Legacy eager path: the region was never resolved at send
-           time; both tasks must share this kernel. *)
-        match List.find_opt (fun x -> x.t_id = src_task) t.t_kernel.k_tasks with
-        | None -> invalid_arg "Syscalls.map_ool: source task not on this host (or dead)"
-        | Some src ->
-          let addr = transfer_region ~from_task:src ~to_task:t ~addr:src_addr ~size:region_size in
-          Some (addr, region_size))
+      | Message.Ool_region _ ->
+        invalid_arg "Syscalls.map_ool: region not snapshotted at send (use msg_send or msg_rpc)"
       | Message.Data _ | Message.Caps _ | Message.Ool _ -> None)
     msg.Message.body
 

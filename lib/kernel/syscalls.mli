@@ -18,7 +18,7 @@ val msg_send : task -> ?timeout:float -> Message.t -> (unit, Transport.send_erro
     sender's pages are COW-protected at O(pages) map cost and the
     message carries only a handle. Remote destinations get a
     netmem-style memory-object export instead, paged over the wire on
-    demand. *)
+    demand. If the send fails, the local snapshots are discarded. *)
 
 val msg_receive :
   task ->
@@ -34,6 +34,8 @@ val msg_rpc :
   ?recv_timeout:float ->
   unit ->
   (Message.t, [ `Send of Transport.send_error | `Recv of Transport.recv_error ]) result
+(** Send then receive on the reply port; the request's out-of-line
+    regions are snapshotted exactly as by {!msg_send}. *)
 
 (** {2 Table 3-2: port operations} *)
 
@@ -103,15 +105,12 @@ val vm_allocate_with_pager :
     for the manager. Mapping this way gives direct read/write access to
     the object, not a copy (footnote 7). *)
 
-(** {2 Kernel-mediated region transfer}
+(** {2 Out-of-line regions}
 
     The mechanism behind out-of-line data in messages: a virtual
-    (copy-on-write) transfer of whole pages between two tasks on the
-    same host, costing one map operation per page instead of a copy.
-    Senders put the returned address in their reply message
-    (exactly how [fs_read_file] returns file contents, §4.1). *)
-
-val transfer_region : from_task:task -> to_task:task -> addr:int -> size:int -> int
+    (copy-on-write) transfer of whole pages, snapshotted at send and
+    mapped lazily at receive (exactly how [fs_read_file] returns file
+    contents, §4.1). *)
 
 val ool_region : task -> addr:int -> size:int -> Message.item
 (** Build a message item that transfers [addr, addr+size) of the
@@ -121,9 +120,9 @@ val map_ool : task -> Message.t -> (int * int) list
 (** Map every out-of-line region of a received message into the calling
     task's address space; returns (address, size) pairs in body order.
     [Ool_copy] handles go through lazy [vm_map_copyout] (local) or a
-    demand-paged mapping of the sender's export (remote [Net_copy]);
-    legacy unresolved [Ool_region] items are transferred eagerly and
-    require sender and receiver to share a host kernel. *)
+    demand-paged mapping of the sender's export (remote [Net_copy]).
+    Raises [Invalid_argument] on an [Ool_region] that no send
+    resolved. *)
 
 (** {2 Memory access (simulated loads/stores by task code)} *)
 

@@ -58,34 +58,3 @@ let percentile t p =
   end
 
 let median t = percentile t 50.0
-
-module Histogram = struct
-  type h = { lo : float; hi : float; counts : int array }
-
-  let create ~lo ~hi ~buckets =
-    assert (buckets > 0 && hi > lo);
-    { lo; hi; counts = Array.make buckets 0 }
-
-  let add h x =
-    let buckets = Array.length h.counts in
-    let idx =
-      if x <= h.lo then 0
-      else if x >= h.hi then buckets - 1
-      else int_of_float ((x -. h.lo) /. (h.hi -. h.lo) *. float_of_int buckets)
-    in
-    let idx = Stdlib.min (buckets - 1) (Stdlib.max 0 idx) in
-    h.counts.(idx) <- h.counts.(idx) + 1
-
-  let bucket_count h i = h.counts.(i)
-
-  let render h ~width =
-    let buckets = Array.length h.counts in
-    let peak = Array.fold_left Stdlib.max 1 h.counts in
-    let buf = Buffer.create 256 in
-    for i = 0 to buckets - 1 do
-      let bucket_lo = h.lo +. ((h.hi -. h.lo) *. float_of_int i /. float_of_int buckets) in
-      let bar = h.counts.(i) * width / peak in
-      Buffer.add_string buf (Printf.sprintf "%12.2f | %s %d\n" bucket_lo (String.make bar '#') h.counts.(i))
-    done;
-    Buffer.contents buf
-end

@@ -22,16 +22,4 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-(** Fixed-bucket histogram. *)
-module Histogram : sig
-  type h
-
-  val create : lo:float -> hi:float -> buckets:int -> h
-  val add : h -> float -> unit
-  val bucket_count : h -> int -> int
-  val render : h -> width:int -> string
-  (** ASCII rendering, one line per bucket. *)
-end
-
-(* Named monotone counters used to live here ([Counters]); the one
-   counters API in the tree is now {!Metrics}. *)
+(* Named counters and latency histograms live in {!Metrics}. *)

@@ -10,7 +10,10 @@ let pp_error fmt = function
   | Access_denied a -> Format.fprintf fmt "access denied at %#x" a
   | Manager_failed a -> Format.fprintf fmt "data manager failed at %#x" a
 
-let touch kctx map ~addr ~write ?policy () =
+(* Translate [addr] (faulting as needed) and apply [use] to the frame at
+   the instant the translation is valid, before the access charge: that
+   charge can yield to a manager flush that unmaps and frees the frame. *)
+let access kctx map ~addr ~write ?policy use =
   match Vm_map.pmap map with
   | None -> invalid_arg "Access.touch: map has no pmap"
   | Some pm ->
@@ -24,8 +27,9 @@ let touch kctx map ~addr ~write ?policy () =
       else
         match Pmap.access pm ~vpn ~write with
         | Ok frame ->
+          let r = use frame in
           Kctx.charge kctx (Machine.access_us kctx.Kctx.params ~remote:false ~words:1);
-          Ok frame
+          Ok r
         | Error (Pmap.Missing | Pmap.Protection) -> (
           match Fault.handle kctx map ~addr ~write ?policy () with
           | Fault.Done -> go (tries + 1)
@@ -35,6 +39,8 @@ let touch kctx map ~addr ~write ?policy () =
     in
     go 0
 
+let touch kctx map ~addr ~write ?policy () = access kctx map ~addr ~write ?policy Fun.id
+
 let read_bytes kctx map ~addr ~len ?policy () =
   let ps = kctx.Kctx.page_size in
   let out = Bytes.create len in
@@ -43,11 +49,13 @@ let read_bytes kctx map ~addr ~len ?policy () =
     else
       let a = addr + pos in
       let in_page = min (len - pos) (ps - (a land (ps - 1))) in
-      match touch kctx map ~addr:a ~write:false ?policy () with
+      let blit frame =
+        Bytes.blit (Phys_mem.read kctx.Kctx.mem frame ~off:(a land (ps - 1)) ~len:in_page) 0 out
+          pos in_page
+      in
+      match access kctx map ~addr:a ~write:false ?policy blit with
       | Error e -> Error e
-      | Ok frame ->
-        let chunk = Phys_mem.read kctx.Kctx.mem frame ~off:(a land (ps - 1)) ~len:in_page in
-        Bytes.blit chunk 0 out pos in_page;
+      | Ok () ->
         (* Whole-chunk access time beyond the first word. *)
         Kctx.charge kctx
           (Machine.access_us kctx.Kctx.params ~remote:false ~words:(max 0 ((in_page / 8) - 1)));
@@ -63,10 +71,12 @@ let write_bytes kctx map ~addr data ?policy () =
     else
       let a = addr + pos in
       let in_page = min (len - pos) (ps - (a land (ps - 1))) in
-      match touch kctx map ~addr:a ~write:true ?policy () with
+      let store frame =
+        Phys_mem.write kctx.Kctx.mem frame ~off:(a land (ps - 1)) (Bytes.sub data pos in_page)
+      in
+      match access kctx map ~addr:a ~write:true ?policy store with
       | Error e -> Error e
-      | Ok frame ->
-        Phys_mem.write kctx.Kctx.mem frame ~off:(a land (ps - 1)) (Bytes.sub data pos in_page);
+      | Ok () ->
         Kctx.charge kctx
           (Machine.access_us kctx.Kctx.params ~remote:false ~words:(max 0 ((in_page / 8) - 1)));
         go (pos + in_page)

@@ -19,7 +19,9 @@ val touch :
   unit ->
   (Mach_hw.Phys_mem.frame, error) result
 (** One word access at [addr]: returns the frame backing the page,
-    after any faults resolve. Charges one local memory access. *)
+    after any faults resolve. Charges one local memory access; a flush
+    landing in that charge may already have freed the returned frame,
+    so {!read_bytes} and {!write_bytes} move their data before it. *)
 
 val read_bytes :
   Kctx.t ->

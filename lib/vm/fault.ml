@@ -126,7 +126,7 @@ let handle kctx map ~addr ~write ?policy () =
     walk top
   in
   let can_steal first_obj (page : page) =
-    kctx.Kctx.enable_cow_steal && (not page.busy) && (not page.absent) && (not page.p_error)
+    (not page.busy) && (not page.absent) && (not page.p_error)
     && page.wire_count = 0
     && page.q_state <> Q_laundry
     && List.for_all (fun (pm', _) -> pm' == pm) page.mappings
@@ -398,11 +398,7 @@ let handle kctx map ~addr ~write ?policy () =
          memory pressure rather than sleeping mid-batch. *)
       let extras = ref [] in
       let n_extras = ref 0 in
-      let window =
-        if kctx.Kctx.enable_cow_cluster then
-          min kctx.Kctx.cluster_pages (lk.Vm_map.lk_run / ps)
-        else 1
-      in
+      let window = min kctx.Kctx.cluster_pages (lk.Vm_map.lk_run / ps) in
       (try
          for i = 1 to window - 1 do
            let off = first_off + (i * ps) in

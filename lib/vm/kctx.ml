@@ -44,12 +44,6 @@ type t = {
   mutable cluster_pages : int;
       (** cluster-in window: max pages per pager_data_request on a hard
           read fault (1 disables clustering) *)
-  mutable enable_cow_steal : bool;
-      (** copy engine: rename sole-user pages up the chain instead of
-          copying them *)
-  mutable enable_cow_cluster : bool;
-      (** copy engine: resolve a window of adjacent pending-copy pages
-          per COW write fault *)
   cow_batch_hist : Metrics.histogram;
       (** pages resolved per COW write fault (1 = no clustering won) *)
 }
@@ -216,7 +210,5 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
     rescue_writer = None;
     enable_collapse = true;
     cluster_pages = 8;
-    enable_cow_steal = true;
-    enable_cow_cluster = true;
     cow_batch_hist;
   }

@@ -67,12 +67,6 @@ type t = {
   mutable cluster_pages : int;
       (** cluster-in window: max pages per pager_data_request on a hard
           read fault (1 disables clustering) *)
-  mutable enable_cow_steal : bool;
-      (** copy engine: rename sole-user pages up the chain instead of
-          copying them (ablation switch) *)
-  mutable enable_cow_cluster : bool;
-      (** copy engine: resolve a window of adjacent pending-copy pages
-          per COW write fault (ablation switch) *)
   cow_batch_hist : Mach_util.Metrics.histogram;
       (** pages resolved per COW write fault (1 = no clustering won) *)
 }

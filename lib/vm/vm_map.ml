@@ -648,8 +648,8 @@ let copyin t ~addr ~size =
 let copyout t copy ?addr () =
   if copy.vc_kctx != t.kctx then invalid_arg "Vm_map.copyout: copy object from another kernel";
   if copy.vc_consumed then invalid_arg "Vm_map.copyout: copy object already consumed";
-  copy.vc_consumed <- true;
   let base, _ = pick_address t ?addr ~size:copy.vc_size ~anywhere:true () in
+  copy.vc_consumed <- true;
   List.iter
     (fun p ->
       (* The copy object's reference on each piece moves to the new
@@ -678,28 +678,3 @@ let copy_discard copy =
   end
 
 let copy_size copy = copy.vc_size
-
-let copy_region ~src ~src_addr ~size ~dst ?dst_addr () =
-  let ps = page_size src in
-  if page_size dst <> ps then invalid_arg "Vm_map.copy_region: page size mismatch";
-  let lo = src_addr land lnot (ps - 1) in
-  let hi = (src_addr + size + ps - 1) land lnot (ps - 1) in
-  let es = entries_covering src ~lo ~hi in
-  let total = hi - lo in
-  let base, _ = pick_address dst ?addr:dst_addr ~size:total ~anywhere:true () in
-  List.iter
-    (fun e ->
-      copy_pieces src e ~lo:e.va_start ~hi:e.va_end (fun ~rel ~span ~obj ~offset ->
-          let at = base + (e.va_start - lo) + rel in
-          insert_entry dst
-            {
-              va_start = at;
-              va_end = at + span;
-              protection = Prot.rw;
-              max_protection = Prot.all;
-              inheritance = Inherit_copy;
-              backing =
-                Direct { d_obj = obj; d_offset = offset; needs_copy = true; d_from_copy = false };
-            }))
-    es;
-  base

@@ -136,12 +136,6 @@ val fork : t -> child_pmap:Mach_hw.Pmap.t option -> t
     promotes the parent entry into a sharing map referenced by both;
     [Copy] sets up symmetric copy-on-write; [None] leaves a hole. *)
 
-val copy_region : src:t -> src_addr:int -> size:int -> dst:t -> ?dst_addr:int -> unit -> int
-(** Virtual (copy-on-write) copy of [size] bytes worth of pages from
-    [src] into fresh address space of [dst] (the mechanism behind
-    [vm_copy], large message transfer, and [fs_read_file]'s reply).
-    Returns the destination address. *)
-
 (** {2 Message copy objects ([vm_map_copyin] / [vm_map_copyout])}
 
     At send time the kernel snapshots the sender's region into a

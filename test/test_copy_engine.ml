@@ -1,6 +1,6 @@
 (* Copy-engine tests: page stealing and clustered COW resolution must
    be invisible to programs (byte-identical with a naive eager-copy
-   oracle, toggles on or off), fork/exit generations must not accrete
+   oracle), fork/exit generations must not accrete
    shadow-chain depth, the terminate-path collapse must fire when a
    backing object's last sibling exits, and the object cache must
    evict in LRU order at its cap. *)
@@ -34,13 +34,10 @@ let add_page kctx obj ~offset tagchar =
 
 let frame_tag kctx (p : Vm_types.page) = Bytes.get (Phys_mem.data kctx.Kctx.mem p.Vm_types.frame) 0
 
-(* Full system with the copy-engine toggles set; runs [f sys task] on a
-   fresh task's thread and returns its result. *)
-let with_system ?(steal = true) ?(cluster = true) f =
+(* Full system; runs [f sys task] on a fresh task's thread and returns
+   its result. *)
+let with_system f =
   let sys = Kernel.create_system () in
-  let kctx = Kernel.kctx sys.Kernel.kernel in
-  kctx.Kctx.enable_cow_steal <- steal;
-  kctx.Kctx.enable_cow_cluster <- cluster;
   let result = ref None in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let task = Task.create sys.Kernel.kernel ~name:"main" () in
@@ -119,20 +116,16 @@ let test_chain_depth_bounded () =
   Alcotest.(check bool) "walked depth also bounded" true
     (stats.Vm_types.s_chain_depth_peak <= 2)
 
-(* ---- the toggles gate the mechanisms ---------------------------------- *)
+(* ---- churn exercises both mechanisms ---------------------------------- *)
 
-let test_steal_and_cluster_toggles () =
-  let run ~steal ~cluster =
-    with_system ~steal ~cluster (fun sys task ->
+let test_steal_and_cluster () =
+  let stats =
+    with_system (fun sys task ->
         ignore (churn sys task ~pages:16 ~gens:4);
         Kernel.stats sys.Kernel.kernel)
   in
-  let on = run ~steal:true ~cluster:true in
-  Alcotest.(check bool) "stealing happens when enabled" true (on.Vm_types.s_cow_steals > 0);
-  Alcotest.(check bool) "clustering happens when enabled" true (on.Vm_types.s_cow_batched > 0);
-  let off = run ~steal:false ~cluster:false in
-  check Alcotest.int "no steals when disabled" 0 off.Vm_types.s_cow_steals;
-  check Alcotest.int "no batched pages when disabled" 0 off.Vm_types.s_cow_batched
+  Alcotest.(check bool) "pages stolen" true (stats.Vm_types.s_cow_steals > 0);
+  Alcotest.(check bool) "copy faults clustered" true (stats.Vm_types.s_cow_batched > 0)
 
 (* ---- terminate-path collapse ------------------------------------------ *)
 
@@ -202,14 +195,12 @@ let test_object_cache_lru () =
 
 (* Random fork/write/send interleavings against a naive eager-copy
    oracle (each actor conceptually owns a private copy of the region;
-   an OOL send snapshots the sender's bytes at send time). The same
-   schedule runs with stealing and clustering toggled on and off —
-   every combination must match the oracle, hence each other. *)
+   an OOL send snapshots the sender's bytes at send time). *)
 
 type op = Write | Send | Churn
 
-let run_scenario ~steal ~cluster (nchildren, ops) =
-  with_system ~steal ~cluster (fun sys task ->
+let run_scenario (nchildren, ops) =
+  with_system (fun sys task ->
       let kernel = sys.Kernel.kernel in
       let verdict = ref true in
       let addr = Syscalls.vm_allocate task ~size:(8 * page) ~anywhere:true () in
@@ -300,8 +291,7 @@ let copy_engine_prop =
               (int_range 0 7) (* page *)
               (int_range 2 255) (* value *))))
   in
-  Test.make ~name:"copy engine matches eager-copy oracle (steal/cluster on and off)" ~count:10
-    gen
+  Test.make ~name:"copy engine matches eager-copy oracle on random programs" ~count:10 gen
     (fun (nchildren, raw_ops) ->
       let ops =
         List.map
@@ -310,9 +300,7 @@ let copy_engine_prop =
             (a, kind, pg, v))
           raw_ops
       in
-      List.for_all
-        (fun (steal, cluster) -> run_scenario ~steal ~cluster (nchildren, ops))
-        [ (true, true); (true, false); (false, true); (false, false) ])
+      run_scenario (nchildren, ops))
 
 let () =
   Alcotest.run "copy_engine"
@@ -321,8 +309,7 @@ let () =
         [
           Alcotest.test_case "chain depth bounded over generations" `Quick
             test_chain_depth_bounded;
-          Alcotest.test_case "steal/cluster toggles gate the stats" `Quick
-            test_steal_and_cluster_toggles;
+          Alcotest.test_case "churn steals and clusters" `Quick test_steal_and_cluster;
           Alcotest.test_case "terminate-path collapse" `Quick test_terminate_path_collapse;
           Alcotest.test_case "object cache LRU eviction" `Quick test_object_cache_lru;
         ] );

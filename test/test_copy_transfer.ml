@@ -1,7 +1,8 @@
 (* Copy semantics of out-of-line message transfer.
 
-   msg_send snapshots Ool_region items into kernel copy objects
-   (vm_map_copyin): from that instant the message's contents are fixed.
+   msg_send and msg_rpc snapshot Ool_region items into kernel copy
+   objects (vm_map_copyin): from that instant the message's contents are
+   fixed, and a send that fails releases the snapshot.
    The receiver's map_ool attaches the snapshot lazily (vm_map_copyout)
    and its pages materialize through the fault path. Both directions of
    isolation must hold — sender writes after the send are invisible to
@@ -50,6 +51,39 @@ let receive_mapped receiver ~svc =
     | [ (addr, size) ] -> (addr, size)
     | other -> Alcotest.failf "expected one mapped region, got %d" (List.length other))
   | Error _ -> Alcotest.fail "receive failed"
+
+(* Serve one RPC on [svc]: map the request's region and echo all of it
+   back inline. *)
+let serve_echo server ~svc =
+  match Syscalls.msg_receive server ~from:(`Port svc) () with
+  | Error _ -> Alcotest.fail "server receive failed"
+  | Ok msg -> (
+    let raddr, rsize =
+      match Syscalls.map_ool server msg with
+      | [ r ] -> r
+      | other -> Alcotest.failf "expected one mapped region, got %d" (List.length other)
+    in
+    let data = Bytes.of_string (read_str server ~addr:raddr ~len:rsize) in
+    Syscalls.vm_deallocate server ~addr:raddr ~size:rsize;
+    match msg.Message.header.Message.reply with
+    | None -> Alcotest.fail "request without reply port"
+    | Some reply -> (
+      match Syscalls.msg_send server (Message.make ~dest:reply [ Message.Data data ]) with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "reply send failed"))
+
+(* RPC [addr, addr+size) of [client] out of line to [dest]; returns the
+   inline reply. *)
+let rpc_region client ~addr ~size ~dest =
+  let reply_name = Syscalls.port_allocate client () in
+  let reply = Mach_ipc.Port_space.lookup_exn (Task.space client) reply_name in
+  match
+    Syscalls.msg_rpc client (Message.make ~dest ~reply [ Syscalls.ool_region client ~addr ~size ]) ()
+  with
+  | Ok msg -> Bytes.to_string (Message.data_exn msg)
+  | Error _ -> Alcotest.fail "ool rpc failed"
+
+let pattern size = String.init size (fun i -> Char.chr (((i * 7) + (i / page)) land 0xff))
 
 let test_sender_writes_invisible () =
   with_system (fun sys sender ->
@@ -160,6 +194,73 @@ let test_remote_copy_transfer () =
     check Alcotest.string "receiver writes stay local" "local-scribble!" after;
     Alcotest.(check bool) "export torn down after unmap" false export_alive
 
+let test_rpc_snapshots_at_send () =
+  with_system (fun sys client ->
+      let stats = (Kernel.kctx sys.Kernel.kernel).Kctx.node.Transport.node_stats in
+      let server = Task.create sys.Kernel.kernel ~name:"server" () in
+      let svc = Syscalls.port_allocate server ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space server) svc in
+      let size = 2 * page in
+      let addr = Syscalls.vm_allocate client ~size ~anywhere:true () in
+      write_str client ~addr (pattern size);
+      ignore (Thread.spawn server ~name:"server.main" (fun () -> serve_echo server ~svc));
+      let copyins0 = stats.Transport.s_copyins in
+      let echoed = rpc_region client ~addr ~size ~dest:svc_port in
+      check Alcotest.int "one copyin at send" 1 (stats.Transport.s_copyins - copyins0);
+      check Alcotest.string "server read the snapshot" (pattern size) echoed)
+
+let test_failed_send_discards_snapshot () =
+  with_system (fun sys sender ->
+      let dead = Task.create sys.Kernel.kernel ~name:"dead" () in
+      let svc = Syscalls.port_allocate dead () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space dead) svc in
+      let reply_name = Syscalls.port_allocate sender () in
+      let reply = Mach_ipc.Port_space.lookup_exn (Task.space sender) reply_name in
+      let size = 2 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      write_str sender ~addr "doomed";
+      let obj =
+        match
+          List.find
+            (fun e -> e.Vm_map.va_start <= addr && addr < e.Vm_map.va_end)
+            (Vm_map.entries (Task.map sender))
+        with
+        | { Vm_map.backing = Vm_map.Direct d; _ } -> d.Vm_map.d_obj
+        | _ -> Alcotest.fail "expected a direct entry"
+      in
+      let refs0 = obj.Vm_types.ref_count in
+      Task.terminate dead;
+      let region () = [ Syscalls.ool_region sender ~addr ~size ] in
+      (match Syscalls.msg_send sender (Message.make ~dest:svc_port (region ())) with
+      | Error Transport.Send_invalid_port -> ()
+      | Ok () | Error _ -> Alcotest.fail "msg_send to a dead port did not fail");
+      check Alcotest.int "failed msg_send dropped its snapshot" refs0 obj.Vm_types.ref_count;
+      (match Syscalls.msg_rpc sender (Message.make ~dest:svc_port ~reply (region ())) () with
+      | Error (`Send Transport.Send_invalid_port) -> ()
+      | Ok _ | Error _ -> Alcotest.fail "msg_rpc to a dead port did not fail");
+      check Alcotest.int "failed msg_rpc dropped its snapshot" refs0 obj.Vm_types.ref_count;
+      check Alcotest.string "sender data intact" "doomed" (read_str sender ~addr ~len:6))
+
+let test_remote_rpc_region () =
+  let cluster = Kernel.create_cluster ~hosts:2 () in
+  let size = 2 * page in
+  let result = ref None in
+  Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () ->
+      let client = Task.create cluster.Kernel.c_kernels.(0) ~name:"client" () in
+      let server = Task.create cluster.Kernel.c_kernels.(1) ~name:"server" () in
+      let svc = Syscalls.port_allocate server ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space server) svc in
+      ignore (Thread.spawn server ~name:"server.main" (fun () -> serve_echo server ~svc));
+      ignore
+        (Thread.spawn client ~name:"client.main" (fun () ->
+             let addr = Syscalls.vm_allocate client ~size ~anywhere:true () in
+             write_str client ~addr (pattern size);
+             result := Some (rpc_region client ~addr ~size ~dest:svc_port))));
+  Engine.run cluster.Kernel.c_engine;
+  match !result with
+  | None -> Alcotest.fail "remote rpc did not complete (deadlock?)"
+  | Some echoed -> check Alcotest.string "server read the region byte-exact" (pattern size) echoed
+
 (* qcheck: the lazy pipeline must be observationally equal to an eager
    Bytes.blit snapshot at every send, for any interleaving of sends and
    single-byte sender writes. *)
@@ -222,7 +323,14 @@ let () =
             test_receiver_writes_do_not_leak;
           Alcotest.test_case "copyin eager, copy-out faults lazy" `Quick
             test_lazy_copyout_faults_counted;
+          Alcotest.test_case "msg_rpc snapshots at send" `Quick test_rpc_snapshots_at_send;
+          Alcotest.test_case "failed send discards snapshot" `Quick
+            test_failed_send_discards_snapshot;
         ] );
-      ("remote", [ Alcotest.test_case "cross-host snapshot" `Quick test_remote_copy_transfer ]);
+      ( "remote",
+        [
+          Alcotest.test_case "cross-host snapshot" `Quick test_remote_copy_transfer;
+          Alcotest.test_case "cross-host msg_rpc region" `Quick test_remote_rpc_region;
+        ] );
       ("property", [ QCheck_alcotest.to_alcotest copy_oracle_prop ]);
     ]

@@ -93,7 +93,7 @@ let test_message_accounting () =
   check Alcotest.int "caps" 1 (List.length (Message.caps msg));
   check Alcotest.string "data_exn" "12345" (Bytes.to_string (Message.data_exn msg));
   check Alcotest.int "ool payloads" 2 (List.length (Message.ool_payloads msg));
-  check Alcotest.int "ool regions" 1 (List.length (Message.ool_regions msg))
+  check Alcotest.int "only map-ool payload carried" 200 (Message.carried_mapped_bytes msg)
 
 (* ---- port space ------------------------------------------------------------- *)
 

@@ -121,7 +121,7 @@ let test_vm_statistics_reporting () =
 
 )
 
-let test_transfer_region_and_map_ool () =
+let test_ool_send_and_map_ool () =
   with_system (fun sys task ->
       let recv = Task.create sys.Kernel.kernel ~name:"receiver" () in
       let addr = Syscalls.vm_allocate task ~size:(2 * page) ~anywhere:true () in
@@ -178,6 +178,6 @@ let () =
           Alcotest.test_case "vm read/write/copy" `Quick test_vm_syscall_integration;
           Alcotest.test_case "cross-task vm_read/vm_write" `Quick test_vm_read_other_task;
           Alcotest.test_case "vm_statistics" `Quick test_vm_statistics_reporting;
-          Alcotest.test_case "ool region transfer" `Quick test_transfer_region_and_map_ool;
+          Alcotest.test_case "ool region transfer" `Quick test_ool_send_and_map_ool;
         ] );
     ]

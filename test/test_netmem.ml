@@ -183,6 +183,74 @@ let test_three_host_contention_storm () =
   Engine.run cluster.Kernel.c_engine;
   check Alcotest.int "all three hosts completed" 3 !finished
 
+(* Regression: read_bytes/write_bytes used the frame [touch] returned,
+   but touch's closing charge can yield to a coherence flush that frees
+   that frame ("Phys_mem: frame not allocated"). A seeded 3-host storm
+   of word loads and stores on two CPUs per host lands in that window;
+   afterwards every host must read back the same bytes. *)
+let test_byte_access_storm () =
+  let pages = 2 in
+  let config =
+    { Kernel.default_config with Kernel.params = { Machine.hypercube with Machine.cpus = 2 } }
+  in
+  let cluster = Kernel.create_cluster ~hosts:3 ~config () in
+  let policy = Fault.Abort_after 10_000_000.0 in
+  let fail what e = Alcotest.failf "storm %s: %a" what Access.pp_error e in
+  let views = Array.make 3 "" in
+  Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () ->
+      let nm = Netmem.start cluster.Kernel.c_kernels.(0) () in
+      let region = Netmem.create_region nm ~size:(pages * page) in
+      let done_ = Array.init 3 (fun _ -> Ivar.create ()) in
+      let addrs = Array.make 3 0 in
+      let tasks =
+        Array.init 3 (fun host ->
+            Task.create cluster.Kernel.c_kernels.(host) ~name:(Printf.sprintf "bytes-%d" host) ())
+      in
+      Array.iteri
+        (fun host task ->
+          ignore
+            (Thread.spawn task ~name:(Printf.sprintf "bytes-%d.main" host) (fun () ->
+                 let addr =
+                   Syscalls.vm_allocate_with_pager task ~size:(pages * page) ~anywhere:true
+                     ~memory_object:region ~offset:0 ()
+                 in
+                 addrs.(host) <- addr;
+                 let rng = Mach_util.Rng.create ((host * 7) + 3) in
+                 for i = 0 to 299 do
+                   let a = addr + (Mach_util.Rng.int rng pages * page) + (host * 8) in
+                   if Mach_util.Rng.float rng 1.0 < 0.2 then begin
+                     let b = Bytes.create 8 in
+                     Bytes.set_int64_le b 0 (Int64.of_int i);
+                     match Syscalls.write_bytes task ~addr:a b ~policy () with
+                     | Ok () -> ()
+                     | Error e -> fail "store" e
+                   end
+                   else
+                     match Syscalls.read_bytes task ~addr:a ~len:8 ~policy () with
+                     | Ok _ -> ()
+                     | Error e -> fail "load" e
+                 done;
+                 Ivar.fill done_.(host) ())))
+        tasks;
+      Array.iter Ivar.read done_;
+      (* One host at a time: the final views must agree. *)
+      Array.iteri
+        (fun host task ->
+          let addr = addrs.(host) in
+          let swept = Ivar.create () in
+          ignore
+            (Thread.spawn task ~name:(Printf.sprintf "bytes-%d.sweep" host) (fun () ->
+                 views.(host) <-
+                   String.concat ""
+                     (List.init pages (fun pg -> read_str task ~addr:(addr + (pg * page)) ~len:24));
+                 Ivar.fill swept ()));
+          Ivar.read swept)
+        tasks);
+  Engine.run cluster.Kernel.c_engine;
+  Alcotest.(check bool) "every host swept" true (views.(0) <> "");
+  check Alcotest.string "host 1 agrees with host 0" views.(0) views.(1);
+  check Alcotest.string "host 2 agrees with host 0" views.(0) views.(2)
+
 let () =
   Alcotest.run "netmem"
     [
@@ -196,5 +264,6 @@ let () =
           Alcotest.test_case "dirty data written back on unmap" `Quick test_write_back_on_unmap;
           Alcotest.test_case "interleaved stress stays coherent" `Quick test_interleaved_stress;
           Alcotest.test_case "three-host contention storm" `Quick test_three_host_contention_storm;
+          Alcotest.test_case "byte loads/stores survive flushes" `Quick test_byte_access_storm;
         ] );
     ]

@@ -145,13 +145,6 @@ let test_counters () =
   M.reset r;
   check (Alcotest.float 1e-9) "reset" 0.0 (M.get (M.snapshot r) "t.a")
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.5; 100.0; -5.0 ];
-  check Alcotest.int "bucket 0" 2 (Stats.Histogram.bucket_count h 0);
-  check Alcotest.int "bucket 1" 2 (Stats.Histogram.bucket_count h 1);
-  check Alcotest.int "bucket 9 (incl overflow)" 2 (Stats.Histogram.bucket_count h 9)
-
 (* ---- dlist -------------------------------------------------------------- *)
 
 let test_dlist_fifo () =
@@ -361,7 +354,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "dlist",
         [

@@ -197,11 +197,21 @@ let test_fork_copy_sets_needs_copy () =
     | _ -> Alcotest.fail "expected direct backings")
   | _ -> Alcotest.fail "expected single entries"
 
-let test_copy_region_cow () =
+(* copyin charges simulated CPU time, so it must run on an engine fiber. *)
+let in_fiber kctx f =
+  let result = ref None in
+  Engine.spawn kctx.Kctx.engine (fun () -> result := Some (f ()));
+  Engine.run kctx.Kctx.engine;
+  Option.get !result
+
+let test_copyin_copyout_cow () =
   let kctx = make_kctx () in
   let map = make_map kctx in
   let src = Vm_map.allocate map ~size:(2 * page) ~anywhere:true () in
-  let dst = Vm_map.copy_region ~src:map ~src_addr:src ~size:(2 * page) ~dst:map () in
+  let dst =
+    in_fiber kctx (fun () ->
+        Vm_map.copyout map (Vm_map.copyin map ~addr:src ~size:(2 * page)) ())
+  in
   Alcotest.(check bool) "new address" true (dst <> src);
   check Alcotest.int "doubled size" (8 * page / 2) (Vm_map.size map);
   invariant_ok map
@@ -254,6 +264,7 @@ let map_invariant_prop =
       let map = make_map kctx in
       let ok = ref true in
       let verify m = match Vm_map.check_invariants m with Ok () -> () | Error _ -> ok := false in
+      in_fiber kctx @@ fun () ->
       List.iter
         (fun op ->
           (match op with
@@ -269,8 +280,11 @@ let map_invariant_prop =
             verify child;
             Vm_map.destroy child
           | `Copy (a, s) -> (
-            try ignore (Vm_map.copy_region ~src:map ~src_addr:(a * page) ~size:(s * page) ~dst:map ())
-            with Vm_map.Bad_address _ | Vm_map.No_space -> ()));
+            match Vm_map.copyin map ~addr:(a * page) ~size:(s * page) with
+            | exception Vm_map.Bad_address _ -> ()
+            | copy -> (
+              try ignore (Vm_map.copyout map copy ())
+              with Vm_map.No_space -> Vm_map.copy_discard copy)));
           verify map)
         ops;
       !ok)
@@ -305,7 +319,7 @@ let () =
           Alcotest.test_case "fork share promotes" `Quick test_fork_share_promotes_to_share_map;
           Alcotest.test_case "fork none leaves hole" `Quick test_fork_none_leaves_hole;
           Alcotest.test_case "fork copy sets needs_copy" `Quick test_fork_copy_sets_needs_copy;
-          Alcotest.test_case "copy_region" `Quick test_copy_region_cow;
+          Alcotest.test_case "copyin + copyout" `Quick test_copyin_copyout_cow;
           QCheck_alcotest.to_alcotest map_invariant_prop;
         ] );
     ]
