@@ -25,13 +25,19 @@ let () =
     let c_4 = get current current_path "fault_storm_speedup_4" in
     let saving = get current current_path "handoff_saving_us_per_rpc" in
     let rate = get current current_path "pingpong_handoff_rate" in
+    let sat_ratio = get current current_path "saturated_handoff_claim_ratio" in
+    let sat_saving = get current current_path "saturated_handoff_saving_us_per_rpc" in
     if !failures = 0 then begin
       check_ge "fault_storm_speedup_4 (absolute)" c_4 abs_floor_4cpu;
       check_ge
         (Printf.sprintf "fault_storm_speedup_max vs baseline %.3f" b_max)
         c_max (baseline_fraction *. b_max);
       check_ge "handoff_saving_us_per_rpc" saving 1.0;
-      check_ge "pingpong_handoff_rate" rate 0.9
+      check_ge "pingpong_handoff_rate" rate 0.9;
+      (* With both CPUs busy, donations must still reach their receivers
+         and still pay off. *)
+      check_ge "saturated_handoff_claim_ratio" sat_ratio 0.9;
+      check_ge "saturated_handoff_saving_us_per_rpc" sat_saving 1.0
     end
   | _ -> usage "check_e05");
   finish "E5 scaling within recorded floors"

@@ -10,7 +10,8 @@
    counters: context switches, quantum preemptions, migrations, work
    steals, run-queue depth, and the handoff hit rate of the RPC fast
    path. A final A/B run measures what handoff scheduling saves per
-   RPC by re-running the same ping-pong with donation disabled. *)
+   RPC by re-running the same ping-pong with donation disabled, both
+   with one pair and with four pairs saturating two CPUs. *)
 
 open Mach
 open Common
@@ -158,6 +159,25 @@ let ping_pong ?(handoff = true) params ~pairs ~rpcs =
       in
       List.iter Ivar.read dones;
       (point sys m0, 2 * pairs * rpcs))
+
+(* Handoff A/B: the same ping-pong on a 2-CPU MultiMax with and without
+   processor donation. One pair leaves a CPU idle; four pairs keep both
+   busy, so only a donation taken at the end of the send burst (before
+   the run queue claims the processor) can land. *)
+let ab_machine = with_cpus Machine.multimax 2
+let sat_pairs = 4
+
+let handoff_ab ~pairs ~rpcs =
+  let on, _ = ping_pong ~handoff:true ab_machine ~pairs ~rpcs in
+  let off, _ = ping_pong ~handoff:false ab_machine ~pairs ~rpcs in
+  (on, off)
+
+(* Elapsed time per completed RPC, over all pairs. *)
+let per_rpc ~pairs ~rpcs pt = pt.pt_elapsed /. float_of_int (pairs * rpcs)
+
+let claim_ratio pt =
+  if pt.pt_handoffs = 0 then 0.0
+  else float_of_int (counter pt "handoff_claims") /. float_of_int pt.pt_handoffs
 
 (* --- workload 3: parallel compile jobs (§9 workload) -------------------- *)
 
@@ -320,26 +340,30 @@ let run () =
             ])
         cc)
     machines;
-  (* Handoff A/B: identical single-pair ping-pong on 2 CPUs, with and
-     without processor donation. The delta is the per-RPC price of the
-     run-queue round trip the handoff path skips. *)
+  (* The delta between the arms is the per-RPC price of the run-queue
+     round trip the handoff path skips. *)
   let ab_rpcs = 400 in
-  let ab_machine = with_cpus Machine.multimax 2 in
-  let on, _ = ping_pong ~handoff:true ab_machine ~pairs:1 ~rpcs:ab_rpcs in
-  let off, _ = ping_pong ~handoff:false ab_machine ~pairs:1 ~rpcs:ab_rpcs in
-  let per_rpc pt = pt.pt_elapsed /. float_of_int ab_rpcs in
   let t_ab =
-    Table.create ~title:"E5d: handoff vs run-queue RPC (1 pair x 400 RPCs, 2 CPUs, MultiMax)"
-      ~columns:[ "arm"; "elapsed ms"; "per-RPC us"; "handoffs"; "switches charged" ]
+    Table.create
+      ~title:"E5d: handoff vs run-queue RPC (400 RPCs per load, 2 CPUs, MultiMax)"
+      ~columns:
+        [ "load"; "arm"; "elapsed ms"; "per-RPC us"; "handoffs"; "claims"; "switches charged" ]
   in
-  Table.row t_ab
-    [ "handoff (donated CPU)"; ms on; us (per_rpc on); string_of_int on.pt_handoffs;
-      string_of_int (counter on "switches") ];
-  Table.row t_ab
-    [ "run queue (donation off)"; ms off; us (per_rpc off); string_of_int off.pt_handoffs;
-      string_of_int (counter off "switches") ];
-  Table.row t_ab
-    [ "saving per RPC"; "-"; us (per_rpc off -. per_rpc on); "-"; "-" ];
+  List.iter
+    (fun pairs ->
+      let rpcs = ab_rpcs / pairs in
+      let on, off = handoff_ab ~pairs ~rpcs in
+      let per_rpc = per_rpc ~pairs ~rpcs in
+      let load = Printf.sprintf "%d pair%s" pairs (if pairs = 1 then "" else "s") in
+      let arm name pt =
+        Table.row t_ab
+          [ load; name; ms pt; us (per_rpc pt); string_of_int pt.pt_handoffs;
+            string_of_int (counter pt "handoff_claims"); string_of_int (counter pt "switches") ]
+      in
+      arm "handoff (donated CPU)" on;
+      arm "run queue (donation off)" off;
+      Table.row t_ab [ load; "saving per RPC"; "-"; us (per_rpc off -. per_rpc on); "-"; "-"; "-" ])
+    [ 1; sat_pairs ];
   [ taxonomy_table (); t_storm; t_pp; t_cc; t_ab ]
 
 let quick () =
@@ -356,9 +380,10 @@ let json () =
   let storm1 = List.assoc 1 storm in
   let max_cpus, storm_max = List.nth storm (List.length storm - 1) in
   let pp_pt, pp_recv = ping_pong (with_cpus Machine.multimax 4) ~pairs:4 ~rpcs:100 in
-  let ab = with_cpus Machine.multimax 2 in
-  let on, _ = ping_pong ~handoff:true ab ~pairs:1 ~rpcs:200 in
-  let off, _ = ping_pong ~handoff:false ab ~pairs:1 ~rpcs:200 in
+  let on, off = handoff_ab ~pairs:1 ~rpcs:200 in
+  let sat_rpcs = 50 in
+  let sat_on, sat_off = handoff_ab ~pairs:sat_pairs ~rpcs:sat_rpcs in
+  let sat_per_rpc = per_rpc ~pairs:sat_pairs ~rpcs:sat_rpcs in
   let cc1 = compile_scale (with_cpus Machine.multimax 1) ~jobs:4 ~sources_per_job:2 in
   let cc4 = compile_scale (with_cpus Machine.multimax 4) ~jobs:4 ~sources_per_job:2 in
   List.concat
@@ -378,6 +403,10 @@ let json () =
         ("handoff_rpc_us", on.pt_elapsed /. 200.0);
         ("queued_rpc_us", off.pt_elapsed /. 200.0);
         ("handoff_saving_us_per_rpc", (off.pt_elapsed -. on.pt_elapsed) /. 200.0);
+        ("saturated_handoff_claim_ratio", claim_ratio sat_on);
+        ("saturated_handoff_rpc_us", sat_per_rpc sat_on);
+        ("saturated_queued_rpc_us", sat_per_rpc sat_off);
+        ("saturated_handoff_saving_us_per_rpc", sat_per_rpc sat_off -. sat_per_rpc sat_on);
         ("compile_speedup_4", speedup cc1 cc4);
       ];
     ]

@@ -19,7 +19,8 @@ and header = {
           blocked receiver: the receive path skips its context-switch
           charge, and a non-negative value is a scheduler ticket for the
           donated processor ({!Mach_sim.Sched.claim_handoff}); [-1]
-          marks a handoff with no processor reservation *)
+          marks a handoff with no processor to donate (e.g. a node without
+          a scheduler) *)
   mutable trace_span : int;
       (** set by the transport when tracing: the sender's current
           {!Mach_sim.Trace} span id, so receivers can {!Mach_sim.Trace.adopt}

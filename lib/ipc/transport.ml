@@ -101,34 +101,44 @@ let send_cost_us node msg =
   +. (float_of_int inline *. copy_us_per_byte)
   +. (float_of_int carried_pages *. p.Machine.map_op_us)
 
+(* Copy-object handles travel as 16 bytes, so only payloads carried in
+   the message keep it off the fast path. *)
 let is_fastpath_candidate msg =
-  Message.mapped_bytes msg = 0
+  Message.carried_mapped_bytes msg = 0
   && Message.inline_bytes msg <= fastpath_inline_bytes
 
-let enqueue_local node ?timeout ~donate port msg =
+(* RPC fast path: a receiver is already blocked on this port and the
+   message is small with nothing carried out of line. *)
+let fastpath_ready port msg =
+  Mailbox.waiters (Port.queue port) > 0 && is_fastpath_candidate msg
+
+(* A processor reserved for a handoff that will not happen goes back to
+   the run queues at once rather than idling out its window. *)
+let give_back node = function
+  | Some ticket -> (
+    match node.node_sched with Some s -> Sched.cancel_handoff s ~ticket | None -> ())
+  | None -> ()
+
+(* [handoff] is the header mark a fast-path delivery carries: the
+   ticket of the processor the send burst reserved for the receiver, or
+   [-1] when there is no scheduler to reserve one. Deliveries without
+   it (remote ones, the ablation arm) leave the receive its switch
+   charge. *)
+let enqueue_local node ?timeout ?handoff port msg =
   let stats = node.node_stats in
   let q = Port.queue port in
-  (* RPC fast path: a receiver is already blocked on this port and the
-     message is small and fully inline — hand it off directly and skip
-     the arrival notification (nothing is left queued, so waking the
-     receive-any machinery would only cause spurious rescans). The
-     handoff mark makes the receive charge-free; when the send runs on
-     the local scheduler the sender additionally donates its processor
-     so the receiver enters computation without a run-queue round trip
-     (remote deliveries never donate: the daemon's processor belongs to
-     the destination host, not to the original sender). *)
-  if Mailbox.waiters q > 0 && is_fastpath_candidate msg then begin
-    if donate then begin
-      let ticket =
-        match node.node_sched with Some s -> Sched.donate s | None -> None
-      in
-      msg.Message.header.Message.handoff <- Some (Option.value ticket ~default:(-1))
-    end;
+  (* Fast path: hand the message straight to the blocked receiver and
+     skip the arrival notification (nothing is left queued, so waking
+     the receive-any machinery would only cause spurious rescans). *)
+  if fastpath_ready port msg then begin
+    msg.Message.header.Message.handoff <- handoff;
     match Mailbox.send q msg with
     | () ->
       stats.s_rpc_fastpath <- stats.s_rpc_fastpath + 1;
       Ok ()
-    | exception Mailbox.Closed -> Error Send_invalid_port
+    | exception Mailbox.Closed ->
+      give_back node handoff;
+      Error Send_invalid_port
   end
   else
     match
@@ -148,16 +158,37 @@ let send node ?timeout msg =
   let dest = msg.Message.header.dest in
   if not (Port.alive dest) then Error Send_invalid_port
   else begin
-    node_compute node (send_cost_us node msg);
+    let local = Port.home dest = node.node_host in
+    let cost = send_cost_us node msg in
+    (* Handoff scheduling: a local send that will wake a blocked receiver
+       ends its burst by reserving its processor for that receiver, so
+       the receiver enters without a run-queue round trip even when
+       other threads are waiting for the CPU. Remote deliveries never
+       donate: the daemon's processor belongs to the destination host. *)
+    let ticket =
+      match node.node_sched with
+      | Some s ->
+        Sched.compute_donating s cost ~donate_if:(fun () ->
+            local && node.node_handoff_enabled && fastpath_ready dest msg)
+      | None ->
+        node_compute node cost;
+        None
+    in
     let stats = node.node_stats in
     stats.s_msgs_sent <- stats.s_msgs_sent + 1;
     stats.s_bytes_copied <- stats.s_bytes_copied + Message.inline_bytes msg;
     stats.s_bytes_mapped <- stats.s_bytes_mapped + Message.mapped_bytes msg;
     (* The port may have died while we were copying. *)
-    if not (Port.alive dest) then Error Send_invalid_port
-    else if Port.home dest = node.node_host then begin
+    if not (Port.alive dest) then begin
+      give_back node ticket;
+      Error Send_invalid_port
+    end
+    else if local then begin
       trace_send node msg ~local:true;
-      enqueue_local node ?timeout ~donate:node.node_handoff_enabled dest msg
+      let handoff =
+        if node.node_handoff_enabled then Some (Option.value ticket ~default:(-1)) else None
+      in
+      enqueue_local node ?timeout ?handoff dest msg
     end
     else begin
       trace_send node msg ~local:false;
@@ -172,7 +203,7 @@ let send node ?timeout msg =
       match
         Context.remote_deliver ctx ~src:node.node_host ~dst ~bytes (fun () ->
             if Port.alive dest then
-              match enqueue_local node ~donate:false dest msg with Ok () | Error _ -> ())
+              match enqueue_local node dest msg with Ok () | Error _ -> ())
       with
       | Ok () -> Ok ()
       | Error `Unreachable ->
@@ -192,7 +223,8 @@ let insert_caps space msg =
    the scheduler when one is wired. A handoff receive pays nothing: the
    sender drove the wakeup and donated its processor — the receiver
    claims the reservation so its next compute burst starts on the
-   donated CPU without touching a run queue. *)
+   donated CPU without touching a run queue. Only receives that got a
+   processor count as handoffs, so claims / handoffs is a claim rate. *)
 let charge_receive node msg =
   (match node.node_trace with
   | Some tr when Mach_sim.Trace.enabled tr ->
@@ -205,11 +237,12 @@ let charge_receive node msg =
   match msg.Message.header.Message.handoff with
   | Some ticket ->
     msg.Message.header.Message.handoff <- None;
-    node.node_stats.s_handoffs <- node.node_stats.s_handoffs + 1;
-    if ticket >= 0 then (
+    if ticket >= 0 then begin
+      node.node_stats.s_handoffs <- node.node_stats.s_handoffs + 1;
       match node.node_sched with
       | Some s -> Sched.claim_handoff s ~ticket ~name:(Engine.self_name ())
-      | None -> ())
+      | None -> ()
+    end
   | None -> node_compute node node.node_params.Machine.context_switch_us
 
 let receive_one node space port ?timeout () =

@@ -24,7 +24,9 @@ type ipc_stats = {
   mutable s_rpc_fastpath : int;  (** sends that handed off directly to a blocked receiver *)
   mutable s_handoffs : int;
       (** receives completed via handoff: the blocked receiver was woken
-          by a fast-path send and skipped its context-switch charge *)
+          by a fast-path send that donated a processor to it (ticket
+          [>= 0]), so [sched.handoff_claims / handoffs] is the share
+          of donations the receivers used *)
   mutable s_spurious_wakeups : int;  (** receive-any wakeups that found no ready port *)
 }
 
@@ -41,9 +43,11 @@ type node = {
   node_stats : ipc_stats;
   mutable node_sched : Mach_sim.Sched.t option;
       (** the host's processor scheduler: send/receive CPU costs contend
-          for processors through it, and local fast-path sends donate
-          the sender's processor to the receiver (handoff scheduling).
-          [None] (bare test nodes) falls back to un-contended sleeps. *)
+          for processors through it, and a local fast-path send ends
+          its send burst by reserving the processor it ran on for the
+          receiver ({!Mach_sim.Sched.compute_donating}) instead of
+          dispatching the run queue (handoff scheduling). [None] (bare
+          test nodes) falls back to un-contended sleeps. *)
   mutable node_handoff_enabled : bool;
       (** when [false], local fast-path sends neither donate a processor
           nor mark the message, so every receive pays the full
@@ -66,16 +70,20 @@ type recv_error =
   | Recv_invalid_port  (** no receive right / port dead with empty queue *)
 
 val fastpath_inline_bytes : int
-(** Largest fully-inline message eligible for the direct-handoff fast
-    path (delivered straight to a blocked receiver, skipping the
-    arrival notification). *)
+(** Largest inline payload eligible for the direct-handoff fast path
+    (delivered straight to a blocked receiver, skipping the arrival
+    notification). Copy-object handles ([Ool_copy]) do not disqualify
+    a message; [Map_transfer] payloads carried in it do. *)
 
 val send :
   node -> ?timeout:float -> Message.t -> (unit, send_error) result
 (** Blocks while the destination queue is full (unless [timeout],
     in microseconds, is given; [timeout] = 0 is a non-blocking try).
-    Remote destinations enqueue through the destination host's single
-    delivery daemon (one thread per host, not per message). *)
+    A local fast-path send donates its processor at the end of its
+    send burst; if the delivery then fails, the processor is handed
+    back at once. Remote destinations enqueue through the destination
+    host's single delivery daemon (one thread per host, not per
+    message). *)
 
 val receive :
   node ->

@@ -18,13 +18,17 @@
    [context_switch_us] to the incoming thread; taking an idle processor
    directly is free — the idle loop has nothing to save.
 
-   Handoff scheduling (Mach's message/scheduling duality): a sender
-   that just delivered to a blocked receiver may [donate] its processor.
-   The CPU is held in reserve — invisible to other acquirers — for one
+   Handoff scheduling (Mach's message/scheduling duality): a send burst
+   ([compute_donating]) whose message is about to wake a blocked
+   receiver ends by reserving its own processor instead of dispatching
+   the run queue, so the donation holds even on a fully busy host. The
+   CPU is held in reserve — invisible to other acquirers — for one
    context-switch-time window; the receiver claims it via
    [claim_handoff] + its next [compute], entering without a run-queue
    round trip and without a context-switch charge. An unclaimed
-   reservation expires and the CPU is re-dispatched. *)
+   reservation expires, and one the sender hands back
+   ([cancel_handoff]) is released at once; either way the CPU is
+   re-dispatched. *)
 
 type stats = {
   mutable s_switches : int;
@@ -210,12 +214,6 @@ let note_affinity t cpu name =
   cpu.c_last <- name;
   Hashtbl.replace t.affinity name cpu.c_id
 
-(* A finished burst releases its processor. *)
-let release t cpu name =
-  note_affinity t cpu name;
-  cpu.c_running <- None;
-  dispatch t cpu
-
 type entry = Entry_direct | Entry_queued | Entry_handoff
 
 let take t cpu name =
@@ -290,12 +288,14 @@ let charge_switch t cpu =
     cpu.c_busy_us <- cpu.c_busy_us +. t.context_switch_us
   end
 
+(* Runs a burst to completion and returns the processor it finished on,
+   still occupied; the caller decides who gets it next. *)
 let rec run_burst t cpu name remaining =
   let slice = if remaining > t.quantum_us then t.quantum_us else remaining in
   Engine.sleep slice;
   cpu.c_busy_us <- cpu.c_busy_us +. slice;
   let remaining = remaining -. slice in
-  if remaining <= 0.0 then release t cpu name
+  if remaining <= 0.0 then cpu
   else if Queue.length cpu.c_runq > 0 then begin
     (* Quantum expired with local contention: preempt. Requeue at the
        tail first so the dispatch below picks the earlier waiter. *)
@@ -313,20 +313,25 @@ let rec run_burst t cpu name remaining =
   end
   else run_burst t cpu name remaining
 
-let compute t us =
-  if us > 0.0 then begin
-    let name = Engine.self_name () in
-    let cpu, entry = acquire t name in
-    trace_point t
-      (match entry with
-      | Entry_direct -> "enter_direct"
-      | Entry_queued -> "enter_queued"
-      | Entry_handoff -> "enter_handoff");
+(* A positive-length burst on the calling thread; returns its processor
+   already vacated (affinity noted) but not yet re-dispatched. *)
+let burst t us =
+  let name = Engine.self_name () in
+  let cpu, entry = acquire t name in
+  trace_point t
     (match entry with
-    | Entry_queued -> charge_switch t cpu
-    | Entry_direct | Entry_handoff -> ());
-    run_burst t cpu name us
-  end
+    | Entry_direct -> "enter_direct"
+    | Entry_queued -> "enter_queued"
+    | Entry_handoff -> "enter_handoff");
+  (match entry with
+  | Entry_queued -> charge_switch t cpu
+  | Entry_direct | Entry_handoff -> ());
+  let cpu = run_burst t cpu name us in
+  note_affinity t cpu name;
+  cpu.c_running <- None;
+  cpu
+
+let compute t us = if us > 0.0 then dispatch t (burst t us)
 
 (* {2 Handoff} *)
 
@@ -335,34 +340,50 @@ let compute t us =
    so the reservation window is exactly one context-switch time. *)
 let reserve_window t = t.context_switch_us
 
-let donate t =
-  let donor = Engine.self_name () in
-  match Hashtbl.find_opt t.affinity donor with
-  | None -> None
-  | Some h ->
-    let cpu = t.cpus.(h) in
-    if not (free cpu) then None
+(* End a reservation nobody claimed — its window ran out, or the donor
+   handed it back — and give the processor to the run queues. *)
+let expire t cpu =
+  (match cpu.c_reserved with
+  | Some { r_for = Some name; _ } -> (
+    match Hashtbl.find_opt t.pending_handoff name with
+    | Some c when c == cpu -> Hashtbl.remove t.pending_handoff name
+    | Some _ | None -> ())
+  | Some _ | None -> ());
+  consume_reservation t cpu;
+  t.stats.s_handoff_expired <- t.stats.s_handoff_expired + 1;
+  dispatch t cpu
+
+let reserve t cpu =
+  let ticket = t.next_ticket in
+  t.next_ticket <- ticket + 1;
+  cpu.c_reserved <- Some { r_ticket = ticket; r_for = None };
+  Hashtbl.replace t.reservations ticket cpu;
+  trace_point t "donate";
+  Engine.schedule t.eng
+    ~at:(Engine.now t.eng +. reserve_window t)
+    (fun () ->
+      match cpu.c_reserved with
+      | Some r when r.r_ticket = ticket -> expire t cpu
+      | Some _ | None -> ());
+  ticket
+
+(* The predicate runs at the instant the burst ends, with nothing else
+   interleaved, so a caller may act on the same condition right after. *)
+let compute_donating t us ~donate_if =
+  if us <= 0.0 then None
+  else begin
+    let cpu = burst t us in
+    if donate_if () then Some (reserve t cpu)
     else begin
-      let ticket = t.next_ticket in
-      t.next_ticket <- ticket + 1;
-      let r = { r_ticket = ticket; r_for = None } in
-      cpu.c_reserved <- Some r;
-      Hashtbl.replace t.reservations ticket cpu;
-      trace_point t "donate";
-      Engine.schedule t.eng
-        ~at:(Engine.now t.eng +. reserve_window t)
-        (fun () ->
-          match cpu.c_reserved with
-          | Some r' when r'.r_ticket = ticket ->
-            (match r'.r_for with
-            | Some name -> Hashtbl.remove t.pending_handoff name
-            | None -> ());
-            consume_reservation t cpu;
-            t.stats.s_handoff_expired <- t.stats.s_handoff_expired + 1;
-            dispatch t cpu
-          | _ -> ());
-      Some ticket
+      dispatch t cpu;
+      None
     end
+  end
+
+let cancel_handoff t ~ticket =
+  match Hashtbl.find_opt t.reservations ticket with
+  | Some cpu -> expire t cpu
+  | None -> ()
 
 let claim_handoff t ~ticket ~name =
   match Hashtbl.find_opt t.reservations ticket with

@@ -13,12 +13,15 @@
     configured context-switch time to the incoming thread; acquiring an
     idle processor is free.
 
-    Handoff scheduling: {!donate} reserves the caller's processor for a
-    blocked-receiver IPC beneficiary; {!claim_handoff} (from the
-    receive path) binds the reservation to the woken thread, whose next
-    {!compute} then enters with no run-queue round trip and no
-    context-switch charge. Unclaimed reservations expire after one
-    context-switch window and the processor is re-dispatched. *)
+    Handoff scheduling: a send burst run with {!compute_donating} ends
+    by reserving its own processor for a blocked-receiver IPC
+    beneficiary instead of dispatching the run queue, so donation works
+    on a saturated host too. {!claim_handoff} (from the receive path)
+    binds the reservation to the woken thread, whose next {!compute}
+    then enters with no run-queue round trip and no context-switch
+    charge. Unclaimed reservations expire after one context-switch
+    window, handed-back ones ({!cancel_handoff}) at once, and the
+    processor is re-dispatched. *)
 
 type t
 
@@ -28,7 +31,8 @@ type stats = {
   mutable s_migrations : int;  (** bursts begun on a different CPU than the thread's last *)
   mutable s_steals : int;  (** idle CPUs that took a waiter from another run queue *)
   mutable s_handoff_claims : int;  (** bursts entered on a donated processor, charge-free *)
-  mutable s_handoff_expired : int;  (** donations the beneficiary never claimed *)
+  mutable s_handoff_expired : int;
+      (** donations the beneficiary never claimed (expired or handed back) *)
   mutable s_affinity_hits : int;  (** direct acquires of the thread's previous CPU *)
   mutable s_direct_dispatches : int;  (** acquires that found an idle CPU (no queueing) *)
   mutable s_enqueues : int;  (** acquires that had to wait on a run queue *)
@@ -47,10 +51,19 @@ val compute : t -> float -> unit
     Must be called from inside a simulated thread; bursts of zero or
     negative length return immediately. *)
 
-val donate : t -> int option
-(** Reserve the calling thread's processor (the one it last ran on) for
-    a handoff, if it is currently idle. Returns a ticket for
-    {!claim_handoff}, or [None] if the processor is busy. *)
+val compute_donating : t -> float -> donate_if:(unit -> bool) -> int option
+(** {!compute}, except that at the end of the burst [donate_if ()] is
+    asked — at that instant, with nothing interleaved — whether to
+    reserve the processor the burst ran on for a handoff instead of
+    dispatching its run queue. Returns the reservation's ticket for
+    {!claim_handoff}, or [None] (no donation; zero-length bursts
+    occupy no processor and never donate). *)
+
+val cancel_handoff : t -> ticket:int -> unit
+(** Hand a live reservation back: the processor is re-dispatched at
+    once instead of idling out its window (counted in
+    [s_handoff_expired]). Claimed-and-entered or unknown tickets are
+    ignored. *)
 
 val claim_handoff : t -> ticket:int -> name:string -> unit
 (** Bind a live reservation to thread [name]; its next {!compute}

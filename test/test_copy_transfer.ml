@@ -241,6 +241,64 @@ let test_failed_send_discards_snapshot () =
       check Alcotest.int "failed msg_rpc dropped its snapshot" refs0 obj.Vm_types.ref_count;
       check Alcotest.string "sender data intact" "doomed" (read_str sender ~addr ~len:6))
 
+(* A message reaching a receiver already blocked on [svc]: the sender
+   waits until the receiver has blocked. Returns the fast-path count
+   the send added and what the receiver got. *)
+let send_to_blocked sys sender ~receiver ~svc ~svc_port body =
+  let stats = (Kernel.kctx sys.Kernel.kernel).Kctx.node.Transport.node_stats in
+  let got = Ivar.create () in
+  ignore
+    (Thread.spawn receiver ~name:"receiver.main" (fun () ->
+         match Syscalls.msg_receive receiver ~from:(`Port svc) () with
+         | Ok msg -> Ivar.fill got msg
+         | Error _ -> Alcotest.fail "receive failed"));
+  Engine.sleep 1_000.0;
+  let fast0 = stats.Transport.s_rpc_fastpath in
+  (match Syscalls.msg_send sender (Message.make ~dest:svc_port body) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "send failed");
+  let fast = stats.Transport.s_rpc_fastpath - fast0 in
+  (fast, Ivar.read got)
+
+let test_copy_handle_takes_fastpath () =
+  (* A copy object travels as a 16-byte handle, so a region send to a
+     blocked receiver is handed off directly — and still reads back
+     byte-exact through the lazy copy-out. *)
+  with_system (fun sys sender ->
+      let receiver = Task.create sys.Kernel.kernel ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      let size = 3 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      write_str sender ~addr (pattern size);
+      let fast, msg =
+        send_to_blocked sys sender ~receiver ~svc ~svc_port
+          [ Syscalls.ool_region sender ~addr ~size ]
+      in
+      check Alcotest.int "Ool_copy send took the fast path" 1 fast;
+      match Syscalls.map_ool receiver msg with
+      | [ (raddr, rsize) ] ->
+        check Alcotest.int "full region mapped" size rsize;
+        check Alcotest.string "region reads back byte-exact" (pattern size)
+          (read_str receiver ~addr:raddr ~len:rsize)
+      | other -> Alcotest.failf "expected one mapped region, got %d" (List.length other))
+
+let test_carried_payload_skips_fastpath () =
+  (* A Map_transfer payload carried in the message still pays its map
+     operations on the queue path. *)
+  with_system (fun sys sender ->
+      let receiver = Task.create sys.Kernel.kernel ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      let payload = Bytes.of_string (pattern page) in
+      let fast, msg =
+        send_to_blocked sys sender ~receiver ~svc ~svc_port
+          [ Message.Ool { Message.ool_data = payload; transfer = Message.Map_transfer } ]
+      in
+      check Alcotest.int "carried payload took the queue path" 0 fast;
+      check Alcotest.(list string) "payload delivered" [ pattern page ]
+        (List.map Bytes.to_string (Message.ool_payloads msg)))
+
 let test_remote_rpc_region () =
   let cluster = Kernel.create_cluster ~hosts:2 () in
   let size = 2 * page in
@@ -326,6 +384,10 @@ let () =
           Alcotest.test_case "msg_rpc snapshots at send" `Quick test_rpc_snapshots_at_send;
           Alcotest.test_case "failed send discards snapshot" `Quick
             test_failed_send_discards_snapshot;
+          Alcotest.test_case "copy handle takes the fast path" `Quick
+            test_copy_handle_takes_fastpath;
+          Alcotest.test_case "carried payload skips the fast path" `Quick
+            test_carried_payload_skips_fastpath;
         ] );
       ( "remote",
         [

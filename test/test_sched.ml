@@ -109,10 +109,9 @@ let test_handoff_expiry () =
   let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
   let late_done = ref false in
   Engine.spawn eng ~name:"donor" (fun () ->
-      Sched.compute s 10.0;
-      (match Sched.donate s with
+      (match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
       | Some _ -> ()
-      | None -> Alcotest.fail "donation of an idle CPU should succeed");
+      | None -> Alcotest.fail "a burst's end should always be able to donate");
       Engine.sleep 1000.0);
   Engine.spawn eng ~name:"other" (fun () ->
       Engine.sleep 15.0;
@@ -124,11 +123,34 @@ let test_handoff_expiry () =
   Alcotest.(check bool) "burst ran after expiry" true !late_done;
   check Alcotest.int "expiry counted" 1 (Sched.stats s).Sched.s_handoff_expired
 
+let test_handoff_cancel () =
+  (* A donation handed back re-dispatches the processor at once: the
+     queued thread does not wait out the reservation window. *)
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
+  let other_done = ref 0.0 in
+  Engine.spawn eng ~name:"donor" (fun () ->
+      match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
+      | Some ticket -> Sched.cancel_handoff s ~ticket
+      | None -> Alcotest.fail "a burst's end should always be able to donate");
+  Engine.spawn eng ~name:"other" (fun () ->
+      Engine.sleep 1.0;
+      (* Queues behind the donor's burst on the only CPU. *)
+      Sched.compute s 10.0;
+      other_done := Engine.now eng);
+  Engine.run eng;
+  (* Donor ends at 10; other is dispatched at once and pays one switch. *)
+  check (Alcotest.float 1e-9) "other ran right after the hand-back" 40.0 !other_done;
+  check Alcotest.int "hand-back counted as unclaimed" 1 (Sched.stats s).Sched.s_handoff_expired;
+  check Alcotest.int "nothing left reserved" 1 (Sched.idle_cpus s)
+
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
 (* Random fleets of threads with random burst plans on random CPU
-   counts: every burst completes, and the invariant oracle — a CPU went
-   idle while another CPU's run queue held a waiter — never fires.
+   counts, where some bursts end by donating their processor to a random
+   beneficiary: every burst completes, the invariant oracle — a CPU
+   went idle while another CPU's run queue held a waiter — never fires,
+   and every reservation is either claimed or expires, so none leaks.
    This is the property work stealing exists to enforce. *)
 let no_starvation_prop =
   let open QCheck2 in
@@ -136,32 +158,43 @@ let no_starvation_prop =
     Gen.(
       tup3 (int_range 1 4)
         (int_range 1 8)
-        (list_size (int_range 1 40) (pair (int_range 0 7) (int_range 1 300))))
+        (list_size (int_range 1 40)
+           (triple (int_range 0 7) (int_range 1 300) (opt (int_range 0 7)))))
   in
   Test.make ~name:"no CPU idles while a runnable thread waits" ~count:50 gen
     (fun (cpus, threads, bursts) ->
       let eng = Engine.create () in
       let s = Sched.create eng ~cpus ~quantum_us:100.0 ~context_switch_us:7.0 () in
+      let name i = Printf.sprintf "t%d" i in
       let plans = Array.make threads [] in
       List.iter
-        (fun (th, us) ->
+        (fun (th, us, donate_to) ->
           let th = th mod threads in
-          plans.(th) <- float_of_int us :: plans.(th))
+          plans.(th) <- (float_of_int us, donate_to) :: plans.(th))
         bursts;
       let total = List.length bursts in
-      let completed = ref 0 in
+      let completed = ref 0 and donations = ref 0 in
       Array.iteri
         (fun i plan ->
-          Engine.spawn eng ~name:(Printf.sprintf "t%d" i) (fun () ->
+          Engine.spawn eng ~name:(name i) (fun () ->
               List.iter
-                (fun us ->
-                  Sched.compute s us;
+                (fun (us, donate_to) ->
+                  (match donate_to with
+                  | None -> Sched.compute s us
+                  | Some b -> (
+                    match Sched.compute_donating s us ~donate_if:(fun () -> true) with
+                    | Some ticket ->
+                      incr donations;
+                      Sched.claim_handoff s ~ticket ~name:(name (b mod threads))
+                    | None -> ()));
                   incr completed)
                 plan))
         plans;
       Engine.run eng;
+      let st = Sched.stats s in
       !completed = total
-      && (Sched.stats s).Sched.s_idle_with_waiter = 0
+      && st.Sched.s_idle_with_waiter = 0
+      && st.Sched.s_handoff_claims + st.Sched.s_handoff_expired = !donations
       && Sched.queued s = 0
       && Sched.idle_cpus s = cpus)
 
@@ -215,55 +248,82 @@ let test_rpc_handoff_no_switch () =
   Engine.run sys.Kernel.engine;
   Alcotest.(check bool) "scenario completed" true !ok
 
-(* The same ping-pong with donation disabled is strictly slower: the
-   saving is the two context-switch charges the handoff skips. *)
-let ping_elapsed ~handoff ~rpcs =
+(* [pairs] client/server pairs of ping-pong RPCs on 2 CPUs. Returns the
+   longest client's elapsed time and the run's scheduler and IPC
+   counters. *)
+let ping_pong ~handoff ~pairs ~rpcs =
   let config = { Kernel.default_config with Kernel.params = multimax2 } in
   let sys = Kernel.create_system ~config () in
-  (Kernel.kctx sys.Kernel.kernel).Kctx.node.Transport.node_handoff_enabled <- handoff;
+  let kctx = Kernel.kctx sys.Kernel.kernel in
+  kctx.Kctx.node.Transport.node_handoff_enabled <- handoff;
   let elapsed = ref 0.0 in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let task = Task.create sys.Kernel.kernel ~name:"t" () in
-      let svc = Syscalls.port_allocate task ~backlog:4 () in
-      let svc_port = Port_space.lookup_exn (Task.space task) svc in
-      ignore
-        (Thread.spawn task ~name:"server" (fun () ->
-             for _ = 1 to rpcs do
-               match Syscalls.msg_receive task ~from:(`Port svc) () with
-               | Ok msg ->
-                 let rp = Option.get msg.Message.header.Message.reply in
-                 ignore
-                   (Syscalls.msg_send task (Message.make ~dest:rp [ Message.Data (Bytes.create 4) ]))
-               | Error _ -> Alcotest.fail "server receive failed"
-             done));
-      ignore
-        (Thread.spawn task ~name:"client" (fun () ->
-             let reply = Syscalls.port_allocate task ~backlog:1 () in
-             let reply_port = Port_space.lookup_exn (Task.space task) reply in
-             let t0 = Engine.now sys.Kernel.engine in
-             for _ = 1 to rpcs do
-               match
-                 Syscalls.msg_rpc task
-                   (Message.make ~dest:svc_port ~reply:reply_port [ Message.Data (Bytes.create 4) ])
-                   ()
-               with
-               | Ok _ -> ()
-               | Error _ -> Alcotest.fail "rpc failed"
-             done;
-             elapsed := Engine.now sys.Kernel.engine -. t0)));
+      for i = 1 to pairs do
+        let svc = Syscalls.port_allocate task ~backlog:4 () in
+        let svc_port = Port_space.lookup_exn (Task.space task) svc in
+        ignore
+          (Thread.spawn task ~name:(Printf.sprintf "server%d" i) (fun () ->
+               for _ = 1 to rpcs do
+                 match Syscalls.msg_receive task ~from:(`Port svc) () with
+                 | Ok msg ->
+                   let rp = Option.get msg.Message.header.Message.reply in
+                   ignore
+                     (Syscalls.msg_send task
+                        (Message.make ~dest:rp [ Message.Data (Bytes.create 4) ]))
+                 | Error _ -> Alcotest.fail "server receive failed"
+               done));
+        ignore
+          (Thread.spawn task ~name:(Printf.sprintf "client%d" i) (fun () ->
+               let reply = Syscalls.port_allocate task ~backlog:1 () in
+               let reply_port = Port_space.lookup_exn (Task.space task) reply in
+               let t0 = Engine.now sys.Kernel.engine in
+               for _ = 1 to rpcs do
+                 match
+                   Syscalls.msg_rpc task
+                     (Message.make ~dest:svc_port ~reply:reply_port
+                        [ Message.Data (Bytes.create 4) ])
+                     ()
+                 with
+                 | Ok _ -> ()
+                 | Error _ -> Alcotest.fail "rpc failed"
+               done;
+               elapsed := Float.max !elapsed (Engine.now sys.Kernel.engine -. t0)))
+      done);
   Engine.run sys.Kernel.engine;
-  !elapsed
+  (!elapsed, Sched.stats kctx.Kctx.sched, kctx.Kctx.node.Transport.node_stats)
 
+(* The same ping-pong with donation disabled is strictly slower: the
+   saving is the two context-switch charges the handoff skips. *)
 let test_handoff_cheaper_than_queue () =
   let rpcs = 50 in
-  let on = ping_elapsed ~handoff:true ~rpcs in
-  let off = ping_elapsed ~handoff:false ~rpcs in
+  let on, _, _ = ping_pong ~handoff:true ~pairs:1 ~rpcs in
+  let off, _, _ = ping_pong ~handoff:false ~pairs:1 ~rpcs in
   Alcotest.(check bool)
     (Printf.sprintf "handoff path cheaper (%.1f < %.1f us)" on off)
     true (on < off);
   (* Each RPC skips two receive-side switch charges. *)
   let expected_saving = float_of_int (2 * rpcs) *. multimax2.Machine.context_switch_us in
   check (Alcotest.float 1.0) "saving = two switch charges per RPC" expected_saving (off -. on)
+
+(* Four pairs on two CPUs keep every processor busy, so a donation can
+   only happen at the end of the send burst, before the run queue takes
+   the processor. Nearly every handoff must still get its CPU. *)
+let test_saturated_handoff () =
+  let pairs = 4 and rpcs = 50 in
+  let _, on, on_ipc = ping_pong ~handoff:true ~pairs ~rpcs in
+  let _, off, _ = ping_pong ~handoff:false ~pairs ~rpcs in
+  let handoffs = on_ipc.Transport.s_handoffs in
+  let claims = on.Sched.s_handoff_claims in
+  Alcotest.(check bool)
+    (Printf.sprintf "claims %d >= 90%% of handoffs %d" claims handoffs)
+    true
+    (handoffs > 0 && 10 * claims >= 9 * handoffs);
+  let per_rpc st = float_of_int st.Sched.s_switches /. float_of_int (pairs * rpcs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer switches per RPC (%.2f < %.2f)" (per_rpc on) (per_rpc off))
+    true
+    (per_rpc on < per_rpc off)
 
 let () =
   Alcotest.run "sched"
@@ -276,11 +336,13 @@ let () =
           Alcotest.test_case "quantum preemption interleaves" `Quick test_quantum_preemption;
           Alcotest.test_case "soft affinity" `Quick test_affinity_preferred;
           Alcotest.test_case "unclaimed donation expires" `Quick test_handoff_expiry;
+          Alcotest.test_case "handed-back donation re-dispatches" `Quick test_handoff_cancel;
           QCheck_alcotest.to_alcotest no_starvation_prop;
         ] );
       ( "ipc-handoff",
         [
           Alcotest.test_case "RPC fast path charges no switch" `Quick test_rpc_handoff_no_switch;
           Alcotest.test_case "handoff cheaper than run queue" `Quick test_handoff_cheaper_than_queue;
+          Alcotest.test_case "saturated handoff keeps its CPU" `Quick test_saturated_handoff;
         ] );
     ]
