@@ -95,7 +95,7 @@ let run_body ~rounds =
           Rt.p_init = (fun _ _ ~request -> Ivar.fill wb_request request);
           Rt.p_read =
             (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'w'));
-          Rt.p_prepare_write =
+          Rt.p_write =
             (fun _ _ ~offset:_ ~data:_ ->
               (* Sit on the data long enough for refaults to land while
                  the run's data_write is outstanding. *)

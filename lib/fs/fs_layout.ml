@@ -215,21 +215,18 @@ let create t name =
     flush_inode t idx
   end
 
-let indirect_ptrs t ino =
-  if ino.indirect = 0 then Array.make t.ptrs_per_block 0
-  else begin
-    let raw = Disk.read_raw t.disk ~block:ino.indirect in
-    Array.init t.ptrs_per_block (fun i -> Bytes.get_uint16_le raw (4 * i) lor (Bytes.get_uint16_le raw ((4 * i) + 2) lsl 16))
-  end
+(* The indirect block is an array of little-endian u32 block pointers. *)
+let get_ptr raw i = Bytes.get_uint16_le raw (4 * i) lor (Bytes.get_uint16_le raw ((4 * i) + 2) lsl 16)
 
-let write_indirect t ino ptrs =
+let set_ptr raw i p =
+  Bytes.set_uint16_le raw (4 * i) (p land 0xffff);
+  Bytes.set_uint16_le raw ((4 * i) + 2) ((p lsr 16) land 0xffff)
+
+let indirect_raw t ino =
+  if ino.indirect = 0 then Bytes.make t.bs '\000' else Disk.read_raw t.disk ~block:ino.indirect
+
+let write_indirect t ino raw =
   if ino.indirect = 0 then ino.indirect <- alloc_block t;
-  let raw = Bytes.make t.bs '\000' in
-  Array.iteri
-    (fun i p ->
-      Bytes.set_uint16_le raw (4 * i) (p land 0xffff);
-      Bytes.set_uint16_le raw ((4 * i) + 2) ((p lsr 16) land 0xffff))
-    ptrs;
   Disk.write t.disk ~block:ino.indirect raw
 
 (* The disk block holding file block [index], or 0. *)
@@ -238,7 +235,8 @@ let block_of t ino index =
   else
     let i = index - direct_blocks in
     if i >= t.ptrs_per_block then raise (Fs_error "file too large")
-    else (indirect_ptrs t ino).(i)
+    else if ino.indirect = 0 then 0
+    else get_ptr (Disk.read_raw t.disk ~block:ino.indirect) i
 
 let ensure_block t idx ino index =
   let existing = block_of t ino index in
@@ -250,12 +248,41 @@ let ensure_block t idx ino index =
       flush_inode t idx
     end
     else begin
-      let ptrs = indirect_ptrs t ino in
-      ptrs.(index - direct_blocks) <- blk;
-      write_indirect t ino ptrs;
+      let raw = indirect_raw t ino in
+      set_ptr raw (index - direct_blocks) blk;
+      write_indirect t ino raw;
       flush_inode t idx
     end;
     blk
+  end
+
+(* Free every allocated block at file index [keep] or beyond and clear
+   its pointer. The indirect block goes too once the file fits in the
+   direct blocks; a stale indirect pointer would later hand a block that
+   now belongs to another file back to this one. *)
+let truncate_blocks t ino ~keep =
+  for i = keep to direct_blocks - 1 do
+    if ino.direct.(i) <> 0 then begin
+      free_block t ino.direct.(i);
+      ino.direct.(i) <- 0
+    end
+  done;
+  if ino.indirect <> 0 then begin
+    let raw = indirect_raw t ino in
+    let changed = ref false in
+    for i = max 0 (keep - direct_blocks) to t.ptrs_per_block - 1 do
+      let p = get_ptr raw i in
+      if p <> 0 then begin
+        free_block t p;
+        set_ptr raw i 0;
+        changed := true
+      end
+    done;
+    if keep <= direct_blocks then begin
+      free_block t ino.indirect;
+      ino.indirect <- 0
+    end
+    else if !changed then write_indirect t ino raw
   end
 
 let file_disk_block t name ~index =
@@ -304,6 +331,52 @@ let write_block t name ~index data =
       flush_inode t idx
     end
 
+(* Store each maximal run of disk-contiguous blocks with one transfer:
+   [blocks.(i)] receives [buf]'s i-th block-sized slice. *)
+let write_runs t blocks buf =
+  let n = Array.length blocks in
+  let start = ref 0 in
+  for i = 1 to n do
+    if i = n || blocks.(i) <> blocks.(i - 1) + 1 then begin
+      let pos = !start * t.bs in
+      let len = min (Bytes.length buf) (i * t.bs) - pos in
+      Disk.write t.disk ~block:blocks.(!start)
+        (if len = Bytes.length buf then buf else Bytes.sub buf pos len);
+      start := i
+    end
+  done
+
+let write_range t name ~off data =
+  if Bytes.length data > 0 then begin
+    create t name;
+    let idx = Hashtbl.find t.by_name name in
+    let ino = t.inodes.(idx) in
+    (* A write past the end also writes the gap, as zeroes, so bytes a
+       shorter version of the file left in its last block never show. *)
+    let lo = min off ino.size and hi = off + Bytes.length data in
+    let first = lo / t.bs in
+    let base = first * t.bs in
+    let buf =
+      if lo = off && lo = base then data
+      else begin
+        (* Start on a block boundary, merging over the stored head. *)
+        let buf = Bytes.make (hi - base) '\000' in
+        (match block_of t ino first with
+        | blk when blk <> 0 && lo > base ->
+          Bytes.blit (Disk.read t.disk ~block:blk) 0 buf 0 (lo - base)
+        | _ -> ());
+        Bytes.blit data 0 buf (off - base) (Bytes.length data);
+        buf
+      end
+    in
+    let nblocks = ((hi - 1) / t.bs) - first + 1 in
+    write_runs t (Array.init nblocks (fun i -> ensure_block t idx ino (first + i))) buf;
+    if hi > ino.size then begin
+      ino.size <- hi;
+      flush_inode t idx
+    end
+  end
+
 let read_file t name =
   match lookup t name with
   | None -> None
@@ -328,16 +401,10 @@ let rec delete t name =
     let ino = t.inodes.(idx) in
     (* Free from the allocation pointers, not the recorded size: a
        failed whole-file write rolls back before the size is set. *)
-    Array.iter (fun blk -> if blk <> 0 then free_block t blk) ino.direct;
-    if ino.indirect <> 0 then begin
-      Array.iter (fun p -> if p <> 0 then free_block t p) (indirect_ptrs t ino);
-      free_block t ino.indirect
-    end;
+    truncate_blocks t ino ~keep:0;
     ino.used <- false;
     ino.name <- "";
     ino.size <- 0;
-    Array.fill ino.direct 0 direct_blocks 0;
-    ino.indirect <- 0;
     Hashtbl.remove t.by_name name;
     flush_inode t idx
 
@@ -356,16 +423,8 @@ and write_file_unchecked t name data =
   | None -> assert false
   | Some idx ->
     let ino = t.inodes.(idx) in
-    (* Free blocks past the new end. *)
-    let old_blocks = (ino.size + t.bs - 1) / t.bs in
     let new_blocks = (Bytes.length data + t.bs - 1) / t.bs in
-    for i = new_blocks to old_blocks - 1 do
-      let blk = block_of t ino i in
-      if blk <> 0 then begin
-        free_block t blk;
-        if i < direct_blocks then ino.direct.(i) <- 0
-      end
-    done;
+    truncate_blocks t ino ~keep:new_blocks;
     for i = 0 to new_blocks - 1 do
       let blk = ensure_block t idx ino i in
       let len = min t.bs (Bytes.length data - (i * t.bs)) in

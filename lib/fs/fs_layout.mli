@@ -37,7 +37,9 @@ val read_file : t -> string -> bytes option
 (** Whole-file read; charges disk time per data block. *)
 
 val write_file : t -> string -> bytes -> unit
-(** Whole-file (re)write, creating the file if needed. *)
+(** Whole-file (re)write, creating the file if needed; blocks past the
+    new end are freed. Each data block is its own disk write, the cost
+    the UNIX baseline's block-at-a-time path pays for the same file. *)
 
 val read_range : t -> string -> off:int -> len:int -> bytes option
 (** Range read (short when crossing EOF). *)
@@ -48,6 +50,16 @@ val read_block : t -> string -> index:int -> bytes option
 
 val write_block : t -> string -> index:int -> bytes -> unit
 (** Write one file block, extending the file if needed. *)
+
+val write_range : t -> string -> off:int -> bytes -> unit
+(** Write [data] at byte [off], creating and extending the file if
+    needed and allocating missing blocks first-fit. Each maximal run of
+    disk-contiguous blocks is one {!Mach_hw.Disk.write}: one seek per
+    run, not per block. A head that starts mid-block merges over the
+    stored bytes (one charged block read); bytes of the file outside
+    the range are unchanged, and a gap between the old end and [off]
+    reads as zeroes. An empty [data] is a no-op. Raises {!Fs_error} when
+    the disk is full or the file would outgrow {!max_file_size}. *)
 
 (** {2 Block-level access for external caching layers}
 

@@ -5,7 +5,7 @@ type t = {
   engine : Engine.t;
   name : string;
   block_size : int;
-  store : bytes array;
+  store : bytes array;  (* [unwritten] until a block's first write *)
   seek_us : float;
   transfer_us_per_byte : float;
   arm : Semaphore.t; (* one transfer at a time; queued requests wait *)
@@ -15,13 +15,18 @@ type t = {
   mutable bytes_written : int;
 }
 
+(* Blocks get their bytes on first write; until then they read as
+   zeroes. A paging disk is mostly never touched, so allocating it
+   eagerly would cost megabytes of host memory per host. *)
+let unwritten = Bytes.empty
+
 let create engine ~name ~blocks ~block_size ?(seek_us = 20_000.0) ?(transfer_us_per_byte = 1.0) () =
   if blocks <= 0 || block_size <= 0 then invalid_arg "Disk.create: bad geometry";
   {
     engine;
     name;
     block_size;
-    store = Array.init blocks (fun _ -> Bytes.make block_size '\000');
+    store = Array.make blocks unwritten;
     seek_us;
     transfer_us_per_byte;
     arm = Semaphore.create 1;
@@ -50,35 +55,56 @@ let check t block =
   if block < 0 || block >= Array.length t.store then
     invalid_arg (Printf.sprintf "Disk %s: block %d out of range" t.name block)
 
+(* A write of [len] bytes at [block] covers consecutive blocks and must
+   end on the disk. *)
+let check_span t block len =
+  check t block;
+  if block + ((len - 1) / t.block_size) >= Array.length t.store then
+    invalid_arg (Printf.sprintf "Disk %s: write past the last block" t.name)
+
 let transfer t nbytes =
   Semaphore.with_permit t.arm (fun () ->
       Engine.sleep (t.seek_us +. (float_of_int nbytes *. t.transfer_us_per_byte)))
+
+let contents t block =
+  let b = t.store.(block) in
+  if b == unwritten then Bytes.make t.block_size '\000' else Bytes.copy b
+
+(* Store [data] from the start of [block] on; a short final block keeps
+   its tail. *)
+let store t block data =
+  let bs = t.block_size in
+  let len = Bytes.length data in
+  let i = ref 0 in
+  while !i * bs < len do
+    let b = block + !i in
+    if t.store.(b) == unwritten then t.store.(b) <- Bytes.make bs '\000';
+    Bytes.blit data (!i * bs) t.store.(b) 0 (min bs (len - (!i * bs)));
+    incr i
+  done
 
 let read t ~block =
   check t block;
   transfer t t.block_size;
   t.reads <- t.reads + 1;
   t.bytes_read <- t.bytes_read + t.block_size;
-  Bytes.copy t.store.(block)
+  contents t block
 
 let write t ~block data =
-  check t block;
   let len = Bytes.length data in
-  if len > t.block_size then invalid_arg "Disk.write: data larger than a block";
+  check_span t block len;
   transfer t len;
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + len;
-  Bytes.blit data 0 t.store.(block) 0 len
+  store t block data
 
 let read_raw t ~block =
   check t block;
-  Bytes.copy t.store.(block)
+  contents t block
 
 let write_raw t ~block data =
-  check t block;
-  let len = Bytes.length data in
-  if len > t.block_size then invalid_arg "Disk.write_raw: data larger than a block";
-  Bytes.blit data 0 t.store.(block) 0 len
+  check_span t block (Bytes.length data);
+  store t block data
 
 let reads t = t.reads
 let writes t = t.writes

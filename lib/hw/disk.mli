@@ -2,7 +2,10 @@
 
     A single request stream with a seek + per-byte transfer latency
     model; concurrent requests queue (FIFO). Operation and byte counters
-    feed the §9 "number of I/O operations" measurements. *)
+    feed the §9 "number of I/O operations" measurements.
+
+    Blocks hold no host memory until first written; an unwritten block
+    reads as zeroes. *)
 
 type t
 
@@ -31,14 +34,18 @@ val read : t -> block:int -> bytes
 (** Blocking; charges simulated seek + transfer time. *)
 
 val write : t -> block:int -> bytes -> unit
-(** Blocking; data must be at most one block, shorter writes leave the
-    block's tail unchanged. *)
+(** Blocking. [data] fills [block] and the blocks after it in order, so
+    one call can store a run of consecutive blocks: it charges one seek
+    plus the per-byte transfer and counts as one operation. A short
+    final block keeps its tail. Raises [Invalid_argument] if the data
+    runs past the last block. *)
 
 val read_raw : t -> block:int -> bytes
 (** Instantaneous, no time charge and no counter update — for crash
     recovery inspection in tests. *)
 
 val write_raw : t -> block:int -> bytes -> unit
+(** {!write} without the time charge or counter update. *)
 
 (** {2 Statistics} *)
 

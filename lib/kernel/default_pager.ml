@@ -10,7 +10,7 @@ module Rt = Mach_vm.Pager_runtime
 
 (* The default pager is a policy module over the shared pager runtime,
    like every other manager — the runtime owns the object registry and
-   the request/write splitting; this file only maps pages to paging-disk
+   the request splitting; this file only maps pages to paging-disk
    blocks. It differs from the user-level managers in transport alone:
    being part of the kernel image it pumps its own receive loop instead
    of going through [Memory_object_server]. *)
@@ -57,19 +57,22 @@ let policy get =
           (* Never paged out: the kernel zero-fills. *)
           Rt.Unavailable);
     p_write =
-      (fun rt o ~page ~data ->
+      (fun rt o ~offset ~data ->
+        (* Paging blocks come from a free pool, so a run's pages are not
+           disk-contiguous: store each page with its own write. *)
         let t = get () in
-        let off = page * Rt.page_size rt in
-        let block =
-          match Hashtbl.find_opt o.Rt.o_data.blocks off with
-          | Some b -> b
-          | None ->
-            let b = alloc_block t in
-            Hashtbl.replace o.Rt.o_data.blocks off b;
-            t.stored <- t.stored + 1;
-            b
-        in
-        Disk.write t.disk ~block data);
+        Rt.iter_pages rt ~offset ~data (fun ~page ~pos ~len ->
+            let off = page * Rt.page_size rt in
+            let block =
+              match Hashtbl.find_opt o.Rt.o_data.blocks off with
+              | Some b -> b
+              | None ->
+                let b = alloc_block t in
+                Hashtbl.replace o.Rt.o_data.blocks off b;
+                t.stored <- t.stored + 1;
+                b
+            in
+            Disk.write t.disk ~block (Bytes.sub data pos len)));
     p_death = (fun _ o _ -> release_blocks (get ()) o);
   }
 

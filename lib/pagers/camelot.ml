@@ -199,15 +199,25 @@ let get_segment t name ~size =
 let segment_object t name ~size = (get_segment t name ~size).Rt.o_port
 
 (* --- pager policy --------------------------------------------------------
-   The runtime owns the request/write splitting; camelot contributes the
+   The runtime owns the request splitting; camelot contributes the
    recoverable-storage policy: pages live on the data disk, and the §8.3
-   write-ahead rule is enforced once per write run. *)
+   write-ahead rule is enforced once per write run, at the top of
+   [p_write]. *)
+
+(* Apply an update to the data disk, splitting across block boundaries
+   (log records may straddle pages). Each block is its own disk write. *)
+let apply_to_disk t ~segment ~offset data =
+  Rt.Blocks.write_range
+    ~block_size:(Fs_layout.block_size t.fs)
+    ~read:(fun ~index -> Fs_layout.read_block t.fs segment ~index)
+    ~write:(fun ~index b -> Fs_layout.write_block t.fs segment ~index b)
+    ~offset ~data
 
 (* The §8.3 rule: log records first, then the pages. A write may carry a
    run of adjacent pages; the log is forced ONCE, to the highest LSN any
    page in the run carries, before any of them reaches the data disk —
    run-sized writes amortise the force as well as the message. *)
-let prepare_write t seg ~offset ~data =
+let force_for_write t seg ~offset ~data =
   let ps = t.page_size in
   let first_idx = offset / ps in
   let npages = max 1 ((Bytes.length data + ps - 1) / ps) in
@@ -240,29 +250,15 @@ let policy get =
             (Rt.Blocks.read_range ~block_size:bs
                ~read:(fun ~index -> Fs_layout.read_block t.fs seg.sg_name ~index)
                ~offset:(page * ps) ~len:ps));
-    p_prepare_write =
-      (fun _ o ~offset ~data -> prepare_write (get ()) o.Rt.o_data ~offset ~data);
     p_write =
-      (fun rt o ~page ~data ->
+      (fun _ o ~offset ~data ->
         let t = get () in
-        if Bytes.length data > 0 then
-          Rt.Blocks.write_range
-            ~block_size:(Fs_layout.block_size t.fs)
-            ~read:(fun ~index -> Fs_layout.read_block t.fs o.Rt.o_data.sg_name ~index)
-            ~write:(fun ~index b -> Fs_layout.write_block t.fs o.Rt.o_data.sg_name ~index b)
-            ~offset:(page * Rt.page_size rt) ~data);
+        let seg = o.Rt.o_data in
+        force_for_write t seg ~offset ~data;
+        apply_to_disk t ~segment:seg.sg_name ~offset data);
   }
 
 (* --- transactions ------------------------------------------------------- *)
-
-(* Apply an update to the data disk, splitting across block boundaries
-   (log records may straddle pages). *)
-let apply_to_disk t ~segment ~offset data =
-  Rt.Blocks.write_range
-    ~block_size:(Fs_layout.block_size t.fs)
-    ~read:(fun ~index -> Fs_layout.read_block t.fs segment ~index)
-    ~write:(fun ~index b -> Fs_layout.write_block t.fs segment ~index b)
-    ~offset ~data
 
 (* Undo through the server's own mapping so every cached copy sees it;
    §6.1's advice applies — this runs on a worker thread while the

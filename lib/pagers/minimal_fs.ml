@@ -36,9 +36,9 @@ let fs t = t.fs
 let runtime_stats t = Rt.stats t.rt
 
 (* --- pager policy --------------------------------------------------------
-   The protocol plumbing (registry, request/write splitting, coalesced
+   The protocol plumbing (registry, request splitting, coalesced
    replies, request-port tracking) lives in the shared runtime; the
-   filesystem contributes only block-backed page read/write. *)
+   filesystem contributes only block-backed page reads and run writes. *)
 
 let policy get ~enable_cache =
   {
@@ -61,21 +61,16 @@ let policy get ~enable_cache =
     (* Past-EOF blocks read as zeroes; a missing file is unavailable for
        the whole range (the runtime coalesces the holes). *);
     p_write =
-      (fun rt o ~page ~data ->
+      (fun _ o ~offset ~data ->
         (* Pageout of a directly-mapped file (footnote 7 mappings):
-           persist the dirty page, merging partial trailing blocks over
-           what is stored. Without this, paged-out file modifications
-           would silently vanish from the cache-object lifecycle. *)
+           persist the dirty run. Without this, paged-out file
+           modifications would silently vanish from the cache-object
+           lifecycle. The kernel clustered the run; the range write
+           keeps it clustered on disk, one seek per contiguous piece,
+           so the release comes back before the rescue timer fires. *)
         let t = get () in
-        let file = o.Rt.o_data in
-        if Bytes.length data > 0 then
-          try
-            Rt.Blocks.write_range
-              ~block_size:(Fs_layout.block_size t.fs)
-              ~read:(fun ~index -> Fs_layout.read_block t.fs file.f_name ~index)
-              ~write:(fun ~index b -> Fs_layout.write_block t.fs file.f_name ~index b)
-              ~offset:(page * Rt.page_size rt) ~data
-          with Fs_layout.Fs_error _ -> ());
+        try Fs_layout.write_range t.fs o.Rt.o_data.f_name ~off:offset data
+        with Fs_layout.Fs_error _ -> ());
   }
 
 (* --- RPC side ----------------------------------------------------------- *)

@@ -201,13 +201,13 @@ let policy get =
             ~want_write:(Prot.can_write desired_access) ~has_copy:true;
         Rt.Defer_unlock);
     p_write =
-      (fun _ o ~page:page_idx ~data ->
+      (fun rt o ~offset ~data ->
         let region = o.Rt.o_data in
-        if page_idx < Array.length region.rg_pages && Bytes.length data > 0 then begin
-          let page = region.rg_pages.(page_idx) in
-          let len = min (Bytes.length data) (Bytes.length page.data) in
-          Bytes.blit data 0 page.data 0 len
-        end);
+        Rt.iter_pages rt ~offset ~data (fun ~page:page_idx ~pos ~len ->
+            if page_idx < Array.length region.rg_pages then begin
+              let page = region.rg_pages.(page_idx) in
+              Bytes.blit data pos page.data 0 (min len (Bytes.length page.data))
+            end));
     p_lock_completed =
       (fun _ o ~request ~offset ~length ->
         match request with

@@ -2,13 +2,12 @@
 
     Each of our managers used to re-implement the same plumbing by hand
     on top of the raw protocol — a memory-object registry keyed by
-    object port, splitting of multi-page [pager_data_request]s and
-    run-shaped [pager_data_write]s, coalesced [pager_data_provided]
-    replies, release accounting, port-death bookkeeping. This module
-    owns all of it; a manager supplies only a {!policy} (backing-store
-    read/write plus consistency decisions) and becomes a thin policy
-    module, which is the paper's point: managers differ in policy, not
-    in protocol plumbing.
+    object port, splitting of multi-page [pager_data_request]s,
+    coalesced [pager_data_provided] replies, release accounting,
+    port-death bookkeeping. This module owns all of it; a manager
+    supplies only a {!policy} (backing-store read/write plus consistency
+    decisions) and becomes a thin policy module, which is the paper's
+    point: managers differ in policy, not in protocol plumbing.
 
     The runtime is transport-agnostic (the [send] function is injected)
     so it serves both user-level managers driven through
@@ -102,11 +101,10 @@ and 'o policy = {
   p_read : 'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
       (** Produce one page (index in pages, not bytes). Chunks must be
           page-sized except a trailing partial at end-of-object. *)
-  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> unit;
-      (** Persist one page of a data_write run. *)
-  p_prepare_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
-      (** Run once before the per-page writes of a data_write — e.g.
-          camelot's single WAL force for the whole run. *)
+  p_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
+      (** Persist one data_write: a run of adjacent pages starting at
+          byte [offset], so a disk-backed policy can store it with one
+          seek and a WAL policy can force its log once. *)
   p_unlock : 'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> unlock_reply;
   p_reshape : 'o t -> 'o obj -> first:int -> npages:int -> int * int;
       (** Policy control over how much of a request is honored
@@ -123,8 +121,7 @@ and 'o policy = {
 let default_policy =
   {
     p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Unavailable);
-    p_write = (fun _ _ ~page:_ ~data:_ -> ());
-    p_prepare_write = (fun _ _ ~offset:_ ~data:_ -> ());
+    p_write = (fun _ _ ~offset:_ ~data:_ -> ());
     p_unlock = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Grant);
     p_reshape = (fun _ _ ~first ~npages -> (first, npages));
     p_init = (fun _ _ ~request:_ -> ());
@@ -273,8 +270,8 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
     flush_hole ();
     o.o_in_flight <- max 0 (o.o_in_flight - 1)
 
-(* A write may carry a whole run of adjacent pages: prepare once (WAL
-   force and the like), store per page, release once. An unknown object
+(* A write may carry a whole run of adjacent pages: the policy stores the
+   run in one call, then the runtime releases once. An unknown object
    (terminated while the write was in flight) still releases — the data
    is dead, but the kernel's holding frames must come back. *)
 let handle_data_write t ~memory_object ~offset ~data ~release =
@@ -283,17 +280,18 @@ let handle_data_write t ~memory_object ~offset ~data ~release =
   | Some o ->
     t.rt_stats.Stats.s_writes <- t.rt_stats.Stats.s_writes + 1;
     o.o_in_flight <- o.o_in_flight + 1;
-    t.rt_policy.p_prepare_write t o ~offset ~data;
-    let ps = t.rt_page_size in
-    let npages = max 1 ((Bytes.length data + ps - 1) / ps) in
-    for i = 0 to npages - 1 do
-      let len = min ps (Bytes.length data - (i * ps)) in
-      let chunk = if len <= 0 then Bytes.empty else Bytes.sub data (i * ps) len in
-      t.rt_policy.p_write t o ~page:((offset / ps) + i) ~data:chunk
-    done;
-    t.rt_stats.Stats.s_pages_written <- t.rt_stats.Stats.s_pages_written + npages;
+    t.rt_policy.p_write t o ~offset ~data;
+    t.rt_stats.Stats.s_pages_written <-
+      t.rt_stats.Stats.s_pages_written + pages_in t (Bytes.length data);
     o.o_in_flight <- max 0 (o.o_in_flight - 1));
   release ()
+
+(* For policies whose backing store works a page at a time. *)
+let iter_pages t ~offset ~data f =
+  let ps = t.rt_page_size in
+  for i = 0 to pages_in t (Bytes.length data) - 1 do
+    f ~page:((offset / ps) + i) ~pos:(i * ps) ~len:(min ps (Bytes.length data - (i * ps)))
+  done
 
 (* Per-page unlock resolution, coalescing adjacent pages that resolve
    to the same lock value into one data_lock. *)

@@ -1,8 +1,8 @@
 (** The data-manager runtime: one protocol framework under every pager.
 
     Owns what every manager used to duplicate — the memory-object
-    registry, multi-page [data_request] / run-shaped [data_write]
-    splitting with coalesced replies, unlock resolution, release
+    registry, multi-page [data_request] splitting with coalesced
+    replies, run-shaped [data_write] delivery, unlock resolution, release
     accounting, port-death bookkeeping, and a uniform {!Stats} block.
     A manager supplies a {!policy} and becomes a thin policy module.
 
@@ -48,8 +48,14 @@ type 'o t
 and 'o policy = {
   p_read :
     'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
-  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> unit;
-  p_prepare_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
+  p_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
+      (** Called once per [data_write] with the whole run of adjacent
+          pages starting at byte [offset]. The runtime releases the run
+          when this returns, so a policy that takes long here delays the
+          release, and past [data_write_release_timeout_us] the kernel
+          double-pages the run to the default pager. A disk-backed
+          policy should store the run with as few seeks as its layout
+          allows; one that stores page by page uses {!iter_pages}. *)
   p_unlock :
     'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> unlock_reply;
   p_reshape : 'o t -> 'o obj -> first:int -> npages:int -> int * int;
@@ -116,6 +122,14 @@ val handle_data_request :
 
 val handle_data_write :
   'o t -> memory_object:Message.port -> offset:int -> data:bytes -> release:(unit -> unit) -> unit
+(** One [p_write] for the whole run, then [release] — also for an
+    object no longer registered. *)
+
+val iter_pages :
+  'o t -> offset:int -> data:bytes -> (page:int -> pos:int -> len:int -> unit) -> unit
+(** [iter_pages t ~offset ~data f] calls [f] for each page of a
+    [data_write] run: [page] is the page index, and [data]'s bytes
+    [pos, pos + len) are its contents. *)
 
 val handle_data_unlock :
   'o t ->

@@ -159,24 +159,46 @@ let test_layout_indirect_blocks () =
         check Alcotest.bool "contents" true (Bytes.equal b data)
       | None -> Alcotest.fail "indirect file lost")
 
-(* Model-based property: a random sequence of whole-file writes, reads
-   and deletes agrees with a Hashtbl model, including across a
-   remount. *)
+(* Model-based property: a random sequence of whole-file writes, range
+   writes, reads and deletes agrees with a name -> bytes model, including
+   across a remount, and no disk block ever belongs to two files. Sizes
+   straddle the 20 direct blocks, so files grow into and shrink out of
+   their indirect block. *)
 let fs_layout_model_prop =
   let open QCheck2 in
-  let name_gen = Gen.map (fun i -> Printf.sprintf "f%d" (i mod 5)) Gen.small_nat in
+  let name_gen = Gen.map (fun i -> Printf.sprintf "f%d" (i mod 3)) Gen.small_nat in
+  (* Whole blocks, plus a partial tail half the time. *)
+  let bytes_gen ~max_blocks =
+    Gen.(
+      map2
+        (fun b tail -> (b * bs) + tail)
+        (int_bound max_blocks)
+        (oneof [ pure 0; int_bound (bs - 1) ]))
+  in
   let op_gen =
     Gen.(
-      oneof
+      frequency
         [
-          map2 (fun n size -> `Write (n, size mod 30000)) name_gen small_nat;
-          map (fun n -> `Read n) name_gen;
-          map (fun n -> `Delete n) name_gen;
-          pure `Remount;
+          (4, map2 (fun n size -> `Write (n, size)) name_gen (bytes_gen ~max_blocks:32));
+          ( 3,
+            map3
+              (fun n off len -> `Range (n, off, 1 + len))
+              name_gen (bytes_gen ~max_blocks:30) (bytes_gen ~max_blocks:9) );
+          (2, map (fun n -> `Read n) name_gen);
+          (2, map (fun n -> `Delete n) name_gen);
+          (1, pure `Remount);
         ])
   in
-  Test.make ~name:"fs_layout agrees with model under random ops" ~count:40
-    Gen.(list_size (int_range 1 25) op_gen)
+  let print_op = function
+    | `Write (n, size) -> Printf.sprintf "write %s %d" n size
+    | `Range (n, off, len) -> Printf.sprintf "range %s off=%d len=%d" n off len
+    | `Read n -> "read " ^ n
+    | `Delete n -> "delete " ^ n
+    | `Remount -> "remount"
+  in
+  Test.make ~name:"fs_layout agrees with model under random ops" ~count:150
+    ~print:Print.(list print_op)
+    Gen.(list_size (int_range 1 30) op_gen)
     (fun ops ->
       let eng = Engine.create () in
       let ok = ref true in
@@ -185,31 +207,57 @@ let fs_layout_model_prop =
           let fs = ref (Fs_layout.format disk ~max_files:16) in
           let model : (string, bytes) Hashtbl.t = Hashtbl.create 8 in
           let fill = ref 0 in
+          (* Successive writes store different bytes, so a block shared
+             by two files shows in their contents. *)
+          let content len =
+            incr fill;
+            Bytes.init len (fun i -> Char.chr (33 + ((!fill + (i / 97)) mod 90)))
+          in
+          let agrees n =
+            match (Fs_layout.read_file !fs n, Hashtbl.find_opt model n) with
+            | Some a, Some b -> Bytes.equal a b
+            | None, None -> true
+            | Some _, None | None, Some _ -> false
+          in
+          (* Every block of every file has one owner. *)
+          let owners_unique () =
+            let seen = Hashtbl.create 256 in
+            Hashtbl.fold
+              (fun n data acc ->
+                let unique = ref acc in
+                for index = 0 to ((Bytes.length data + bs - 1) / bs) - 1 do
+                  match Fs_layout.file_disk_block !fs n ~index with
+                  | Some blk ->
+                    if Hashtbl.mem seen blk then unique := false else Hashtbl.add seen blk ()
+                  | None -> ()
+                done;
+                !unique)
+              model true
+          in
           List.iter
             (fun op ->
               match op with
               | `Write (n, size) ->
-                incr fill;
-                let data = Bytes.make size (Char.chr (33 + (!fill mod 90))) in
+                let data = content size in
                 Fs_layout.write_file !fs n data;
                 Hashtbl.replace model n data
-              | `Read n -> (
-                match (Fs_layout.read_file !fs n, Hashtbl.find_opt model n) with
-                | Some a, Some b -> if not (Bytes.equal a b) then ok := false
-                | None, None -> ()
-                | Some _, None | None, Some _ -> ok := false)
+              | `Range (n, off, len) ->
+                let data = content len in
+                Fs_layout.write_range !fs n ~off data;
+                let old = Option.value ~default:Bytes.empty (Hashtbl.find_opt model n) in
+                let b = Bytes.make (max (Bytes.length old) (off + len)) '\000' in
+                Bytes.blit old 0 b 0 (Bytes.length old);
+                Bytes.blit data 0 b off len;
+                Hashtbl.replace model n b
+              | `Read n -> if not (agrees n && owners_unique ()) then ok := false
               | `Delete n ->
                 Fs_layout.delete !fs n;
                 Hashtbl.remove model n
               | `Remount -> fs := Fs_layout.mount disk)
             ops;
           (* Final audit. *)
-          Hashtbl.iter
-            (fun n data ->
-              match Fs_layout.read_file !fs n with
-              | Some b -> if not (Bytes.equal b data) then ok := false
-              | None -> ok := false)
-            model;
+          Hashtbl.iter (fun n _ -> if not (agrees n) then ok := false) model;
+          if not (owners_unique ()) then ok := false;
           if List.length (Fs_layout.list_files !fs) <> Hashtbl.length model then ok := false);
       Engine.run eng;
       !ok)

@@ -185,6 +185,41 @@ let test_disk_reattach_shares_bytes () =
     (Bytes.to_string (Bytes.sub (Disk.read_raw d2 ~block:1) 0 7));
   check Alcotest.int "stats reset" 0 (Disk.ops d2)
 
+let test_disk_reattach_shares_later_writes () =
+  (* Blocks are allocated on first write: one written through either
+     view after the reattach is still seen by the other. *)
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"d5" ~blocks:4 ~block_size:512 () in
+  let d2 = Disk.reattach d (Engine.create ()) in
+  check Alcotest.string "unwritten block reads as zeroes" (String.make 512 '\000')
+    (Bytes.to_string (Disk.read_raw d2 ~block:2));
+  Disk.write_raw d2 ~block:2 (Bytes.of_string "late");
+  check Alcotest.string "first write through the new view" "late"
+    (Bytes.to_string (Bytes.sub (Disk.read_raw d ~block:2) 0 4))
+
+let test_disk_multi_block_write () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"d6" ~blocks:8 ~block_size:512 ~seek_us:1000.0 ~transfer_us_per_byte:1.0 () in
+  let elapsed = ref 0.0 in
+  let data = Bytes.init 1300 (fun i -> Char.chr (65 + (i / 512))) in
+  Engine.spawn eng (fun () ->
+      Disk.write_raw d ~block:4 (Bytes.make 512 'z');
+      let t0 = Engine.now eng in
+      Disk.write d ~block:2 data;
+      elapsed := Engine.now eng -. t0;
+      Alcotest.check_raises "past the last block"
+        (Invalid_argument "Disk d6: write past the last block") (fun () ->
+          Disk.write d ~block:7 (Bytes.make 513 'x')));
+  Engine.run eng;
+  check (Alcotest.float 1e-6) "one seek for three blocks" (1000.0 +. 1300.0) !elapsed;
+  check Alcotest.int "one op" 1 (Disk.writes d);
+  check Alcotest.int "bytes written" 1300 (Disk.bytes_written d);
+  check Alcotest.string "first block" (String.make 512 'A') (Bytes.to_string (Disk.read_raw d ~block:2));
+  check Alcotest.string "second block" (String.make 512 'B') (Bytes.to_string (Disk.read_raw d ~block:3));
+  check Alcotest.string "short last block keeps its tail"
+    (String.make 276 'C' ^ String.make 236 'z')
+    (Bytes.to_string (Disk.read_raw d ~block:4))
+
 let test_disk_bounds () =
   let eng = Engine.create () in
   let d = Disk.create eng ~name:"d4" ~blocks:4 ~block_size:512 () in
@@ -295,6 +330,9 @@ let () =
           Alcotest.test_case "serialises requests" `Quick test_disk_serialises_requests;
           Alcotest.test_case "raw access uncharged" `Quick test_disk_raw_uncharged;
           Alcotest.test_case "reattach shares bytes" `Quick test_disk_reattach_shares_bytes;
+          Alcotest.test_case "reattach shares blocks written later" `Quick
+            test_disk_reattach_shares_later_writes;
+          Alcotest.test_case "multi-block write is one seek" `Quick test_disk_multi_block_write;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
         ] );
       ( "net",

@@ -145,6 +145,70 @@ let test_map_file_roundtrip () =
         check Alcotest.string "contents" "map-me" (read_mem env addr size)
       | Error e -> Alcotest.failf "map_file: %a" Minimal_fs.Client.pp_error e)
 
+(* Ship [data] to the file's memory object as one data_write, the way
+   the kernel launders a run, and wait for the release. *)
+let data_write env name ~offset data =
+  let rq_name = Syscalls.port_allocate env.client () in
+  let request = Option.get (Syscalls.port_lookup env.client rq_name) in
+  let memory_object = Minimal_fs.file_object env.fsrv name in
+  let call = Pager_iface.Data_write { memory_object; offset; data; write_id = 1 } in
+  (match
+     Syscalls.msg_send env.client
+       (Pager_iface.encode_k2m ~reply:(Some request) call ~dest:memory_object)
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "data_write send failed");
+  (match Syscalls.msg_receive env.client ~from:(`Port rq_name) ~timeout:5_000_000.0 () with
+  | Ok reply -> (
+    match Pager_iface.decode_m2k reply with
+    | Pager_iface.Release_write { write_id = 1 } -> ()
+    | _ -> Alcotest.fail "expected release_write")
+  | Error _ -> Alcotest.fail "data_write never released");
+  Syscalls.port_deallocate env.client rq_name
+
+(* Pieces of disk-contiguous blocks holding file blocks [0, n). *)
+let pieces fs name n =
+  let blk i = Option.get (Fs_layout.file_disk_block fs name ~index:i) in
+  let count = ref 1 in
+  for i = 1 to n - 1 do
+    if blk i <> blk (i - 1) + 1 then incr count
+  done;
+  !count
+
+let run_data npages = Bytes.init (npages * page) (fun i -> Char.chr (65 + (i / page)))
+
+let test_data_write_run_one_seek () =
+  with_fs (fun env ->
+      let fs = Minimal_fs.fs env.fsrv in
+      let disk = Fs_layout.disk fs in
+      Fs_layout.write_file fs "run" (Bytes.make (8 * page) '\000');
+      check Alcotest.int "file is contiguous" 1 (pieces fs "run" 8);
+      let writes = Disk.writes disk in
+      data_write env "run" ~offset:0 (run_data 8);
+      check Alcotest.int "an 8-page run is one disk write" 1 (Disk.writes disk - writes);
+      check Alcotest.bool "reads back byte-exact" true
+        (Fs_layout.read_file fs "run" = Some (run_data 8)))
+
+let test_data_write_fragmented () =
+  with_fs (fun env ->
+      let fs = Minimal_fs.fs env.fsrv in
+      let disk = Fs_layout.disk fs in
+      (* Another file's blocks split "frag" after file blocks 2 and 4;
+         the run's last three pages are allocated by the write itself. *)
+      Fs_layout.write_file fs "frag" (Bytes.make (3 * page) 'a');
+      Fs_layout.write_file fs "gap1" (Bytes.make page 'g');
+      Fs_layout.write_range fs "frag" ~off:(3 * page) (Bytes.make (2 * page) 'a');
+      Fs_layout.write_file fs "gap2" (Bytes.make page 'h');
+      let writes = Disk.writes disk in
+      data_write env "frag" ~offset:0 (run_data 8);
+      check Alcotest.int "three contiguous pieces" 3 (pieces fs "frag" 8);
+      check Alcotest.int "one disk write per piece" 3 (Disk.writes disk - writes);
+      check Alcotest.bool "reads back byte-exact" true
+        (Fs_layout.read_file fs "frag" = Some (run_data 8));
+      check Alcotest.bool "neighbours untouched" true
+        (Fs_layout.read_file fs "gap1" = Some (Bytes.make page 'g')
+        && Fs_layout.read_file fs "gap2" = Some (Bytes.make page 'h')))
+
 let test_list_files () =
   with_fs (fun env ->
       expect_write env "a" (Bytes.of_string "1");
@@ -168,5 +232,9 @@ let () =
           Alcotest.test_case "disk full is an error, not a crash" `Quick
             test_disk_full_is_an_error_not_a_crash;
           Alcotest.test_case "map_file roundtrip" `Quick test_map_file_roundtrip;
+          Alcotest.test_case "data_write run is one disk write" `Quick
+            test_data_write_run_one_seek;
+          Alcotest.test_case "fragmented data_write is one write per piece" `Quick
+            test_data_write_fragmented;
         ] );
     ]

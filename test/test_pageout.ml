@@ -5,6 +5,8 @@
 open Mach
 module Mos = Memory_object_server
 module Page_queues = Mach_vm.Page_queues
+module Minimal_fs = Mach_pagers.Minimal_fs
+module Fs_layout = Mach_fs.Fs_layout
 
 let check = Alcotest.check
 let page = 4096
@@ -259,6 +261,44 @@ let test_rescue_still_double_pages () =
       Alcotest.(check bool) "post-rescue faults re-request from the manager" true
         (!requests > requests_before))
 
+let test_file_writeback_not_double_paged () =
+  (* A mapped file server file dirtied past physical memory: the kernel
+     launders it in 8-page runs, several in flight behind one server
+     thread and one disk arm. Each run reaches the disk with one seek,
+     so every release beats the rescue timer and nothing is written a
+     second time by the default pager. *)
+  let config = { Kernel.default_config with Kernel.phys_frames = 512 } in
+  with_system ~config (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let disk = Disk.create sys.Kernel.engine ~name:"fsdisk" ~blocks:2048 ~block_size:page () in
+      let fsrv = Minimal_fs.start kernel ~disk ~format:true () in
+      let npages = 768 in
+      Fs_layout.write_file (Minimal_fs.fs fsrv) "image" (Bytes.make (npages * page) '\000');
+      let addr, _ =
+        match Minimal_fs.Client.map_file task ~server:(Minimal_fs.service_port fsrv) "image" with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "map_file: %a" Minimal_fs.Client.pp_error e
+      in
+      let stats = Kernel.stats kernel in
+      let laundered = stats.Vm_types.s_laundered in
+      let rescued = stats.Vm_types.s_pageout_to_default in
+      for i = 0 to npages - 1 do
+        match Syscalls.write_bytes task ~addr:(addr + (i * page)) (Bytes.of_string (tag i)) () with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "dirty %d: %a" i Access.pp_error e
+      done;
+      (* Let the last runs' releases come back. *)
+      Engine.sleep 2_000_000.0;
+      let stats = Kernel.stats kernel in
+      Alcotest.(check bool) "file pages were laundered" true (stats.Vm_types.s_laundered > laundered);
+      check Alcotest.int "no run double-paged to the default pager" 0
+        (stats.Vm_types.s_pageout_to_default - rescued);
+      for i = 0 to npages - 1 do
+        match Syscalls.read_bytes task ~addr:(addr + (i * page)) ~len:(String.length (tag i)) () with
+        | Ok b -> check Alcotest.string (Printf.sprintf "page %d" i) (tag i) (Bytes.to_string b)
+        | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
+      done)
+
 let () =
   Alcotest.run "pageout"
     [
@@ -278,5 +318,7 @@ let () =
           Alcotest.test_case "refault during clean is absorbed" `Quick test_refault_during_clean;
           Alcotest.test_case "unreleased data_write still double-pages" `Quick
             test_rescue_still_double_pages;
+          Alcotest.test_case "file server writeback is not double-paged" `Quick
+            test_file_writeback_not_double_paged;
         ] );
     ]
