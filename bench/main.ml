@@ -1,5 +1,5 @@
 (* Benchmark harness: reproduces every table/figure-level claim of the
-   paper's evaluation (E1–E11, see DESIGN.md), then runs a bechamel
+   paper's evaluation (E1–E13, see DESIGN.md), then runs a bechamel
    microbench suite (one Test.make per experiment, measuring the
    harness itself).
 
@@ -8,12 +8,12 @@
      main.exe --only E4,E7    run selected experiments
      main.exe --list          list experiments
      main.exe --no-bechamel   skip the wall-clock microbenches
-     main.exe --json out.json write machine-readable per-experiment
-                              numbers (E1 round-trip by size, E3
-                              copy-vs-map crossover, E13 duality
-                              summary) instead of tables *)
+     main.exe --json out.json write each experiment's metrics and
+                              reg.* registry snapshot as JSON instead
+                              of tables (gate.exe checks this file) *)
 
 module Table = Mach_util.Table
+module Metrics = Mach_util.Metrics
 
 let experiments : Common.experiment list =
   [
@@ -79,14 +79,13 @@ let run_smoke selected =
     selected
 
 (* Machine-readable results: one flat {metric: number} object per
-   experiment. Every experiment emits the shared registry-snapshot
+   experiment, written by Metrics.to_json under an outer object keyed by
+   experiment id. Every experiment emits the shared registry-snapshot
    schema — each "subsystem.counter" of every kernel its run booted,
    prefixed "reg." — and an experiment with a [json] producer prepends
-   its own derived metrics. Hand-rolled writer — the values are plain
-   floats and the format never nests deeper than two levels, so no JSON
-   library is needed. *)
+   its own derived metrics. *)
 let run_json path selected =
-  let with_json =
+  let sections =
     List.map
       (fun (e : Common.experiment) ->
         Printf.printf "json %-4s %-28s ... %!" e.Common.id e.Common.title;
@@ -97,25 +96,12 @@ let run_json path selected =
           List.map (fun (k, v) -> ("reg." ^ k, v)) (Common.collected_registry ())
         in
         Printf.printf "ok (%.2fs)\n%!" (Unix.gettimeofday () -. t0);
-        (e.Common.id, own @ reg))
+        Printf.sprintf "  %S: %s" e.Common.id (Metrics.to_json ~indent:4 (own @ reg)))
       selected
   in
-  let oc = open_out path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (id, kvs) ->
-      if i > 0 then output_string oc ",\n";
-      Printf.fprintf oc "  %S: {" id;
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then output_string oc ",";
-          Printf.fprintf oc "\n    %S: %.3f" k v)
-        kvs;
-      output_string oc "\n  }")
-    with_json;
-  output_string oc "\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s (%d experiments)\n" path (List.length with_json)
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" sections));
+  Printf.printf "wrote %s (%d experiments)\n" path (List.length sections)
 
 let main only list_only no_bechamel smoke json_file =
   if list_only then begin

@@ -15,7 +15,7 @@ type delivery = {
 
 (* --- reliable channels ---------------------------------------------------
 
-   When [reliable] is on (chaos fabrics), every remote delivery rides a
+   When the fabric has chaos attached, every remote delivery rides a
    per-(src,dst) sequenced channel: packets carry (epoch, seq), the
    receiver holds out-of-order arrivals until the gap fills (FIFO
    resequencing), drops anything it has already seen (dedup), and acks
@@ -67,7 +67,6 @@ type t = {
   net : Net.t;
   mutable next_id : int;
   deliveries : (int, delivery) Hashtbl.t;
-  mutable reliable : bool;
   mutable retry_budget : int;
   txs : (int * int, chan_tx) Hashtbl.t;
   rxs : (int * int, chan_rx) Hashtbl.t;
@@ -85,7 +84,6 @@ let create engine net =
     net;
     next_id = 1;
     deliveries = Hashtbl.create 8;
-    reliable = false;
     retry_budget = default_retry_budget;
     txs = Hashtbl.create 8;
     rxs = Hashtbl.create 8;
@@ -150,8 +148,6 @@ let delivery_backlog t ~dst =
 
 (* --- channel plumbing ---------------------------------------------------- *)
 
-let set_reliable t b = t.reliable <- b
-let reliable t = t.reliable
 let set_retry_budget t n = t.retry_budget <- max 1 n
 
 let tx_chan t ~src ~dst =
@@ -302,7 +298,7 @@ and arm_timer t chan =
       end)
 
 let remote_deliver t ~src ~dst ~bytes thunk =
-  if (not t.reliable) || src = dst then begin
+  if Option.is_none (Net.chaos t.net) || src = dst then begin
     Net.deliver t.net ~src ~dst ~bytes (fun () -> deliver_to t ~dst thunk);
     Ok ()
   end

@@ -24,18 +24,15 @@ val delivery_backlog : t -> dst:int -> int
 
 (** {2 Reliable channels}
 
-    Off by default: with [reliable] false, {!remote_deliver} is exactly
-    the classic direct path ([Net.deliver] into {!deliver_to}) with
-    identical message counts and timing. Turning it on routes every
-    remote delivery through a per-(src,dst) sequenced channel:
-    (epoch, seq) headers, receiver-side dedup + FIFO resequencing,
-    cumulative acks, go-back-N retransmission under exponential backoff,
-    and a watchdog that declares the channel down after [retry_budget]
-    silent rounds so a partitioned peer surfaces as a clean send
-    error instead of a hung thread. *)
-
-val set_reliable : t -> bool -> unit
-val reliable : t -> bool
+    Chosen by the fabric: without a chaos oracle on the net,
+    {!remote_deliver} is the direct path ([Net.deliver] into
+    {!deliver_to}), whose lossless wire needs nothing more. With chaos
+    attached ([Net.chaos] is [Some _]), every remote delivery rides a
+    per-(src,dst) sequenced channel: (epoch, seq) headers, receiver-side
+    dedup + FIFO resequencing, cumulative acks, go-back-N retransmission
+    under exponential backoff, and a watchdog that declares the channel
+    down after [retry_budget] silent rounds so a partitioned peer
+    surfaces as a clean send error instead of a hung thread. *)
 
 val set_retry_budget : t -> int -> unit
 (** Consecutive silent retransmit rounds tolerated before the channel

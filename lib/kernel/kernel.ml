@@ -101,13 +101,13 @@ type cluster = {
   c_chaos : Mach_sim.Chaos.t option;
 }
 
-(* Attach a chaos oracle to a cluster's fabric: faulty wire, reliable
-   channels on, fault events on the shared trace, and failure hooks
-   wired so a crash kills the host's ports (proxy-port death at every
-   remote holder) and a heal/restart resynchronizes the channels. *)
+(* Attach a chaos oracle to a cluster's fabric: faulty wire (which
+   switches remote delivery to the reliable channels), fault events on
+   the shared trace, and failure hooks wired so a crash kills the host's
+   ports (proxy-port death at every remote holder) and a heal/restart
+   resynchronizes the channels. *)
 let attach_chaos ctx net trace chaos =
   Net.set_chaos net (Some chaos);
-  Mach_ipc.Context.set_reliable ctx true;
   Mach_sim.Chaos.set_trace chaos (Some trace);
   Mach_sim.Chaos.on_crash chaos (fun host ->
       ignore (Mach_ipc.Context.crash_host ctx ~host));

@@ -103,8 +103,7 @@ let merge snapshots =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Integers print without a fraction so counter values stay readable;
-   everything else keeps three decimals (matching the bench harness's
-   writer, whose gate scripts parse one "key": number pair per line). *)
+   everything else keeps three decimals. *)
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.3f" v
@@ -119,5 +118,5 @@ let to_json ?(indent = 2) s =
       Buffer.add_string buf
         (Printf.sprintf "\n%s%S: %s%s" pad k (json_number v) (if i = n - 1 then "" else ",")))
     s;
-  Buffer.add_string buf "\n}";
+  Buffer.add_string buf ("\n" ^ String.make (max 0 (indent - 2)) ' ' ^ "}");
   Buffer.contents buf

@@ -68,5 +68,7 @@ val get : ?default:float -> snapshot -> string -> float
 val to_list : snapshot -> (string * float) list
 
 val to_json : ?indent:int -> snapshot -> string
-(** One ["key": number] pair per line, flat — the same shape the bench
-    harness's gate scripts line-parse. *)
+(** A flat object, one ["key": number] pair per line, [indent] columns
+    in (default 2); the closing brace sits [indent - 2] columns in, so
+    [~indent:4] nests the object inside an outer one. Integers print
+    without a fraction, everything else with three decimals. *)

@@ -21,15 +21,14 @@ let make_ctx () =
   let ctx = Context.create eng net in
   (eng, net, ctx)
 
-(* A faulty two-host fabric: chaos attached, reliable channels on,
-   heal/crash/restart hooks wired the way Kernel.create_cluster wires
-   them. *)
+(* A faulty two-host fabric: chaos attached (so remote delivery rides
+   the reliable channels), heal/crash/restart hooks wired the way
+   Kernel.create_cluster wires them. *)
 let make_chaos_ctx ?(seed = 42) plan =
   let eng, net, ctx = make_ctx () in
   let chaos = Chaos.create ~seed () in
   Chaos.set_default_plan chaos plan;
   Net.set_chaos net (Some chaos);
-  Context.set_reliable ctx true;
   Chaos.on_heal chaos (fun a b -> Context.reset_link ctx a b);
   Chaos.on_crash chaos (fun host -> ignore (Context.crash_host ctx ~host));
   Chaos.on_restart chaos (fun host -> Context.restart_host ctx ~host);
@@ -269,14 +268,17 @@ let test_chaos_spec_parsing () =
 
 (* ---- QCheck: sequenced delivery is payload-transparent -------------------- *)
 
+(* No chaos takes the direct path; chaos attached with its default
+   [perfect] plan takes the sequenced channel over an equally lossless
+   wire. *)
 let sequenced_transparent_prop =
   let open QCheck2 in
   let gen = Gen.(list_size (int_range 1 40) (string_size ~gen:Gen.printable (int_range 0 64))) in
   Test.make ~name:"chaos off: sequenced delivery matches the direct path byte-for-byte"
     ~count:30 gen (fun payloads ->
-      let run ~reliable =
-        let eng, _, ctx = make_ctx () in
-        Context.set_reliable ctx reliable;
+      let run ~sequenced =
+        let eng, net, ctx = make_ctx () in
+        if sequenced then Net.set_chaos net (Some (Chaos.create ()));
         let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) () in
         let nd = node () in
         Engine.spawn eng ~name:"sender" (fun () ->
@@ -286,7 +288,7 @@ let sequenced_transparent_prop =
         Engine.run eng;
         drain_payloads p
       in
-      run ~reliable:false = run ~reliable:true)
+      run ~sequenced:false = run ~sequenced:true)
 
 let () =
   Alcotest.run "chaos"
