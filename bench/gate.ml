@@ -51,6 +51,15 @@ let spec = [
     ge "saturated_handoff_claim_ratio" (Const 0.9);
     ge "saturated_handoff_saving_us_per_rpc" (Const 1.0);
   ] );
+  ( "E6", [
+    (* Every remote message rode the sequenced channel: one ack per data
+       packet, nothing else on the wire, and no spurious retransmit on a
+       lossless one. *)
+    ge "reg.chan.data_pkts" (Const 1.0);
+    eq "reg.chan.acks" (Cur "reg.chan.data_pkts");
+    eq "reg.chan.retransmits" (Const 0.0);
+    eq "reg.net.messages" (Sum [ Cur "reg.chan.data_pkts"; Cur "reg.chan.acks" ]);
+  ] );
   ( "E9", [
     (* The §6 local defenses hold, and nothing hangs or fails. *)
     ge "pager_deaths" (Const 1.0);
@@ -109,6 +118,16 @@ let spec = [
     ge "steal_rate" (Base 0.8);
     le "gen_depth_peak" (Const 2.0);
     ge "collapses" (Cur "generations");
+  ] );
+  ( "E13", [
+    (* The §7 duality: messages are the cheap mechanism on a NORMA,
+       shared memory on a UMA. *)
+    le "norma_messages_us_4096" (Cur "norma_shared_us_4096");
+    le "uma_shared_us_1024" (Cur "uma_messages_us_1024");
+    le "norma_messages_us_4096" (Base 1.25);
+    le "norma_shared_us_4096" (Base 1.25);
+    le "uma_shared_us_1024" (Base 1.25);
+    le "uma_messages_us_1024" (Base 1.25);
   ] );
 ]
 

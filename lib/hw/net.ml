@@ -100,14 +100,6 @@ let deliver t ~src ~dst ~bytes callback =
         done)
   end
 
-let transit t ~src ~dst ~bytes =
-  count t ~src ~dst ~bytes;
-  if src <> dst then begin
-    let at = arrival_time t ~src ~dst ~bytes in
-    let delay = at -. Engine.now t.engine in
-    if delay > 0.0 then Engine.sleep delay
-  end
-
 let note_retransmit t = t.retransmits <- t.retransmits + 1
 let messages t = t.messages
 let bytes_carried t = t.bytes

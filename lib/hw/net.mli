@@ -38,10 +38,6 @@ val deliver : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
     occupied for the transmission time even when the message is
     dropped. *)
 
-val transit : t -> src:int -> dst:int -> bytes:int -> unit
-(** Blocking form: the calling thread sleeps for the transit time.
-    Not subject to chaos. *)
-
 (** {2 Statistics} *)
 
 val note_retransmit : t -> unit

@@ -15,18 +15,18 @@ type delivery = {
 
 (* --- reliable channels ---------------------------------------------------
 
-   When the fabric has chaos attached, every remote delivery rides a
-   per-(src,dst) sequenced channel: packets carry (epoch, seq), the
-   receiver holds out-of-order arrivals until the gap fills (FIFO
-   resequencing), drops anything it has already seen (dedup), and acks
-   cumulatively. The sender retransmits everything unacked (go-back-N)
-   under exponential backoff; [retry_budget] consecutive silent rounds
-   declare the channel down, after which sends fail fast until a
-   heal/restart resets the link with a higher epoch. *)
+   Every remote delivery rides a per-(src,dst) sequenced channel:
+   packets carry (epoch, seq), the receiver holds out-of-order arrivals
+   until the gap fills (FIFO resequencing), drops anything it has
+   already seen (dedup), and acks cumulatively. The sender retransmits
+   everything unacked (go-back-N) under exponential backoff;
+   [retry_budget] consecutive silent rounds declare the channel down,
+   after which sends fail fast until a heal/restart resets the link
+   with a higher epoch. *)
 
 let seq_header_bytes = 16
 let ack_bytes = 16
-let default_retry_budget = 10
+let retry_budget = 10
 
 type packet = {
   pk_seq : int;
@@ -39,7 +39,9 @@ type chan_tx = {
   tx_dst : int;
   mutable tx_epoch : int;
   mutable tx_next : int;
-  tx_unacked : (int, packet) Hashtbl.t;
+  tx_unacked : packet Queue.t;
+      (* oldest first; always the contiguous range of seqs below tx_next
+         not yet covered by a cumulative ack *)
   mutable tx_strikes : int;
   mutable tx_timer_gen : int;  (* bumping this orphans any armed timer *)
   mutable tx_down : bool;
@@ -67,7 +69,6 @@ type t = {
   net : Net.t;
   mutable next_id : int;
   deliveries : (int, delivery) Hashtbl.t;
-  mutable retry_budget : int;
   txs : (int * int, chan_tx) Hashtbl.t;
   rxs : (int * int, chan_rx) Hashtbl.t;
   cstats : chan_stats;
@@ -84,7 +85,6 @@ let create engine net =
     net;
     next_id = 1;
     deliveries = Hashtbl.create 8;
-    retry_budget = default_retry_budget;
     txs = Hashtbl.create 8;
     rxs = Hashtbl.create 8;
     cstats =
@@ -148,8 +148,6 @@ let delivery_backlog t ~dst =
 
 (* --- channel plumbing ---------------------------------------------------- *)
 
-let set_retry_budget t n = t.retry_budget <- max 1 n
-
 let tx_chan t ~src ~dst =
   match Hashtbl.find_opt t.txs (src, dst) with
   | Some c -> c
@@ -160,7 +158,7 @@ let tx_chan t ~src ~dst =
         tx_dst = dst;
         tx_epoch = 1;
         tx_next = 1;
-        tx_unacked = Hashtbl.create 16;
+        tx_unacked = Queue.create ();
         tx_strikes = 0;
         tx_timer_gen = 0;
         tx_down = false;
@@ -185,9 +183,7 @@ let rx_chan t ~src ~dst =
    to that reads congestion as loss and the retransmissions feed the
    very queue that is delaying the acks. *)
 let rto t chan =
-  let max_bytes =
-    Hashtbl.fold (fun _ pk acc -> max acc pk.pk_bytes) chan.tx_unacked 0
-  in
+  let max_bytes = Queue.fold (fun acc pk -> max acc pk.pk_bytes) 0 chan.tx_unacked in
   let base =
     Net.backlog_us t.net ~src:chan.tx_src ~dst:chan.tx_dst
     +. Net.backlog_us t.net ~src:chan.tx_dst ~dst:chan.tx_src
@@ -204,12 +200,16 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
   | Some chan ->
     if epoch <> chan.tx_epoch then t.cstats.c_stale_epoch <- t.cstats.c_stale_epoch + 1
     else begin
+      (* Acks are cumulative and the window is contiguous: the acked
+         packets are a prefix of the queue. *)
       let progress = ref false in
-      for seq = 1 to cum do
-        if Hashtbl.mem chan.tx_unacked seq then begin
-          Hashtbl.remove chan.tx_unacked seq;
-          progress := true
-        end
+      while
+        match Queue.peek_opt chan.tx_unacked with
+        | Some pk -> pk.pk_seq <= cum
+        | None -> false
+      do
+        ignore (Queue.pop chan.tx_unacked);
+        progress := true
       done;
       if !progress then begin
         chan.tx_strikes <- 0;
@@ -217,7 +217,7 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
            not time since the window opened: restart it for the packets
            still outstanding (their deadline was set for an older,
            shorter queue), or disarm it when the window drained. *)
-        if Hashtbl.length chan.tx_unacked = 0 then
+        if Queue.is_empty chan.tx_unacked then
           chan.tx_timer_gen <- chan.tx_timer_gen + 1
         else arm_timer t chan
       end
@@ -271,49 +271,39 @@ and arm_timer t chan =
     ~at:(Engine.now t.engine +. rto t chan)
     (fun () ->
       if gen = chan.tx_timer_gen && (not chan.tx_down)
-         && Hashtbl.length chan.tx_unacked > 0
+         && not (Queue.is_empty chan.tx_unacked)
       then begin
         chan.tx_strikes <- chan.tx_strikes + 1;
-        if chan.tx_strikes > t.retry_budget then begin
+        if chan.tx_strikes > retry_budget then begin
           (* Watchdog: the peer has been silent through the whole retry
              budget — declare the channel down and shed its queue.
              Subsequent sends fail fast with [`Unreachable]. *)
           chan.tx_down <- true;
-          Hashtbl.reset chan.tx_unacked;
+          Queue.clear chan.tx_unacked;
           t.cstats.c_aborts <- t.cstats.c_aborts + 1
         end
         else begin
-          let pending =
-            Hashtbl.fold (fun _ pk acc -> pk :: acc) chan.tx_unacked []
-            |> List.sort (fun a b -> compare a.pk_seq b.pk_seq)
-          in
-          List.iter
+          Queue.iter
             (fun pk ->
               t.cstats.c_retransmits <- t.cstats.c_retransmits + 1;
               Net.note_retransmit t.net;
               transmit t chan pk)
-            pending;
+            chan.tx_unacked;
           arm_timer t chan
         end
       end)
 
 let remote_deliver t ~src ~dst ~bytes thunk =
-  if Option.is_none (Net.chaos t.net) || src = dst then begin
-    Net.deliver t.net ~src ~dst ~bytes (fun () -> deliver_to t ~dst thunk);
-    Ok ()
-  end
+  let chan = tx_chan t ~src ~dst in
+  if chan.tx_down then Error `Unreachable
   else begin
-    let chan = tx_chan t ~src ~dst in
-    if chan.tx_down then Error `Unreachable
-    else begin
-      let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
-      chan.tx_next <- chan.tx_next + 1;
-      Hashtbl.replace chan.tx_unacked pk.pk_seq pk;
-      t.cstats.c_data_pkts <- t.cstats.c_data_pkts + 1;
-      transmit t chan pk;
-      if Hashtbl.length chan.tx_unacked = 1 then arm_timer t chan;
-      Ok ()
-    end
+    let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
+    chan.tx_next <- chan.tx_next + 1;
+    Queue.push pk chan.tx_unacked;
+    t.cstats.c_data_pkts <- t.cstats.c_data_pkts + 1;
+    transmit t chan pk;
+    if Queue.length chan.tx_unacked = 1 then arm_timer t chan;
+    Ok ()
   end
 
 let chan_down t ~src ~dst =
@@ -322,7 +312,7 @@ let chan_down t ~src ~dst =
 let reset_tx t chan =
   chan.tx_epoch <- chan.tx_epoch + 1;
   chan.tx_next <- 1;
-  Hashtbl.reset chan.tx_unacked;
+  Queue.clear chan.tx_unacked;
   chan.tx_strikes <- 0;
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;
   chan.tx_down <- false;

@@ -1,9 +1,6 @@
 open Ktypes
 module Sched = Mach_sim.Sched
-module Machine = Mach_hw.Machine
 
 let syscall_overhead_us = 10.0
 
 let compute k us = if us > 0.0 then Sched.compute k.k_sched us
-
-let compute_words k ~words ~remote = compute k (Machine.access_us k.k_params ~remote ~words)

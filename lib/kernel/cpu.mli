@@ -8,7 +8,3 @@ val syscall_overhead_us : float
 
 val compute : Ktypes.kernel -> float -> unit
 (** Occupy one CPU for the given number of simulated microseconds. *)
-
-val compute_words : Ktypes.kernel -> words:int -> remote:bool -> unit
-(** Occupy one CPU for the time to touch [words] memory words at
-    local/remote latency (the §7 access model). *)

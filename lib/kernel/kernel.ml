@@ -101,11 +101,10 @@ type cluster = {
   c_chaos : Mach_sim.Chaos.t option;
 }
 
-(* Attach a chaos oracle to a cluster's fabric: faulty wire (which
-   switches remote delivery to the reliable channels), fault events on
-   the shared trace, and failure hooks wired so a crash kills the host's
-   ports (proxy-port death at every remote holder) and a heal/restart
-   resynchronizes the channels. *)
+(* Attach a chaos oracle to a cluster's fabric: a faulty wire under the
+   reliable channels, fault events on the shared trace, and failure
+   hooks wired so a crash kills the host's ports (proxy-port death at
+   every remote holder) and a heal/restart resynchronizes the channels. *)
 let attach_chaos ctx net trace chaos =
   Net.set_chaos net (Some chaos);
   Mach_sim.Chaos.set_trace chaos (Some trace);

@@ -58,12 +58,12 @@ val create_cluster :
   unit ->
   cluster
 (** [chaos] attaches a fault oracle to the cluster fabric: the wire
-    drops/duplicates/reorders per the plan, remote delivery switches to
-    the reliable channel layer, fault events land on the shared trace,
-    and crash/heal hooks are wired into the IPC context. When [chaos]
-    is absent the [MACH_CHAOS] environment variable (a
-    {!Mach_sim.Chaos.of_spec} string) is consulted, so any cluster
-    workload can run under a fault plan unmodified. *)
+    under the reliable channel layer drops/duplicates/reorders per the
+    plan, fault events land on the shared trace, and crash/heal hooks
+    are wired into the IPC context. When [chaos] is absent the
+    [MACH_CHAOS] environment variable (a {!Mach_sim.Chaos.of_spec}
+    string) is consulted, so any cluster workload can run under a fault
+    plan unmodified. *)
 
 val kctx : kernel -> Mach_vm.Kctx.t
 val stats : kernel -> Mach_vm.Vm_types.stats

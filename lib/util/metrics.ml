@@ -46,7 +46,6 @@ let histogram r ~subsystem name =
   h
 
 let observe h x = Stats.add h.h_samples x
-let histogram_samples h = h.h_samples
 
 let register_source r ~subsystem ?reset read =
   r.entries <- (subsystem, Source { read; src_reset = reset }) :: r.entries

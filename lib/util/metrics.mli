@@ -37,9 +37,6 @@ val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 
 val histogram : registry -> subsystem:string -> string -> histogram
 val observe : histogram -> float -> unit
-val histogram_samples : histogram -> Stats.t
-(** The raw accumulator, for percentile queries beyond the snapshot's
-    fixed set. *)
 
 val register_source :
   registry -> subsystem:string -> ?reset:(unit -> unit) -> (unit -> (string * int) list) -> unit

@@ -42,9 +42,6 @@ let launder t page =
 let oldest_active t = Option.map Dlist.value (Dlist.peek_front t.active)
 let oldest_inactive t = Option.map Dlist.value (Dlist.peek_front t.inactive)
 
-let iter_inactive t f = List.iter f (Dlist.to_list t.inactive)
-let iter_laundry t f = List.iter f (Dlist.to_list t.laundry)
-
 (* Invariant oracle for the property tests: every page on a queue must
    carry the matching [q_state], every page can be on at most one queue,
    and the counts must agree with the membership walk. *)

@@ -40,12 +40,6 @@ val remove : t -> page -> unit
 val oldest_active : t -> page option
 val oldest_inactive : t -> page option
 
-val iter_inactive : t -> (page -> unit) -> unit
-(** Snapshot iteration, safe against removal during the walk. *)
-
-val iter_laundry : t -> (page -> unit) -> unit
-(** Snapshot iteration over the laundry queue. *)
-
 val check_invariants : t -> (unit, string) result
 (** Oracle for the property tests: every page on a queue carries the
     matching [q_state], no page sits on two queues, and queue lengths

@@ -194,15 +194,6 @@ let send_data_request kctx p ~offset ~length ~desired_access =
           { memory_object = p.memory_object; request; offset; length; desired_access })
        ~dest:p.memory_object)
 
-let request_page kctx obj ~offset ~desired_access =
-  let p = get_pager obj in
-  ensure_initialized kctx obj;
-  let frame = Kctx.alloc_frame kctx ~privileged:p.is_default in
-  let page = Vm_page.insert kctx obj ~offset ~frame ~busy:true ~absent:true in
-  obj.paging_in_progress <- obj.paging_in_progress + 1;
-  send_data_request kctx p ~offset ~length:kctx.Kctx.page_size ~desired_access;
-  page
-
 let rerequest kctx page ~desired_access =
   let p = get_pager page.p_obj in
   send_data_request kctx p ~offset:page.p_offset ~length:kctx.Kctx.page_size ~desired_access
@@ -357,10 +348,6 @@ let write_run kctx pages ~dispose =
     (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
     pages;
   ship_run kctx obj ~offset:(List.hd pages).p_offset ~data ~dispose ~pages ~frames:[]
-
-let page_out kctx page ~flush =
-  if flush then kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + 1;
-  write_run kctx [ page ] ~dispose:(if flush then Dispose_free else Dispose_keep)
 
 (* Object teardown cannot wait for an untrusted manager's release:
    detach the run's page structures outright and park the frames in the

@@ -22,18 +22,15 @@ val ensure_initialized : Kctx.t -> obj -> unit
     [pager_init] (§3.4.1: performed before [vm_allocate_with_pager]
     completes, without awaiting a reply). *)
 
-val request_page : Kctx.t -> obj -> offset:int -> desired_access:Mach_hw.Prot.t -> page
-(** Allocate a busy+absent placeholder page and send
-    [pager_data_request] for one page. The caller waits on the page. *)
-
 val request_cluster :
   Kctx.t -> obj -> offset:int -> desired_access:Mach_hw.Prot.t -> window:int -> page
-(** Like {!request_page} for the page at [offset], but widen the request
-    over up to [window - 1] forward-adjacent non-resident pages (stopping
-    at the object end, at a resident page, or when a frame is not free
-    without waiting). The extra placeholders are speculative
-    ([cluster_spec]): no faulter waits on them, and a timer reclaims any
-    the manager never fills. Returns the demanded page — which may be a
+(** Allocate a busy+absent placeholder for the page at [offset] and send
+    one [pager_data_request] for it; the caller waits on the page. The
+    request widens over up to [window - 1] forward-adjacent non-resident
+    pages (stopping at the object end, at a resident page, or when a
+    frame is not free without waiting). The extra placeholders are
+    speculative ([cluster_spec]): no faulter waits on them, and a timer
+    reclaims any the manager never fills. Returns the demanded page — which may be a
     page another faulter installed while we slept for a frame. *)
 
 val rerequest : Kctx.t -> page -> desired_access:Mach_hw.Prot.t -> unit
@@ -58,10 +55,6 @@ val write_run : Kctx.t -> page list -> dispose:dispose -> unit
     pager (§6.2.2) and the cleaning pages are freed. [pages] must be
     non-empty, same-object, offset-sorted, offset-adjacent, non-busy,
     and the object must already have a pager binding. *)
-
-val page_out : Kctx.t -> page -> flush:bool -> unit
-(** Single-page {!write_run}: [flush] selects [Dispose_free] and counts
-    a flush. *)
 
 val send_unlock : Kctx.t -> obj -> offset:int -> length:int -> desired_access:Mach_hw.Prot.t -> unit
 (** [pager_data_unlock]: ask the manager to loosen a page lock. *)

@@ -94,7 +94,7 @@ type 'o t = {
   rt_send : Message.t -> (unit, unit) result;
   rt_stats : Stats.t;
   rt_objects : (int, 'o obj) Hashtbl.t;
-  mutable rt_policy : 'o policy;
+  rt_policy : 'o policy;
 }
 
 and 'o policy = {
@@ -143,7 +143,6 @@ let create ~name ~page_size ~send policy =
 let name t = t.rt_name
 let page_size t = t.rt_page_size
 let stats t = t.rt_stats
-let set_policy t policy = t.rt_policy <- policy
 
 (* --- registry ----------------------------------------------------------- *)
 
@@ -164,7 +163,6 @@ let unregister t o = Hashtbl.remove t.rt_objects o.o_id
 let find t port = Hashtbl.find_opt t.rt_objects (Port.id port)
 let find_data t port = Option.map (fun o -> o.o_data) (find t port)
 let objects t = Hashtbl.length t.rt_objects
-let iter_objects t f = Hashtbl.iter (fun _ o -> f o) t.rt_objects
 let requests o = o.o_requests
 
 let add_request o request =

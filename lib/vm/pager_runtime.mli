@@ -78,7 +78,6 @@ val create :
 val name : 'o t -> string
 val page_size : 'o t -> int
 val stats : 'o t -> Stats.t
-val set_policy : 'o t -> 'o policy -> unit
 
 (** {2 Registry} *)
 
@@ -87,7 +86,6 @@ val unregister : 'o t -> 'o obj -> unit
 val find : 'o t -> Message.port -> 'o obj option
 val find_data : 'o t -> Message.port -> 'o option
 val objects : 'o t -> int
-val iter_objects : 'o t -> ('o obj -> unit) -> unit
 val requests : 'o obj -> Message.port list
 val add_request : 'o obj -> Message.port -> unit
 

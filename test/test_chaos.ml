@@ -1,6 +1,7 @@
 (* Chaos fabric and reliable remote delivery: fault injection, the
-   sequenced/acked channel layer, watchdog channel-down, crash
-   propagation, and the Transport.send timeout edge cases. *)
+   sequenced/acked channel layer every remote message rides (with or
+   without chaos), watchdog channel-down, crash propagation, and the
+   Transport.send timeout edge cases. *)
 
 module Engine = Mach_sim.Engine
 module Chaos = Mach_sim.Chaos
@@ -21,8 +22,8 @@ let make_ctx () =
   let ctx = Context.create eng net in
   (eng, net, ctx)
 
-(* A faulty two-host fabric: chaos attached (so remote delivery rides
-   the reliable channels), heal/crash/restart hooks wired the way
+(* A faulty two-host fabric: chaos attached under the reliable
+   channels, heal/crash/restart hooks wired the way
    Kernel.create_cluster wires them. *)
 let make_chaos_ctx ?(seed = 42) plan =
   let eng, net, ctx = make_ctx () in
@@ -77,6 +78,11 @@ let run_numbered_sends eng ctx ?(n = 24) () =
   (drain_payloads p, !errors)
 
 let expected_payloads n = List.init n (fun i -> string_of_int (i + 1))
+
+(* Long enough for the watchdog to spend its whole retry budget on a
+   silent peer: 10 rounds of backoff (1 + 2 + 4 + 8 + 16 x 7 = 127 base
+   timeouts) trip it about 122 ms after the first send on this fabric. *)
+let past_retry_budget_us = 500_000.0
 
 (* ---- Transport.send timeout edge cases ----------------------------------- *)
 
@@ -156,7 +162,6 @@ let test_reorder_resequenced_fifo () =
 
 let test_partition_exhausts_retry_budget () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  Context.set_retry_budget ctx 3;
   let p = Port.create ctx ~home:1 () in
   let nd = node () in
   in_sim eng (fun () ->
@@ -164,8 +169,7 @@ let test_partition_exhausts_retry_budget () =
       (match Transport.send nd (Message.make ~dest:p [ data "lost" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "send accepted before the watchdog trips");
-      (* Let the watchdog burn through its budget. *)
-      Engine.sleep 200_000.0;
+      Engine.sleep past_retry_budget_us;
       Alcotest.(check bool) "channel declared down" true (Context.chan_down ctx ~src:0 ~dst:1);
       match Transport.send nd (Message.make ~dest:p [ data "after" ]) with
       | Error Transport.Send_timed_out -> ()
@@ -176,13 +180,12 @@ let test_partition_exhausts_retry_budget () =
 
 let test_heal_revives_channel () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  Context.set_retry_budget ctx 3;
   let p = Port.create ctx ~home:1 ~backlog:64 () in
   let nd = node () in
   in_sim eng (fun () ->
       Chaos.partition chaos 0 1;
       ignore (Transport.send nd (Message.make ~dest:p [ data "lost" ]));
-      Engine.sleep 200_000.0;
+      Engine.sleep past_retry_budget_us;
       Alcotest.(check bool) "down during partition" true (Context.chan_down ctx ~src:0 ~dst:1);
       Chaos.heal chaos 0 1;
       Alcotest.(check bool) "heal revived the channel" false
@@ -215,6 +218,22 @@ let test_short_partition_recovers_without_loss () =
   check Alcotest.(list string) "all across the heal, in order" (expected_payloads 8)
     (drain_payloads p)
 
+(* ---- the one remote-delivery path ------------------------------------------ *)
+
+(* No chaos attached: remote sends still ride the sequenced channel, one
+   data packet and one ack each, and a lossless wire never retransmits. *)
+let test_lossless_send_rides_channel () =
+  let eng, net, ctx = make_ctx () in
+  let n = 24 in
+  let got, errors = run_numbered_sends eng ctx ~n () in
+  check Alcotest.(list string) "all delivered in order" (expected_payloads n) got;
+  check Alcotest.int "no send errors" 0 errors;
+  let stat key = List.assoc key (Context.chan_stats_to_list ctx) in
+  check Alcotest.int "one data packet per send" n (stat "data_pkts");
+  check Alcotest.int "one ack per data packet" n (stat "acks");
+  check Alcotest.int "no retransmits" 0 (stat "retransmits");
+  check Alcotest.int "data packets and acks on the wire" (2 * n) (Net.messages net)
+
 let test_crash_propagates_port_death () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let remote = Port.create ctx ~home:1 () in
@@ -232,7 +251,6 @@ let test_crash_propagates_port_death () =
 
 let test_sends_to_crashed_host_fail_cleanly () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  Context.set_retry_budget ctx 3;
   let p = Port.create ctx ~home:1 () in
   let nd = node () in
   in_sim eng (fun () ->
@@ -266,29 +284,35 @@ let test_chaos_spec_parsing () =
     (Invalid_argument "Chaos.of_spec: unknown key frobnicate") (fun () ->
       ignore (Chaos.of_spec "frobnicate=1"))
 
-(* ---- QCheck: sequenced delivery is payload-transparent -------------------- *)
+(* ---- QCheck: exactly-once FIFO under random faults ----------------------- *)
 
-(* No chaos takes the direct path; chaos attached with its default
-   [perfect] plan takes the sequenced channel over an equally lossless
-   wire. *)
-let sequenced_transparent_prop =
+(* Drop rates stay at or below 0.1, far below what it takes to exhaust
+   the retry budget (11 consecutive silent rounds), so every send must
+   land exactly once and in order whatever the plan drops, duplicates
+   or reorders. *)
+let exactly_once_fifo_prop =
   let open QCheck2 in
-  let gen = Gen.(list_size (int_range 1 40) (string_size ~gen:Gen.printable (int_range 0 64))) in
-  Test.make ~name:"chaos off: sequenced delivery matches the direct path byte-for-byte"
-    ~count:30 gen (fun payloads ->
-      let run ~sequenced =
-        let eng, net, ctx = make_ctx () in
-        if sequenced then Net.set_chaos net (Some (Chaos.create ()));
-        let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) () in
-        let nd = node () in
-        Engine.spawn eng ~name:"sender" (fun () ->
-            List.iter
-              (fun s -> ignore (Transport.send nd (Message.make ~dest:p [ data s ])))
-              payloads);
-        Engine.run eng;
-        drain_payloads p
+  let rate hi = Gen.float_bound_inclusive hi in
+  let gen =
+    Gen.(
+      pair
+        (tup5 (int_bound 10_000) (rate 0.1) (rate 0.3) (rate 0.3) (rate 5000.0))
+        (list_size (int_range 1 40) (string_size ~gen:Gen.printable (int_range 0 64))))
+  in
+  Test.make ~name:"random faults: exactly-once FIFO delivery" ~count:30
+    ~print:Print.(pair (tup5 int float float float float) (list string))
+    gen (fun ((seed, drop, duplicate, reorder, jitter_us), payloads) ->
+      let eng, _, ctx, _ =
+        make_chaos_ctx ~seed { Chaos.drop; duplicate; reorder; jitter_us }
       in
-      run ~sequenced:false = run ~sequenced:true)
+      let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) () in
+      let nd = node () in
+      Engine.spawn eng ~name:"sender" (fun () ->
+          List.iter
+            (fun s -> ignore (Transport.send nd (Message.make ~dest:p [ data s ])))
+            payloads);
+      Engine.run eng;
+      drain_payloads p = payloads)
 
 let () =
   Alcotest.run "chaos"
@@ -311,6 +335,9 @@ let () =
           Alcotest.test_case "heal revives a down channel" `Quick test_heal_revives_channel;
           Alcotest.test_case "short partition loses nothing" `Quick
             test_short_partition_recovers_without_loss;
+          Alcotest.test_case "lossless wire: one ack per send" `Quick
+            test_lossless_send_rides_channel;
+          QCheck_alcotest.to_alcotest exactly_once_fifo_prop;
         ] );
       ( "host-failure",
         [
@@ -323,6 +350,5 @@ let () =
         [
           Alcotest.test_case "same seed, same faults" `Quick test_same_seed_same_faults;
           Alcotest.test_case "fault-plan spec grammar" `Quick test_chaos_spec_parsing;
-          QCheck_alcotest.to_alcotest sequenced_transparent_prop;
         ] );
     ]
