@@ -116,6 +116,9 @@ let spec = [
        and never accrete shadow-chain depth. *)
     ge "cow_steals" (Const 1.0);
     ge "steal_rate" (Base 0.8);
+    (* Scattered writes copy only the pages they write: no copy-ahead
+       past what the baseline copies. *)
+    le "cow_copies" (Base 1.0);
     le "gen_depth_peak" (Const 2.0);
     ge "collapses" (Cur "generations");
   ] );

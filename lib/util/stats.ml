@@ -1,6 +1,8 @@
+(* Samples live unboxed in the first [n] slots of a float array that
+   doubles when full; the sorted copy is cached until the next add. *)
 type t = {
-  mutable samples : float list;
-  mutable sorted : float array option; (* cache, invalidated on add *)
+  mutable samples : Float.Array.t;
+  mutable sorted : Float.Array.t option; (* cache, invalidated on add *)
   mutable n : int;
   mutable sum : float;
   mutable sum_sq : float;
@@ -9,10 +11,17 @@ type t = {
 }
 
 let create () =
-  { samples = []; sorted = None; n = 0; sum = 0.0; sum_sq = 0.0; mn = infinity; mx = neg_infinity }
+  { samples = Float.Array.create 16; sorted = None; n = 0; sum = 0.0; sum_sq = 0.0;
+    mn = infinity; mx = neg_infinity }
 
 let add t x =
-  t.samples <- x :: t.samples;
+  let cap = Float.Array.length t.samples in
+  if t.n = cap then begin
+    let grown = Float.Array.create (2 * cap) in
+    Float.Array.blit t.samples 0 grown 0 cap;
+    t.samples <- grown
+  end;
+  Float.Array.set t.samples t.n x;
   t.sorted <- None;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
@@ -38,8 +47,8 @@ let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-    let a = Array.of_list t.samples in
-    Array.sort compare a;
+    let a = Float.Array.sub t.samples 0 t.n in
+    Float.Array.sort Float.compare a;
     t.sorted <- Some a;
     a
 
@@ -51,10 +60,10 @@ let percentile t p =
     let rank = p /. 100.0 *. float_of_int (t.n - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then a.(lo)
+    if lo = hi then Float.Array.get a lo
     else
       let w = rank -. float_of_int lo in
-      (a.(lo) *. (1.0 -. w)) +. (a.(hi) *. w)
+      (Float.Array.get a lo *. (1.0 -. w)) +. (Float.Array.get a hi *. w)
   end
 
 let median t = percentile t 50.0

@@ -1,7 +1,9 @@
 (** Running statistics and sample collections for experiment reporting. *)
 
 type t
-(** A sample accumulator retaining every observation (for percentiles). *)
+(** A sample accumulator retaining every observation (for exact
+    percentiles), unboxed in a float array that doubles when full: 8 bytes
+    per sample, so memory still grows with the number of observations. *)
 
 val create : unit -> t
 val add : t -> float -> unit

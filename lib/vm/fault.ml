@@ -341,12 +341,12 @@ let handle kctx map ~addr ~write ?policy () =
     let copies = ref 0 in
     let removed = ref false in
     (* Steal: move the page itself into the faulting object. The stale
-       read-only translations it carries (ours by [can_steal]) drop with
-       the rename; accounting is deferred to the batch charge sites. *)
+       read-only translations it carries (ours by [can_steal]) are
+       dropped first; accounting is deferred to the batch charge sites. *)
     let steal src ~off =
-      Vm_page.harvest_bits kctx src;
       if src.mappings <> [] then removed := true;
-      Vm_page.rename ~charge:false kctx src first_obj ~offset:off;
+      Vm_page.remove_all_mappings ~charge:false kctx src;
+      Vm_page.rename src first_obj ~offset:off;
       src.dirty <- true;
       Page_queues.activate kctx.Kctx.queues src;
       stats.s_cow_steals <- stats.s_cow_steals + 1
@@ -394,11 +394,17 @@ let handle kctx map ~addr ~write ?policy () =
       stats.s_cow_faults <- stats.s_cow_faults + 1;
       (* Clustered copy: sweep forward over adjacent pending-copy pages
          of the same record, stealing or copying each without further
-         faults. Non-blocking allocation only — the window shrinks under
-         memory pressure rather than sleeping mid-batch. *)
+         faults. The window opens only for a sequential fault — one
+         landing just past this object's previous batch (a fresh shadow
+         starts at 0), BSD's next_read rule — so scattered writes copy
+         only what they write. Non-blocking allocation only — the window
+         shrinks under memory pressure rather than sleeping mid-batch. *)
       let extras = ref [] in
       let n_extras = ref 0 in
-      let window = min kctx.Kctx.cluster_pages (lk.Vm_map.lk_run / ps) in
+      let window =
+        if first_off = first_obj.cow_next then min kctx.Kctx.cluster_pages (lk.Vm_map.lk_run / ps)
+        else 1
+      in
       (try
          for i = 1 to window - 1 do
            let off = first_off + (i * ps) in
@@ -420,6 +426,7 @@ let handle kctx map ~addr ~write ?policy () =
            | Some _ | None -> raise Exit
          done
        with Exit -> ());
+      first_obj.cow_next <- first_off + ((1 + !n_extras) * ps);
       stats.s_cow_batched <- stats.s_cow_batched + !n_extras;
       Metrics.observe kctx.Kctx.cow_batch_hist (float_of_int (1 + !n_extras));
       (* The batch's single charge sites. *)

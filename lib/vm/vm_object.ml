@@ -15,6 +15,7 @@ let make kctx ~size ~pager ~temporary =
     obj_alive = true;
     paging_in_progress = 0;
     shadowers = [];
+    cow_next = 0;
   }
 
 let create_anonymous kctx ~size = make kctx ~size ~pager:No_pager ~temporary:true
@@ -124,7 +125,9 @@ let chain_depth obj =
 (* Splice out one collapsible backing object; true if progress was
    made. A backing object is collapsible when this object is its only
    user, it is anonymous and temporary (no manager owns the bytes), and
-   no paging traffic is in flight. *)
+   no paging traffic is in flight. Surviving pages move up with their
+   hardware translations intact (see {!Vm_page.rename}): every mapper
+   reached them through [obj] at the same offset, read-only. *)
 let collapse_once kctx obj =
   match obj.backing with
   | Some { back_obj = b; back_offset = delta } when
@@ -140,7 +143,7 @@ let collapse_once kctx obj =
             up_offset >= 0
             && up_offset < Kctx.round_page kctx obj.obj_size
             && not (Hashtbl.mem obj.obj_pages up_offset)
-          then Vm_page.rename kctx page obj ~offset:up_offset
+          then Vm_page.rename page obj ~offset:up_offset
           else
             (* Shadowed above (or out of view): the copy below is
                unreachable and can go. *)

@@ -101,10 +101,9 @@ let release_placeholder kctx page =
     free kctx page
   end
 
-let rename ?(charge = true) kctx page obj ~offset =
+let rename page obj ~offset =
   if Hashtbl.mem obj.obj_pages offset then invalid_arg "Vm_page.rename: target offset occupied";
   Hashtbl.remove page.p_obj.obj_pages page.p_offset;
   page.p_obj <- obj;
   page.p_offset <- offset;
-  Hashtbl.replace obj.obj_pages offset page;
-  remove_all_mappings ~charge kctx page
+  Hashtbl.replace obj.obj_pages offset page

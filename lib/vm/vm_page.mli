@@ -54,9 +54,18 @@ val release_placeholder : Kctx.t -> page -> unit
     busy+absent) whose data never arrived; no-op otherwise. Safe because
     no faulter ever waits on a speculative page. *)
 
-val rename : ?charge:bool -> Kctx.t -> page -> obj -> offset:int -> unit
-(** Move the page to cache a different (object, offset) — used by
-    double paging to hand a dirty page to a holding object and by the
-    copy engine to steal a sole-user page up the shadow chain. Existing
-    hardware mappings are removed; [~charge] as in
-    {!remove_all_mappings}. *)
+val rename : page -> obj -> offset:int -> unit
+(** Move the page to cache a different (object, offset): a pure move of
+    the page structure, costing nothing and leaving its hardware
+    translations in place. Raises [Invalid_argument] if the target
+    offset is occupied.
+
+    The shadow-chain collapse relies on keeping the translations: it
+    moves a page up only from a backing object whose sole reference is
+    the surviving shadow, to the offset that shadow already resolves it
+    at, so every existing translation still names the right frame for
+    the right address. Those translations are read-only (the fork or
+    copyin that froze the chain write-protected them), so a later write
+    faults, finds the page in the top object and upgrades in place. The
+    copy engine's steal, which moves a page to the faulting object,
+    removes the stale translations itself first. *)

@@ -53,6 +53,9 @@ type obj = {
       (** live objects whose [backing] points here — the copy engine
           walks this from the deallocate path to collapse chains that
           a write fault would never revisit *)
+  mutable cow_next : int;
+      (** offset just past this object's last copy-on-write batch: a COW
+          fault landing exactly here is sequential and copies ahead *)
 }
 
 and backing = { back_obj : obj; back_offset : int }

@@ -2,8 +2,9 @@
    be invisible to programs (byte-identical with a naive eager-copy
    oracle), fork/exit generations must not accrete
    shadow-chain depth, the terminate-path collapse must fire when a
-   backing object's last sibling exits, and the object cache must
-   evict in LRU order at its cap. *)
+   backing object's last sibling exits and keep the survivor's
+   translations, copy-ahead must fire only on sequential COW faults,
+   and the object cache must evict in LRU order at its cap. *)
 
 open Mach
 module Vm_page = Mach_vm.Vm_page
@@ -126,6 +127,94 @@ let test_steal_and_cluster () =
   in
   Alcotest.(check bool) "pages stolen" true (stats.Vm_types.s_cow_steals > 0);
   Alcotest.(check bool) "copy faults clustered" true (stats.Vm_types.s_cow_batched > 0)
+
+(* ---- collapse keeps translations -------------------------------------- *)
+
+let touch t a ~write =
+  match Syscalls.touch t ~addr:a ~write () with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "touch failed"
+
+let store t a v =
+  match Syscalls.write_bytes t ~addr:a (Bytes.make 1 (Char.chr v)) () with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "store failed"
+
+let load t a =
+  match Syscalls.read_bytes t ~addr:a ~len:1 () with
+  | Ok b -> Bytes.get_uint8 b 0
+  | Error _ -> Alcotest.fail "load failed"
+
+(* The child's exit collapses the parent's shadow over the formerly
+   shared object. The pages move up with the parent's read-only
+   translations intact: rereading them faults nowhere, and a write
+   upgrades in place without a COW fault or a copy. *)
+let test_collapse_keeps_translations () =
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let stats = Kernel.stats kernel in
+      let pages = 64 in
+      let addr = Syscalls.vm_allocate task ~size:(pages * page) ~anywhere:true () in
+      let at i = addr + (i * page) in
+      for i = 0 to pages - 1 do
+        store task (at i) 1
+      done;
+      let child = Task.create kernel ~parent:task ~name:"child" () in
+      (* One parent write gives the parent its own shadow: the survivor. *)
+      store task (at 0) 1;
+      in_child child "child.main" (fun () -> List.iter (fun i -> store child (at i) 2) [ 40; 50; 60 ]);
+      (* The child's copies revoked the parent's translations of the
+         pages it wrote; map everything again before the exit. *)
+      for i = 0 to pages - 1 do
+        ignore (load task (at i))
+      done;
+      let collapses0 = stats.Vm_types.s_collapses in
+      Task.terminate child;
+      check Alcotest.int "the exit collapsed the parent's chain" (collapses0 + 1)
+        stats.Vm_types.s_collapses;
+      let faults0 = stats.Vm_types.s_faults in
+      for i = 0 to pages - 1 do
+        check Alcotest.int "parent sees its own data" 1 (load task (at i))
+      done;
+      check Alcotest.int "rereads fault nowhere" faults0 stats.Vm_types.s_faults;
+      let cow0 = stats.Vm_types.s_cow_faults in
+      let batched0 = stats.Vm_types.s_cow_batched in
+      let frames0 = Kernel.free_frames kernel in
+      store task (at 40) 3;
+      check Alcotest.int "write to a formerly shared page: no COW fault" cow0
+        stats.Vm_types.s_cow_faults;
+      check Alcotest.int "and no copy-ahead" batched0 stats.Vm_types.s_cow_batched;
+      check Alcotest.int "and no frame taken" frames0 (Kernel.free_frames kernel);
+      check Alcotest.int "write landed" 3 (load task (at 40)))
+
+(* ---- copy-ahead follows the access pattern ---------------------------- *)
+
+(* Scattered writes after a fork copy only what they write; a sequential
+   sweep copies ahead in full windows. *)
+let test_copy_ahead_sequential_only () =
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let stats = Kernel.stats kernel in
+      let pages = 64 in
+      let region () =
+        let a = Syscalls.vm_allocate task ~size:(pages * page) ~anywhere:true () in
+        for i = 0 to pages - 1 do
+          touch task (a + (i * page)) ~write:true
+        done;
+        a
+      in
+      let scattered = region () and sweep = region () in
+      let _child = Task.create kernel ~parent:task ~name:"child" () in
+      let cow0 = stats.Vm_types.s_cow_faults and batched0 = stats.Vm_types.s_cow_batched in
+      List.iter (fun i -> touch task (scattered + (i * page)) ~write:true) [ 40; 3; 27; 11 ];
+      check Alcotest.int "one COW fault per scattered write" 4 (stats.Vm_types.s_cow_faults - cow0);
+      check Alcotest.int "no copy-ahead on scattered writes" batched0 stats.Vm_types.s_cow_batched;
+      let cow0 = stats.Vm_types.s_cow_faults and batched0 = stats.Vm_types.s_cow_batched in
+      for i = 0 to pages - 1 do
+        touch task (sweep + (i * page)) ~write:true
+      done;
+      check Alcotest.int "sequential sweep: 8 faults" 8 (stats.Vm_types.s_cow_faults - cow0);
+      check Alcotest.int "of 8 pages each" 56 (stats.Vm_types.s_cow_batched - batched0))
 
 (* ---- terminate-path collapse ------------------------------------------ *)
 
@@ -310,6 +399,10 @@ let () =
           Alcotest.test_case "chain depth bounded over generations" `Quick
             test_chain_depth_bounded;
           Alcotest.test_case "churn steals and clusters" `Quick test_steal_and_cluster;
+          Alcotest.test_case "collapse keeps translations" `Quick
+            test_collapse_keeps_translations;
+          Alcotest.test_case "copy-ahead only on sequential faults" `Quick
+            test_copy_ahead_sequential_only;
           Alcotest.test_case "terminate-path collapse" `Quick test_terminate_path_collapse;
           Alcotest.test_case "object cache LRU eviction" `Quick test_object_cache_lru;
         ] );

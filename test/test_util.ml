@@ -125,6 +125,46 @@ let test_stats_stddev () =
   List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   check (Alcotest.float 1e-9) "known stddev" 2.0 (Stats.stddev s)
 
+(* qcheck: the unboxed sample store answers exactly like a sorted list,
+   across growth boundaries (sizes up to 100 cross 16, 32 and 64) and
+   with queries between adds (the sorted cache must be invalidated). *)
+let stats_prop =
+  let open QCheck2 in
+  let reference samples p =
+    let a = Array.of_list (List.sort Float.compare samples) in
+    let n = Array.length a in
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+    if lo = hi then a.(lo)
+    else
+      let w = rank -. float_of_int lo in
+      (a.(lo) *. (1.0 -. w)) +. (a.(hi) *. w)
+  in
+  let agrees s samples =
+    match samples with
+    | [] -> Stats.count s = 0 && Stats.percentile s 50.0 = 0.0
+    | _ ->
+      let sorted = List.sort Float.compare samples in
+      let n = List.length samples in
+      Stats.count s = n
+      && Stats.min s = List.hd sorted
+      && Stats.max s = List.nth sorted (n - 1)
+      && Stats.mean s = List.fold_left ( +. ) 0.0 samples /. float_of_int n
+      && List.for_all
+           (fun p -> Stats.percentile s p = reference samples p)
+           [ 0.0; 1.0; 25.0; 50.0; 95.0; 99.0; 100.0 ]
+  in
+  Test.make ~name:"stats agrees with a sorted-list reference" ~count:300
+    Gen.(pair (list_size (int_range 0 100) (float_range (-1e6) 1e6)) (int_range 0 100))
+    (fun (samples, cut) ->
+      let s = Stats.create () in
+      let cut = min cut (List.length samples) in
+      let first = List.filteri (fun i _ -> i < cut) samples in
+      List.iter (Stats.add s) first;
+      let mid_ok = agrees s first in
+      List.iteri (fun i x -> if i >= cut then Stats.add s x) samples;
+      mid_ok && agrees s samples)
+
 let test_counters () =
   let module M = Mach_util.Metrics in
   let r = M.create () in
@@ -354,6 +394,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "counters" `Quick test_counters;
+          QCheck_alcotest.to_alcotest stats_prop;
         ] );
       ( "dlist",
         [
