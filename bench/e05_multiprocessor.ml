@@ -120,9 +120,8 @@ let fault_storm params ~workers ~pages_per_worker =
    messages flow, but every receive pays the context-switch charge and
    queues for a processor. *)
 let ping_pong ?(handoff = true) params ~pairs ~rpcs =
-  let config = { Kernel.default_config with Kernel.params = params } in
+  let config = { Kernel.default_config with Kernel.params = { params with Machine.handoff } } in
   run_system ~config (fun sys task ->
-      (Kernel.kctx sys.Kernel.kernel).Kctx.node.Transport.node_handoff_enabled <- handoff;
       let m0 = mark sys in
       let dones =
         List.init pairs (fun i ->

@@ -29,7 +29,7 @@ let silent_manager kernel ~name =
       Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Defer);
     }
   in
-  let rt, srv = Rt.serve task policy in
+  let rt, srv = Mos.serve task policy in
   let memory_object = Mos.create_memory_object srv () in
   ignore (Rt.register rt ~memory_object ());
   (rt, srv, memory_object)
@@ -81,7 +81,7 @@ let run_death ~kill_after_us =
 (* Scenario 4: manager that accepts pager_data_write but never releases
    the data — §6.2.2 double paging must rescue the frames. Holding the
    release is a protocol violation the runtime refuses to express
-   (handle_data_write always releases), so this manager is hand-rolled
+   (its dispatch always releases), so this manager is hand-rolled
    on the raw server. *)
 let run_hoarder () =
   let config = { Kernel.default_config with Kernel.phys_frames = 128 } in

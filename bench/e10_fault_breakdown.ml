@@ -71,7 +71,7 @@ let run_body ~rounds =
             (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'e'));
         }
       in
-      let prompt_rt, srv = Rt.serve mgr_task prompt_policy in
+      let prompt_rt, srv = Mos.serve mgr_task prompt_policy in
       let memory_object = Mos.create_memory_object srv () in
       ignore (Rt.register prompt_rt ~memory_object ());
       let ext_addr =
@@ -102,7 +102,7 @@ let run_body ~rounds =
               Engine.sleep 3000.0);
         }
       in
-      let wb_rt, wb_srv = Rt.serve wb_mgr wb_policy in
+      let wb_rt, wb_srv = Mos.serve wb_mgr wb_policy in
       let wb_object = Mos.create_memory_object wb_srv () in
       ignore (Rt.register wb_rt ~memory_object:wb_object ());
       let wb_addr =

@@ -60,7 +60,7 @@ let run_storm ~traced =
                      Rt.Data (Bytes.make page 's'));
                }
              in
-             let rt, srv = Rt.serve mgr policy in
+             let rt, srv = Mos.serve mgr policy in
              let memory_object = Mos.create_memory_object srv () in
              ignore (Rt.register rt ~memory_object ());
              let ext =

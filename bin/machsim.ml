@@ -327,7 +327,7 @@ let run_storm ~rounds =
                      Pager_runtime.Data (Bytes.make page 'f'));
                }
              in
-             let rt, srv = Pager_runtime.serve mgr policy in
+             let rt, srv = Memory_object_server.serve mgr policy in
              let memory_object = Memory_object_server.create_memory_object srv () in
              ignore (Pager_runtime.register rt ~memory_object ());
              let ext =

@@ -3,7 +3,8 @@
     [Mach] re-exports the pieces a client program needs: boot a system
     ({!Kernel.create_system} or {!Kernel.create_cluster}), create tasks
     and threads, use the Table 3-1..3-4 system calls ({!Syscalls}), and
-    write data managers with {!Memory_object_server}.
+    write data managers with {!Memory_object_server} and a
+    {!Pager_runtime} policy.
 
     {[
       let sys = Mach.Kernel.create_system () in
@@ -50,7 +51,7 @@ module Default_pager = Mach_kernel.Default_pager
 module Name_server = Mach_kernel.Name_server
 module Task_server = Mach_kernel.Task_server
 module Memory_object_server = Memory_object_server
-module Pager_runtime = Pager_runtime
+module Pager_runtime = Mach_vm.Pager_runtime
 
 type task = Ktypes.task
 type kernel = Ktypes.kernel

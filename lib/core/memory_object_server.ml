@@ -5,12 +5,9 @@ module Prot = Mach_hw.Prot
 module Engine = Mach_sim.Engine
 module Syscalls = Mach_kernel.Syscalls
 module Pager_iface = Mach_vm.Pager_iface
+module Rt = Mach_vm.Pager_runtime
 
-type t = {
-  srv_task : task;
-  mutable running : bool;
-  mutable on_send_error : (unit -> unit) option;
-}
+type t = { srv_task : task; mutable running : bool }
 
 type callbacks = {
   on_init : t -> memory_object:Message.port -> request:Message.port -> name:Message.port -> unit;
@@ -32,8 +29,6 @@ type callbacks = {
     length:int ->
     desired_access:Prot.t ->
     unit;
-  on_create :
-    t -> memory_object:Message.port -> request:Message.port -> name:Message.port -> size:int -> unit;
   on_port_death : t -> Message.port -> unit;
   on_lock_completed :
     t -> memory_object:Message.port -> request:Message.port option -> offset:int -> length:int -> unit;
@@ -42,29 +37,21 @@ type callbacks = {
 
 let task t = t.srv_task
 
-(* A failed reply is not ignorable: the kernel side it was meant for is
-   gone (its request port died), and a manager that counts on the reply
-   arriving would wait forever. Route the failure to the server's hook —
-   the pager runtime counts it as a dropped reply. *)
-let set_send_error_hook t f = t.on_send_error <- Some f
-
-(* A dropped reply leaves no message behind to inspect: put the
-   destination port name on the trace so `machsim trace` shows who the
-   reply was for, not just that one vanished. *)
-let trace_dropped_reply task (msg : Message.t) =
-  let tr = task.t_kernel.k_kctx.Mach_vm.Kctx.trace in
-  if Mach_sim.Trace.enabled tr then
-    Mach_sim.Trace.point tr ~span:msg.header.trace_span ~subsystem:"pager"
-      (Format.asprintf "dropped_reply:%a" Mach_ipc.Port.pp msg.header.dest)
-
-let send t msg =
-  match Syscalls.msg_send t.srv_task msg with
-  | Ok () -> ()
+(* A failed reply means the kernel side it was meant for is gone (its
+   request port died). A dropped reply leaves no message behind to
+   inspect: put the destination port name on the trace so `machsim
+   trace` shows who the reply was for, not just that one vanished. *)
+let send_from task (msg : Message.t) =
+  match Syscalls.msg_send task msg with
+  | Ok () -> Ok ()
   | Error _ ->
-    trace_dropped_reply t.srv_task msg;
-    (match t.on_send_error with Some f -> f () | None -> ())
+    let tr = task.t_kernel.k_kctx.Mach_vm.Kctx.trace in
+    if Mach_sim.Trace.enabled tr then
+      Mach_sim.Trace.point tr ~span:msg.header.trace_span ~subsystem:"pager"
+        (Format.asprintf "dropped_reply:%a" Mach_ipc.Port.pp msg.header.dest);
+    Error ()
 
-let m2k t call ~request = send t (Pager_iface.encode_m2k call ~request)
+let m2k t call ~request = ignore (send_from t.srv_task (Pager_iface.encode_m2k call ~request))
 
 let data_provided t ~request ~offset ~data ~lock_value =
   m2k t (Pager_iface.Data_provided { offset; data; lock_value }) ~request
@@ -89,7 +76,6 @@ let no_callbacks =
     on_data_request = (fun _ ~memory_object:_ ~request:_ ~offset:_ ~length:_ ~desired_access:_ -> ());
     on_data_write = (fun _ ~memory_object:_ ~offset:_ ~data:_ ~release -> release ());
     on_data_unlock = (fun _ ~memory_object:_ ~request:_ ~offset:_ ~length:_ ~desired_access:_ -> ());
-    on_create = (fun _ ~memory_object:_ ~request:_ ~name:_ ~size:_ -> ());
     on_port_death = (fun _ _ -> ());
     on_lock_completed = (fun _ ~memory_object:_ ~request:_ ~offset:_ ~length:_ -> ());
     on_other = (fun _ _ -> ());
@@ -122,16 +108,18 @@ let dispatch t cb (msg : Message.t) =
     cb.on_data_write t ~memory_object ~offset ~data ~release
   | Pager_iface.Data_unlock { memory_object; request; offset; length; desired_access } ->
     cb.on_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
-  | Pager_iface.Create { new_memory_object; request; name; size } ->
-    (* Accept the receive right and start serving the object. *)
+  | Pager_iface.Create { new_memory_object; _ } ->
+    (* Accept the receive right; the kernel's calls on the object
+       arrive on it. *)
     let n = Port_space.insert t.srv_task.t_space new_memory_object Message.Receive_right in
-    Port_space.enable t.srv_task.t_space n;
-    cb.on_create t ~memory_object:new_memory_object ~request ~name ~size
+    Port_space.enable t.srv_task.t_space n
   | Pager_iface.Lock_completed { memory_object; offset; length } ->
     cb.on_lock_completed t ~memory_object ~request:msg.Message.header.reply ~offset ~length
 
-let start ?(service_threads = 1) srv_task cb =
-  let t = { srv_task; running = true; on_send_error = None } in
+(* The service threads and the port-death notification thread every
+   manager shares, whichever decoder it plugs in. *)
+let run ?(service_threads = 1) srv_task ~dispatch ~port_death =
+  let t = { srv_task; running = true } in
   for i = 1 to service_threads do
     Engine.spawn srv_task.t_kernel.k_engine
       ~name:(Printf.sprintf "%s.pager-service-%d" srv_task.t_name i)
@@ -144,7 +132,7 @@ let start ?(service_threads = 1) srv_task cb =
               (* Serve the request under the faulting thread's span: the
                  manager's work is a leg of that fault's causal path. *)
               Mach_sim.Trace.adopt trace msg.Message.header.Message.trace_span (fun () ->
-                  dispatch t cb msg)
+                  dispatch t msg)
             | Error _ -> ());
             loop ()
           end
@@ -157,7 +145,7 @@ let start ?(service_threads = 1) srv_task cb =
           (match Port_space.next_notification srv_task.t_space () with
           | Some (Port_space.Port_deleted name) -> (
             match Port_space.port_of_name srv_task.t_space name with
-            | Some port -> cb.on_port_death t port
+            | Some port -> port_death t port
             | None -> ())
           | None -> ());
           loop ()
@@ -165,6 +153,28 @@ let start ?(service_threads = 1) srv_task cb =
       in
       loop ());
   t
+
+let start ?service_threads srv_task cb =
+  run ?service_threads srv_task ~dispatch:(fun t msg -> dispatch t cb msg)
+    ~port_death:cb.on_port_death
+
+let serve ?service_threads ?(on_other = fun _ _ _ -> ()) srv_task policy =
+  let kctx = srv_task.t_kernel.k_kctx in
+  let rt =
+    Rt.create ~name:srv_task.t_name ~page_size:kctx.Mach_vm.Kctx.page_size
+      ~send:(send_from srv_task) policy
+  in
+  (* Every user-level manager's stats block lands in the host registry
+     under its own namespace, e.g. "pager.vnode-pager.requests". *)
+  Mach_util.Metrics.register_source kctx.Mach_vm.Kctx.metrics
+    ~subsystem:("pager." ^ srv_task.t_name)
+    (fun () -> Rt.Stats.to_list (Rt.stats rt));
+  let srv =
+    run ?service_threads srv_task
+      ~dispatch:(fun srv msg -> Rt.dispatch rt ~other:(on_other rt srv) msg)
+      ~port_death:(fun _ port -> Rt.handle_port_death rt port)
+  in
+  (rt, srv)
 
 let create_memory_object t ?backlog () =
   let name = Syscalls.port_allocate t.srv_task ?backlog () in

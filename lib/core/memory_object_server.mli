@@ -2,11 +2,22 @@
 
     A data manager implements a memory object by receiving the kernel's
     Table 3-5 calls and replying with the Table 3-6 calls. This module
-    is the receive/dispatch loop every pager in §4 and §8 shares: plug
-    in callbacks, then create memory objects with {!create_memory_object}
-    and hand them to clients. Callbacks run on the manager task's
-    service thread and may block (e.g. on disk I/O); use multiple
-    manager tasks or threads for deadlock-sensitive services (§6.1). *)
+    is the receive loop every pager in §4 and §8 shares. Most managers
+    plug a {!Mach_vm.Pager_runtime} policy into it with {!serve}; the
+    raw {!start} takes hand-written callbacks instead (tests, and
+    managers that misbehave on purpose). Either way, create memory
+    objects with {!create_memory_object} and hand them to clients.
+    Handlers run on the manager task's service thread and may block
+    (e.g. on disk I/O); use multiple manager tasks or threads for
+    deadlock-sensitive services (§6.1).
+
+    {v
+      Memory_object_server   (receive loop, port-death notify)
+             |
+        Pager_runtime        (decoding, registry, splitting, coalescing, stats)
+             |
+        policy module        (backing-store read/write + consistency)
+    v} *)
 
 open Mach_kernel.Ktypes
 
@@ -14,6 +25,20 @@ module Message = Mach_ipc.Message
 module Prot = Mach_hw.Prot
 
 type t
+
+val serve :
+  ?service_threads:int ->
+  ?on_other:('o Mach_vm.Pager_runtime.t -> t -> Message.t -> unit) ->
+  task ->
+  'o Mach_vm.Pager_runtime.policy ->
+  'o Mach_vm.Pager_runtime.t * t
+(** Serve a runtime policy from a manager task: every message goes
+    through {!Mach_vm.Pager_runtime.dispatch}, non-protocol traffic to
+    [on_other], port deaths to the runtime. Returns the runtime (for
+    registering objects and reading stats) and the server (for
+    [create_memory_object], [stop]). The runtime's stats block is
+    registered in the host's metrics under ["pager." ^ task name];
+    replies that fail count as [s_dropped_replies]. *)
 
 type callbacks = {
   on_init : t -> memory_object:Message.port -> request:Message.port -> name:Message.port -> unit;
@@ -38,8 +63,6 @@ type callbacks = {
     length:int ->
     desired_access:Prot.t ->
     unit;
-  on_create :
-    t -> memory_object:Message.port -> request:Message.port -> name:Message.port -> size:int -> unit;
   on_port_death : t -> Message.port -> unit;
       (** The kernel deallocated its rights (object terminated): release
           resources for that request/name port (§4.1 [port_death]). *)
@@ -62,7 +85,9 @@ val start : ?service_threads:int -> task -> callbacks -> t
     kernel calls on every enabled port of the task, plus the
     notification thread (port deaths). Multiple threads are the §6.1
     advice: they let one thread serve a data request while another is
-    blocked, and remove the server as a serial bottleneck. *)
+    blocked, and remove the server as a serial bottleneck. A
+    [pager_create] is answered by taking the new object's receive
+    right. *)
 
 val task : t -> task
 
@@ -72,17 +97,10 @@ val create_memory_object : t -> ?backlog:int -> unit -> Message.port
 val stop : t -> unit
 (** Ask the service loops to exit at the next message. *)
 
-val set_send_error_hook : t -> (unit -> unit) -> unit
-(** Called whenever a manager→kernel send fails (the kernel-side
-    request port died); the pager runtime counts these as dropped
-    replies instead of silently discarding them. *)
+(** {2 Table 3-6 calls (manager → kernel)}
 
-val trace_dropped_reply : task -> Message.t -> unit
-(** Emit a ["pager"] trace point naming the reply's destination port,
-    so dropped replies are diagnosable from [machsim trace] and not
-    just visible as a counter. *)
-
-(** {2 Table 3-6 calls (manager → kernel)} *)
+    A send that fails (the kernel's request port died) leaves a
+    ["pager"] trace point naming its destination. *)
 
 val data_provided :
   t -> request:Message.port -> offset:int -> data:bytes -> lock_value:Prot.t -> unit

@@ -17,6 +17,7 @@ type params = {
   net_latency_us : float;
   net_us_per_byte : float;
   pageout_backoff_us : float;
+  handoff : bool;
 }
 
 (* Common 1987-era software constants: a local Mach message exchange cost
@@ -37,6 +38,7 @@ let base =
     net_latency_us = 5000.0;
     net_us_per_byte = 0.8;
     pageout_backoff_us = 50.0;
+    handoff = true;
   }
 
 let vax_8800 = { base with model = "VAX 8800"; cpus = 2; local_access_us = 0.4; remote_access_us = Some 0.6 }
@@ -91,6 +93,7 @@ let custom ?model ?cpus ?local_access_us ?remote_access_us ?page_copy_us ?map_op
     net_latency_us = get start.net_latency_us net_latency_us;
     net_us_per_byte = get start.net_us_per_byte net_us_per_byte;
     pageout_backoff_us = get start.pageout_backoff_us pageout_backoff_us;
+    handoff = start.handoff;
   }
 
 let access_us p ~remote ~words =

@@ -31,6 +31,11 @@ type params = {
   pageout_backoff_us : float;
       (** pageout-daemon back-off between reclaim passes while laundry is
           in flight; sweepable by the benches *)
+  handoff : bool;
+      (** handoff scheduling: a local fast-path send donates its
+          processor to the receiver. [true] in every preset; [false] is
+          the E5 ablation arm, where every receive pays the full
+          context-switch charge. *)
 }
 
 val vax_8800 : params

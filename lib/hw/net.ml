@@ -115,10 +115,3 @@ let stats_to_list t =
     ("duplicated", t.duplicated);
     ("retransmits", t.retransmits);
   ]
-
-let reset_stats t =
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.dropped <- 0;
-  t.duplicated <- 0;
-  t.retransmits <- 0

@@ -49,4 +49,3 @@ val dropped : t -> int
 val duplicated : t -> int
 val retransmits : t -> int
 val stats_to_list : t -> (string * int) list
-val reset_stats : t -> unit

@@ -386,14 +386,3 @@ let chan_stats_to_list t =
     ("resets", s.c_resets);
     ("stale_epoch", s.c_stale_epoch);
   ]
-
-let reset_chan_stats t =
-  let s = t.cstats in
-  s.c_data_pkts <- 0;
-  s.c_acks <- 0;
-  s.c_retransmits <- 0;
-  s.c_dup_dropped <- 0;
-  s.c_resequenced <- 0;
-  s.c_aborts <- 0;
-  s.c_resets <- 0;
-  s.c_stale_epoch <- 0

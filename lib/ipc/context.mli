@@ -64,4 +64,3 @@ val restart_host : t -> host:int -> unit
 (** {2 Channel accounting} *)
 
 val chan_stats_to_list : t -> (string * int) list
-val reset_chan_stats : t -> unit

@@ -28,16 +28,6 @@ let fresh_ipc_stats () =
     s_spurious_wakeups = 0;
   }
 
-let reset_ipc_stats s =
-  s.s_msgs_sent <- 0;
-  s.s_bytes_copied <- 0;
-  s.s_bytes_mapped <- 0;
-  s.s_copyins <- 0;
-  s.s_lazy_copyout_faults <- 0;
-  s.s_rpc_fastpath <- 0;
-  s.s_handoffs <- 0;
-  s.s_spurious_wakeups <- 0
-
 let ipc_stats_to_list s =
   [
     ("msgs_sent", s.s_msgs_sent);
@@ -56,7 +46,6 @@ type node = {
   node_page_size : int;
   node_stats : ipc_stats;
   mutable node_sched : Sched.t option;
-  mutable node_handoff_enabled : bool;
   mutable node_trace : Mach_sim.Trace.t option;
 }
 
@@ -169,7 +158,7 @@ let send node ?timeout msg =
       match node.node_sched with
       | Some s ->
         Sched.compute_donating s cost ~donate_if:(fun () ->
-            local && node.node_handoff_enabled && fastpath_ready dest msg)
+            local && node.node_params.Machine.handoff && fastpath_ready dest msg)
       | None ->
         node_compute node cost;
         None
@@ -186,7 +175,7 @@ let send node ?timeout msg =
     else if local then begin
       trace_send node msg ~local:true;
       let handoff =
-        if node.node_handoff_enabled then Some (Option.value ticket ~default:(-1)) else None
+        if node.node_params.Machine.handoff then Some (Option.value ticket ~default:(-1)) else None
       in
       enqueue_local node ?timeout ?handoff dest msg
     end

@@ -33,9 +33,6 @@ type ipc_stats = {
 val fresh_ipc_stats : unit -> ipc_stats
 val ipc_stats_to_list : ipc_stats -> (string * int) list
 
-val reset_ipc_stats : ipc_stats -> unit
-(** Zero every counter (the registry's shared reset idiom). *)
-
 type node = {
   node_host : int;  (** host id of the calling task *)
   node_params : Mach_hw.Machine.params;
@@ -47,12 +44,10 @@ type node = {
           its send burst by reserving the processor it ran on for the
           receiver ({!Mach_sim.Sched.compute_donating}) instead of
           dispatching the run queue (handoff scheduling). [None] (bare
-          test nodes) falls back to un-contended sleeps. *)
-  mutable node_handoff_enabled : bool;
-      (** when [false], local fast-path sends neither donate a processor
-          nor mark the message, so every receive pays the full
-          context-switch charge — the ablation arm for measuring what
-          handoff scheduling saves. Defaults to [true]. *)
+          test nodes) falls back to un-contended sleeps. With
+          [node_params.handoff = false], local fast-path sends neither
+          donate a processor nor mark the message, so every receive
+          pays the full context-switch charge. *)
   mutable node_trace : Mach_sim.Trace.t option;
       (** when set and enabled, {!send} stamps the sender's current
           span id into the header (unless already stamped) and emits

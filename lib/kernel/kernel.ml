@@ -61,16 +61,10 @@ let boot engine ctx net ?trace ~host config =
      snapshots don't multiply them. *)
   if host = 0 then begin
     let metrics = kctx.Kctx.metrics in
-    Mach_util.Metrics.register_source metrics ~subsystem:"net"
-      ~reset:(fun () -> Net.reset_stats net)
-      (fun () -> Net.stats_to_list net);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chan"
-      ~reset:(fun () -> Mach_ipc.Context.reset_chan_stats ctx)
-      (fun () -> Mach_ipc.Context.chan_stats_to_list ctx);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chaos"
-      ~reset:(fun () ->
-        match Net.chaos net with Some c -> Mach_sim.Chaos.reset_stats c | None -> ())
-      (fun () ->
+    Mach_util.Metrics.register_source metrics ~subsystem:"net" (fun () -> Net.stats_to_list net);
+    Mach_util.Metrics.register_source metrics ~subsystem:"chan" (fun () ->
+        Mach_ipc.Context.chan_stats_to_list ctx);
+    Mach_util.Metrics.register_source metrics ~subsystem:"chaos" (fun () ->
         match Net.chaos net with Some c -> Mach_sim.Chaos.stats_to_list c | None -> [])
   end;
   Pager_service.start kctx;

@@ -437,7 +437,7 @@ let start kernel ?(name = "camelot") ~log_disk ~data_disk ~format () =
   let t_ref = ref None in
   let get () = match !t_ref with Some t -> t | None -> assert false in
   let rt, srv =
-    Rt.serve ~on_other:(fun _rt _srv msg -> on_other (get ()) msg) srv_task (policy get)
+    Mos.serve ~on_other:(fun _rt _srv msg -> on_other (get ()) msg) srv_task (policy get)
   in
   let fs = if format then Fs_layout.format data_disk ~max_files:128 else Fs_layout.mount data_disk in
   let t =

@@ -72,7 +72,7 @@ let policy =
 
 let start kernel ?(name = "migration-manager") () =
   let srv_task = Task.create kernel ~name () in
-  let rt, srv = Rt.serve srv_task policy in
+  let rt, srv = Mos.serve srv_task policy in
   { rt; srv; shipped = 0; sources = [] }
 
 (* One memory object backed by a (frozen) source region. *)

@@ -214,7 +214,7 @@ let start kernel ?(name = "fs-server") ?(enable_cache = true) ?(service_threads 
   let t_ref = ref None in
   let get () = match !t_ref with Some t -> t | None -> assert false in
   let rt, srv =
-    Rt.serve ~service_threads
+    Mos.serve ~service_threads
       ~on_other:(fun _rt srv msg -> on_other (get ()) srv msg)
       srv_task
       (policy get ~enable_cache)

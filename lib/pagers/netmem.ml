@@ -254,7 +254,7 @@ let start kernel ?(name = "netmem-server") () =
   let srv_task = Task.create kernel ~name () in
   let t_ref = ref None in
   let get () = match !t_ref with Some t -> t | None -> assert false in
-  let rt, srv = Rt.serve srv_task (policy get) in
+  let rt, srv = Mos.serve srv_task (policy get) in
   let t = { rt; srv; page_size = Rt.page_size rt; invalidations = 0; grants = 0 } in
   t_ref := Some t;
   t

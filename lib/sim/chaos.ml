@@ -207,15 +207,3 @@ let stats_to_list t =
 let faults_injected t =
   let s = t.stats in
   s.s_dropped + s.s_duplicated + s.s_reordered + s.s_partition_drops + s.s_crash_drops
-
-let reset_stats t =
-  let s = t.stats in
-  s.s_dropped <- 0;
-  s.s_duplicated <- 0;
-  s.s_reordered <- 0;
-  s.s_partition_drops <- 0;
-  s.s_crash_drops <- 0;
-  s.s_partitions <- 0;
-  s.s_heals <- 0;
-  s.s_crashes <- 0;
-  s.s_restarts <- 0

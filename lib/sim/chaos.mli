@@ -86,4 +86,3 @@ val judge : t -> src:int -> dst:int -> verdict
 val stats : t -> stats
 val stats_to_list : t -> (string * int) list
 val faults_injected : t -> int
-val reset_stats : t -> unit

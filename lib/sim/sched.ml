@@ -61,20 +61,6 @@ let fresh_stats () =
     s_idle_with_waiter = 0;
   }
 
-let reset_stats s =
-  s.s_switches <- 0;
-  s.s_preemptions <- 0;
-  s.s_migrations <- 0;
-  s.s_steals <- 0;
-  s.s_handoff_claims <- 0;
-  s.s_handoff_expired <- 0;
-  s.s_affinity_hits <- 0;
-  s.s_direct_dispatches <- 0;
-  s.s_enqueues <- 0;
-  s.s_queue_depth_peak <- 0;
-  s.s_queue_depth_sum <- 0;
-  s.s_idle_with_waiter <- 0
-
 let stats_to_list s =
   [
     ("switches", s.s_switches);

@@ -74,9 +74,6 @@ val cpu_count : t -> int
 val stats : t -> stats
 val stats_to_list : stats -> (string * int) list
 
-val reset_stats : stats -> unit
-(** Zero every counter (the registry's shared reset idiom). *)
-
 val set_trace : t -> Trace.t option -> unit
 (** Wire the host's trace: acquire entries ([enter_direct] /
     [enter_queued] / [enter_handoff]), preemptions and donations emit

@@ -5,9 +5,8 @@
    *is* its set of pre-registered handles — the registry holds only a
    read closure over it ([register_source]) and never sits on the
    increment path. New metrics that have no record to live in get a
-   direct [counter] handle (one mutable int), a sampled [gauge] (read
-   at snapshot time), or a [histogram] (a [Stats.t] reduced to
-   count/mean/percentiles at snapshot time).
+   sampled [gauge] (read at snapshot time) or a [histogram] (a
+   [Stats.t] reduced to count/mean/percentiles at snapshot time).
 
    A snapshot is a flat, sorted [(key, value)] list with keys
    "subsystem.name", so one serializer covers every consumer: the
@@ -15,14 +14,12 @@
    the machsim CLI. Duplicate keys (two pagers registered under one
    name) sum. *)
 
-type counter = { c_key : string; mutable c_value : int }
-type histogram = { h_key : string; mutable h_samples : Stats.t }
+type histogram = Stats.t
 
 type entry =
-  | Counter of counter
   | Gauge of (unit -> int)
   | Histogram of histogram
-  | Source of { read : unit -> (string * int) list; src_reset : (unit -> unit) option }
+  | Source of (unit -> (string * int) list)
 
 type registry = { mutable entries : (string * entry) list (* reverse registration order *) }
 type snapshot = (string * float) list
@@ -30,25 +27,16 @@ type snapshot = (string * float) list
 let create () = { entries = [] }
 let key ~subsystem name = subsystem ^ "." ^ name
 
-let counter r ~subsystem name =
-  let c = { c_key = key ~subsystem name; c_value = 0 } in
-  r.entries <- (c.c_key, Counter c) :: r.entries;
-  c
-
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
-let counter_value c = c.c_value
-
 let gauge r ~subsystem name read = r.entries <- (key ~subsystem name, Gauge read) :: r.entries
 
 let histogram r ~subsystem name =
-  let h = { h_key = key ~subsystem name; h_samples = Stats.create () } in
-  r.entries <- (h.h_key, Histogram h) :: r.entries;
+  let h = Stats.create () in
+  r.entries <- (key ~subsystem name, Histogram h) :: r.entries;
   h
 
-let observe h x = Stats.add h.h_samples x
+let observe = Stats.add
 
-let register_source r ~subsystem ?reset read =
-  r.entries <- (subsystem, Source { read; src_reset = reset }) :: r.entries
+let register_source r ~subsystem read = r.entries <- (subsystem, Source read) :: r.entries
 
 let snapshot r =
   let acc = Hashtbl.create 64 in
@@ -58,10 +46,8 @@ let snapshot r =
   List.iter
     (fun (k, entry) ->
       match entry with
-      | Counter c -> put k (float_of_int c.c_value)
       | Gauge read -> put k (float_of_int (read ()))
-      | Histogram h ->
-        let s = h.h_samples in
+      | Histogram s ->
         put (k ^ ".count") (float_of_int (Stats.count s));
         if Stats.count s > 0 then begin
           put (k ^ ".mean") (Stats.mean s);
@@ -69,25 +55,14 @@ let snapshot r =
           put (k ^ ".p95") (Stats.percentile s 95.0);
           put (k ^ ".max") (Stats.max s)
         end
-      | Source { read; _ } ->
+      | Source read ->
         List.iter (fun (name, v) -> put (key ~subsystem:k name) (float_of_int v)) (read ()))
     r.entries;
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset r =
-  List.iter
-    (fun (_, entry) ->
-      match entry with
-      | Counter c -> c.c_value <- 0
-      | Histogram h -> h.h_samples <- Stats.create ()
-      | Source { src_reset = Some f; _ } -> f ()
-      | Source { src_reset = None; _ } | Gauge _ -> ())
-    r.entries
-
 let find s k = List.assoc_opt k s
 let get ?(default = 0.0) s k = Option.value (find s k) ~default
-let to_list (s : snapshot) = s
 
 let delta ~before ~after =
   List.map (fun (k, v) -> (k, v -. get before k)) after

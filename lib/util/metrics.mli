@@ -1,13 +1,14 @@
 (** Unified metrics registry: every subsystem's counters behind one
-    snapshot/reset/serialize surface.
+    snapshot/serialize surface.
 
     Hot paths keep their cost profile: a subsystem's existing mutable
     stats record is itself the set of pre-registered O(1) handles — the
     registry holds a read closure over it ({!register_source}) and is
     never on the increment path. Metrics with no record to live in use
-    a direct {!counter} (one mutable int), a sampled {!gauge} (a
-    closure read at snapshot time), or a {!histogram} (a {!Stats.t}
-    reduced to count/mean/p50/p95/max at snapshot time).
+    a sampled {!gauge} (a closure read at snapshot time) or a
+    {!histogram} (a {!Stats.t} reduced to count/mean/p50/p95/max at
+    snapshot time). Counters only grow: measure a phase with {!delta}
+    between two snapshots.
 
     Keys are ["subsystem.name"]; a snapshot is flat and sorted, so one
     JSON serializer covers the syscall surface, the bench harness and
@@ -17,19 +18,12 @@
 type registry
 type snapshot = (string * float) list
 
-type counter
-(** A pre-registered monotone counter handle: one mutable int. *)
-
 type histogram
 (** A pre-registered sample accumulator; snapshots expand it into
     [.count], [.mean], [.p50], [.p95] and [.max] keys (the latter four
     only when non-empty). *)
 
 val create : unit -> registry
-
-val counter : registry -> subsystem:string -> string -> counter
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 (** A sampled value (queue depth, free frames): the closure runs at
@@ -38,18 +32,12 @@ val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 val histogram : registry -> subsystem:string -> string -> histogram
 val observe : histogram -> float -> unit
 
-val register_source :
-  registry -> subsystem:string -> ?reset:(unit -> unit) -> (unit -> (string * int) list) -> unit
+val register_source : registry -> subsystem:string -> (unit -> (string * int) list) -> unit
 (** Adopt an existing stats block: [read] is typically the block's
-    [stats_to_list]; [reset] (when given) is invoked by {!reset} so
-    every subsystem shares one zeroing idiom. *)
+    [stats_to_list]. *)
 
 val snapshot : registry -> snapshot
 (** Flat, sorted; duplicate keys summed. *)
-
-val reset : registry -> unit
-(** Zero counters and histograms and run every source's [reset]
-    closure. Gauges are live values and are left alone. *)
 
 val delta : before:snapshot -> after:snapshot -> snapshot
 (** Pointwise [after - before] over [after]'s keys (missing [before]
@@ -62,7 +50,6 @@ val merge : snapshot list -> snapshot
 
 val find : snapshot -> string -> float option
 val get : ?default:float -> snapshot -> string -> float
-val to_list : snapshot -> (string * float) list
 
 val to_json : ?indent:int -> snapshot -> string
 (** A flat object, one ["key": number] pair per line, [indent] columns

@@ -154,39 +154,32 @@ let handle kctx map ~addr ~write ?policy () =
      them still faults for COW resolution and dirty tracking. One map
      operation is charged for the whole batch. *)
   let burst_enter () =
-    let window = kctx.Kctx.cluster_pages in
-    if window > 1 then begin
-      let batch = ref [] in
-      let n = ref 0 in
-      (try
-         for i = 1 to window - 1 do
-           let a = addr + (i * ps) in
-           let vpn = a / ps in
-           if Pmap.lookup pm ~vpn <> None then raise Exit;
-           match Vm_map.lookup ~count:false map ~addr:a ~write:false with
-           | Error _ -> raise Exit
-           | Ok lk -> (
-             match
-               Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset
-             with
-             | Some (p, _, _)
-               when (not p.busy) && (not p.absent) && (not p.p_error)
-                    && not (Prot.can_read p.page_lock) ->
-               let prot =
-                 hw_prot lk.Vm_map.lk_entry_prot ~write_ok:false ~page_lock:p.page_lock
-               in
-               batch := (vpn, p.frame, prot) :: !batch;
-               Vm_page.add_mapping p pm ~vpn;
-               Page_queues.activate kctx.Kctx.queues p;
-               incr n
-             | Some _ | None -> raise Exit)
-         done
-       with Exit -> ());
-      if !n > 0 then begin
-        Pmap.enter_batch pm !batch;
-        stats.s_burst_entered <- stats.s_burst_entered + !n;
-        Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
-      end
+    let batch = ref [] in
+    let n = ref 0 in
+    (try
+       for i = 1 to Kctx.cluster_pages - 1 do
+         let a = addr + (i * ps) in
+         let vpn = a / ps in
+         if Pmap.lookup pm ~vpn <> None then raise Exit;
+         match Vm_map.lookup ~count:false map ~addr:a ~write:false with
+         | Error _ -> raise Exit
+         | Ok lk -> (
+           match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+           | Some (p, _, _)
+             when (not p.busy) && (not p.absent) && (not p.p_error)
+                  && not (Prot.can_read p.page_lock) ->
+             let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok:false ~page_lock:p.page_lock in
+             batch := (vpn, p.frame, prot) :: !batch;
+             Vm_page.add_mapping p pm ~vpn;
+             Page_queues.activate kctx.Kctx.queues p;
+             incr n
+           | Some _ | None -> raise Exit)
+       done
+     with Exit -> ());
+    if !n > 0 then begin
+      Pmap.enter_batch pm !batch;
+      stats.s_burst_entered <- stats.s_burst_entered + !n;
+      Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
     end
   in
   (* Hardware-validate [page] for the faulting address and finish. Slow
@@ -402,7 +395,7 @@ let handle kctx map ~addr ~write ?policy () =
       let extras = ref [] in
       let n_extras = ref 0 in
       let window =
-        if first_off = first_obj.cow_next then min kctx.Kctx.cluster_pages (lk.Vm_map.lk_run / ps)
+        if first_off = first_obj.cow_next then min Kctx.cluster_pages (lk.Vm_map.lk_run / ps)
         else 1
       in
       (try
@@ -494,7 +487,7 @@ let handle kctx map ~addr ~write ?policy () =
         Pager_error
       end
     else begin
-      let window = if write then 1 else kctx.Kctx.cluster_pages in
+      let window = if write then 1 else Kctx.cluster_pages in
       let page =
         Pager_client.request_cluster kctx powner ~offset:poffset
           ~desired_access:(if write then Prot.rw else Prot.read)

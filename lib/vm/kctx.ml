@@ -33,20 +33,19 @@ type t = {
   reserved_frames : int;
   free_wait : Waitq.t;
   pageout_wanted : Waitq.t;
-  mutable pager_timeout_us : float;
-  mutable data_write_release_timeout_us : float;
+  pager_timeout_us : float;
   mutable obj_terminator : t -> obj -> unit;
   holdings : (int, holding) Hashtbl.t;
   mutable next_write_id : int;
   mutable rescue_writer : (bytes -> unit) option;
   mutable enable_collapse : bool;
       (** merge single-referenced anonymous shadow chains (ablation A1) *)
-  mutable cluster_pages : int;
-      (** cluster-in window: max pages per pager_data_request on a hard
-          read fault (1 disables clustering) *)
   cow_batch_hist : Metrics.histogram;
       (** pages resolved per COW write fault (1 = no clustering won) *)
 }
+
+let data_write_release_timeout_us = 500_000.0
+let cluster_pages = 8
 
 let fresh_obj_id t =
   let id = t.next_obj_id in
@@ -149,24 +148,18 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
       node_page_size = Phys_mem.page_size mem;
       node_stats = Mach_ipc.Transport.fresh_ipc_stats ();
       node_sched = Some sched;
-      node_handoff_enabled = true;
       node_trace = Some trace;
     }
   in
   let queues = Page_queues.create () in
   (* The existing mutable stats blocks are the registry's O(1) handles:
-     register each as a source so snapshot/reset cover every subsystem
+     register each as a source so a snapshot covers every subsystem
      without touching any increment site. *)
-  Metrics.register_source metrics ~subsystem:"vm"
-    ~reset:(fun () -> reset_stats stats)
-    (fun () -> stats_to_list stats);
-  Metrics.register_source metrics ~subsystem:"ipc"
-    ~reset:(fun () -> Mach_ipc.Transport.reset_ipc_stats node.Mach_ipc.Transport.node_stats)
-    (fun () ->
+  Metrics.register_source metrics ~subsystem:"vm" (fun () -> stats_to_list stats);
+  Metrics.register_source metrics ~subsystem:"ipc" (fun () ->
       Mach_ipc.Transport.ipc_stats_to_list node.Mach_ipc.Transport.node_stats);
-  Metrics.register_source metrics ~subsystem:"sched"
-    ~reset:(fun () -> Sched.reset_stats (Sched.stats sched))
-    (fun () -> Sched.stats_to_list (Sched.stats sched));
+  Metrics.register_source metrics ~subsystem:"sched" (fun () ->
+      Sched.stats_to_list (Sched.stats sched));
   Metrics.gauge metrics ~subsystem:"vm" "free_frames" (fun () -> Phys_mem.free_frames mem);
   Metrics.gauge metrics ~subsystem:"vm" "active_pages" (fun () ->
       Page_queues.active_count queues);
@@ -203,12 +196,10 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
     free_wait = Waitq.create ();
     pageout_wanted = Waitq.create ();
     pager_timeout_us;
-    data_write_release_timeout_us = 500_000.0;
     obj_terminator = default_terminator;
     holdings = Hashtbl.create 32;
     next_write_id = 1;
     rescue_writer = None;
     enable_collapse = true;
-    cluster_pages = 8;
     cow_batch_hist;
   }

@@ -46,11 +46,8 @@ type t = {
   reserved_frames : int;  (** frames only privileged allocations may take *)
   free_wait : Mach_sim.Waitq.t;  (** woken when frames are freed *)
   pageout_wanted : Mach_sim.Waitq.t;  (** wakes the pageout daemon *)
-  mutable pager_timeout_us : float;
+  pager_timeout_us : float;
       (** how long a fault waits for an external manager (§6.2.1) *)
-  mutable data_write_release_timeout_us : float;
-      (** §6.2.2: how long a manager may sit on pageout data before the
-          kernel double-pages it to the default pager *)
   mutable obj_terminator : t -> obj -> unit;
       (** how to terminate an unreferenced object; Pager_client installs
           the port-aware version at boot *)
@@ -64,12 +61,18 @@ type t = {
       (** merge single-referenced anonymous shadow objects into their
           shadows after COW resolution — the classic chain-length
           optimisation; exposed as a switch for the ablation bench *)
-  mutable cluster_pages : int;
-      (** cluster-in window: max pages per pager_data_request on a hard
-          read fault (1 disables clustering) *)
   cow_batch_hist : Mach_util.Metrics.histogram;
       (** pages resolved per COW write fault (1 = no clustering won) *)
 }
+
+val data_write_release_timeout_us : float
+(** §6.2.2: how long a manager may sit on pageout data (500 ms) before
+    the kernel double-pages it to the default pager. *)
+
+val cluster_pages : int
+(** The clustering window (8): at most this many pages per
+    pager_data_request on a hard read fault, per laundered data_write
+    run, and per sequential COW copy-ahead. *)
 
 val create :
   Mach_sim.Engine.t ->

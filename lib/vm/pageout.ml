@@ -35,7 +35,7 @@ let refill_inactive kctx ~want =
    and dirty; the run is clamped to the cluster window. *)
 let collect_run kctx seed =
   let ps = kctx.Kctx.page_size in
-  let window = max 1 kctx.Kctx.cluster_pages in
+  let window = Kctx.cluster_pages in
   let obj = seed.p_obj in
   let eligible q =
     q.wire_count = 0
@@ -77,7 +77,7 @@ let collect_run kctx seed =
    data_requests then wait behind seconds of queued writes and abort.
    Two cluster windows keep the disk pipelined while bounding the
    backlog a fault can land behind. *)
-let laundry_limit kctx = max (2 * kctx.Kctx.cluster_pages) (Kctx.free_target kctx)
+let laundry_limit kctx = max (2 * Kctx.cluster_pages) (Kctx.free_target kctx)
 
 (* Returns the number of frames actually freed. Dirty pages are
    laundered — shipped to their manager in run-sized pager_data_writes

@@ -15,14 +15,19 @@ module Log = (val Logs.src_log log)
 (* Fire-and-forget kernel send; the protocol is asynchronous. A full
    queue must not deadlock the kernel, so delivery retries run in a
    detached thread. *)
-let kernel_send kctx msg =
+let kernel_send ?(retry_thread = "kernel-send-retry") kctx msg =
   match Transport.send kctx.Kctx.node ~timeout:0.0 msg with
-  | Ok () -> ()
+  | Ok () -> Ok ()
   | Error Transport.Send_timed_out ->
-    Engine.spawn kctx.Kctx.engine ~name:"kernel-send-retry" (fun () ->
+    Engine.spawn kctx.Kctx.engine ~name:retry_thread (fun () ->
         match Transport.send kctx.Kctx.node msg with
-        | Ok () | Error _ -> ())
-  | Error Transport.Send_invalid_port -> Log.debug (fun m -> m "send to dead port dropped")
+        | Ok () | Error _ -> ());
+    Ok ()
+  | Error Transport.Send_invalid_port ->
+    Log.debug (fun m -> m "send to dead port dropped");
+    Error ()
+
+let send kctx msg = ignore (kernel_send kctx msg)
 
 let get_pager obj =
   match obj.pager with
@@ -175,7 +180,7 @@ let ensure_initialized kctx obj =
       let request, name = make_request_ports kctx obj p in
       (* Fires immediately if the manager is already gone. *)
       ignore (Port.on_death p.memory_object (fun () -> pager_died kctx obj));
-      kernel_send kctx
+      send kctx
         (Pager_iface.encode_k2m ~reply:None
            (Pager_iface.Init { memory_object = p.memory_object; request; name })
            ~dest:p.memory_object);
@@ -188,7 +193,7 @@ let send_data_request kctx p ~offset ~length ~desired_access =
   in
   kctx.Kctx.stats.s_data_requests <- kctx.Kctx.stats.s_data_requests + 1;
   Mach_sim.Trace.point kctx.Kctx.trace ~subsystem:"vm" "data_request";
-  kernel_send kctx
+  send kctx
     (Pager_iface.encode_k2m ~reply:None
        (Pager_iface.Data_request
           { memory_object = p.memory_object; request; offset; length; desired_access })
@@ -281,7 +286,7 @@ let bind_to_default_pager kctx obj =
     Hashtbl.replace kctx.Kctx.objects_by_port (Port.id memory_object) obj;
     let request, name = make_request_ports kctx obj p in
     Mach_sim.Ivar.fill p.init_wait ();
-    kernel_send kctx
+    send kctx
       (Pager_iface.encode_k2m ~reply:None
          (Pager_iface.Create { new_memory_object = memory_object; request; name; size = obj.obj_size })
          ~dest:dp)
@@ -316,9 +321,9 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
   Hashtbl.replace kctx.Kctx.holdings write_id h;
   kctx.Kctx.stats.s_data_writes <- kctx.Kctx.stats.s_data_writes + 1;
   Engine.schedule kctx.Kctx.engine
-    ~at:(Engine.now kctx.Kctx.engine +. kctx.Kctx.data_write_release_timeout_us)
+    ~at:(Engine.now kctx.Kctx.engine +. Kctx.data_write_release_timeout_us)
     (fun () -> rescue kctx h);
-  kernel_send kctx
+  send kctx
     (Pager_iface.encode_k2m ~reply:p.request_port
        (Pager_iface.Data_write { memory_object = p.memory_object; offset; data; write_id })
        ~dest:p.memory_object)
@@ -378,7 +383,7 @@ let write_run_detached kctx pages =
    satisfying [eligible], each clamped to the cluster window. *)
 let adjacent_runs kctx pages ~eligible =
   let ps = kctx.Kctx.page_size in
-  let window = max 1 kctx.Kctx.cluster_pages in
+  let window = Kctx.cluster_pages in
   let runs, cur =
     List.fold_left
       (fun (runs, cur) page ->
@@ -400,7 +405,7 @@ let send_unlock kctx obj ~offset ~length ~desired_access =
     match p.request_port with Some r -> r | None -> invalid_arg "send_unlock: not initialized"
   in
   kctx.Kctx.stats.s_unlock_requests <- kctx.Kctx.stats.s_unlock_requests + 1;
-  kernel_send kctx
+  send kctx
     (Pager_iface.encode_k2m ~reply:None
        (Pager_iface.Data_unlock
           { memory_object = p.memory_object; request; offset; length; desired_access })
@@ -498,7 +503,7 @@ let flush_range kctx obj ~offset ~length ~keep =
     | Some p -> p == page
     | None -> false
   in
-  let window = max 1 kctx.Kctx.cluster_pages in
+  let window = Kctx.cluster_pages in
   let dispose = if keep then Dispose_keep else Dispose_free in
   (* Walk the sorted range, shipping each maximal run of adjacent dirty
      pages as one pager_data_write. Eligibility is re-checked as each
@@ -566,14 +571,14 @@ let handle_manager_message kctx (msg : Message.t) =
       | Pager_iface.Flush_request { offset; length } ->
         flush_range kctx obj ~offset ~length ~keep:false;
         let p = get_pager obj in
-        kernel_send kctx
+        send kctx
           (Pager_iface.encode_k2m ~reply:p.request_port
              (Pager_iface.Lock_completed { memory_object = p.memory_object; offset; length })
              ~dest:p.memory_object)
       | Pager_iface.Clean_request { offset; length } ->
         flush_range kctx obj ~offset ~length ~keep:true;
         let p = get_pager obj in
-        kernel_send kctx
+        send kctx
           (Pager_iface.encode_k2m ~reply:p.request_port
              (Pager_iface.Lock_completed { memory_object = p.memory_object; offset; length })
              ~dest:p.memory_object)

@@ -12,6 +12,12 @@
 
 open Vm_types
 
+val kernel_send : ?retry_thread:string -> Kctx.t -> Mach_ipc.Message.t -> (unit, unit) result
+(** The kernel's send for pager traffic, both directions: never blocks
+    the caller. A full queue retries from a detached thread named
+    [retry_thread] (default ["kernel-send-retry"]) and counts as sent;
+    [Error ()] means the destination port is dead. *)
+
 val install : Kctx.t -> unit
 (** Install the port-aware object terminator into the context. Call once
     at kernel boot. *)

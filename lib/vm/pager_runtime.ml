@@ -10,9 +10,9 @@
     point: managers differ in policy, not in protocol plumbing.
 
     The runtime is transport-agnostic (the [send] function is injected)
-    so it serves both user-level managers driven through
-    [Memory_object_server] and the in-kernel default pager driving its
-    own receive loop. *)
+    and {!dispatch} is its one decoder, so it serves both user-level
+    managers driven through [Memory_object_server] and the in-kernel
+    default pager driving its own receive loop. *)
 
 module Message = Mach_ipc.Message
 module Port = Mach_ipc.Port
@@ -44,16 +44,6 @@ module Stats = struct
       s_dropped_replies = 0;
       s_port_deaths = 0;
     }
-
-  let reset s =
-    s.s_requests <- 0;
-    s.s_pages_served <- 0;
-    s.s_unavailable <- 0;
-    s.s_writes <- 0;
-    s.s_pages_written <- 0;
-    s.s_unlocks <- 0;
-    s.s_dropped_replies <- 0;
-    s.s_port_deaths <- 0
 
   let to_list s =
     [
@@ -165,19 +155,12 @@ let find_data t port = Option.map (fun o -> o.o_data) (find t port)
 let objects t = Hashtbl.length t.rt_objects
 let requests o = o.o_requests
 
-let add_request o request =
-  if not (List.exists (fun r -> Port.id r = Port.id request) o.o_requests) then
-    o.o_requests <- request :: o.o_requests
-
-let note_dropped_reply t =
-  t.rt_stats.Stats.s_dropped_replies <- t.rt_stats.Stats.s_dropped_replies + 1
-
 (* --- manager→kernel calls (Table 3-6), with drop accounting ------------- *)
 
 let send_m2k t call ~request =
   match t.rt_send (Pager_iface.encode_m2k call ~request) with
   | Ok () -> ()
-  | Error () -> note_dropped_reply t
+  | Error () -> t.rt_stats.Stats.s_dropped_replies <- t.rt_stats.Stats.s_dropped_replies + 1
 
 let pages_in t len = (len + t.rt_page_size - 1) / t.rt_page_size
 
@@ -201,16 +184,22 @@ let clean_request t ~request ~offset ~length =
 
 let cache t ~request ~may_cache = send_m2k t (Pager_iface.Cache { may_cache }) ~request
 
-let release_write t ~request ~write_id =
-  send_m2k t (Pager_iface.Release_write { write_id }) ~request
-
 (* --- kernel→manager dispatch (Table 3-5) -------------------------------- *)
 
-let handle_init t ~memory_object ~request =
-  match find t memory_object with
+(* [pager_create] and [pager_init] both attach a kernel (its request
+   port) to an object; [adopt] registers one this manager does not know
+   yet. *)
+let handle_init t adopt ~memory_object ~request =
+  let known =
+    match (find t memory_object, adopt) with
+    | None, Some adopt -> Some (register t ~memory_object (adopt ~memory_object ~request))
+    | o, _ -> o
+  in
+  match known with
   | None -> ()
   | Some o ->
-    add_request o request;
+    if not (List.exists (fun r -> Port.id r = Port.id request) o.o_requests) then
+      o.o_requests <- request :: o.o_requests;
     (match t.rt_policy.p_may_cache with
     | Some may_cache -> cache t ~request ~may_cache
     | None -> ());
@@ -269,11 +258,9 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
     o.o_in_flight <- max 0 (o.o_in_flight - 1)
 
 (* A write may carry a whole run of adjacent pages: the policy stores the
-   run in one call, then the runtime releases once. An unknown object
-   (terminated while the write was in flight) still releases — the data
-   is dead, but the kernel's holding frames must come back. *)
-let handle_data_write t ~memory_object ~offset ~data ~release =
-  (match find t memory_object with
+   run in one call; {!dispatch} then releases it once. *)
+let handle_data_write t ~memory_object ~offset ~data =
+  match find t memory_object with
   | None -> ()
   | Some o ->
     t.rt_stats.Stats.s_writes <- t.rt_stats.Stats.s_writes + 1;
@@ -281,8 +268,7 @@ let handle_data_write t ~memory_object ~offset ~data ~release =
     t.rt_policy.p_write t o ~offset ~data;
     t.rt_stats.Stats.s_pages_written <-
       t.rt_stats.Stats.s_pages_written + pages_in t (Bytes.length data);
-    o.o_in_flight <- max 0 (o.o_in_flight - 1));
-  release ()
+    o.o_in_flight <- max 0 (o.o_in_flight - 1)
 
 (* For policies whose backing store works a page at a time. *)
 let iter_pages t ~offset ~data f =
@@ -330,6 +316,32 @@ let handle_lock_completed t ~memory_object ~request ~offset ~length =
   match find t memory_object with
   | None -> ()
   | Some o -> t.rt_policy.p_lock_completed t o ~request ~offset ~length
+
+let dispatch t ?adopt ~other (msg : Message.t) =
+  if not (Pager_iface.is_pager_msg msg) then other msg
+  else
+    match Pager_iface.decode_k2m msg with
+    | exception Pager_iface.Malformed _ -> ()
+    | Pager_iface.Init { memory_object; request; name = _ } ->
+      handle_init t adopt ~memory_object ~request
+    | Pager_iface.Create { new_memory_object; request; name = _; size = _ } ->
+      handle_init t adopt ~memory_object:new_memory_object ~request
+    | Pager_iface.Data_request { memory_object; request; offset; length; desired_access } ->
+      handle_data_request t ~memory_object ~request ~offset ~length ~desired_access
+    | Pager_iface.Data_write { memory_object; offset; data; write_id } ->
+      handle_data_write t ~memory_object ~offset ~data;
+      (* The kernel passes its request port as the reply port, so the
+         release (the manager's vm_deallocate of the region, §6.2.2)
+         goes back to the kernel that shipped the run. An object
+         terminated mid-write still releases: the data is dead, but the
+         kernel's holding frames must come back. *)
+      Option.iter
+        (fun request -> send_m2k t (Pager_iface.Release_write { write_id }) ~request)
+        msg.Message.header.reply
+    | Pager_iface.Data_unlock { memory_object; request; offset; length; desired_access } ->
+      handle_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
+    | Pager_iface.Lock_completed { memory_object; offset; length } ->
+      handle_lock_completed t ~memory_object ~request:msg.Message.header.reply ~offset ~length
 
 (* A port died: either a kernel's request port (that kernel is gone
    from every object that registered it) or a memory-object port itself

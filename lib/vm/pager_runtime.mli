@@ -6,9 +6,10 @@
     accounting, port-death bookkeeping, and a uniform {!Stats} block.
     A manager supplies a {!policy} and becomes a thin policy module.
 
-    Transport-agnostic: [send] is injected, so the same engine serves
-    user-level managers (through [Memory_object_server], see
-    [Mach.Pager_runtime.serve]) and the in-kernel default pager. *)
+    Transport-agnostic: [send] is injected and {!dispatch} decodes what
+    the transport receives, so the same engine serves the four
+    user-level managers (through [Memory_object_server.serve]) and the
+    in-kernel default pager (through its own receive loop). *)
 
 module Message = Mach_ipc.Message
 module Prot = Mach_hw.Prot
@@ -27,9 +28,6 @@ module Stats : sig
 
   val create : unit -> t
   val to_list : t -> (string * int) list
-
-  val reset : t -> unit
-  (** Zero every counter (the registry's shared reset idiom). *)
 end
 
 type 'o obj = {
@@ -87,13 +85,11 @@ val find : 'o t -> Message.port -> 'o obj option
 val find_data : 'o t -> Message.port -> 'o option
 val objects : 'o t -> int
 val requests : 'o obj -> Message.port list
-val add_request : 'o obj -> Message.port -> unit
 
-(** Count one failed manager→kernel send (used by transports that send
-    outside the runtime's own helpers). *)
-val note_dropped_reply : 'o t -> unit
+(** {2 Manager→kernel calls (Table 3-6)}
 
-(** {2 Manager→kernel calls (Table 3-6), with drop accounting} *)
+    A send that fails (the kernel's request port died) counts one
+    [s_dropped_replies]. *)
 
 val data_provided :
   'o t -> request:Message.port -> offset:int -> data:bytes -> lock_value:Prot.t -> unit
@@ -103,45 +99,33 @@ val data_lock : 'o t -> request:Message.port -> offset:int -> length:int -> lock
 val flush_request : 'o t -> request:Message.port -> offset:int -> length:int -> unit
 val clean_request : 'o t -> request:Message.port -> offset:int -> length:int -> unit
 val cache : 'o t -> request:Message.port -> may_cache:bool -> unit
-val release_write : 'o t -> request:Message.port -> write_id:int -> unit
 
 (** {2 Kernel→manager dispatch (Table 3-5)} *)
 
-val handle_init : 'o t -> memory_object:Message.port -> request:Message.port -> unit
-
-val handle_data_request :
+val dispatch :
   'o t ->
-  memory_object:Message.port ->
-  request:Message.port ->
-  offset:int ->
-  length:int ->
-  desired_access:Prot.t ->
+  ?adopt:(memory_object:Message.port -> request:Message.port -> 'o) ->
+  other:(Message.t -> unit) ->
+  Message.t ->
   unit
+(** Decode one message a manager received and serve it. Calls for an
+    object not registered are dropped, except that [pager_create] and
+    [pager_init] first register it with [adopt]'s state when [adopt] is
+    given (the default pager's one private step). A [data_write] runs
+    [p_write] once for the whole run and then releases it to the
+    header's reply port, also for an object no longer registered.
+    Traffic outside the pager protocol goes to [other] (a manager's own
+    RPCs); malformed pager messages are dropped. *)
 
-val handle_data_write :
-  'o t -> memory_object:Message.port -> offset:int -> data:bytes -> release:(unit -> unit) -> unit
-(** One [p_write] for the whole run, then [release] — also for an
-    object no longer registered. *)
+val handle_port_death : 'o t -> Message.port -> unit
+(** A kernel's request port, or a memory-object port, died: drop it
+    from every object that registered it and run [p_death]. *)
 
 val iter_pages :
   'o t -> offset:int -> data:bytes -> (page:int -> pos:int -> len:int -> unit) -> unit
 (** [iter_pages t ~offset ~data f] calls [f] for each page of a
     [data_write] run: [page] is the page index, and [data]'s bytes
     [pos, pos + len) are its contents. *)
-
-val handle_data_unlock :
-  'o t ->
-  memory_object:Message.port ->
-  request:Message.port ->
-  offset:int ->
-  length:int ->
-  desired_access:Prot.t ->
-  unit
-
-val handle_lock_completed :
-  'o t -> memory_object:Message.port -> request:Message.port option -> offset:int -> length:int -> unit
-
-val handle_port_death : 'o t -> Message.port -> unit
 
 (** {2 Block-boundary splitting} *)
 

@@ -213,43 +213,6 @@ let fresh_stats () =
     s_object_cache_evictions = 0;
   }
 
-let reset_stats s =
-  s.s_faults <- 0;
-  s.s_zero_fill <- 0;
-  s.s_cow_faults <- 0;
-  s.s_pageins <- 0;
-  s.s_pageouts <- 0;
-  s.s_hits <- 0;
-  s.s_reactivations <- 0;
-  s.s_unlock_requests <- 0;
-  s.s_flushes <- 0;
-  s.s_objects_created <- 0;
-  s.s_pages_freed <- 0;
-  s.s_data_requests <- 0;
-  s.s_data_provided <- 0;
-  s.s_data_unavailable <- 0;
-  s.s_pageout_to_default <- 0;
-  s.s_collapses <- 0;
-  s.s_fast_faults <- 0;
-  s.s_hint_hits <- 0;
-  s.s_hint_misses <- 0;
-  s.s_burst_entered <- 0;
-  s.s_cluster_pages <- 0;
-  s.s_slow_busy <- 0;
-  s.s_slow_lock <- 0;
-  s.s_slow_pager <- 0;
-  s.s_data_writes <- 0;
-  s.s_laundered <- 0;
-  s.s_clean_hits <- 0;
-  s.s_pager_deaths <- 0;
-  s.s_death_zero_fills <- 0;
-  s.s_death_errors <- 0;
-  s.s_cow_steals <- 0;
-  s.s_cow_batched <- 0;
-  s.s_slow_error <- 0;
-  s.s_chain_depth_peak <- 0;
-  s.s_object_cache_evictions <- 0
-
 let stats_to_list s =
   [
     ("faults", s.s_faults);

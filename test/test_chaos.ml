@@ -42,7 +42,6 @@ let node ?(host = 0) () =
     node_page_size = 4096;
     node_stats = Transport.fresh_ipc_stats ();
     node_sched = None;
-    node_handoff_enabled = true;
     node_trace = None;
   }
 

@@ -1,5 +1,5 @@
 (* The observability spine: Metrics registry semantics (snapshot /
-   delta / merge / reset, QCheck'd against direct counter reads) and
+   delta / merge, QCheck'd against direct reads of a stats block) and
    Trace behaviour (span balance, ring wraparound, disabled no-op), and
    an end-to-end check that a kernel fault storm produces balanced,
    causally linked spans. *)
@@ -11,12 +11,17 @@ module Metrics = Mach_util.Metrics
 
 (* ---- Metrics ------------------------------------------------------------ *)
 
+(* A one-counter stats block registered as a source, the way every
+   subsystem adopts its mutable stats record. *)
+let source_block r ~subsystem =
+  let n = ref 0 in
+  Metrics.register_source r ~subsystem (fun () -> [ ("n", !n) ]);
+  n
+
 let test_registry_sources () =
   let r = Metrics.create () in
   let block = ref (0, 0) in
-  Metrics.register_source r ~subsystem:"blk"
-    ~reset:(fun () -> block := (0, 0))
-    (fun () ->
+  Metrics.register_source r ~subsystem:"blk" (fun () ->
       let a, b = !block in
       [ ("a", a); ("b", b) ]);
   Metrics.gauge r ~subsystem:"blk" "depth" (fun () -> 7);
@@ -27,9 +32,7 @@ let test_registry_sources () =
   check (float 0.0) "gauge" 7.0 (Metrics.get snap "blk.depth");
   (* Duplicate keys (two sources of the same subsystem) sum. *)
   Metrics.register_source r ~subsystem:"blk" (fun () -> [ ("a", 10) ]);
-  check (float 0.0) "duplicate keys sum" 13.0 (Metrics.get (Metrics.snapshot r) "blk.a");
-  Metrics.reset r;
-  check (float 0.0) "source reset ran" 0.0 (Metrics.get (Metrics.snapshot r) "blk.b")
+  check (float 0.0) "duplicate keys sum" 13.0 (Metrics.get (Metrics.snapshot r) "blk.a")
 
 let test_histogram_keys () =
   let r = Metrics.create () in
@@ -40,17 +43,14 @@ let test_histogram_keys () =
   let snap = Metrics.snapshot r in
   check (float 0.0) "count" 3.0 (Metrics.get snap "vm.lat_us.count");
   check (float 0.001) "mean" 20.0 (Metrics.get snap "vm.lat_us.mean");
-  check (float 0.001) "max" 30.0 (Metrics.get snap "vm.lat_us.max");
-  Metrics.reset r;
-  check (float 0.0) "reset empties samples" 0.0
-    (Metrics.get (Metrics.snapshot r) "vm.lat_us.count")
+  check (float 0.001) "max" 30.0 (Metrics.get snap "vm.lat_us.max")
 
 let test_delta_merge () =
   let r = Metrics.create () in
-  let c = Metrics.counter r ~subsystem:"s" "n" in
-  Metrics.incr c ~by:5;
+  let n = source_block r ~subsystem:"s" in
+  n := 5;
   let before = Metrics.snapshot r in
-  Metrics.incr c ~by:7;
+  n := !n + 7;
   let after = Metrics.snapshot r in
   check (float 0.0) "delta" 7.0 (Metrics.get (Metrics.delta ~before ~after) "s.n");
   let merged = Metrics.merge [ before; after ] in
@@ -58,33 +58,33 @@ let test_delta_merge () =
   check (float 0.0) "missing key defaults to 0" 0.0 (Metrics.get after "s.zzz")
 
 (* QCheck: for any interleaving of increments and observations, the
-   snapshot agrees with direct counter/histogram reads, and
-   delta(before, after) equals what happened in between. *)
+   snapshot agrees with direct reads of the stats block and histogram,
+   and delta(before, after) equals what happened in between. *)
 let prop_snapshot_agrees =
   QCheck.Test.make ~count:200 ~name:"snapshot/delta agree with direct reads"
     QCheck.(pair (list (int_bound 100)) (list (int_bound 100)))
     (fun (first, second) ->
       let r = Metrics.create () in
-      let c = Metrics.counter r ~subsystem:"q" "c" in
+      let c = source_block r ~subsystem:"q" in
       let h = Metrics.histogram r ~subsystem:"q" "h" in
-      List.iter (fun n -> Metrics.incr c ~by:n; Metrics.observe h (float_of_int n)) first;
+      List.iter (fun n -> c := !c + n; Metrics.observe h (float_of_int n)) first;
       let before = Metrics.snapshot r in
-      List.iter (fun n -> Metrics.incr c ~by:n) second;
+      List.iter (fun n -> c := !c + n) second;
       let after = Metrics.snapshot r in
       let sum l = List.fold_left ( + ) 0 l in
-      Metrics.get before "q.c" = float_of_int (sum first)
-      && Metrics.counter_value c = sum first + sum second
-      && Metrics.get after "q.c" = float_of_int (Metrics.counter_value c)
-      && Metrics.get (Metrics.delta ~before ~after) "q.c" = float_of_int (sum second)
+      Metrics.get before "q.n" = float_of_int (sum first)
+      && !c = sum first + sum second
+      && Metrics.get after "q.n" = float_of_int !c
+      && Metrics.get (Metrics.delta ~before ~after) "q.n" = float_of_int (sum second)
       && Metrics.get before "q.h.count" = float_of_int (List.length first))
 
 let test_json_shape () =
   let r = Metrics.create () in
-  let c = Metrics.counter r ~subsystem:"j" "k" in
-  Metrics.incr c ~by:2;
+  let k = source_block r ~subsystem:"j" in
+  k := 2;
   let json = Metrics.to_json (Metrics.snapshot r) in
   check bool "flat key: value pair present" true
-    (let sub = {|"j.k": 2|} in
+    (let sub = {|"j.n": 2|} in
      let rec find i =
        if i + String.length sub > String.length json then false
        else String.sub json i (String.length sub) = sub || find (i + 1)
@@ -219,7 +219,7 @@ let () =
     [
       ( "metrics",
         [
-          test_case "sources, gauges, reset" `Quick test_registry_sources;
+          test_case "sources and gauges" `Quick test_registry_sources;
           test_case "histogram snapshot keys" `Quick test_histogram_keys;
           test_case "delta and merge" `Quick test_delta_merge;
           test_case "json shape" `Quick test_json_shape;

@@ -244,7 +244,7 @@ let test_rescue_still_double_pages () =
       Mos.clean_request srv ~request:req ~offset:0 ~length:(npages * page);
       (* Sleep past the rescue timeout. *)
       let kctx = kernel.Ktypes.k_kctx in
-      Engine.sleep (kctx.Kctx.data_write_release_timeout_us +. 100_000.0);
+      Engine.sleep (Kctx.data_write_release_timeout_us +. 100_000.0);
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "rescue double-paged the run to the default pager" true
         (stats.Vm_types.s_pageout_to_default > rescued_before);

@@ -1,9 +1,9 @@
 (* Pager conformance: the same protocol scenarios driven against all
    five managers — multi-page data_request, run-shaped data_write with
-   release, single-page re-request, data_unlock resolution, and
-   request-port death — each asserted through the shared
-   [Pager_runtime.Stats] block. A manager passes by sitting on the
-   runtime, not by re-implementing the plumbing. *)
+   release, single-page re-request, data_unlock resolution, request-port
+   death, and a reply to the dead port — each asserted through the
+   shared [Pager_runtime.Stats] block. A manager passes by sitting on
+   the runtime, not by re-implementing the plumbing. *)
 
 open Mach
 module Rt_stats = Mach_vm.Pager_runtime.Stats
@@ -147,24 +147,38 @@ let run_scenario ?(min_read_pages = 4) d ~dest ~stats =
   let pd0 = field "port_deaths" in
   Syscalls.port_deallocate d.d_task d.d_rq_name;
   Engine.sleep 100_000.0;
-  checkb "port death observed" true (field "port_deaths" >= pd0 + 1)
+  checkb "port death observed" true (field "port_deaths" >= pd0 + 1);
+  (* 7. a reply to the dead port: the release of a write whose reply
+        port is gone fails, and counts as exactly one dropped reply. *)
+  let dr0 = field "dropped_replies" in
+  send d ~with_reply:true
+    (Pager_iface.Data_write
+       { memory_object = dest; offset = 0; data = Bytes.make page 'x'; write_id = 8 })
+    ~dest;
+  Engine.sleep 100_000.0;
+  Alcotest.(check int) "one dropped reply" (dr0 + 1) (field "dropped_replies")
 
-(* Boot a system, run [setup] (returning the object port to drive and
-   the manager's stats block) in the driver thread, then the scenario. *)
-let run_conf ?min_read_pages ~name setup =
+(* Boot a system and run [body] in a driver thread. *)
+let in_driver ~name body =
   let sys = Kernel.create_system () in
   let result = ref None in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let d = make_driver sys.Kernel.kernel in
       ignore
         (Thread.spawn d.d_task ~name:"driver.main" (fun () ->
-             let dest, stats = setup sys d in
-             run_scenario ?min_read_pages d ~dest ~stats;
+             body sys d;
              result := Some ())));
   Engine.run sys.Kernel.engine;
   match !result with
   | Some () -> ()
   | None -> Alcotest.failf "%s: driver did not complete (deadlock?)" name
+
+(* Run [setup] (returning the object port to drive and the manager's
+   stats block), then the scenario. *)
+let run_conf ?min_read_pages ~name setup =
+  in_driver ~name (fun sys d ->
+      let dest, stats = setup sys d in
+      run_scenario ?min_read_pages d ~dest ~stats)
 
 (* --- one setup per manager ---------------------------------------------- *)
 
@@ -206,32 +220,62 @@ let test_migrator () =
       ( Migrator.back_region mig ~src ~base ~size:(4 * page) Migrator.Copy_on_reference,
         fun () -> Migrator.runtime_stats mig ))
 
+(* The kernel's side of pager_create: a fresh object port whose receive
+   right the default pager adopts. *)
+let create_default_object sys d =
+  let dp_port = Option.get (Kernel.kctx sys.Kernel.kernel).Kctx.default_pager_port in
+  let memory_object = Port.create sys.Kernel.ipc_ctx ~home:(Port.home dp_port) ~backlog:256 () in
+  send d
+    (Pager_iface.Create
+       { new_memory_object = memory_object; request = d.d_request; name = d.d_request; size = 4 * page })
+    ~dest:dp_port;
+  Engine.sleep 50_000.0;
+  memory_object
+
+let default_pager sys = Option.get sys.Kernel.kernel.Ktypes.k_default_pager
+
 let test_default_pager () =
   run_conf ~name:"default-pager" (fun sys d ->
-      let kernel = sys.Kernel.kernel in
-      let kctx = Kernel.kctx kernel in
-      let dp_port = Option.get kctx.Kctx.default_pager_port in
-      (* The kernel's side of pager_create: a fresh object port whose
-         receive right the default pager adopts. *)
-      let memory_object =
-        Port.create sys.Kernel.ipc_ctx ~home:(Port.home dp_port) ~backlog:256 ()
-      in
+      (create_default_object sys d, fun () -> Default_pager.runtime_stats (default_pager sys)))
+
+(* A later pager_init for an object the default pager already manages
+   must not adopt it afresh: the pages written before it stay readable,
+   and their paging blocks come back once, when the request port dies. *)
+let test_default_pager_init_keeps_data () =
+  in_driver ~name:"default-pager init" (fun sys d ->
+      let dp = default_pager sys in
+      let free0 = Default_pager.blocks_free dp in
+      let dest = create_default_object sys d in
+      let written = Bytes.make (3 * page) 'w' in
+      send d ~with_reply:true
+        (Pager_iface.Data_write { memory_object = dest; offset = 0; data = written; write_id = 1 })
+        ~dest;
+      ignore (drain d);
+      send d (Pager_iface.Init { memory_object = dest; request = d.d_request; name = d.d_request })
+        ~dest;
+      ignore (drain ~idle_us:50_000.0 d);
       send d
-        (Pager_iface.Create
+        (Pager_iface.Data_request
            {
-             new_memory_object = memory_object;
+             memory_object = dest;
              request = d.d_request;
-             name = d.d_request;
-             size = 4 * page;
+             offset = 0;
+             length = 3 * page;
+             desired_access = Prot.read;
            })
-        ~dest:dp_port;
-      Engine.sleep 50_000.0;
-      let stats () =
-        match kernel.Ktypes.k_default_pager with
-        | Some dp -> Default_pager.runtime_stats dp
-        | None -> Alcotest.fail "no default pager"
+        ~dest;
+      let replies = drain d in
+      let provided =
+        List.filter_map
+          (function Pager_iface.Data_provided { data; _ } -> Some data | _ -> None)
+          replies
       in
-      (memory_object, stats))
+      Alcotest.(check int) "no page unavailable" 0 (unavailable_pages replies);
+      Alcotest.(check bool) "written bytes read back" true
+        (Bytes.equal written (Bytes.concat Bytes.empty provided));
+      Syscalls.port_deallocate d.d_task d.d_rq_name;
+      Engine.sleep 100_000.0;
+      Alcotest.(check int) "paging blocks reclaimed" free0 (Default_pager.blocks_free dp))
 
 let () =
   Alcotest.run "pager_conformance"
@@ -243,5 +287,10 @@ let () =
           Alcotest.test_case "netmem" `Quick test_netmem;
           Alcotest.test_case "migrator (copy-on-reference)" `Quick test_migrator;
           Alcotest.test_case "default pager" `Quick test_default_pager;
+        ] );
+      ( "default-pager",
+        [
+          Alcotest.test_case "later init keeps written pages" `Quick
+            test_default_pager_init_keeps_data;
         ] );
     ]

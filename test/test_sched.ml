@@ -252,10 +252,9 @@ let test_rpc_handoff_no_switch () =
    longest client's elapsed time and the run's scheduler and IPC
    counters. *)
 let ping_pong ~handoff ~pairs ~rpcs =
-  let config = { Kernel.default_config with Kernel.params = multimax2 } in
+  let config = { Kernel.default_config with Kernel.params = { multimax2 with Machine.handoff } } in
   let sys = Kernel.create_system ~config () in
   let kctx = Kernel.kctx sys.Kernel.kernel in
-  kctx.Kctx.node.Transport.node_handoff_enabled <- handoff;
   let elapsed = ref 0.0 in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let task = Task.create sys.Kernel.kernel ~name:"t" () in
