@@ -18,21 +18,24 @@ module Netmem = Mach_pagers.Netmem
 
 let page = 4096
 
+(* Serve [policy] from a new manager task holding one registered memory
+   object. A misbehaving manager speaks the same protocol as a good one;
+   only its policy differs. *)
+let serve_object ?service_threads kernel ~name policy =
+  let rt, srv = Mos.serve ?service_threads (Task.create kernel ~name ()) policy in
+  let memory_object = Mos.create_memory_object srv () in
+  ignore (Rt.register rt ~memory_object ());
+  (rt, srv, memory_object)
+
 (* A manager that never answers pager_data_request: a runtime policy
    whose every page read defers forever. The runtime still counts the
    requests it ignored — that is the stats table's point. *)
 let silent_manager kernel ~name =
-  let task = Task.create kernel ~name () in
-  let policy =
+  serve_object kernel ~name
     {
       Rt.default_policy with
       Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Defer);
     }
-  in
-  let rt, srv = Mos.serve task policy in
-  let memory_object = Mos.create_memory_object srv () in
-  ignore (Rt.register rt ~memory_object ());
-  (rt, srv, memory_object)
 
 (* Scenario 1/2: thread blocked on data from a hostile manager; the
    §6.2.1 options — abort after timeout, or substitute zeroes. *)
@@ -79,28 +82,25 @@ let run_death ~kill_after_us =
           st.Vm_types.s_death_zero_fills ) ))
 
 (* Scenario 4: manager that accepts pager_data_write but never releases
-   the data — §6.2.2 double paging must rescue the frames. Holding the
-   release is a protocol violation the runtime refuses to express
-   (its dispatch always releases), so this manager is hand-rolled
-   on the raw server. *)
+   the data — §6.2.2 double paging must rescue the frames. The runtime
+   releases a run when [p_write] returns, so this policy never returns:
+   it declares every page unavailable and parks each write forever.
+   Each held run parks one service thread, hence one thread per page
+   plus one to keep answering data requests. *)
 let run_hoarder () =
   let config = { Kernel.default_config with Kernel.phys_frames = 128 } in
   run_system ~config (fun sys task ->
       let kernel = sys.Kernel.kernel in
-      let mgr_task = Task.create kernel ~name:"hoarder-mgr" () in
-      let callbacks =
+      let npages = 200 in
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-              Mos.data_unavailable srv ~request ~offset ~size:length);
-          (* Swallow the data; never call release. *)
-          Mos.on_data_write = (fun _ ~memory_object:_ ~offset:_ ~data:_ ~release:_ -> ());
+          Rt.default_policy with
+          Rt.p_write = (fun _ _ ~offset:_ ~data:_ -> Ivar.read (Ivar.create ()));
         }
       in
-      let srv = Mos.start mgr_task callbacks in
-      let memory_object = Mos.create_memory_object srv () in
-      let npages = 200 in
+      let _rt, _srv, memory_object =
+        serve_object ~service_threads:(npages + 1) kernel ~name:"hoarder-mgr" policy
+      in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(npages * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -127,29 +127,26 @@ let run_hoarder () =
       (stats.Vm_types.s_pageout_to_default, still_alive))
 
 (* Scenario 5: manager floods the kernel with unsolicited pre-paged
-   data; the kernel only accepts while unreserved frames exist. Another
-   abuse the runtime cannot produce (its replies answer requests), so
-   again raw server callbacks. *)
+   data; the kernel only accepts while unreserved frames exist. The
+   policy reads one page per request and answers it itself, with a
+   colossal unsolicited blob starting at 0. *)
 let run_flooder () =
   let config = { Kernel.default_config with Kernel.phys_frames = 128 } in
   run_system ~config (fun sys task ->
       let kernel = sys.Kernel.kernel in
-      let mgr_task = Task.create kernel ~name:"flood-mgr" () in
       let offered = 4096 in
-      let callbacks =
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset:_ ~length:_ ~desired_access:_ ->
-              (* Respond to any request with a colossal unsolicited
-                 blob starting at 0. *)
-              Mos.data_provided srv ~request ~offset:0
-                ~data:(Bytes.make (offered * page) 'F')
-                ~lock_value:Prot.none);
+          Rt.default_policy with
+          Rt.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
+          Rt.p_read =
+            (fun rt _ ~request ~page:_ ~desired_access:_ ->
+              Rt.data_provided rt ~request ~offset:0 ~data:(Bytes.make (offered * page) 'F')
+                ~lock_value:Prot.none;
+              Rt.Defer);
         }
       in
-      let srv = Mos.start mgr_task callbacks in
-      let memory_object = Mos.create_memory_object srv () in
+      let _rt, _srv, memory_object = serve_object kernel ~name:"flood-mgr" policy in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(offered * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -374,24 +371,24 @@ let chaos_body ~quick =
   let mig = run_migration_under_loss ~rounds:(if quick then 4 else 8) ~drop:0.10 in
   (sweep, dup, part, crash, mig)
 
+(* The timer-driven scenarios; [run] adds the hoarder and the flooder,
+   which quick mode skips. *)
 let run_body ~quick =
   let timeout = if quick then 50_000.0 else 500_000.0 in
   let kill_after = if quick then 20_000.0 else 100_000.0 in
   let abort_result, abort_us, abort_stats = run_unresponsive ~policy:(Fault.Abort_after timeout) in
   let zf_result, zf_us, zf_stats = run_unresponsive ~policy:(Fault.Zero_fill_after timeout) in
   let death_result, death_us, death_stats, death_counters = run_death ~kill_after_us:kill_after in
-  let rescued, alive = if quick then (1, true) else run_hoarder () in
-  let offered, free_after, reserved, can_alloc = if quick then (0, 1, 1, true) else run_flooder () in
   ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-    death_result, death_us, death_stats, death_counters, rescued, alive, offered, free_after,
-    reserved, can_alloc )
+    death_result, death_us, death_stats, death_counters )
 
 let run () =
   let ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-        death_result, death_us, death_stats, (pager_deaths, death_errors, death_zero_fills),
-        rescued, alive, offered, free_after, reserved, can_alloc ) =
+        death_result, death_us, death_stats, (pager_deaths, death_errors, death_zero_fills) ) =
     run_body ~quick:false
   in
+  let rescued, alive = run_hoarder () in
+  let offered, free_after, reserved, can_alloc = run_flooder () in
   let t =
     Table.create ~title:"E9: data manager failure injection (Section 6)"
       ~columns:[ "failure"; "defense"; "outcome"; "metric" ]
@@ -510,7 +507,7 @@ let run () =
 
 let json () =
   let ( timeout, _, abort_us, _, _, zf_us, _, kill_after, _, death_us, _,
-        (pager_deaths, death_errors, death_zero_fills), _, _, _, _, _, _ ) =
+        (pager_deaths, death_errors, death_zero_fills) ) =
     run_body ~quick:true
   in
   let sweep, dup, part, crash, mig = chaos_body ~quick:true in

@@ -260,8 +260,16 @@ let run_failures timeout_ms =
   let ok = ref false in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let mgr = Task.create sys.Kernel.kernel ~name:"silent-mgr" () in
-      let srv = Memory_object_server.start mgr Memory_object_server.no_callbacks in
+      let silent =
+        {
+          Pager_runtime.default_policy with
+          Pager_runtime.p_read =
+            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Pager_runtime.Defer);
+        }
+      in
+      let rt, srv = Memory_object_server.serve mgr silent in
       let memory_object = Memory_object_server.create_memory_object srv () in
+      ignore (Pager_runtime.register rt ~memory_object ());
       let app = Task.create sys.Kernel.kernel ~name:"app" () in
       ignore
         (Thread.spawn app ~name:"app.main" (fun () ->

@@ -65,7 +65,6 @@ type 'o obj = {
   o_port : Message.port;
   o_id : int;
   mutable o_requests : Message.port list;  (** one request port per kernel *)
-  mutable o_in_flight : int;  (** kernel calls currently being served *)
   o_data : 'o;
 }
 
@@ -137,15 +136,7 @@ let stats t = t.rt_stats
 (* --- registry ----------------------------------------------------------- *)
 
 let register t ~memory_object o_data =
-  let o =
-    {
-      o_port = memory_object;
-      o_id = Port.id memory_object;
-      o_requests = [];
-      o_in_flight = 0;
-      o_data;
-    }
-  in
+  let o = { o_port = memory_object; o_id = Port.id memory_object; o_requests = []; o_data } in
   Hashtbl.replace t.rt_objects o.o_id o;
   o
 
@@ -215,7 +206,6 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
   | None -> ()
   | Some o ->
     t.rt_stats.Stats.s_requests <- t.rt_stats.Stats.s_requests + 1;
-    o.o_in_flight <- o.o_in_flight + 1;
     let ps = t.rt_page_size in
     let first, npages =
       t.rt_policy.p_reshape t o ~first:(offset / ps) ~npages:(max 1 ((length + ps - 1) / ps))
@@ -254,8 +244,7 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
         flush_hole ()
     done;
     flush_run ();
-    flush_hole ();
-    o.o_in_flight <- max 0 (o.o_in_flight - 1)
+    flush_hole ()
 
 (* A write may carry a whole run of adjacent pages: the policy stores the
    run in one call; {!dispatch} then releases it once. *)
@@ -264,11 +253,9 @@ let handle_data_write t ~memory_object ~offset ~data =
   | None -> ()
   | Some o ->
     t.rt_stats.Stats.s_writes <- t.rt_stats.Stats.s_writes + 1;
-    o.o_in_flight <- o.o_in_flight + 1;
     t.rt_policy.p_write t o ~offset ~data;
     t.rt_stats.Stats.s_pages_written <-
-      t.rt_stats.Stats.s_pages_written + pages_in t (Bytes.length data);
-    o.o_in_flight <- max 0 (o.o_in_flight - 1)
+      t.rt_stats.Stats.s_pages_written + pages_in t (Bytes.length data)
 
 (* For policies whose backing store works a page at a time. *)
 let iter_pages t ~offset ~data f =
@@ -284,7 +271,6 @@ let handle_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
   | None -> ()
   | Some o ->
     t.rt_stats.Stats.s_unlocks <- t.rt_stats.Stats.s_unlocks + 1;
-    o.o_in_flight <- o.o_in_flight + 1;
     let ps = t.rt_page_size in
     let first = offset / ps in
     let last = (offset + max 1 length - 1) / ps in
@@ -309,8 +295,7 @@ let handle_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
           pending := Some (page, 1, lv)
         | None -> pending := Some (page, 1, lv))
     done;
-    flush ();
-    o.o_in_flight <- max 0 (o.o_in_flight - 1)
+    flush ()
 
 let handle_lock_completed t ~memory_object ~request ~offset ~length =
   match find t memory_object with

@@ -34,7 +34,6 @@ type 'o obj = {
   o_port : Message.port;
   o_id : int;
   mutable o_requests : Message.port list;
-  mutable o_in_flight : int;
   o_data : 'o;
 }
 

@@ -4,6 +4,7 @@
 
 open Mach
 module Mos = Memory_object_server
+module Rt = Pager_runtime
 module Page_queues = Mach_vm.Page_queues
 module Minimal_fs = Mach_pagers.Minimal_fs
 module Fs_layout = Mach_fs.Fs_layout
@@ -154,26 +155,31 @@ let test_paging_blocks_recycled () =
         ((Kernel.stats kernel).Vm_types.s_pageouts > 0);
       check Alcotest.int "all paging blocks recycled" free_at_start (Default_pager.blocks_free dp))
 
-(* A manager task whose callbacks we control; returns the server, the
-   request port (filled at pager_init) and a data_request counter. *)
-let make_manager kernel ~name ~on_data_write =
-  let mgr = Task.create kernel ~name () in
+(* Serve [policy] from a new manager task holding one registered memory
+   object. *)
+let serve_object ?service_threads kernel ~name policy =
+  let rt, srv = Mos.serve ?service_threads (Task.create kernel ~name ()) policy in
+  let memory_object = Mos.create_memory_object srv () in
+  ignore (Rt.register rt ~memory_object ());
+  (rt, memory_object)
+
+(* A manager serving 'm' pages whose [p_write] we control; returns the
+   runtime, the memory object and the request port (filled at
+   pager_init). *)
+let make_manager ?service_threads kernel ~name ~p_write =
   let req_port = Ivar.create () in
-  let requests = ref 0 in
-  let callbacks =
+  let policy =
     {
-      Mos.no_callbacks with
-      Mos.on_init = (fun _ ~memory_object:_ ~request ~name:_ -> Ivar.fill req_port request);
-      Mos.on_data_request =
-        (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-          incr requests;
-          Mos.data_provided srv ~request ~offset ~data:(Bytes.make length 'm')
-            ~lock_value:Prot.none);
-      Mos.on_data_write;
+      Rt.default_policy with
+      Rt.p_init = (fun _ _ ~request -> Ivar.fill req_port request);
+      Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'm'));
+      Rt.p_write;
     }
   in
-  let srv = Mos.start mgr callbacks in
-  (srv, req_port, requests)
+  let rt, memory_object = serve_object ?service_threads kernel ~name policy in
+  (rt, memory_object, req_port)
+
+let requests rt = (Rt.stats rt).Rt.Stats.s_requests
 
 let test_refault_during_clean () =
   (* Refault on a page whose run's data_write is still outstanding: the
@@ -183,14 +189,12 @@ let test_refault_during_clean () =
      second data_request). *)
   with_system (fun sys task ->
       let kernel = sys.Kernel.kernel in
-      let srv, req_port, requests =
-        make_manager kernel ~name:"slow-mgr"
-          ~on_data_write:(fun _ ~memory_object:_ ~offset:_ ~data:_ ~release ->
-            (* Hold the data long enough for refaults to land. *)
-            Engine.sleep 5_000.0;
-            release ())
+      let rt, memory_object, req_port =
+        make_manager kernel ~name:"slow-mgr" ~p_write:(fun _ _ ~offset:_ ~data:_ ->
+            (* Hold the data long enough for refaults to land; the
+               runtime releases it on return. *)
+            Engine.sleep 5_000.0)
       in
-      let memory_object = Mos.create_memory_object srv () in
       let npages = 8 in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(npages * page) ~anywhere:true ~memory_object
@@ -200,9 +204,9 @@ let test_refault_during_clean () =
         ignore (Syscalls.touch task ~addr:(addr + (i * page)) ~write:true ())
       done;
       let req = Ivar.read req_port in
-      let requests_before = !requests in
+      let requests_before = requests rt in
       let hits_before = (Kernel.stats kernel).Vm_types.s_clean_hits in
-      Mos.clean_request srv ~request:req ~offset:0 ~length:(npages * page);
+      Rt.clean_request rt ~request:req ~offset:0 ~length:(npages * page);
       (* Let the kernel launder the run, then refault mid-clean. *)
       Engine.sleep 500.0;
       let kctx = kernel.Ktypes.k_kctx in
@@ -216,7 +220,7 @@ let test_refault_during_clean () =
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "refaults absorbed by the laundry queue" true
         (stats.Vm_types.s_clean_hits > hits_before);
-      check Alcotest.int "no second data_request to the manager" requests_before !requests;
+      check Alcotest.int "no second data_request to the manager" requests_before (requests rt);
       check Alcotest.int "laundry drained" 0 (Page_queues.laundry_count kctx.Kctx.queues))
 
 let test_rescue_still_double_pages () =
@@ -226,12 +230,14 @@ let test_rescue_still_double_pages () =
      data from the manager. *)
   with_system (fun sys task ->
       let kernel = sys.Kernel.kernel in
-      let srv, req_port, requests =
-        make_manager kernel ~name:"hoarder-mgr"
-          ~on_data_write:(fun _ ~memory_object:_ ~offset:_ ~data:_ ~release:_ -> ())
-      in
-      let memory_object = Mos.create_memory_object srv () in
       let npages = 8 in
+      (* Never returning from [p_write] withholds the release; each held
+         run parks one service thread, so keep one spare for the
+         post-rescue faults. *)
+      let rt, memory_object, req_port =
+        make_manager ~service_threads:(npages + 1) kernel ~name:"hoarder-mgr"
+          ~p_write:(fun _ _ ~offset:_ ~data:_ -> Ivar.read (Ivar.create ()))
+      in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(npages * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -241,7 +247,7 @@ let test_rescue_still_double_pages () =
       done;
       let req = Ivar.read req_port in
       let rescued_before = (Kernel.stats kernel).Vm_types.s_pageout_to_default in
-      Mos.clean_request srv ~request:req ~offset:0 ~length:(npages * page);
+      Rt.clean_request rt ~request:req ~offset:0 ~length:(npages * page);
       (* Sleep past the rescue timeout. *)
       let kctx = kernel.Ktypes.k_kctx in
       Engine.sleep (Kctx.data_write_release_timeout_us +. 100_000.0);
@@ -252,14 +258,54 @@ let test_rescue_still_double_pages () =
         (Page_queues.laundry_count kctx.Kctx.queues);
       (* The pages are gone; faulting again must re-request from the
          manager and still complete. *)
-      let requests_before = !requests in
+      let requests_before = requests rt in
       for i = 0 to npages - 1 do
         match Syscalls.touch task ~addr:(addr + (i * page)) ~write:false () with
         | Ok () -> ()
         | Error e -> Alcotest.failf "post-rescue fault %d: %a" i Access.pp_error e
       done;
       Alcotest.(check bool) "post-rescue faults re-request from the manager" true
-        (!requests > requests_before))
+        (requests rt > requests_before))
+
+let test_flooding_manager_contained () =
+  (* §6: a manager that answers any request with a flood of unsolicited
+     pages. The kernel accepts them only while unreserved frames exist,
+     so the reserve survives and a fresh allocation still works. *)
+  let config = { Kernel.default_config with Kernel.phys_frames = 128 } in
+  with_system ~config (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let offered = 4096 in
+      let policy =
+        {
+          Rt.default_policy with
+          Rt.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
+          Rt.p_read =
+            (fun rt _ ~request ~page:_ ~desired_access:_ ->
+              Rt.data_provided rt ~request ~offset:0 ~data:(Bytes.make (offered * page) 'F')
+                ~lock_value:Prot.none;
+              Rt.Defer);
+        }
+      in
+      let rt, memory_object = serve_object kernel ~name:"flood-mgr" policy in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:(offered * page) ~anywhere:true ~memory_object
+          ~offset:0 ()
+      in
+      (match Syscalls.read_bytes task ~addr ~len:1 ~policy:(Fault.Abort_after 10_000_000.0) () with
+      | Ok b -> check Alcotest.string "demanded page served by the flood" "F" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      Engine.sleep 100_000.0;
+      check Alcotest.int "the whole flood was offered" offered
+        (Rt.stats rt).Rt.Stats.s_pages_served;
+      let free = Kernel.free_frames kernel in
+      let reserved = kernel.Ktypes.k_kctx.Kctx.reserved_frames in
+      Alcotest.(check bool)
+        (Printf.sprintf "reserve intact (free %d, reserve %d)" free reserved)
+        true (free >= reserved);
+      let fresh = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      match Syscalls.write_bytes task ~addr:fresh (Bytes.of_string "after-flood") () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "allocation after the flood: %a" Access.pp_error e)
 
 let test_file_writeback_not_double_paged () =
   (* A mapped file server file dirtied past physical memory: the kernel
@@ -312,6 +358,8 @@ let () =
           Alcotest.test_case "default pager stats" `Quick test_default_pager_stats;
           Alcotest.test_case "paging blocks recycled across object lifetimes" `Quick
             test_paging_blocks_recycled;
+          Alcotest.test_case "flooding manager leaves the reserve intact" `Quick
+            test_flooding_manager_contained;
         ] );
       ( "writeback",
         [

@@ -1,5 +1,5 @@
 (* Newer kernel services and API extensions: vm_wire, the name server,
-   Minimal_fs.map_file, and the Memory_object_server skeleton itself. *)
+   Minimal_fs.map_file, and the Memory_object_server host itself. *)
 
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
@@ -159,14 +159,15 @@ let test_map_file_direct_rw () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "direct write: %a" Access.pp_error e)
 
-(* ---- Memory_object_server skeleton ------------------------------------------ *)
+(* ---- Memory_object_server host: non-protocol traffic and stop ------------ *)
 
 let test_mos_stop_and_on_other () =
   with_system (fun sys task ->
       let mgr = Task.create sys.Kernel.kernel ~name:"mgr" () in
       let others = ref 0 in
-      let cb = { Mos.no_callbacks with Mos.on_other = (fun _ _ -> incr others) } in
-      let srv = Mos.start mgr cb in
+      let _rt, srv =
+        Mos.serve mgr ~on_other:(fun _ _ _ -> incr others) Pager_runtime.default_policy
+      in
       let mo = Mos.create_memory_object srv () in
       (* Non-pager traffic reaches on_other. *)
       (match Syscalls.msg_send task (Message.make ~msg_id:777 ~dest:mo [ Message.Data (Bytes.create 1) ]) with

@@ -85,22 +85,19 @@ let test_ipc_roundtrip () =
 let test_external_pager () =
   with_system (fun sys task ->
       let mgr_task = Task.create sys.Kernel.kernel ~name:"mgr" () in
-      let writes = ref [] in
-      let cb =
+      let policy =
         {
-          Memory_object_server.no_callbacks with
-          Memory_object_server.on_data_request =
-            (fun t ~memory_object:_ ~request ~offset ~length:_ ~desired_access:_ ->
-              let data = Bytes.make page (Char.chr (0x41 + (offset / page mod 26))) in
-              Memory_object_server.data_provided t ~request ~offset ~data ~lock_value:Prot.none);
-          Memory_object_server.on_data_write =
-            (fun _ ~memory_object:_ ~offset ~data ~release ->
-              writes := (offset, Bytes.get data 0) :: !writes;
-              release ());
+          Pager_runtime.default_policy with
+          (* One page per request, so each fault below asks the manager. *)
+          Pager_runtime.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
+          Pager_runtime.p_read =
+            (fun _ _ ~request:_ ~page:p ~desired_access:_ ->
+              Pager_runtime.Data (Bytes.make page (Char.chr (0x41 + (p mod 26)))));
         }
       in
-      let server = Memory_object_server.start mgr_task cb in
+      let rt, server = Memory_object_server.serve mgr_task policy in
       let memory_object = Memory_object_server.create_memory_object server () in
+      ignore (Pager_runtime.register rt ~memory_object ());
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(8 * page) ~anywhere:true ~memory_object
           ~offset:0 ()

@@ -4,6 +4,7 @@
 
 open Mach
 module Mos = Memory_object_server
+module Rt = Pager_runtime
 
 let check = Alcotest.check
 let page = 4096
@@ -19,28 +20,45 @@ let with_system ?config f =
   | Some r -> r
   | None -> Alcotest.fail "main thread did not complete (deadlock?)"
 
-(* A manager serving counted requests, optionally write-locking pages. *)
+(* Serve [policy] from a new manager task holding one registered memory
+   object. *)
+let serve_object kernel ~name policy =
+  let rt, srv = Mos.serve (Task.create kernel ~name ()) policy in
+  let memory_object = Mos.create_memory_object srv () in
+  ignore (Rt.register rt ~memory_object ());
+  (rt, memory_object)
+
+(* Page [p] of a test object holds the [p]th capital letter, repeated. *)
+let page_data p = Bytes.make page (Char.chr (65 + (p mod 26)))
+
+(* Answer every request with the demanded page alone. *)
+let one_page _ _ ~first ~npages:_ = (first, 1)
+
+(* A manager that never answers a data request. *)
+let silent =
+  { Rt.default_policy with Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Defer) }
+
+(* A manager serving one page per request, optionally write-locking
+   pages; it records the page of every unlock it grants. *)
 let counting_manager kernel ~lock_writes =
-  let task = Task.create kernel ~name:"mgr" () in
-  let requests = ref [] in
   let unlocks = ref [] in
-  let cb =
+  let policy =
     {
-      Mos.no_callbacks with
-      Mos.on_data_request =
-        (fun srv ~memory_object:_ ~request ~offset ~length:_ ~desired_access:_ ->
-          requests := offset :: !requests;
-          Mos.data_provided srv ~request ~offset
-            ~data:(Bytes.make page (Char.chr (65 + (offset / page mod 26))))
-            ~lock_value:(if lock_writes then Prot.write else Prot.none));
-      Mos.on_data_unlock =
-        (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-          unlocks := offset :: !unlocks;
-          Mos.data_lock srv ~request ~offset ~length ~lock_value:Prot.none);
+      Rt.default_policy with
+      Rt.p_reshape = one_page;
+      Rt.p_read =
+        (fun rt _ ~request ~page:p ~desired_access:_ ->
+          Rt.data_provided rt ~request ~offset:(p * page) ~data:(page_data p)
+            ~lock_value:(if lock_writes then Prot.write else Prot.none);
+          Rt.Defer);
+      Rt.p_unlock =
+        (fun _ _ ~request:_ ~page:p ~desired_access:_ ->
+          unlocks := (p * page) :: !unlocks;
+          Rt.Grant);
     }
   in
-  let srv = Mos.start task cb in
-  (srv, requests, unlocks)
+  let rt, memory_object = serve_object kernel ~name:"mgr" policy in
+  (rt, memory_object, unlocks)
 
 let test_zero_fill_and_soft_fault () =
   with_system (fun sys task ->
@@ -60,8 +78,7 @@ let test_zero_fill_and_soft_fault () =
 
 let test_manager_write_lock_unlock_flow () =
   with_system (fun sys task ->
-      let srv, _requests, unlocks = counting_manager sys.Kernel.kernel ~lock_writes:true in
-      let memory_object = Mos.create_memory_object srv () in
+      let _rt, memory_object, unlocks = counting_manager sys.Kernel.kernel ~lock_writes:true in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(2 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -81,17 +98,8 @@ let test_manager_write_lock_unlock_flow () =
 
 let test_data_unavailable_zero_fills () =
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"sparse-mgr" () in
-      let cb =
-        {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-              Mos.data_unavailable srv ~request ~offset ~size:length);
-        }
-      in
-      let srv = Mos.start mgr cb in
-      let memory_object = Mos.create_memory_object srv () in
+      (* The default policy declares every page unavailable. *)
+      let _rt, memory_object = serve_object sys.Kernel.kernel ~name:"sparse-mgr" Rt.default_policy in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
       in
@@ -105,21 +113,16 @@ let test_data_unavailable_zero_fills () =
 let test_concurrent_faults_coalesce () =
   with_system (fun sys task ->
       (* A slow manager: both faulters must wait on ONE request. *)
-      let mgr = Task.create sys.Kernel.kernel ~name:"slow-mgr" () in
-      let requests = ref 0 in
-      let cb =
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length:_ ~desired_access:_ ->
-              incr requests;
+          Rt.default_policy with
+          Rt.p_read =
+            (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
               Engine.sleep 5000.0;
-              Mos.data_provided srv ~request ~offset ~data:(Bytes.make page 'S')
-                ~lock_value:Prot.none);
+              Rt.Data (Bytes.make page 'S'));
         }
       in
-      let srv = Mos.start mgr cb in
-      let memory_object = Mos.create_memory_object srv () in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"slow-mgr" policy in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
       in
@@ -139,13 +142,11 @@ let test_concurrent_faults_coalesce () =
       Ivar.read d1;
       Ivar.read d2;
       (* Same kernel, same object, same page: one pager_data_request. *)
-      check Alcotest.int "coalesced" 1 !requests)
+      check Alcotest.int "coalesced" 1 (Rt.stats rt).Rt.Stats.s_requests)
 
 let test_policy_abort_and_zero_fill () =
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"dead-mgr" () in
-      let srv = Mos.start mgr Mos.no_callbacks in
-      let memory_object = Mos.create_memory_object srv () in
+      let _rt, memory_object = serve_object sys.Kernel.kernel ~name:"dead-mgr" silent in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(2 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -211,13 +212,13 @@ let test_three_generation_cow_chain () =
 
 let test_manager_flush_drops_clean_pages () =
   with_system (fun sys task ->
-      let srv, requests, _ = counting_manager sys.Kernel.kernel ~lock_writes:false in
-      let memory_object = Mos.create_memory_object srv () in
+      let rt, memory_object, _ = counting_manager sys.Kernel.kernel ~lock_writes:false in
+      let requests () = (Rt.stats rt).Rt.Stats.s_requests in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
       in
       ignore (Syscalls.read_bytes task ~addr ~len:1 ());
-      check Alcotest.int "one request" 1 (List.length !requests);
+      check Alcotest.int "one request" 1 (requests ());
       (* Flush from the manager: the cached page is invalidated. *)
       let kctx = sys.Kernel.kernel.Ktypes.k_kctx in
       let obj = Option.get (Vm_object.find_by_port kctx memory_object) in
@@ -226,33 +227,30 @@ let test_manager_flush_drops_clean_pages () =
         | Vm_types.Pager p -> Option.get p.Vm_types.request_port
         | Vm_types.No_pager -> Alcotest.fail "expected pager"
       in
-      Mos.flush_request srv ~request:request_port ~offset:0 ~length:page;
+      Rt.flush_request rt ~request:request_port ~offset:0 ~length:page;
       Engine.sleep 10_000.0;
       check Alcotest.int "page gone" 0 (Vm_object.resident_count obj);
       (* Refault pulls it again. *)
       ignore (Syscalls.read_bytes task ~addr ~len:1 ());
-      check Alcotest.int "second request" 2 (List.length !requests))
+      check Alcotest.int "second request" 2 (requests ()))
 
 let test_mapping_at_object_offset () =
   (* Table 3-4: the mapped region corresponds to a given offset within
      the memory object; requests arriving at the manager carry object
      offsets, not task addresses. *)
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"mgr" () in
       let offsets_seen = ref [] in
-      let cb =
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length:_ ~desired_access:_ ->
-              offsets_seen := offset :: !offsets_seen;
-              Mos.data_provided srv ~request ~offset
-                ~data:(Bytes.make page (Char.chr (65 + (offset / page mod 26))))
-                ~lock_value:Prot.none);
+          Rt.default_policy with
+          Rt.p_reshape = one_page;
+          Rt.p_read =
+            (fun _ _ ~request:_ ~page:p ~desired_access:_ ->
+              offsets_seen := (p * page) :: !offsets_seen;
+              Rt.Data (page_data p));
         }
       in
-      let srv = Mos.start mgr cb in
-      let memory_object = Mos.create_memory_object srv () in
+      let _rt, memory_object = serve_object sys.Kernel.kernel ~name:"mgr" policy in
       (* Map pages 4..5 of the object. *)
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(2 * page) ~anywhere:true ~memory_object
@@ -269,20 +267,13 @@ let test_mapping_at_object_offset () =
 
 let test_two_mappings_same_object_share_pages () =
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"mgr" () in
-      let requests = ref 0 in
-      let cb =
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length:_ ~desired_access:_ ->
-              incr requests;
-              Mos.data_provided srv ~request ~offset ~data:(Bytes.make page 's')
-                ~lock_value:Prot.none);
+          Rt.default_policy with
+          Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 's'));
         }
       in
-      let srv = Mos.start mgr cb in
-      let memory_object = Mos.create_memory_object srv () in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"mgr" policy in
       (* "A single memory object may be mapped in more than once" — both
          mappings hit the same cached page. *)
       let a1 =
@@ -293,7 +284,7 @@ let test_two_mappings_same_object_share_pages () =
       in
       ignore (Syscalls.read_bytes task ~addr:a1 ~len:1 ());
       ignore (Syscalls.read_bytes task ~addr:a2 ~len:1 ());
-      check Alcotest.int "one pagein serves both mappings" 1 !requests;
+      check Alcotest.int "one pagein serves both mappings" 1 (Rt.stats rt).Rt.Stats.s_requests;
       (* Writes through one mapping are visible through the other. *)
       (match Syscalls.write_bytes task ~addr:a1 (Bytes.of_string "W") () with
       | Ok () -> ()
@@ -331,9 +322,7 @@ let test_regions_expose_pager_name_port () =
   (* vm_regions identifies pager-backed regions by the pager name port
      (§3.4.1, footnote 3: never the memory object or request port). *)
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"mgr" () in
-      let srv = Mos.start mgr Mos.no_callbacks in
-      let memory_object = Mos.create_memory_object srv () in
+      let _rt, memory_object = serve_object sys.Kernel.kernel ~name:"mgr" silent in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
       in
@@ -349,30 +338,26 @@ let test_regions_expose_pager_name_port () =
 (* A manager recording (offset, length) of every data request, providing
    [serve] pages per request (the kernel may ask for a whole cluster). *)
 let recording_manager kernel ~serve =
-  let task = Task.create kernel ~name:"rec-mgr" () in
   let requests = ref [] in
-  let cb =
+  let policy =
     {
-      Mos.no_callbacks with
-      Mos.on_data_request =
-        (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-          requests := (offset, length) :: !requests;
-          let len = min length (serve * page) in
-          Mos.data_provided srv ~request ~offset
-            ~data:(Bytes.init len (fun i -> Char.chr (65 + ((offset + i) / page mod 26))))
-            ~lock_value:Prot.none);
+      Rt.default_policy with
+      Rt.p_reshape =
+        (fun _ _ ~first ~npages ->
+          requests := (first * page, npages * page) :: !requests;
+          (first, min npages serve));
+      Rt.p_read = (fun _ _ ~request:_ ~page:p ~desired_access:_ -> Rt.Data (page_data p));
     }
   in
-  let srv = Mos.start task cb in
-  (srv, requests)
+  let _rt, memory_object = serve_object kernel ~name:"rec-mgr" policy in
+  (memory_object, requests)
 
 let test_clustered_request_multi_page_provide () =
   (* A hard read fault asks for a whole cluster in ONE message; a manager
      that honors the length fills every page, and the neighbors are then
      touched without any further pager traffic. *)
   with_system (fun sys task ->
-      let srv, requests = recording_manager sys.Kernel.kernel ~serve:8 in
-      let memory_object = Mos.create_memory_object srv () in
+      let memory_object, requests = recording_manager sys.Kernel.kernel ~serve:8 in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(8 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -397,8 +382,7 @@ let test_cluster_clipped_at_object_end () =
   (* The cluster window must not run past the end of the memory object:
      a 3-page object gets a 3-page request, not the full window. *)
   with_system (fun sys task ->
-      let srv, requests = recording_manager sys.Kernel.kernel ~serve:8 in
-      let memory_object = Mos.create_memory_object srv () in
+      let memory_object, requests = recording_manager sys.Kernel.kernel ~serve:8 in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(3 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -415,8 +399,7 @@ let test_cluster_partial_provide_rerequest () =
      landing on an unfilled speculative placeholder must promote it and
      re-request that page alone; the reclaim timer frees the rest. *)
   with_system (fun sys task ->
-      let srv, requests = recording_manager sys.Kernel.kernel ~serve:1 in
-      let memory_object = Mos.create_memory_object srv () in
+      let memory_object, requests = recording_manager sys.Kernel.kernel ~serve:1 in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(8 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -447,22 +430,19 @@ let test_zero_fill_races_multi_page_provide () =
      lands: the demanded page keeps its zeroes (late data is dropped),
      while the still-absent neighbors accept the provide. *)
   with_system (fun sys task ->
-      let mgr = Task.create sys.Kernel.kernel ~name:"slow-mgr" () in
-      let requests = ref 0 in
-      let cb =
+      let policy =
         {
-          Mos.no_callbacks with
-          Mos.on_data_request =
-            (fun srv ~memory_object:_ ~request ~offset ~length ~desired_access:_ ->
-              incr requests;
+          Rt.default_policy with
+          (* The manager is slow once per request, and [p_reshape] runs
+             once per request. *)
+          Rt.p_reshape =
+            (fun _ _ ~first ~npages ->
               Engine.sleep 5000.0;
-              Mos.data_provided srv ~request ~offset
-                ~data:(Bytes.init length (fun i -> Char.chr (65 + ((offset + i) / page mod 26))))
-                ~lock_value:Prot.none);
+              (first, npages));
+          Rt.p_read = (fun _ _ ~request:_ ~page:p ~desired_access:_ -> Rt.Data (page_data p));
         }
       in
-      let srv = Mos.start mgr cb in
-      let memory_object = Mos.create_memory_object srv () in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"slow-mgr" policy in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(4 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -478,7 +458,7 @@ let test_zero_fill_races_multi_page_provide () =
       (match Syscalls.read_bytes task ~addr:(addr + page) ~len:1 () with
       | Ok b -> check Alcotest.string "neighbor filled by provide" "B" (Bytes.to_string b)
       | Error e -> Alcotest.failf "neighbor: %a" Access.pp_error e);
-      check Alcotest.int "single clustered request" 1 !requests)
+      check Alcotest.int "single clustered request" 1 (Rt.stats rt).Rt.Stats.s_requests)
 
 let test_bad_address_surfaces () =
   with_system (fun _sys task ->
