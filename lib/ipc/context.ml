@@ -1,17 +1,5 @@
 module Engine = Mach_sim.Engine
-module Mailbox = Mach_sim.Mailbox
 module Net = Mach_hw.Net
-
-(* Remote deliveries for one destination host drain through a single
-   daemon thread; a burst of sends queues work instead of forking a
-   thread per message. The mailbox bounds in-flight work; past that,
-   thunks spill to [overflow] (plain FIFO, no extra threads). Once
-   anything has spilled, new work keeps spilling until the daemon has
-   drained the overflow, preserving arrival order. *)
-type delivery = {
-  dq : (unit -> unit) Mailbox.t;
-  overflow : (unit -> unit) Queue.t;
-}
 
 (* --- reliable channels ---------------------------------------------------
 
@@ -68,7 +56,10 @@ type t = {
   engine : Mach_sim.Engine.t;
   net : Net.t;
   mutable next_id : int;
-  deliveries : (int, delivery) Hashtbl.t;
+  deliveries : (int, (unit -> unit) Queue.t) Hashtbl.t;
+      (* Remote deliveries for one destination host drain in arrival
+         order through a single daemon thread: a burst of sends queues
+         work instead of forking a thread per message. *)
   txs : (int * int, chan_tx) Hashtbl.t;
   rxs : (int * int, chan_rx) Hashtbl.t;
   cstats : chan_stats;
@@ -76,8 +67,6 @@ type t = {
       (* port id -> (home getter, destroyer): lets a host crash find and
          kill every port homed there without knowing message types *)
 }
-
-let delivery_queue_bound = 256
 
 let create engine net =
   {
@@ -109,42 +98,32 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
-let spawn_daemon t ~dst d =
+let spawn_daemon t ~dst q =
   Engine.spawn t.engine ~name:(Printf.sprintf "net-delivery-h%d" dst) (fun () ->
       let rec loop () =
-        match Mailbox.try_recv d.dq with
+        match Queue.take_opt q with
         | Some thunk ->
           thunk ();
           loop ()
         | None ->
-          if not (Queue.is_empty d.overflow) then begin
-            let thunk = Queue.pop d.overflow in
-            thunk ();
-            loop ()
-          end
-          else
-            (* Idle: exit so the engine can quiesce; the next delivery
-               respawns us. No blocking point separates the emptiness
-               check from the removal, so no thunk can slip in between. *)
-            Hashtbl.remove t.deliveries dst
+          (* Idle: exit so the engine can quiesce; the next delivery
+             respawns us. No blocking point separates the emptiness
+             check from the removal, so no thunk can slip in between. *)
+          Hashtbl.remove t.deliveries dst
       in
       loop ())
 
 let deliver_to t ~dst thunk =
   match Hashtbl.find_opt t.deliveries dst with
-  | Some d ->
-    if Queue.is_empty d.overflow && Mailbox.send_timeout d.dq thunk ~timeout:0.0 then ()
-    else Queue.push thunk d.overflow
+  | Some q -> Queue.push thunk q
   | None ->
-    let d = { dq = Mailbox.create ~capacity:delivery_queue_bound (); overflow = Queue.create () } in
-    Hashtbl.replace t.deliveries dst d;
-    ignore (Mailbox.send_timeout d.dq thunk ~timeout:0.0);
-    spawn_daemon t ~dst d
+    let q = Queue.create () in
+    Queue.push thunk q;
+    Hashtbl.replace t.deliveries dst q;
+    spawn_daemon t ~dst q
 
 let delivery_backlog t ~dst =
-  match Hashtbl.find_opt t.deliveries dst with
-  | None -> 0
-  | Some d -> Mailbox.length d.dq + Queue.length d.overflow
+  match Hashtbl.find_opt t.deliveries dst with None -> 0 | Some q -> Queue.length q
 
 (* --- channel plumbing ---------------------------------------------------- *)
 

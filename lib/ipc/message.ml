@@ -37,6 +37,11 @@ let copy_handle_bytes = 16
 let make ?reply ?(msg_id = 0) ~dest body =
   { header = { dest; reply; msg_id; handoff = None; trace_span = -1 }; body }
 
+let data f =
+  let e = Mach_util.Codec.Enc.create () in
+  f e;
+  Data (Mach_util.Codec.Enc.to_bytes e)
+
 let inline_bytes t =
   List.fold_left
     (fun acc item ->

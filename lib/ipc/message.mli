@@ -75,6 +75,9 @@ val copy_handle_bytes : int
 
 val make : ?reply:port -> ?msg_id:int -> dest:port -> item list -> t
 
+val data : (Mach_util.Codec.Enc.t -> unit) -> item
+(** A [Data] item holding what the marshaller writes. *)
+
 val inline_bytes : t -> int
 (** Bytes that must be physically copied to transfer this message
     (inline data plus [Copy_transfer] out-of-line regions). *)

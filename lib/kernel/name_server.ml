@@ -8,7 +8,6 @@ module Engine = Mach_sim.Engine
 let id_check_in = 3301
 let id_look_up = 3302
 let id_check_out = 3303
-let id_reply = 3390
 
 type t = {
   ns_task : task;
@@ -21,50 +20,35 @@ let service_port t = t.ns_service
 let registered t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort String.compare
 
-let reply t (msg : Message.t) items =
-  match msg.Message.header.reply with
-  | None -> ()
-  | Some r -> (
-    match Syscalls.msg_send t.ns_task (Message.make ~msg_id:id_reply ~dest:r items) with
-    | Ok () | Error _ -> ())
-
-let status ok =
-  let e = Codec.Enc.create () in
-  Codec.Enc.bool e ok;
-  Message.Data (Codec.Enc.to_bytes e)
-
-let handle t (msg : Message.t) =
+(* [Some items] answers success with [items] after the status. *)
+let serve t (msg : Message.t) name =
   let id = msg.Message.header.msg_id in
-  match Message.data_exn msg with
-  | exception Not_found -> ()
-  | payload -> (
-    let d = Codec.Dec.of_bytes payload in
-    match Codec.Dec.string d with
-    | exception Codec.Dec.Truncated -> reply t msg [ status false ]
-    | name ->
-      if id = id_check_in then begin
-        match Message.caps msg with
-        | { Message.cap_port; _ } :: _ ->
-          (* Drop any dead stale entry, then (re)register. *)
-          Hashtbl.replace t.table name cap_port;
-          reply t msg [ status true ]
-        | [] -> reply t msg [ status false ]
-      end
-      else if id = id_look_up then begin
-        match Hashtbl.find_opt t.table name with
-        | Some port when Port.alive port ->
-          reply t msg
-            [ status true; Message.Caps [ { Message.cap_port = port; cap_right = Message.Send_right } ] ]
-        | Some _ ->
-          Hashtbl.remove t.table name;
-          reply t msg [ status false ]
-        | None -> reply t msg [ status false ]
-      end
-      else if id = id_check_out then begin
-        Hashtbl.remove t.table name;
-        reply t msg [ status true ]
-      end
-      else reply t msg [ status false ])
+  if id = id_check_in then
+    match Message.caps msg with
+    | { Message.cap_port; _ } :: _ ->
+      (* Drop any dead stale entry, then (re)register. *)
+      Hashtbl.replace t.table name cap_port;
+      Some []
+    | [] -> None
+  else if id = id_look_up then
+    match Hashtbl.find_opt t.table name with
+    | Some port when Port.alive port ->
+      Some [ Message.Caps [ { Message.cap_port = port; cap_right = Message.Send_right } ] ]
+    | Some _ ->
+      Hashtbl.remove t.table name;
+      None
+    | None -> None
+  else if id = id_check_out then begin
+    Hashtbl.remove t.table name;
+    Some []
+  end
+  else None
+
+let handle t msg =
+  Rpc.reply ~send:(Syscalls.msg_send t.ns_task) msg
+    (match Result.map (serve t msg) (Rpc.decode msg Codec.Dec.string) with
+    | Ok (Some items) -> Rpc.status true :: items
+    | Ok None | Error `Malformed -> [ Rpc.status false ])
 
 let start kernel ?(name = "name-server") () =
   let ns_task = Task.create kernel ~name () in
@@ -90,46 +74,21 @@ module Client = struct
     | `Ipc_failure -> Format.fprintf fmt "ipc failure"
     | `Malformed -> Format.fprintf fmt "malformed reply"
 
-  let rpc task ~server ~msg_id name extra =
-    let reply_name = Syscalls.port_allocate task () in
-    let reply_port = Port_space.lookup_exn task.t_space reply_name in
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e name;
-    let msg =
-      Message.make ~reply:reply_port ~msg_id ~dest:server (Message.Data (Codec.Enc.to_bytes e) :: extra)
-    in
-    let r = Syscalls.msg_rpc task msg () in
-    Syscalls.port_deallocate task reply_name;
-    match r with Ok reply -> Ok reply | Error _ -> Error `Ipc_failure
-
-  let parse_ok (reply : Message.t) =
-    match reply.Message.body with
-    | Message.Data st :: rest -> (
-      match Codec.Dec.bool (Codec.Dec.of_bytes st) with
-      | true -> Ok rest
-      | false -> Error `Not_found
-      | exception Codec.Dec.Truncated -> Error `Malformed)
-    | _ -> Error `Malformed
+  let call task ~server ~msg_id name extra =
+    Rpc.call task ~dest:server ~msg_id (Message.data (fun e -> Codec.Enc.string e name) :: extra)
+    |> Result.map_error (function `Refused _ -> `Not_found | (`Malformed | `Ipc_failure) as e -> e)
 
   let check_in task ~server name port =
-    match
-      rpc task ~server ~msg_id:id_check_in name
-        [ Message.Caps [ { Message.cap_port = port; cap_right = Message.Send_right } ] ]
-    with
-    | Error _ as e -> e
-    | Ok reply -> ( match parse_ok reply with Ok _ -> Ok () | Error _ as e -> e)
+    call task ~server ~msg_id:id_check_in name
+      [ Message.Caps [ { Message.cap_port = port; cap_right = Message.Send_right } ] ]
+    |> Result.map ignore
 
   let look_up task ~server name =
-    match rpc task ~server ~msg_id:id_look_up name [] with
-    | Error _ as e -> e
-    | Ok reply -> (
-      match parse_ok reply with
-      | Error _ as e -> e
-      | Ok (Message.Caps [ cap ] :: _) -> Ok cap.Message.cap_port
-      | Ok _ -> Error `Malformed)
+    match call task ~server ~msg_id:id_look_up name [] with
+    | Ok { Message.body = Message.Caps [ cap ] :: _; _ } -> Ok cap.Message.cap_port
+    | Ok _ -> Error `Malformed
+    | Error e -> Error e
 
   let check_out task ~server name =
-    match rpc task ~server ~msg_id:id_check_out name [] with
-    | Error _ as e -> e
-    | Ok reply -> ( match parse_ok reply with Ok _ -> Ok () | Error _ as e -> e)
+    Result.map ignore (call task ~server ~msg_id:id_check_out name [])
 end

@@ -2,25 +2,17 @@ open Ktypes
 module Message = Mach_ipc.Message
 module Port = Mach_ipc.Port
 module Port_space = Mach_ipc.Port_space
-module Transport = Mach_ipc.Transport
 module Codec = Mach_util.Codec
-module Engine = Mach_sim.Engine
 
 let id_suspend = 3401
 let id_resume = 3402
 let id_terminate = 3403
 let id_info = 3404
 let id_vm_allocate = 3405
-let id_reply = 3490
 
 type target = Task_target of task | Thread_target of thread
 
-type t = {
-  kernel : kernel;
-  space : Port_space.t;  (** holds receive rights on every task/thread port *)
-  node : Transport.node;
-  by_port : (int, target) Hashtbl.t;
-}
+type t = { kernel : kernel; by_port : (int, target) Hashtbl.t }
 
 let task_port task =
   match task.t_port with
@@ -32,99 +24,77 @@ let thread_port th =
   | Some p -> p
   | None -> invalid_arg "Task_server.thread_port: thread has no port"
 
-let reply t (msg : Message.t) items =
-  match msg.Message.header.reply with
-  | None -> ()
-  | Some r -> (
-    match Transport.send t.node ~timeout:0.0 (Message.make ~msg_id:id_reply ~dest:r items) with
-    | Ok () -> ()
-    | Error _ ->
-      (* Full queue: retry from a detached thread so the kernel's
-         dispatcher never blocks. *)
-      Engine.spawn t.kernel.k_engine ~name:"task-server-reply" (fun () ->
-          match Transport.send t.node (Message.make ~msg_id:id_reply ~dest:r items) with
-          | Ok () | Error _ -> ()))
-
-let status ok =
-  let e = Codec.Enc.create () in
-  Codec.Enc.bool e ok;
-  Message.Data (Codec.Enc.to_bytes e)
-
 let all_suspended task =
   task.t_threads <> [] && List.for_all (fun th -> th.th_suspend_count > 0) task.t_threads
 
-let handle_thread t (msg : Message.t) th =
-  let id = msg.Message.header.msg_id in
-  if th.th_done then reply t msg [ status false ]
+let info_item name ~threads ~mapped ~suspended =
+  Message.data (fun e ->
+      Codec.Enc.string e name;
+      Codec.Enc.int e threads;
+      Codec.Enc.int e mapped;
+      Codec.Enc.bool e suspended)
+
+(* An operation's answer: [Some items] succeeds with [items] after the
+   status, [None] refuses. *)
+let on_thread th id =
+  if th.th_done then None
   else if id = id_suspend then begin
     Thread.suspend th;
-    reply t msg [ status true ]
+    Some []
   end
   else if id = id_resume then begin
     Thread.resume th;
-    reply t msg [ status true ]
+    Some []
   end
-  else if id = id_info then begin
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e th.th_name;
-    Codec.Enc.int e 1;
-    Codec.Enc.int e 0;
-    Codec.Enc.bool e (th.th_suspend_count > 0);
-    reply t msg [ status true; Message.Data (Codec.Enc.to_bytes e) ]
+  else if id = id_info then
+    Some [ info_item th.th_name ~threads:1 ~mapped:0 ~suspended:(th.th_suspend_count > 0) ]
+  else None
+
+let on_task task msg id =
+  if not task.t_alive then None
+  else if id = id_suspend then begin
+    List.iter Thread.suspend task.t_threads;
+    Some []
   end
-  else reply t msg [ status false ]
+  else if id = id_resume then begin
+    List.iter Thread.resume task.t_threads;
+    Some []
+  end
+  else if id = id_terminate then begin
+    Task.terminate task;
+    Some []
+  end
+  else if id = id_info then
+    Some
+      [
+        info_item task.t_name ~threads:(List.length task.t_threads)
+          ~mapped:(Mach_vm.Vm_map.size task.t_map) ~suspended:(all_suspended task);
+      ]
+  else if id = id_vm_allocate then
+    Result.to_option (Rpc.decode msg Codec.Dec.int)
+    |> Option.map (fun size ->
+           [ Rpc.int (Mach_vm.Vm_map.allocate task.t_map ~size ~anywhere:true ()) ])
+  else None
 
 let handle t (msg : Message.t) =
-  match Hashtbl.find_opt t.by_port (Port.id msg.Message.header.dest) with
-  | None -> reply t msg [ status false ]
-  | Some (Thread_target th) -> handle_thread t msg th
-  | Some (Task_target task) ->
-    let id = msg.Message.header.msg_id in
-    if not task.t_alive then reply t msg [ status false ]
-    else if id = id_suspend then begin
-      List.iter Thread.suspend task.t_threads;
-      reply t msg [ status true ]
-    end
-    else if id = id_resume then begin
-      List.iter Thread.resume task.t_threads;
-      reply t msg [ status true ]
-    end
-    else if id = id_terminate then begin
-      Task.terminate task;
-      reply t msg [ status true ]
-    end
-    else if id = id_info then begin
-      let e = Codec.Enc.create () in
-      Codec.Enc.string e task.t_name;
-      Codec.Enc.int e (List.length task.t_threads);
-      Codec.Enc.int e (Mach_vm.Vm_map.size task.t_map);
-      Codec.Enc.bool e (all_suspended task);
-      reply t msg [ status true; Message.Data (Codec.Enc.to_bytes e) ]
-    end
-    else if id = id_vm_allocate then begin
-      match Message.data_exn msg with
-      | exception Not_found -> reply t msg [ status false ]
-      | payload -> (
-        match Codec.Dec.int (Codec.Dec.of_bytes payload) with
-        | exception Codec.Dec.Truncated -> reply t msg [ status false ]
-        | size ->
-          let addr = Mach_vm.Vm_map.allocate task.t_map ~size ~anywhere:true () in
-          let e = Codec.Enc.create () in
-          Codec.Enc.int e addr;
-          reply t msg [ status true; Message.Data (Codec.Enc.to_bytes e) ])
-    end
-    else reply t msg [ status false ]
+  let id = msg.Message.header.msg_id in
+  let answer =
+    match Hashtbl.find_opt t.by_port (Port.id msg.Message.header.dest) with
+    | None -> None
+    | Some (Thread_target th) -> on_thread th id
+    | Some (Task_target task) -> on_task task msg id
+  in
+  (* The kernel's dispatcher must never block: a full reply queue is
+     retried from a detached thread. *)
+  Rpc.reply
+    ~send:(Mach_vm.Pager_client.kernel_send ~retry_thread:"task-server-reply" t.kernel.k_kctx)
+    msg
+    (match answer with Some items -> Rpc.status true :: items | None -> [ Rpc.status false ])
 
 let start kernel =
+  (* One space holds the receive right of every task and thread port. *)
   let space = Port_space.create kernel.k_ctx ~home:kernel.k_host in
-  let t =
-    {
-      kernel;
-      space;
-      node = kernel.k_kctx.Mach_vm.Kctx.node;
-      by_port = Hashtbl.create 32;
-    }
-  in
+  let t = { kernel; by_port = Hashtbl.create 32 } in
   let make_port target =
     let name = Port_space.allocate space ~backlog:64 () in
     Port_space.enable space name;
@@ -134,14 +104,7 @@ let start kernel =
   in
   kernel.k_task_port_maker <- Some (fun task -> make_port (Task_target task));
   kernel.k_thread_port_maker <- Some (fun th -> make_port (Thread_target th));
-  Engine.spawn kernel.k_engine ~name:"task-server" (fun () ->
-      let rec loop () =
-        (match Transport.receive t.node t.space ~from:`Any () with
-        | Ok msg -> handle t msg
-        | Error _ -> ());
-        loop ()
-      in
-      loop ());
+  Pager_service.receive_loop kernel.k_kctx ~name:"task-server" space (handle t);
   t
 
 module Client = struct
@@ -154,60 +117,25 @@ module Client = struct
 
   type info = { ti_name : string; ti_threads : int; ti_mapped_bytes : int; ti_suspended : bool }
 
-  let rpc caller ~target ~msg_id items =
-    let reply_name = Syscalls.port_allocate caller () in
-    let reply_port = Port_space.lookup_exn caller.t_space reply_name in
-    let msg = Message.make ~reply:reply_port ~msg_id ~dest:target items in
-    let r = Syscalls.msg_rpc caller msg () in
-    Syscalls.port_deallocate caller reply_name;
-    match r with Ok reply -> Ok reply | Error _ -> Error `Ipc_failure
+  let call caller ~target ~msg_id items =
+    Rpc.call caller ~dest:target ~msg_id items
+    |> Result.map_error (function `Refused _ -> `Dead_task | (`Malformed | `Ipc_failure) as e -> e)
 
-  let parse_ok (reply : Message.t) =
-    match reply.Message.body with
-    | Message.Data st :: rest -> (
-      match Codec.Dec.bool (Codec.Dec.of_bytes st) with
-      | true -> Ok rest
-      | false -> Error `Dead_task
-      | exception Codec.Dec.Truncated -> Error `Malformed)
-    | _ -> Error `Malformed
-
-  let unit_op msg_id caller ~target =
-    match rpc caller ~target ~msg_id [] with
-    | Error _ as e -> e
-    | Ok reply -> ( match parse_ok reply with Ok _ -> Ok () | Error _ as e -> e)
-
+  let unit_op msg_id caller ~target = Result.map ignore (call caller ~target ~msg_id [])
   let suspend caller ~target = unit_op id_suspend caller ~target
   let resume caller ~target = unit_op id_resume caller ~target
   let terminate caller ~target = unit_op id_terminate caller ~target
 
   let info caller ~target =
-    match rpc caller ~target ~msg_id:id_info [] with
-    | Error _ as e -> e
-    | Ok reply -> (
-      match parse_ok reply with
-      | Error _ as e -> e
-      | Ok (Message.Data payload :: _) -> (
-        let d = Codec.Dec.of_bytes payload in
-        try
-          let ti_name = Codec.Dec.string d in
-          let ti_threads = Codec.Dec.int d in
-          let ti_mapped_bytes = Codec.Dec.int d in
-          let ti_suspended = Codec.Dec.bool d in
-          Ok { ti_name; ti_threads; ti_mapped_bytes; ti_suspended }
-        with Codec.Dec.Truncated -> Error `Malformed)
-      | Ok _ -> Error `Malformed)
+    Result.bind (call caller ~target ~msg_id:id_info []) (fun reply ->
+        Rpc.decode reply (fun d ->
+            let ti_name = Codec.Dec.string d in
+            let ti_threads = Codec.Dec.int d in
+            let ti_mapped_bytes = Codec.Dec.int d in
+            let ti_suspended = Codec.Dec.bool d in
+            { ti_name; ti_threads; ti_mapped_bytes; ti_suspended }))
 
   let vm_allocate caller ~target ~size =
-    let e = Codec.Enc.create () in
-    Codec.Enc.int e size;
-    match rpc caller ~target ~msg_id:id_vm_allocate [ Message.Data (Codec.Enc.to_bytes e) ] with
-    | Error _ as e -> e
-    | Ok reply -> (
-      match parse_ok reply with
-      | Error _ as e -> e
-      | Ok (Message.Data payload :: _) -> (
-        match Codec.Dec.int (Codec.Dec.of_bytes payload) with
-        | addr -> Ok addr
-        | exception Codec.Dec.Truncated -> Error `Malformed)
-      | Ok _ -> Error `Malformed)
+    Result.bind (call caller ~target ~msg_id:id_vm_allocate [ Rpc.int size ]) (fun reply ->
+        Rpc.decode reply Codec.Dec.int)
 end

@@ -1,13 +1,11 @@
 module Message = Mach_ipc.Message
-module Port = Mach_ipc.Port
 module Port_space = Mach_ipc.Port_space
-module Prot = Mach_hw.Prot
 module Disk = Mach_hw.Disk
 module Codec = Mach_util.Codec
-module Engine = Mach_sim.Engine
 module Task = Mach_kernel.Task
 module Thread = Mach_kernel.Thread
 module Syscalls = Mach_kernel.Syscalls
+module Rpc = Mach_kernel.Rpc
 module Mos = Mach.Memory_object_server
 module Fs_layout = Mach_fs.Fs_layout
 
@@ -180,7 +178,6 @@ let id_begin = 3202
 let id_log_write = 3203
 let id_commit = 3204
 let id_abort = 3205
-let id_reply = 3290
 
 let get_segment t name ~size =
   match Hashtbl.find_opt t.by_name name with
@@ -291,23 +288,12 @@ let undo_txn t txn =
 
 (* --- RPC ---------------------------------------------------------------- *)
 
-let reply_to t (msg : Message.t) items =
-  match msg.Message.header.reply with
-  | None -> ()
-  | Some reply -> (
-    match Syscalls.msg_send (server_task t) (Message.make ~msg_id:id_reply ~dest:reply items) with
-    | Ok () | Error _ -> ())
-
-let status_item ok detail =
-  let e = Codec.Enc.create () in
-  Codec.Enc.bool e ok;
-  Codec.Enc.string e detail;
-  Message.Data (Codec.Enc.to_bytes e)
-
-let int_item v =
-  let e = Codec.Enc.create () in
-  Codec.Enc.int e v;
-  Message.Data (Codec.Enc.to_bytes e)
+(* Answer [Ok items] (sent after the status) or [Error detail]. *)
+let answer t msg r =
+  Rpc.reply ~send:(Syscalls.msg_send (server_task t)) msg
+    (match r with
+    | Ok items -> Rpc.status ~detail:"" true :: items
+    | Error detail -> [ Rpc.status ~detail false ])
 
 let on_other t (msg : Message.t) =
   let id = msg.Message.header.msg_id in
@@ -320,18 +306,18 @@ let on_other t (msg : Message.t) =
         let name = Codec.Dec.string d in
         let size = Codec.Dec.int d in
         let o = get_segment t name ~size in
-        reply_to t msg
-          [
-            status_item true "";
-            Message.Caps [ { Message.cap_port = o.Rt.o_port; cap_right = Message.Send_right } ];
-            int_item o.Rt.o_data.sg_size;
-          ]
+        answer t msg
+          (Ok
+             [
+               Message.Caps [ { Message.cap_port = o.Rt.o_port; cap_right = Message.Send_right } ];
+               Rpc.int o.Rt.o_data.sg_size;
+             ])
       end
       else if id = id_begin then begin
         let tid = t.next_tid in
         t.next_tid <- tid + 1;
         Hashtbl.replace t.txns tid { tx_id = tid; tx_updates = []; tx_open = true };
-        reply_to t msg [ status_item true ""; int_item tid ]
+        answer t msg (Ok [ Rpc.int tid ])
       end
       else if id = id_log_write then begin
         let tid = Codec.Dec.int d in
@@ -352,10 +338,10 @@ let on_other t (msg : Message.t) =
           for p = first to last do
             Hashtbl.replace seg.Rt.o_data.sg_page_lsn p lsn
           done;
-          reply_to t msg [ status_item true "" ]
-        | Some _, Some _ -> reply_to t msg [ status_item false "transaction closed" ]
-        | None, _ -> reply_to t msg [ status_item false "unknown transaction" ]
-        | _, None -> reply_to t msg [ status_item false "unknown segment" ]
+          answer t msg (Ok [])
+        | Some _, Some _ -> answer t msg (Error "transaction closed")
+        | None, _ -> answer t msg (Error "unknown transaction")
+        | _, None -> answer t msg (Error "unknown segment")
       end
       else if id = id_commit then begin
         let tid = Codec.Dec.int d in
@@ -364,9 +350,9 @@ let on_other t (msg : Message.t) =
           txn.tx_open <- false;
           let lsn = Log.append t.log (fun lsn -> Log.Commit { lsn; tid }) in
           Log.force t.log ~upto:lsn;
-          reply_to t msg [ status_item true "" ]
-        | Some _ -> reply_to t msg [ status_item false "transaction closed" ]
-        | None -> reply_to t msg [ status_item false "unknown transaction" ]
+          answer t msg (Ok [])
+        | Some _ -> answer t msg (Error "transaction closed")
+        | None -> answer t msg (Error "unknown transaction")
       end
       else if id = id_abort then begin
         let tid = Codec.Dec.int d in
@@ -379,14 +365,14 @@ let on_other t (msg : Message.t) =
           ignore
             (Thread.spawn (server_task t) ~name:"camelot.undo" (fun () ->
                  undo_txn t txn;
-                 reply_to t msg [ status_item true "" ]))
-        | Some _ -> reply_to t msg [ status_item false "transaction closed" ]
-        | None -> reply_to t msg [ status_item false "unknown transaction" ]
+                 answer t msg (Ok [])))
+        | Some _ -> answer t msg (Error "transaction closed")
+        | None -> answer t msg (Error "unknown transaction")
       end
-      else reply_to t msg [ status_item false "unknown operation" ]
+      else answer t msg (Error "unknown operation")
     with
-    | Codec.Dec.Truncated -> reply_to t msg [ status_item false "malformed request" ]
-    | Fs_layout.Fs_error reason -> reply_to t msg [ status_item false reason ])
+    | Codec.Dec.Truncated -> answer t msg (Error "malformed request")
+    | Fs_layout.Fs_error reason -> answer t msg (Error reason))
 
 (* --- recovery ----------------------------------------------------------- *)
 
@@ -476,87 +462,51 @@ module Client = struct
     | `Ipc_failure -> Format.fprintf fmt "ipc failure"
     | `Memory e -> Format.fprintf fmt "memory: %a" Mach_vm.Access.pp_error e
 
-  let rpc task ~server ~msg_id payload =
-    let reply_name = Syscalls.port_allocate task () in
-    let reply_port = Port_space.lookup_exn (Task.space task) reply_name in
-    let msg = Message.make ~reply:reply_port ~msg_id ~dest:server [ Message.Data payload ] in
-    let result = Syscalls.msg_rpc task msg () in
-    Syscalls.port_deallocate task reply_name;
-    match result with Ok reply -> Ok reply | Error _ -> Error `Ipc_failure
-
-  let parse_status (reply : Message.t) =
-    match reply.Message.body with
-    | Message.Data status :: rest ->
-      let d = Codec.Dec.of_bytes status in
-      let ok = Codec.Dec.bool d in
-      let detail = Codec.Dec.string d in
-      if ok then Ok rest else Error (`Server_error detail)
-    | _ -> Error (`Server_error "malformed reply")
+  (* Send one marshalled request; [k] reads the results off the reply. *)
+  let call task ~server ~msg_id enc k =
+    Result.map_error
+      (function
+        | `Refused detail -> `Server_error detail
+        | `Malformed -> `Server_error "malformed reply"
+        | (`Ipc_failure | `Server_error _ | `Memory _) as e -> e)
+      (Result.bind (Rpc.call task ~dest:server ~msg_id [ Message.data enc ]) k)
 
   let map_segment task ~server name ~size =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e name;
-    Codec.Enc.int e size;
-    match rpc task ~server ~msg_id:id_map_segment (Codec.Enc.to_bytes e) with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with
-      | Error _ as err -> err
-      | Ok (Message.Caps [ cap ] :: Message.Data size_b :: _) ->
-        let d = Codec.Dec.of_bytes size_b in
-        let size = max size (Codec.Dec.int d) in
-        let addr =
-          Syscalls.vm_allocate_with_pager task ~size ~anywhere:true
-            ~memory_object:cap.Message.cap_port ~offset:0 ()
-        in
-        Ok addr
-      | Ok _ -> Error (`Server_error "malformed reply"))
-
-  let simple_int_rpc task ~server ~msg_id payload =
-    match rpc task ~server ~msg_id payload with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with
-      | Error _ as err -> err
-      | Ok (Message.Data v :: _) -> Ok (Codec.Dec.int (Codec.Dec.of_bytes v))
-      | Ok _ -> Error (`Server_error "malformed reply"))
+    call task ~server ~msg_id:id_map_segment
+      (fun e ->
+        Codec.Enc.string e name;
+        Codec.Enc.int e size)
+      (fun reply ->
+        match (reply.Message.body, Rpc.decode reply Codec.Dec.int) with
+        | Message.Caps [ cap ] :: _, Ok stored ->
+          Ok
+            (Syscalls.vm_allocate_with_pager task ~size:(max size stored) ~anywhere:true
+               ~memory_object:cap.Message.cap_port ~offset:0 ())
+        | _ -> Error `Malformed)
 
   let begin_txn task ~server =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e "";
-    simple_int_rpc task ~server ~msg_id:id_begin (Codec.Enc.to_bytes e)
-
-  let unit_rpc task ~server ~msg_id payload =
-    match rpc task ~server ~msg_id payload with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with Ok _ -> Ok () | Error _ as err -> err)
+    call task ~server ~msg_id:id_begin (fun e -> Codec.Enc.string e "") (fun reply ->
+        Rpc.decode reply Codec.Dec.int)
 
   let store task ~server tid ~segment ~base ~offset data =
     (* Read the old value, log, then update in place. *)
     match Syscalls.read_bytes task ~addr:(base + offset) ~len:(Bytes.length data) () with
     | Error e -> Error (`Memory e)
-    | Ok old_v -> (
-      let e = Codec.Enc.create () in
-      Codec.Enc.int e tid;
-      Codec.Enc.string e segment;
-      Codec.Enc.int e offset;
-      Codec.Enc.bytes e old_v;
-      Codec.Enc.bytes e data;
-      match unit_rpc task ~server ~msg_id:id_log_write (Codec.Enc.to_bytes e) with
-      | Error _ as err -> err
-      | Ok () -> (
-        match Syscalls.write_bytes task ~addr:(base + offset) data () with
-        | Ok () -> Ok ()
-        | Error e -> Error (`Memory e)))
+    | Ok old_v ->
+      call task ~server ~msg_id:id_log_write
+        (fun e ->
+          Codec.Enc.int e tid;
+          Codec.Enc.string e segment;
+          Codec.Enc.int e offset;
+          Codec.Enc.bytes e old_v;
+          Codec.Enc.bytes e data)
+        (fun _ ->
+          Syscalls.write_bytes task ~addr:(base + offset) data ()
+          |> Result.map_error (fun e -> `Memory e))
 
   let commit task ~server tid =
-    let e = Codec.Enc.create () in
-    Codec.Enc.int e tid;
-    unit_rpc task ~server ~msg_id:id_commit (Codec.Enc.to_bytes e)
+    call task ~server ~msg_id:id_commit (fun e -> Codec.Enc.int e tid) (fun _ -> Ok ())
 
   let abort task ~server tid =
-    let e = Codec.Enc.create () in
-    Codec.Enc.int e tid;
-    unit_rpc task ~server ~msg_id:id_abort (Codec.Enc.to_bytes e)
+    call task ~server ~msg_id:id_abort (fun e -> Codec.Enc.int e tid) (fun _ -> Ok ())
 end

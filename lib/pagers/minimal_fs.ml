@@ -1,10 +1,9 @@
 module Message = Mach_ipc.Message
-module Port = Mach_ipc.Port
 module Port_space = Mach_ipc.Port_space
-module Prot = Mach_hw.Prot
 module Codec = Mach_util.Codec
 module Syscalls = Mach_kernel.Syscalls
 module Task = Mach_kernel.Task
+module Rpc = Mach_kernel.Rpc
 module Mos = Mach.Memory_object_server
 module Fs_layout = Mach_fs.Fs_layout
 
@@ -13,7 +12,6 @@ let id_read_file = 3001
 let id_write_file = 3002
 let id_list_files = 3003
 let id_open_object = 3004
-let id_reply = 3100
 
 type file = {
   f_name : string;
@@ -44,7 +42,7 @@ let policy get ~enable_cache =
   {
     Rt.default_policy with
     (* Let the kernel keep file pages cached after unmapping: the heart
-       of the Â§9 claim (ablatable via [enable_cache]). *)
+       of the §9 claim (ablatable via [enable_cache]). *)
     Rt.p_may_cache = (if enable_cache then Some true else None);
     p_read =
       (fun rt o ~request:_ ~page ~desired_access:_ ->
@@ -75,19 +73,6 @@ let policy get ~enable_cache =
 
 (* --- RPC side ----------------------------------------------------------- *)
 
-let reply_to t (msg : Message.t) items =
-  match msg.Message.header.reply with
-  | None -> ()
-  | Some reply -> (
-    match Syscalls.msg_send (server_task t) (Message.make ~msg_id:id_reply ~dest:reply items) with
-    | Ok () | Error _ -> ())
-
-let status_item ok detail =
-  let e = Codec.Enc.create () in
-  Codec.Enc.bool e ok;
-  Codec.Enc.string e detail;
-  Message.Data (Codec.Enc.to_bytes e)
-
 let get_file t name =
   match Hashtbl.find_opt t.by_name name with
   | Some o -> o
@@ -116,93 +101,79 @@ let server_mapping t (o : file Rt.obj) ~size =
     file.f_mapping <- Some (addr, size);
     addr
 
-let handle_read_file t msg name =
-  if not (Fs_layout.exists t.fs name) then reply_to t msg [ status_item false "no such file" ]
+(* Each operation answers [Ok items] (sent after the status) or
+   [Error detail]. *)
+let handle_read_file t name =
+  if not (Fs_layout.exists t.fs name) then Error "no such file"
   else begin
     let size = Option.value ~default:0 (Fs_layout.file_size t.fs name) in
     let file = get_file t name in
-    if size = 0 then
-      reply_to t msg
-        [
-          status_item true "";
-          Message.Data
-            (let e = Codec.Enc.create () in
-             Codec.Enc.int e 0;
-             Codec.Enc.to_bytes e);
-        ]
-    else begin
+    if size = 0 then Ok [ Rpc.int 0 ]
+    else
       let addr = server_mapping t file ~size in
-      let size_item =
-        let e = Codec.Enc.create () in
-        Codec.Enc.int e size;
-        Message.Data (Codec.Enc.to_bytes e)
-      in
-      reply_to t msg
-        [ status_item true ""; size_item; Syscalls.ool_region (server_task t) ~addr ~size ]
-    end
+      Ok [ Rpc.int size; Syscalls.ool_region (server_task t) ~addr ~size ]
   end
 
-let handle_write_file t msg name data =
-  match Fs_layout.write_file t.fs name data with
-  | exception Fs_layout.Fs_error reason -> reply_to t msg [ status_item false reason ]
-  | () ->
-    (match Hashtbl.find_opt t.by_name name with
-    | Some o ->
-      (* Invalidate stale cached pages everywhere this object is known. *)
-      let len = max (Bytes.length data) 1 in
-      List.iter
-        (fun request -> Rt.flush_request t.rt ~request ~offset:0 ~length:len)
-        (Rt.requests o)
-    | None -> ());
-    reply_to t msg [ status_item true "" ]
+let handle_write_file t name data =
+  Fs_layout.write_file t.fs name data;
+  (match Hashtbl.find_opt t.by_name name with
+  | Some o ->
+    (* Invalidate stale cached pages everywhere this object is known. *)
+    let len = max (Bytes.length data) 1 in
+    List.iter
+      (fun request -> Rt.flush_request t.rt ~request ~offset:0 ~length:len)
+      (Rt.requests o)
+  | None -> ());
+  Ok []
 
 (* Hand the client the memory object itself: mapping it with
    vm_allocate_with_pager gives direct read/write access to the file
    object, not a copy (the paper's footnote 7). *)
-let handle_open_object t msg name =
-  if not (Fs_layout.exists t.fs name) then reply_to t msg [ status_item false "no such file" ]
+let handle_open_object t name =
+  if not (Fs_layout.exists t.fs name) then Error "no such file"
   else begin
     let size = Option.value ~default:0 (Fs_layout.file_size t.fs name) in
     let o = get_file t name in
-    let size_item =
-      let e = Codec.Enc.create () in
-      Codec.Enc.int e size;
-      Message.Data (Codec.Enc.to_bytes e)
-    in
-    reply_to t msg
+    Ok
       [
-        status_item true "";
         Message.Caps [ { Message.cap_port = o.Rt.o_port; cap_right = Message.Send_right } ];
-        size_item;
+        Rpc.int size;
       ]
   end
 
-let handle_list t msg =
+let handle_list t =
   let files = Fs_layout.list_files t.fs in
-  let e = Codec.Enc.create () in
-  Codec.Enc.int e (List.length files);
-  List.iter (fun f -> Codec.Enc.string e f) files;
-  reply_to t msg [ status_item true ""; Message.Data (Codec.Enc.to_bytes e) ]
+  Ok
+    [
+      Message.data (fun e ->
+          Codec.Enc.int e (List.length files);
+          List.iter (Codec.Enc.string e) files);
+    ]
 
-let on_other t _srv (msg : Message.t) =
+let on_other t (msg : Message.t) =
   let id = msg.Message.header.msg_id in
   match Message.data_exn msg with
   | exception Not_found -> ()
-  | payload -> (
+  | payload ->
     let d = Codec.Dec.of_bytes payload in
-    try
-      if id = id_read_file then handle_read_file t msg (Codec.Dec.string d)
-      else if id = id_write_file then begin
-        let name = Codec.Dec.string d in
-        let data = Codec.Dec.bytes d in
-        handle_write_file t msg name data
-      end
-      else if id = id_list_files then handle_list t msg
-      else if id = id_open_object then handle_open_object t msg (Codec.Dec.string d)
-      else reply_to t msg [ status_item false "unknown operation" ]
-    with
-    | Codec.Dec.Truncated -> reply_to t msg [ status_item false "malformed request" ]
-    | Fs_layout.Fs_error reason -> reply_to t msg [ status_item false reason ])
+    let answer =
+      try
+        if id = id_read_file then handle_read_file t (Codec.Dec.string d)
+        else if id = id_write_file then begin
+          let name = Codec.Dec.string d in
+          handle_write_file t name (Codec.Dec.bytes d)
+        end
+        else if id = id_list_files then handle_list t
+        else if id = id_open_object then handle_open_object t (Codec.Dec.string d)
+        else Error "unknown operation"
+      with
+      | Codec.Dec.Truncated -> Error "malformed request"
+      | Fs_layout.Fs_error reason -> Error reason
+    in
+    Rpc.reply ~send:(Syscalls.msg_send (server_task t)) msg
+      (match answer with
+      | Ok items -> Rpc.status ~detail:"" true :: items
+      | Error detail -> [ Rpc.status ~detail false ])
 
 let start kernel ?(name = "fs-server") ?(enable_cache = true) ?(service_threads = 1) ~disk ~format
     () =
@@ -215,7 +186,7 @@ let start kernel ?(name = "fs-server") ?(enable_cache = true) ?(service_threads 
   let get () = match !t_ref with Some t -> t | None -> assert false in
   let rt, srv =
     Mos.serve ~service_threads
-      ~on_other:(fun _rt srv msg -> on_other (get ()) srv msg)
+      ~on_other:(fun _rt _srv msg -> on_other (get ()) msg)
       srv_task
       (policy get ~enable_cache)
   in
@@ -233,89 +204,45 @@ module Client = struct
     | `Server_error s -> Format.fprintf fmt "server error: %s" s
     | `Ipc_failure -> Format.fprintf fmt "ipc failure"
 
-  let rpc task ~server ~msg_id payload extra_items =
-    let reply_name = Syscalls.port_allocate task () in
-    let reply_port = Port_space.lookup_exn (Task.space task) reply_name in
-    let msg =
-      Message.make ~reply:reply_port ~msg_id ~dest:server (Message.Data payload :: extra_items)
-    in
-    let result = Syscalls.msg_rpc task msg () in
-    Syscalls.port_deallocate task reply_name;
-    match result with
-    | Ok reply -> Ok reply
-    | Error _ -> Error `Ipc_failure
-
-  let parse_status (reply : Message.t) =
-    match reply.Message.body with
-    | Message.Data status :: rest -> (
-      let d = Codec.Dec.of_bytes status in
-      let ok = Codec.Dec.bool d in
-      let detail = Codec.Dec.string d in
-      if ok then Ok rest
-      else if detail = "no such file" then Error `No_such_file
-      else Error (`Server_error detail))
-    | _ -> Error (`Server_error "malformed reply")
+  (* Send one marshalled request; [k] reads the results off the reply. *)
+  let call task ~server ~msg_id enc k =
+    Result.map_error
+      (function
+        | `Refused "no such file" -> `No_such_file
+        | `Refused detail -> `Server_error detail
+        | `Malformed -> `Server_error "malformed reply"
+        | (`Ipc_failure | `Server_error _) as e -> e)
+      (Result.bind (Rpc.call task ~dest:server ~msg_id [ Message.data enc ]) k)
 
   let read_file task ~server name =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e name;
-    match rpc task ~server ~msg_id:id_read_file (Codec.Enc.to_bytes e) [] with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with
-      | Error _ as err -> err
-      | Ok rest -> (
-        match rest with
-        | Message.Data size_b :: _ -> (
-          let d = Codec.Dec.of_bytes size_b in
-          let size = Codec.Dec.int d in
-          if size = 0 then Ok (0, 0)
-          else
-            match Syscalls.map_ool task reply with
-            | [ (addr, _) ] -> Ok (addr, size)
-            | _ -> Error (`Server_error "missing mapped data"))
-        | _ -> Error (`Server_error "malformed reply")))
+    call task ~server ~msg_id:id_read_file (fun e -> Codec.Enc.string e name) (fun reply ->
+        Result.bind (Rpc.decode reply Codec.Dec.int) (fun size ->
+            if size = 0 then Ok (0, 0)
+            else
+              match Syscalls.map_ool task reply with
+              | [ (addr, _) ] -> Ok (addr, size)
+              | _ -> Error (`Server_error "missing mapped data")))
 
   let map_file task ~server name =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e name;
-    match rpc task ~server ~msg_id:id_open_object (Codec.Enc.to_bytes e) [] with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with
-      | Error _ as err -> err
-      | Ok (Message.Caps [ cap ] :: Message.Data size_b :: _) ->
-        let d = Codec.Dec.of_bytes size_b in
-        let size = Codec.Dec.int d in
-        if size = 0 then Ok (0, 0)
-        else
+    call task ~server ~msg_id:id_open_object (fun e -> Codec.Enc.string e name) (fun reply ->
+        match (reply.Message.body, Rpc.decode reply Codec.Dec.int) with
+        | _, Ok 0 -> Ok (0, 0)
+        | Message.Caps [ cap ] :: _, Ok size ->
+          let memory_object = cap.Message.cap_port in
           let addr =
-            Syscalls.vm_allocate_with_pager task ~size ~anywhere:true
-              ~memory_object:cap.Message.cap_port ~offset:0 ()
+            Syscalls.vm_allocate_with_pager task ~size ~anywhere:true ~memory_object ~offset:0 ()
           in
           Ok (addr, size)
-      | Ok _ -> Error (`Server_error "malformed reply"))
+        | _ -> Error `Malformed)
 
   let write_file task ~server name data =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e name;
-    Codec.Enc.bytes e data;
-    match rpc task ~server ~msg_id:id_write_file (Codec.Enc.to_bytes e) [] with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with Ok _ -> Ok () | Error _ as err -> err)
+    call task ~server ~msg_id:id_write_file
+      (fun e ->
+        Codec.Enc.string e name;
+        Codec.Enc.bytes e data)
+      (fun _ -> Ok ())
 
   let list_files task ~server =
-    let e = Codec.Enc.create () in
-    Codec.Enc.string e "";
-    match rpc task ~server ~msg_id:id_list_files (Codec.Enc.to_bytes e) [] with
-    | Error _ as err -> err
-    | Ok reply -> (
-      match parse_status reply with
-      | Error _ as err -> err
-      | Ok (Message.Data listing :: _) ->
-        let d = Codec.Dec.of_bytes listing in
-        let n = Codec.Dec.int d in
-        Ok (List.init n (fun _ -> Codec.Dec.string d))
-      | Ok _ -> Error (`Server_error "malformed reply"))
+    call task ~server ~msg_id:id_list_files (fun e -> Codec.Enc.string e "") (fun reply ->
+        Rpc.decode reply (fun d -> List.init (Codec.Dec.int d) (fun _ -> Codec.Dec.string d)))
 end

@@ -18,8 +18,8 @@ module Port = Mach_ipc.Port
 module Port_space = Mach_ipc.Port_space
 module Transport = Mach_ipc.Transport
 module Message = Mach_ipc.Message
-module Prot = Mach_hw.Prot
 module Pmap = Mach_hw.Pmap
+module Rt = Pager_runtime
 
 let log = Logs.Src.create "mach.copy_server" ~doc:"remote copy-object export"
 
@@ -46,50 +46,37 @@ let export kctx copy =
       Port_space.destroy space
     end
   in
-  let serve_request ~request ~offset ~length =
-    let lo = max 0 offset in
-    let hi = min size (offset + length) in
-    if hi <= lo then ()
-    else
-      match Access.read_bytes kctx map ~addr:(base + lo) ~len:(hi - lo) () with
-      | Ok data ->
-        Transport.send kctx.Kctx.node
-          (Pager_iface.encode_m2k
-             (Pager_iface.Data_provided { offset = lo; data; lock_value = Prot.none })
-             ~request)
-        |> ignore
-      | Error e ->
-        Log.warn (fun m -> m "copy export read failed: %a" Access.pp_error e);
-        Transport.send kctx.Kctx.node
-          (Pager_iface.encode_m2k
-             (Pager_iface.Data_unavailable { offset = lo; size = hi - lo })
-             ~request)
-        |> ignore
+  let policy =
+    {
+      Rt.default_policy with
+      Rt.p_read =
+        (fun rt _ ~request:_ ~page ~desired_access:_ ->
+          let lo = page * Rt.page_size rt in
+          let len = min (Rt.page_size rt) (size - lo) in
+          if len <= 0 then Rt.Unavailable
+          else
+            match Access.read_bytes kctx map ~addr:(base + lo) ~len () with
+            | Ok data -> Rt.Data data
+            | Error e ->
+              Log.warn (fun m -> m "copy export read failed: %a" Access.pp_error e);
+              Rt.Unavailable);
+      (* The receiver's kernel is attached; its request port's death is
+         the signal that it unmapped the region. Nothing is ever locked
+         and receiver-side writes shadow locally (needs_copy), so the
+         other defaults never run. *)
+      p_init = (fun _ _ ~request -> ignore (Port.on_death request teardown));
+    }
   in
+  let send msg = Result.map_error ignore (Transport.send kctx.Kctx.node msg) in
+  let rt = Rt.create ~name:"copy-server" ~page_size:kctx.Kctx.page_size ~send policy in
+  ignore (Rt.register rt ~memory_object:mo ());
   Engine.spawn kctx.Kctx.engine ~name:"copy-server" (fun () ->
       let rec loop () =
         match Transport.receive kctx.Kctx.node space ~from:(`Port mo_name) () with
         | Error _ -> teardown ()
-        | Ok msg -> (
-          (match Pager_iface.decode_k2m msg with
-          | exception Pager_iface.Malformed reason ->
-            Log.warn (fun m -> m "malformed message for exported copy: %s" reason)
-          | Pager_iface.Init { request; _ } ->
-            (* The receiver's kernel is attached; its request port's
-               death is the signal that it unmapped the region. *)
-            ignore (Port.on_death request teardown)
-          | Pager_iface.Data_request { request; offset; length; _ } ->
-            serve_request ~request ~offset ~length
-          | Pager_iface.Data_unlock { request; offset; length; _ } ->
-            (* Nothing is ever locked; re-provide so the faulter makes
-               progress. *)
-            serve_request ~request ~offset ~length
-          | Pager_iface.Data_write _ | Pager_iface.Create _ | Pager_iface.Lock_completed _ ->
-            (* Receiver-side writes shadow locally (needs_copy) and can
-               never be written back; anything else is a protocol
-               error we simply drop. *)
-            Log.warn (fun m -> m "unexpected message for exported copy"));
-          if !torn_down then () else loop ())
+        | Ok msg ->
+          Rt.dispatch rt ~other:ignore msg;
+          if not !torn_down then loop ()
       in
       loop ());
   mo

@@ -60,11 +60,6 @@ let is_pager_msg (m : Message.t) =
 let send_cap port = { Message.cap_port = port; cap_right = Message.Send_right }
 let receive_cap port = { Message.cap_port = port; cap_right = Message.Receive_right }
 
-let enc f =
-  let e = Codec.Enc.create () in
-  f e;
-  Message.Data (Codec.Enc.to_bytes e)
-
 let ool data = Message.Ool { ool_data = data; transfer = Message.Map_transfer }
 
 let encode_k2m ~reply call ~dest =
@@ -75,7 +70,7 @@ let encode_k2m ~reply call ~dest =
     Message.make ?reply ~msg_id:id_data_request ~dest
       [
         Message.Caps [ send_cap request ];
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length;
             Codec.Enc.u8 e (Prot.to_int desired_access));
@@ -83,7 +78,7 @@ let encode_k2m ~reply call ~dest =
   | Data_write { memory_object = _; offset; data; write_id } ->
     Message.make ?reply ~msg_id:id_data_write ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e write_id);
         ool data;
@@ -92,7 +87,7 @@ let encode_k2m ~reply call ~dest =
     Message.make ?reply ~msg_id:id_data_unlock ~dest
       [
         Message.Caps [ send_cap request ];
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length;
             Codec.Enc.u8 e (Prot.to_int desired_access));
@@ -101,12 +96,12 @@ let encode_k2m ~reply call ~dest =
     Message.make ?reply ~msg_id:id_create ~dest
       [
         Message.Caps [ receive_cap new_memory_object; send_cap request; send_cap name ];
-        enc (fun e -> Codec.Enc.int e size);
+        Message.data (fun e -> Codec.Enc.int e size);
       ]
   | Lock_completed { memory_object = _; offset; length } ->
     Message.make ?reply ~msg_id:id_lock_completed ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length);
       ]
@@ -117,7 +112,7 @@ let encode_m2k call ~request =
   | Data_provided { offset; data; lock_value } ->
     Message.make ~msg_id:id_data_provided ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.u8 e (Prot.to_int lock_value));
         ool data;
@@ -125,7 +120,7 @@ let encode_m2k call ~request =
   | Data_lock { offset; length; lock_value } ->
     Message.make ~msg_id:id_data_lock ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length;
             Codec.Enc.u8 e (Prot.to_int lock_value));
@@ -133,27 +128,28 @@ let encode_m2k call ~request =
   | Flush_request { offset; length } ->
     Message.make ~msg_id:id_flush_request ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length);
       ]
   | Clean_request { offset; length } ->
     Message.make ~msg_id:id_clean_request ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e length);
       ]
-  | Cache { may_cache } -> Message.make ~msg_id:id_cache ~dest [ enc (fun e -> Codec.Enc.bool e may_cache) ]
+  | Cache { may_cache } ->
+    Message.make ~msg_id:id_cache ~dest [ Message.data (fun e -> Codec.Enc.bool e may_cache) ]
   | Data_unavailable { offset; size } ->
     Message.make ~msg_id:id_data_unavailable ~dest
       [
-        enc (fun e ->
+        Message.data (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e size);
       ]
   | Release_write { write_id } ->
-    Message.make ~msg_id:id_release_write ~dest [ enc (fun e -> Codec.Enc.int e write_id) ]
+    Message.make ~msg_id:id_release_write ~dest [ Message.data (fun e -> Codec.Enc.int e write_id) ]
 
 let payload m =
   match Message.data_exn m with

@@ -3,6 +3,7 @@
 
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
+module Camelot = Mach_pagers.Camelot
 module Mos = Memory_object_server
 
 let check = Alcotest.check
@@ -294,6 +295,40 @@ let test_cross_host_suspend () =
   check Alcotest.int "no progress while suspended" 0 !progressed_while_suspended;
   Alcotest.(check bool) "controller finished" true !finished
 
+(* ---- one request/reply stub --------------------------------------------- *)
+
+(* A server that answers every request with an empty data item, which
+   holds no status: every client reports the reply as an error rather
+   than raising out of the decoder. *)
+let test_malformed_reply_is_error () =
+  with_system (fun sys task ->
+      let bogus = Task.create sys.Kernel.kernel ~name:"bogus" () in
+      let name = Syscalls.port_allocate bogus () in
+      let server = Port_space.lookup_exn (Task.space bogus) name in
+      ignore
+        (Thread.spawn bogus ~name:"bogus.main" (fun () ->
+             let rec loop () =
+               match Syscalls.msg_receive bogus ~from:(`Port name) () with
+               | Ok { Message.header = { Message.reply = Some dest; _ }; _ } ->
+                 ignore (Syscalls.msg_send bogus (Message.make ~dest [ Message.Data Bytes.empty ]));
+                 loop ()
+               | Ok _ -> loop ()
+               | Error _ -> ()
+             in
+             loop ()));
+      (match Minimal_fs.Client.list_files task ~server with
+      | Error (`Server_error _) -> ()
+      | _ -> Alcotest.fail "list_files: expected a server error");
+      (match Camelot.Client.begin_txn task ~server with
+      | Error (`Server_error _) -> ()
+      | _ -> Alcotest.fail "begin_txn: expected a server error");
+      (match Name_server.Client.look_up task ~server "svc" with
+      | Error `Malformed -> ()
+      | _ -> Alcotest.fail "look_up: expected a malformed reply");
+      match Task_server.Client.info task ~target:server with
+      | Error `Malformed -> ()
+      | _ -> Alcotest.fail "info: expected a malformed reply")
+
 let () =
   Alcotest.run "services"
     [
@@ -324,4 +359,6 @@ let () =
             test_task_port_terminate_notifies;
           Alcotest.test_case "cross-host suspend/resume" `Quick test_cross_host_suspend;
         ] );
+      ( "rpc",
+        [ Alcotest.test_case "malformed reply is an error" `Quick test_malformed_reply_is_error ] );
     ]
