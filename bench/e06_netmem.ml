@@ -48,43 +48,47 @@ let run_point ?(hosts = 2) ~pages ~ops_per_client ~write_ratio () =
       List.iteri (fun h fin -> run_client h ((11 * h) + 11) fin) fins;
       List.iter Ivar.read fins;
       let elapsed = Engine.now engine -. t0 in
-      (elapsed, Netmem.invalidations nm, Netmem.grants nm))
+      (elapsed, Netmem.invalidations nm, Netmem.downgrades nm, Netmem.grants nm))
 
 let ratios = [ 0.0; 0.02; 0.1; 0.3; 0.5 ]
 
 let run_body ~pages ~ops_per_client ~ratios =
   List.map
     (fun wr ->
-      let elapsed, inv, grants = run_point ~pages ~ops_per_client ~write_ratio:wr () in
-      (wr, elapsed, inv, grants))
+      let elapsed, inv, downgrades, grants = run_point ~pages ~ops_per_client ~write_ratio:wr () in
+      (wr, elapsed, inv, downgrades, grants))
     ratios
 
 let run_hosts_sweep ~pages ~ops_per_client =
   List.map
     (fun hosts ->
-      let elapsed, inv, grants =
+      let elapsed, inv, downgrades, _grants =
         run_point ~hosts ~pages ~ops_per_client ~write_ratio:0.1 ()
       in
-      (hosts, elapsed, inv, grants))
+      (hosts, elapsed, inv, downgrades))
     [ 2; 3; 4 ]
 
 let run () =
-  let ops_per_client = 400 in
+  let ops_per_client = 4_000 in
   let rows = run_body ~pages:32 ~ops_per_client ~ratios in
   let t =
     Table.create
       ~title:"E6: network shared memory, 2 hosts, 32 pages, hot/cold working set (Section 4.2)"
       ~columns:
-        [ "write ratio"; "avg access us"; "invalidations"; "write grants"; "inval per 100 ops" ]
+        [
+          "write ratio"; "avg access us"; "invalidations"; "downgrades"; "write grants";
+          "inval per 100 ops";
+        ]
   in
   List.iter
-    (fun (wr, elapsed, inv, grants) ->
+    (fun (wr, elapsed, inv, downgrades, grants) ->
       let total_ops = float_of_int (2 * ops_per_client) in
       Table.row t
         [
           Printf.sprintf "%.2f" wr;
           us (elapsed /. total_ops);
           string_of_int inv;
+          string_of_int downgrades;
           string_of_int grants;
           Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
         ])
@@ -93,16 +97,17 @@ let run () =
   let t2 =
     Table.create
       ~title:"E6b: same workload at write ratio 0.10, varying the number of sharing hosts"
-      ~columns:[ "hosts"; "avg access us"; "invalidations"; "inval per 100 ops" ]
+      ~columns:[ "hosts"; "avg access us"; "invalidations"; "downgrades"; "inval per 100 ops" ]
   in
   List.iter
-    (fun (hosts, elapsed, inv, _grants) ->
+    (fun (hosts, elapsed, inv, downgrades) ->
       let total_ops = float_of_int (hosts * ops_per_client) in
       Table.row t2
         [
           string_of_int hosts;
           us (elapsed /. total_ops);
           string_of_int inv;
+          string_of_int downgrades;
           Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
         ])
     (run_hosts_sweep ~pages:32 ~ops_per_client);

@@ -59,6 +59,9 @@ let spec = [
     eq "reg.chan.acks" (Cur "reg.chan.data_pkts");
     eq "reg.chan.retransmits" (Const 0.0);
     eq "reg.net.messages" (Sum [ Cur "reg.chan.data_pkts"; Cur "reg.chan.acks" ]);
+    (* A demanded read downgrades a writer instead of flushing it: no
+       refetch the baseline avoided. *)
+    le "reg.vm.data_requests" (Base 1.0);
   ] );
   ( "E9", [
     (* The §6 local defenses hold, and nothing hangs or fails. *)

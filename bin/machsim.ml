@@ -134,10 +134,10 @@ let run_netmem pages ops write_ratio hosts drop dup seed =
                  t_done := Engine.now cluster.Kernel.c_engine;
                  Printf.printf
                    "%d hosts x %d ops, write ratio %.2f: %.2f ms total, %.1f us/access, %d \
-                    invalidations, %d write grants\n"
+                    invalidations, %d downgrades, %d write grants\n"
                    hosts ops write_ratio (!t_done /. 1e3)
                    (!t_done /. float_of_int (hosts * ops))
-                   (Netmem.invalidations nm) (Netmem.grants nm)
+                   (Netmem.invalidations nm) (Netmem.downgrades nm) (Netmem.grants nm)
                end))
       done);
   Engine.run cluster.Kernel.c_engine;

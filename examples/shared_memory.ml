@@ -51,7 +51,7 @@ let () =
              show cluster "frame 2: client-2 reads %S" (read b b_addr);
              (match Netmem.page_state nm ~region ~page:0 with
              | `Readers n -> show cluster "         server records %d reader kernels, page write-locked" n
-             | `Idle | `Writer -> ());
+             | `Idle | `Writer | `Transition -> ());
              (* Frame 3: client-1 writes. Its kernel holds the data but
                 not write access, so it sends pager_data_unlock; the
                 server flushes client-2's kernel first, then grants the
@@ -61,10 +61,12 @@ let () =
              | Error e -> failwith (Format.asprintf "write: %a" Access.pp_error e));
              show cluster "frame 3: client-1 wrote; invalidations so far: %d, write grants: %d"
                (Netmem.invalidations nm) (Netmem.grants nm);
-             (* Client-2 reads again: its kernel refetches — and the
-                writer is flushed back so the data is current. *)
+             (* Client-2 reads again: its kernel refetches, and the
+                writer is downgraded rather than flushed — its dirty
+                page is cleaned back so the data is current, and it
+                keeps a read-only copy. *)
              show cluster "frame 3: client-2 re-reads %S (coherent)" (read b b_addr);
-             show cluster "totals: %d invalidations, %d write grants"
-               (Netmem.invalidations nm) (Netmem.grants nm))));
+             show cluster "totals: %d invalidations, %d downgrades, %d write grants"
+               (Netmem.invalidations nm) (Netmem.downgrades nm) (Netmem.grants nm))));
   Engine.run cluster.Kernel.c_engine;
   print_endline "\nshared_memory finished."

@@ -11,7 +11,10 @@ module Rt = Mach.Pager_runtime
    the state machine itself, possibly much later (after invalidations
    confirm), through the runtime's counted send helpers. *)
 
-type grant = Provide of { g_request : Message.port; g_write : bool } | Unlock of { g_request : Message.port }
+(* [g_spec]: a read for a cluster neighbour no faulting thread waits on. *)
+type grant =
+  | Provide of { g_request : Message.port; g_write : bool; g_spec : bool }
+  | Unlock of { g_request : Message.port }
 
 type state =
   | Idle
@@ -21,7 +24,7 @@ type state =
 
 and transition = {
   mutable awaiting : int list;
-  flushed : int list;  (* kernels whose copies this transition revoked *)
+  survivors : Message.port list;  (* kernels that keep a read-only copy through it *)
   queued : grant Queue.t;
 }
 
@@ -30,6 +33,7 @@ type page_rec = { mutable data : bytes; mutable state : state }
 type region = {
   rg_pages : page_rec array;
   mutable rg_kernels : Message.port list;  (** request ports, one per kernel *)
+  mutable rg_demanded : int;  (** first page of the data_request being served *)
 }
 
 type t = {
@@ -37,6 +41,7 @@ type t = {
   srv : Mos.t;
   page_size : int;
   mutable invalidations : int;
+  mutable downgrades : int;
   mutable grants : int;
 }
 
@@ -55,7 +60,7 @@ let flush t page_idx ~request =
   Rt.flush_request t.rt ~request ~offset:(page_idx * t.page_size) ~length:t.page_size
 
 let execute_grant t page page_idx = function
-  | Provide { g_request; g_write } ->
+  | Provide { g_request; g_write; _ } ->
     if g_write then begin
       t.grants <- t.grants + 1;
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
@@ -73,23 +78,43 @@ let execute_grant t page page_idx = function
       ~length:t.page_size ~lock_value:Prot.none;
     page.state <- Writer g_request
 
-(* Begin invalidating [targets] and run [g] when they all confirm. *)
-let start_transition t page page_idx targets g =
-  let ids = List.map Port.id targets in
-  let tr = { awaiting = ids; flushed = ids; queued = Queue.create () } in
+(* Hold [g], and every grant queued behind it, until each kernel in
+   [awaiting] confirms. *)
+let start_transition page ~awaiting ~survivors g =
+  let tr = { awaiting = List.map Port.id awaiting; survivors; queued = Queue.create () } in
   Queue.add g tr.queued;
-  page.state <- Transition tr;
+  page.state <- Transition tr
+
+(* Revoke [targets]' copies; only [survivors] keep theirs. *)
+let invalidate t page page_idx targets ~survivors g =
+  start_transition page ~awaiting:targets ~survivors g;
   List.iter (fun request -> flush t page_idx ~request) targets
+
+(* A demanded read against writer [w] downgrades it to a reader instead
+   of revoking its copy: write-lock the page, then clean it, so a dirty
+   page comes back as a data_write and [w] keeps the page read-only.
+   The lock must come first, or [w] could dirty the page after the
+   clean has taken its snapshot. The order holds on arrival: both go to
+   [w]'s one request port, manager-to-kernel messages on one port arrive
+   in order, and the kernel's single pager-service loop handles them one
+   at a time. The clean's lock_completed closes the transition. *)
+let downgrade t page page_idx w g =
+  t.downgrades <- t.downgrades + 1;
+  start_transition page ~awaiting:[ w ] ~survivors:[ w ] g;
+  let offset = page_idx * t.page_size in
+  Rt.data_lock t.rt ~request:w ~offset ~length:t.page_size ~lock_value:Prot.write;
+  Rt.clean_request t.rt ~request:w ~offset ~length:t.page_size
 
 let same_port a b = Port.id a = Port.id b
 
-let rec handle_request t region page_idx ~request ~want_write ~has_copy =
+let rec handle_request t region page_idx ~request ~want_write ~has_copy ~speculative =
   let page = region.rg_pages.(page_idx) in
+  let grant () =
+    if has_copy then Unlock { g_request = request }
+    else Provide { g_request = request; g_write = want_write; g_spec = speculative }
+  in
   match page.state with
-  | Idle ->
-    execute_grant t page page_idx
-      (if has_copy then Unlock { g_request = request }
-       else Provide { g_request = request; g_write = want_write })
+  | Idle -> execute_grant t page page_idx (grant ())
   | Readers rs ->
     if not want_write then begin
       if not (List.exists (same_port request) rs) then begin
@@ -108,55 +133,52 @@ let rec handle_request t region page_idx ~request ~want_write ~has_copy =
       let self_has = has_copy && List.exists (same_port request) rs in
       let g =
         if self_has then Unlock { g_request = request }
-        else Provide { g_request = request; g_write = true }
+        else Provide { g_request = request; g_write = true; g_spec = false }
       in
       if others = [] then execute_grant t page page_idx g
-      else start_transition t page page_idx others g
+      else invalidate t page page_idx others ~survivors:(if self_has then [ request ] else []) g
     end
   | Writer w ->
+    let g = Provide { g_request = request; g_write = want_write; g_spec = speculative } in
     if same_port w request then
       (* Already the writer. If it still holds the copy (an unlock that
          crossed with a request we answered as a grant), a lock change
          is what completes its fault; re-providing data would be
          ignored by a kernel that has the page. *)
-      execute_grant t page page_idx
-        (if has_copy then Unlock { g_request = request }
-         else Provide { g_request = request; g_write = want_write })
-    else
-      start_transition t page page_idx [ w ]
-        (Provide { g_request = request; g_write = want_write })
-  | Transition tr ->
-    Queue.add
-      (if has_copy then Unlock { g_request = request }
-       else Provide { g_request = request; g_write = want_write })
-      tr.queued
+      execute_grant t page page_idx (grant ())
+    else if want_write || speculative then
+      (* A write, or a read for a cluster neighbour, revokes the
+         writer's copy; only a read some thread waits on downgrades. If
+         neighbours downgraded too, a kernel that writes often would keep
+         a copy of every page it touches while the kernels contending
+         with it refetch each one, and it would pull ever further ahead:
+         in bench/perf's netmem_norma the two remote clients stop
+         progressing in step and one ends up running alone. A flushed
+         neighbour makes each reader's fault cost the writer too. *)
+      invalidate t page page_idx [ w ] ~survivors:[] g
+    else downgrade t page page_idx w g
+  | Transition tr -> Queue.add (grant ()) tr.queued
 
 and complete_transition t region page_idx tr =
   let page = region.rg_pages.(page_idx) in
-  (* A grantee whose copy was revoked by this very transition no longer
-     holds the page: an Unlock for it must become a fresh provide, or
-     its kernel would wait forever for a lock change on nothing. *)
-  let materialise = function
-    | Unlock { g_request } when List.mem (Port.id g_request) tr.flushed ->
-      Provide { g_request; g_write = true }
-    | g -> g
-  in
-  match Queue.take_opt tr.queued with
-  | None -> page.state <- Idle
-  | Some g ->
-    execute_grant t page page_idx (materialise g);
-    (* Remaining queued grants re-enter against the new state. *)
-    let rest = Queue.to_seq tr.queued |> List.of_seq in
-    List.iter
-      (fun g ->
-        match g with
-        | Provide { g_request; g_write } ->
-          handle_request t region page_idx ~request:g_request ~want_write:g_write ~has_copy:false
-        | Unlock { g_request } ->
-          (* Its copy was flushed during the transition; it needs a
-             fresh writable copy. *)
-          handle_request t region page_idx ~request:g_request ~want_write:true ~has_copy:false)
-      rest
+  (* A kernel that died meanwhile must not become a reader or writer:
+     a later flush of it would never complete. *)
+  let live r = List.exists (same_port r) region.rg_kernels in
+  page.state <- (match List.filter live tr.survivors with [] -> Idle | rs -> Readers rs);
+  (* Every queued grant re-enters against the copies that survived. An
+     unlock from a kernel whose copy was revoked becomes a fresh
+     provide, or that kernel would wait forever for a lock change on
+     nothing. *)
+  Queue.iter
+    (function
+      | Provide { g_request; g_write; g_spec } when live g_request ->
+        handle_request t region page_idx ~request:g_request ~want_write:g_write ~has_copy:false
+          ~speculative:g_spec
+      | Unlock { g_request } when live g_request ->
+        handle_request t region page_idx ~request:g_request ~want_write:true
+          ~has_copy:(List.exists (same_port g_request) tr.survivors) ~speculative:false
+      | Provide _ | Unlock _ -> ())
+    tr.queued
 
 (* --- the policy --------------------------------------------------------- *)
 
@@ -180,6 +202,14 @@ let policy get =
         let region = o.Rt.o_data in
         if not (List.exists (same_port request) region.rg_kernels) then
           region.rg_kernels <- request :: region.rg_kernels);
+    (* The runtime reshapes a data_request and then reads its pages in
+       order on the one service thread, so [first] is the page the
+       faulting thread waits on while [p_read] serves the run; the rest
+       of the run is the kernel's read cluster. *)
+    p_reshape =
+      (fun _ o ~first ~npages ->
+        o.Rt.o_data.rg_demanded <- first;
+        (first, npages));
     p_read =
       (fun _ o ~request ~page:page_idx ~desired_access ->
         let t = get () in
@@ -189,7 +219,8 @@ let policy get =
           let page = region.rg_pages.(page_idx) in
           retire_stale page ~request;
           handle_request t region page_idx ~request
-            ~want_write:(Prot.can_write desired_access) ~has_copy:false;
+            ~want_write:(Prot.can_write desired_access) ~has_copy:false
+            ~speculative:(page_idx <> region.rg_demanded);
           Rt.Defer
         end);
     p_unlock =
@@ -198,7 +229,7 @@ let policy get =
         let region = o.Rt.o_data in
         if page_idx < Array.length region.rg_pages then
           handle_request t region page_idx ~request
-            ~want_write:(Prot.can_write desired_access) ~has_copy:true;
+            ~want_write:(Prot.can_write desired_access) ~has_copy:true ~speculative:false;
         Rt.Defer_unlock);
     p_write =
       (fun rt o ~offset ~data ->
@@ -255,8 +286,13 @@ let start kernel ?(name = "netmem-server") () =
   let t_ref = ref None in
   let get () = match !t_ref with Some t -> t | None -> assert false in
   let rt, srv = Mos.serve srv_task (policy get) in
-  let t = { rt; srv; page_size = Rt.page_size rt; invalidations = 0; grants = 0 } in
+  let t =
+    { rt; srv; page_size = Rt.page_size rt; invalidations = 0; downgrades = 0; grants = 0 }
+  in
   t_ref := Some t;
+  Mach_util.Metrics.register_source kernel.Mach_kernel.Ktypes.k_kctx.Mach_vm.Kctx.metrics
+    ~subsystem:"netmem" (fun () ->
+      [ ("invalidations", t.invalidations); ("downgrades", t.downgrades); ("grants", t.grants) ]);
   t
 
 let create_region t ~size =
@@ -266,6 +302,7 @@ let create_region t ~size =
     {
       rg_pages = Array.init n (fun _ -> { data = Bytes.make t.page_size '\000'; state = Idle });
       rg_kernels = [];
+      rg_demanded = 0;
     }
   in
   let o = Rt.register t.rt ~memory_object region in
@@ -292,7 +329,7 @@ let read_authoritative t ~region ~offset ~len =
   done;
   out
 
-type page_view = [ `Idle | `Readers of int | `Writer ]
+type page_view = [ `Idle | `Readers of int | `Writer | `Transition ]
 
 let page_state t ~region ~page =
   let r = region_exn t region in
@@ -300,8 +337,9 @@ let page_state t ~region ~page =
   | Idle -> `Idle
   | Readers rs -> `Readers (List.length rs)
   | Writer _ -> `Writer
-  | Transition _ -> `Idle
+  | Transition _ -> `Transition
 
 let invalidations t = t.invalidations
+let downgrades t = t.downgrades
 let grants t = t.grants
 

@@ -61,7 +61,7 @@ let test_read_sharing () =
       (* Both kernels now cache the page read-only. *)
       match Netmem.page_state env.nm ~region:env.region ~page:0 with
       | `Readers n -> check Alcotest.int "two reader kernels" 2 n
-      | `Idle | `Writer -> Alcotest.fail "expected readers")
+      | `Idle | `Writer | `Transition -> Alcotest.fail "expected readers")
 
 let test_write_invalidates_readers () =
   with_shared_region ~size:page (fun env ->
@@ -99,6 +99,62 @@ let test_different_pages_no_conflict () =
       check Alcotest.int "no extra invalidations" inv (Netmem.invalidations env.nm);
       check Alcotest.string "b sees a's page0" "page0-again"
         (read_str env.b ~addr:env.b_addr ~len:11))
+
+(* How much [f] moves each registry counter in [keys] on [host]. *)
+let moved env host keys f =
+  let read () =
+    let snap = Metrics.snapshot (Kernel.metrics env.cluster.Kernel.c_kernels.(host)) in
+    List.map (fun k -> int_of_float (Metrics.get snap k)) keys
+  in
+  let before = read () in
+  f ();
+  List.map2 ( - ) (read ()) before
+
+(* Li & Hudak: a read against a writer leaves the writer a read-only
+   copy. B keeps its page through A's read, rereads it without the
+   manager, and a later write only needs the lock lifted. *)
+let test_read_downgrades_writer () =
+  with_shared_region ~size:page (fun env ->
+      write_str env.b ~addr:env.b_addr "b-wrote";
+      let flushes = Netmem.invalidations env.nm in
+      check Alcotest.string "A reads B's write" "b-wrote" (read_str env.a ~addr:env.a_addr ~len:7);
+      (match Netmem.page_state env.nm ~region:env.region ~page:0 with
+      | `Readers n -> check Alcotest.int "writer kept a copy" 2 n
+      | `Idle | `Writer | `Transition -> Alcotest.fail "expected readers");
+      check Alcotest.int "no flush" flushes (Netmem.invalidations env.nm);
+      check Alcotest.int "one downgrade" 1 (Netmem.downgrades env.nm);
+      check Alcotest.(list int) "B's reread: data_requests, pageins" [ 0; 0 ]
+        (moved env 1 [ "vm.data_requests"; "vm.pageins" ] (fun () ->
+             check Alcotest.string "B rereads" "b-wrote" (read_str env.b ~addr:env.b_addr ~len:7)));
+      check Alcotest.(list int) "B's rewrite: unlock_requests, pageins" [ 1; 0 ]
+        (moved env 1 [ "vm.unlock_requests"; "vm.pageins" ] (fun () ->
+             write_str env.b ~addr:env.b_addr "b-again"));
+      check Alcotest.string "A reads B's new bytes" "b-again" (read_str env.a ~addr:env.a_addr ~len:7))
+
+(* Only the page a thread waits on downgrades its writer. A's read of
+   page 0 clusters over page 1, and that speculative neighbour still
+   revokes B's copy, so B pays for A's fault on both pages. *)
+let test_read_cluster_neighbour_revokes_writer () =
+  with_shared_region ~size:(4 * page) (fun env ->
+      write_str env.b ~addr:env.b_addr "b-page0";
+      write_str env.b ~addr:(env.b_addr + page) "b-page1";
+      let flushes = Netmem.invalidations env.nm in
+      check Alcotest.string "A reads page 0" "b-page0" (read_str env.a ~addr:env.a_addr ~len:7);
+      Engine.sleep 50_000.0;
+      let state pg = Netmem.page_state env.nm ~region:env.region ~page:pg in
+      (match (state 0, state 1) with
+      | `Readers 2, `Readers 1 -> ()
+      | _ -> Alcotest.fail "expected page 0 shared by A and B, page 1 held by A alone");
+      check Alcotest.int "one downgrade" 1 (Netmem.downgrades env.nm);
+      check Alcotest.int "one flush" (flushes + 1) (Netmem.invalidations env.nm);
+      check Alcotest.(list int) "A reads page 1: data_requests" [ 0 ]
+        (moved env 0 [ "vm.data_requests" ] (fun () ->
+             check Alcotest.string "A's copy of page 1" "b-page1"
+               (read_str env.a ~addr:(env.a_addr + page) ~len:7)));
+      check Alcotest.(list int) "B rereads pages 0 and 1: data_requests" [ 1 ]
+        (moved env 1 [ "vm.data_requests" ] (fun () ->
+             ignore (read_str env.b ~addr:env.b_addr ~len:7);
+             ignore (read_str env.b ~addr:(env.b_addr + page) ~len:7))))
 
 let test_unmap_cleans_up_client () =
   with_shared_region ~size:page (fun env ->
@@ -187,7 +243,8 @@ let test_three_host_contention_storm () =
    but touch's closing charge can yield to a coherence flush that frees
    that frame ("Phys_mem: frame not allocated"). A seeded 3-host storm
    of word loads and stores on two CPUs per host lands in that window;
-   afterwards every host must read back the same bytes. *)
+   afterwards every host must read back the same bytes, and each host's
+   own 8-byte slot must hold the last value it stored there. *)
 let test_byte_access_storm () =
   let pages = 2 in
   let config =
@@ -197,6 +254,7 @@ let test_byte_access_storm () =
   let policy = Fault.Abort_after 10_000_000.0 in
   let fail what e = Alcotest.failf "storm %s: %a" what Access.pp_error e in
   let views = Array.make 3 "" in
+  let last = Array.make_matrix 3 pages 0L in
   Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () ->
       let nm = Netmem.start cluster.Kernel.c_kernels.(0) () in
       let region = Netmem.create_region nm ~size:(pages * page) in
@@ -217,12 +275,13 @@ let test_byte_access_storm () =
                  addrs.(host) <- addr;
                  let rng = Mach_util.Rng.create ((host * 7) + 3) in
                  for i = 0 to 299 do
-                   let a = addr + (Mach_util.Rng.int rng pages * page) + (host * 8) in
+                   let pg = Mach_util.Rng.int rng pages in
+                   let a = addr + (pg * page) + (host * 8) in
                    if Mach_util.Rng.float rng 1.0 < 0.2 then begin
                      let b = Bytes.create 8 in
                      Bytes.set_int64_le b 0 (Int64.of_int i);
                      match Syscalls.write_bytes task ~addr:a b ~policy () with
-                     | Ok () -> ()
+                     | Ok () -> last.(host).(pg) <- Int64.of_int i
                      | Error e -> fail "store" e
                    end
                    else
@@ -249,7 +308,15 @@ let test_byte_access_storm () =
   Engine.run cluster.Kernel.c_engine;
   Alcotest.(check bool) "every host swept" true (views.(0) <> "");
   check Alcotest.string "host 1 agrees with host 0" views.(0) views.(1);
-  check Alcotest.string "host 2 agrees with host 0" views.(0) views.(2)
+  check Alcotest.string "host 2 agrees with host 0" views.(0) views.(2);
+  for host = 0 to 2 do
+    for pg = 0 to pages - 1 do
+      check Alcotest.int64
+        (Printf.sprintf "host %d's last store to page %d" host pg)
+        last.(host).(pg)
+        (String.get_int64_le views.(0) ((pg * 24) + (host * 8)))
+    done
+  done
 
 let () =
   Alcotest.run "netmem"
@@ -260,6 +327,9 @@ let () =
           Alcotest.test_case "write invalidates readers" `Quick test_write_invalidates_readers;
           Alcotest.test_case "ownership ping-pong" `Quick test_ping_pong;
           Alcotest.test_case "distinct pages are independent" `Quick test_different_pages_no_conflict;
+          Alcotest.test_case "a read downgrades the writer" `Quick test_read_downgrades_writer;
+          Alcotest.test_case "a cluster neighbour revokes the writer" `Quick
+            test_read_cluster_neighbour_revokes_writer;
           Alcotest.test_case "unmap cleans up a client" `Quick test_unmap_cleans_up_client;
           Alcotest.test_case "dirty data written back on unmap" `Quick test_write_back_on_unmap;
           Alcotest.test_case "interleaved stress stays coherent" `Quick test_interleaved_stress;

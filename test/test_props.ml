@@ -72,53 +72,82 @@ let cow_isolation_prop =
       Engine.run sys.Kernel.engine;
       !verdict)
 
-(* --- Netmem coherence: alternating sequential operations from two
-   hosts; after any write completes, the next read from the other host
-   must see it (operations are sequential, so the protocol's
-   invalidation must deliver exact coherence). --- *)
+(* --- Netmem coherence: random sequential reads and writes from three
+   hosts, checked against a flat model of the region (operations are
+   sequential, so every read must see the last write to its page).
+   After every step the single-writer invariant must hold in the
+   hardware: a page some host maps writable is mapped by no other
+   host. --- *)
 
 let netmem_coherence_prop =
   let open QCheck2 in
+  let hosts = 3 and pages = 4 in
   let gen =
-    Gen.(list_size (int_range 1 25) (tup3 bool (int_range 0 3) (int_range 1 255)))
+    Gen.(
+      list_size (int_range 1 30)
+        (tup4 (int_range 0 (hosts - 1)) (int_range 0 (pages - 1)) bool (int_range 1 255)))
   in
-  Test.make ~name:"netmem sequential coherence across hosts" ~count:20 gen (fun ops ->
-      let cluster = Kernel.create_cluster ~hosts:2 () in
+  Test.make ~name:"netmem sequential coherence across hosts" ~count:20 gen (fun steps ->
+      let cluster = Kernel.create_cluster ~hosts () in
       let verdict = ref true in
+      let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; verdict := false) fmt in
+      let policy = Fault.Abort_after 30_000_000.0 in
       Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () ->
           let nm = Netmem.start cluster.Kernel.c_kernels.(0) () in
-          let region = Netmem.create_region nm ~size:(4 * page) in
-          let a = Task.create cluster.Kernel.c_kernels.(0) ~name:"a" () in
-          let b = Task.create cluster.Kernel.c_kernels.(1) ~name:"b" () in
+          let region = Netmem.create_region nm ~size:(pages * page) in
+          let tasks =
+            Array.init hosts (fun h ->
+                Task.create cluster.Kernel.c_kernels.(h) ~name:(Printf.sprintf "t%d" h) ())
+          in
           ignore
-            (Thread.spawn a ~name:"driver" (fun () ->
-                 let a_addr =
-                   Syscalls.vm_allocate_with_pager a ~size:(4 * page) ~anywhere:true
-                     ~memory_object:region ~offset:0 ()
+            (Thread.spawn tasks.(0) ~name:"steps" (fun () ->
+                 let bases =
+                   Array.map
+                     (fun t ->
+                       Syscalls.vm_allocate_with_pager t ~size:(pages * page) ~anywhere:true
+                         ~memory_object:region ~offset:0 ())
+                     tasks
                  in
-                 let b_addr =
-                   Syscalls.vm_allocate_with_pager b ~size:(4 * page) ~anywhere:true
-                     ~memory_object:region ~offset:0 ()
+                 (* Each host's hardware mapping of page [pg]. *)
+                 let mapping h pg =
+                   match Vm_map.pmap (Task.map tasks.(h)) with
+                   | None -> None
+                   | Some pmap -> Option.map snd (Pmap.lookup pmap ~vpn:((bases.(h) / page) + pg))
                  in
-                 let model = Array.make 4 0 in
-                 List.iter
-                   (fun (use_a, pg, v) ->
-                     let t, base = if use_a then (a, a_addr) else (b, b_addr) in
-                     (match
-                        Syscalls.write_bytes t ~addr:(base + (pg * page)) (Bytes.make 1 (Char.chr v))
-                          ~policy:(Fault.Abort_after 30_000_000.0) ()
-                      with
-                     | Ok () -> model.(pg) <- v
-                     | Error _ -> verdict := false);
-                     (* The *other* host reads it back immediately. *)
-                     let ot, obase = if use_a then (b, b_addr) else (a, a_addr) in
-                     match
-                       Syscalls.read_bytes ot ~addr:(obase + (pg * page)) ~len:1
-                         ~policy:(Fault.Abort_after 30_000_000.0) ()
-                     with
-                     | Ok bytes -> if Bytes.get_uint8 bytes 0 <> model.(pg) then verdict := false
-                     | Error _ -> verdict := false)
-                   ops)));
+                 let single_writer step =
+                   for pg = 0 to pages - 1 do
+                     let prots = Array.init hosts (fun h -> mapping h pg) in
+                     Array.iteri
+                       (fun w prot ->
+                         match prot with
+                         | Some p when Prot.can_write p ->
+                           Array.iteri
+                             (fun h other ->
+                               if h <> w && other <> None then
+                                 fail "step %d: host %d maps page %d writable, host %d maps it too"
+                                   step w pg h)
+                             prots
+                         | Some _ | None -> ())
+                       prots
+                   done
+                 in
+                 let model = Array.make pages 0 in
+                 List.iteri
+                   (fun step (h, pg, write, v) ->
+                     let addr = bases.(h) + (pg * page) in
+                     (if write then
+                        match Syscalls.write_bytes tasks.(h) ~addr (Bytes.make 1 (Char.chr v)) ~policy () with
+                        | Ok () -> model.(pg) <- v
+                        | Error _ -> fail "step %d: host %d's write failed" step h
+                      else
+                        match Syscalls.read_bytes tasks.(h) ~addr ~len:1 ~policy () with
+                        | Ok b ->
+                          if Bytes.get_uint8 b 0 <> model.(pg) then
+                            fail "step %d: host %d read %d from page %d, expected %d" step h
+                              (Bytes.get_uint8 b 0) pg model.(pg)
+                        | Error _ -> fail "step %d: host %d's read failed" step h);
+                     single_writer step)
+                   steps)));
       Engine.run cluster.Kernel.c_engine;
       !verdict)
 
