@@ -34,7 +34,7 @@ let silent_manager kernel ~name =
   serve_object kernel ~name
     {
       Rt.default_policy with
-      Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Defer);
+      Rt.p_read = (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Defer);
     }
 
 (* Scenario 1/2: thread blocked on data from a hostile manager; the
@@ -140,7 +140,7 @@ let run_flooder () =
           Rt.default_policy with
           Rt.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
           Rt.p_read =
-            (fun rt _ ~request ~page:_ ~desired_access:_ ->
+            (fun rt _ ~request ~page:_ ~npages:_ ~desired_access:_ ->
               Rt.data_provided rt ~request ~offset:0 ~data:(Bytes.make (offered * page) 'F')
                 ~lock_value:Prot.none;
               Rt.Defer);

@@ -68,7 +68,7 @@ let run_body ~rounds =
         {
           Rt.default_policy with
           Rt.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'e'));
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'e'));
         }
       in
       let prompt_rt, srv = Mos.serve mgr_task prompt_policy in
@@ -94,7 +94,7 @@ let run_body ~rounds =
           Rt.default_policy with
           Rt.p_init = (fun _ _ ~request -> Ivar.fill wb_request request);
           Rt.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'w'));
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'w'));
           Rt.p_write =
             (fun _ _ ~offset:_ ~data:_ ->
               (* Sit on the data long enough for refaults to land while
@@ -120,6 +120,24 @@ let run_body ~rounds =
           for i = 0 to rounds - 1 do
             ignore
               (ok_exn "wb-refault" (Syscalls.touch task ~addr:(wb_addr + (i * page)) ~write:true ()))
+          done);
+      (* Strided external pager faults: every fault still goes to the
+         manager, because each one lands a cluster window past the
+         last, beyond the pages the previous request pulled in. The
+         dirtying writes above cluster like reads, so this arm is what
+         keeps one pager round trip per round. *)
+      let stride = Kctx.cluster_pages in
+      let stride_object = Mos.create_memory_object srv () in
+      ignore (Rt.register prompt_rt ~memory_object:stride_object ());
+      let stride_addr =
+        Syscalls.vm_allocate_with_pager task ~size:(rounds * stride * page) ~anywhere:true
+          ~memory_object:stride_object ~offset:0 ()
+      in
+      phase "stride" (fun () ->
+          for i = 0 to rounds - 1 do
+            ignore
+              (ok_exn "stride"
+                 (Syscalls.touch task ~addr:(stride_addr + (i * stride * page)) ~write:false ()))
           done);
       (* ---- trace reduction ------------------------------------------ *)
       let fault_spans =
@@ -177,6 +195,7 @@ let run_body ~rounds =
           ("copy-on-write fault (page copy + shadow)", phase_mean "cow");
           ("external pager fault (IPC round trip to manager)", phase_mean "ext");
           ("refault during clean (absorbed by laundry queue)", phase_mean "wb");
+          ("external pager fault, a cluster window apart", phase_mean "stride");
         ],
         mix,
         (opens, closes),
@@ -226,7 +245,7 @@ let json () =
   let phase_keys =
     List.map2
       (fun key (_, v) -> (key, v))
-      [ "zf_us"; "soft_us"; "cow_us"; "ext_us"; "wb_us" ]
+      [ "zf_us"; "soft_us"; "cow_us"; "ext_us"; "wb_us"; "stride_us" ]
       rows
   in
   phase_keys

@@ -56,7 +56,7 @@ let run_storm ~traced =
                {
                  Rt.default_policy with
                  Rt.p_read =
-                   (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
+                   (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ ->
                      Rt.Data (Bytes.make page 's'));
                }
              in

@@ -264,7 +264,7 @@ let run_failures timeout_ms =
         {
           Pager_runtime.default_policy with
           Pager_runtime.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Pager_runtime.Defer);
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Pager_runtime.Defer);
         }
       in
       let rt, srv = Memory_object_server.serve mgr silent in
@@ -331,7 +331,7 @@ let run_storm ~rounds =
                {
                  Pager_runtime.default_policy with
                  Pager_runtime.p_read =
-                   (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
+                   (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ ->
                      Pager_runtime.Data (Bytes.make page 'f'));
                }
              in

@@ -346,6 +346,31 @@ let write_runs t blocks buf =
     end
   done
 
+(* The read-side mirror of [write_runs]: fetch file blocks stored at
+   [blocks] (0 for a hole, which reads as zeroes without touching the
+   disk) into one buffer, one transfer per maximal run of
+   disk-contiguous blocks. *)
+let read_runs t blocks =
+  let n = Array.length blocks in
+  (* [(i, k)]: file blocks [i, i + k) sit on consecutive disk blocks. *)
+  let runs = ref [] and start = ref 0 in
+  for i = 1 to n do
+    if i = n || blocks.(i) <> blocks.(i - 1) + 1 then begin
+      runs := (!start, i - !start) :: !runs;
+      start := i
+    end
+  done;
+  match !runs with
+  | [ _ ] when blocks.(0) <> 0 -> Disk.read_blocks t.disk ~block:blocks.(0) ~count:n
+  | runs ->
+    let buf = Bytes.make (n * t.bs) '\000' in
+    List.iter
+      (fun (i, k) ->
+        if blocks.(i) <> 0 then
+          Bytes.blit (Disk.read_blocks t.disk ~block:blocks.(i) ~count:k) 0 buf (i * t.bs) (k * t.bs))
+      (List.rev runs);
+    buf
+
 let write_range t name ~off data =
   if Bytes.length data > 0 then begin
     create t name;
@@ -376,23 +401,6 @@ let write_range t name ~off data =
       flush_inode t idx
     end
   end
-
-let read_file t name =
-  match lookup t name with
-  | None -> None
-  | Some idx ->
-    let ino = t.inodes.(idx) in
-    let out = Bytes.make ino.size '\000' in
-    let nblocks = (ino.size + t.bs - 1) / t.bs in
-    for i = 0 to nblocks - 1 do
-      let blk = block_of t ino i in
-      if blk <> 0 then begin
-        let data = Disk.read t.disk ~block:blk in
-        let len = min t.bs (ino.size - (i * t.bs)) in
-        Bytes.blit data 0 out (i * t.bs) len
-      end
-    done;
-    Some out
 
 let rec delete t name =
   match lookup t name with
@@ -425,11 +433,7 @@ and write_file_unchecked t name data =
     let ino = t.inodes.(idx) in
     let new_blocks = (Bytes.length data + t.bs - 1) / t.bs in
     truncate_blocks t ino ~keep:new_blocks;
-    for i = 0 to new_blocks - 1 do
-      let blk = ensure_block t idx ino i in
-      let len = min t.bs (Bytes.length data - (i * t.bs)) in
-      Disk.write t.disk ~block:blk (Bytes.sub data (i * t.bs) len)
-    done;
+    write_runs t (Array.init new_blocks (fun i -> ensure_block t idx ino i)) data;
     ino.size <- Bytes.length data;
     flush_inode t idx
 
@@ -438,18 +442,15 @@ let read_range t name ~off ~len =
   | None -> None
   | Some idx ->
     let ino = t.inodes.(idx) in
-    if off >= ino.size then Some Bytes.empty
+    let len = min len (ino.size - off) in
+    if len <= 0 then Some Bytes.empty
     else begin
-      let len = min len (ino.size - off) in
-      let out = Bytes.make len '\000' in
       let first = off / t.bs in
       let last = (off + len - 1) / t.bs in
-      for i = first to last do
-        let blk = block_of t ino i in
-        let data = if blk = 0 then Bytes.make t.bs '\000' else Disk.read t.disk ~block:blk in
-        let src_lo = max off (i * t.bs) in
-        let src_hi = min (off + len) ((i + 1) * t.bs) in
-        Bytes.blit data (src_lo - (i * t.bs)) out (src_lo - off) (src_hi - src_lo)
-      done;
-      Some out
+      let buf = read_runs t (Array.init (last - first + 1) (fun i -> block_of t ino (first + i))) in
+      let pos = off - (first * t.bs) in
+      Some (if pos = 0 && len = Bytes.length buf then buf else Bytes.sub buf pos len)
     end
+
+let read_file t name =
+  Option.bind (file_size t name) (fun size -> read_range t name ~off:0 ~len:size)

@@ -34,15 +34,18 @@ val create : t -> string -> unit
 val delete : t -> string -> unit
 
 val read_file : t -> string -> bytes option
-(** Whole-file read; charges disk time per data block. *)
+(** Whole-file read: {!read_range} over the whole file. *)
 
 val write_file : t -> string -> bytes -> unit
 (** Whole-file (re)write, creating the file if needed; blocks past the
-    new end are freed. Each data block is its own disk write, the cost
-    the UNIX baseline's block-at-a-time path pays for the same file. *)
+    new end are freed. Each maximal run of disk-contiguous blocks is
+    one {!Mach_hw.Disk.write}, as in {!write_range}. *)
 
 val read_range : t -> string -> off:int -> len:int -> bytes option
-(** Range read (short when crossing EOF). *)
+(** Range read (short when crossing EOF). Each maximal run of
+    disk-contiguous blocks is one {!Mach_hw.Disk.read_blocks}: one seek
+    per run, not per block. Never-allocated blocks read as zeroes
+    without a disk read. *)
 
 val read_block : t -> string -> index:int -> bytes option
 (** Read the [index]-th file block (zero-filled past EOF within the

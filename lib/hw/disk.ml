@@ -11,6 +11,8 @@ type t = {
   arm : Semaphore.t; (* one transfer at a time; queued requests wait *)
   mutable reads : int;
   mutable writes : int;
+  mutable blocks_read : int;
+  mutable blocks_written : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
 }
@@ -32,6 +34,8 @@ let create engine ~name ~blocks ~block_size ?(seek_us = 20_000.0) ?(transfer_us_
     arm = Semaphore.create 1;
     reads = 0;
     writes = 0;
+    blocks_read = 0;
+    blocks_written = 0;
     bytes_read = 0;
     bytes_written = 0;
   }
@@ -47,6 +51,8 @@ let reattach t engine =
     arm = Semaphore.create 1;
     reads = 0;
     writes = 0;
+    blocks_read = 0;
+    blocks_written = 0;
     bytes_read = 0;
     bytes_written = 0;
   }
@@ -55,12 +61,12 @@ let check t block =
   if block < 0 || block >= Array.length t.store then
     invalid_arg (Printf.sprintf "Disk %s: block %d out of range" t.name block)
 
-(* A write of [len] bytes at [block] covers consecutive blocks and must
-   end on the disk. *)
-let check_span t block len =
+(* A [what] ("read" or "write") of [len] bytes at [block] covers
+   consecutive blocks and must end on the disk. *)
+let check_span t ~what block len =
   check t block;
   if block + ((len - 1) / t.block_size) >= Array.length t.store then
-    invalid_arg (Printf.sprintf "Disk %s: write past the last block" t.name)
+    invalid_arg (Printf.sprintf "Disk %s: %s past the last block" t.name what)
 
 let transfer t nbytes =
   Semaphore.with_permit t.arm (fun () ->
@@ -83,18 +89,29 @@ let store t block data =
     incr i
   done
 
-let read t ~block =
-  check t block;
-  transfer t t.block_size;
+let read_blocks t ~block ~count =
+  if count < 1 then invalid_arg (Printf.sprintf "Disk %s: read of %d blocks" t.name count);
+  let len = count * t.block_size in
+  check_span t ~what:"read" block len;
+  transfer t len;
   t.reads <- t.reads + 1;
-  t.bytes_read <- t.bytes_read + t.block_size;
-  contents t block
+  t.blocks_read <- t.blocks_read + count;
+  t.bytes_read <- t.bytes_read + len;
+  let out = Bytes.make len '\000' in
+  for i = 0 to count - 1 do
+    let b = t.store.(block + i) in
+    if b != unwritten then Bytes.blit b 0 out (i * t.block_size) t.block_size
+  done;
+  out
+
+let read t ~block = read_blocks t ~block ~count:1
 
 let write t ~block data =
   let len = Bytes.length data in
-  check_span t block len;
+  check_span t ~what:"write" block len;
   transfer t len;
   t.writes <- t.writes + 1;
+  t.blocks_written <- t.blocks_written + ((len + t.block_size - 1) / t.block_size);
   t.bytes_written <- t.bytes_written + len;
   store t block data
 
@@ -103,17 +120,31 @@ let read_raw t ~block =
   contents t block
 
 let write_raw t ~block data =
-  check_span t block (Bytes.length data);
+  check_span t ~what:"write" block (Bytes.length data);
   store t block data
 
 let reads t = t.reads
 let writes t = t.writes
+let blocks_read t = t.blocks_read
+let blocks_written t = t.blocks_written
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written
 let ops t = t.reads + t.writes
 
+let stats_to_list t =
+  [
+    ("reads", t.reads);
+    ("writes", t.writes);
+    ("blocks_read", t.blocks_read);
+    ("blocks_written", t.blocks_written);
+    ("bytes_read", t.bytes_read);
+    ("bytes_written", t.bytes_written);
+  ]
+
 let reset_stats t =
   t.reads <- 0;
   t.writes <- 0;
+  t.blocks_read <- 0;
+  t.blocks_written <- 0;
   t.bytes_read <- 0;
   t.bytes_written <- 0

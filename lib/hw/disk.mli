@@ -33,6 +33,13 @@ val reattach : t -> Mach_sim.Engine.t -> t
 val read : t -> block:int -> bytes
 (** Blocking; charges simulated seek + transfer time. *)
 
+val read_blocks : t -> block:int -> count:int -> bytes
+(** Blocking. Reads [count] consecutive blocks starting at [block] into
+    one buffer: one seek plus the per-byte transfer of all [count]
+    blocks, counted as one operation ([read] is [count = 1]). Raises
+    [Invalid_argument] if [count < 1] or the run goes past the last
+    block. *)
+
 val write : t -> block:int -> bytes -> unit
 (** Blocking. [data] fills [block] and the blocks after it in order, so
     one call can store a run of consecutive blocks: it charges one seek
@@ -51,7 +58,17 @@ val write_raw : t -> block:int -> bytes -> unit
 
 val reads : t -> int
 val writes : t -> int
+
+val blocks_read : t -> int
+val blocks_written : t -> int
+(** Blocks moved: a multi-block transfer is one operation but counts
+    every block it covers. *)
+
 val bytes_read : t -> int
 val bytes_written : t -> int
 val ops : t -> int
+
+val stats_to_list : t -> (string * int) list
+(** Every counter, for a {!Mach_util.Metrics} source ([reg.disk.*]). *)
+
 val reset_stats : t -> unit

@@ -42,7 +42,7 @@ let policy get =
   {
     Rt.default_policy with
     Rt.p_read =
-      (fun rt o ~request:_ ~page ~desired_access:_ ->
+      (fun rt o ~request:_ ~page ~npages:_ ~desired_access:_ ->
         let t = get () in
         let ps = Rt.page_size rt in
         match Hashtbl.find_opt o.Rt.o_data.blocks (page * ps) with

@@ -25,6 +25,12 @@ let default_config =
     pager_timeout_us = 2_000_000.0;
   }
 
+(* reg.disk.* sums every disk a host drives: its paging disk, and the
+   disks of any file server started on it. *)
+let register_disk k disk =
+  Mach_util.Metrics.register_source k.k_kctx.Kctx.metrics ~subsystem:"disk" (fun () ->
+      Disk.stats_to_list disk)
+
 let boot engine ctx net ?trace ~host config =
   let mem = Phys_mem.create ~frames:config.phys_frames ~page_size:config.page_size in
   let kctx =
@@ -56,6 +62,7 @@ let boot engine ctx net ?trace ~host config =
       k_default_pager = None;
     }
   in
+  register_disk k paging_disk;
   (* Fabric-wide stats (net, reliable channels, chaos) are shared by
      every host; register them once, on host 0, so merged cluster
      snapshots don't multiply them. *)

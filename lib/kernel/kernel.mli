@@ -74,5 +74,9 @@ val metrics : kernel -> Mach_util.Metrics.registry
 (** The host's unified metrics registry (vm/ipc/sched sources plus any
     pagers started on this host). *)
 
+val register_disk : kernel -> Mach_hw.Disk.t -> unit
+(** Add a disk's counters to the host's [reg.disk.*] keys, which sum
+    every disk registered (the paging disk is registered at boot). *)
+
 val trace : kernel -> Mach_sim.Trace.t
 (** The causal trace spine (shared across a cluster's kernels). *)

@@ -230,7 +230,7 @@ let policy get =
   {
     Rt.default_policy with
     Rt.p_read =
-      (fun rt o ~request:_ ~page ~desired_access:_ ->
+      (fun rt o ~request:_ ~page ~npages:_ ~desired_access:_ ->
         let t = get () in
         let seg = o.Rt.o_data in
         let ps = Rt.page_size rt in
@@ -417,6 +417,7 @@ let recover t =
 
 let start kernel ?(name = "camelot") ~log_disk ~data_disk ~format () =
   let srv_task = Task.create kernel ~name () in
+  List.iter (Mach_kernel.Kernel.register_disk kernel) [ log_disk; data_disk ];
   let service_name = Syscalls.port_allocate srv_task ~backlog:128 () in
   Syscalls.port_enable srv_task service_name;
   let service = Port_space.lookup_exn (Task.space srv_task) service_name in

@@ -53,7 +53,7 @@ let policy =
           let region_pages = max 1 ((br.br_size + ps - 1) / ps) in
           (first, min (1 + n) (max 1 (region_pages - first))));
     p_read =
-      (fun rt o ~request:_ ~page ~desired_access:_ ->
+      (fun rt o ~request:_ ~page ~npages:_ ~desired_access:_ ->
         let br = o.Rt.o_data in
         let ps = Rt.page_size rt in
         let off = page * ps in

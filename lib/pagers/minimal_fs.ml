@@ -45,19 +45,26 @@ let policy get ~enable_cache =
        of the §9 claim (ablatable via [enable_cache]). *)
     Rt.p_may_cache = (if enable_cache then Some true else None);
     p_read =
-      (fun rt o ~request:_ ~page ~desired_access:_ ->
+      (fun rt o ~request:_ ~page ~npages ~desired_access:_ ->
+        (* The kernel's read cluster comes in as one run: one range
+           read, one seek per disk-contiguous piece. Past-EOF bytes read
+           as zeroes, padded out to a whole page so the kernel keeps the
+           last one; a missing file is unavailable for the whole range
+           (the runtime coalesces the holes). Nothing is kept across
+           calls. *)
         let t = get () in
-        let file = o.Rt.o_data in
-        if not (Fs_layout.exists t.fs file.f_name) then Rt.Unavailable
-        else
-          let ps = Rt.page_size rt in
-          Rt.Data
-            (Rt.Blocks.read_range
-               ~block_size:(Fs_layout.block_size t.fs)
-               ~read:(fun ~index -> Fs_layout.read_block t.fs file.f_name ~index)
-               ~offset:(page * ps) ~len:ps))
-    (* Past-EOF blocks read as zeroes; a missing file is unavailable for
-       the whole range (the runtime coalesces the holes). *);
+        let ps = Rt.page_size rt in
+        match Fs_layout.read_range t.fs o.Rt.o_data.f_name ~off:(page * ps) ~len:(npages * ps) with
+        | None -> Rt.Unavailable
+        | Some data ->
+          let len = Bytes.length data in
+          let whole = max ps ((len + ps - 1) / ps * ps) in
+          if len = whole then Rt.Data data
+          else begin
+            let padded = Bytes.make whole '\000' in
+            Bytes.blit data 0 padded 0 len;
+            Rt.Data padded
+          end);
     p_write =
       (fun _ o ~offset ~data ->
         (* Pageout of a directly-mapped file (footnote 7 mappings):
@@ -178,6 +185,7 @@ let on_other t (msg : Message.t) =
 let start kernel ?(name = "fs-server") ?(enable_cache = true) ?(service_threads = 1) ~disk ~format
     () =
   let srv_task = Task.create kernel ~name () in
+  Mach_kernel.Kernel.register_disk kernel disk;
   let fs = if format then Fs_layout.format disk ~max_files:256 else Fs_layout.mount disk in
   let service_name = Syscalls.port_allocate srv_task ~backlog:128 () in
   Syscalls.port_enable srv_task service_name;

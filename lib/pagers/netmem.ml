@@ -211,16 +211,20 @@ let policy get =
         o.Rt.o_data.rg_demanded <- first;
         (first, npages));
     p_read =
-      (fun _ o ~request ~page:page_idx ~desired_access ->
+      (fun _ o ~request ~page:page_idx ~npages:_ ~desired_access ->
         let t = get () in
         let region = o.Rt.o_data in
         if page_idx >= Array.length region.rg_pages then Rt.Defer
         else begin
           let page = region.rg_pages.(page_idx) in
           retire_stale page ~request;
+          (* Only the demanded page of a write fault is the write: a
+             cluster neighbour is served as a read, so write ownership
+             never moves to a kernel that wrote nothing there. *)
+          let demanded = page_idx = region.rg_demanded in
           handle_request t region page_idx ~request
-            ~want_write:(Prot.can_write desired_access) ~has_copy:false
-            ~speculative:(page_idx <> region.rg_demanded);
+            ~want_write:(demanded && Prot.can_write desired_access) ~has_copy:false
+            ~speculative:(not demanded);
           Rt.Defer
         end);
     p_unlock =

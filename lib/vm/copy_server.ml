@@ -50,7 +50,7 @@ let export kctx copy =
     {
       Rt.default_policy with
       Rt.p_read =
-        (fun rt _ ~request:_ ~page ~desired_access:_ ->
+        (fun rt _ ~request:_ ~page ~npages:_ ~desired_access:_ ->
           let lo = page * Rt.page_size rt in
           let len = min (Rt.page_size rt) (size - lo) in
           if len <= 0 then Rt.Unavailable

@@ -487,11 +487,13 @@ let handle kctx map ~addr ~write ?policy () =
         Pager_error
       end
     else begin
-      let window = if write then 1 else Kctx.cluster_pages in
+      (* Reads and writes cluster alike: only the demanded page is the
+         write; its neighbours are speculative placeholders, filled and
+         mapped read-only like a read's, so they come back clean. *)
       let page =
         Pager_client.request_cluster kctx powner ~offset:poffset
           ~desired_access:(if write then Prot.rw else Prot.read)
-          ~window
+          ~window:Kctx.cluster_pages
       in
       if wait_while page (fun () -> page.busy) then resolve (tries + 1)
       else

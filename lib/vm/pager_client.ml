@@ -219,10 +219,18 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
     let page = Vm_page.insert kctx obj ~offset ~frame ~busy:true ~absent:true in
     obj.paging_in_progress <- obj.paging_in_progress + 1;
     (* Cluster-in: extend the request over forward-adjacent pages that
-       are not resident, as long as free frames come without waiting and
-       memory is not already tight. The placeholders are speculative —
-       no faulter waits on them — and marked [cluster_spec] so they can
-       be reclaimed if the manager never fills them. *)
+       are not resident, as long as a free frame comes without waiting
+       and the free count stays above the low watermark. Memory
+       pressure alone does not stop it — a paging workload sits at the
+       free target all the time — but draining to the reserve would
+       deadlock: the speculative frames come from [try_alloc_frame],
+       which never wakes the pageout daemon, so the next fault blocks
+       in [alloc_frame] with one wake-up. If that daemon pass only ages
+       pages (second chance) it frees nothing, has no laundry in flight
+       and sleeps until the next allocation, which is the faulter
+       already asleep on [free_wait]. The placeholders are speculative
+       — no faulter waits on them — and marked [cluster_spec] so they
+       can be reclaimed if the manager never fills them. *)
     let obj_end = Kctx.round_page kctx obj.obj_size in
     let spec = ref [] in
     let n = ref 1 in
@@ -230,7 +238,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
        while !n < window do
          let off = offset + (!n * ps) in
          if off >= obj_end
-            || Kctx.need_pageout kctx
+            || Phys_mem.free_frames kctx.Kctx.mem <= Kctx.free_low_watermark kctx
             || Vm_page.lookup obj ~offset:off <> None
          then raise Exit;
          match Kctx.try_alloc_frame kctx ~privileged:false with

@@ -87,9 +87,14 @@ type 'o t = {
 }
 
 and 'o policy = {
-  p_read : 'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
-      (** Produce one page (index in pages, not bytes). Chunks must be
-          page-sized except a trailing partial at end-of-object. *)
+  p_read :
+    'o t -> 'o obj -> request:Message.port -> page:int -> npages:int -> desired_access:Prot.t ->
+    page_reply;
+      (** Produce the run starting at [page] (index in pages, not
+          bytes); [npages] pages of the request are left. [Data] holds
+          k <= [npages] whole pages, or ends in a partial page at
+          end-of-object; the runtime moves on by k. A disk-backed
+          policy reads the run with one seek. *)
   p_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
       (** Persist one data_write: a run of adjacent pages starting at
           byte [offset], so a disk-backed policy can store it with one
@@ -109,7 +114,7 @@ and 'o policy = {
 
 let default_policy =
   {
-    p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Unavailable);
+    p_read = (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Unavailable);
     p_write = (fun _ _ ~offset:_ ~data:_ -> ());
     p_unlock = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Grant);
     p_reshape = (fun _ _ ~first ~npages -> (first, npages));
@@ -196,11 +201,12 @@ let handle_init t adopt ~memory_object ~request =
     | None -> ());
     t.rt_policy.p_init t o ~request
 
-(* Walk the (reshaped) range page by page, coalescing adjacent [Data]
+(* Walk the (reshaped) range run by run, coalescing adjacent [Data]
    chunks into one data_provided and adjacent holes into one
    data_unavailable — reply traffic stays proportional to runs, not
-   pages. A sub-page chunk can only be a trailing partial, so it closes
-   its run. [Defer] flushes both: the policy owns that page's reply. *)
+   pages. A chunk that ends mid-page can only be a trailing partial, so
+   it closes its run. [Defer] flushes both: the policy owns that page's
+   reply. *)
 let handle_data_request t ~memory_object ~request ~offset ~length ~desired_access =
   match find t memory_object with
   | None -> ()
@@ -227,21 +233,26 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
         hole_pages := 0
       end
     in
-    for i = 0 to npages - 1 do
-      let page = first + i in
-      match t.rt_policy.p_read t o ~request ~page ~desired_access with
+    let i = ref 0 in
+    while !i < npages do
+      let page = first + !i in
+      match t.rt_policy.p_read t o ~request ~page ~npages:(npages - !i) ~desired_access with
       | Data chunk ->
         flush_hole ();
         if !run = [] then run_start := page;
         run := chunk :: !run;
-        if Bytes.length chunk < ps then flush_run ()
+        let len = Bytes.length chunk in
+        if len mod ps <> 0 || len = 0 then flush_run ();
+        i := !i + max 1 (pages_in t len)
       | Unavailable ->
         flush_run ();
         if !hole_pages = 0 then hole_start := page;
-        incr hole_pages
+        incr hole_pages;
+        incr i
       | Defer ->
         flush_run ();
-        flush_hole ()
+        flush_hole ();
+        incr i
     done;
     flush_run ();
     flush_hole ()

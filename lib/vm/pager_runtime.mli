@@ -44,7 +44,18 @@ type 'o t
 
 and 'o policy = {
   p_read :
-    'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
+    'o t -> 'o obj -> request:Message.port -> page:int -> npages:int -> desired_access:Prot.t ->
+    page_reply;
+      (** Called for the first page of the (reshaped) [data_request] not
+          yet answered: [page] is its index and [npages] the number of
+          pages left in the request, [page] included. The mirror of
+          [p_write]'s run: [Data] may carry k <= [npages] whole pages,
+          or end in a trailing partial page at end-of-object, and the
+          runtime moves on by k pages; [Unavailable] and [Defer] answer
+          [page] alone. A disk-backed policy should read the run with
+          as few seeks as its layout allows; one that works a page at a
+          time ignores [npages] and returns one page. Adjacent [Data]
+          replies still coalesce into one [data_provided]. *)
   p_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
       (** Called once per [data_write] with the whole run of adjacent
           pages starting at byte [offset]. The runtime releases the run

@@ -220,6 +220,29 @@ let test_disk_multi_block_write () =
     (String.make 276 'C' ^ String.make 236 'z')
     (Bytes.to_string (Disk.read_raw d ~block:4))
 
+let test_disk_multi_block_read () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"d7" ~blocks:8 ~block_size:512 ~seek_us:1000.0 ~transfer_us_per_byte:1.0 () in
+  Disk.write_raw d ~block:2 (Bytes.make 512 'A');
+  Disk.write_raw d ~block:4 (Bytes.make 512 'C');
+  let elapsed = ref 0.0 in
+  let got = ref Bytes.empty in
+  Engine.spawn eng (fun () ->
+      let t0 = Engine.now eng in
+      got := Disk.read_blocks d ~block:2 ~count:3;
+      elapsed := Engine.now eng -. t0;
+      Alcotest.check_raises "past the last block"
+        (Invalid_argument "Disk d7: read past the last block") (fun () ->
+          ignore (Disk.read_blocks d ~block:6 ~count:3)));
+  Engine.run eng;
+  check (Alcotest.float 1e-6) "one seek for three blocks" (1000.0 +. (3.0 *. 512.0)) !elapsed;
+  check Alcotest.int "one op" 1 (Disk.reads d);
+  check Alcotest.int "three blocks" 3 (Disk.blocks_read d);
+  check Alcotest.int "bytes read" (3 * 512) (Disk.bytes_read d);
+  check Alcotest.string "blocks in order, unwritten reads as zeroes"
+    (String.make 512 'A' ^ String.make 512 '\000' ^ String.make 512 'C')
+    (Bytes.to_string !got)
+
 let test_disk_bounds () =
   let eng = Engine.create () in
   let d = Disk.create eng ~name:"d4" ~blocks:4 ~block_size:512 () in
@@ -333,6 +356,7 @@ let () =
           Alcotest.test_case "reattach shares blocks written later" `Quick
             test_disk_reattach_shares_later_writes;
           Alcotest.test_case "multi-block write is one seek" `Quick test_disk_multi_block_write;
+          Alcotest.test_case "multi-block read is one seek" `Quick test_disk_multi_block_read;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
         ] );
       ( "net",

@@ -209,6 +209,75 @@ let test_data_write_fragmented () =
         (Fs_layout.read_file fs "gap1" = Some (Bytes.make page 'g')
         && Fs_layout.read_file fs "gap2" = Some (Bytes.make page 'h')))
 
+(* Ask the file's memory object for [npages] pages starting at page 0,
+   the way the kernel sends a clustered fault, and collect the replies
+   until they cover the range. *)
+let data_request env name ~npages =
+  let rq_name = Syscalls.port_allocate env.client () in
+  let request = Option.get (Syscalls.port_lookup env.client rq_name) in
+  let memory_object = Minimal_fs.file_object env.fsrv name in
+  let call =
+    Pager_iface.Data_request
+      { memory_object; request; offset = 0; length = npages * page; desired_access = Prot.read }
+  in
+  (match Syscalls.msg_send env.client (Pager_iface.encode_k2m ~reply:None call ~dest:memory_object) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "data_request send failed");
+  let out = Bytes.make (npages * page) '\000' in
+  let covered = ref 0 in
+  while !covered < npages * page do
+    match Syscalls.msg_receive env.client ~from:(`Port rq_name) ~timeout:5_000_000.0 () with
+    | Ok reply -> (
+      match Pager_iface.decode_m2k reply with
+      | Pager_iface.Data_provided { offset; data; _ } ->
+        Bytes.blit data 0 out offset (Bytes.length data);
+        covered := !covered + Bytes.length data
+      | _ -> Alcotest.fail "expected data_provided")
+    | Error _ -> Alcotest.fail "data_request never answered"
+  done;
+  Syscalls.port_deallocate env.client rq_name;
+  out
+
+let test_data_request_run_one_seek () =
+  with_fs (fun env ->
+      let fs = Minimal_fs.fs env.fsrv in
+      let disk = Fs_layout.disk fs in
+      Fs_layout.write_file fs "run" (run_data 8);
+      check Alcotest.int "file is contiguous" 1 (pieces fs "run" 8);
+      let reads = Disk.reads disk and blocks = Disk.blocks_read disk in
+      let data = data_request env "run" ~npages:8 in
+      check Alcotest.int "an 8-page request is one disk read" 1 (Disk.reads disk - reads);
+      check Alcotest.int "it moves 8 blocks" 8 (Disk.blocks_read disk - blocks);
+      check Alcotest.bool "byte-exact" true (Bytes.equal data (run_data 8)))
+
+let test_data_request_fragmented () =
+  with_fs (fun env ->
+      let fs = Minimal_fs.fs env.fsrv in
+      let disk = Fs_layout.disk fs in
+      (* As in the fragmented write: other files split "frag" into
+         three disk-contiguous pieces. *)
+      Fs_layout.write_file fs "frag" (Bytes.make (3 * page) 'a');
+      Fs_layout.write_file fs "gap1" (Bytes.make page 'g');
+      Fs_layout.write_range fs "frag" ~off:(3 * page) (Bytes.make (2 * page) 'a');
+      Fs_layout.write_file fs "gap2" (Bytes.make page 'h');
+      Fs_layout.write_range fs "frag" ~off:0 (run_data 8);
+      check Alcotest.int "three contiguous pieces" 3 (pieces fs "frag" 8);
+      let reads = Disk.reads disk in
+      let data = data_request env "frag" ~npages:8 in
+      check Alcotest.int "one disk read per piece" 3 (Disk.reads disk - reads);
+      check Alcotest.bool "byte-exact" true (Bytes.equal data (run_data 8)))
+
+let test_write_file_contiguous_one_seek () =
+  with_fs (fun env ->
+      let fs = Minimal_fs.fs env.fsrv in
+      let disk = Fs_layout.disk fs in
+      let writes = Disk.writes disk in
+      Fs_layout.write_file fs "whole" (run_data 8);
+      check Alcotest.int "file is contiguous" 1 (pieces fs "whole" 8);
+      check Alcotest.int "an 8-block file is one disk write" 1 (Disk.writes disk - writes);
+      check Alcotest.bool "reads back byte-exact" true
+        (Fs_layout.read_file fs "whole" = Some (run_data 8)))
+
 let test_list_files () =
   with_fs (fun env ->
       expect_write env "a" (Bytes.of_string "1");
@@ -236,5 +305,11 @@ let () =
             test_data_write_run_one_seek;
           Alcotest.test_case "fragmented data_write is one write per piece" `Quick
             test_data_write_fragmented;
+          Alcotest.test_case "a clustered data_request is one disk read" `Quick
+            test_data_request_run_one_seek;
+          Alcotest.test_case "a fragmented read is one read per piece" `Quick
+            test_data_request_fragmented;
+          Alcotest.test_case "write_file of a contiguous file is one disk write" `Quick
+            test_write_file_contiguous_one_seek;
         ] );
     ]

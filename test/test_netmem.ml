@@ -156,6 +156,26 @@ let test_read_cluster_neighbour_revokes_writer () =
              ignore (read_str env.b ~addr:env.b_addr ~len:7);
              ignore (read_str env.b ~addr:(env.b_addr + page) ~len:7))))
 
+(* A write fault clusters like a read, but only its demanded page is
+   the write. A's write to page 0 pulls page 1 in as a read: B, which
+   reads page 1, keeps its copy and is never flushed. *)
+let test_write_cluster_neighbour_is_a_read () =
+  with_shared_region ~size:(2 * page) (fun env ->
+      Netmem.write_initial env.nm ~region:env.region ~offset:page (Bytes.of_string "page1");
+      check Alcotest.string "B reads page 1" "page1"
+        (read_str env.b ~addr:(env.b_addr + page) ~len:5);
+      let flushes = Netmem.invalidations env.nm in
+      write_str env.a ~addr:env.a_addr "a-page0";
+      Engine.sleep 50_000.0;
+      (match Netmem.page_state env.nm ~region:env.region ~page:1 with
+      | `Readers _ -> ()
+      | `Idle | `Writer | `Transition -> Alcotest.fail "expected page 1 to stay shared read-only");
+      check Alcotest.int "no flush" flushes (Netmem.invalidations env.nm);
+      check Alcotest.(list int) "B rereads page 1: data_requests" [ 0 ]
+        (moved env 1 [ "vm.data_requests" ] (fun () ->
+             check Alcotest.string "B's copy" "page1"
+               (read_str env.b ~addr:(env.b_addr + page) ~len:5))))
+
 let test_unmap_cleans_up_client () =
   with_shared_region ~size:page (fun env ->
       Netmem.write_initial env.nm ~region:env.region ~offset:0 (Bytes.of_string "zzz");
@@ -330,6 +350,8 @@ let () =
           Alcotest.test_case "a read downgrades the writer" `Quick test_read_downgrades_writer;
           Alcotest.test_case "a cluster neighbour revokes the writer" `Quick
             test_read_cluster_neighbour_revokes_writer;
+          Alcotest.test_case "a write cluster neighbour is a read" `Quick
+            test_write_cluster_neighbour_is_a_read;
           Alcotest.test_case "unmap cleans up a client" `Quick test_unmap_cleans_up_client;
           Alcotest.test_case "dirty data written back on unmap" `Quick test_write_back_on_unmap;
           Alcotest.test_case "interleaved stress stays coherent" `Quick test_interleaved_stress;

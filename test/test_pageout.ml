@@ -172,7 +172,7 @@ let make_manager ?service_threads kernel ~name ~p_write =
     {
       Rt.default_policy with
       Rt.p_init = (fun _ _ ~request -> Ivar.fill req_port request);
-      Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'm'));
+      Rt.p_read = (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'm'));
       Rt.p_write;
     }
   in
@@ -280,7 +280,7 @@ let test_flooding_manager_contained () =
           Rt.default_policy with
           Rt.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
           Rt.p_read =
-            (fun rt _ ~request ~page:_ ~desired_access:_ ->
+            (fun rt _ ~request ~page:_ ~npages:_ ~desired_access:_ ->
               Rt.data_provided rt ~request ~offset:0 ~data:(Bytes.make (offered * page) 'F')
                 ~lock_value:Prot.none;
               Rt.Defer);

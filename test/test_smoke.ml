@@ -91,7 +91,7 @@ let test_external_pager () =
           (* One page per request, so each fault below asks the manager. *)
           Pager_runtime.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
           Pager_runtime.p_read =
-            (fun _ _ ~request:_ ~page:p ~desired_access:_ ->
+            (fun _ _ ~request:_ ~page:p ~npages:_ ~desired_access:_ ->
               Pager_runtime.Data (Bytes.make page (Char.chr (0x41 + (p mod 26)))));
         }
       in

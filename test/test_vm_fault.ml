@@ -36,7 +36,7 @@ let one_page _ _ ~first ~npages:_ = (first, 1)
 
 (* A manager that never answers a data request. *)
 let silent =
-  { Rt.default_policy with Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Defer) }
+  { Rt.default_policy with Rt.p_read = (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Defer) }
 
 (* A manager serving one page per request, optionally write-locking
    pages; it records the page of every unlock it grants. *)
@@ -47,7 +47,7 @@ let counting_manager kernel ~lock_writes =
       Rt.default_policy with
       Rt.p_reshape = one_page;
       Rt.p_read =
-        (fun rt _ ~request ~page:p ~desired_access:_ ->
+        (fun rt _ ~request ~page:p ~npages:_ ~desired_access:_ ->
           Rt.data_provided rt ~request ~offset:(p * page) ~data:(page_data p)
             ~lock_value:(if lock_writes then Prot.write else Prot.none);
           Rt.Defer);
@@ -117,7 +117,7 @@ let test_concurrent_faults_coalesce () =
         {
           Rt.default_policy with
           Rt.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ ->
               Engine.sleep 5000.0;
               Rt.Data (Bytes.make page 'S'));
         }
@@ -245,7 +245,7 @@ let test_mapping_at_object_offset () =
           Rt.default_policy with
           Rt.p_reshape = one_page;
           Rt.p_read =
-            (fun _ _ ~request:_ ~page:p ~desired_access:_ ->
+            (fun _ _ ~request:_ ~page:p ~npages:_ ~desired_access:_ ->
               offsets_seen := (p * page) :: !offsets_seen;
               Rt.Data (page_data p));
         }
@@ -270,7 +270,7 @@ let test_two_mappings_same_object_share_pages () =
       let policy =
         {
           Rt.default_policy with
-          Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 's'));
+          Rt.p_read = (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ -> Rt.Data (Bytes.make page 's'));
         }
       in
       let rt, memory_object = serve_object sys.Kernel.kernel ~name:"mgr" policy in
@@ -346,7 +346,7 @@ let recording_manager kernel ~serve =
         (fun _ _ ~first ~npages ->
           requests := (first * page, npages * page) :: !requests;
           (first, min npages serve));
-      Rt.p_read = (fun _ _ ~request:_ ~page:p ~desired_access:_ -> Rt.Data (page_data p));
+      Rt.p_read = (fun _ _ ~request:_ ~page:p ~npages:_ ~desired_access:_ -> Rt.Data (page_data p));
     }
   in
   let _rt, memory_object = serve_object kernel ~name:"rec-mgr" policy in
@@ -439,7 +439,7 @@ let test_zero_fill_races_multi_page_provide () =
             (fun _ _ ~first ~npages ->
               Engine.sleep 5000.0;
               (first, npages));
-          Rt.p_read = (fun _ _ ~request:_ ~page:p ~desired_access:_ -> Rt.Data (page_data p));
+          Rt.p_read = (fun _ _ ~request:_ ~page:p ~npages:_ ~desired_access:_ -> Rt.Data (page_data p));
         }
       in
       let rt, memory_object = serve_object sys.Kernel.kernel ~name:"slow-mgr" policy in
@@ -466,6 +466,73 @@ let test_bad_address_surfaces () =
       | Error (Access.Bad_address _) -> ()
       | Ok _ -> Alcotest.fail "unmapped read must fail"
       | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e)
+
+(* Take free frames out of the allocator until [free] are left. No
+   page holds them, so the pageout daemon cannot win them back. *)
+let leave_free sys free =
+  let mem = (Kernel.kctx sys.Kernel.kernel).Kctx.mem in
+  while Phys_mem.free_frames mem > free do
+    ignore (Phys_mem.alloc mem)
+  done
+
+let test_cluster_between_watermarks () =
+  (* Memory sits below the free target (the pageout daemon's high
+     watermark) but above the low watermark: a paging workload's steady
+     state. The read fault still clusters. *)
+  with_system (fun sys task ->
+      let kctx = Kernel.kctx sys.Kernel.kernel in
+      let memory_object, requests = recording_manager sys.Kernel.kernel ~serve:8 in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:(4 * page) ~anywhere:true ~memory_object
+          ~offset:0 ()
+      in
+      let free = Kctx.free_low_watermark kctx + 4 in
+      Alcotest.(check bool) "below the high watermark" true (free < Kctx.free_high_watermark kctx);
+      leave_free sys free;
+      (match Syscalls.read_bytes task ~addr ~len:(4 * page) () with
+      | Ok b ->
+        check Alcotest.string "last page" "D" (Bytes.sub_string b (3 * page) 1)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      check
+        Alcotest.(list (pair int int))
+        "one request for 4 pages" [ (0, 4 * page) ] !requests;
+      Alcotest.(check bool) "the cluster left the low watermark's frames" true
+        (Phys_mem.free_frames kctx.Kctx.mem >= Kctx.free_low_watermark kctx))
+
+let test_write_fault_clusters () =
+  (* A write fault asks for its neighbours too, but only the demanded
+     page is written: the others arrive clean, so cleaning the object
+     afterwards ships one page. *)
+  with_system (fun sys task ->
+      let requests = ref [] and written = ref [] in
+      let request_port = Ivar.create () in
+      let policy =
+        {
+          Rt.default_policy with
+          Rt.p_init = (fun _ _ ~request -> Ivar.fill request_port request);
+          Rt.p_reshape =
+            (fun _ _ ~first ~npages ->
+              requests := (first * page, npages * page) :: !requests;
+              (first, npages));
+          Rt.p_read = (fun _ _ ~request:_ ~page:p ~npages:_ ~desired_access:_ -> Rt.Data (page_data p));
+          Rt.p_write =
+            (fun _ _ ~offset ~data -> written := (offset, Bytes.length data) :: !written);
+        }
+      in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"wr-mgr" policy in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:(4 * page) ~anywhere:true ~memory_object
+          ~offset:0 ()
+      in
+      ignore (Syscalls.touch task ~addr ~write:true ());
+      check Alcotest.(list (pair int int)) "one request for 4 pages" [ (0, 4 * page) ] !requests;
+      (match Syscalls.read_bytes task ~addr:(addr + page) ~len:1 () with
+      | Ok b -> check Alcotest.string "neighbour resident" "B" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      check Alcotest.int "no second request" 1 (List.length !requests);
+      Rt.clean_request rt ~request:(Ivar.read request_port) ~offset:0 ~length:(4 * page);
+      Engine.sleep 50_000.0;
+      check Alcotest.(list (pair int int)) "only the written page is dirty" [ (0, page) ] !written)
 
 let () =
   Alcotest.run "vm_fault"
@@ -504,5 +571,9 @@ let () =
             test_cluster_partial_provide_rerequest;
           Alcotest.test_case "zero-fill races multi-page provide" `Quick
             test_zero_fill_races_multi_page_provide;
+          Alcotest.test_case "read fault clusters between the watermarks" `Quick
+            test_cluster_between_watermarks;
+          Alcotest.test_case "write fault clusters, only its page dirty" `Quick
+            test_write_fault_clusters;
         ] );
     ]
