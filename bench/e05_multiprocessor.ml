@@ -76,6 +76,16 @@ let point (sys : Kernel.system) m0 =
   }
 
 let speedup base pt = base.pt_elapsed /. pt.pt_elapsed
+
+(* Processor time the run's context switches were charged. *)
+let switch_us params pt = float_of_int (counter pt "switches") *. params.Machine.context_switch_us
+
+(* Elapsed time less the run's switch charges spread over its CPUs:
+   the time the work itself took, on a run that kept every CPU busy. *)
+let net_elapsed params pt = pt.pt_elapsed -. (switch_us params pt /. float_of_int pt.pt_cpus)
+
+(* Speedup of the work alone, which W workers cannot push past W. *)
+let net_speedup params base pt = net_elapsed params base /. net_elapsed params pt
 let pct f = Printf.sprintf "%.0f%%" (100.0 *. f)
 let ms pt = Printf.sprintf "%.1f" (pt.pt_elapsed /. 1000.0)
 
@@ -269,8 +279,8 @@ let run () =
   let t_storm =
     Table.create ~title:"E5a: zero-fill fault storm (8 workers x 48 pages)"
       ~columns:
-        [ "machine"; "cpus"; "elapsed ms"; "speedup"; "util"; "switches"; "preempt"; "migr";
-          "steals"; "peak q"; "avg q" ]
+        [ "machine"; "cpus"; "elapsed ms"; "speedup"; "net speedup"; "util"; "switches";
+          "switch ms"; "preempt"; "migr"; "steals"; "peak q"; "avg q" ]
   in
   let t_pp =
     Table.create ~title:"E5b: IPC ping-pong (4 pairs x 150 RPCs, 8-byte payload)"
@@ -296,8 +306,10 @@ let run () =
           Table.row t_storm
             [
               machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup storm1 pt); pct pt.pt_util;
+              Printf.sprintf "%.2fx" (speedup storm1 pt);
+              Printf.sprintf "%.2fx" (net_speedup machine storm1 pt); pct pt.pt_util;
               string_of_int (counter pt "switches");
+              Printf.sprintf "%.1f" (switch_us machine pt /. 1000.0);
               string_of_int (counter pt "preemptions");
               string_of_int (counter pt "migrations");
               string_of_int (counter pt "steals");
@@ -395,6 +407,8 @@ let json () =
         storm;
       [
         ("fault_storm_speedup_max", speedup storm1 storm_max);
+        ("fault_storm_switch_ms_1cpu", switch_us Machine.multimax storm1 /. 1000.0);
+        ("fault_storm_speedup_net_max", net_speedup Machine.multimax storm1 storm_max);
         ("fault_storm_max_cpus", float_of_int max_cpus);
         ("fault_storm_util_max_pct", 100.0 *. storm_max.pt_util);
         ("fault_storm_steals_max", float_of_int (counter storm_max "steals"));

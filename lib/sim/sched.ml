@@ -18,6 +18,21 @@
    [context_switch_us] to the incoming thread; taking an idle processor
    directly is free — the idle loop has nothing to save.
 
+   Tenure: a thread that paid that charge keeps its processor across
+   back-to-back bursts until it has run one context-switch time, the
+   same bound the handoff window uses (switching away before the paid
+   switch is used up costs more than the work it interleaves; the
+   2-competitive spin-then-block rule). At the end of such a burst the
+   processor is *held*, still occupied by the thread, instead of
+   re-dispatched; the thread's next burst re-enters it with no queueing.
+   A holder that blocks instead gives the processor up at that instant:
+   any other fiber's [acquire] releases it (only one fiber runs at a
+   time, so the holder must be suspended), and so does an engine event
+   armed for the same instant when the hold begins. A tenure that began
+   for free (idle processor, handoff claim) never holds: it paid
+   nothing, and holding it would queue the receiver of the next handoff
+   behind it.
+
    Handoff scheduling (Mach's message/scheduling duality): a send burst
    ([compute_donating]) whose message is about to wake a blocked
    receiver ends by reserving its own processor instead of dispatching
@@ -43,6 +58,7 @@ type stats = {
   mutable s_queue_depth_peak : int;
   mutable s_queue_depth_sum : int;
   mutable s_idle_with_waiter : int;
+  mutable s_holds : int;
 }
 
 let fresh_stats () =
@@ -59,6 +75,7 @@ let fresh_stats () =
     s_queue_depth_peak = 0;
     s_queue_depth_sum = 0;
     s_idle_with_waiter = 0;
+    s_holds = 0;
   }
 
 let stats_to_list s =
@@ -75,6 +92,7 @@ let stats_to_list s =
     ("queue_depth_peak", s.s_queue_depth_peak);
     ("queue_depth_sum", s.s_queue_depth_sum);
     ("idle_with_waiter", s.s_idle_with_waiter);
+    ("holds", s.s_holds);
   ]
 
 type reservation = { r_ticket : int; mutable r_for : string option }
@@ -88,6 +106,8 @@ and cpu = {
   c_runq : waiter Queue.t;
   mutable c_reserved : reservation option;
   mutable c_busy_us : float;
+  mutable c_paid_us : float; (* paid switch time the tenure has yet to run *)
+  mutable c_held : bool; (* occupied between bursts of a paid tenure *)
 }
 
 type t = {
@@ -117,6 +137,8 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
             c_runq = Queue.create ();
             c_reserved = None;
             c_busy_us = 0.0;
+            c_paid_us = 0.0;
+            c_held = false;
           });
     affinity = Hashtbl.create 64;
     reservations = Hashtbl.create 8;
@@ -200,7 +222,7 @@ let note_affinity t cpu name =
   cpu.c_last <- name;
   Hashtbl.replace t.affinity name cpu.c_id
 
-type entry = Entry_direct | Entry_queued | Entry_handoff
+type entry = Entry_direct | Entry_queued | Entry_handoff | Entry_held
 
 let take t cpu name =
   cpu.c_running <- Some name;
@@ -223,7 +245,41 @@ let consume_reservation t cpu =
   | None -> ());
   cpu.c_reserved <- None
 
-let acquire t name =
+(* End a hold: the holder has blocked, so its processor goes to the run
+   queues. *)
+let release t cpu =
+  cpu.c_held <- false;
+  cpu.c_running <- None;
+  dispatch t cpu
+
+(* The caller is the only fiber running, so every other holder is
+   blocked: release those, and resume the caller's own hold if it has
+   one. *)
+let take_holds t name =
+  let own = ref None in
+  Array.iter
+    (fun c ->
+      if c.c_held then
+        match c.c_running with
+        | Some n when String.equal n name ->
+          c.c_held <- false;
+          own := Some c
+        | Some _ | None -> release t c)
+    t.cpus;
+  !own
+
+(* Begin a hold at the end of a paid burst. The release event runs at
+   this instant, as soon as the holder next suspends: if that suspension
+   is a block, the processor is still held and is released; if it is
+   the holder's next burst, the hold was already resumed. No later hold
+   on this CPU can begin before the event runs, since any burst ends
+   after it in the engine's (time, sequence) order. *)
+let hold t cpu =
+  cpu.c_held <- true;
+  Engine.schedule t.eng ~at:(Engine.now t.eng) (fun () -> if cpu.c_held then release t cpu)
+
+(* A new tenure: a claimed handoff, an idle CPU, or a run-queue wait. *)
+let start_tenure t name =
   let claimed =
     match Hashtbl.find_opt t.pending_handoff name with
     | Some cpu
@@ -266,12 +322,20 @@ let acquire t name =
         in
         (cpu, Entry_queued)))
 
+let acquire t name =
+  match take_holds t name with
+  | Some cpu ->
+    t.stats.s_holds <- t.stats.s_holds + 1;
+    (cpu, Entry_held)
+  | None -> start_tenure t name
+
 (* The context-switch cost of entering via a run queue, charged to the
-   incoming thread on its new processor. *)
+   incoming thread on its new processor; it begins a paid tenure. *)
 let charge_switch t cpu =
   if t.context_switch_us > 0.0 then begin
     Engine.sleep t.context_switch_us;
-    cpu.c_busy_us <- cpu.c_busy_us +. t.context_switch_us
+    cpu.c_busy_us <- cpu.c_busy_us +. t.context_switch_us;
+    cpu.c_paid_us <- t.context_switch_us
   end
 
 (* Runs a burst to completion and returns the processor it finished on,
@@ -280,6 +344,7 @@ let rec run_burst t cpu name remaining =
   let slice = if remaining > t.quantum_us then t.quantum_us else remaining in
   Engine.sleep slice;
   cpu.c_busy_us <- cpu.c_busy_us +. slice;
+  cpu.c_paid_us <- cpu.c_paid_us -. slice;
   let remaining = remaining -. slice in
   if remaining <= 0.0 then cpu
   else if Queue.length cpu.c_runq > 0 then begin
@@ -300,7 +365,7 @@ let rec run_burst t cpu name remaining =
   else run_burst t cpu name remaining
 
 (* A positive-length burst on the calling thread; returns its processor
-   already vacated (affinity noted) but not yet re-dispatched. *)
+   still occupied (affinity noted) for [finish] or a donation. *)
 let burst t us =
   let name = Engine.self_name () in
   let cpu, entry = acquire t name in
@@ -308,16 +373,26 @@ let burst t us =
     (match entry with
     | Entry_direct -> "enter_direct"
     | Entry_queued -> "enter_queued"
-    | Entry_handoff -> "enter_handoff");
+    | Entry_handoff -> "enter_handoff"
+    | Entry_held -> "hold");
   (match entry with
   | Entry_queued -> charge_switch t cpu
-  | Entry_direct | Entry_handoff -> ());
+  | Entry_direct | Entry_handoff -> cpu.c_paid_us <- 0.0
+  | Entry_held -> ());
   let cpu = run_burst t cpu name us in
   note_affinity t cpu name;
-  cpu.c_running <- None;
   cpu
 
-let compute t us = if us > 0.0 then dispatch t (burst t us)
+(* A paid tenure with switch time left holds its processor; any other
+   burst end gives it to the run queues. *)
+let finish t cpu =
+  if cpu.c_paid_us > 0.0 then hold t cpu
+  else begin
+    cpu.c_running <- None;
+    dispatch t cpu
+  end
+
+let compute t us = if us > 0.0 then finish t (burst t us)
 
 (* {2 Handoff} *)
 
@@ -359,9 +434,12 @@ let compute_donating t us ~donate_if =
   if us <= 0.0 then None
   else begin
     let cpu = burst t us in
-    if donate_if () then Some (reserve t cpu)
+    if donate_if () then begin
+      cpu.c_running <- None;
+      Some (reserve t cpu)
+    end
     else begin
-      dispatch t cpu;
+      finish t cpu;
       None
     end
   end

@@ -2,16 +2,30 @@
     engine.
 
     One [t] models the processors of one simulated host. A thread
-    occupies a processor only while inside {!compute}; the burst is
-    sliced into quanta and preempted at slice boundaries when the run
-    queue is contended. Placement is soft-affine (a thread prefers the
-    processor it last ran on), idle processors are taken directly, and
-    a processor going idle steals the oldest waiter from the longest
-    run queue — so no processor idles while a thread is runnable.
+    occupies a processor for a *tenure*: one or more {!compute} bursts,
+    each sliced into quanta and preempted at slice boundaries when the
+    run queue is contended. Placement is soft-affine (a thread prefers
+    the processor it last ran on), idle processors are taken directly,
+    and a processor going idle steals the oldest waiter from the
+    longest run queue — so no processor idles while a thread is
+    runnable.
 
     Run-queue dispatches (including preemption resumes) charge the
     configured context-switch time to the incoming thread; acquiring an
     idle processor is free.
+
+    Tenure rule: a tenure that paid a context switch keeps its
+    processor across back-to-back bursts until it has run one
+    context-switch time — switching away sooner costs more than the
+    work it interleaves. Only blocking ends it early: the processor is
+    released at the instant the holder blocks (by the next acquire of
+    any other thread on the host, or by an event armed for that
+    instant), so a blocked thread never keeps a CPU while others wait.
+    After the paid time, and for every tenure that began for free (an
+    idle processor or a handoff claim), the processor goes back to the
+    run queues at the end of each burst. Free tenures do not hold: they
+    paid nothing, and a held sender would queue the receiver its next
+    handoff wakes.
 
     Handoff scheduling: a send burst run with {!compute_donating} ends
     by reserving its own processor for a blocked-receiver IPC
@@ -39,6 +53,7 @@ type stats = {
   mutable s_queue_depth_peak : int;  (** max total queued threads at any enqueue *)
   mutable s_queue_depth_sum : int;  (** summed depth at enqueue (avg = sum/enqueues) *)
   mutable s_idle_with_waiter : int;  (** invariant oracle; stays 0 unless stealing is broken *)
+  mutable s_holds : int;  (** bursts that re-entered the processor their paid tenure kept *)
 }
 
 val create :
@@ -49,13 +64,14 @@ val compute : t -> float -> unit
 (** Occupy one processor for the given number of simulated
     microseconds (plus any queueing delay and context-switch charges).
     Must be called from inside a simulated thread; bursts of zero or
-    negative length return immediately. *)
+    negative length return immediately. The processor is held for the
+    thread's next burst or re-dispatched by the tenure rule above. *)
 
 val compute_donating : t -> float -> donate_if:(unit -> bool) -> int option
 (** {!compute}, except that at the end of the burst [donate_if ()] is
     asked — at that instant, with nothing interleaved — whether to
     reserve the processor the burst ran on for a handoff instead of
-    dispatching its run queue. Returns the reservation's ticket for
+    ending as {!compute} does. Returns the reservation's ticket for
     {!claim_handoff}, or [None] (no donation; zero-length bursts
     occupy no processor and never donate). *)
 
@@ -76,8 +92,9 @@ val stats_to_list : stats -> (string * int) list
 
 val set_trace : t -> Trace.t option -> unit
 (** Wire the host's trace: acquire entries ([enter_direct] /
-    [enter_queued] / [enter_handoff]), preemptions and donations emit
-    "sched" points attributed to the computing fiber's current span. *)
+    [enter_queued] / [enter_handoff] / [hold]), preemptions and
+    donations emit "sched" points attributed to the computing fiber's
+    current span. *)
 
 val running_cpu : t -> string -> int option
 (** The processor a named thread currently occupies, if any — the

@@ -14,9 +14,9 @@ let check = Alcotest.check
 (* A fixed pseudo-random workload run twice must produce identical
    completion traces and identical counters: the scheduler introduces
    no hidden nondeterminism (hash order, physical time, ...). *)
-let workload_trace ~seed ~cpus ~threads ~bursts =
+let workload_trace ?(context_switch_us = 20.0) ~seed ~cpus ~threads ~bursts () =
   let eng = Engine.create () in
-  let s = Sched.create eng ~cpus ~quantum_us:500.0 ~context_switch_us:20.0 () in
+  let s = Sched.create eng ~cpus ~quantum_us:500.0 ~context_switch_us () in
   let rng = Rng.create seed in
   let plans =
     List.init threads (fun _ -> List.init bursts (fun _ -> float_of_int (Rng.int_in rng 1 400)))
@@ -35,12 +35,26 @@ let workload_trace ~seed ~cpus ~threads ~bursts =
   (List.rev !trace, Sched.stats_to_list (Sched.stats s), Sched.busy_us s)
 
 let test_determinism () =
-  let a = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 in
-  let b = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 in
+  let a = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 () in
+  let b = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 () in
   let trace_a, stats_a, busy_a = a and trace_b, stats_b, busy_b = b in
   check Alcotest.(list (pair int (float 1e-9))) "same completion trace" trace_a trace_b;
   check Alcotest.(list (pair string int)) "same counters" stats_a stats_b;
   check (Alcotest.float 1e-9) "same busy time" busy_a busy_b
+
+(* With free context switches no tenure is paid, so none holds: the
+   completion trace is the one the scheduler produced before tenures
+   held their processors (recorded from that scheduler). *)
+let test_free_switch_trace_unchanged () =
+  let trace, stats, _ = workload_trace ~context_switch_us:0.0 ~seed:42 ~cpus:2 ~threads:4
+      ~bursts:4 () in
+  check Alcotest.(list (pair int (float 1e-9))) "completion trace"
+    [ (0, 86.0); (1, 170.0); (3, 248.0); (1, 295.0); (2, 326.0); (3, 456.0); (0, 502.0);
+      (1, 645.0); (2, 774.0); (0, 927.0); (2, 940.0); (3, 969.0); (1, 971.0); (3, 1114.0);
+      (2, 1188.0); (0, 1189.0) ]
+    trace;
+  check Alcotest.int "switches" 14 (List.assoc "switches" stats);
+  check Alcotest.int "no holds" 0 (List.assoc "holds" stats)
 
 (* ---- serialization and parallelism -------------------------------------- *)
 
@@ -144,14 +158,133 @@ let test_handoff_cancel () =
   check Alcotest.int "hand-back counted as unclaimed" 1 (Sched.stats s).Sched.s_handoff_expired;
   check Alcotest.int "nothing left reserved" 1 (Sched.idle_cpus s)
 
+(* ---- tenure: a paid switch keeps its processor ---------------------------- *)
+
+(* One CPU, an 80 us switch, and [a] computing from 0 to 100 us, so a
+   thread that arrives meanwhile queues behind it. *)
+let one_cpu_80 () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:80.0 () in
+  Engine.spawn eng ~name:"a" (fun () -> Sched.compute s 100.0);
+  (eng, s)
+
+let test_paid_tenure_holds () =
+  let eng, s = one_cpu_80 () in
+  let b_eighth = ref 0.0 and c_done = ref 0.0 in
+  Engine.spawn eng ~name:"b" (fun () ->
+      Engine.sleep 1.0;
+      for i = 1 to 12 do
+        Sched.compute s 10.0;
+        if i = 8 then b_eighth := Engine.now eng
+      done);
+  Engine.spawn eng ~name:"c" (fun () ->
+      Engine.sleep 2.0;
+      Sched.compute s 10.0;
+      c_done := Engine.now eng);
+  Engine.run eng;
+  let st = Sched.stats s in
+  (* b enters at 100 and pays 80 us; its first eight 10 us bursts use
+     that up back to back (180 .. 260). Only then does c get the CPU
+     (80 + 10 us), and b's last four bursts pay one more switch. *)
+  check (Alcotest.float 1e-9) "b kept its CPU for 80 us of bursts" 260.0 !b_eighth;
+  check (Alcotest.float 1e-9) "c ran once b's paid time was used" 350.0 !c_done;
+  check Alcotest.int "three switches, not one per burst" 3 st.Sched.s_switches;
+  check Alcotest.int "held bursts" 10 st.Sched.s_holds;
+  check Alcotest.int "nothing left held" 1 (Sched.idle_cpus s)
+
+let test_blocked_holder_releases () =
+  let eng, s = one_cpu_80 () in
+  let c_done = ref 0.0 in
+  Engine.spawn eng ~name:"b" (fun () ->
+      Engine.sleep 1.0;
+      Sched.compute s 10.0;
+      (* Holding at 190 with paid time left; blocking gives it up. *)
+      Engine.sleep 500.0;
+      Sched.compute s 10.0);
+  Engine.spawn eng ~name:"c" (fun () ->
+      Engine.sleep 2.0;
+      Sched.compute s 10.0;
+      c_done := Engine.now eng);
+  Engine.run eng;
+  let st = Sched.stats s in
+  check (Alcotest.float 1e-9) "c dispatched at the instant b blocked" (190.0 +. 80.0 +. 10.0)
+    !c_done;
+  check Alcotest.int "no held re-entry" 0 st.Sched.s_holds;
+  check Alcotest.int "no idle CPU beside a waiter" 0 st.Sched.s_idle_with_waiter
+
+(* The holder blocks at 190, and x runs at that same instant before the
+   hold's release event: x's acquire must see the blocked holder's CPU
+   as free, not queue behind it and pay a switch. *)
+let test_acquire_releases_blocked_holder () =
+  let eng, s = one_cpu_80 () in
+  let x_done = ref 0.0 in
+  Engine.spawn eng ~name:"h" (fun () ->
+      Engine.sleep 1.0;
+      Sched.compute s 10.0;
+      Engine.sleep 500.0);
+  Engine.spawn eng ~name:"x" (fun () ->
+      (* Wake at 190, ordered after h's burst end. *)
+      Engine.sleep 185.0;
+      Engine.sleep 5.0;
+      Sched.compute s 10.0;
+      x_done := Engine.now eng);
+  Engine.run eng;
+  check (Alcotest.float 1e-9) "x took the CPU directly" 200.0 !x_done;
+  check Alcotest.int "only h's entry was a switch" 1 (Sched.stats s).Sched.s_switches
+
+let test_free_tenures_do_not_hold () =
+  (* Direct: a's first burst took the idle CPU for free, so its end
+     dispatches b although a computes again at once. *)
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:80.0 () in
+  let b_done = ref 0.0 in
+  Engine.spawn eng ~name:"a" (fun () ->
+      Sched.compute s 10.0;
+      Sched.compute s 10.0);
+  Engine.spawn eng ~name:"b" (fun () ->
+      Engine.sleep 1.0;
+      Sched.compute s 10.0;
+      b_done := Engine.now eng);
+  Engine.run eng;
+  check (Alcotest.float 1e-9) "direct tenure gave way after one burst" 100.0 !b_done;
+  check Alcotest.int "direct: no holds" 0 (Sched.stats s).Sched.s_holds;
+  (* Handoff: recv enters on the donated CPU for free; its first burst's
+     end dispatches the queued c. *)
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
+  let c_done = ref 0.0 in
+  Engine.spawn eng ~name:"donor" (fun () ->
+      match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
+      | Some ticket -> Sched.claim_handoff s ~ticket ~name:"recv"
+      | None -> Alcotest.fail "a burst's end should always be able to donate");
+  Engine.spawn eng ~name:"recv" (fun () ->
+      Engine.sleep 15.0;
+      Sched.compute s 10.0;
+      Sched.compute s 10.0);
+  Engine.spawn eng ~name:"c" (fun () ->
+      (* The CPU is reserved now, so c queues. *)
+      Engine.sleep 12.0;
+      Sched.compute s 10.0;
+      c_done := Engine.now eng);
+  Engine.run eng;
+  let st = Sched.stats s in
+  check Alcotest.int "donation claimed" 1 st.Sched.s_handoff_claims;
+  check (Alcotest.float 1e-9) "handoff tenure gave way after one burst" (25.0 +. 20.0 +. 10.0)
+    !c_done;
+  check Alcotest.int "handoff: no holds" 0 st.Sched.s_holds
+
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
 (* Random fleets of threads with random burst plans on random CPU
    counts, where some bursts end by donating their processor to a random
-   beneficiary: every burst completes, the invariant oracle — a CPU
+   beneficiary and some are followed by a blocking sleep (possibly of
+   zero length): every burst completes, the invariant oracle — a CPU
    went idle while another CPU's run queue held a waiter — never fires,
-   and every reservation is either claimed or expires, so none leaks.
-   This is the property work stealing exists to enforce. *)
+   every reservation is either claimed or expires, so none leaks, no
+   processor is left held, and busy time is exactly the bursts plus one
+   charge per switch, so a held processor never accrues idle time.
+   This is the property work stealing and the release of blocked
+   holders exist to enforce. *)
 let no_starvation_prop =
   let open QCheck2 in
   let gen =
@@ -159,18 +292,23 @@ let no_starvation_prop =
       tup3 (int_range 1 4)
         (int_range 1 8)
         (list_size (int_range 1 40)
-           (triple (int_range 0 7) (int_range 1 300) (opt (int_range 0 7)))))
+           (quad (int_range 0 7)
+              (oneof [ int_range 1 30; int_range 1 300 ])
+              (opt (int_range 0 7))
+              (opt (int_range 0 50)))))
   in
   Test.make ~name:"no CPU idles while a runnable thread waits" ~count:50 gen
     (fun (cpus, threads, bursts) ->
       let eng = Engine.create () in
-      let s = Sched.create eng ~cpus ~quantum_us:100.0 ~context_switch_us:7.0 () in
+      (* Many bursts are shorter than a switch, so paid tenures hold. *)
+      let context_switch_us = 20.0 in
+      let s = Sched.create eng ~cpus ~quantum_us:100.0 ~context_switch_us () in
       let name i = Printf.sprintf "t%d" i in
       let plans = Array.make threads [] in
       List.iter
-        (fun (th, us, donate_to) ->
+        (fun (th, us, donate_to, gap) ->
           let th = th mod threads in
-          plans.(th) <- (float_of_int us, donate_to) :: plans.(th))
+          plans.(th) <- (float_of_int us, donate_to, gap) :: plans.(th))
         bursts;
       let total = List.length bursts in
       let completed = ref 0 and donations = ref 0 in
@@ -178,7 +316,7 @@ let no_starvation_prop =
         (fun i plan ->
           Engine.spawn eng ~name:(name i) (fun () ->
               List.iter
-                (fun (us, donate_to) ->
+                (fun (us, donate_to, gap) ->
                   (match donate_to with
                   | None -> Sched.compute s us
                   | Some b -> (
@@ -187,12 +325,18 @@ let no_starvation_prop =
                       incr donations;
                       Sched.claim_handoff s ~ticket ~name:(name (b mod threads))
                     | None -> ()));
-                  incr completed)
+                  incr completed;
+                  Option.iter (fun g -> Engine.sleep (float_of_int g)) gap)
                 plan))
         plans;
       Engine.run eng;
       let st = Sched.stats s in
+      let burst_us = List.fold_left (fun acc (_, us, _, _) -> acc + us) 0 bursts in
+      let expected_busy =
+        float_of_int burst_us +. (float_of_int st.Sched.s_switches *. context_switch_us)
+      in
       !completed = total
+      && Float.abs (Sched.busy_us s -. expected_busy) < 1e-6
       && st.Sched.s_idle_with_waiter = 0
       && st.Sched.s_handoff_claims + st.Sched.s_handoff_expired = !donations
       && Sched.queued s = 0
@@ -336,6 +480,13 @@ let () =
           Alcotest.test_case "soft affinity" `Quick test_affinity_preferred;
           Alcotest.test_case "unclaimed donation expires" `Quick test_handoff_expiry;
           Alcotest.test_case "handed-back donation re-dispatches" `Quick test_handoff_cancel;
+          Alcotest.test_case "free switches leave traces unchanged" `Quick
+            test_free_switch_trace_unchanged;
+          Alcotest.test_case "paid tenure keeps its CPU" `Quick test_paid_tenure_holds;
+          Alcotest.test_case "blocked holder releases at once" `Quick test_blocked_holder_releases;
+          Alcotest.test_case "acquire releases a blocked holder" `Quick
+            test_acquire_releases_blocked_holder;
+          Alcotest.test_case "free tenures do not hold" `Quick test_free_tenures_do_not_hold;
           QCheck_alcotest.to_alcotest no_starvation_prop;
         ] );
       ( "ipc-handoff",
