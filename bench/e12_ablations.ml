@@ -2,8 +2,10 @@
 
    A1. Shadow-chain collapse. Generations of fork → child-writes →
        parent-continues grow a shadow chain per entry; with collapse the
-       chain stays flat and fault cost constant, without it both grow
-       linearly.
+       chain stays flat, without it the depth grows by one per
+       generation. A cold fault costs the same either way: the cost
+       model charges nothing per chain level walked, so the price of a
+       deep chain here is memory (one object per level), not time.
 
    A2. pager_cache (object caching). The §9 file-cache win depends on
        the manager granting the kernel permission to keep file pages
@@ -143,6 +145,25 @@ let run () =
   Table.row t3 [ "no reserve"; string_of_int reserve_none ];
   [ t; t2; t3 ]
 
+let json () =
+  let gens, (d1, f1, c1), (d2, f2, c2), cache_on, cache_off, reserve_some, reserve_none =
+    run_body ~quick:false
+  in
+  let fi = float_of_int in
+  [
+    ("generations", fi gens);
+    ("collapse_depth", fi d1);
+    ("collapse_fault_us", f1);
+    ("collapses", fi c1);
+    ("no_collapse_depth", fi d2);
+    ("no_collapse_fault_us", f2);
+    ("no_collapse_collapses", fi c2);
+    ("cache_disk_reads", fi cache_on);
+    ("no_cache_disk_reads", fi cache_off);
+    ("reserve_min_free", fi reserve_some);
+    ("no_reserve_min_free", fi reserve_none);
+  ]
+
 let experiment =
   {
     id = "E12";
@@ -153,5 +174,5 @@ let experiment =
        pool keeps the pageout path alive under pressure (Section 6.2.3).";
     run;
     quick = (fun () -> ignore (run_body ~quick:true));
-    json = None;
+    json = Some json;
   }

@@ -137,6 +137,15 @@ let spec = [
     le "gen_depth_peak" (Const 2.0);
     ge "collapses" (Cur "generations");
   ] );
+  ( "E12", [
+    (* The two remaining ablation switches keep earning their place:
+       collapse keeps a forked entry's chain flat while the chain
+       without it grows at least as deep as the baseline's, and
+       pager_cache saves disk reads on re-mapping a file. *)
+    le "collapse_depth" (Const 1.0);
+    ge "no_collapse_depth" (Base 1.0);
+    ge "no_cache_disk_reads" (Sum [ Cur "cache_disk_reads"; Const 1.0 ]);
+  ] );
   ( "E13", [
     (* The §7 duality: messages are the cheap mechanism on a NORMA,
        shared memory on a UMA. *)

@@ -25,8 +25,8 @@ let anonymous_style obj =
 
 (* The fault pipeline is split in two:
 
-   - The FAST PATH handles the common case — the page is resident,
-     not busy, not manager-locked against this access, and no
+   - The FAST PATH handles the common case — the page is Resident,
+     not manager-locked against this access, and no
      copy-on-write is due. One map lookup (hinted), one hash probe,
      one pmap entry; no retry loop, no waiting.
 
@@ -89,18 +89,6 @@ let handle kctx map ~addr ~write ?policy () =
       in
       loop ()
   in
-  let zero_fill_placeholder page =
-    (* Substitute zeroes for data the manager failed to deliver; any
-       late pager_data_provided for this page is dropped. *)
-    Phys_mem.fill kctx.Kctx.mem page.frame '\000';
-    page.absent <- false;
-    page.p_error <- false;
-    page.cluster_spec <- false;
-    page.p_obj.paging_in_progress <- max 0 (page.p_obj.paging_in_progress - 1);
-    stats.s_zero_fill <- stats.s_zero_fill + 1;
-    Page_queues.activate kctx.Kctx.queues page;
-    Vm_page.set_unbusy page
-  in
   let lock_forbids page =
     if write then Prot.can_write page.page_lock else Prot.can_read page.page_lock
   in
@@ -110,15 +98,15 @@ let handle kctx map ~addr ~write ?policy () =
   (* ---- copy engine predicates ------------------------------------- *)
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
      no 400 µs charge) when nobody else can ever reach it: every object
-     strictly below [top] down to the page's owner is an idle,
-     sole-referenced, anonymous temporary — so the only reference path
-     to the page runs through [top] — and the page itself is quiescent
-     with hardware mappings in no pmap but ours. *)
+     strictly below [top] down to the page's owner is a sole-referenced,
+     anonymous temporary — so the only reference path to the page runs
+     through [top] — and the page itself is Resident, unwired, and mapped
+     in no pmap but ours. *)
   let chain_exclusive top ~owner =
     let rec walk cur =
       match cur.backing with
       | Some { back_obj = b; _ } ->
-        b.ref_count = 1 && b.temporary && b.obj_alive && b.paging_in_progress = 0
+        b.ref_count = 1 && b.temporary && b.obj_alive
         && (match b.pager with No_pager -> true | Pager _ -> false)
         && (b == owner || walk b)
       | None -> false
@@ -126,9 +114,8 @@ let handle kctx map ~addr ~write ?policy () =
     walk top
   in
   let can_steal first_obj (page : page) =
-    (not page.busy) && (not page.absent) && (not page.p_error)
+    page.p_state = Resident
     && page.wire_count = 0
-    && page.q_state <> Q_laundry
     && List.for_all (fun (pm', _) -> pm' == pm) page.mappings
     && chain_exclusive first_obj ~owner:page.p_obj
   in
@@ -166,8 +153,7 @@ let handle kctx map ~addr ~write ?policy () =
          | Ok lk -> (
            match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
            | Some (p, _, _)
-             when (not p.busy) && (not p.absent) && (not p.p_error)
-                  && not (Prot.can_read p.page_lock) ->
+             when p.p_state = Resident && not (Prot.can_read p.page_lock) ->
              let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok:false ~page_lock:p.page_lock in
              batch := (vpn, p.frame, prot) :: !batch;
              Vm_page.add_mapping p pm ~vpn;
@@ -240,15 +226,17 @@ let handle kctx map ~addr ~write ?policy () =
         match Vm_object.lookup_chain first_obj ~offset:first_off with
         | Some (page, _owner, depth) ->
           note_depth depth;
-          if page.busy then slow_busy page tries
-          else if page.p_error then slow_error page tries
-          else if forbidden page () then slow_lock page tries
-          else if depth > 0 && write then slow_cow lk page tries
-          else begin
-            (* Resident and usable after at least one slow step. *)
-            Page_queues.activate kctx.Kctx.queues page;
-            finish page ~from_backing:(depth > 0)
-          end
+          (match page.p_state with
+          | Demanded | Speculative | Cleaning -> slow_busy page tries
+          | Failed -> slow_error page tries
+          | Resident ->
+            if forbidden page () then slow_lock page tries
+            else if depth > 0 && write then slow_cow lk page tries
+            else begin
+              (* Usable after at least one slow step. *)
+              Page_queues.activate kctx.Kctx.queues page;
+              finish page ~from_backing:(depth > 0)
+            end)
         | None -> (
           match Vm_object.chain_has_pager first_obj ~offset:first_off with
           | Some (powner, poffset) -> slow_pager powner poffset tries
@@ -260,23 +248,18 @@ let handle kctx map ~addr ~write ?policy () =
      only partially, so it is asked again for this page alone. *)
   and slow_busy page tries =
     stats.s_slow_busy <- stats.s_slow_busy + 1;
-    via := (if page.q_state = Q_laundry then "clean_hit" else "busy");
-    (* Refault on a busy-cleaning page: absorbed by the laundry
+    via := (if page.p_state = Cleaning then "clean_hit" else "busy");
+    (* Refault on a Cleaning page: absorbed by the laundry
        machinery — the old pipeline would have detached the page and
        round-tripped a fresh data_request to the manager. *)
-    if page.q_state = Q_laundry then stats.s_clean_hits <- stats.s_clean_hits + 1;
-    if page.cluster_spec then begin
-      page.cluster_spec <- false;
+    if page.p_state = Cleaning then stats.s_clean_hits <- stats.s_clean_hits + 1;
+    if page.p_state = Speculative then begin
+      Vm_page.demand page;
       Pager_client.rerequest kctx page
         ~desired_access:(if write then Prot.rw else Prot.read)
     end;
-    if wait_while page (fun () -> page.busy) then resolve (tries + 1)
-    else
-      match policy with
-      | Zero_fill_after _ when page.absent ->
-        zero_fill_placeholder page;
-        resolve (tries + 1)
-      | Zero_fill_after _ | Wait_forever | Abort_after _ -> Pager_error
+    if wait_while page (fun () -> busy page) then resolve (tries + 1)
+    else undelivered page tries
   (* A previous pager interaction failed for this page. Error refaults
      ride the same retry budget as the other slow steps and are counted,
      so a task spinning on a poisoned page shows up in the E10 trace
@@ -284,11 +267,18 @@ let handle kctx map ~addr ~write ?policy () =
   and slow_error page tries =
     stats.s_slow_error <- stats.s_slow_error + 1;
     via := "error";
-    match policy with
-    | Zero_fill_after _ ->
-      zero_fill_placeholder page;
+    undelivered page tries
+  (* The manager did not deliver by the policy's deadline (or at all):
+     a placeholder gets zeroes under [Zero_fill_after], and any late
+     pager_data_provided for it is dropped; otherwise the fault fails. *)
+  and undelivered page tries =
+    match (policy, page.p_state) with
+    | Zero_fill_after _, (Demanded | Speculative | Failed) ->
+      Phys_mem.fill kctx.Kctx.mem page.frame '\000';
+      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Vm_page.resolve kctx page;
       resolve (tries + 1)
-    | Wait_forever | Abort_after _ -> Pager_error
+    | (Zero_fill_after _ | Wait_forever | Abort_after _), _ -> Pager_error
   (* Manager-imposed lock (§3.4.1): if the lock forbids this access,
      ask for an unlock and wait for pager_data_lock. *)
   and slow_lock page tries =
@@ -350,7 +340,7 @@ let handle kctx map ~addr ~write ?policy () =
     let copy src frame ~off =
       Phys_mem.copy kctx.Kctx.mem ~src:src.frame ~dst:frame;
       incr copies;
-      let fresh = Vm_page.insert kctx first_obj ~offset:off ~frame ~busy:false ~absent:false in
+      let fresh = Vm_page.insert kctx first_obj ~offset:off ~frame ~state:Resident in
       fresh.dirty <- true;
       Page_queues.activate kctx.Kctx.queues fresh;
       if src.mappings <> [] then removed := true;
@@ -371,7 +361,7 @@ let handle kctx map ~addr ~write ?policy () =
            the source can be gone, or another faulter may have resolved
            this offset already; retry from the top if so. *)
         if
-          page.busy
+          busy page
           || (not (Hashtbl.mem page.p_obj.obj_pages page.p_offset))
           || Hashtbl.mem first_obj.obj_pages first_off
         then begin
@@ -404,8 +394,7 @@ let handle kctx map ~addr ~write ?policy () =
            if Hashtbl.mem first_obj.obj_pages off then raise Exit;
            match Vm_object.lookup_chain first_obj ~offset:off with
            | Some (p, _, depth)
-             when depth > 0 && (not p.busy) && (not p.absent) && (not p.p_error)
-                  && p.page_lock = Prot.none ->
+             when depth > 0 && p.p_state = Resident && p.page_lock = Prot.none ->
              if can_steal first_obj p then begin
                steal p ~off;
                extras := p :: !extras
@@ -436,7 +425,7 @@ let handle kctx map ~addr ~write ?policy () =
       | Error _ -> ()
       | Ok lk2 when lk2.Vm_map.lk_obj == first_obj && lk2.Vm_map.lk_offset = first_off ->
         let base_vpn = addr / ps in
-        let live pg = pg.p_obj == first_obj && not pg.busy in
+        let live pg = pg.p_obj == first_obj && not (busy pg) in
         let batch =
           List.filter_map
             (fun pg ->
@@ -472,9 +461,7 @@ let handle kctx map ~addr ~write ?policy () =
         (* alloc_frame may sleep; someone may have resolved the page. *)
         if Hashtbl.mem powner.obj_pages poffset then Kctx.free_frame kctx frame
         else begin
-          let page =
-            Vm_page.insert kctx powner ~offset:poffset ~frame ~busy:false ~absent:false
-          in
+          let page = Vm_page.insert kctx powner ~offset:poffset ~frame ~state:Resident in
           stats.s_zero_fill <- stats.s_zero_fill + 1;
           stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
           Page_queues.activate kctx.Kctx.queues page
@@ -495,15 +482,8 @@ let handle kctx map ~addr ~write ?policy () =
           ~desired_access:(if write then Prot.rw else Prot.read)
           ~window:Kctx.cluster_pages
       in
-      if wait_while page (fun () -> page.busy) then resolve (tries + 1)
-      else
-        match policy with
-        | Zero_fill_after _ when page.absent ->
-          zero_fill_placeholder page;
-          resolve (tries + 1)
-        | Zero_fill_after _ | Wait_forever | Abort_after _ ->
-          if page.absent then page.p_error <- true;
-          Pager_error
+      if wait_while page (fun () -> busy page) then resolve (tries + 1)
+      else undelivered page tries
     end
   (* Not resident, no manager anywhere in the chain: fresh zeroes. *)
   and slow_zero_fill first_obj first_off tries =
@@ -515,9 +495,7 @@ let handle kctx map ~addr ~write ?policy () =
       resolve (tries + 1)
     end
     else begin
-      let page =
-        Vm_page.insert kctx first_obj ~offset:first_off ~frame ~busy:false ~absent:false
-      in
+      let page = Vm_page.insert kctx first_obj ~offset:first_off ~frame ~state:Resident in
       stats.s_zero_fill <- stats.s_zero_fill + 1;
       Page_queues.activate kctx.Kctx.queues page;
       finish page ~from_backing:false
@@ -541,7 +519,7 @@ let handle kctx map ~addr ~write ?policy () =
       Trace.point tr ~subsystem:"vm" "shadow_walk";
       match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
       | Some (page, _owner, depth)
-        when (not page.busy) && (not page.absent) && (not page.p_error)
+        when page.p_state = Resident
              && (not (lock_forbids page))
              && not (write && depth > 0) ->
         note_depth depth;

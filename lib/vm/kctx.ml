@@ -110,7 +110,7 @@ let default_terminator t obj =
   let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in
   List.iter
     (fun (p : page) ->
-      if not p.busy then begin
+      if not (busy p) then begin
         List.iter (fun (pmap, vpn) -> Pmap.remove pmap ~vpn) p.mappings;
         p.mappings <- [];
         Page_queues.remove t.queues p;

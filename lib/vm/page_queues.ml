@@ -43,11 +43,11 @@ let oldest_active t = Option.map Dlist.value (Dlist.peek_front t.active)
 let oldest_inactive t = Option.map Dlist.value (Dlist.peek_front t.inactive)
 
 (* Invariant oracle for the property tests: every page on a queue must
-   carry the matching [q_state], every page can be on at most one queue,
-   and the counts must agree with the membership walk. *)
+   carry the matching [q_state] and page state, every page can be on at
+   most one queue, and the counts must agree with the membership walk. *)
 let check_invariants t =
   let seen = ref [] in
-  let check_queue q want name =
+  let check_queue q want state name =
     let n = ref 0 in
     let err = ref None in
     Dlist.iter
@@ -57,7 +57,9 @@ let check_invariants t =
           err := Some (Printf.sprintf "page on two queues (second: %s)" name)
         else seen := p :: !seen;
         if p.q_state <> want then
-          err := Some (Printf.sprintf "page on %s queue has mismatched q_state" name))
+          err := Some (Printf.sprintf "page on %s queue has mismatched q_state" name)
+        else if p.p_state <> state then
+          err := Some (Printf.sprintf "page on %s queue in the wrong page state" name))
       q;
     match !err with
     | Some e -> Error e
@@ -66,6 +68,6 @@ let check_invariants t =
       else Ok ()
   in
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  check_queue t.active Q_active "active" >>= fun () ->
-  check_queue t.inactive Q_inactive "inactive" >>= fun () ->
-  check_queue t.laundry Q_laundry "laundry" >>= fun () -> Ok ()
+  check_queue t.active Q_active Resident "active" >>= fun () ->
+  check_queue t.inactive Q_inactive Resident "inactive" >>= fun () ->
+  check_queue t.laundry Q_laundry Cleaning "laundry" >>= fun () -> Ok ()

@@ -21,18 +21,18 @@ val laundry_count : t -> int
 
 val activate : t -> page -> unit
 (** Put the page at the tail of the active queue (most recently used),
-    removing it from whatever queue it was on. Wired and busy pages may
-    be activated; the pageout daemon skips them. *)
+    removing it from whatever queue it was on. Wired pages may be
+    activated; the pageout daemon skips them. *)
 
 val deactivate : t -> page -> unit
 (** Move to the tail of the inactive queue and clear the hardware
     reference bit so future use is detectable. *)
 
 val launder : t -> page -> unit
-(** Move to the tail of the laundry queue ([q_state = Q_laundry]); the
-    caller marks the page busy and ships its contents in a
-    [pager_data_write]. The page leaves the queue on [release_write],
-    on rescue timeout, or when freed. *)
+(** Move to the tail of the laundry queue ([q_state = Q_laundry]). Only
+    {!Vm_page.launder}, the [Cleaning] transition, calls it. The page
+    leaves the queue on [release_write], on rescue timeout, or when
+    freed. *)
 
 val remove : t -> page -> unit
 (** Detach from any queue (page being freed or wired). *)
@@ -42,5 +42,6 @@ val oldest_inactive : t -> page option
 
 val check_invariants : t -> (unit, string) result
 (** Oracle for the property tests: every page on a queue carries the
-    matching [q_state], no page sits on two queues, and queue lengths
-    agree with a membership walk. *)
+    matching [q_state] and page state ([Cleaning] on the laundry queue,
+    [Resident] on the others), no page sits on two queues, and queue
+    lengths agree with a membership walk. *)

@@ -17,7 +17,7 @@ let refill_inactive kctx ~want =
     | None -> scanned := budget
     | Some page ->
       incr scanned;
-      if page.wire_count > 0 || page.busy then Page_queues.activate queues page
+      if page.wire_count > 0 || busy page then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
         Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
         Page_queues.activate queues page (* second chance *)
@@ -39,7 +39,7 @@ let collect_run kctx seed =
   let obj = seed.p_obj in
   let eligible q =
     q.wire_count = 0
-    && (not q.busy)
+    && (not (busy q))
     && (not (Phys_mem.referenced kctx.Kctx.mem q.frame))
     && (Vm_page.harvest_bits kctx q;
         q.dirty)
@@ -96,7 +96,7 @@ let reclaim_inactive kctx ~want =
     | None -> scanned := budget
     | Some page ->
       incr scanned;
-      if page.wire_count > 0 || page.busy then Page_queues.activate queues page
+      if page.wire_count > 0 || busy page then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
         (* Used while inactive: reactivate. *)
         kctx.Kctx.stats.s_reactivations <- kctx.Kctx.stats.s_reactivations + 1;

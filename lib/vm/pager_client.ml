@@ -71,7 +71,7 @@ let rescue kctx (h : holding) =
     h.h_frames <- [];
     List.iter
       (fun page ->
-        Vm_page.set_unbusy page;
+        Vm_page.cleaned page;
         Vm_page.free kctx page)
       pages;
     h.h_pages <- []
@@ -92,7 +92,7 @@ let release_write kctx ~write_id =
       (fun page ->
         if still_held h page then begin
           page.dirty <- false;
-          Vm_page.set_unbusy page;
+          Vm_page.cleaned page;
           match h.h_dispose with
           | Dispose_free -> Vm_page.free kctx page
           | Dispose_keep ->
@@ -122,33 +122,24 @@ let pager_died kctx obj =
     let pages = Hashtbl.fold (fun _ pg acc -> pg :: acc) obj.obj_pages [] in
     List.iter
       (fun page ->
-        if page.busy && page.absent then begin
-          if page.cluster_spec then
-            (* Speculative placeholder no faulter waits on: reclaim. *)
-            Vm_page.release_placeholder kctx page
-          else if anonymous then begin
-            (* The frame is already zero-filled; resolve like
-               data_unavailable. *)
-            page.absent <- false;
-            page.p_error <- false;
-            obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
-            stats.s_zero_fill <- stats.s_zero_fill + 1;
-            stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
-            Page_queues.activate kctx.Kctx.queues page;
-            Vm_page.set_unbusy page
-          end
-          else begin
-            (* Mirror the slow-path timeout: error the placeholder so
-               waiters fail the fault. *)
-            page.p_error <- true;
-            stats.s_death_errors <- stats.s_death_errors + 1;
-            Vm_page.set_unbusy page
-          end
-        end
-        else if (not (Prot.equal page.page_lock Prot.none)) || page.unlock_requested then
-          (* The unlock can never arrive; wake waiters so the fault path
-             re-checks against the dead pager. *)
-          Mach_sim.Waitq.broadcast page.busy_wait)
+        match page.p_state with
+        | Speculative ->
+          (* Placeholder no faulter waits on: reclaim. *)
+          Vm_page.release_placeholder kctx page
+        | Demanded when anonymous ->
+          (* The frame is already zero-filled, as for data_unavailable. *)
+          stats.s_zero_fill <- stats.s_zero_fill + 1;
+          stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
+          Vm_page.resolve kctx page
+        | Demanded ->
+          (* Waiters fail the fault, as after a slow-path timeout. *)
+          stats.s_death_errors <- stats.s_death_errors + 1;
+          Vm_page.fail page
+        | Resident | Failed | Cleaning ->
+          if (not (Prot.equal page.page_lock Prot.none)) || page.unlock_requested then
+            (* The unlock can never arrive; wake waiters so the fault
+               path re-checks against the dead pager. *)
+            Mach_sim.Waitq.broadcast page.busy_wait)
       pages;
     (* Outstanding data_writes will never be released: run the §6.2.2
        rescue immediately instead of waiting out the timer. *)
@@ -216,8 +207,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
     Kctx.free_frame kctx frame;
     page
   | None ->
-    let page = Vm_page.insert kctx obj ~offset ~frame ~busy:true ~absent:true in
-    obj.paging_in_progress <- obj.paging_in_progress + 1;
+    let page = Vm_page.insert kctx obj ~offset ~frame ~state:Demanded in
     (* Cluster-in: extend the request over forward-adjacent pages that
        are not resident, as long as a free frame comes without waiting
        and the free count stays above the low watermark. Memory
@@ -228,9 +218,9 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
        in [alloc_frame] with one wake-up. If that daemon pass only ages
        pages (second chance) it frees nothing, has no laundry in flight
        and sleeps until the next allocation, which is the faulter
-       already asleep on [free_wait]. The placeholders are speculative
-       — no faulter waits on them — and marked [cluster_spec] so they
-       can be reclaimed if the manager never fills them. *)
+       already asleep on [free_wait]. The placeholders are
+       [Speculative] — no faulter waits on them — so they can be
+       reclaimed if the manager never fills them. *)
     let obj_end = Kctx.round_page kctx obj.obj_size in
     let spec = ref [] in
     let n = ref 1 in
@@ -244,10 +234,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
          match Kctx.try_alloc_frame kctx ~privileged:false with
          | None -> raise Exit
          | Some f ->
-           let sp = Vm_page.insert kctx obj ~offset:off ~frame:f ~busy:true ~absent:true in
-           sp.cluster_spec <- true;
-           obj.paging_in_progress <- obj.paging_in_progress + 1;
-           spec := sp :: !spec;
+           spec := Vm_page.insert kctx obj ~offset:off ~frame:f ~state:Speculative :: !spec;
            incr n
        done
      with Exit -> ());
@@ -346,13 +333,9 @@ let write_run kctx pages ~dispose =
   let n = List.length pages in
   stats.s_pageouts <- stats.s_pageouts + n;
   stats.s_laundered <- stats.s_laundered + n;
-  (* Mark the whole run busy-cleaning before anything can block, so a
+  (* Mark the whole run Cleaning before anything can block, so a
      concurrent faulter waits on the busy machinery instead of racing. *)
-  List.iter
-    (fun page ->
-      page.busy <- true;
-      Page_queues.launder kctx.Kctx.queues page)
-    pages;
+  List.iter (Vm_page.launder kctx) pages;
   (* Invalidate mappings (this may charge map-op time and block — safe
      now that the pages are busy), then snapshot the run contents. *)
   List.iter (fun page -> Vm_page.remove_all_mappings kctx page) pages;
@@ -448,16 +431,11 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
     let off = offset + (i * ps) in
     let chunk = Bytes.sub data (i * ps) ps in
     match Vm_page.lookup obj ~offset:off with
-    | Some page when page.absent ->
+    | Some ({ p_state = Demanded | Speculative | Failed; _ } as page) ->
       Phys_mem.write kctx.Kctx.mem page.frame ~off:0 chunk;
-      page.absent <- false;
-      page.p_error <- false;
-      page.cluster_spec <- false;
       page.page_lock <- lock_value;
-      obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
       stats.s_pageins <- stats.s_pageins + 1;
-      Page_queues.activate kctx.Kctx.queues page;
-      Vm_page.set_unbusy page
+      Vm_page.resolve kctx page
     | Some page ->
       (* Data for a page the kernel already has: the bytes are stale
          (ours may be dirtier) but the lock is authoritative — the
@@ -470,7 +448,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
          if a frame is available without waiting. *)
       match Kctx.try_alloc_frame kctx ~privileged:false with
       | Some frame ->
-        let page = Vm_page.insert kctx obj ~offset:off ~frame ~busy:false ~absent:false in
+        let page = Vm_page.insert kctx obj ~offset:off ~frame ~state:Resident in
         Phys_mem.write kctx.Kctx.mem frame ~off:0 chunk;
         page.page_lock <- lock_value;
         stats.s_pageins <- stats.s_pageins + 1;
@@ -486,15 +464,10 @@ let data_unavailable kctx obj ~offset ~size =
   for i = 0 to pages - 1 do
     let off = offset + (i * ps) in
     match Vm_page.lookup obj ~offset:off with
-    | Some page when page.absent ->
+    | Some ({ p_state = Demanded | Speculative | Failed; _ } as page) ->
       (* Frame is already zero-filled. *)
-      page.absent <- false;
-      page.p_error <- false;
-      page.cluster_spec <- false;
-      obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
       stats.s_zero_fill <- stats.s_zero_fill + 1;
-      Page_queues.activate kctx.Kctx.queues page;
-      Vm_page.set_unbusy page
+      Vm_page.resolve kctx page
     | Some _ | None -> ()
   done
 
@@ -518,7 +491,7 @@ let flush_range kctx obj ~offset ~length ~keep =
      run is collected: shipping a run can block, and the world moves. *)
   let rec walk = function
     | [] -> ()
-    | page :: rest when page.busy || not (resident page) -> walk rest
+    | page :: rest when busy page || not (resident page) -> walk rest
     | page :: rest when page.grant_hold > 0 ->
       (* A faulter just validated a translation for this page and has
          not yet retried its access. Let it commit before revoking —
@@ -534,7 +507,7 @@ let flush_range kctx obj ~offset ~length ~keep =
           match rest with
           | next :: rest'
             when next.p_offset = last.p_offset + ps
-                 && (not next.busy)
+                 && (not (busy next))
                  && resident next
                  && List.length run < window ->
             Vm_page.harvest_bits kctx next;
@@ -609,7 +582,7 @@ let terminate kctx obj =
       let pages = List.sort (fun a b -> compare a.p_offset b.p_offset) pages in
       let runs =
         adjacent_runs kctx pages ~eligible:(fun pg ->
-            (not pg.busy)
+            (not (busy pg))
             &&
             (Vm_page.harvest_bits kctx pg;
              pg.dirty))

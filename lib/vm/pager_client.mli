@@ -30,19 +30,19 @@ val ensure_initialized : Kctx.t -> obj -> unit
 
 val request_cluster :
   Kctx.t -> obj -> offset:int -> desired_access:Mach_hw.Prot.t -> window:int -> page
-(** Allocate a busy+absent placeholder for the page at [offset] and send
+(** Allocate a [Demanded] placeholder for the page at [offset] and send
     one [pager_data_request] for it; the caller waits on the page. The
     request widens over up to [window - 1] forward-adjacent non-resident
     pages (stopping at the object end, at a resident page, or when a
     frame is not free without waiting). The extra placeholders are
-    speculative ([cluster_spec]): no faulter waits on them, and a timer
-    reclaims any the manager never fills. Returns the demanded page — which may be a
+    [Speculative]: no faulter waits on them, and a timer reclaims any
+    the manager never fills. Returns the demanded page — which may be a
     page another faulter installed while we slept for a frame. *)
 
 val rerequest : Kctx.t -> page -> desired_access:Mach_hw.Prot.t -> unit
-(** Re-send a single-page [pager_data_request] for an existing
-    busy+absent placeholder — used when a fault lands on a speculative
-    cluster page whose data may never come (partial provide). *)
+(** Re-send a single-page [pager_data_request] for a placeholder —
+    used when a fault lands on a [Speculative] cluster page whose data
+    may never come (partial provide). *)
 
 val bind_to_default_pager : Kctx.t -> obj -> unit
 (** First pageout from an anonymous object: create a kernel memory
@@ -51,15 +51,15 @@ val bind_to_default_pager : Kctx.t -> obj -> unit
 
 val write_run : Kctx.t -> page list -> dispose:dispose -> unit
 (** Launder a run of adjacent dirty pages: one [pager_data_write] for
-    the whole run. The pages stay resident on the laundry queue, busy,
-    until the manager releases the data ([Release_write]) — a refault
+    the whole run. The pages stay [Cleaning] on the laundry queue until
+    the manager releases the data ([Release_write]) — a refault
     during the clean waits on the busy machinery instead of
     round-tripping to the pager. On release, [Dispose_keep] pages become
     clean-resident (freed only while memory pressure persists);
     [Dispose_free] pages leave the cache. If the manager sits on the
     data past the release timeout, the run is rescued to the default
     pager (§6.2.2) and the cleaning pages are freed. [pages] must be
-    non-empty, same-object, offset-sorted, offset-adjacent, non-busy,
+    non-empty, same-object, offset-sorted, offset-adjacent, [Resident],
     and the object must already have a pager binding. *)
 
 val send_unlock : Kctx.t -> obj -> offset:int -> length:int -> desired_access:Mach_hw.Prot.t -> unit

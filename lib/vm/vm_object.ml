@@ -13,7 +13,6 @@ let make kctx ~size ~pager ~temporary =
     backing = None;
     temporary;
     obj_alive = true;
-    paging_in_progress = 0;
     shadowers = [];
     cow_next = 0;
   }
@@ -82,7 +81,7 @@ let destroy_pages kctx obj =
           (* Speculative cluster placeholders have no waiters and no
              data coming that anyone cares about: drop them instead of
              stalling teardown until the reclaim timer. *)
-          if p.cluster_spec then Vm_page.release_placeholder kctx p
+          if p.p_state = Speculative then Vm_page.release_placeholder kctx p
           else begin
             Vm_page.wait_unbusy p;
             (* The page may have been freed or renamed while we waited. *)
@@ -124,19 +123,20 @@ let chain_depth obj =
 
 (* Splice out one collapsible backing object; true if progress was
    made. A backing object is collapsible when this object is its only
-   user, it is anonymous and temporary (no manager owns the bytes), and
-   no paging traffic is in flight. Surviving pages move up with their
-   hardware translations intact (see {!Vm_page.rename}): every mapper
-   reached them through [obj] at the same offset, read-only. *)
+   user and it is anonymous and temporary: no manager owns the bytes,
+   so no paging traffic can be in flight (a binding never goes back to
+   [No_pager]). Surviving pages move up with their hardware
+   translations intact (see {!Vm_page.rename}): every mapper reached
+   them through [obj] at the same offset, read-only. *)
 let collapse_once kctx obj =
   match obj.backing with
   | Some { back_obj = b; back_offset = delta } when
-      b.ref_count = 1 && b.temporary && b.obj_alive && b.paging_in_progress = 0
+      b.ref_count = 1 && b.temporary && b.obj_alive
       && (match b.pager with No_pager -> true | Pager _ -> false) ->
     let pages = Hashtbl.fold (fun _ p acc -> p :: acc) b.obj_pages [] in
     List.iter
       (fun (page : page) ->
-        if page.busy then ()
+        if busy page then ()
         else begin
           let up_offset = page.p_offset - delta in
           if

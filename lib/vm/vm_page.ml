@@ -5,7 +5,7 @@ module Phys_mem = Mach_hw.Phys_mem
 module Prot = Mach_hw.Prot
 module Machine = Mach_hw.Machine
 
-let insert kctx obj ~offset ~frame ~busy ~absent =
+let insert kctx obj ~offset ~frame ~state =
   if offset land (kctx.Kctx.page_size - 1) <> 0 then
     invalid_arg "Vm_page.insert: offset not page-aligned";
   if Hashtbl.mem obj.obj_pages offset then invalid_arg "Vm_page.insert: offset already cached";
@@ -15,9 +15,7 @@ let insert kctx obj ~offset ~frame ~busy ~absent =
       p_obj = obj;
       p_offset = offset;
       wire_count = 0;
-      busy;
-      absent;
-      p_error = false;
+      p_state = state;
       busy_wait = Waitq.create ();
       page_lock = Prot.none;
       unlock_requested = false;
@@ -26,7 +24,6 @@ let insert kctx obj ~offset ~frame ~busy ~absent =
       q_node = None;
       mappings = [];
       grant_hold = 0;
-      cluster_spec = false;
     }
   in
   Hashtbl.replace obj.obj_pages offset page;
@@ -35,13 +32,37 @@ let insert kctx obj ~offset ~frame ~busy ~absent =
 let lookup obj ~offset = Hashtbl.find_opt obj.obj_pages offset
 
 let wait_unbusy page =
-  while page.busy do
+  while busy page do
     Waitq.wait page.busy_wait
   done
 
-let set_unbusy page =
-  page.busy <- false;
-  Waitq.broadcast page.busy_wait
+(* Every transition: leaving a busy state wakes the page's waiters. *)
+let set_state page state =
+  let was_busy = busy page in
+  page.p_state <- state;
+  if was_busy then Waitq.broadcast page.busy_wait
+
+let resolve kctx page =
+  assert (page.p_state <> Resident && page.p_state <> Cleaning);
+  set_state page Resident;
+  Page_queues.activate kctx.Kctx.queues page
+
+let fail page =
+  assert (page.p_state = Demanded);
+  set_state page Failed
+
+let demand page =
+  assert (page.p_state = Speculative);
+  set_state page Demanded
+
+let launder kctx page =
+  assert (page.p_state = Resident);
+  set_state page Cleaning;
+  Page_queues.launder kctx.Kctx.queues page
+
+let cleaned page =
+  assert (page.p_state = Cleaning);
+  set_state page Resident
 
 let add_mapping page pmap ~vpn =
   if not (List.exists (fun (pm, v) -> pm == pmap && v = vpn) page.mappings) then
@@ -73,7 +94,7 @@ let protect_mappings kctx page prot =
    charges, so a fault running while we sleep never sees a half-freed
    page in the tables. *)
 let free kctx page =
-  assert (not page.busy);
+  assert (not (busy page));
   Page_queues.remove kctx.Kctx.queues page;
   Hashtbl.remove page.p_obj.obj_pages page.p_offset;
   (* Anyone waiting on this page (e.g. for a manager unlock) must wake
@@ -89,15 +110,12 @@ let free kctx page =
   if n > 0 then Kctx.charge kctx (float_of_int n *. kctx.Kctx.params.Machine.map_op_us)
 
 (* Reclaim a speculative cluster-in placeholder the manager never
-   filled. Spec pages are busy+absent with no waiters (a fault landing
-   on one clears the flag), so dropping them is always safe. *)
+   filled. No faulter waits on a Speculative page (a fault landing on
+   one promotes it to Demanded), so dropping it is always safe. The
+   abandoned request leaves the structure Failed. *)
 let release_placeholder kctx page =
-  if page.cluster_spec && page.busy && page.absent
-     && Hashtbl.mem page.p_obj.obj_pages page.p_offset
-  then begin
-    page.cluster_spec <- false;
-    page.p_obj.paging_in_progress <- max 0 (page.p_obj.paging_in_progress - 1);
-    set_unbusy page;
+  if page.p_state = Speculative && Hashtbl.mem page.p_obj.obj_pages page.p_offset then begin
+    set_state page Failed;
     free kctx page
   end
 

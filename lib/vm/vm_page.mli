@@ -12,12 +12,11 @@ val insert :
   obj ->
   offset:int ->
   frame:int ->
-  busy:bool ->
-  absent:bool ->
+  state:page_state ->
   page
-(** Create a page caching [obj@offset] in [frame] and enter it in the
-    object's page hash. Raises [Invalid_argument] if the offset is not
-    page-aligned or already cached. *)
+(** Create a page caching [obj@offset] in [frame], in [state], and
+    enter it in the object's page hash. Raises [Invalid_argument] if the
+    offset is not page-aligned or already cached. *)
 
 val lookup : obj -> offset:int -> page option
 (** The §5.3 virtual-to-physical lookup for one object. *)
@@ -25,8 +24,23 @@ val lookup : obj -> offset:int -> page option
 val wait_unbusy : page -> unit
 (** Block until the page is not busy (data arrived / pageout done). *)
 
-val set_unbusy : page -> unit
-(** Clear busy and wake waiters. *)
+(** {2 Transitions} The only writers of [p_state]: each asserts its
+    source state and wakes [busy_wait] on leaving a busy state. *)
+
+val resolve : Kctx.t -> page -> unit
+(** [Demanded], [Speculative] or [Failed] → [Resident], activated. *)
+
+val fail : page -> unit
+(** [Demanded] → [Failed]. *)
+
+val demand : page -> unit
+(** [Speculative] → [Demanded]. *)
+
+val launder : Kctx.t -> page -> unit
+(** [Resident] → [Cleaning], on the laundry queue. *)
+
+val cleaned : page -> unit
+(** [Cleaning] → [Resident]; the caller requeues or frees the page. *)
 
 val add_mapping : page -> Mach_hw.Pmap.t -> vpn:int -> unit
 val drop_mapping : page -> Mach_hw.Pmap.t -> vpn:int -> unit
@@ -50,9 +64,9 @@ val free : Kctx.t -> page -> unit
     The page must not be busy. *)
 
 val release_placeholder : Kctx.t -> page -> unit
-(** Reclaim a speculative cluster-in placeholder ([cluster_spec], still
-    busy+absent) whose data never arrived; no-op otherwise. Safe because
-    no faulter ever waits on a speculative page. *)
+(** Reclaim a [Speculative] placeholder whose data never arrived;
+    no-op in any other state. Safe because no faulter ever waits on a
+    speculative page. *)
 
 val rename : page -> obj -> offset:int -> unit
 (** Move the page to cache a different (object, offset): a pure move of

@@ -23,18 +23,32 @@ let inheritance_to_string = function
   | Inherit_copy -> "copy"
   | Inherit_none -> "none"
 
-(** Which queue a resident page is on (§5.4). [Q_laundry] is the
-    cleaning state of the dirty-page lifecycle: the page is resident and
-    busy while a [pager_data_write] naming it is outstanding; a refault
-    waits on the busy machinery instead of re-requesting from the pager.
+(** What the kernel is doing with a resident page (§5). Each
+    transition is one function in {!Vm_page}; the queue a page is on
+    follows from its state.
 
     {v
-      active/inactive --launder--> laundry (busy-cleaning)
-           ^                          |
-           |            release_write |         rescue timeout
-           +--(clean-resident, no  <--+--> freed (continued pressure,
-               pressure: deactivate)        flush, or double-paging)
-    v} *)
+                      demand                  fail
+       Speculative ----------> Demanded -------------> Failed
+           |     \                 |                     |
+           |      \ resolve        | resolve             | resolve
+           |       +-------------> v <-------------------+
+           |                    Resident   (Q_active, Q_inactive)
+     release_placeholder          |    ^
+           |              launder |    | cleaned (release_write, or
+           v                      v    |   the §6.2.2 rescue, which
+         freed                  Cleaning    then frees the page)
+                               (Q_laundry)
+    v}
+
+    [Demanded]: data requested for a faulter, who waits on it.
+    [Speculative]: a cluster-in neighbour no faulter waits on yet.
+    [Failed]: the request died with its file-backed manager.
+    [Cleaning]: a [pager_data_write] naming the page is outstanding.
+    Constant constructors: a transition allocates nothing. *)
+type page_state = Resident | Demanded | Speculative | Failed | Cleaning
+
+(** Which queue a resident page is on (§5.4). *)
 type queue_state = Q_none | Q_active | Q_inactive | Q_laundry
 
 type obj = {
@@ -48,7 +62,6 @@ type obj = {
   mutable temporary : bool;
       (** contents need not outlive the object (shadow / anonymous) *)
   mutable obj_alive : bool;
-  mutable paging_in_progress : int;  (** in-flight pager operations *)
   mutable shadowers : obj list;
       (** live objects whose [backing] points here — the copy engine
           walks this from the deallocate path to collapse chains that
@@ -81,9 +94,7 @@ and page = {
   mutable p_obj : obj;
   mutable p_offset : int;  (** page-aligned offset within p_obj *)
   mutable wire_count : int;
-  mutable busy : bool;  (** in transit (pagein/pageout); waiters queue *)
-  mutable absent : bool;  (** placeholder: data requested, not yet arrived *)
-  mutable p_error : bool;  (** the data request failed *)
+  mutable p_state : page_state;
   busy_wait : Waitq.t;
   mutable page_lock : Mach_hw.Prot.t;  (** accesses forbidden by the manager *)
   mutable unlock_requested : bool;  (** pager_data_unlock already sent *)
@@ -98,13 +109,14 @@ and page = {
           it is surrendered — otherwise two kernels write-sharing a hot
           page can revoke each other's grants forever (the Li & Hudak
           ping-pong livelock). *)
-  mutable cluster_spec : bool;
-      (** speculative cluster-in placeholder: requested as a neighbor of
-          a hard fault, no faulter has asked for it yet. A fault that
-          lands on such a page re-requests it individually (the manager
-          may have answered the cluster only partially), and stale
-          placeholders are reclaimed rather than waited on. *)
 }
+
+(** Data in transit, in ([Demanded], [Speculative]) or out ([Cleaning]):
+    faulters wait on [busy_wait], and pageout and collapse skip the page. *)
+let busy page =
+  match page.p_state with
+  | Demanded | Speculative | Cleaning -> true
+  | Resident | Failed -> false
 
 (** What to do with a laundered page once the manager releases the
     data: keep it resident and clean (absorbing refaults), or free it

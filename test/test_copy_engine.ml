@@ -28,7 +28,7 @@ let make_kctx ?(frames = 64) () =
 
 let add_page kctx obj ~offset tagchar =
   let frame = Option.get (Phys_mem.alloc kctx.Kctx.mem) in
-  let p = Vm_page.insert kctx obj ~offset ~frame ~busy:false ~absent:false in
+  let p = Vm_page.insert kctx obj ~offset ~frame ~state:Resident in
   Phys_mem.fill kctx.Kctx.mem frame tagchar;
   Page_queues.activate kctx.Kctx.queues p;
   p
@@ -367,6 +367,9 @@ let run_scenario (nchildren, ops) =
             | Error _ -> verdict := false
           done)
         tasks;
+      (match Page_queues.check_invariants (Kernel.kctx kernel).Kctx.queues with
+      | Ok () -> ()
+      | Error _ -> verdict := false);
       !verdict)
 
 let copy_engine_prop =

@@ -25,6 +25,13 @@ let with_system ?config f =
 
 let small = { Kernel.default_config with Kernel.phys_frames = 64 }
 
+(* Page state agrees with the queue: Cleaning exactly on the laundry
+   queue, Resident on the active and inactive queues. *)
+let check_queues kctx =
+  match Page_queues.check_invariants kctx.Kctx.queues with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "page queues: %s" e
+
 let tag i = Printf.sprintf "page-%04d-contents" i
 
 let test_anonymous_paging_roundtrip () =
@@ -106,7 +113,7 @@ let test_lru_prefers_cold_pages () =
       done;
       let after = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
       check Alcotest.int "hot set stayed resident" 0 (after - before);
-      ignore kctx)
+      check_queues kctx)
 
 let test_run_once_noop_when_memory_free () =
   with_system (fun sys _task ->
@@ -212,6 +219,7 @@ let test_refault_during_clean () =
       let kctx = kernel.Ktypes.k_kctx in
       Alcotest.(check bool) "pages busy-cleaning on the laundry queue" true
         (Page_queues.laundry_count kctx.Kctx.queues > 0);
+      check_queues kctx;
       for i = 0 to npages - 1 do
         match Syscalls.touch task ~addr:(addr + (i * page)) ~write:true () with
         | Ok () -> ()
@@ -221,7 +229,8 @@ let test_refault_during_clean () =
       Alcotest.(check bool) "refaults absorbed by the laundry queue" true
         (stats.Vm_types.s_clean_hits > hits_before);
       check Alcotest.int "no second data_request to the manager" requests_before (requests rt);
-      check Alcotest.int "laundry drained" 0 (Page_queues.laundry_count kctx.Kctx.queues))
+      check Alcotest.int "laundry drained" 0 (Page_queues.laundry_count kctx.Kctx.queues);
+      check_queues kctx)
 
 let test_rescue_still_double_pages () =
   (* A manager that never releases its data_writes: the rescue timer
@@ -248,8 +257,12 @@ let test_rescue_still_double_pages () =
       let req = Ivar.read req_port in
       let rescued_before = (Kernel.stats kernel).Vm_types.s_pageout_to_default in
       Rt.clean_request rt ~request:req ~offset:0 ~length:(npages * page);
-      (* Sleep past the rescue timeout. *)
       let kctx = kernel.Ktypes.k_kctx in
+      Engine.sleep 500.0;
+      Alcotest.(check bool) "the held run is on the laundry queue" true
+        (Page_queues.laundry_count kctx.Kctx.queues > 0);
+      check_queues kctx;
+      (* Sleep past the rescue timeout. *)
       Engine.sleep (Kctx.data_write_release_timeout_us +. 100_000.0);
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "rescue double-paged the run to the default pager" true
@@ -265,7 +278,8 @@ let test_rescue_still_double_pages () =
         | Error e -> Alcotest.failf "post-rescue fault %d: %a" i Access.pp_error e
       done;
       Alcotest.(check bool) "post-rescue faults re-request from the manager" true
-        (requests rt > requests_before))
+        (requests rt > requests_before);
+      check_queues kctx)
 
 let test_flooding_manager_contained () =
   (* §6: a manager that answers any request with a flood of unsolicited

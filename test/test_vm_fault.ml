@@ -163,6 +163,52 @@ let test_policy_abort_and_zero_fill () =
       | Ok b -> check Alcotest.string "zeroes" "\000\000\000\000" (Bytes.to_string b)
       | Error e -> Alcotest.failf "zero-fill policy: %a" Access.pp_error e)
 
+let test_failed_page_refaults () =
+  (* A file-backed manager dies while a demanded request is outstanding:
+     the placeholder becomes Failed. A refault takes the error step
+     (s_slow_error) and fails under Abort_after; under Zero_fill_after
+     it reads zeroes and the page becomes Resident (activated). *)
+  with_system (fun sys task ->
+      let kctx = Kernel.kctx sys.Kernel.kernel in
+      let stats = kctx.Kctx.stats in
+      let _rt, srv = Mos.serve (Task.create sys.Kernel.kernel ~name:"doomed-mgr" ()) silent in
+      let memory_object = Mos.create_memory_object srv () in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
+      in
+      Engine.spawn sys.Kernel.engine ~name:"killer" (fun () ->
+          Engine.sleep 1000.0;
+          Mos.stop srv;
+          Port.destroy memory_object);
+      (match Syscalls.read_bytes task ~addr ~len:4 ~policy:Fault.Wait_forever () with
+      | Error (Access.Manager_failed _) -> ()
+      | Ok _ -> Alcotest.fail "a fault on a dead file manager must fail"
+      | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e);
+      check Alcotest.int "the demanded page failed at death" 1 stats.Vm_types.s_death_errors;
+      let obj = Option.get (Vm_object.find_by_port kctx memory_object) in
+      let pg = Option.get (Mach_vm.Vm_page.lookup obj ~offset:0) in
+      Alcotest.(check bool) "failed placeholder on no queue" true
+        (pg.Vm_types.q_state = Vm_types.Q_none);
+      let e0 = stats.Vm_types.s_slow_error in
+      (match Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Abort_after 1000.0) () with
+      | Error (Access.Manager_failed _) -> ()
+      | Ok _ -> Alcotest.fail "refault on a failed page must fail under Abort_after"
+      | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e);
+      check Alcotest.int "one error step" 1 (stats.Vm_types.s_slow_error - e0);
+      (match Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Zero_fill_after 1000.0) () with
+      | Ok b -> check Alcotest.string "zeroes" "\000\000\000\000" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "zero-fill refault: %a" Access.pp_error e);
+      check Alcotest.int "second error step" 2 (stats.Vm_types.s_slow_error - e0);
+      Alcotest.(check bool) "same page, now active" true
+        (Option.get (Mach_vm.Vm_page.lookup obj ~offset:0) == pg
+        && pg.Vm_types.q_state = Vm_types.Q_active);
+      (match Vm_map.pmap (Task.map task) with
+      | Some pm -> Mach_hw.Pmap.remove pm ~vpn:(addr / page)
+      | None -> ());
+      let f0 = stats.Vm_types.s_fast_faults in
+      ignore (Syscalls.touch task ~addr ~write:false ());
+      check Alcotest.int "resident: the next fault is fast" 1 (stats.Vm_types.s_fast_faults - f0))
+
 let test_shared_inheritance_read_write () =
   with_system (fun sys task ->
       let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
@@ -555,6 +601,7 @@ let () =
           Alcotest.test_case "data unavailable zero-fills" `Quick test_data_unavailable_zero_fills;
           Alcotest.test_case "concurrent faults coalesce" `Quick test_concurrent_faults_coalesce;
           Alcotest.test_case "abort and zero-fill policies" `Quick test_policy_abort_and_zero_fill;
+          Alcotest.test_case "failed page refaults" `Quick test_failed_page_refaults;
           Alcotest.test_case "manager flush drops clean pages" `Quick
             test_manager_flush_drops_clean_pages;
           Alcotest.test_case "mapping at object offset" `Quick test_mapping_at_object_offset;

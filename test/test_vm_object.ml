@@ -28,7 +28,7 @@ let make_kctx ?(frames = 64) () =
 
 let add_page kctx obj ~offset tagchar =
   let frame = Option.get (Phys_mem.alloc kctx.Kctx.mem) in
-  let p = Vm_page.insert kctx obj ~offset ~frame ~busy:false ~absent:false in
+  let p = Vm_page.insert kctx obj ~offset ~frame ~state:Resident in
   Phys_mem.fill kctx.Kctx.mem frame tagchar;
   Page_queues.activate kctx.Kctx.queues p;
   p
@@ -136,19 +136,22 @@ let test_chain_has_pager_translation () =
   | None -> Alcotest.fail "pager not found through chain"
 
 (* qcheck: the pageout queues stay consistent with each page's q_state
-   under random activate/deactivate/remove sequences. *)
+   and page state under random activate/deactivate/launder/remove
+   sequences. Laundering goes through the Cleaning transition, and a
+   Cleaning page is cleaned before any other queue operation, as
+   release_write does. *)
 let page_queue_prop =
   let open QCheck2 in
   Test.make ~name:"page queues consistent under random transitions" ~count:150
     Gen.(list_size (int_range 1 40) (pair (int_range 0 7) (int_range 0 3)))
     (fun ops ->
       let kctx = make_kctx ~frames:16 () in
-      let q = Page_queues.create () in
+      let q = kctx.Kctx.queues in
       let obj = Vm_object.create_anonymous kctx ~size:(8 * page) in
       let pages =
         Array.init 8 (fun i ->
             let frame = Option.get (Phys_mem.alloc kctx.Kctx.mem) in
-            Vm_page.insert kctx obj ~offset:(i * page) ~frame ~busy:false ~absent:false)
+            Vm_page.insert kctx obj ~offset:(i * page) ~frame ~state:Resident)
       in
       let ok = ref true in
       let verify () =
@@ -169,10 +172,11 @@ let page_queue_prop =
       List.iter
         (fun (idx, op) ->
           let p = pages.(idx) in
+          if p.Vm_types.p_state = Vm_types.Cleaning then Vm_page.cleaned p;
           (match op with
           | 0 -> Page_queues.activate q p
           | 1 -> Page_queues.deactivate q p
-          | 2 -> Page_queues.launder q p
+          | 2 -> Vm_page.launder kctx p
           | _ -> Page_queues.remove q p);
           verify ())
         ops;
