@@ -313,6 +313,7 @@ let reset_link t a b =
 
 let register_port t ~id ~home ~destroy = Hashtbl.replace t.ports id (home, destroy)
 let forget_port t ~id = Hashtbl.remove t.ports id
+let live_ports t = Hashtbl.length t.ports
 
 let reset_host_chans t ~host =
   Hashtbl.iter (fun (src, dst) chan -> if src = host || dst = host then reset_tx t chan)

@@ -50,6 +50,9 @@ val reset_link : t -> int -> int -> unit
 val register_port : t -> id:int -> home:(unit -> int) -> destroy:(unit -> unit) -> unit
 val forget_port : t -> id:int -> unit
 
+val live_ports : t -> int
+(** Ports created and not yet destroyed, on every host. *)
+
 val crash_host : t -> host:int -> int
 (** Kill a host: destroy every registered port homed there (running
     death hooks, which is how remote holders learn their proxies died)

@@ -114,11 +114,15 @@ let deallocate t name =
   | None -> invalid_arg "Port_space.deallocate: unknown name"
   | Some entry ->
     detach_hooks entry;
+    (* A destroy already running its hooks may still call this entry's
+       death hook: the name is gone, so it must not be notified. *)
+    let was_dead = entry.dead in
+    entry.dead <- true;
     Hashtbl.remove t.names name;
     Hashtbl.remove t.by_port (Port.id entry.port);
     (* Dropping the receive right destroys the port and notifies
        senders (their own death hooks fire). *)
-    if entry.receive && not entry.dead then Port.destroy entry.port
+    if entry.receive && not was_dead then Port.destroy entry.port
 
 let lookup t name =
   match find t name with

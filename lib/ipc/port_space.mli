@@ -37,8 +37,9 @@ val insert : t -> Message.port -> Message.right -> name
 
 val deallocate : t -> name -> unit
 (** [port_deallocate]: drop this space's rights. Dropping the receive
-    right destroys the port (senders everywhere are notified). Unknown
-    names raise [Invalid_argument]. *)
+    right destroys the port (senders everywhere are notified). The name
+    is never notified of its port's death, even by a destroy already
+    running its hooks. Unknown names raise [Invalid_argument]. *)
 
 val lookup : t -> name -> Message.port option
 (** [None] if the name is unknown or the right was deallocated. *)

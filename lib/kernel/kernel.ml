@@ -54,6 +54,7 @@ let boot engine ctx net ?trace ~host config =
       k_params = config.params;
       k_sched = kctx.Kctx.sched;
       k_paging_disk = paging_disk;
+      k_space = Mach_ipc.Port_space.create ctx ~home:host;
       k_tasks = [];
       k_next_task_id = 1;
       k_next_thread_id = 1;
@@ -63,12 +64,14 @@ let boot engine ctx net ?trace ~host config =
     }
   in
   register_disk k paging_disk;
-  (* Fabric-wide stats (net, reliable channels, chaos) are shared by
-     every host; register them once, on host 0, so merged cluster
-     snapshots don't multiply them. *)
+  (* Fabric-wide stats (net, live ports, reliable channels, chaos) are
+     shared by every host; register them once, on host 0, so merged
+     cluster snapshots don't multiply them. *)
   if host = 0 then begin
     let metrics = kctx.Kctx.metrics in
     Mach_util.Metrics.register_source metrics ~subsystem:"net" (fun () -> Net.stats_to_list net);
+    Mach_util.Metrics.gauge metrics ~subsystem:"ipc" "ports_live" (fun () ->
+        Mach_ipc.Context.live_ports ctx);
     Mach_util.Metrics.register_source metrics ~subsystem:"chan" (fun () ->
         Mach_ipc.Context.chan_stats_to_list ctx);
     Mach_util.Metrics.register_source metrics ~subsystem:"chaos" (fun () ->

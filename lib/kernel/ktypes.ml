@@ -21,6 +21,10 @@ type kernel = {
   mutable k_tasks : task list;
   mutable k_next_task_id : int;
   mutable k_next_thread_id : int;
+  k_space : Mach_ipc.Port_space.t;
+      (** the kernel task's own space: it holds the receive right of
+          every task and thread port, and the task server receives on
+          it *)
   mutable k_task_port_maker : (task -> Mach_ipc.Message.port) option;
       (** installed by the task-port server at boot; gives every new
           task the kernel port that represents it (§3.2) *)

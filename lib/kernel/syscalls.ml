@@ -95,10 +95,6 @@ let port_enable t name =
   enter t;
   Port_space.enable t.t_space name
 
-let port_disable t name =
-  enter t;
-  Port_space.disable t.t_space name
-
 let port_messages t =
   enter t;
   Port_space.messages_waiting t.t_space
@@ -213,13 +209,6 @@ let vm_statistics t =
     vs_inactive_count = Page_queues.inactive_count kctx.Kctx.queues;
     vs_stats = kctx.Kctx.stats;
   }
-
-(* The registry-backed superset of [vm_statistics]: one flat snapshot
-   covering every subsystem the host registers (vm, ipc, sched, each
-   pager). Charged like any other syscall. *)
-let host_statistics t =
-  enter t;
-  Mach_util.Metrics.snapshot t.t_kernel.k_kctx.Kctx.metrics
 
 (* --- Table 3-4 ---------------------------------------------------------- *)
 

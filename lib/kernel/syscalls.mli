@@ -42,7 +42,6 @@ val msg_rpc :
 val port_allocate : task -> ?backlog:int -> unit -> Port_space.name
 val port_deallocate : task -> Port_space.name -> unit
 val port_enable : task -> Port_space.name -> unit
-val port_disable : task -> Port_space.name -> unit
 val port_messages : task -> Port_space.name list
 val port_status : task -> Port_space.name -> Port_space.status option
 val port_set_backlog : task -> Port_space.name -> int -> unit
@@ -83,11 +82,6 @@ type vm_statistics = {
 }
 
 val vm_statistics : task -> vm_statistics
-
-val host_statistics : task -> Mach_util.Metrics.snapshot
-(** The unified observability syscall: a flat snapshot of the host's
-    whole metrics registry — every "subsystem.counter" the vm, ipc and
-    scheduler blocks export, plus each running pager's stats block. *)
 
 (** {2 Table 3-4: external memory management} *)
 

@@ -41,7 +41,10 @@ let terminate t =
     t.t_alive <- false;
     Vm_map.destroy t.t_map;
     Port_space.destroy t.t_space;
-    (match t.t_port with Some p -> Mach_ipc.Port.destroy p | None -> ());
+    (* The task's port and those of its threads still running die with
+       it; a thread that returns later finds its port already dead. *)
+    List.iter (fun th -> Option.iter Mach_ipc.Port.destroy th.th_port) t.t_threads;
+    Option.iter Mach_ipc.Port.destroy t.t_port;
     t.t_kernel.k_tasks <- List.filter (fun x -> x != t) t.t_kernel.k_tasks
   end
 

@@ -92,18 +92,30 @@ let handle t (msg : Message.t) =
     (match answer with Some items -> Rpc.status true :: items | None -> [ Rpc.status false ])
 
 let start kernel =
-  (* One space holds the receive right of every task and thread port. *)
-  let space = Port_space.create kernel.k_ctx ~home:kernel.k_host in
+  (* The kernel's space holds the receive right of every task and
+     thread port. *)
+  let space = kernel.k_space in
   let t = { kernel; by_port = Hashtbl.create 32 } in
+  (* Whatever kills a port (its thread's exit, its task's termination,
+     a host crash), the server forgets the target and frees the name.
+     This hook is registered before the space's own, so the name is
+     gone before the space would queue a death notice nobody reads. *)
+  let forget port =
+    Hashtbl.remove t.by_port (Port.id port);
+    Option.iter (Port_space.deallocate space) (Port_space.name_of space port)
+  in
   let make_port target =
-    let name = Port_space.allocate space ~backlog:64 () in
+    let port = Port.create kernel.k_ctx ~home:kernel.k_host ~backlog:64 () in
+    ignore (Port.on_death port (fun () -> forget port));
+    let name = Port_space.insert space port Message.Receive_right in
     Port_space.enable space name;
-    let port = Port_space.lookup_exn space name in
     Hashtbl.replace t.by_port (Port.id port) target;
     port
   in
   kernel.k_task_port_maker <- Some (fun task -> make_port (Task_target task));
   kernel.k_thread_port_maker <- Some (fun th -> make_port (Thread_target th));
+  Mach_util.Metrics.gauge kernel.k_kctx.Mach_vm.Kctx.metrics ~subsystem:"task_server" "targets"
+    (fun () -> Hashtbl.length t.by_port);
   Pager_service.receive_loop kernel.k_kctx ~name:"task-server" space (handle t);
   t
 

@@ -18,9 +18,14 @@ let spawn task ?name body =
   | None -> ());
   task.t_threads <- th :: task.t_threads;
   Hashtbl.replace task.t_threads_by_name th_name th;
+  (* Nothing outlives the thread: its port dies (and the task server
+     forgets it) and its home CPU is forgotten, whether the body returns
+     or raises. *)
   Engine.spawn k.k_engine ~name:th_name (fun () ->
-      body ();
-      th.th_done <- true);
+      Fun.protect body ~finally:(fun () ->
+          th.th_done <- true;
+          Option.iter Mach_ipc.Port.destroy th.th_port;
+          Mach_sim.Sched.forget k.k_sched th_name));
   th
 
 let suspend th = th.th_suspend_count <- th.th_suspend_count + 1

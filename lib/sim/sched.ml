@@ -222,6 +222,9 @@ let note_affinity t cpu name =
   cpu.c_last <- name;
   Hashtbl.replace t.affinity name cpu.c_id
 
+let forget t name = Hashtbl.remove t.affinity name
+let affinity_entries t = Hashtbl.length t.affinity
+
 type entry = Entry_direct | Entry_queued | Entry_handoff | Entry_held
 
 let take t cpu name =

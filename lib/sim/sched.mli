@@ -108,4 +108,11 @@ val busy_us : t -> float
 val queued : t -> int
 (** Threads currently waiting on run queues. *)
 
+val forget : t -> string -> unit
+(** Drop a finished thread's home CPU, so the affinity table holds only
+    names that may run again. *)
+
+val affinity_entries : t -> int
+(** Thread names with a home CPU. *)
+
 val idle_cpus : t -> int

@@ -5,8 +5,6 @@ let create permits =
   if permits < 0 then invalid_arg "Semaphore.create: negative permits";
   { avail = permits; waiting = Queue.create () }
 
-let permits t = t.avail
-
 (* FIFO grant: only the queue head may be served, preserving fairness for
    large requests. *)
 let drain t =

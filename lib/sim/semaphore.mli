@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create permits]; [permits >= 0]. *)
 
-val permits : t -> int
-(** Currently available permits. *)
-
 val acquire : ?n:int -> t -> unit
 (** Take [n] (default 1) permits, blocking until available. Permits are
     granted FIFO, a single large request cannot be starved by a stream of

@@ -5,8 +5,9 @@
    *is* its set of pre-registered handles — the registry holds only a
    read closure over it ([register_source]) and never sits on the
    increment path. New metrics that have no record to live in get a
-   sampled [gauge] (read at snapshot time) or a [histogram] (a
-   [Stats.t] reduced to count/mean/percentiles at snapshot time).
+   sampled [gauge] (read at snapshot time) or a [histogram] (a fixed
+   array of log buckets reduced to count/mean/percentiles at snapshot
+   time).
 
    A snapshot is a flat, sorted [(key, value)] list with keys
    "subsystem.name", so one serializer covers every consumer: the
@@ -14,7 +15,74 @@
    the machsim CLI. Duplicate keys (two pagers registered under one
    name) sum. *)
 
-type histogram = Stats.t
+(* A histogram is a fixed array of log buckets, 64 per octave, so a
+   kernel that faults for hours holds the same 3 k ints as one that
+   faulted once. A positive float's bits, shifted right by 46, are its
+   biased exponent and the top 6 bits of its mantissa: that key is
+   monotone in the value and is the bucket's index, with no [frexp]
+   (which allocates a tuple). Bucket 0 takes everything below
+   [2^lo_exp]; the last takes everything from [2^hi_exp] up. Count,
+   sum, min and max are kept exactly. *)
+let sub_bits = 6
+let lo_exp = -8
+let hi_exp = 40
+let key_shift = 52 - sub_bits
+let key_of_exp e = (e + 1023) lsl sub_bits
+let lo_key = key_of_exp lo_exp
+let buckets = key_of_exp hi_exp - lo_key + 1
+let lo_value = Float.ldexp 1.0 lo_exp
+
+(* The float fields live in their own all-float record, which OCaml
+   stores flat: updating them allocates nothing. *)
+type moments = { mutable sum : float; mutable mn : float; mutable mx : float }
+type histogram = { counts : int array; mutable n : int; m : moments }
+
+let bucket v =
+  if v < lo_value then 0
+  else
+    let key = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) key_shift) in
+    if key - lo_key >= buckets then buckets - 1 else key - lo_key
+
+(* Every value in bucket [i] (0 < i) is at least this, and within 1/64
+   of it relative; integers up to 128 are lower bounds exactly. *)
+let lower_bound i =
+  if i = 0 then neg_infinity
+  else Int64.float_of_bits (Int64.shift_left (Int64.of_int (i + lo_key)) key_shift)
+
+let make_histogram () =
+  { counts = Array.make buckets 0; n = 0; m = { sum = 0.0; mn = infinity; mx = neg_infinity } }
+
+let observe h v =
+  let i = bucket v in
+  h.counts.(i) <- h.counts.(i) + 1;
+  h.n <- h.n + 1;
+  let m = h.m in
+  m.sum <- m.sum +. v;
+  if v < m.mn then m.mn <- v;
+  if v > m.mx then m.mx <- v
+
+(* The [k]-th smallest sample (0-based), read as its bucket's lower
+   bound clamped to the exact extremes. *)
+let order_statistic h k =
+  let rec find i seen =
+    let seen = seen + h.counts.(i) in
+    if seen > k then i else find (i + 1) seen
+  in
+  Float.min h.m.mx (Float.max h.m.mn (lower_bound (find 0 0)))
+
+(* [Stats.percentile]'s rule: interpolate between the order statistics
+   either side of rank p/100 * (n - 1). *)
+let percentile h p =
+  if h.n = 0 then 0.0
+  else begin
+    let rank = p /. 100.0 *. float_of_int (h.n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = int_of_float (Float.ceil rank) in
+    if lo = hi then order_statistic h lo
+    else
+      let w = rank -. float_of_int lo in
+      (order_statistic h lo *. (1.0 -. w)) +. (order_statistic h hi *. w)
+  end
 
 type entry =
   | Gauge of (unit -> int)
@@ -30,11 +98,9 @@ let key ~subsystem name = subsystem ^ "." ^ name
 let gauge r ~subsystem name read = r.entries <- (key ~subsystem name, Gauge read) :: r.entries
 
 let histogram r ~subsystem name =
-  let h = Stats.create () in
+  let h = make_histogram () in
   r.entries <- (key ~subsystem name, Histogram h) :: r.entries;
   h
-
-let observe = Stats.add
 
 let register_source r ~subsystem read = r.entries <- (subsystem, Source read) :: r.entries
 
@@ -47,13 +113,13 @@ let snapshot r =
     (fun (k, entry) ->
       match entry with
       | Gauge read -> put k (float_of_int (read ()))
-      | Histogram s ->
-        put (k ^ ".count") (float_of_int (Stats.count s));
-        if Stats.count s > 0 then begin
-          put (k ^ ".mean") (Stats.mean s);
-          put (k ^ ".p50") (Stats.percentile s 50.0);
-          put (k ^ ".p95") (Stats.percentile s 95.0);
-          put (k ^ ".max") (Stats.max s)
+      | Histogram h ->
+        put (k ^ ".count") (float_of_int h.n);
+        if h.n > 0 then begin
+          put (k ^ ".mean") (h.m.sum /. float_of_int h.n);
+          put (k ^ ".p50") (percentile h 50.0);
+          put (k ^ ".p95") (percentile h 95.0);
+          put (k ^ ".max") h.m.mx
         end
       | Source read ->
         List.iter (fun (name, v) -> put (key ~subsystem:k name) (float_of_int v)) (read ()))

@@ -6,8 +6,8 @@
     registry holds a read closure over it ({!register_source}) and is
     never on the increment path. Metrics with no record to live in use
     a sampled {!gauge} (a closure read at snapshot time) or a
-    {!histogram} (a {!Stats.t} reduced to count/mean/p50/p95/max at
-    snapshot time). Counters only grow: measure a phase with {!delta}
+    {!histogram} (fixed log buckets reduced to count/mean/p50/p95/max
+    at snapshot time). Counters only grow: measure a phase with {!delta}
     between two snapshots.
 
     Keys are ["subsystem.name"]; a snapshot is flat and sorted, so one
@@ -19,9 +19,15 @@ type registry
 type snapshot = (string * float) list
 
 type histogram
-(** A pre-registered sample accumulator; snapshots expand it into
-    [.count], [.mean], [.p50], [.p95] and [.max] keys (the latter four
-    only when non-empty). *)
+(** A pre-registered sample accumulator of fixed size: about 3 k ints
+    of log buckets, 64 per octave, allocated once, so it does not grow
+    with the samples it is given. Snapshots expand it into [.count],
+    [.mean], [.p50], [.p95] and [.max] keys (the latter four only when
+    non-empty). [count], [mean] (from an exact running sum) and [max]
+    are exact. [p50] and [p95] follow {!Stats.percentile}'s
+    interpolation, with each order statistic read as its bucket's lower
+    bound clamped to the sample range: exact for integers up to 128,
+    within 1/64 relative for other samples from 2{^-8} to 2{^40}. *)
 
 val create : unit -> registry
 
@@ -31,6 +37,7 @@ val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 
 val histogram : registry -> subsystem:string -> string -> histogram
 val observe : histogram -> float -> unit
+(** Record one sample; allocates nothing. *)
 
 val register_source : registry -> subsystem:string -> (unit -> (string * int) list) -> unit
 (** Adopt an existing stats block: [read] is typically the block's

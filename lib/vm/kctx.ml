@@ -168,6 +168,7 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
   Metrics.gauge metrics ~subsystem:"vm" "laundry_pages" (fun () ->
       Page_queues.laundry_count queues);
   Metrics.gauge metrics ~subsystem:"sched" "run_queued" (fun () -> Sched.queued sched);
+  Metrics.gauge metrics ~subsystem:"sched" "affinity" (fun () -> Sched.affinity_entries sched);
   let fault_hist = Metrics.histogram metrics ~subsystem:"vm" "fault_us" in
   let cow_batch_hist = Metrics.histogram metrics ~subsystem:"vm" "cow_batch" in
   {

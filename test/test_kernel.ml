@@ -160,6 +160,94 @@ let test_fork_inherits_port_space_not () =
       Alcotest.(check bool) "child space empty of parent's name" true
         (Port_space.lookup (Task.space child) n = None))
 
+(* Nothing outlives its owner: a thread's port dies with the thread, a
+   task's death kills its threads' ports, and the task server forgets
+   every dead target. What a kernel holds at quiescence must not depend
+   on how many tasks and threads have come and gone. *)
+let residue kernel =
+  let snap = Metrics.snapshot (Kernel.metrics kernel) in
+  ( List.map (Metrics.get snap) [ "ipc.ports_live"; "task_server.targets"; "sched.affinity" ],
+    Port_space.pending_notifications kernel.Ktypes.k_space )
+
+let residue_t = Alcotest.(pair (list (float 0.0)) int)
+
+(* Fork a child that writes a page from its own thread and exits; a
+   short-lived thread comes and goes in the parent meanwhile; then the
+   child task is terminated. *)
+let fork_cycle parent ~addr c =
+  let child = Task.create (Task.kernel parent) ~parent ~name:(Printf.sprintf "child%d" c) () in
+  let wrote = Ivar.create () in
+  ignore
+    (Thread.spawn child (fun () ->
+         ignore (Syscalls.write_bytes child ~addr (Bytes.of_string "child") ());
+         Ivar.fill wrote ()));
+  ignore (Thread.spawn parent (fun () -> Cpu.compute (Task.kernel parent) 50.0));
+  Ivar.read wrote;
+  Task.terminate child
+
+let test_no_residue_after_cycles () =
+  let sys = Kernel.create_system () in
+  let kernel = sys.Kernel.kernel in
+  let in_fiber f =
+    Engine.spawn sys.Kernel.engine ~name:"cycles" f;
+    Engine.run sys.Kernel.engine
+  in
+  let parent = ref None in
+  in_fiber (fun () ->
+      let task = Task.create kernel ~name:"parent" () in
+      let addr = Syscalls.vm_allocate task ~size:(4 * page) ~anywhere:true () in
+      ignore (Syscalls.write_bytes task ~addr (Bytes.make (4 * page) 'p') ());
+      parent := Some (task, addr));
+  let task, addr = Option.get !parent in
+  let run_cycles ~first n =
+    in_fiber (fun () ->
+        for c = first to first + n - 1 do
+          fork_cycle task ~addr c
+        done);
+    residue kernel
+  in
+  let after_one = run_cycles ~first:0 1 in
+  let after_fifty = run_cycles ~first:1 50 in
+  check residue_t "ports, targets, affinity, notices after 1 and 51 cycles" after_one after_fifty;
+  check Alcotest.int "the task server's space queues no death notices" 0 (snd after_fifty)
+
+let test_terminate_kills_running_threads () =
+  with_system (fun sys _task ->
+      let kernel = sys.Kernel.kernel in
+      let before = residue kernel in
+      let t = Task.create kernel ~name:"busy" () in
+      let release = Ivar.create () in
+      let th = Thread.spawn t (fun () -> Ivar.read release) in
+      let th_port = Task_server.thread_port th in
+      Task.terminate t;
+      Alcotest.(check bool) "running thread's port died with its task" false
+        (Port.alive th_port);
+      check residue_t "the server forgot the task and its thread" before (residue kernel);
+      (* The thread returns later; its port is already gone. *)
+      Ivar.fill release ();
+      Engine.sleep 1.0;
+      Alcotest.(check bool) "thread finished" true (Thread.is_done th);
+      check residue_t "nothing left behind" before (residue kernel))
+
+let test_crash_forgets_targets () =
+  let cluster = Kernel.create_cluster ~hosts:2 () in
+  let remote = cluster.Kernel.c_kernels.(1) in
+  let ports = ref [] in
+  Engine.spawn cluster.Kernel.c_engine ~name:"crasher" (fun () ->
+      let t = Task.create remote ~name:"doomed" () in
+      let th = Thread.spawn t (fun () -> Engine.sleep 1e9) in
+      ports := [ Task_server.task_port t; Task_server.thread_port th ];
+      ignore (Context.crash_host cluster.Kernel.c_ctx ~host:1));
+  Engine.run ~until:1000.0 cluster.Kernel.c_engine;
+  Alcotest.(check bool) "task and thread ports died" true
+    (List.for_all (fun p -> not (Port.alive p)) !ports);
+  let snap = Metrics.snapshot (Kernel.metrics remote) in
+  check (Alcotest.float 0.0) "the crashed host's task server forgot every target" 0.0
+    (Metrics.get snap "task_server.targets");
+  check Alcotest.(list int) "and freed every name" [] (Port_space.enabled remote.Ktypes.k_space);
+  check Alcotest.int "with no death notices queued" 0
+    (Port_space.pending_notifications remote.Ktypes.k_space)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -172,6 +260,12 @@ let () =
           Alcotest.test_case "cpu contention" `Quick test_cpu_contention;
           Alcotest.test_case "fork does not share port space" `Quick
             test_fork_inherits_port_space_not;
+          Alcotest.test_case "no residue after fork/thread/exit cycles" `Quick
+            test_no_residue_after_cycles;
+          Alcotest.test_case "terminate kills running threads' ports" `Quick
+            test_terminate_kills_running_threads;
+          Alcotest.test_case "a crash makes the task server forget" `Quick
+            test_crash_forgets_targets;
         ] );
       ( "syscalls",
         [

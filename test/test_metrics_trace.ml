@@ -78,6 +78,64 @@ let prop_snapshot_agrees =
       && Metrics.get (Metrics.delta ~before ~after) "q.n" = float_of_int (sum second)
       && Metrics.get before "q.h.count" = float_of_int (List.length first))
 
+(* QCheck: the bounded histogram against Stats, which keeps every
+   sample. Count, mean and max agree exactly; p50 and p95 lie within
+   1/64 relative (each order statistic is read as its log bucket's lower
+   bound); sets of integers up to 128 agree exactly. *)
+let hist_vs_stats samples =
+  let r = Metrics.create () in
+  let h = Metrics.histogram r ~subsystem:"h" "x" in
+  let s = Mach_util.Stats.create () in
+  List.iter
+    (fun v ->
+      Metrics.observe h v;
+      Mach_util.Stats.add s v)
+    samples;
+  (Metrics.snapshot r, s)
+
+let sample_gen =
+  QCheck.(
+    list_of_size Gen.(1 -- 300)
+      (oneof [ float_range 0.01 1e7; map float_of_int (int_range 0 2000) ]))
+
+let prop_histogram_bounds =
+  QCheck.Test.make ~count:300 ~name:"histogram: exact count/mean/max, percentiles within 1/64"
+    sample_gen (fun samples ->
+      let snap, s = hist_vs_stats samples in
+      let close p =
+        let exact = Mach_util.Stats.percentile s p in
+        let got = Metrics.get snap (Printf.sprintf "h.x.p%.0f" p) in
+        Float.abs (got -. exact) <= exact /. 64.0
+      in
+      Metrics.get snap "h.x.count" = float_of_int (Mach_util.Stats.count s)
+      && Metrics.get snap "h.x.mean" = Mach_util.Stats.mean s
+      && Metrics.get snap "h.x.max" = Mach_util.Stats.max s
+      && close 50.0 && close 95.0)
+
+let prop_histogram_small_ints =
+  QCheck.Test.make ~count:300 ~name:"histogram: integers up to 128 are exact"
+    QCheck.(list_of_size Gen.(1 -- 300) (int_range 0 128))
+    (fun ints ->
+      let snap, s = hist_vs_stats (List.map float_of_int ints) in
+      Metrics.get snap "h.x.p50" = Mach_util.Stats.percentile s 50.0
+      && Metrics.get snap "h.x.p95" = Mach_util.Stats.percentile s 95.0)
+
+let test_observe_no_alloc () =
+  let h = Metrics.histogram (Metrics.create ()) ~subsystem:"h" "x" in
+  let samples = List.init 100 (fun i -> float_of_int (i * i) +. 0.5) in
+  let rec feed = function
+    | [] -> ()
+    | v :: rest ->
+      Metrics.observe h v;
+      feed rest
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    feed samples
+  done;
+  let after = Gc.minor_words () in
+  check (float 0.0) "10 000 observes allocate nothing" 0.0 (after -. before)
+
 let test_json_shape () =
   let r = Metrics.create () in
   let k = source_block r ~subsystem:"j" in
@@ -224,6 +282,9 @@ let () =
           test_case "delta and merge" `Quick test_delta_merge;
           test_case "json shape" `Quick test_json_shape;
           QCheck_alcotest.to_alcotest prop_snapshot_agrees;
+          QCheck_alcotest.to_alcotest prop_histogram_bounds;
+          QCheck_alcotest.to_alcotest prop_histogram_small_ints;
+          test_case "observe allocates nothing" `Quick test_observe_no_alloc;
         ] );
       ( "trace",
         [
