@@ -6,16 +6,10 @@ module Rng = Mach_util.Rng
 module Metrics = Mach_util.Metrics
 
 (* Every run_system/run_cluster notes the registry snapshot of each
-   kernel it booted, so any experiment's --json output can carry the
-   unified "subsystem.counter" schema alongside its own metrics. *)
+   kernel it booted, so a run's pairs carry the unified
+   "subsystem.counter" schema alongside its own metrics. *)
 let collected : Metrics.snapshot list ref = ref []
-
-let reset_collected () = collected := []
 let note_registry kernel = collected := Metrics.snapshot (Kernel.metrics kernel) :: !collected
-
-(* The merged registry snapshot of every kernel run since the last
-   [reset_collected] (counters sum pointwise across hosts and runs). *)
-let collected_registry () = Metrics.merge !collected
 
 (* Run a scenario inside a fresh single-host system; the callback runs
    on a task thread. Returns the callback's result. *)
@@ -75,30 +69,57 @@ let us v = Printf.sprintf "%.1f" v
 let us0 v = Printf.sprintf "%.0f" v
 let ratio a b = if b = 0.0 then "-" else Printf.sprintf "%.2fx" (a /. b)
 
-(* Cumulative IPC counters of a host's kernel node. Every task on a
-   host shares the kernel's node, so this aggregates all send/receive
-   activity of that host since boot. *)
-let ipc_counters kernel =
-  Transport.ipc_stats_to_list (Kernel.kctx kernel).Kctx.node.Transport.node_stats
-
-(* Pointwise sum of several counter lists (e.g. the hosts of a
-   cluster). All lists carry the same keys in the same order. *)
-let sum_counters = function
-  | [] -> []
-  | first :: _ as lists ->
-    List.map
-      (fun (key, _) ->
-        (key, List.fold_left (fun acc l -> acc + List.assoc key l) 0 lists))
-      first
+type scale = Full | Small
 
 type experiment = {
   id : string;  (** e.g. "E4" *)
   title : string;
   paper_claim : string;
-  run : unit -> Table.t list;
-  quick : unit -> unit;  (** scaled-down body for bechamel *)
-  json : (unit -> (string * float) list) option;
-      (** machine-readable metrics for [--json] (self-contained run,
-          modest parameters); [None] for experiments without a stable
-          numeric summary *)
+  body : scale -> (string * float) list;
+      (** the run's own metrics: [Full] is the run the tables, [--json]
+          and the gate all read; [Small] is the smoke and bechamel size *)
+  tables : (string * float) list -> Table.t list;
+      (** renders the printed tables from [measure]'s pairs *)
 }
+
+(* One run of [e]: its own pairs, then the registry snapshots of every
+   kernel it booted, summed pointwise, each key prefixed "reg.". *)
+let measure e scale =
+  collected := [];
+  let own = e.body scale in
+  own @ List.map (fun (k, v) -> ("reg." ^ k, v)) (Metrics.merge !collected)
+
+let get pairs key =
+  match List.assoc_opt key pairs with
+  | Some v -> v
+  | None -> failwith ("experiment emitted no " ^ key)
+
+let geti pairs key = int_of_float (get pairs key)
+let fi = float_of_int
+
+(* The pairs whose key starts with [prefix], in emission order, with the
+   prefix cut off: a sweep's points, whatever its size. *)
+let with_prefix pairs prefix =
+  let n = String.length prefix in
+  List.filter_map
+    (fun (k, v) ->
+      if String.starts_with ~prefix k then Some (String.sub k n (String.length k - n), v)
+      else None)
+    pairs
+
+(* The summed "ipc." registry keys of [kernels]: every task on a host
+   shares its kernel's IPC node, so this is all of their traffic. *)
+let ipc_counters kernels =
+  with_prefix (Metrics.merge (List.map (fun k -> Metrics.snapshot (Kernel.metrics k)) kernels)) "ipc."
+
+(* One row per data manager the run booted, from its "reg.pager.NAME."
+   keys: every manager registers the same Pager_runtime stats block. *)
+let pager_table ~title pairs =
+  let stats = with_prefix pairs "reg.pager." in
+  let split k = Scanf.sscanf k "%s@.%s" (fun name field -> (name, field)) in
+  let names = List.sort_uniq compare (List.map (fun (k, _) -> fst (split k)) stats) in
+  let row name = List.filter (fun (k, _) -> fst (split k) = name) stats in
+  let fields = List.map (fun (k, _) -> snd (split k)) (row (List.hd names)) in
+  let t = Table.create ~title ~columns:("manager" :: fields) in
+  List.iter (fun name -> Table.row t (name :: List.map (fun (_, v) -> us0 v) (row name))) names;
+  t

@@ -10,7 +10,18 @@ let null_msg ~dest ?reply () =
 
 let rpc_sizes = [ 32; 256; 1024; 4096 ]
 
-let run_body ~rounds =
+(* Each primitive's key and its row label. *)
+let ops =
+  [
+    ("msg_send_us", "msg_send (32-byte message, one way)");
+    ("msg_receive_us", "msg_receive");
+    ("msg_rpc_us", "msg_rpc (round trip)");
+    ("port_alloc_dealloc_us", "port_allocate + port_deallocate");
+    ("port_status_us", "port_status");
+  ]
+
+let body scale =
+  let rounds = match scale with Full -> 200 | Small -> 10 in
   run_system (fun sys task ->
       let engine = sys.Kernel.engine in
       let server = Task.create sys.Kernel.kernel ~name:"echo" () in
@@ -90,51 +101,26 @@ let run_body ~rounds =
             (size, per t))
           rpc_sizes
       in
-      let ops =
-        [
-          ("msg_send (32-byte message, one way)", per send_us);
-          ("msg_receive", per recv_us);
-          ("msg_rpc (round trip)", per rpc_us);
-          ("port_allocate + port_deallocate", per port_us);
-          ("port_status", per status_us);
-        ]
-      in
-      (ops, rpc_by_size, ipc_counters sys.Kernel.kernel))
+      List.combine (List.map fst ops) (List.map per [ send_us; recv_us; rpc_us; port_us; status_us ])
+      @ List.map (fun (size, v) -> (Printf.sprintf "rpc_us_%d" size, v)) rpc_by_size)
 
-let run () =
-  let ops, rpc_by_size, counters = run_body ~rounds:200 in
+let tables pairs =
   let t =
     Table.create ~title:"E1: IPC primitive operations (Table 3-1/3-2)"
       ~columns:[ "operation"; "simulated us" ]
   in
-  List.iter (fun (op, v) -> Table.row t [ op; us v ]) ops;
+  List.iter (fun (key, op) -> Table.row t [ op; us (get pairs key) ]) ops;
   let t2 =
     Table.create ~title:"E1: msg_rpc round trip by inline payload size"
       ~columns:[ "payload"; "round trip us" ]
   in
-  List.iter
-    (fun (size, v) -> Table.row t2 [ Printf.sprintf "%d B" size; us v ])
-    rpc_by_size;
+  List.iter (fun (size, v) -> Table.row t2 [ size ^ " B"; us v ]) (with_prefix pairs "rpc_us_");
   let t3 =
     Table.create ~title:"E1: kernel IPC counters (whole run)"
       ~columns:[ "counter"; "value" ]
   in
-  List.iter (fun (k, v) -> Table.row t3 [ k; string_of_int v ]) counters;
+  List.iter (fun (k, v) -> Table.row t3 [ k; us0 v ]) (with_prefix pairs "reg.ipc.");
   [ t; t2; t3 ]
-
-let json () =
-  let ops, rpc_by_size, counters = run_body ~rounds:50 in
-  let op_key = function
-    | "msg_send (32-byte message, one way)" -> "msg_send_us"
-    | "msg_receive" -> "msg_receive_us"
-    | "msg_rpc (round trip)" -> "msg_rpc_us"
-    | "port_allocate + port_deallocate" -> "port_alloc_dealloc_us"
-    | "port_status" -> "port_status_us"
-    | s -> s
-  in
-  List.map (fun (op, v) -> (op_key op, v)) ops
-  @ List.map (fun (size, v) -> (Printf.sprintf "rpc_us_%d" size, v)) rpc_by_size
-  @ List.map (fun (k, v) -> ("counter_" ^ k, float_of_int v)) counters
 
 let experiment =
   {
@@ -143,7 +129,6 @@ let experiment =
     paper_claim =
       "Tables 3-1/3-2 define msg_send/msg_receive/msg_rpc and the port operations; a local \
        message exchange costs on the order of 100 us on 1987 hardware.";
-    run;
-    quick = (fun () -> ignore (run_body ~rounds:10));
-    json = Some json;
+    body;
+    tables;
   }

@@ -5,7 +5,21 @@ open Common
 
 let page = 4096
 
-let run_body ~rounds =
+(* Each operation's key and its row label. *)
+let ops =
+  [
+    ("alloc_dealloc_us", "vm_allocate + vm_deallocate (64 KB)");
+    ("protect_us", "vm_protect (256 KB range)");
+    ("inherit_us", "vm_inherit (256 KB range)");
+    ("read_us", "vm_read (1 page)");
+    ("write_us", "vm_write (1 page)");
+    ("copy_us", "vm_copy (1 page)");
+    ("regions_us", "vm_regions");
+    ("statistics_us", "vm_statistics");
+  ]
+
+let body scale =
+  let rounds = match scale with Full -> 100 | Small -> 5 in
   run_system (fun sys task ->
       let engine = sys.Kernel.engine in
       let per x = x /. float_of_int rounds in
@@ -40,24 +54,17 @@ let run_body ~rounds =
       in
       let regions_us = time_op (fun _ -> ignore (Syscalls.vm_regions task)) in
       let stats_us = time_op (fun _ -> ignore (Syscalls.vm_statistics task)) in
-      [
-        ("vm_allocate + vm_deallocate (64 KB)", per alloc_us /. 2.0);
-        ("vm_protect (256 KB range)", per protect_us /. 2.0);
-        ("vm_inherit (256 KB range)", per inherit_us);
-        ("vm_read (1 page)", per read_us);
-        ("vm_write (1 page)", per write_us);
-        ("vm_copy (1 page)", per copy_us);
-        ("vm_regions", per regions_us);
-        ("vm_statistics", per stats_us);
-      ])
+      List.combine (List.map fst ops)
+        (List.map per
+           [ alloc_us /. 2.0; protect_us /. 2.0; inherit_us; read_us; write_us; copy_us;
+             regions_us; stats_us ]))
 
-let run () =
-  let rows = run_body ~rounds:100 in
+let tables pairs =
   let t =
     Table.create ~title:"E2: virtual memory operations (Table 3-3)"
       ~columns:[ "operation"; "simulated us" ]
   in
-  List.iter (fun (op, v) -> Table.row t [ op; us v ]) rows;
+  List.iter (fun (key, op) -> Table.row t [ op; us (get pairs key) ]) ops;
   [ t ]
 
 let experiment =
@@ -68,7 +75,6 @@ let experiment =
       "Table 3-3 lists the vm_* operations every task can perform on its address space; \
        allocation is lazy (zero-fill on demand) so structural operations cost microseconds, \
        not page copies.";
-    run;
-    quick = (fun () -> ignore (run_body ~rounds:5));
-    json = None;
+    body;
+    tables;
   }

@@ -89,40 +89,81 @@ let exchange sys ~sender ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr ~size
   in
   (elapsed, acct)
 
-let sizes = [ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 ]
+let modes = [ Copy; Map_lazy; Map_read; Map_write ]
+let mode_key = function
+  | Copy -> "copy"
+  | Map_lazy -> "map_untouched"
+  | Map_read -> "map_read"
+  | Map_write -> "map_write"
 
-let run_body ~sizes =
+let body scale =
+  let sizes =
+    match scale with
+    | Full -> [ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 ]
+    | Small -> [ 4 * 1024; 64 * 1024 ]
+  in
   let config = { Kernel.default_config with Kernel.phys_frames = 16384 } in
-  run_system ~config (fun sys task ->
-      let receiver = Task.create sys.Kernel.kernel ~name:"e3-recv" () in
-      let recv_svc = Syscalls.port_allocate receiver ~backlog:4 () in
-      let ack_name = Syscalls.port_allocate task ~backlog:4 () in
-      let ack_port = Mach_ipc.Port_space.lookup_exn (Task.space task) ack_name in
-      List.map
-        (fun size ->
-          (* The source region exists and is resident before the clock
-             starts — we measure the transfer, not data creation. *)
-          let src_addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
-          ignore (ok_exn "fill" (Syscalls.write_bytes task ~addr:src_addr (Bytes.create size) ()));
-          let results =
-            List.map
-              (fun mode ->
-                ( mode,
-                  exchange sys ~sender:task ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr
-                    ~size ~mode ))
-              [ Copy; Map_lazy; Map_read; Map_write ]
-          in
-          Syscalls.vm_deallocate task ~addr:src_addr ~size;
-          (size, results))
-        sizes)
+  let rows =
+    run_system ~config (fun sys task ->
+        let receiver = Task.create sys.Kernel.kernel ~name:"e3-recv" () in
+        let recv_svc = Syscalls.port_allocate receiver ~backlog:4 () in
+        let ack_name = Syscalls.port_allocate task ~backlog:4 () in
+        let ack_port = Mach_ipc.Port_space.lookup_exn (Task.space task) ack_name in
+        List.map
+          (fun size ->
+            (* The source region exists and is resident before the clock
+               starts — we measure the transfer, not data creation. *)
+            let src_addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
+            ignore (ok_exn "fill" (Syscalls.write_bytes task ~addr:src_addr (Bytes.create size) ()));
+            let results =
+              List.map
+                (fun mode ->
+                  ( mode,
+                    exchange sys ~sender:task ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr
+                      ~size ~mode ))
+                modes
+            in
+            Syscalls.vm_deallocate task ~addr:src_addr ~size;
+            (size, results))
+          sizes)
+  in
+  (* Where does mapping start to win? (With a 16-byte handle and O(pages)
+     map ops it already wins at one page; the sweep makes the measured
+     crossover explicit rather than asserted; -1 if copy never lost.) *)
+  let crossover =
+    List.find_opt
+      (fun (_, results) -> fst (List.assoc Copy results) > fst (List.assoc Map_lazy results))
+      rows
+  in
+  let _, largest = List.nth rows (List.length rows - 1) in
+  List.concat_map
+    (fun (size, results) ->
+      let copy_us = fst (List.assoc Copy results) and lazy_us, acct = List.assoc Map_lazy results in
+      List.map (fun (mode, (t, _)) -> (Printf.sprintf "%s_us_%d" (mode_key mode) size, t)) results
+      @ [
+          (Printf.sprintf "copy_over_map_%d" size, if lazy_us = 0.0 then 0.0 else copy_us /. lazy_us);
+          (Printf.sprintf "map_send_bytes_copied_%d" size, fi acct.a_bytes_copied);
+        ])
+    rows
+  @ [ ("crossover_bytes", match crossover with Some (size, _) -> fi size | None -> -1.0) ]
+  (* Zero-copy accounting at the largest size: a mapped send moves no
+     bytes (one copyin, handle in the message), and only the pages the
+     receiver touches come back as lazy copy-out faults. *)
+  @ List.concat_map
+      (fun (mode, (_, a)) ->
+        let k = mode_key mode in
+        [
+          (k ^ "_bytes_copied", fi a.a_bytes_copied);
+          (k ^ "_copyins", fi a.a_copyins);
+          (k ^ "_lazy_faults", fi a.a_lazy_faults);
+        ])
+      largest
 
-let find mode results = List.assoc mode results
 let pp_size size =
   if size >= 1024 * 1024 then Printf.sprintf "%d MB" (size / 1024 / 1024)
   else Printf.sprintf "%d KB" (size / 1024)
 
-let run () =
-  let rows = run_body ~sizes in
+let tables pairs =
   let t =
     Table.create
       ~title:"E3: large message transfer — physical copy vs copy-on-write mapping (Sections 1, 2, 9)"
@@ -130,77 +171,40 @@ let run () =
         [ "message size"; "copy us"; "map untouched us"; "map read-all us"; "map write-all us";
           "copy/map-untouched" ]
   in
+  let sizes = List.map fst (with_prefix pairs "copy_us_") in
   List.iter
-    (fun (size, results) ->
-      let copy_us, _ = find Copy results in
-      let lazy_us, _ = find Map_lazy results in
+    (fun size ->
+      let at key = get pairs (key ^ "_us_" ^ size) in
       Table.row t
         [
-          pp_size size;
-          us0 copy_us;
-          us0 lazy_us;
-          us0 (fst (find Map_read results));
-          us0 (fst (find Map_write results));
-          ratio copy_us lazy_us;
+          pp_size (int_of_string size);
+          us0 (at "copy");
+          us0 (at "map_untouched");
+          us0 (at "map_read");
+          us0 (at "map_write");
+          ratio (at "copy") (at "map_untouched");
         ])
-    rows;
-  (* Where does mapping start to win? (With a 16-byte handle and
-     O(pages) map ops it already wins at one page; the table makes the
-     measured crossover explicit rather than asserted.) *)
-  let crossover =
-    List.find_opt
-      (fun (_, results) -> fst (find Copy results) > fst (find Map_lazy results))
-      rows
-  in
-  (match crossover with
-  | Some (size, _) ->
-    Table.row t [ Printf.sprintf "crossover at %s" (pp_size size); "-"; "-"; "-"; "-"; "-" ]
-  | None -> Table.row t [ "no crossover in sweep"; "-"; "-"; "-"; "-"; "-" ]);
-  (* Zero-copy accounting at the largest size: a mapped send moves no
-     bytes (one copyin, handle in the message), and only the pages the
-     receiver touches come back as lazy copy-out faults. *)
-  let acct_size, acct_row = List.nth rows (List.length rows - 1) in
+    sizes;
+  let crossover = geti pairs "crossover_bytes" in
+  Table.row t
+    [
+      (if crossover < 0 then "no crossover in sweep"
+       else Printf.sprintf "crossover at %s" (pp_size crossover));
+      "-"; "-"; "-"; "-"; "-";
+    ];
   let t2 =
     Table.create
-      ~title:(Printf.sprintf "E3: zero-copy accounting (%s message)" (pp_size acct_size))
+      ~title:
+        (Printf.sprintf "E3: zero-copy accounting (%s message)"
+           (pp_size (int_of_string (List.nth sizes (List.length sizes - 1)))))
       ~columns:[ "mode"; "bytes copied at send"; "copyins"; "lazy copy-out faults" ]
   in
   List.iter
-    (fun (mode, (_, a)) ->
-      Table.row t2
-        [
-          mode_name mode;
-          string_of_int a.a_bytes_copied;
-          string_of_int a.a_copyins;
-          string_of_int a.a_lazy_faults;
-        ])
-    acct_row;
+    (fun mode ->
+      let at field = us0 (get pairs (mode_key mode ^ field)) in
+      Table.row t2 [ mode_name mode; at "_bytes_copied"; at "_copyins"; at "_lazy_faults" ])
+    modes;
   [ t; t2 ]
-
-let json () =
-  let rows = run_body ~sizes:[ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024 ] in
-  let crossover =
-    List.find_opt
-      (fun (_, results) -> fst (find Copy results) > fst (find Map_lazy results))
-      rows
-  in
-  List.concat_map
-    (fun (size, results) ->
-      let copy_us, _ = find Copy results in
-      let lazy_us, acct = find Map_lazy results in
-      [
-        (Printf.sprintf "copy_us_%d" size, copy_us);
-        (Printf.sprintf "map_untouched_us_%d" size, lazy_us);
-        (Printf.sprintf "map_read_us_%d" size, fst (find Map_read results));
-        (Printf.sprintf "map_write_us_%d" size, fst (find Map_write results));
-        (Printf.sprintf "copy_over_map_%d" size, if lazy_us = 0.0 then 0.0 else copy_us /. lazy_us);
-        (Printf.sprintf "map_send_bytes_copied_%d" size, float_of_int acct.a_bytes_copied);
-      ])
-    rows
-  @ [
-      ( "crossover_bytes",
-        match crossover with Some (size, _) -> float_of_int size | None -> -1.0 );
-    ]
 
 let experiment =
   {
@@ -211,7 +215,6 @@ let experiment =
        efficient: mapped transfer costs one map operation per page instead of a physical copy, \
        so its advantage grows with message size; the price is deferred to the pages the \
        receiver actually touches.";
-    run;
-    quick = (fun () -> ignore (run_body ~sizes:[ 4 * 1024; 64 * 1024 ]));
-    json = Some json;
+    body;
+    tables;
   }

@@ -128,24 +128,61 @@ let run_writeback ~frames:wb_frames ~image_pages =
     wt_laundered = st.Vm_types.s_laundered - l0;
   }
 
-let run_body ~sources ~builds ~wb_frames ~image_pages =
+let body scale =
+  let sources, builds, wb_frames, image_pages =
+    match scale with Full -> (48, 3, 256, 512) | Small -> (6, 2, 64, 128)
+  in
   let proj = project ~sources in
   let unix_runs = run_unix ~builds proj in
   let mach_runs, traffic = run_mach ~builds proj in
   let wtraffic = run_writeback ~frames:wb_frames ~image_pages in
-  (proj, List.combine unix_runs mach_runs, traffic, wtraffic)
-
-let run () =
-  let proj, rows, traffic, wtraffic =
-    run_body ~sources:48 ~builds:3 ~wb_frames:256 ~image_pages:512
+  let per_build =
+    List.concat
+      (List.mapi
+         (fun i ((u, ub), (m, mb)) ->
+           let open Compile_sim in
+           let k name = Printf.sprintf "%s_%d" name (i + 1) in
+           [
+             (k "unix_elapsed_us", u.elapsed_us);
+             (k "mach_elapsed_us", m.elapsed_us);
+             (k "unix_io", fi u.disk_ops);
+             (k "mach_io", fi m.disk_ops);
+             (k "unix_blocks", fi ub);
+             (k "mach_blocks", fi mb);
+           ])
+         (List.combine unix_runs mach_runs))
   in
+  (* The headline for the gate: the first (cold) and last (warm) builds'
+     speedups and the warm build's disk transfers and blocks. *)
+  let (cu, _), (cm, _) = (List.hd unix_runs, List.hd mach_runs) in
+  let (u, ub), (m, mb) = (List.nth unix_runs (builds - 1), List.nth mach_runs (builds - 1)) in
+  let open Compile_sim in
+  [
+    ("cold_speedup", cu.elapsed_us /. cm.elapsed_us);
+    ("warm_speedup", u.elapsed_us /. m.elapsed_us);
+    ("unix_warm_io", fi u.disk_ops);
+    ("mach_warm_io", fi m.disk_ops);
+    ("unix_warm_blocks", fi ub);
+    ("mach_warm_blocks", fi mb);
+    ("project_bytes", fi (project_bytes proj));
+  ]
+  @ per_build
+  @ [
+      ("data_requests", fi traffic.pt_requests);
+      ("pageins", fi traffic.pt_pageins);
+      ("wb_data_writes", fi wtraffic.wt_writes);
+      ("wb_pageouts", fi wtraffic.wt_pageouts);
+      ("wb_laundered", fi wtraffic.wt_laundered);
+    ]
+
+let tables pairs =
   let t =
     Table.create
       ~title:
         (Printf.sprintf
            "E4: compilation on a %d KB project, 4 MB memory (Section 9: ~2x elapsed, ~10x fewer \
             I/Os when cached)"
-           (Compile_sim.project_bytes proj / 1024))
+           (geti pairs "project_bytes" / 1024))
       ~columns:
         [
           "build";
@@ -161,39 +198,33 @@ let run () =
         ]
   in
   let io_ratio u m =
-    if m = 0 then Printf.sprintf "%dx / 0" u
-    else Printf.sprintf "%.1fx" (float_of_int u /. float_of_int m)
+    if m = 0.0 then Printf.sprintf "%.0fx / 0" u else Printf.sprintf "%.1fx" (u /. m)
   in
-  List.iteri
-    (fun i ((u, ub), (m, mb)) ->
-      let open Compile_sim in
+  let per a b = if b = 0.0 then "-" else Printf.sprintf "%.2f" (a /. b) in
+  List.iter
+    (fun (i, _) ->
+      let at name = get pairs (name ^ "_" ^ i) in
+      let u = at "unix_elapsed_us" and m = at "mach_elapsed_us" in
       Table.row t
         [
-          (if i = 0 then "1 (cold)" else Printf.sprintf "%d (warm)" (i + 1));
-          Printf.sprintf "%.2f" (u.elapsed_us /. 1e6);
-          Printf.sprintf "%.2f" (m.elapsed_us /. 1e6);
-          ratio u.elapsed_us m.elapsed_us;
-          string_of_int u.disk_ops;
-          string_of_int m.disk_ops;
-          io_ratio u.disk_ops m.disk_ops;
-          string_of_int ub;
-          string_of_int mb;
-          io_ratio ub mb;
+          (if i = "1" then "1 (cold)" else i ^ " (warm)");
+          Printf.sprintf "%.2f" (u /. 1e6);
+          Printf.sprintf "%.2f" (m /. 1e6);
+          ratio u m;
+          us0 (at "unix_io");
+          us0 (at "mach_io");
+          io_ratio (at "unix_io") (at "mach_io");
+          us0 (at "unix_blocks");
+          us0 (at "mach_blocks");
+          io_ratio (at "unix_blocks") (at "mach_blocks");
         ])
-    rows;
+    (with_prefix pairs "unix_elapsed_us_");
   let p =
     Table.create ~title:"E4: Mach pager traffic over the measured builds (cluster-in)"
       ~columns:[ "data_requests (messages)"; "pageins (pages)"; "pages per request" ]
   in
-  Table.row p
-    [
-      string_of_int traffic.pt_requests;
-      string_of_int traffic.pt_pageins;
-      (if traffic.pt_requests = 0 then "-"
-       else
-         Printf.sprintf "%.2f"
-           (float_of_int traffic.pt_pageins /. float_of_int traffic.pt_requests));
-    ];
+  let g = get pairs in
+  Table.row p [ us0 (g "data_requests"); us0 (g "pageins"); per (g "pageins") (g "data_requests") ];
   let w =
     Table.create
       ~title:
@@ -202,32 +233,9 @@ let run () =
         [ "data_writes (messages)"; "pageouts (pages)"; "laundered"; "pages per data_write" ]
   in
   Table.row w
-    [
-      string_of_int wtraffic.wt_writes;
-      string_of_int wtraffic.wt_pageouts;
-      string_of_int wtraffic.wt_laundered;
-      (if wtraffic.wt_writes = 0 then "-"
-       else
-         Printf.sprintf "%.2f"
-           (float_of_int wtraffic.wt_pageouts /. float_of_int wtraffic.wt_writes));
-    ];
+    [ us0 (g "wb_data_writes"); us0 (g "wb_pageouts"); us0 (g "wb_laundered");
+      per (g "wb_pageouts") (g "wb_data_writes") ];
   [ t; p; w ]
-
-(* The headline for the gate: the last (warm) build's speedup and both
-   systems' disk transfers and blocks. *)
-let json () =
-  let _, rows, _, _ = run_body ~sources:48 ~builds:2 ~wb_frames:256 ~image_pages:512 in
-  let (u, ub), (m, mb) = List.nth rows (List.length rows - 1) in
-  let (cu, _), (cm, _) = List.hd rows in
-  let open Compile_sim in
-  [
-    ("cold_speedup", cu.elapsed_us /. cm.elapsed_us);
-    ("warm_speedup", u.elapsed_us /. m.elapsed_us);
-    ("unix_warm_io", float_of_int u.disk_ops);
-    ("mach_warm_io", float_of_int m.disk_ops);
-    ("unix_warm_blocks", float_of_int ub);
-    ("mach_warm_blocks", float_of_int mb);
-  ]
 
 let experiment =
   {
@@ -237,7 +245,6 @@ let experiment =
       "Compilation of a program cached in memory under Mach is twice as fast as under SunOS, \
        and a large system compilation does 10x fewer I/O operations, because Mach uses the bulk \
        of physical memory as a file cache instead of a fixed 10% buffer cache.";
-    run;
-    quick = (fun () -> ignore (run_body ~sources:6 ~builds:2 ~wb_frames:64 ~image_pages:128));
-    json = Some json;
+    body;
+    tables;
   }

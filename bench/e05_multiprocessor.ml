@@ -20,7 +20,9 @@ module Minimal_fs = Mach_pagers.Minimal_fs
 module Sched = Mach_sim.Sched
 
 let page = 4096
-let machines = [ Machine.multimax; Machine.butterfly; Machine.hypercube ]
+let machines =
+  [ ("multimax", Machine.multimax); ("butterfly", Machine.butterfly); ("hypercube", Machine.hypercube) ]
+
 let with_cpus p n = { p with Machine.cpus = n }
 
 (* All three classes have >= 16 CPUs; local-work scaling beyond that is
@@ -87,12 +89,11 @@ let net_elapsed params pt = pt.pt_elapsed -. (switch_us params pt /. float_of_in
 (* Speedup of the work alone, which W workers cannot push past W. *)
 let net_speedup params base pt = net_elapsed params base /. net_elapsed params pt
 let pct f = Printf.sprintf "%.0f%%" (100.0 *. f)
-let ms pt = Printf.sprintf "%.1f" (pt.pt_elapsed /. 1000.0)
+let ms v = Printf.sprintf "%.1f" (v /. 1000.0)
 
 let avg_queue_depth pt =
   let enq = counter pt "enqueues" in
-  if enq = 0 then "0.0"
-  else Printf.sprintf "%.1f" (float_of_int (counter pt "queue_depth_sum") /. float_of_int enq)
+  if enq = 0 then 0.0 else fi (counter pt "queue_depth_sum") /. fi enq
 
 (* --- workload 1: parallel zero-fill fault storm ------------------------- *)
 
@@ -265,17 +266,114 @@ let taxonomy_table () =
           (match remote with Some r -> Printf.sprintf "%.0fx" (r /. local) | None -> "-");
           Printf.sprintf "%.0f" (msg_exchange_us p);
         ])
-    machines;
+    (List.map snd machines);
   t
 
-(* --- full experiment ----------------------------------------------------- *)
+(* --- the experiment -------------------------------------------------------- *)
 
-let storm_workers = 8
-let storm_pages = 48
-let pp_pairs = 4
-let pp_rpcs = 150
+(* [fields] of [pt] under [prefix] ("workload_machine_cpus_"). *)
+let point_pairs prefix fields pt =
+  List.map
+    (fun f ->
+      ( prefix ^ f,
+        match f with
+        | "elapsed_us" -> pt.pt_elapsed
+        | "util" -> pt.pt_util
+        | "handoffs" -> fi pt.pt_handoffs
+        | "avg_queue" -> avg_queue_depth pt
+        | k -> fi (counter pt k) ))
+    fields
 
-let run () =
+let body scale =
+  let storm_workers, storm_pages, pp_pairs, pp_rpcs, cc_jobs, cc_sources, ab_rpcs =
+    match scale with Full -> (8, 48, 4, 150, 6, 2, 400) | Small -> (2, 4, 1, 4, 2, 1, 8)
+  in
+  let sweep f = List.map (fun n -> (n, f n)) cpu_sweep in
+  let per_machine =
+    List.map
+      (fun (key, machine) ->
+        let on n = with_cpus machine n in
+        ( key,
+          machine,
+          sweep (fun n -> fault_storm (on n) ~workers:storm_workers ~pages_per_worker:storm_pages),
+          sweep (fun n -> ping_pong (on n) ~pairs:pp_pairs ~rpcs:pp_rpcs),
+          sweep (fun n -> compile_scale (on n) ~jobs:cc_jobs ~sources_per_job:cc_sources) ))
+      machines
+  in
+  let points =
+    List.concat_map
+      (fun (key, machine, storm, pp, cc) ->
+        let at w n = Printf.sprintf "%s_%s_%d_" w key n in
+        let storm1 = List.assoc 1 storm and pp1, _ = List.assoc 1 pp and cc1 = List.assoc 1 cc in
+        List.concat_map
+          (fun (n, pt) ->
+            [
+              (at "storm" n ^ "speedup", speedup storm1 pt);
+              (at "storm" n ^ "net_speedup", net_speedup machine storm1 pt);
+              (at "storm" n ^ "switch_ms", switch_us machine pt /. 1000.0);
+            ]
+            @ point_pairs (at "storm" n)
+                [ "elapsed_us"; "util"; "switches"; "preemptions"; "migrations"; "steals";
+                  "queue_depth_peak"; "avg_queue" ]
+                pt)
+          storm
+        @ List.concat_map
+            (fun (n, (pt, receives)) ->
+              [
+                (at "pp" n ^ "speedup", speedup pp1 pt);
+                (at "pp" n ^ "rpc_us", per_rpc ~pairs:pp_pairs ~rpcs:pp_rpcs pt);
+                (at "pp" n ^ "handoff_rate", fi pt.pt_handoffs /. fi receives);
+              ]
+              @ point_pairs (at "pp" n) [ "elapsed_us"; "switches"; "steals" ] pt)
+            pp
+        @ List.concat_map
+            (fun (n, pt) ->
+              (at "cc" n ^ "speedup", speedup cc1 pt)
+              :: point_pairs (at "cc" n)
+                   [ "elapsed_us"; "util"; "switches"; "preemptions"; "migrations" ]
+                   pt)
+            cc)
+      per_machine
+  in
+  (* Handoff A/B: the delta between the arms is the per-RPC price of the
+     run-queue round trip the handoff path skips. *)
+  let ab =
+    List.map
+      (fun pairs ->
+        let rpcs = ab_rpcs / pairs in
+        let on, off = handoff_ab ~pairs ~rpcs in
+        (pairs, per_rpc ~pairs ~rpcs, on, off))
+      [ 1; sat_pairs ]
+  in
+  let ab_points =
+    List.concat_map
+      (fun (pairs, per_rpc, on, off) ->
+        List.concat_map
+          (fun (arm, pt) ->
+            let prefix = Printf.sprintf "ab_%d_%s_" pairs arm in
+            (prefix ^ "rpc_us", per_rpc pt)
+            :: point_pairs prefix [ "elapsed_us"; "handoffs"; "handoff_claims"; "switches" ] pt)
+          [ ("handoff", on); ("queued", off) ])
+      ab
+  in
+  (* The gated headline: the MultiMax sweep and the two A/B loads. *)
+  let _, _, storm, pp, _ = List.hd per_machine in
+  let storm1 = List.assoc 1 storm and _, storm_max = List.nth storm (List.length storm - 1) in
+  let pp_pt, pp_recv = List.assoc 4 pp in
+  let _, one_rpc, on, off = List.hd ab and _, sat_rpc, sat_on, sat_off = List.nth ab 1 in
+  [
+    ("fault_storm_speedup_4", speedup storm1 (List.assoc 4 storm));
+    ("fault_storm_speedup_max", speedup storm1 storm_max);
+    ("fault_storm_switch_ms_1cpu", switch_us Machine.multimax storm1 /. 1000.0);
+    ("fault_storm_speedup_net_max", net_speedup Machine.multimax storm1 storm_max);
+    ("pingpong_handoff_rate", fi pp_pt.pt_handoffs /. fi pp_recv);
+    ("handoff_saving_us_per_rpc", one_rpc off -. one_rpc on);
+    ("saturated_handoff_claim_ratio", claim_ratio sat_on);
+    ("saturated_handoff_saving_us_per_rpc", sat_rpc sat_off -. sat_rpc sat_on);
+  ]
+  @ points @ ab_points
+
+let tables pairs =
   let t_storm =
     Table.create ~title:"E5a: zero-fill fault storm (8 workers x 48 pages)"
       ~columns:
@@ -294,66 +392,31 @@ let run () =
         [ "machine"; "cpus"; "elapsed ms"; "speedup"; "util"; "switches"; "preempt"; "migr" ]
   in
   List.iter
-    (fun machine ->
-      let storm =
-        List.map (fun n -> fault_storm (with_cpus machine n) ~workers:storm_workers
-                             ~pages_per_worker:storm_pages)
-          cpu_sweep
-      in
-      let storm1 = List.hd storm in
+    (fun (key, machine) ->
       List.iter
-        (fun pt ->
+        (fun n ->
+          let at w f = get pairs (Printf.sprintf "%s_%s_%d_%s" w key n f) in
+          let x w f = Printf.sprintf "%.2fx" (at w f) and one w f = Printf.sprintf "%.1f" (at w f) in
+          let lead w =
+            [ machine.Machine.model; string_of_int n; ms (at w "elapsed_us"); x w "speedup" ]
+          in
+          let cells w = List.map (fun f -> us0 (at w f)) in
           Table.row t_storm
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup storm1 pt);
-              Printf.sprintf "%.2fx" (net_speedup machine storm1 pt); pct pt.pt_util;
-              string_of_int (counter pt "switches");
-              Printf.sprintf "%.1f" (switch_us machine pt /. 1000.0);
-              string_of_int (counter pt "preemptions");
-              string_of_int (counter pt "migrations");
-              string_of_int (counter pt "steals");
-              string_of_int (counter pt "queue_depth_peak");
-              avg_queue_depth pt;
-            ])
-        storm;
-      let pp =
-        List.map (fun n -> ping_pong (with_cpus machine n) ~pairs:pp_pairs ~rpcs:pp_rpcs)
-          cpu_sweep
-      in
-      let pp1, _ = List.hd pp in
-      List.iter
-        (fun (pt, receives) ->
+            (lead "storm"
+            @ [ x "storm" "net_speedup"; pct (at "storm" "util") ]
+            @ cells "storm" [ "switches" ]
+            @ [ one "storm" "switch_ms" ]
+            @ cells "storm" [ "preemptions"; "migrations"; "steals"; "queue_depth_peak" ]
+            @ [ one "storm" "avg_queue" ]);
           Table.row t_pp
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup pp1 pt);
-              Printf.sprintf "%.1f" (pt.pt_elapsed /. float_of_int (pp_pairs * pp_rpcs));
-              pct (float_of_int pt.pt_handoffs /. float_of_int receives);
-              string_of_int (counter pt "switches");
-              string_of_int (counter pt "steals");
-            ])
-        pp;
-      let cc =
-        List.map (fun n -> compile_scale (with_cpus machine n) ~jobs:6 ~sources_per_job:2)
-          cpu_sweep
-      in
-      let cc1 = List.hd cc in
-      List.iter
-        (fun pt ->
+            (lead "pp"
+            @ [ one "pp" "rpc_us"; pct (at "pp" "handoff_rate") ]
+            @ cells "pp" [ "switches"; "steals" ]);
           Table.row t_cc
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup cc1 pt); pct pt.pt_util;
-              string_of_int (counter pt "switches");
-              string_of_int (counter pt "preemptions");
-              string_of_int (counter pt "migrations");
-            ])
-        cc)
+            (lead "cc"
+            @ (pct (at "cc" "util") :: cells "cc" [ "switches"; "preemptions"; "migrations" ])))
+        cpu_sweep)
     machines;
-  (* The delta between the arms is the per-RPC price of the run-queue
-     round trip the handoff path skips. *)
-  let ab_rpcs = 400 in
   let t_ab =
     Table.create
       ~title:"E5d: handoff vs run-queue RPC (400 RPCs per load, 2 CPUs, MultiMax)"
@@ -361,68 +424,21 @@ let run () =
         [ "load"; "arm"; "elapsed ms"; "per-RPC us"; "handoffs"; "claims"; "switches charged" ]
   in
   List.iter
-    (fun pairs ->
-      let rpcs = ab_rpcs / pairs in
-      let on, off = handoff_ab ~pairs ~rpcs in
-      let per_rpc = per_rpc ~pairs ~rpcs in
-      let load = Printf.sprintf "%d pair%s" pairs (if pairs = 1 then "" else "s") in
-      let arm name pt =
+    (fun n ->
+      let load = Printf.sprintf "%d pair%s" n (if n = 1 then "" else "s") in
+      let at arm f = get pairs (Printf.sprintf "ab_%d_%s_%s" n arm f) in
+      let arm name key =
         Table.row t_ab
-          [ load; name; ms pt; us (per_rpc pt); string_of_int pt.pt_handoffs;
-            string_of_int (counter pt "handoff_claims"); string_of_int (counter pt "switches") ]
+          (load :: name :: ms (at key "elapsed_us") :: us (at key "rpc_us")
+          :: List.map (fun f -> us0 (at key f)) [ "handoffs"; "handoff_claims"; "switches" ])
       in
-      arm "handoff (donated CPU)" on;
-      arm "run queue (donation off)" off;
-      Table.row t_ab [ load; "saving per RPC"; "-"; us (per_rpc off -. per_rpc on); "-"; "-"; "-" ])
+      arm "handoff (donated CPU)" "handoff";
+      arm "run queue (donation off)" "queued";
+      Table.row t_ab
+        [ load; "saving per RPC"; "-"; us (at "queued" "rpc_us" -. at "handoff" "rpc_us"); "-";
+          "-"; "-" ])
     [ 1; sat_pairs ];
   [ taxonomy_table (); t_storm; t_pp; t_cc; t_ab ]
-
-let quick () =
-  ignore (fault_storm (with_cpus Machine.multimax 2) ~workers:2 ~pages_per_worker:4);
-  ignore (ping_pong (with_cpus Machine.multimax 2) ~pairs:1 ~rpcs:4)
-
-let json () =
-  let sweep = [ 1; 2; 4; 8; 16 ] in
-  let storm =
-    List.map
-      (fun n -> (n, fault_storm (with_cpus Machine.multimax n) ~workers:8 ~pages_per_worker:32))
-      sweep
-  in
-  let storm1 = List.assoc 1 storm in
-  let max_cpus, storm_max = List.nth storm (List.length storm - 1) in
-  let pp_pt, pp_recv = ping_pong (with_cpus Machine.multimax 4) ~pairs:4 ~rpcs:100 in
-  let on, off = handoff_ab ~pairs:1 ~rpcs:200 in
-  let sat_rpcs = 50 in
-  let sat_on, sat_off = handoff_ab ~pairs:sat_pairs ~rpcs:sat_rpcs in
-  let sat_per_rpc = per_rpc ~pairs:sat_pairs ~rpcs:sat_rpcs in
-  let cc1 = compile_scale (with_cpus Machine.multimax 1) ~jobs:4 ~sources_per_job:2 in
-  let cc4 = compile_scale (with_cpus Machine.multimax 4) ~jobs:4 ~sources_per_job:2 in
-  List.concat
-    [
-      [ ("fault_storm_elapsed_1cpu_ms", storm1.pt_elapsed /. 1000.0) ];
-      List.filter_map
-        (fun (n, pt) ->
-          if n = 1 then None
-          else Some (Printf.sprintf "fault_storm_speedup_%d" n, speedup storm1 pt))
-        storm;
-      [
-        ("fault_storm_speedup_max", speedup storm1 storm_max);
-        ("fault_storm_switch_ms_1cpu", switch_us Machine.multimax storm1 /. 1000.0);
-        ("fault_storm_speedup_net_max", net_speedup Machine.multimax storm1 storm_max);
-        ("fault_storm_max_cpus", float_of_int max_cpus);
-        ("fault_storm_util_max_pct", 100.0 *. storm_max.pt_util);
-        ("fault_storm_steals_max", float_of_int (counter storm_max "steals"));
-        ("pingpong_handoff_rate", float_of_int pp_pt.pt_handoffs /. float_of_int pp_recv);
-        ("handoff_rpc_us", on.pt_elapsed /. 200.0);
-        ("queued_rpc_us", off.pt_elapsed /. 200.0);
-        ("handoff_saving_us_per_rpc", (off.pt_elapsed -. on.pt_elapsed) /. 200.0);
-        ("saturated_handoff_claim_ratio", claim_ratio sat_on);
-        ("saturated_handoff_rpc_us", sat_per_rpc sat_on);
-        ("saturated_queued_rpc_us", sat_per_rpc sat_off);
-        ("saturated_handoff_saving_us_per_rpc", sat_per_rpc sat_off -. sat_per_rpc sat_on);
-        ("compile_speedup_4", speedup cc1 cc4);
-      ];
-    ]
 
 let experiment =
   {
@@ -433,7 +449,6 @@ let experiment =
        added processors through per-CPU run queues, and message/scheduling integration lets an \
        RPC hand the sender's processor straight to the receiver instead of a run-queue round \
        trip.";
-    run;
-    quick;
-    json = Some json;
+    body;
+    tables;
   }

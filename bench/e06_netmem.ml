@@ -50,27 +50,35 @@ let run_point ?(hosts = 2) ~pages ~ops_per_client ~write_ratio () =
       let elapsed = Engine.now engine -. t0 in
       (elapsed, Netmem.invalidations nm, Netmem.downgrades nm, Netmem.grants nm))
 
-let ratios = [ 0.0; 0.02; 0.1; 0.3; 0.5 ]
+let body scale =
+  let pages, ops_per_client, ratios =
+    match scale with
+    | Full -> (32, 4_000, [ 0.0; 0.02; 0.1; 0.3; 0.5 ])
+    | Small -> (8, 40, [ 0.0; 0.3 ])
+  in
+  let point ?(sweep = "") key ~hosts ~write_ratio =
+    let elapsed, inv, downgrades, grants = run_point ~hosts ~pages ~ops_per_client ~write_ratio () in
+    let total_ops = fi (hosts * ops_per_client) in
+    List.map
+      (fun (name, v) -> (Printf.sprintf "%s%s_%s" sweep name key, v))
+      [
+        ("access_us", elapsed /. total_ops);
+        ("invalidations", fi inv);
+        ("downgrades", fi downgrades);
+        ("grants", fi grants);
+        ("inval_per_100", fi inv /. total_ops *. 100.0);
+      ]
+  in
+  let by_ratio =
+    List.concat_map (fun wr -> point (Printf.sprintf "%.2f" wr) ~hosts:2 ~write_ratio:wr) ratios
+  in
+  (* More sharers: every write has more copies to invalidate. *)
+  by_ratio
+  @ List.concat_map
+      (fun hosts -> point ~sweep:"hosts_" (string_of_int hosts) ~hosts ~write_ratio:0.1)
+      [ 2; 3; 4 ]
 
-let run_body ~pages ~ops_per_client ~ratios =
-  List.map
-    (fun wr ->
-      let elapsed, inv, downgrades, grants = run_point ~pages ~ops_per_client ~write_ratio:wr () in
-      (wr, elapsed, inv, downgrades, grants))
-    ratios
-
-let run_hosts_sweep ~pages ~ops_per_client =
-  List.map
-    (fun hosts ->
-      let elapsed, inv, downgrades, _grants =
-        run_point ~hosts ~pages ~ops_per_client ~write_ratio:0.1 ()
-      in
-      (hosts, elapsed, inv, downgrades))
-    [ 2; 3; 4 ]
-
-let run () =
-  let ops_per_client = 4_000 in
-  let rows = run_body ~pages:32 ~ops_per_client ~ratios in
+let tables pairs =
   let t =
     Table.create
       ~title:"E6: network shared memory, 2 hosts, 32 pages, hot/cold working set (Section 4.2)"
@@ -80,37 +88,19 @@ let run () =
           "inval per 100 ops";
         ]
   in
-  List.iter
-    (fun (wr, elapsed, inv, downgrades, grants) ->
-      let total_ops = float_of_int (2 * ops_per_client) in
-      Table.row t
-        [
-          Printf.sprintf "%.2f" wr;
-          us (elapsed /. total_ops);
-          string_of_int inv;
-          string_of_int downgrades;
-          string_of_int grants;
-          Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
-        ])
-    rows;
-  (* More sharers: every write has more copies to invalidate. *)
   let t2 =
     Table.create
       ~title:"E6b: same workload at write ratio 0.10, varying the number of sharing hosts"
       ~columns:[ "hosts"; "avg access us"; "invalidations"; "downgrades"; "inval per 100 ops" ]
   in
-  List.iter
-    (fun (hosts, elapsed, inv, downgrades) ->
-      let total_ops = float_of_int (hosts * ops_per_client) in
-      Table.row t2
-        [
-          string_of_int hosts;
-          us (elapsed /. total_ops);
-          string_of_int inv;
-          string_of_int downgrades;
-          Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
-        ])
-    (run_hosts_sweep ~pages:32 ~ops_per_client);
+  let row t sweep counts (key, v) =
+    let at name = get pairs (sweep ^ name ^ "_" ^ key) in
+    Table.row t
+      ((key :: us v :: List.map (fun name -> us0 (at name)) counts)
+      @ [ Printf.sprintf "%.1f" (at "inval_per_100") ])
+  in
+  List.iter (row t "" [ "invalidations"; "downgrades"; "grants" ]) (with_prefix pairs "access_us_");
+  List.iter (row t2 "hosts_" [ "invalidations"; "downgrades" ]) (with_prefix pairs "hosts_access_us_");
   [ t; t2 ]
 
 let experiment =
@@ -121,7 +111,6 @@ let experiment =
       "Multiple readers share pages freely; a write invalidates all other cached copies before \
        being granted, so performance degrades as the write ratio rises — efficient exactly when \
        algorithms exhibit read/write locality (s4.2, after Li).";
-    run;
-    quick = (fun () -> ignore (run_body ~pages:8 ~ops_per_client:40 ~ratios:[ 0.0; 0.3 ]));
-    json = None;
+    body;
+    tables;
   }

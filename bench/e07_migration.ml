@@ -54,38 +54,50 @@ let run_point ~pages ~touched_fraction strategy =
       let run_us = Ivar.read finished in
       (migrate_us, run_us, Migrator.pages_transferred mgr))
 
-let run_body ~pages ~fractions =
-  List.concat_map
-    (fun frac ->
-      List.map
-        (fun strategy ->
-          let migrate_us, run_us, shipped = run_point ~pages ~touched_fraction:frac strategy in
-          (frac, strategy, migrate_us, run_us, shipped))
-        [ Migrator.Eager_copy; Migrator.Copy_on_reference; Migrator.Pre_paging 4 ])
-    fractions
+let strategies =
+  [
+    ("eager", Migrator.Eager_copy);
+    ("cor", Migrator.Copy_on_reference);
+    ("prepage4", Migrator.Pre_paging 4);
+  ]
 
-let run () =
-  let pages = 128 in
-  let rows = run_body ~pages ~fractions:[ 0.1; 0.5; 1.0 ] in
+let body scale =
+  let pages, fractions = match scale with Full -> (128, [ 0.1; 0.5; 1.0 ]) | Small -> (16, [ 0.5 ]) in
+  ("pages", fi pages)
+  :: List.concat_map
+       (fun frac ->
+         List.concat_map
+           (fun (key, strategy) ->
+             let migrate_us, run_us, shipped = run_point ~pages ~touched_fraction:frac strategy in
+             let k name = Printf.sprintf "%s_%.0f_%s" name (frac *. 100.0) key in
+             [ (k "migrate_us", migrate_us); (k "run_us", run_us); (k "shipped", fi shipped) ])
+           strategies)
+       fractions
+
+let tables pairs =
   let t =
     Table.create
-      ~title:(Printf.sprintf "E7: migrating a %d-page task between hosts (Section 8.2)" pages)
+      ~title:
+        (Printf.sprintf "E7: migrating a %d-page task between hosts (Section 8.2)"
+           (geti pairs "pages"))
       ~columns:
         [ "touched"; "strategy"; "freeze-to-restart ms"; "post-restart run ms"; "total ms";
           "pages shipped" ]
   in
   List.iter
-    (fun (frac, strategy, migrate_us, run_us, shipped) ->
+    (fun (point, migrate_us) ->
+      let run_us = get pairs ("run_us_" ^ point) in
+      let pct, key = Scanf.sscanf point "%s@_%s" (fun p k -> (p, k)) in
       Table.row t
         [
-          Printf.sprintf "%.0f%%" (frac *. 100.0);
-          strategy_name strategy;
+          pct ^ "%";
+          strategy_name (List.assoc key strategies);
           Printf.sprintf "%.1f" (migrate_us /. 1000.0);
           Printf.sprintf "%.1f" (run_us /. 1000.0);
           Printf.sprintf "%.1f" ((migrate_us +. run_us) /. 1000.0);
-          string_of_int shipped;
+          us0 (get pairs ("shipped_" ^ point));
         ])
-    rows;
+    (with_prefix pairs "migrate_us_");
   [ t ]
 
 let experiment =
@@ -96,7 +108,6 @@ let experiment =
       "Copy-on-reference migration restarts the task almost immediately and ships only the \
        pages it references; eager copy pays the whole address space before restart; pre-paging \
        helps tasks with predictable access patterns (Section 8.2, after Zayas).";
-    run;
-    quick = (fun () -> ignore (run_body ~pages:16 ~fractions:[ 0.5 ]));
-    json = None;
+    body;
+    tables;
   }

@@ -141,42 +141,51 @@ let run_recovery () =
       in
       (Camelot.recovered_redo cam, Camelot.recovered_undo cam, committed, uncommitted_gone))
 
-let run_body ~txns ~updates_per_txn =
+let systems = [ ("camelot", "Camelot (WAL + mapped memory)"); ("wt", "synchronous write-through") ]
+
+let body scale =
+  let txns, updates_per_txn = match scale with Full -> (50, 20) | Small -> (5, 5) in
   let cam = run_camelot ~txns ~updates_per_txn in
   let wt = run_write_through ~txns ~updates_per_txn in
-  (cam, wt)
+  let redo, undo, committed, gone = run_recovery () in
+  let b v = if v then 1.0 else 0.0 in
+  [ ("txns", fi txns); ("updates_per_txn", fi updates_per_txn) ]
+  @ List.concat_map
+      (fun (key, (p : point)) ->
+        [
+          (key ^ "_txns_per_s", fi p.p_txns /. (p.p_elapsed_us /. 1e6));
+          (key ^ "_data_ops", fi p.p_data_ops);
+          (key ^ "_log_forces", fi p.p_log_forces);
+          (key ^ "_wal_violations", fi p.p_violations);
+        ])
+      [ ("camelot", cam); ("wt", wt) ]
+  @ [ ("redo", fi redo); ("undo", fi undo); ("committed_survives", b committed);
+      ("uncommitted_rolled_back", b gone) ]
 
-let run () =
-  let txns = 50 and updates_per_txn = 20 in
-  let cam, wt = run_body ~txns ~updates_per_txn in
+let tables pairs =
   let t =
     Table.create
       ~title:
         (Printf.sprintf "E8: %d transactions x %d updates on mapped recoverable memory (Section 8.3)"
-           txns updates_per_txn)
+           (geti pairs "txns") (geti pairs "updates_per_txn"))
       ~columns:
         [ "system"; "txns/s"; "data-disk ops"; "log forces"; "WAL violations" ]
   in
-  let row name (p : point) =
-    Table.row t
-      [
-        name;
-        Printf.sprintf "%.1f" (float_of_int p.p_txns /. (p.p_elapsed_us /. 1e6));
-        string_of_int p.p_data_ops;
-        string_of_int p.p_log_forces;
-        string_of_int p.p_violations;
-      ]
-  in
-  row "Camelot (WAL + mapped memory)" cam;
-  row "synchronous write-through" wt;
-  let redo, undo, committed, gone = run_recovery () in
+  List.iter
+    (fun (key, name) ->
+      let at f = get pairs (key ^ f) in
+      Table.row t
+        [ name; Printf.sprintf "%.1f" (at "_txns_per_s"); us0 (at "_data_ops");
+          us0 (at "_log_forces"); us0 (at "_wal_violations") ])
+    systems;
   let t2 =
     Table.create ~title:"E8b: crash recovery" ~columns:[ "check"; "result" ]
   in
-  Table.row t2 [ "log records redone (committed txn)"; string_of_int redo ];
-  Table.row t2 [ "log records undone (uncommitted txn)"; string_of_int undo ];
-  Table.row t2 [ "committed data survives crash"; string_of_bool committed ];
-  Table.row t2 [ "uncommitted data rolled back"; string_of_bool gone ];
+  let flag key = string_of_bool (get pairs key = 1.0) in
+  Table.row t2 [ "log records redone (committed txn)"; us0 (get pairs "redo") ];
+  Table.row t2 [ "log records undone (uncommitted txn)"; us0 (get pairs "undo") ];
+  Table.row t2 [ "committed data survives crash"; flag "committed_survives" ];
+  Table.row t2 [ "uncommitted data rolled back"; flag "uncommitted_rolled_back" ];
   [ t; t2 ]
 
 let experiment =
@@ -187,7 +196,6 @@ let experiment =
       "Camelot keeps permanent objects in mapped virtual memory with write-ahead logging; the \
        disk manager forces log records before flushed pages reach disk, clients need no buffer \
        management, and recoverable data is written directly to its permanent home (Section 8.3).";
-    run;
-    quick = (fun () -> ignore (run_body ~txns:5 ~updates_per_txn:5));
-    json = None;
+    body;
+    tables;
   }

@@ -29,7 +29,8 @@ let serve_object ?service_threads kernel ~name policy =
 
 (* A manager that never answers pager_data_request: a runtime policy
    whose every page read defers forever. The runtime still counts the
-   requests it ignored — that is the stats table's point. *)
+   requests it ignored in its reg.pager counters, which the stats table
+   shows. *)
 let silent_manager kernel ~name =
   serve_object kernel ~name
     {
@@ -39,16 +40,15 @@ let silent_manager kernel ~name =
 
 (* Scenario 1/2: thread blocked on data from a hostile manager; the
    §6.2.1 options — abort after timeout, or substitute zeroes. *)
-let run_unresponsive ~policy =
+let run_unresponsive ~name ~policy =
   run_system (fun sys task ->
-      let rt, _srv, memory_object = silent_manager sys.Kernel.kernel ~name:"silent-mgr" in
+      let _rt, _srv, memory_object = silent_manager sys.Kernel.kernel ~name in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(4 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
       in
       let engine = sys.Kernel.engine in
-      let r, elapsed = timed engine (fun () -> Syscalls.read_bytes task ~addr ~len:8 ~policy ()) in
-      (r, elapsed, Rt.Stats.to_list (Rt.stats rt)))
+      timed engine (fun () -> Syscalls.read_bytes task ~addr ~len:8 ~policy ()))
 
 (* Scenario 3: the manager dies mid-fault. No caller timeout is
    involved: the kernel's pager-death handler resolves every
@@ -59,7 +59,7 @@ let run_unresponsive ~policy =
 let run_death ~kill_after_us =
   run_system (fun sys task ->
       let kernel = sys.Kernel.kernel in
-      let rt, srv, memory_object = silent_manager kernel ~name:"doomed-mgr" in
+      let _rt, srv, memory_object = silent_manager kernel ~name:"doomed-mgr" in
       let addr =
         Syscalls.vm_allocate_with_pager task ~size:(4 * page) ~anywhere:true ~memory_object
           ~offset:0 ()
@@ -76,7 +76,6 @@ let run_death ~kill_after_us =
       let st = Kernel.stats kernel in
       ( r,
         elapsed,
-        Rt.Stats.to_list (Rt.stats rt),
         ( st.Vm_types.s_pager_deaths,
           st.Vm_types.s_death_errors,
           st.Vm_types.s_death_zero_fills ) ))
@@ -351,207 +350,198 @@ let run_migration_under_loss ~rounds ~drop =
           Netmem.invalidations nm,
           !finish ))
 
-let chaos_body ~quick =
-  let npages = if quick then 8 else 32 in
-  let sweep =
-    List.map
-      (fun drop ->
-        let b, f, t, rx, drops = run_loss_point ~drop ~npages in
-        (drop, b, f, t, rx, drops))
-      [ 0.0; 0.05; 0.10; 0.20 ]
-  in
-  let dup = run_duplicate_storm ~npages in
-  let part =
-    if quick then run_partition_heal ~npages ~at_us:10_000.0 ~dur_us:30_000.0
-    else run_partition_heal ~npages:64 ~at_us:20_000.0 ~dur_us:100_000.0
-  in
-  let crash =
-    run_crash_mid_write ~npages ~kill_after_us:(if quick then 10_000.0 else 25_000.0)
-  in
-  let mig = run_migration_under_loss ~rounds:(if quick then 4 else 8) ~drop:0.10 in
-  (sweep, dup, part, crash, mig)
+let loss_sweep = [ 0.0; 0.05; 0.10; 0.20 ]
+let loss_key drop name = Printf.sprintf "loss%.0f_%s" (drop *. 100.0) name
 
-(* The timer-driven scenarios; [run] adds the hoarder and the flooder,
-   which quick mode skips. *)
-let run_body ~quick =
+let body scale =
+  let quick = scale = Small in
+  let errored = function Ok _ -> 0.0 | Error _ -> 1.0 and b v = if v then 1.0 else 0.0 in
+  (* Part one: the §6 local failures. *)
   let timeout = if quick then 50_000.0 else 500_000.0 in
   let kill_after = if quick then 20_000.0 else 100_000.0 in
-  let abort_result, abort_us, abort_stats = run_unresponsive ~policy:(Fault.Abort_after timeout) in
-  let zf_result, zf_us, zf_stats = run_unresponsive ~policy:(Fault.Zero_fill_after timeout) in
-  let death_result, death_us, death_stats, death_counters = run_death ~kill_after_us:kill_after in
-  ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-    death_result, death_us, death_stats, death_counters )
-
-let run () =
-  let ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-        death_result, death_us, death_stats, (pager_deaths, death_errors, death_zero_fills) ) =
-    run_body ~quick:false
+  let abort_result, abort_us =
+    run_unresponsive ~name:"silent-abort-mgr" ~policy:(Fault.Abort_after timeout)
+  in
+  let zf_result, zf_us =
+    run_unresponsive ~name:"silent-zero-fill-mgr" ~policy:(Fault.Zero_fill_after timeout)
+  in
+  let zeroed = match zf_result with Ok b -> Bytes.for_all (fun c -> c = '\000') b | Error _ -> false in
+  let death_result, death_us, (pager_deaths, death_errors, death_zero_fills) =
+    run_death ~kill_after_us:kill_after
   in
   let rescued, alive = run_hoarder () in
   let offered, free_after, reserved, can_alloc = run_flooder () in
+  (* Part two: the chaos suite. *)
+  let npages = if quick then 8 else 32 in
+  let sweep =
+    List.concat_map
+      (fun drop ->
+        let b, f, t, rx, drops = run_loss_point ~drop ~npages in
+        let k = loss_key drop in
+        [ (k "blocked", fi b); (k "failures", fi f); (k "completion_us", t);
+          (k "retransmits", fi rx); (k "wire_drops", fi drops) ])
+      loss_sweep
+  in
+  let sum field =
+    List.fold_left (fun a (k, v) -> if String.ends_with ~suffix:field k then a +. v else a) 0.0 sweep
+  in
+  let dup_blocked, dup_failures, dups_injected, dup_dropped = run_duplicate_storm ~npages in
+  let cut_us = if quick then 30_000.0 else 100_000.0 in
+  let part_blocked, part_failures, convergence_us, partition_drops =
+    if quick then run_partition_heal ~npages ~at_us:10_000.0 ~dur_us:cut_us
+    else run_partition_heal ~npages:64 ~at_us:20_000.0 ~dur_us:cut_us
+  in
+  let crash_blocked, crash_failures, crash_pager_deaths, crash_drops =
+    run_crash_mid_write ~npages ~kill_after_us:(if quick then 10_000.0 else 25_000.0)
+  in
+  let mig_blocked, mig_failures, mig_coherent, mig_invals, _ =
+    run_migration_under_loss ~rounds:(if quick then 4 else 8) ~drop:0.10
+  in
+  [
+    ("timeout_us", timeout);
+    ("abort_blocked_us", abort_us);
+    ("abort_errored", errored abort_result);
+    ("zero_fill_blocked_us", zf_us);
+    ("zero_fill_zeroed", b zeroed);
+    ("kill_after_us", kill_after);
+    ("death_blocked_us", death_us);
+    ("death_errored", errored death_result);
+    ("pager_deaths", fi pager_deaths);
+    ("death_errors", fi death_errors);
+    ("death_zero_fills", fi death_zero_fills);
+    ("hoarder_rescued", fi rescued);
+    ("hoarder_alive", b alive);
+    ("flooder_offered", fi offered);
+    ("flooder_free_after", fi free_after);
+    ("flooder_reserved", fi reserved);
+    ("flooder_can_alloc", b can_alloc);
+    (* chaos suite *)
+    ("chaos_pages", fi npages);
+    ( "blocked_workers",
+      sum "_blocked" +. fi (dup_blocked + part_blocked + crash_blocked + mig_blocked) );
+    ("sweep_failures", sum "_failures");
+  ]
+  @ sweep
+  @ [
+      ("dup_injected", fi dups_injected);
+      ("dup_dropped", fi dup_dropped);
+      ("dup_failures", fi (dup_blocked + dup_failures));
+      ("partition_cut_us", cut_us);
+      ("partition_convergence_us", convergence_us);
+      ("partition_drops", fi partition_drops);
+      ("partition_failures", fi (part_blocked + part_failures));
+      ("crash_blocked", fi crash_blocked);
+      ("crash_pager_deaths", fi crash_pager_deaths);
+      ("crash_drops", fi crash_drops);
+      ("crash_aborted_accesses", fi crash_failures);
+      ("migration_coherent", fi mig_coherent);
+      ("migration_invalidations", fi mig_invals);
+      ("migration_failures", fi (mig_blocked + mig_failures));
+    ]
+
+let tables pairs =
+  let g = get pairs and n key = geti pairs key in
+  let ms key = g key /. 1000.0 in
   let t =
     Table.create ~title:"E9: data manager failure injection (Section 6)"
       ~columns:[ "failure"; "defense"; "outcome"; "metric" ]
   in
+  let either key yes no = if g key = 1.0 then yes else no in
   Table.row t
     [
       "manager never returns data";
-      Printf.sprintf "abort request after %.0f ms timeout" (timeout /. 1000.0);
-      (match abort_result with Error _ -> "fault aborted, error to thread" | Ok _ -> "UNEXPECTED");
-      Printf.sprintf "blocked %.0f ms" (abort_us /. 1000.0);
+      Printf.sprintf "abort request after %.0f ms timeout" (ms "timeout_us");
+      either "abort_errored" "fault aborted, error to thread" "UNEXPECTED";
+      Printf.sprintf "blocked %.0f ms" (ms "abort_blocked_us");
     ];
   Table.row t
     [
       "manager never returns data";
       "substitute zero-filled memory after timeout";
-      (match zf_result with
-      | Ok b when Bytes.for_all (fun c -> c = '\000') b -> "zeroes delivered, thread continues"
-      | Ok _ -> "wrong data"
-      | Error _ -> "UNEXPECTED");
-      Printf.sprintf "blocked %.0f ms" (zf_us /. 1000.0);
+      either "zero_fill_zeroed" "zeroes delivered, thread continues" "UNEXPECTED";
+      Printf.sprintf "blocked %.0f ms" (ms "zero_fill_blocked_us");
     ];
   Table.row t
     [
       "manager dies mid-fault (object port death)";
       "kernel pager-death handler resolves placeholders";
-      (match death_result with
-      | Error _ -> "deterministic fault error, no timer involved"
-      | Ok _ -> "UNEXPECTED");
+      either "death_errored" "deterministic fault error, no timer involved" "UNEXPECTED";
       Printf.sprintf "blocked %.0f ms (killed at %.0f ms); deaths=%d errors=%d zero_fills=%d"
-        (death_us /. 1000.0) (kill_after /. 1000.0) pager_deaths death_errors death_zero_fills;
+        (ms "death_blocked_us") (ms "kill_after_us") (n "pager_deaths") (n "death_errors")
+        (n "death_zero_fills");
     ];
   Table.row t
     [
       "manager fails to free flushed data";
       "double paging to the default pager (s6.2.2)";
-      (if alive then "kernel kept allocating" else "KERNEL STARVED");
-      Printf.sprintf "%d frames rescued" rescued;
+      either "hoarder_alive" "kernel kept allocating" "KERNEL STARVED";
+      Printf.sprintf "%d frames rescued" (n "hoarder_rescued");
     ];
   Table.row t
     [
       "manager floods the cache";
       "unsolicited data accepted only while frames are free";
-      (if can_alloc then "reserved pool intact, allocation works" else "ALLOCATION BLOCKED");
-      Printf.sprintf "offered %d pages; %d frames free after (reserve %d)" offered free_after
-        reserved;
+      either "flooder_can_alloc" "reserved pool intact, allocation works" "ALLOCATION BLOCKED";
+      Printf.sprintf "offered %d pages; %d frames free after (reserve %d)" (n "flooder_offered")
+        (n "flooder_free_after") (n "flooder_reserved");
     ];
-  (* The uniform per-pager stats block each failing manager accumulated
-     — the same counters the conformance suite asserts on. *)
-  let s =
-    Table.create ~title:"E9: per-pager runtime stats"
-      ~columns:("manager" :: List.map fst abort_stats)
-  in
-  List.iter
-    (fun (name, stats) -> Table.row s (name :: List.map (fun (_, v) -> string_of_int v) stats))
-    [
-      ("silent-mgr (abort run)", abort_stats);
-      ("silent-mgr (zero-fill run)", zf_stats);
-      ("doomed-mgr (death run)", death_stats);
-    ];
-  (* Part two: the chaos suite. *)
-  let sweep, dup, part, crash, mig = chaos_body ~quick:false in
   let c =
     Table.create ~title:"E9c: remote pager workload under seeded network faults (chaos fabric)"
       ~columns:[ "scenario"; "fault plan"; "outcome"; "metric" ]
   in
+  let outcome failures ok = if g failures = 0.0 then ok else Printf.sprintf "FAILED=%d" (n failures) in
   List.iter
-    (fun (drop, b, f, t_us, rx, drops) ->
+    (fun drop ->
+      let at f = n (loss_key drop f) in
       Table.row c
         [
-          "loss sweep (32 pages, write+verify)";
+          Printf.sprintf "loss sweep (%d pages, write+verify)" (n "chaos_pages");
           Printf.sprintf "drop %.0f%%" (drop *. 100.0);
-          (if b = 0 && f = 0 then "all pages exact, zero blocked threads"
-           else Printf.sprintf "BLOCKED=%d failures=%d" b f);
-          Printf.sprintf "%.1f ms, %d retransmits, %d wire drops" (t_us /. 1000.0) rx drops;
+          (if at "blocked" = 0 && at "failures" = 0 then "all pages exact, zero blocked threads"
+           else Printf.sprintf "BLOCKED=%d failures=%d" (at "blocked") (at "failures"));
+          Printf.sprintf "%.1f ms, %d retransmits, %d wire drops"
+            (ms (loss_key drop "completion_us")) (at "retransmits") (at "wire_drops");
         ])
-    sweep;
-  (let b, f, dups, dedup = dup in
-   Table.row c
-     [
-       "duplicate storm";
-       "dup 30% + drop 5%";
-       (if b = 0 && f = 0 then "at-most-once held (dedup window)"
-        else Printf.sprintf "BLOCKED=%d failures=%d" b f);
-       Printf.sprintf "%d duplicates injected, %d shed at receiver" dups dedup;
-     ]);
-  (let b, f, conv_us, pdrops = part in
-   Table.row c
-     [
-       "partition-and-heal (100 ms cut)";
-       "partition 0|1, heal";
-       (if b = 0 && f = 0 then "retransmits carried all traffic across the heal"
-        else Printf.sprintf "BLOCKED=%d failures=%d" b f);
-       Printf.sprintf "converged %.1f ms after heal; %d messages hit the cut"
-         (conv_us /. 1000.0) pdrops;
-     ]);
-  (let b, f, deaths, cdrops = crash in
-   Table.row c
-     [
-       "manager host crash mid-data_write";
-       "crash_host 1";
-       (if b = 0 && deaths > 0 then "proxy-port death reached the client kernel; no hang"
-        else Printf.sprintf "BLOCKED=%d pager_deaths=%d" b deaths);
-       Printf.sprintf "%d aborted accesses, %d pager deaths, %d msgs to dead host" f deaths
-         cdrops;
-     ]);
-  (let b, f, final_ok, invals, _ = mig in
-   Table.row c
-     [
-       "netmem ownership migration";
-       "drop 10%";
-       (if b = 0 && f = 0 && final_ok = 1 then "write grants migrated; final value coherent"
-        else Printf.sprintf "BLOCKED=%d failures=%d coherent=%d" b f final_ok);
-       Printf.sprintf "%d invalidations" invals;
-     ]);
-  [ t; s; c ]
-
-let json () =
-  let ( timeout, _, abort_us, _, _, zf_us, _, kill_after, _, death_us, _,
-        (pager_deaths, death_errors, death_zero_fills) ) =
-    run_body ~quick:true
-  in
-  let sweep, dup, part, crash, mig = chaos_body ~quick:true in
-  let sweep_blocked = List.fold_left (fun a (_, b, _, _, _, _) -> a + b) 0 sweep in
-  let sweep_failures = List.fold_left (fun a (_, _, f, _, _, _) -> a + f) 0 sweep in
-  let loss10_us, loss10_rx =
-    let _, _, _, t, rx, _ = List.nth sweep 2 in
-    (t, rx)
-  in
-  let dup_blocked, dup_failures, dups_injected, dup_dropped = dup in
-  let part_blocked, part_failures, convergence_us, partition_drops = part in
-  let crash_blocked, crash_failures, crash_pager_deaths, crash_drops = crash in
-  let mig_blocked, mig_failures, mig_coherent, mig_invals, _ = mig in
-  let blocked_workers =
-    sweep_blocked + dup_blocked + part_blocked + crash_blocked + mig_blocked
-  in
-  let fi = float_of_int in
-  [
-    ("timeout_us", timeout);
-    ("abort_blocked_us", abort_us);
-    ("zero_fill_blocked_us", zf_us);
-    ("kill_after_us", kill_after);
-    ("death_blocked_us", death_us);
-    ("pager_deaths", fi pager_deaths);
-    ("death_errors", fi death_errors);
-    ("death_zero_fills", fi death_zero_fills);
-    (* chaos suite *)
-    ("blocked_workers", fi blocked_workers);
-    ("sweep_failures", fi sweep_failures);
-    ("loss10_completion_us", loss10_us);
-    ("loss10_retransmits", fi loss10_rx);
-    ("dup_injected", fi dups_injected);
-    ("dup_dropped", fi dup_dropped);
-    ("dup_failures", fi (dup_blocked + dup_failures));
-    ("partition_convergence_us", convergence_us);
-    ("partition_drops", fi partition_drops);
-    ("partition_failures", fi (part_blocked + part_failures));
-    ("crash_pager_deaths", fi crash_pager_deaths);
-    ("crash_drops", fi crash_drops);
-    ("crash_aborted_accesses", fi crash_failures);
-    ("migration_coherent", fi mig_coherent);
-    ("migration_invalidations", fi mig_invals);
-    ("migration_failures", fi (mig_blocked + mig_failures));
-  ]
+    loss_sweep;
+  Table.row c
+    [
+      "duplicate storm";
+      "dup 30% + drop 5%";
+      outcome "dup_failures" "at-most-once held (dedup window)";
+      Printf.sprintf "%d duplicates injected, %d shed at receiver" (n "dup_injected")
+        (n "dup_dropped");
+    ];
+  Table.row c
+    [
+      Printf.sprintf "partition-and-heal (%.0f ms cut)" (ms "partition_cut_us");
+      "partition 0|1, heal";
+      outcome "partition_failures" "retransmits carried all traffic across the heal";
+      Printf.sprintf "converged %.1f ms after heal; %d messages hit the cut"
+        (ms "partition_convergence_us") (n "partition_drops");
+    ];
+  Table.row c
+    [
+      "manager host crash mid-data_write";
+      "crash_host 1";
+      (if n "crash_blocked" = 0 && n "crash_pager_deaths" > 0 then
+         "proxy-port death reached the client kernel; no hang"
+       else Printf.sprintf "BLOCKED=%d pager_deaths=%d" (n "crash_blocked") (n "crash_pager_deaths"));
+      Printf.sprintf "%d aborted accesses, %d pager deaths, %d msgs to dead host"
+        (n "crash_aborted_accesses") (n "crash_pager_deaths") (n "crash_drops");
+    ];
+  Table.row c
+    [
+      "netmem ownership migration";
+      "drop 10%";
+      (if n "migration_failures" = 0 && n "migration_coherent" = 1 then
+         "write grants migrated; final value coherent"
+       else Printf.sprintf "FAILED=%d coherent=%d" (n "migration_failures") (n "migration_coherent"));
+      Printf.sprintf "%d invalidations" (n "migration_invalidations");
+    ];
+  (* The uniform per-pager stats block of every manager the run booted,
+     the failing ones included: the counters the conformance suite
+     asserts on. *)
+  [ t; pager_table ~title:"E9: per-pager runtime stats" pairs; c ]
 
 let experiment =
   {
@@ -561,10 +551,6 @@ let experiment =
       "External data manager failures are analogous to communication failures; the same options \
        apply (timeout, zero-fill, wait), and the default pager plus double paging protect the \
        kernel from starvation by errant managers (Section 6).";
-    run;
-    quick =
-      (fun () ->
-        ignore (run_body ~quick:true);
-        ignore (chaos_body ~quick:true));
-    json = Some json;
+    body;
+    tables;
   }

@@ -16,7 +16,19 @@ module Rt = Pager_runtime
 
 let page = 4096
 
-let run_body ~rounds =
+(* Each phase's key and its row label. *)
+let phases =
+  [
+    ("zf", "zero-fill fault (anonymous memory)");
+    ("soft", "soft fault (resident page, pmap refill)");
+    ("cow", "copy-on-write fault (page copy + shadow)");
+    ("ext", "external pager fault (IPC round trip to manager)");
+    ("wb", "refault during clean (absorbed by laundry queue)");
+    ("stride", "external pager fault, a cluster window apart");
+  ]
+
+let body scale =
+  let rounds = match scale with Full -> 50 | Small -> 5 in
   run_system (fun sys task ->
       let engine = sys.Kernel.engine in
       let kernel = sys.Kernel.kernel in
@@ -174,83 +186,46 @@ let run_body ~rounds =
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
       let opens, closes = Trace.balance tr in
-      (* Fault-pipeline counters: how the handler actually resolved the
-         workload's faults (fast vs slow path, hint behaviour, clustered
-         pager traffic, burst mappings, and the writeback laundry). *)
-      let st = sys.Kernel.kernel.Ktypes.k_kctx.Kctx.stats in
-      let counters =
-        let wanted =
-          [
-            "faults"; "fast_faults"; "hits"; "hint_hits"; "hint_misses"; "burst_entered";
-            "slow_busy"; "slow_lock"; "slow_pager"; "slow_error"; "data_requests"; "cluster_pages";
-            "pageins"; "pageouts"; "data_writes"; "laundered"; "clean_hits"; "cow_steals";
-            "cow_batched";
-          ]
-        in
-        List.filter (fun (k, _) -> List.mem k wanted) (Vm_types.stats_to_list st)
-      in
-      ( [
-          ("zero-fill fault (anonymous memory)", phase_mean "zf");
-          ("soft fault (resident page, pmap refill)", phase_mean "soft");
-          ("copy-on-write fault (page copy + shadow)", phase_mean "cow");
-          ("external pager fault (IPC round trip to manager)", phase_mean "ext");
-          ("refault during clean (absorbed by laundry queue)", phase_mean "wb");
-          ("external pager fault, a cluster window apart", phase_mean "stride");
-        ],
-        mix,
-        (opens, closes),
-        counters,
-        [
-          ("prompt-mgr", Rt.Stats.to_list (Rt.stats prompt_rt));
-          ("laundry-mgr", Rt.Stats.to_list (Rt.stats wb_rt));
-        ] ))
+      List.map (fun (key, _) -> (key ^ "_us", phase_mean key)) phases
+      @ List.map (fun (k, v) -> ("via_" ^ k, fi v)) mix
+      @ [ ("spans_opened", fi opens); ("spans_closed", fi closes) ])
 
-let run () =
-  let rows, mix, (opens, closes), counters, pager_stats = run_body ~rounds:50 in
+(* Fault-pipeline counters: how the handler actually resolved the
+   workload's faults (fast vs slow path, hint behaviour, clustered pager
+   traffic, burst mappings, and the writeback laundry). *)
+let pipeline_counters =
+  [
+    "faults"; "fast_faults"; "hits"; "hint_hits"; "hint_misses"; "burst_entered"; "slow_busy";
+    "slow_lock"; "slow_pager"; "slow_error"; "data_requests"; "cluster_pages"; "pageins";
+    "pageouts"; "data_writes"; "laundered"; "clean_hits"; "cow_steals"; "cow_batched";
+  ]
+
+let tables pairs =
   let t =
     Table.create ~title:"E10: fault-path cost breakdown (trace spans, Section 5.5)"
       ~columns:[ "fault type"; "simulated us per fault (mean span)" ]
   in
-  List.iter (fun (k, v) -> Table.row t [ k; us v ]) rows;
+  List.iter (fun (key, label) -> Table.row t [ label; us (get pairs (key ^ "_us")) ]) phases;
   let m =
     Table.create
       ~title:
-        (Printf.sprintf "E10: fault-span resolution mix (%d spans opened, %d closed)" opens
-           closes)
+        (Printf.sprintf "E10: fault-span resolution mix (%d spans opened, %d closed)"
+           (geti pairs "spans_opened") (geti pairs "spans_closed"))
       ~columns:[ "resolved via"; "spans" ]
   in
-  List.iter (fun (k, v) -> Table.row m [ k; string_of_int v ]) mix;
+  List.iter (fun (k, v) -> Table.row m [ k; us0 v ]) (with_prefix pairs "via_");
   let c =
     Table.create
       ~title:
         "E10: fault pipeline counters (fast/slow split, lookup hints, cluster-in)"
       ~columns:[ "counter"; "count" ]
   in
-  List.iter (fun (k, v) -> Table.row c [ k; string_of_int v ]) counters;
+  List.iter
+    (fun (k, v) -> if List.mem k pipeline_counters then Table.row c [ k; us0 v ])
+    (with_prefix pairs "reg.vm.");
   (* The uniform per-pager stats block for the managers this experiment
      booted — requests, pages served, writes — through the runtime. *)
-  let s =
-    Table.create ~title:"E10: per-pager runtime stats"
-      ~columns:("manager" :: List.map fst (snd (List.hd pager_stats)))
-  in
-  List.iter
-    (fun (name, stats) -> Table.row s (name :: List.map (fun (_, v) -> string_of_int v) stats))
-    pager_stats;
-  [ t; m; c; s ]
-
-(* The pipeline counters ride along as reg.vm.* keys, so only the trace
-   reductions are E10's own. *)
-let json () =
-  let rows, mix, (opens, closes), _, _ = run_body ~rounds:25 in
-  let phase_keys =
-    List.map2
-      (fun key (_, v) -> (key, v))
-      [ "zf_us"; "soft_us"; "cow_us"; "ext_us"; "wb_us"; "stride_us" ]
-      rows
-  in
-  phase_keys
-  @ List.map (fun (k, v) -> ("via_" ^ k, float_of_int v)) mix
-  @ [ ("spans_opened", float_of_int opens); ("spans_closed", float_of_int closes) ]
+  [ t; m; c; pager_table ~title:"E10: per-pager runtime stats" pairs ]
 
 let experiment =
   {
@@ -260,7 +235,6 @@ let experiment =
       "The fault handler resolves validity/protection, page lookup, copy-on-write and hardware \
        validation; only the machine-dependent validation differs per machine. External-pager \
        faults add a message round trip to the data manager (Section 5.5).";
-    run;
-    quick = (fun () -> ignore (run_body ~rounds:5));
-    json = Some json;
+    body;
+    tables;
   }

@@ -120,25 +120,43 @@ let generations sys task ~pages ~gens =
   List.iter (fun addr -> Syscalls.vm_deallocate task ~addr ~size:(pages * page)) [ eager; lazy_ ];
   List.rev !rows
 
-let run_body ~sizes ~pages ~gens =
+let body scale =
+  let sizes, pages, gens =
+    match scale with Full -> ([ 64; 256; 1024; 4096 ], 64, 8) | Small -> ([ 16 ], 16, 2)
+  in
   run_system (fun sys task ->
       let forks = List.map (fun pages -> (pages, fork_cost sys task ~pages)) sizes in
       let rows = generations sys task ~pages ~gens in
       let stats = Kernel.stats sys.Kernel.kernel in
-      let totals =
-        ( stats.Vm_types.s_cow_steals,
-          stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched,
-          stats.Vm_types.s_collapses,
-          stats.Vm_types.s_chain_depth_peak )
-      in
-      (forks, rows, totals))
+      let steals = stats.Vm_types.s_cow_steals in
+      let resolved = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched in
+      let fork_times = List.map snd forks in
+      List.map (fun (pages, fork_us) -> (Printf.sprintf "fork_us_%d" pages, fork_us)) forks
+      @ [
+          ( "fork_flatness",
+            List.fold_left max 0.0 fork_times /. List.fold_left min infinity fork_times );
+          ("generations", fi (List.length rows));
+          ("gen_pages", fi pages);
+          ("gen_depth_peak", fi (List.fold_left (fun acc r -> max acc r.g_depth_exit) 0 rows));
+          ("chain_depth_peak", fi stats.Vm_types.s_chain_depth_peak);
+          ("cow_pages_resolved", fi resolved);
+          ("cow_steals", fi steals);
+          ("cow_copies", fi (resolved - steals));
+          ("steal_rate", fi steals /. fi (max 1 resolved));
+          ("collapses", fi stats.Vm_types.s_collapses);
+        ]
+      @ List.concat_map
+          (fun r ->
+            let k = Printf.sprintf "gen%d_%s" r.g_gen in
+            [
+              (k "depth_live", fi r.g_depth_live);
+              (k "depth_exit", fi r.g_depth_exit);
+              (k "steals", fi r.g_steals);
+              (k "copies", fi r.g_copies);
+            ])
+          rows)
 
-let sizes = [ 64; 256; 1024; 4096 ]
-
-let run () =
-  let forks, rows, (steals, resolved, collapses, walk_peak) =
-    run_body ~sizes ~pages:64 ~gens:8
-  in
+let tables pairs =
   let f =
     Table.create
       ~title:
@@ -148,59 +166,40 @@ let run () =
   in
   List.iter
     (fun (pages, fork_us) ->
+      let pages = int_of_string pages in
       Table.row f [ Printf.sprintf "%d pages (%d KB)" pages (pages * page / 1024); us fork_us ])
-    forks;
+    (with_prefix pairs "fork_us_");
   let g =
     Table.create
       ~title:
-        "E11: fork/exit generations over a 64-page region (the deallocate-path collapse and \
-         page stealing keep the chain flat)"
+        (Printf.sprintf
+           "E11: fork/exit generations over a %d-page region (the deallocate-path collapse and \
+            page stealing keep the chain flat)"
+           (geti pairs "gen_pages"))
       ~columns:
         [ "generation"; "depth (child live)"; "depth (after exit)"; "pages stolen"; "pages copied" ]
   in
-  List.iter
-    (fun r ->
-      Table.row g
-        [
-          string_of_int r.g_gen;
-          string_of_int r.g_depth_live;
-          string_of_int r.g_depth_exit;
-          string_of_int r.g_steals;
-          string_of_int r.g_copies;
-        ])
-    rows;
+  for gen = 1 to geti pairs "generations" do
+    Table.row g
+      (string_of_int gen
+      :: List.map
+           (fun f -> us0 (get pairs (Printf.sprintf "gen%d_%s" gen f)))
+           [ "depth_live"; "depth_exit"; "steals"; "copies" ])
+  done;
   let s =
     Table.create ~title:"E11: steal-vs-copy accounting (whole run)" ~columns:[ "counter"; "value" ]
   in
-  Table.row s [ "COW pages resolved"; string_of_int resolved ];
-  Table.row s [ "  stolen (renamed, no copy)"; string_of_int steals ];
-  Table.row s [ "  copied (400 us each)"; string_of_int (resolved - steals) ];
-  Table.row s
-    [ "steal rate"; Printf.sprintf "%.3f" (float_of_int steals /. float_of_int (max 1 resolved)) ];
-  Table.row s [ "chain collapses"; string_of_int collapses ];
-  Table.row s [ "deepest chain walked by a fault"; string_of_int walk_peak ];
+  List.iter
+    (fun (label, key) -> Table.row s [ label; us0 (get pairs key) ])
+    [
+      ("COW pages resolved", "cow_pages_resolved");
+      ("  stolen (renamed, no copy)", "cow_steals");
+      ("  copied (400 us each)", "cow_copies");
+    ];
+  Table.row s [ "steal rate"; Printf.sprintf "%.3f" (get pairs "steal_rate") ];
+  Table.row s [ "chain collapses"; us0 (get pairs "collapses") ];
+  Table.row s [ "deepest chain walked by a fault"; us0 (get pairs "chain_depth_peak") ];
   [ f; g; s ]
-
-let json () =
-  let forks, rows, (steals, resolved, collapses, walk_peak) =
-    run_body ~sizes ~pages:64 ~gens:8
-  in
-  let fork_times = List.map snd forks in
-  let fmin = List.fold_left min (List.hd fork_times) fork_times in
-  let fmax = List.fold_left max (List.hd fork_times) fork_times in
-  let depth_peak = List.fold_left (fun acc r -> max acc r.g_depth_exit) 0 rows in
-  List.map (fun (pages, fork_us) -> (Printf.sprintf "fork_us_%d" pages, fork_us)) forks
-  @ [
-      ("fork_flatness", fmax /. fmin);
-      ("generations", float_of_int (List.length rows));
-      ("gen_depth_peak", float_of_int depth_peak);
-      ("chain_depth_peak", float_of_int walk_peak);
-      ("cow_pages_resolved", float_of_int resolved);
-      ("cow_steals", float_of_int steals);
-      ("cow_copies", float_of_int (resolved - steals));
-      ("steal_rate", float_of_int steals /. float_of_int (max 1 resolved));
-      ("collapses", float_of_int collapses);
-    ]
 
 let experiment =
   {
@@ -211,7 +210,6 @@ let experiment =
        cheap: the fork itself costs microseconds regardless of size; pages are copied only when \
        actually written — and not even then, when the snapshot is the page's only remaining user \
        (Section 3.3).";
-    run;
-    quick = (fun () -> ignore (run_body ~sizes:[ 16 ] ~pages:16 ~gens:2));
-    json = Some json;
+    body;
+    tables;
   }

@@ -110,46 +110,14 @@ let run_reserve_ablation ~reserved_frames =
       done;
       !min_free)
 
-let run_body ~quick =
-  let gens = if quick then 4 else 24 in
-  let with_c = run_chain ~generations:gens ~collapse:true in
-  let without_c = run_chain ~generations:gens ~collapse:false in
-  let cache_on = if quick then 0 else run_cache_ablation ~enable_cache:true in
-  let cache_off = if quick then 1 else run_cache_ablation ~enable_cache:false in
-  let reserve_some = if quick then 2 else run_reserve_ablation ~reserved_frames:4 in
-  let reserve_none = if quick then 0 else run_reserve_ablation ~reserved_frames:0 in
-  (gens, with_c, without_c, cache_on, cache_off, reserve_some, reserve_none)
-
-let run () =
-  let gens, (d1, f1, c1), (d2, f2, c2), cache_on, cache_off, reserve_some, reserve_none =
-    run_body ~quick:false
-  in
-  let t =
-    Table.create
-      ~title:(Printf.sprintf "E12/A1: shadow chains after %d fork generations" gens)
-      ~columns:[ "configuration"; "max chain depth"; "cold fault us"; "collapses" ]
-  in
-  Table.row t [ "collapse enabled (Mach)"; string_of_int d1; us f1; string_of_int c1 ];
-  Table.row t [ "collapse disabled"; string_of_int d2; us f2; string_of_int c2 ];
-  let t2 =
-    Table.create ~title:"E12/A2: pager_cache permission (5 re-reads of a 64 KB file)"
-      ~columns:[ "configuration"; "disk reads" ]
-  in
-  Table.row t2 [ "pager_cache true (Mach fs server)"; string_of_int cache_on ];
-  Table.row t2 [ "pager_cache false"; string_of_int cache_off ];
-  let t3 =
-    Table.create ~title:"E12/A3: reserved pool under heavy dirtying (96-frame machine)"
-      ~columns:[ "configuration"; "minimum free frames seen" ]
-  in
-  Table.row t3 [ "4 reserved frames"; string_of_int reserve_some ];
-  Table.row t3 [ "no reserve"; string_of_int reserve_none ];
-  [ t; t2; t3 ]
-
-let json () =
-  let gens, (d1, f1, c1), (d2, f2, c2), cache_on, cache_off, reserve_some, reserve_none =
-    run_body ~quick:false
-  in
-  let fi = float_of_int in
+let body scale =
+  let gens = match scale with Full -> 24 | Small -> 4 in
+  let d1, f1, c1 = run_chain ~generations:gens ~collapse:true in
+  let d2, f2, c2 = run_chain ~generations:gens ~collapse:false in
+  let cache_on = run_cache_ablation ~enable_cache:true in
+  let cache_off = run_cache_ablation ~enable_cache:false in
+  let reserve_some = run_reserve_ablation ~reserved_frames:4 in
+  let reserve_none = run_reserve_ablation ~reserved_frames:0 in
   [
     ("generations", fi gens);
     ("collapse_depth", fi d1);
@@ -164,6 +132,34 @@ let json () =
     ("no_reserve_min_free", fi reserve_none);
   ]
 
+let tables pairs =
+  let g = get pairs in
+  let t =
+    Table.create
+      ~title:
+        (Printf.sprintf "E12/A1: shadow chains after %d fork generations" (geti pairs "generations"))
+      ~columns:[ "configuration"; "max chain depth"; "cold fault us"; "collapses" ]
+  in
+  Table.row t
+    [ "collapse enabled (Mach)"; us0 (g "collapse_depth"); us (g "collapse_fault_us");
+      us0 (g "collapses") ];
+  Table.row t
+    [ "collapse disabled"; us0 (g "no_collapse_depth"); us (g "no_collapse_fault_us");
+      us0 (g "no_collapse_collapses") ];
+  let t2 =
+    Table.create ~title:"E12/A2: pager_cache permission (5 re-reads of a 64 KB file)"
+      ~columns:[ "configuration"; "disk reads" ]
+  in
+  Table.row t2 [ "pager_cache true (Mach fs server)"; us0 (g "cache_disk_reads") ];
+  Table.row t2 [ "pager_cache false"; us0 (g "no_cache_disk_reads") ];
+  let t3 =
+    Table.create ~title:"E12/A3: reserved pool under heavy dirtying (96-frame machine)"
+      ~columns:[ "configuration"; "minimum free frames seen" ]
+  in
+  Table.row t3 [ "4 reserved frames"; us0 (g "reserve_min_free") ];
+  Table.row t3 [ "no reserve"; us0 (g "no_reserve_min_free") ];
+  [ t; t2; t3 ]
+
 let experiment =
   {
     id = "E12";
@@ -172,7 +168,6 @@ let experiment =
       "Ablations of load-bearing design choices: shadow-chain collapse keeps COW chains flat; \
        pager_cache is what turns physical memory into a file cache (Section 9); the reserved \
        pool keeps the pageout path alive under pressure (Section 6.2.3).";
-    run;
-    quick = (fun () -> ignore (run_body ~quick:true));
-    json = Some json;
+    body;
+    tables;
   }

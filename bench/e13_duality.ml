@@ -45,7 +45,7 @@ let uma_messages ~items ~item_size =
             done;
             Ivar.read done_)
       in
-      (elapsed /. float_of_int items, ipc_counters sys.Kernel.kernel))
+      (elapsed /. float_of_int items, ipc_counters [ sys.Kernel.kernel ]))
 
 let uma_shared ~items ~item_size =
   let config = { Kernel.default_config with Kernel.params = Machine.multimax } in
@@ -117,10 +117,7 @@ let norma_messages ~items ~item_size =
              in
              out := Some (elapsed /. float_of_int items))));
   Engine.run cluster.Kernel.c_engine;
-  let counters =
-    sum_counters (Array.to_list (Array.map ipc_counters cluster.Kernel.c_kernels))
-  in
-  (Option.get !out, counters)
+  (Option.get !out, ipc_counters (Array.to_list cluster.Kernel.c_kernels))
 
 let norma_shared ~items ~item_size =
   let cluster = Kernel.create_cluster ~hosts:2 ~config:norma_config () in
@@ -166,18 +163,34 @@ let norma_shared ~items ~item_size =
   Engine.run cluster.Kernel.c_engine;
   Option.get !out
 
-let sizes = [ 64; 1024; 4096; 16384 ]
+let body scale =
+  let items, sizes =
+    match scale with Full -> (50, [ 64; 1024; 4096; 16384 ]) | Small -> (5, [ 1024 ])
+  in
+  let rows =
+    List.map
+      (fun s ->
+        let um, uc = uma_messages ~items ~item_size:s in
+        let nm, nc = norma_messages ~items ~item_size:s in
+        let us_ = uma_shared ~items ~item_size:s in
+        let ns = norma_shared ~items ~item_size:s in
+        let modes =
+          [ ("uma_messages", um); ("uma_shared", us_); ("norma_messages", nm); ("norma_shared", ns) ]
+        in
+        (s, modes, uc, nc))
+      sizes
+  in
+  (* IPC counters of the message-based runs at the largest item size:
+     on the UMA the small items ride the RPC fast path; on the NORMA the
+     same workload shows the wire-delivery bookkeeping. *)
+  let s, _, uc, nc = List.nth rows (List.length rows - 1) in
+  List.concat_map
+    (fun (s, modes, _, _) -> List.map (fun (m, v) -> (Printf.sprintf "%s_us_%d" m s, v)) modes)
+    rows
+  @ (("ipc_item_size", fi s) :: List.map (fun (k, v) -> ("uma_ipc_" ^ k, v)) uc)
+  @ List.map (fun (k, v) -> ("norma_ipc_" ^ k, v)) nc
 
-let run_body ~items ~sizes =
-  List.map
-    (fun s ->
-      let um, uc = uma_messages ~items ~item_size:s in
-      let nm, nc = norma_messages ~items ~item_size:s in
-      (s, um, uma_shared ~items ~item_size:s, nm, norma_shared ~items ~item_size:s, uc, nc))
-    sizes
-
-let run () =
-  let rows = run_body ~items:50 ~sizes in
+let tables pairs =
   let t =
     Table.create
       ~title:
@@ -188,49 +201,29 @@ let run () =
           "NORMA shared mem us" ]
   in
   List.iter
-    (fun (s, um, us_, nm, ns, _, _) ->
+    (fun (size, um) ->
+      let s = int_of_string size in
+      let at m = us0 (get pairs (Printf.sprintf "%s_us_%s" m size)) in
       Table.row t
         [
-          (if s >= 1024 then Printf.sprintf "%d KB" (s / 1024) else Printf.sprintf "%d B" s);
+          (if s >= 1024 then Printf.sprintf "%d KB" (s / 1024) else size ^ " B");
           us0 um;
-          us0 us_;
-          us0 nm;
-          us0 ns;
+          at "uma_shared";
+          at "norma_messages";
+          at "norma_shared";
         ])
-    rows;
-  (* IPC counters of the message-based runs at the largest item size:
-     on the UMA the small items ride the RPC fast path; on the NORMA
-     the same workload shows the wire-delivery bookkeeping. *)
+    (with_prefix pairs "uma_messages_us_");
   let t2 =
-    match List.rev rows with
-    | (s, _, _, _, _, uc, nc) :: _ ->
-      let t2 =
-        Table.create
-          ~title:
-            (Printf.sprintf "E13: IPC counters for the message runs (%d KB items)" (s / 1024))
-          ~columns:[ "counter"; "UMA (1 host)"; "NORMA (2 hosts)" ]
-      in
-      List.iter
-        (fun (k, v) -> Table.row t2 [ k; string_of_int v; string_of_int (List.assoc k nc) ])
-        uc;
-      [ t2 ]
-    | [] -> []
+    Table.create
+      ~title:
+        (Printf.sprintf "E13: IPC counters for the message runs (%d KB items)"
+           (geti pairs "ipc_item_size" / 1024))
+      ~columns:[ "counter"; "UMA (1 host)"; "NORMA (2 hosts)" ]
   in
-  t :: t2
-
-let json () =
-  let rows = run_body ~items:20 ~sizes:[ 1024; 4096 ] in
-  List.concat_map
-    (fun (s, um, us_, nm, ns, uc, nc) ->
-      [
-        (Printf.sprintf "uma_messages_us_%d" s, um);
-        (Printf.sprintf "uma_shared_us_%d" s, us_);
-        (Printf.sprintf "norma_messages_us_%d" s, nm);
-        (Printf.sprintf "norma_shared_us_%d" s, ns);
-        (Printf.sprintf "uma_rpc_fastpath_%d" s, float_of_int (List.assoc "rpc_fastpath" uc));
-        (Printf.sprintf "norma_msgs_sent_%d" s, float_of_int (List.assoc "msgs_sent" nc));
-      ])
-    rows
+  List.iter
+    (fun (k, v) -> Table.row t2 [ k; us0 v; us0 (get pairs ("norma_ipc_" ^ k)) ])
+    (with_prefix pairs "uma_ipc_");
+  [ t; t2 ]
 
 let experiment =
   {
@@ -241,7 +234,6 @@ let experiment =
        depends on the machine: on a tightly-coupled UMA, shared memory avoids per-message \
        kernel overhead; on a NORMA, messages are native and coherent shared memory pays \
        ownership round trips per exchange (Section 7).";
-    run;
-    quick = (fun () -> ignore (run_body ~items:5 ~sizes:[ 1024 ]));
-    json = Some json;
+    body;
+    tables;
   }

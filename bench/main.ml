@@ -1,16 +1,21 @@
 (* Benchmark harness: reproduces every table/figure-level claim of the
    paper's evaluation (E1–E13, see DESIGN.md), then runs a bechamel
    microbench suite (one Test.make per experiment, measuring the
-   harness itself).
+   harness itself). Each experiment has one body: the tables, --json
+   and the gate read its full-scale run; --smoke and bechamel its
+   small-scale run.
 
    Usage:
      main.exe                 run all experiments + microbenches
      main.exe --only E4,E7    run selected experiments
      main.exe --list          list experiments
      main.exe --no-bechamel   skip the wall-clock microbenches
-     main.exe --json out.json write each experiment's metrics and
-                              reg.* registry snapshot as JSON instead
-                              of tables (gate.exe checks this file) *)
+     main.exe --smoke         small-scale run of each experiment,
+                              tables rendered but not printed
+     main.exe --json out.json write the pairs the tables are rendered
+                              from (own metrics and reg.* registry
+                              snapshot) as JSON instead of tables
+                              (gate.exe checks this file) *)
 
 module Table = Mach_util.Table
 module Metrics = Mach_util.Metrics
@@ -36,8 +41,7 @@ let run_experiment (e : Common.experiment) =
   Printf.printf "\n### %s — %s\n" e.Common.id e.Common.title;
   Printf.printf "Paper: %s\n\n" e.Common.paper_claim;
   let t0 = Unix.gettimeofday () in
-  let tables = e.Common.run () in
-  List.iter Table.print tables;
+  List.iter Table.print (e.Common.tables (Common.measure e Common.Full));
   Printf.printf "(experiment wall time: %.2fs)\n" (Unix.gettimeofday () -. t0)
 
 let run_bechamel selected =
@@ -46,7 +50,8 @@ let run_bechamel selected =
   let tests =
     List.map
       (fun (e : Common.experiment) ->
-        Test.make ~name:(e.Common.id ^ "-" ^ e.Common.title) (Staged.stage e.Common.quick))
+        Test.make ~name:(e.Common.id ^ "-" ^ e.Common.title)
+          (Staged.stage (fun () -> ignore (Common.measure e Common.Small))))
       selected
   in
   let test = Test.make_grouped ~name:"mach-repro" ~fmt:"%s %s" tests in
@@ -54,7 +59,7 @@ let run_bechamel selected =
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n### Bechamel microbenches (wall-clock per quick-experiment iteration)\n\n";
+  Printf.printf "\n### Bechamel microbenches (wall-clock per small-scale run)\n\n";
   let rows =
     Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -66,37 +71,31 @@ let run_bechamel selected =
       | Some _ | None -> Printf.printf "  %-44s (no estimate)\n" name)
     rows
 
-(* Tiny-parameter sanity pass: run every experiment's [quick] body once
-   so a refactor that breaks an experiment fails fast (the `bench-smoke`
-   dune alias runs this). *)
+(* Sanity pass at the small scale: run every experiment once and render
+   its tables, so a refactor that breaks a body or a table fails fast
+   (the `bench-smoke` dune alias runs this). *)
 let run_smoke selected =
   List.iter
     (fun (e : Common.experiment) ->
       Printf.printf "smoke %-4s %-28s ... %!" e.Common.id e.Common.title;
       let t0 = Unix.gettimeofday () in
-      e.Common.quick ();
+      List.iter (fun t -> ignore (Table.render t)) (e.Common.tables (Common.measure e Common.Small));
       Printf.printf "ok (%.2fs)\n%!" (Unix.gettimeofday () -. t0))
     selected
 
 (* Machine-readable results: one flat {metric: number} object per
-   experiment, written by Metrics.to_json under an outer object keyed by
-   experiment id. Every experiment emits the shared registry-snapshot
-   schema — each "subsystem.counter" of every kernel its run booted,
-   prefixed "reg." — and an experiment with a [json] producer prepends
-   its own derived metrics. *)
+   experiment, keyed by experiment id — the same pairs the tables are
+   rendered from: the experiment's own metrics, then every
+   "subsystem.counter" of every kernel its run booted, prefixed "reg.". *)
 let run_json path selected =
   let sections =
     List.map
       (fun (e : Common.experiment) ->
         Printf.printf "json %-4s %-28s ... %!" e.Common.id e.Common.title;
         let t0 = Unix.gettimeofday () in
-        Common.reset_collected ();
-        let own = match e.Common.json with Some f -> f () | None -> e.Common.quick (); [] in
-        let reg =
-          List.map (fun (k, v) -> ("reg." ^ k, v)) (Common.collected_registry ())
-        in
+        let pairs = Common.measure e Common.Full in
         Printf.printf "ok (%.2fs)\n%!" (Unix.gettimeofday () -. t0);
-        Printf.sprintf "  %S: %s" e.Common.id (Metrics.to_json ~indent:4 (own @ reg)))
+        Printf.sprintf "  %S: %s" e.Common.id (Metrics.to_json ~indent:4 pairs))
       selected
   in
   Out_channel.with_open_text path (fun oc ->
@@ -154,7 +153,7 @@ let no_bechamel =
   Arg.(value & flag & info [ "no-bechamel" ] ~doc)
 
 let smoke =
-  let doc = "Run each experiment once with tiny parameters (sanity pass, no tables)." in
+  let doc = "Run each experiment once at small scale and render its tables without printing them." in
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
 let json_file =

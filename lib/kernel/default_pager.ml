@@ -124,7 +124,6 @@ let start kctx ~disk =
     (Rt.dispatch rt ~adopt:(adopt t) ~other:ignore);
   t
 
-let objects_managed t = Rt.objects t.rt
 let pages_stored t = t.stored
 let blocks_free t = Queue.length t.free_blocks
 let runtime_stats t = Rt.stats t.rt

@@ -16,7 +16,6 @@ val start : Mach_vm.Kctx.t -> disk:Mach_hw.Disk.t -> t
 (** Spawn the default pager task, register its public port in
     [kctx.default_pager_port], and install the §6.2.2 rescue writer. *)
 
-val objects_managed : t -> int
 val pages_stored : t -> int
 val blocks_free : t -> int
 

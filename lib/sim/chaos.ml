@@ -71,10 +71,6 @@ let point t label =
 
 let set_plan t ~src ~dst plan = Hashtbl.replace t.plans (src, dst) plan
 
-let set_plan_between t a b plan =
-  set_plan t ~src:a ~dst:b plan;
-  set_plan t ~src:b ~dst:a plan
-
 let set_default_plan t plan = t.default_plan <- plan
 let plan_for t ~src ~dst =
   match Hashtbl.find_opt t.plans (src, dst) with Some p -> p | None -> t.default_plan

@@ -45,7 +45,6 @@ val set_trace : t -> Trace.t option -> unit
 (** {1 Fault plans} *)
 
 val set_plan : t -> src:int -> dst:int -> plan -> unit
-val set_plan_between : t -> int -> int -> plan -> unit
 val set_default_plan : t -> plan -> unit
 val plan_for : t -> src:int -> dst:int -> plan
 

@@ -82,13 +82,3 @@ let write_bytes kctx map ~addr data ?policy () =
         go (pos + in_page)
   in
   if len = 0 then Ok () else go 0
-
-let read_u8 kctx map ~addr =
-  match read_bytes kctx map ~addr ~len:1 () with
-  | Ok b -> Ok (Bytes.get_uint8 b 0)
-  | Error e -> Error e
-
-let write_u8 kctx map ~addr v =
-  let b = Bytes.create 1 in
-  Bytes.set_uint8 b 0 v;
-  write_bytes kctx map ~addr b ()

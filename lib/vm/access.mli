@@ -43,5 +43,3 @@ val write_bytes :
   (unit, error) result
 (** Copy bytes into the address space (faulting and COW-resolving). *)
 
-val read_u8 : Kctx.t -> Vm_map.t -> addr:int -> (int, error) result
-val write_u8 : Kctx.t -> Vm_map.t -> addr:int -> int -> (unit, error) result

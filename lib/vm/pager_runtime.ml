@@ -148,7 +148,6 @@ let register t ~memory_object o_data =
 let unregister t o = Hashtbl.remove t.rt_objects o.o_id
 let find t port = Hashtbl.find_opt t.rt_objects (Port.id port)
 let find_data t port = Option.map (fun o -> o.o_data) (find t port)
-let objects t = Hashtbl.length t.rt_objects
 let requests o = o.o_requests
 
 (* --- manager→kernel calls (Table 3-6), with drop accounting ------------- *)

@@ -93,7 +93,6 @@ val register : 'o t -> memory_object:Message.port -> 'o -> 'o obj
 val unregister : 'o t -> 'o obj -> unit
 val find : 'o t -> Message.port -> 'o obj option
 val find_data : 'o t -> Message.port -> 'o option
-val objects : 'o t -> int
 val requests : 'o obj -> Message.port list
 
 (** {2 Manager→kernel calls (Table 3-6)}

@@ -85,11 +85,6 @@ let remove_all_mappings ?(charge = true) kctx page =
   page.mappings <- [];
   if charge && n > 0 then Kctx.charge kctx (float_of_int n *. kctx.Kctx.params.Machine.map_op_us)
 
-let protect_mappings kctx page prot =
-  let n = List.length page.mappings in
-  List.iter (fun (pmap, vpn) -> Pmap.protect pmap ~vpn ~prot) page.mappings;
-  if n > 0 then Kctx.charge kctx (float_of_int n *. kctx.Kctx.params.Machine.map_op_us)
-
 (* Structural detachment happens before the (potentially blocking) map
    charges, so a fault running while we sleep never sees a half-freed
    page in the tables. *)

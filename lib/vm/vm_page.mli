@@ -52,9 +52,6 @@ val remove_all_mappings : ?charge:bool -> Kctx.t -> page -> unit
     batch many pages under one charge site (the copy engine) use it and
     account for the whole batch themselves. *)
 
-val protect_mappings : Kctx.t -> page -> Mach_hw.Prot.t -> unit
-(** Reduce every mapping's protection (e.g. write-protect for COW). *)
-
 val harvest_bits : Kctx.t -> page -> unit
 (** Pull the hardware reference/modify bits into the page structure
     ([dirty]) and clear them. *)
