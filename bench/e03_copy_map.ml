@@ -37,9 +37,9 @@ let exchange sys ~sender ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr ~size
   let engine = sys.Kernel.engine in
   let recv_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) recv_svc in
   let stats = (Kernel.kctx sys.Kernel.kernel).Kctx.node.Transport.node_stats in
-  let copied0 = stats.Transport.s_bytes_copied in
-  let copyins0 = stats.Transport.s_copyins in
-  let faults0 = stats.Transport.s_lazy_copyout_faults in
+  let copied0 = Counters.value stats "bytes_copied" in
+  let copyins0 = Counters.get stats Transport.s_copyins in
+  let faults0 = Counters.get stats Transport.s_lazy_copyout_faults in
   let (), elapsed =
     timed engine (fun () ->
         let finished = Ivar.create () in
@@ -82,9 +82,9 @@ let exchange sys ~sender ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr ~size
   in
   let acct =
     {
-      a_bytes_copied = stats.Transport.s_bytes_copied - copied0;
-      a_copyins = stats.Transport.s_copyins - copyins0;
-      a_lazy_faults = stats.Transport.s_lazy_copyout_faults - faults0;
+      a_bytes_copied = Counters.value stats "bytes_copied" - copied0;
+      a_copyins = Counters.get stats Transport.s_copyins - copyins0;
+      a_lazy_faults = Counters.get stats Transport.s_lazy_copyout_faults - faults0;
     }
   in
   (elapsed, acct)

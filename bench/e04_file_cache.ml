@@ -24,7 +24,10 @@ let frames = 1024
    "10x fewer I/O operations" counts blocks; [disk_ops] counts
    transfers, and one transfer can carry a run of blocks. *)
 let measure_blocks engine ops proj disk =
-  let moved () = Disk.blocks_read disk + Disk.blocks_written disk in
+  let moved () =
+    let n = Counters.value (Disk.stats disk) in
+    n "blocks_read" + n "blocks_written"
+  in
   let b0 = moved () in
   let m = Compile_sim.measure_build engine ops proj in
   (m, moved () - b0)
@@ -72,7 +75,7 @@ let run_mach ~builds proj =
              in
              Compile_sim.populate ops (Rng.create 7) proj;
              Disk.reset_stats disk;
-             base := (st.Vm_types.s_data_requests, st.Vm_types.s_pageins);
+             base := (Counters.get st Vm_types.s_data_requests, Counters.get st Vm_types.s_pageins);
              for _ = 1 to builds do
                results := measure_blocks sys.Kernel.engine ops proj disk :: !results
              done)));
@@ -80,7 +83,10 @@ let run_mach ~builds proj =
   note_registry sys.Kernel.kernel;
   let req0, in0 = !base in
   let traffic =
-    { pt_requests = st.Vm_types.s_data_requests - req0; pt_pageins = st.Vm_types.s_pageins - in0 }
+    {
+      pt_requests = Counters.get st Vm_types.s_data_requests - req0;
+      pt_pageins = Counters.get st Vm_types.s_pageins - in0;
+    }
   in
   (List.rev !results, traffic)
 
@@ -115,7 +121,9 @@ let run_writeback ~frames:wb_frames ~image_pages =
              | Error _ -> ()
              | Ok (addr, _size) ->
                base :=
-                 (st.Vm_types.s_data_writes, st.Vm_types.s_pageouts, st.Vm_types.s_laundered);
+                 ( Counters.get st Vm_types.s_data_writes,
+                   Counters.get st Vm_types.s_pageouts,
+                   Counters.get st Vm_types.s_laundered );
                for i = 0 to image_pages - 1 do
                  ignore (ok_exn "emit" (Syscalls.touch client ~addr:(addr + (i * page)) ~write:true ()))
                done)));
@@ -123,9 +131,9 @@ let run_writeback ~frames:wb_frames ~image_pages =
   note_registry sys.Kernel.kernel;
   let w0, p0, l0 = !base in
   {
-    wt_writes = st.Vm_types.s_data_writes - w0;
-    wt_pageouts = st.Vm_types.s_pageouts - p0;
-    wt_laundered = st.Vm_types.s_laundered - l0;
+    wt_writes = Counters.get st Vm_types.s_data_writes - w0;
+    wt_pageouts = Counters.get st Vm_types.s_pageouts - p0;
+    wt_laundered = Counters.get st Vm_types.s_laundered - l0;
   }
 
 let body scale =

@@ -53,8 +53,8 @@ let mark (sys : Kernel.system) =
   {
     m_t = Engine.now sys.Kernel.engine;
     m_busy = Sched.busy_us kctx.Kctx.sched;
-    m_sched = Sched.stats_to_list (Sched.stats kctx.Kctx.sched);
-    m_handoffs = kctx.Kctx.node.Transport.node_stats.Transport.s_handoffs;
+    m_sched = Counters.to_list (Sched.stats kctx.Kctx.sched);
+    m_handoffs = Counters.value kctx.Kctx.node.Transport.node_stats "handoffs";
   }
 
 let point (sys : Kernel.system) m0 =

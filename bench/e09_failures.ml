@@ -76,9 +76,9 @@ let run_death ~kill_after_us =
       let st = Kernel.stats kernel in
       ( r,
         elapsed,
-        ( st.Vm_types.s_pager_deaths,
-          st.Vm_types.s_death_errors,
-          st.Vm_types.s_death_zero_fills ) ))
+        ( Counters.get st Vm_types.s_pager_deaths,
+          Counters.get st Vm_types.s_death_errors,
+          Counters.get st Vm_types.s_death_zero_fills ) ))
 
 (* Scenario 4: manager that accepts pager_data_write but never releases
    the data — §6.2.2 double paging must rescue the frames. The runtime
@@ -123,7 +123,7 @@ let run_hoarder () =
           | Error _ -> false)
         | exception _ -> false
       in
-      (stats.Vm_types.s_pageout_to_default, still_alive))
+      (Counters.get stats Vm_types.s_pageout_to_default, still_alive))
 
 (* Scenario 5: manager floods the kernel with unsolicited pre-paged
    data; the kernel only accepts while unreserved frames exist. The
@@ -231,8 +231,8 @@ let run_loss_point ~drop ~npages =
         ( blocked w,
           !(w.cw_failures),
           !(w.cw_finish),
-          HwNet.retransmits cluster.Kernel.c_net,
-          HwNet.dropped cluster.Kernel.c_net ))
+          Counters.value (HwNet.stats cluster.Kernel.c_net) "retransmits",
+          Counters.value (HwNet.stats cluster.Kernel.c_net) "dropped" ))
 
 (* Duplicate storm: at-most-once effects despite every other packet
    arriving twice (plus background loss so acks get lost too). *)
@@ -245,11 +245,11 @@ let run_duplicate_storm ~npages =
       let w = spawn_chaos_client cluster ~host:1 ~region ~npages ~value:'D' in
       fun () ->
         let dup_dropped =
-          List.assoc "dup_dropped" (IpcContext.chan_stats_to_list cluster.Kernel.c_ctx)
+          Counters.value (IpcContext.chan_stats cluster.Kernel.c_ctx) "dup_dropped"
         in
         ( blocked w,
           !(w.cw_failures),
-          (Chaos.stats chaos).Chaos.s_duplicated,
+          Counters.value (Chaos.stats chaos) "duplicated",
           dup_dropped ))
 
 (* Partition-and-heal: cut the link mid-workload for [dur_us], well
@@ -273,7 +273,7 @@ let run_partition_heal ~npages ~at_us ~dur_us =
         ( blocked w,
           !(w.cw_failures),
           Float.max 0.0 (!(w.cw_finish) -. !heal_t),
-          s.Chaos.s_partition_drops ))
+          Counters.value s "partition_drops" ))
 
 (* Mid-data_write host crash: the manager's host dies while the client
    is dirtying pages through it. Proxy-port death must reach the
@@ -291,8 +291,8 @@ let run_crash_mid_write ~npages ~kill_after_us =
         let st = Kernel.stats cluster.Kernel.c_kernels.(0) in
         ( blocked w,
           !(w.cw_failures),
-          st.Vm_types.s_pager_deaths,
-          (Chaos.stats chaos).Chaos.s_crash_drops ))
+          Counters.get st Vm_types.s_pager_deaths,
+          Counters.value (Chaos.stats chaos) "crash_drops" ))
 
 (* Netmem ownership migration under loss: two clients ping-pong write
    grants on one page over a 10%-drop fabric, then one rereads the

@@ -57,6 +57,11 @@ let fork_cost sys task ~pages =
 
 (* ---- 2./3. generational fork/exit --------------------------------- *)
 
+(* Pages resolved by COW write faults: one per fault plus the pending
+   neighbours each one batched. *)
+let cow_resolved stats =
+  Counters.get stats Vm_types.s_cow_faults + Counters.get stats Vm_types.s_cow_batched
+
 (* Two regions, two mechanisms. In the EAGER region the parent dirties
    a few pages while the child lives: the backing is shared, so these
    copy and leave a live parent shadow — when the child exits, the
@@ -93,8 +98,8 @@ let generations sys task ~pages ~gens =
   in
   let rows = ref [] in
   for g = 1 to gens do
-    let steals0 = stats.Vm_types.s_cow_steals in
-    let resolved0 = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched in
+    let steals0 = Counters.get stats Vm_types.s_cow_steals in
+    let resolved0 = cow_resolved stats in
     let child = Task.create kernel ~parent:task ~name:(Printf.sprintf "gen%d" g) () in
     spread_writes task eager 4;
     let depth_live = chain_depth_of task in
@@ -105,8 +110,8 @@ let generations sys task ~pages ~gens =
         done);
     Task.terminate child;
     spread_writes task lazy_ 4;
-    let steals = stats.Vm_types.s_cow_steals - steals0 in
-    let resolved = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched - resolved0 in
+    let steals = Counters.get stats Vm_types.s_cow_steals - steals0 in
+    let resolved = cow_resolved stats - resolved0 in
     rows :=
       {
         g_gen = g;
@@ -128,8 +133,8 @@ let body scale =
       let forks = List.map (fun pages -> (pages, fork_cost sys task ~pages)) sizes in
       let rows = generations sys task ~pages ~gens in
       let stats = Kernel.stats sys.Kernel.kernel in
-      let steals = stats.Vm_types.s_cow_steals in
-      let resolved = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched in
+      let steals = Counters.get stats Vm_types.s_cow_steals in
+      let resolved = cow_resolved stats in
       let fork_times = List.map snd forks in
       List.map (fun (pages, fork_us) -> (Printf.sprintf "fork_us_%d" pages, fork_us)) forks
       @ [
@@ -138,12 +143,12 @@ let body scale =
           ("generations", fi (List.length rows));
           ("gen_pages", fi pages);
           ("gen_depth_peak", fi (List.fold_left (fun acc r -> max acc r.g_depth_exit) 0 rows));
-          ("chain_depth_peak", fi stats.Vm_types.s_chain_depth_peak);
+          ("chain_depth_peak", fi (Counters.get stats Vm_types.s_chain_depth_peak));
           ("cow_pages_resolved", fi resolved);
           ("cow_steals", fi steals);
           ("cow_copies", fi (resolved - steals));
           ("steal_rate", fi steals /. fi (max 1 resolved));
-          ("collapses", fi stats.Vm_types.s_collapses);
+          ("collapses", fi (Counters.get stats Vm_types.s_collapses));
         ]
       @ List.concat_map
           (fun r ->

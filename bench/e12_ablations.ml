@@ -60,7 +60,7 @@ let run_chain ~generations ~collapse =
       let (), fault_us =
         timed sys.Kernel.engine (fun () -> ignore (Syscalls.touch task ~addr ~write:false ()))
       in
-      let collapses = (Kernel.stats sys.Kernel.kernel).Vm_types.s_collapses in
+      let collapses = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_collapses in
       (depth, fault_us, collapses))
 
 (* --- A2: pager_cache -------------------------------------------------------- *)
@@ -90,7 +90,7 @@ let run_cache_ablation ~enable_cache =
                  Syscalls.vm_deallocate client ~addr ~size
                | Error _ -> failwith "map"
              done;
-             out := Some (Disk.reads disk))));
+             out := Some (Counters.value (Disk.stats disk) "reads"))));
   Engine.run sys.Kernel.engine;
   match !out with Some r -> r | None -> failwith "A2 deadlocked"
 

@@ -73,7 +73,7 @@ let run_storm ~traced =
              ok := true)));
   Engine.run sys.Kernel.engine;
   check (Printf.sprintf "storm completed (traced=%b)" traced) !ok;
-  (Engine.now sys.Kernel.engine, (Kernel.stats kernel).Vm_types.s_faults, Kernel.trace kernel)
+  (Engine.now sys.Kernel.engine, Counters.get (Kernel.stats kernel) Vm_types.s_faults, Kernel.trace kernel)
 
 let () =
   let t_on, faults_on, tr = run_storm ~traced:true in

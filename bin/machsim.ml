@@ -148,8 +148,8 @@ let run_netmem pages ops write_ratio hosts drop dup seed =
       (String.concat ", "
          (List.filter_map
             (fun (k, v) -> if v > 0 then Some (Printf.sprintf "%d %s" v k) else None)
-            (Chaos.stats_to_list c)))
-      (Mach_hw.Net.retransmits cluster.Kernel.c_net));
+            (Counters.to_list (Chaos.stats c))))
+      (Counters.value (Mach_hw.Net.stats cluster.Kernel.c_net) "retransmits"));
   if !done_count = hosts then 0 else 1
 
 (* ---- migrate ----------------------------------------------------------- *)

@@ -43,6 +43,6 @@ let () =
              let stats = Kernel.stats sys.Kernel.kernel in
              Printf.printf
                "no buffer cache involved: %d pageins via the external pager, %d disk ops\n"
-               stats.Vm_types.s_pageins (Disk.ops disk))));
+               (Counters.get stats Vm_types.s_pageins) (Disk.ops disk))));
   Engine.run sys.Kernel.engine;
   print_endline "\nunix_emulation finished."

@@ -18,6 +18,7 @@
 module Engine = Mach_sim.Engine
 module Trace = Mach_sim.Trace
 module Metrics = Mach_util.Metrics
+module Counters = Mach_util.Metrics.Counters
 module Ivar = Mach_sim.Ivar
 module Mailbox = Mach_sim.Mailbox
 module Semaphore = Mach_sim.Semaphore

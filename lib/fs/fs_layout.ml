@@ -32,7 +32,6 @@ type t = {
 let inode_size = 256
 let disk t = t.disk
 let block_size t = t.bs
-let max_file_size t = (direct_blocks + t.ptrs_per_block) * t.bs
 
 let encode_inode ino =
   let e = Codec.Enc.create () in

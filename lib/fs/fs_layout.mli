@@ -21,7 +21,6 @@ val mount : Mach_hw.Disk.t -> t
 
 val disk : t -> Mach_hw.Disk.t
 val block_size : t -> int
-val max_file_size : t -> int
 
 val exists : t -> string -> bool
 val file_size : t -> string -> int option
@@ -62,7 +61,8 @@ val write_range : t -> string -> off:int -> bytes -> unit
     stored bytes (one charged block read); bytes of the file outside
     the range are unchanged, and a gap between the old end and [off]
     reads as zeroes. An empty [data] is a no-op. Raises {!Fs_error} when
-    the disk is full or the file would outgrow {!max_file_size}. *)
+    the disk is full or the file would outgrow its inode's direct and
+    single-indirect blocks. *)
 
 (** {2 Block-level access for external caching layers}
 

@@ -1,5 +1,15 @@
 module Engine = Mach_sim.Engine
 module Semaphore = Mach_sim.Semaphore
+module Counters = Mach_util.Metrics.Counters
+
+let disk_counters = Counters.layout ()
+let disk_stat = Counters.declare disk_counters
+let s_reads = disk_stat "reads"
+let s_writes = disk_stat "writes"
+let s_blocks_read = disk_stat "blocks_read"
+let s_blocks_written = disk_stat "blocks_written"
+let s_bytes_read = disk_stat "bytes_read"
+let s_bytes_written = disk_stat "bytes_written"
 
 type t = {
   engine : Engine.t;
@@ -9,12 +19,7 @@ type t = {
   seek_us : float;
   transfer_us_per_byte : float;
   arm : Semaphore.t; (* one transfer at a time; queued requests wait *)
-  mutable reads : int;
-  mutable writes : int;
-  mutable blocks_read : int;
-  mutable blocks_written : int;
-  mutable bytes_read : int;
-  mutable bytes_written : int;
+  stats : Counters.t;
 }
 
 (* Blocks get their bytes on first write; until then they read as
@@ -32,12 +37,7 @@ let create engine ~name ~blocks ~block_size ?(seek_us = 20_000.0) ?(transfer_us_
     seek_us;
     transfer_us_per_byte;
     arm = Semaphore.create 1;
-    reads = 0;
-    writes = 0;
-    blocks_read = 0;
-    blocks_written = 0;
-    bytes_read = 0;
-    bytes_written = 0;
+    stats = Counters.create disk_counters;
   }
 
 let name t = t.name
@@ -45,17 +45,7 @@ let blocks t = Array.length t.store
 let block_size t = t.block_size
 
 let reattach t engine =
-  {
-    t with
-    engine;
-    arm = Semaphore.create 1;
-    reads = 0;
-    writes = 0;
-    blocks_read = 0;
-    blocks_written = 0;
-    bytes_read = 0;
-    bytes_written = 0;
-  }
+  { t with engine; arm = Semaphore.create 1; stats = Counters.create disk_counters }
 
 let check t block =
   if block < 0 || block >= Array.length t.store then
@@ -94,9 +84,9 @@ let read_blocks t ~block ~count =
   let len = count * t.block_size in
   check_span t ~what:"read" block len;
   transfer t len;
-  t.reads <- t.reads + 1;
-  t.blocks_read <- t.blocks_read + count;
-  t.bytes_read <- t.bytes_read + len;
+  Counters.incr t.stats s_reads;
+  Counters.add t.stats s_blocks_read count;
+  Counters.add t.stats s_bytes_read len;
   let out = Bytes.make len '\000' in
   for i = 0 to count - 1 do
     let b = t.store.(block + i) in
@@ -110,9 +100,9 @@ let write t ~block data =
   let len = Bytes.length data in
   check_span t ~what:"write" block len;
   transfer t len;
-  t.writes <- t.writes + 1;
-  t.blocks_written <- t.blocks_written + ((len + t.block_size - 1) / t.block_size);
-  t.bytes_written <- t.bytes_written + len;
+  Counters.incr t.stats s_writes;
+  Counters.add t.stats s_blocks_written ((len + t.block_size - 1) / t.block_size);
+  Counters.add t.stats s_bytes_written len;
   store t block data
 
 let read_raw t ~block =
@@ -123,28 +113,8 @@ let write_raw t ~block data =
   check_span t ~what:"write" block (Bytes.length data);
   store t block data
 
-let reads t = t.reads
-let writes t = t.writes
-let blocks_read t = t.blocks_read
-let blocks_written t = t.blocks_written
-let bytes_read t = t.bytes_read
-let bytes_written t = t.bytes_written
-let ops t = t.reads + t.writes
-
-let stats_to_list t =
-  [
-    ("reads", t.reads);
-    ("writes", t.writes);
-    ("blocks_read", t.blocks_read);
-    ("blocks_written", t.blocks_written);
-    ("bytes_read", t.bytes_read);
-    ("bytes_written", t.bytes_written);
-  ]
-
-let reset_stats t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.blocks_read <- 0;
-  t.blocks_written <- 0;
-  t.bytes_read <- 0;
-  t.bytes_written <- 0
+let stats t = t.stats
+let bytes_read t = Counters.get t.stats s_bytes_read
+let bytes_written t = Counters.get t.stats s_bytes_written
+let ops t = Counters.get t.stats s_reads + Counters.get t.stats s_writes
+let reset_stats t = Counters.reset t.stats

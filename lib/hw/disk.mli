@@ -56,19 +56,12 @@ val write_raw : t -> block:int -> bytes -> unit
 
 (** {2 Statistics} *)
 
-val reads : t -> int
-val writes : t -> int
-
-val blocks_read : t -> int
-val blocks_written : t -> int
-(** Blocks moved: a multi-block transfer is one operation but counts
-    every block it covers. *)
+val stats : t -> Mach_util.Metrics.Counters.t
+(** [reg.disk.*]: reads and writes (operations), and the blocks and
+    bytes they moved; a multi-block transfer is one operation but
+    counts every block it covers. *)
 
 val bytes_read : t -> int
 val bytes_written : t -> int
 val ops : t -> int
-
-val stats_to_list : t -> (string * int) list
-(** Every counter, for a {!Mach_util.Metrics} source ([reg.disk.*]). *)
-
 val reset_stats : t -> unit

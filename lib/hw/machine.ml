@@ -71,29 +71,20 @@ let hypercube =
 
 let uniprocessor = { base with model = "VAX 11/780"; cpus = 1 }
 
-let custom ?model ?cpus ?local_access_us ?remote_access_us ?page_copy_us ?map_op_us ?fault_base_us
-    ?msg_overhead_us ?context_switch_us ?quantum_us ?net_latency_us ?net_us_per_byte
-    ?pageout_backoff_us mp_class =
+let custom ?cpus ?local_access_us ?context_switch_us ?quantum_us ?net_latency_us
+    ?net_us_per_byte mp_class =
   let start =
     match mp_class with Uma -> multimax | Numa -> butterfly | Norma -> hypercube
   in
   let get dflt = function Some v -> v | None -> dflt in
   {
-    model = get start.model model;
-    mp_class;
+    start with
     cpus = get start.cpus cpus;
     local_access_us = get start.local_access_us local_access_us;
-    remote_access_us = get start.remote_access_us remote_access_us;
-    page_copy_us = get start.page_copy_us page_copy_us;
-    map_op_us = get start.map_op_us map_op_us;
-    fault_base_us = get start.fault_base_us fault_base_us;
-    msg_overhead_us = get start.msg_overhead_us msg_overhead_us;
     context_switch_us = get start.context_switch_us context_switch_us;
     quantum_us = get start.quantum_us quantum_us;
     net_latency_us = get start.net_latency_us net_latency_us;
     net_us_per_byte = get start.net_us_per_byte net_us_per_byte;
-    pageout_backoff_us = get start.pageout_backoff_us pageout_backoff_us;
-    handoff = start.handoff;
   }
 
 let access_us p ~remote ~words =

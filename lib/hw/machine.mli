@@ -55,22 +55,16 @@ val uniprocessor : params
 (** VAX 11/780-class machine for single-host experiments. *)
 
 val custom :
-  ?model:string ->
   ?cpus:int ->
   ?local_access_us:float ->
-  ?remote_access_us:float option ->
-  ?page_copy_us:float ->
-  ?map_op_us:float ->
-  ?fault_base_us:float ->
-  ?msg_overhead_us:float ->
   ?context_switch_us:float ->
   ?quantum_us:float ->
   ?net_latency_us:float ->
   ?net_us_per_byte:float ->
-  ?pageout_backoff_us:float ->
   mp_class ->
   params
-(** A parameterised machine starting from class-appropriate defaults. *)
+(** A parameterised machine: the class's preset (MultiMax, Butterfly or
+    HyperCube) with the given fields replaced. *)
 
 val access_us : params -> remote:bool -> words:int -> float
 (** Simulated time to touch [words] memory words. For a NORMA machine

@@ -1,15 +1,20 @@
 module Engine = Mach_sim.Engine
 module Chaos = Mach_sim.Chaos
+module Counters = Mach_util.Metrics.Counters
+
+let net_counters = Counters.layout ()
+let net_stat = Counters.declare net_counters
+let s_messages = net_stat "messages"
+let s_bytes_carried = net_stat "bytes_carried"
+let s_dropped = net_stat "dropped"
+let s_duplicated = net_stat "duplicated"
+let s_retransmits = net_stat "retransmits"
 
 type t = {
   engine : Engine.t;
   latency_us : float;
   us_per_byte : float;
-  mutable messages : int;
-  mutable bytes : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable retransmits : int;
+  stats : Counters.t;
   mutable chaos : Chaos.t option;
   channels : (int * int, float ref) Hashtbl.t;
       (* per-(src,dst) link serialization: transmissions queue FIFO, so a
@@ -22,11 +27,7 @@ let create engine ?(latency_us = 300.0) ?(us_per_byte = 0.8) () =
     engine;
     latency_us;
     us_per_byte;
-    messages = 0;
-    bytes = 0;
-    dropped = 0;
-    duplicated = 0;
-    retransmits = 0;
+    stats = Counters.create net_counters;
     chaos = None;
     channels = Hashtbl.create 16;
   }
@@ -72,8 +73,8 @@ let transit_us t ~src ~dst ~bytes =
 
 let count t ~src ~dst ~bytes =
   if src <> dst then begin
-    t.messages <- t.messages + 1;
-    t.bytes <- t.bytes + bytes
+    Counters.incr t.stats s_messages;
+    Counters.add t.stats s_bytes_carried bytes
   end
 
 let deliver t ~src ~dst ~bytes callback =
@@ -87,31 +88,18 @@ let deliver t ~src ~dst ~bytes callback =
     | None -> Engine.schedule t.engine ~at callback
     | Some c -> (
       match Chaos.judge c ~src ~dst with
-      | Chaos.Dropped _ -> t.dropped <- t.dropped + 1
+      | Chaos.Dropped _ -> Counters.incr t.stats s_dropped
       | Chaos.Deliver { copies; extra_delay_us } ->
         Engine.schedule t.engine ~at:(at +. extra_delay_us) callback;
         (* A duplicate takes another trip down the wire: it lands one
            full transit later than the original. *)
         for _ = 2 to copies do
-          t.duplicated <- t.duplicated + 1;
+          Counters.incr t.stats s_duplicated;
           Engine.schedule t.engine
             ~at:(at +. extra_delay_us +. transit_us t ~src ~dst ~bytes)
             callback
         done)
   end
 
-let note_retransmit t = t.retransmits <- t.retransmits + 1
-let messages t = t.messages
-let bytes_carried t = t.bytes
-let dropped t = t.dropped
-let duplicated t = t.duplicated
-let retransmits t = t.retransmits
-
-let stats_to_list t =
-  [
-    ("messages", t.messages);
-    ("bytes_carried", t.bytes);
-    ("dropped", t.dropped);
-    ("duplicated", t.duplicated);
-    ("retransmits", t.retransmits);
-  ]
+let note_retransmit t = Counters.incr t.stats s_retransmits
+let stats t = t.stats

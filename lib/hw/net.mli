@@ -19,10 +19,6 @@ val chaos : t -> Mach_sim.Chaos.t option
 val latency_us : t -> float
 val us_per_byte : t -> float
 
-val transit_us : t -> src:int -> dst:int -> bytes:int -> float
-(** The simulated transit time for a payload of [bytes] between the two
-    hosts; 0 when [src = dst]. *)
-
 val backlog_us : t -> src:int -> dst:int -> float
 (** Current queueing delay on the directed link: how long a message
     sent now waits behind earlier traffic before its own transmission
@@ -43,9 +39,6 @@ val deliver : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
 val note_retransmit : t -> unit
 (** Credited by the reliable channel layer when it re-sends a packet. *)
 
-val messages : t -> int
-val bytes_carried : t -> int
-val dropped : t -> int
-val duplicated : t -> int
-val retransmits : t -> int
-val stats_to_list : t -> (string * int) list
+val stats : t -> Mach_util.Metrics.Counters.t
+(** [reg.net.*]: inter-host messages and the bytes they carried, the
+    chaos drops and duplicates, and retransmissions. *)

@@ -8,9 +8,6 @@ let rw = 3
 let rx = 5
 let all = 7
 
-let make ?(r = false) ?(w = false) ?(x = false) () =
-  (if r then read else 0) lor (if w then write else 0) lor (if x then execute else 0)
-
 let union = ( lor )
 let inter = ( land )
 let diff a b = a land lnot b land all

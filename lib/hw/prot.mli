@@ -7,12 +7,10 @@ type t = private int
 val none : t
 val read : t
 val write : t
-val execute : t
 val rw : t
 val rx : t
 val all : t
 
-val make : ?r:bool -> ?w:bool -> ?x:bool -> unit -> t
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t

@@ -41,16 +41,18 @@ type chan_rx = {
   rx_hold : (int, unit -> unit) Hashtbl.t;
 }
 
-type chan_stats = {
-  mutable c_data_pkts : int;
-  mutable c_acks : int;
-  mutable c_retransmits : int;
-  mutable c_dup_dropped : int;
-  mutable c_resequenced : int;
-  mutable c_aborts : int;
-  mutable c_resets : int;
-  mutable c_stale_epoch : int;
-}
+module Counters = Mach_util.Metrics.Counters
+
+let chan_counters = Counters.layout ()
+let chan_stat = Counters.declare chan_counters
+let s_data_pkts = chan_stat "data_pkts"
+let s_acks = chan_stat "acks"
+let s_retransmits = chan_stat "retransmits"
+let s_dup_dropped = chan_stat "dup_dropped"
+let s_resequenced = chan_stat "resequenced"
+let s_aborts = chan_stat "aborts"
+let s_resets = chan_stat "resets"
+let s_stale_epoch = chan_stat "stale_epoch"
 
 type t = {
   engine : Mach_sim.Engine.t;
@@ -62,7 +64,7 @@ type t = {
          work instead of forking a thread per message. *)
   txs : (int * int, chan_tx) Hashtbl.t;
   rxs : (int * int, chan_rx) Hashtbl.t;
-  cstats : chan_stats;
+  cstats : Counters.t;
   ports : (int, (unit -> int) * (unit -> unit)) Hashtbl.t;
       (* port id -> (home getter, destroyer): lets a host crash find and
          kill every port homed there without knowing message types *)
@@ -76,17 +78,7 @@ let create engine net =
     deliveries = Hashtbl.create 8;
     txs = Hashtbl.create 8;
     rxs = Hashtbl.create 8;
-    cstats =
-      {
-        c_data_pkts = 0;
-        c_acks = 0;
-        c_retransmits = 0;
-        c_dup_dropped = 0;
-        c_resequenced = 0;
-        c_aborts = 0;
-        c_resets = 0;
-        c_stale_epoch = 0;
-      };
+    cstats = Counters.create chan_counters;
     ports = Hashtbl.create 64;
   }
 
@@ -113,6 +105,10 @@ let spawn_daemon t ~dst q =
       in
       loop ())
 
+(* Hand a delivery thunk to host [dst]'s delivery daemon (spawned
+   lazily, exits when idle). Thunks run in arrival order and may block
+   (e.g. on a full port queue); this call never blocks, so it is safe
+   from network-completion callbacks. *)
 let deliver_to t ~dst thunk =
   match Hashtbl.find_opt t.deliveries dst with
   | Some q -> Queue.push thunk q
@@ -177,7 +173,7 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
   match Hashtbl.find_opt t.txs (src, dst) with
   | None -> ()
   | Some chan ->
-    if epoch <> chan.tx_epoch then t.cstats.c_stale_epoch <- t.cstats.c_stale_epoch + 1
+    if epoch <> chan.tx_epoch then Counters.incr t.cstats s_stale_epoch
     else begin
       (* Acks are cumulative and the window is contiguous: the acked
          packets are a prefix of the queue. *)
@@ -204,20 +200,20 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
 
 and rx_ingest t ~src ~dst ~epoch ~seq thunk =
   let chan = rx_chan t ~src ~dst in
-  if epoch < chan.rx_epoch then t.cstats.c_stale_epoch <- t.cstats.c_stale_epoch + 1
+  if epoch < chan.rx_epoch then Counters.incr t.cstats s_stale_epoch
   else begin
     if epoch > chan.rx_epoch then begin
       (* Peer reset the link (heal, restart): adopt the new epoch and
          forget everything buffered from the old one. *)
-      if chan.rx_epoch > 0 then t.cstats.c_resets <- t.cstats.c_resets + 1;
+      if chan.rx_epoch > 0 then Counters.incr t.cstats s_resets;
       chan.rx_epoch <- epoch;
       chan.rx_next <- 1;
       Hashtbl.reset chan.rx_hold
     end;
     if seq < chan.rx_next || Hashtbl.mem chan.rx_hold seq then
-      t.cstats.c_dup_dropped <- t.cstats.c_dup_dropped + 1
+      Counters.incr t.cstats s_dup_dropped
     else begin
-      if seq <> chan.rx_next then t.cstats.c_resequenced <- t.cstats.c_resequenced + 1;
+      if seq <> chan.rx_next then Counters.incr t.cstats s_resequenced;
       Hashtbl.replace chan.rx_hold seq thunk;
       let continue = ref true in
       while !continue do
@@ -231,7 +227,7 @@ and rx_ingest t ~src ~dst ~epoch ~seq thunk =
     end;
     (* Always ack, even for duplicates: a lost ack is indistinguishable
        from a lost packet, and the re-ack is what stops the retransmit. *)
-    t.cstats.c_acks <- t.cstats.c_acks + 1;
+    Counters.incr t.cstats s_acks;
     let cum = chan.rx_next - 1 in
     Net.deliver t.net ~src:dst ~dst:src ~bytes:ack_bytes (fun () ->
         handle_ack t ~src ~dst ~epoch ~cum)
@@ -259,12 +255,12 @@ and arm_timer t chan =
              Subsequent sends fail fast with [`Unreachable]. *)
           chan.tx_down <- true;
           Queue.clear chan.tx_unacked;
-          t.cstats.c_aborts <- t.cstats.c_aborts + 1
+          Counters.incr t.cstats s_aborts
         end
         else begin
           Queue.iter
             (fun pk ->
-              t.cstats.c_retransmits <- t.cstats.c_retransmits + 1;
+              Counters.incr t.cstats s_retransmits;
               Net.note_retransmit t.net;
               transmit t chan pk)
             chan.tx_unacked;
@@ -279,7 +275,7 @@ let remote_deliver t ~src ~dst ~bytes thunk =
     let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
     chan.tx_next <- chan.tx_next + 1;
     Queue.push pk chan.tx_unacked;
-    t.cstats.c_data_pkts <- t.cstats.c_data_pkts + 1;
+    Counters.incr t.cstats s_data_pkts;
     transmit t chan pk;
     if Queue.length chan.tx_unacked = 1 then arm_timer t chan;
     Ok ()
@@ -295,7 +291,7 @@ let reset_tx t chan =
   chan.tx_strikes <- 0;
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;
   chan.tx_down <- false;
-  t.cstats.c_resets <- t.cstats.c_resets + 1
+  Counters.incr t.cstats s_resets
 
 (* Heal semantics: a direction that survived the partition (watchdog
    never tripped) still holds its unacked packets — leave it alone and
@@ -352,17 +348,4 @@ let crash_host t ~host =
 
 let restart_host t ~host = reset_host_chans t ~host
 
-(* --- accounting ---------------------------------------------------------- *)
-
-let chan_stats_to_list t =
-  let s = t.cstats in
-  [
-    ("data_pkts", s.c_data_pkts);
-    ("acks", s.c_acks);
-    ("retransmits", s.c_retransmits);
-    ("dup_dropped", s.c_dup_dropped);
-    ("resequenced", s.c_resequenced);
-    ("aborts", s.c_aborts);
-    ("resets", s.c_resets);
-    ("stale_epoch", s.c_stale_epoch);
-  ]
+let chan_stats t = t.cstats

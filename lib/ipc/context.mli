@@ -12,12 +12,6 @@ val engine : t -> Mach_sim.Engine.t
 val net : t -> Mach_hw.Net.t
 val fresh_id : t -> int
 
-val deliver_to : t -> dst:int -> (unit -> unit) -> unit
-(** Hand a delivery thunk to host [dst]'s delivery daemon (spawned
-    lazily, exits when idle). Thunks run in arrival order and may block
-    (e.g. on a full port queue); this call never blocks, so it is safe
-    from network-completion callbacks. *)
-
 val delivery_backlog : t -> dst:int -> int
 (** Thunks queued for [dst]'s daemon (0 when no daemon is running). *)
 
@@ -66,4 +60,7 @@ val restart_host : t -> host:int -> unit
 
 (** {2 Channel accounting} *)
 
-val chan_stats_to_list : t -> (string * int) list
+val chan_stats : t -> Mach_util.Metrics.Counters.t
+(** [reg.chan.*]: data packets, acks, retransmissions, duplicates
+    dropped, out-of-order arrivals, aborts, resets and stale-epoch
+    packets. *)

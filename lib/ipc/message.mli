@@ -70,9 +70,6 @@ type copy_payload += Net_copy of { nc_object : port }
           a memory-object port served netmem-style by the sending host;
           the receiver's kernel pages it on demand. *)
 
-val copy_handle_bytes : int
-(** Wire size of a copy-object handle (a port name plus a length). *)
-
 val make : ?reply:port -> ?msg_id:int -> dest:port -> item list -> t
 
 val data : (Mach_util.Codec.Enc.t -> unit) -> item
@@ -94,8 +91,9 @@ val carried_mapped_bytes : t -> int
 
 val wire_bytes : t -> int
 (** Bytes that cross the network for a remote send: inline data, carried
-    out-of-line payloads, and a fixed {!copy_handle_bytes} per copy
-    handle (the zero-copy win: the snapshot's pages do not travel). *)
+    out-of-line payloads, and a fixed 16 bytes (a port name plus a
+    length) per copy handle (the zero-copy win: the snapshot's pages do
+    not travel). *)
 
 val total_bytes : t -> int
 

@@ -97,8 +97,6 @@ val requeue_ready : t -> name -> unit
 (** Put [name] back on the ready FIFO if it still has queued messages
     (call after consuming one message of several). *)
 
-val enabled_ports : t -> (name * Message.port) list
-
 val destroy : t -> unit
 (** Tear down the space: deallocates every name (destroying ports whose
     receive right lives here) — task termination. *)

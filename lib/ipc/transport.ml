@@ -5,46 +5,29 @@ module Waitq = Mach_sim.Waitq
 module Machine = Mach_hw.Machine
 module Net = Mach_hw.Net
 
-type ipc_stats = {
-  mutable s_msgs_sent : int;
-  mutable s_bytes_copied : int;
-  mutable s_bytes_mapped : int;
-  mutable s_copyins : int;
-  mutable s_lazy_copyout_faults : int;
-  mutable s_rpc_fastpath : int;
-  mutable s_handoffs : int;
-  mutable s_spurious_wakeups : int;
-}
+module Counters = Mach_util.Metrics.Counters
 
-let fresh_ipc_stats () =
-  {
-    s_msgs_sent = 0;
-    s_bytes_copied = 0;
-    s_bytes_mapped = 0;
-    s_copyins = 0;
-    s_lazy_copyout_faults = 0;
-    s_rpc_fastpath = 0;
-    s_handoffs = 0;
-    s_spurious_wakeups = 0;
-  }
+let ipc_counters = Counters.layout ()
+let ipc_stat = Counters.declare ipc_counters
+let s_msgs_sent = ipc_stat "msgs_sent"
+let s_bytes_copied = ipc_stat "bytes_copied" (* inline + [Copy_transfer] bytes copied at send *)
+let s_bytes_mapped = ipc_stat "bytes_mapped" (* bytes moved by mapping (incl. copy objects) *)
+let s_copyins = ipc_stat "copyins"
+let s_lazy_copyout_faults = ipc_stat "lazy_copyout_faults"
+let s_rpc_fastpath = ipc_stat "rpc_fastpath" (* sends handed directly to a blocked receiver *)
 
-let ipc_stats_to_list s =
-  [
-    ("msgs_sent", s.s_msgs_sent);
-    ("bytes_copied", s.s_bytes_copied);
-    ("bytes_mapped", s.s_bytes_mapped);
-    ("copyins", s.s_copyins);
-    ("lazy_copyout_faults", s.s_lazy_copyout_faults);
-    ("rpc_fastpath", s.s_rpc_fastpath);
-    ("handoffs", s.s_handoffs);
-    ("spurious_wakeups", s.s_spurious_wakeups);
-  ]
+(* Receives completed via handoff: the blocked receiver was woken by a
+   fast-path send that donated a processor to it (ticket [>= 0]), so
+   [sched.handoff_claims / handoffs] is the share of donations the
+   receivers used. *)
+let s_handoffs = ipc_stat "handoffs"
+let s_spurious_wakeups = ipc_stat "spurious_wakeups" (* receive-any wakeups with no ready port *)
 
 type node = {
   node_host : int;
   node_params : Machine.params;
   node_page_size : int;
-  node_stats : ipc_stats;
+  node_stats : Counters.t;
   mutable node_sched : Sched.t option;
   mutable node_trace : Mach_sim.Trace.t option;
 }
@@ -123,7 +106,7 @@ let enqueue_local node ?timeout ?handoff port msg =
     msg.Message.header.Message.handoff <- handoff;
     match Mailbox.send q msg with
     | () ->
-      stats.s_rpc_fastpath <- stats.s_rpc_fastpath + 1;
+      Counters.incr stats s_rpc_fastpath;
       Ok ()
     | exception Mailbox.Closed ->
       give_back node handoff;
@@ -164,9 +147,9 @@ let send node ?timeout msg =
         None
     in
     let stats = node.node_stats in
-    stats.s_msgs_sent <- stats.s_msgs_sent + 1;
-    stats.s_bytes_copied <- stats.s_bytes_copied + Message.inline_bytes msg;
-    stats.s_bytes_mapped <- stats.s_bytes_mapped + Message.mapped_bytes msg;
+    Counters.incr stats s_msgs_sent;
+    Counters.add stats s_bytes_copied (Message.inline_bytes msg);
+    Counters.add stats s_bytes_mapped (Message.mapped_bytes msg);
     (* The port may have died while we were copying. *)
     if not (Port.alive dest) then begin
       give_back node ticket;
@@ -227,7 +210,7 @@ let charge_receive node msg =
   | Some ticket ->
     msg.Message.header.Message.handoff <- None;
     if ticket >= 0 then begin
-      node.node_stats.s_handoffs <- node.node_stats.s_handoffs + 1;
+      Counters.incr node.node_stats s_handoffs;
       match node.node_sched with
       | Some s -> Sched.claim_handoff s ~ticket ~name:(Engine.self_name ())
       | None -> ()
@@ -277,10 +260,7 @@ let receive_any node space ?timeout () =
            that check and this dequeue, but stay defensive. *)
         attempt ~after_wakeup)
     | None ->
-      if after_wakeup then begin
-        let s = node.node_stats in
-        s.s_spurious_wakeups <- s.s_spurious_wakeups + 1
-      end;
+      if after_wakeup then Counters.incr node.node_stats s_spurious_wakeups;
       wait ()
   and wait () =
     match deadline with

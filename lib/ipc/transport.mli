@@ -13,31 +13,21 @@
       bytes / BW — copy-object pages do not transit); the sender does
       not wait for remote queueing. *)
 
-(** Per-host IPC counters (hung off the node shared by a host's kernel
-    context and tasks). *)
-type ipc_stats = {
-  mutable s_msgs_sent : int;
-  mutable s_bytes_copied : int;  (** inline + [Copy_transfer] bytes physically copied at send *)
-  mutable s_bytes_mapped : int;  (** bytes moved by mapping (incl. copy objects) *)
-  mutable s_copyins : int;  (** [vm_map_copyin] snapshots taken *)
-  mutable s_lazy_copyout_faults : int;  (** faults materializing lazily copied-out pages *)
-  mutable s_rpc_fastpath : int;  (** sends that handed off directly to a blocked receiver *)
-  mutable s_handoffs : int;
-      (** receives completed via handoff: the blocked receiver was woken
-          by a fast-path send that donated a processor to it (ticket
-          [>= 0]), so [sched.handoff_claims / handoffs] is the share
-          of donations the receivers used *)
-  mutable s_spurious_wakeups : int;  (** receive-any wakeups that found no ready port *)
-}
+(** Per-host IPC counters, reported as [reg.ipc.*]: one block hangs off
+    the node shared by a host's kernel context and tasks. *)
+val ipc_counters : Mach_util.Metrics.Counters.layout
 
-val fresh_ipc_stats : unit -> ipc_stats
-val ipc_stats_to_list : ipc_stats -> (string * int) list
+val s_copyins : Mach_util.Metrics.Counters.id
+(** [vm_map_copyin] snapshots taken (counted by [Vm_map]). *)
+
+val s_lazy_copyout_faults : Mach_util.Metrics.Counters.id
+(** Faults materializing lazily copied-out pages (counted by [Fault]). *)
 
 type node = {
   node_host : int;  (** host id of the calling task *)
   node_params : Mach_hw.Machine.params;
   node_page_size : int;
-  node_stats : ipc_stats;
+  node_stats : Mach_util.Metrics.Counters.t;  (** a block of {!ipc_counters} *)
   mutable node_sched : Mach_sim.Sched.t option;
       (** the host's processor scheduler: send/receive CPU costs contend
           for processors through it, and a local fast-path send ends

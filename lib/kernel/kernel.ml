@@ -28,8 +28,7 @@ let default_config =
 (* reg.disk.* sums every disk a host drives: its paging disk, and the
    disks of any file server started on it. *)
 let register_disk k disk =
-  Mach_util.Metrics.register_source k.k_kctx.Kctx.metrics ~subsystem:"disk" (fun () ->
-      Disk.stats_to_list disk)
+  Mach_util.Metrics.counters k.k_kctx.Kctx.metrics ~subsystem:"disk" (Disk.stats disk)
 
 let boot engine ctx net ?trace ~host config =
   let mem = Phys_mem.create ~frames:config.phys_frames ~page_size:config.page_size in
@@ -69,13 +68,13 @@ let boot engine ctx net ?trace ~host config =
      cluster snapshots don't multiply them. *)
   if host = 0 then begin
     let metrics = kctx.Kctx.metrics in
-    Mach_util.Metrics.register_source metrics ~subsystem:"net" (fun () -> Net.stats_to_list net);
+    Mach_util.Metrics.counters metrics ~subsystem:"net" (Net.stats net);
     Mach_util.Metrics.gauge metrics ~subsystem:"ipc" "ports_live" (fun () ->
         Mach_ipc.Context.live_ports ctx);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chan" (fun () ->
-        Mach_ipc.Context.chan_stats_to_list ctx);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chaos" (fun () ->
-        match Net.chaos net with Some c -> Mach_sim.Chaos.stats_to_list c | None -> [])
+    Mach_util.Metrics.counters metrics ~subsystem:"chan" (Mach_ipc.Context.chan_stats ctx);
+    Option.iter
+      (fun c -> Mach_util.Metrics.counters metrics ~subsystem:"chaos" (Mach_sim.Chaos.stats c))
+      (Net.chaos net)
   end;
   Pager_service.start kctx;
   Mach_vm.Pageout.start kctx;

@@ -71,8 +71,8 @@ val engine : kernel -> Mach_sim.Engine.t
 val free_frames : kernel -> int
 
 val metrics : kernel -> Mach_util.Metrics.registry
-(** The host's unified metrics registry (vm/ipc/sched sources plus any
-    pagers started on this host). *)
+(** The host's unified metrics registry (vm/ipc/sched counter blocks
+    plus any pagers started on this host). *)
 
 val register_disk : kernel -> Mach_hw.Disk.t -> unit
 (** Add a disk's counters to the host's [reg.disk.*] keys, which sum

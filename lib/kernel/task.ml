@@ -10,7 +10,7 @@ let create k ?parent ~name () =
   let map =
     match parent with
     | Some p -> Vm_map.fork p.t_map ~child_pmap:(Some pmap)
-    | None -> Vm_map.create k.k_kctx ~pmap:(Some pmap) ()
+    | None -> Vm_map.create k.k_kctx ~pmap:(Some pmap)
   in
   let task =
     {
@@ -54,4 +54,3 @@ let space t = t.t_space
 let node t = t.t_node
 let name t = t.t_name
 let alive t = t.t_alive
-let self_port_pattern t = t.t_id

@@ -18,5 +18,3 @@ val space : task -> Mach_ipc.Port_space.t
 val node : task -> Mach_ipc.Transport.node
 val name : task -> string
 val alive : task -> bool
-val self_port_pattern : task -> int
-(** A stable integer identity (stand-in for the task's kernel port). *)

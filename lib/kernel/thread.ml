@@ -47,4 +47,3 @@ let self_checkpoint task =
   | None -> ()
 
 let is_done th = th.th_done
-let thread_name th = th.th_name

@@ -26,4 +26,3 @@ val self_checkpoint : task -> unit
     caller is not a registered thread of [task]. *)
 
 val is_done : thread -> bool
-val thread_name : thread -> string

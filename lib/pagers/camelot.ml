@@ -449,12 +449,6 @@ let start kernel ?(name = "camelot") ~log_disk ~data_disk ~format () =
 
 let service_port t = t.service
 
-let segment_bytes t name ~off ~len =
-  Rt.Blocks.read_range
-    ~block_size:(Fs_layout.block_size t.fs)
-    ~read:(fun ~index -> Fs_layout.read_block t.fs name ~index)
-    ~offset:off ~len
-
 module Client = struct
   type error = [ `Server_error of string | `Ipc_failure | `Memory of Mach_vm.Access.error ]
 

@@ -51,9 +51,6 @@ val segment_object : t -> string -> size:int -> Mach_ipc.Message.port
 val runtime_stats : t -> Mach_vm.Pager_runtime.Stats.t
 (** The shared per-pager counters (requests, pages served, …). *)
 
-val segment_bytes : t -> string -> off:int -> len:int -> bytes
-(** Direct (uncharged) view of the data disk for tests. *)
-
 (** {2 Client operations (RPC to the disk manager)} *)
 
 module Client : sig

@@ -36,14 +36,15 @@ type region = {
   mutable rg_demanded : int;  (** first page of the data_request being served *)
 }
 
-type t = {
-  rt : region Rt.t;
-  srv : Mos.t;
-  page_size : int;
-  mutable invalidations : int;
-  mutable downgrades : int;
-  mutable grants : int;
-}
+module Counters = Mach_util.Metrics.Counters
+
+let netmem_counters = Counters.layout ()
+let netmem_stat = Counters.declare netmem_counters
+let s_invalidations = netmem_stat "invalidations"
+let s_downgrades = netmem_stat "downgrades"
+let s_grants = netmem_stat "grants"
+
+type t = { rt : region Rt.t; srv : Mos.t; page_size : int; stats : Counters.t }
 
 let server_task t = Mos.task t.srv
 let runtime_stats t = Rt.stats t.rt
@@ -56,13 +57,13 @@ let region_exn t port =
 (* --- protocol actions --------------------------------------------------- *)
 
 let flush t page_idx ~request =
-  t.invalidations <- t.invalidations + 1;
+  Counters.incr t.stats s_invalidations;
   Rt.flush_request t.rt ~request ~offset:(page_idx * t.page_size) ~length:t.page_size
 
 let execute_grant t page page_idx = function
   | Provide { g_request; g_write; _ } ->
     if g_write then begin
-      t.grants <- t.grants + 1;
+      Counters.incr t.stats s_grants;
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
         ~data:(Bytes.copy page.data) ~lock_value:Prot.none;
       page.state <- Writer g_request
@@ -73,7 +74,7 @@ let execute_grant t page page_idx = function
       page.state <- Readers [ g_request ]
     end
   | Unlock { g_request } ->
-    t.grants <- t.grants + 1;
+    Counters.incr t.stats s_grants;
     Rt.data_lock t.rt ~request:g_request ~offset:(page_idx * t.page_size)
       ~length:t.page_size ~lock_value:Prot.none;
     page.state <- Writer g_request
@@ -99,7 +100,7 @@ let invalidate t page page_idx targets ~survivors g =
    in order, and the kernel's single pager-service loop handles them one
    at a time. The clean's lock_completed closes the transition. *)
 let downgrade t page page_idx w g =
-  t.downgrades <- t.downgrades + 1;
+  Counters.incr t.stats s_downgrades;
   start_transition page ~awaiting:[ w ] ~survivors:[ w ] g;
   let offset = page_idx * t.page_size in
   Rt.data_lock t.rt ~request:w ~offset ~length:t.page_size ~lock_value:Prot.write;
@@ -291,12 +292,11 @@ let start kernel ?(name = "netmem-server") () =
   let get () = match !t_ref with Some t -> t | None -> assert false in
   let rt, srv = Mos.serve srv_task (policy get) in
   let t =
-    { rt; srv; page_size = Rt.page_size rt; invalidations = 0; downgrades = 0; grants = 0 }
+    { rt; srv; page_size = Rt.page_size rt; stats = Counters.create netmem_counters }
   in
   t_ref := Some t;
-  Mach_util.Metrics.register_source kernel.Mach_kernel.Ktypes.k_kctx.Mach_vm.Kctx.metrics
-    ~subsystem:"netmem" (fun () ->
-      [ ("invalidations", t.invalidations); ("downgrades", t.downgrades); ("grants", t.grants) ]);
+  Mach_util.Metrics.counters kernel.Mach_kernel.Ktypes.k_kctx.Mach_vm.Kctx.metrics
+    ~subsystem:"netmem" t.stats;
   t
 
 let create_region t ~size =
@@ -343,7 +343,7 @@ let page_state t ~region ~page =
   | Writer _ -> `Writer
   | Transition _ -> `Transition
 
-let invalidations t = t.invalidations
-let downgrades t = t.downgrades
-let grants t = t.grants
+let invalidations t = Counters.get t.stats s_invalidations
+let downgrades t = Counters.get t.stats s_downgrades
+let grants t = Counters.get t.stats s_grants
 

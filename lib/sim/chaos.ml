@@ -9,38 +9,26 @@ type plan = {
 
 let perfect = { drop = 0.0; duplicate = 0.0; reorder = 0.0; jitter_us = 0.0 }
 
-type stats = {
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
-  mutable s_reordered : int;
-  mutable s_partition_drops : int;
-  mutable s_crash_drops : int;
-  mutable s_partitions : int;
-  mutable s_heals : int;
-  mutable s_crashes : int;
-  mutable s_restarts : int;
-}
+module Counters = Mach_util.Metrics.Counters
 
-let fresh_stats () =
-  {
-    s_dropped = 0;
-    s_duplicated = 0;
-    s_reordered = 0;
-    s_partition_drops = 0;
-    s_crash_drops = 0;
-    s_partitions = 0;
-    s_heals = 0;
-    s_crashes = 0;
-    s_restarts = 0;
-  }
+let chaos_counters = Counters.layout ()
+let chaos_stat = Counters.declare chaos_counters
+let s_dropped = chaos_stat "dropped"
+let s_duplicated = chaos_stat "duplicated"
+let s_reordered = chaos_stat "reordered"
+let s_partition_drops = chaos_stat "partition_drops"
+let s_crash_drops = chaos_stat "crash_drops"
+let s_partitions = chaos_stat "partitions"
+let s_heals = chaos_stat "heals"
+let s_crashes = chaos_stat "crashes"
+let s_restarts = chaos_stat "restarts"
 
 type t = {
   rng : Rng.t;
-  plans : (int * int, plan) Hashtbl.t;
   mutable default_plan : plan;
   partitions : (int * int, unit) Hashtbl.t;
   crashed : (int, unit) Hashtbl.t;
-  stats : stats;
+  stats : Counters.t;
   mutable trace : Trace.t option;
   mutable on_crash : (int -> unit) list;
   mutable on_restart : (int -> unit) list;
@@ -50,11 +38,10 @@ type t = {
 let create ?(seed = 0x43484F53) () =
   {
     rng = Rng.create seed;
-    plans = Hashtbl.create 16;
     default_plan = perfect;
     partitions = Hashtbl.create 8;
     crashed = Hashtbl.create 4;
-    stats = fresh_stats ();
+    stats = Counters.create chaos_counters;
     trace = None;
     on_crash = [];
     on_restart = [];
@@ -69,25 +56,22 @@ let point t label =
   | Some tr when Trace.enabled tr -> Trace.point tr ~subsystem:"chaos" label
   | Some _ | None -> ()
 
-let set_plan t ~src ~dst plan = Hashtbl.replace t.plans (src, dst) plan
-
 let set_default_plan t plan = t.default_plan <- plan
-let plan_for t ~src ~dst =
-  match Hashtbl.find_opt t.plans (src, dst) with Some p -> p | None -> t.default_plan
+let plan_for t ~src:_ ~dst:_ = t.default_plan
 
 let link a b = (min a b, max a b)
 
 let partition t a b =
   if not (Hashtbl.mem t.partitions (link a b)) then begin
     Hashtbl.replace t.partitions (link a b) ();
-    t.stats.s_partitions <- t.stats.s_partitions + 1;
+    Counters.incr t.stats s_partitions;
     point t (Printf.sprintf "partition h%d|h%d" a b)
   end
 
 let heal t a b =
   if Hashtbl.mem t.partitions (link a b) then begin
     Hashtbl.remove t.partitions (link a b);
-    t.stats.s_heals <- t.stats.s_heals + 1;
+    Counters.incr t.stats s_heals;
     point t (Printf.sprintf "heal h%d|h%d" a b);
     List.iter (fun f -> f a b) (List.rev t.on_heal)
   end
@@ -98,7 +82,7 @@ let host_up t h = not (Hashtbl.mem t.crashed h)
 let crash_host t h =
   if host_up t h then begin
     Hashtbl.replace t.crashed h ();
-    t.stats.s_crashes <- t.stats.s_crashes + 1;
+    Counters.incr t.stats s_crashes;
     point t (Printf.sprintf "crash h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_crash)
   end
@@ -106,7 +90,7 @@ let crash_host t h =
 let restart_host t h =
   if not (host_up t h) then begin
     Hashtbl.remove t.crashed h;
-    t.stats.s_restarts <- t.stats.s_restarts + 1;
+    Counters.incr t.stats s_restarts;
     point t (Printf.sprintf "restart h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_restart)
   end
@@ -124,26 +108,26 @@ type verdict =
    and the message sequence. *)
 let judge t ~src ~dst =
   if not (host_up t src && host_up t dst) then begin
-    t.stats.s_crash_drops <- t.stats.s_crash_drops + 1;
+    Counters.incr t.stats s_crash_drops;
     point t (Printf.sprintf "crash_drop h%d->h%d" src dst);
     Dropped `Host_down
   end
   else if partitioned t src dst then begin
-    t.stats.s_partition_drops <- t.stats.s_partition_drops + 1;
+    Counters.incr t.stats s_partition_drops;
     point t (Printf.sprintf "partition_drop h%d->h%d" src dst);
     Dropped `Partitioned
   end
   else begin
     let plan = plan_for t ~src ~dst in
     if plan.drop > 0.0 && Rng.float t.rng 1.0 < plan.drop then begin
-      t.stats.s_dropped <- t.stats.s_dropped + 1;
+      Counters.incr t.stats s_dropped;
       point t (Printf.sprintf "drop h%d->h%d" src dst);
       Dropped `Fault
     end
     else begin
       let copies =
         if plan.duplicate > 0.0 && Rng.float t.rng 1.0 < plan.duplicate then begin
-          t.stats.s_duplicated <- t.stats.s_duplicated + 1;
+          Counters.incr t.stats s_duplicated;
           point t (Printf.sprintf "duplicate h%d->h%d" src dst);
           2
         end
@@ -151,7 +135,7 @@ let judge t ~src ~dst =
       in
       let extra_delay_us =
         if plan.reorder > 0.0 && Rng.float t.rng 1.0 < plan.reorder then begin
-          t.stats.s_reordered <- t.stats.s_reordered + 1;
+          Counters.incr t.stats s_reordered;
           point t (Printf.sprintf "reorder h%d->h%d" src dst);
           (* Enough delay to let later traffic overtake this message. *)
           Rng.float t.rng (Float.max plan.jitter_us 1.0)
@@ -186,20 +170,6 @@ let of_spec spec =
   set_default_plan t !plan;
   t
 
-let stats_to_list t =
-  let s = t.stats in
-  [
-    ("dropped", s.s_dropped);
-    ("duplicated", s.s_duplicated);
-    ("reordered", s.s_reordered);
-    ("partition_drops", s.s_partition_drops);
-    ("crash_drops", s.s_crash_drops);
-    ("partitions", s.s_partitions);
-    ("heals", s.s_heals);
-    ("crashes", s.s_crashes);
-    ("restarts", s.s_restarts);
-  ]
-
 let faults_injected t =
-  let s = t.stats in
-  s.s_dropped + s.s_duplicated + s.s_reordered + s.s_partition_drops + s.s_crash_drops
+  let n = Counters.get t.stats in
+  n s_dropped + n s_duplicated + n s_reordered + n s_partition_drops + n s_crash_drops

@@ -18,18 +18,6 @@ type plan = {
 val perfect : plan
 (** No faults: every field 0. *)
 
-type stats = {
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
-  mutable s_reordered : int;
-  mutable s_partition_drops : int;
-  mutable s_crash_drops : int;
-  mutable s_partitions : int;
-  mutable s_heals : int;
-  mutable s_crashes : int;
-  mutable s_restarts : int;
-}
-
 type t
 
 val create : ?seed:int -> unit -> t
@@ -44,9 +32,9 @@ val set_trace : t -> Trace.t option -> unit
 
 (** {1 Fault plans} *)
 
-val set_plan : t -> src:int -> dst:int -> plan -> unit
 val set_default_plan : t -> plan -> unit
 val plan_for : t -> src:int -> dst:int -> plan
+(** The plan a message on the link is judged by: the default plan. *)
 
 (** {1 Partitions and host failures} *)
 
@@ -82,6 +70,8 @@ val judge : t -> src:int -> dst:int -> verdict
 
 (** {1 Accounting} *)
 
-val stats : t -> stats
-val stats_to_list : t -> (string * int) list
+val stats : t -> Mach_util.Metrics.Counters.t
+(** [reg.chaos.*]: a count of each kind of injected fault and of each
+    partition, heal, crash and restart. *)
+
 val faults_injected : t -> int

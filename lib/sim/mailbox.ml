@@ -190,4 +190,3 @@ let close t =
     Queue.clear t.senders
   end
 
-let is_closed t = t.closed

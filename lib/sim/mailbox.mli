@@ -40,4 +40,3 @@ val close : 'a t -> unit
     A destroyed IPC port closes its queue this way so blocked receivers
     learn of the death instead of waiting forever. *)
 
-val is_closed : 'a t -> bool

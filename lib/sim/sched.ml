@@ -45,55 +45,26 @@
    ([cancel_handoff]) is released at once; either way the CPU is
    re-dispatched. *)
 
-type stats = {
-  mutable s_switches : int;
-  mutable s_preemptions : int;
-  mutable s_migrations : int;
-  mutable s_steals : int;
-  mutable s_handoff_claims : int;
-  mutable s_handoff_expired : int;
-  mutable s_affinity_hits : int;
-  mutable s_direct_dispatches : int;
-  mutable s_enqueues : int;
-  mutable s_queue_depth_peak : int;
-  mutable s_queue_depth_sum : int;
-  mutable s_idle_with_waiter : int;
-  mutable s_holds : int;
-}
+module Counters = Mach_util.Metrics.Counters
 
-let fresh_stats () =
-  {
-    s_switches = 0;
-    s_preemptions = 0;
-    s_migrations = 0;
-    s_steals = 0;
-    s_handoff_claims = 0;
-    s_handoff_expired = 0;
-    s_affinity_hits = 0;
-    s_direct_dispatches = 0;
-    s_enqueues = 0;
-    s_queue_depth_peak = 0;
-    s_queue_depth_sum = 0;
-    s_idle_with_waiter = 0;
-    s_holds = 0;
-  }
-
-let stats_to_list s =
-  [
-    ("switches", s.s_switches);
-    ("preemptions", s.s_preemptions);
-    ("migrations", s.s_migrations);
-    ("steals", s.s_steals);
-    ("handoff_claims", s.s_handoff_claims);
-    ("handoff_expired", s.s_handoff_expired);
-    ("affinity_hits", s.s_affinity_hits);
-    ("direct_dispatches", s.s_direct_dispatches);
-    ("enqueues", s.s_enqueues);
-    ("queue_depth_peak", s.s_queue_depth_peak);
-    ("queue_depth_sum", s.s_queue_depth_sum);
-    ("idle_with_waiter", s.s_idle_with_waiter);
-    ("holds", s.s_holds);
-  ]
+let sched_counters = Counters.layout ()
+let sched_stat = Counters.declare sched_counters
+let s_switches = sched_stat "switches" (* run-queue dispatches (each charged context-switch time) *)
+let s_preemptions = sched_stat "preemptions" (* quantum expiries that yielded the processor *)
+let s_migrations = sched_stat "migrations" (* bursts begun on another CPU than the thread's last *)
+let s_steals = sched_stat "steals" (* idle CPUs that took a waiter from another run queue *)
+let s_handoff_claims = sched_stat "handoff_claims" (* bursts entered on a donated processor *)
+(* donations the beneficiary never claimed (expired or handed back) *)
+let s_handoff_expired = sched_stat "handoff_expired"
+let s_affinity_hits = sched_stat "affinity_hits" (* direct acquires of the thread's previous CPU *)
+let s_direct_dispatches = sched_stat "direct_dispatches" (* acquires that found an idle CPU *)
+let s_enqueues = sched_stat "enqueues" (* acquires that had to wait on a run queue *)
+let s_queue_depth_peak = sched_stat "queue_depth_peak" (* max total queued threads at any enqueue *)
+let s_queue_depth_sum = sched_stat "queue_depth_sum" (* summed depth at enqueue *)
+(* invariant oracle; stays 0 unless stealing is broken *)
+let s_idle_with_waiter = sched_stat "idle_with_waiter"
+(* bursts that re-entered the processor their paid tenure kept *)
+let s_holds = sched_stat "holds"
 
 type reservation = { r_ticket : int; mutable r_for : string option }
 
@@ -119,7 +90,7 @@ type t = {
   mutable next_ticket : int;
   quantum_us : float;
   context_switch_us : float;
-  stats : stats;
+  stats : Counters.t;
   mutable trace : Trace.t option;
 }
 
@@ -146,7 +117,7 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
     next_ticket = 0;
     quantum_us;
     context_switch_us;
-    stats = fresh_stats ();
+    stats = Counters.create sched_counters;
     trace = None;
   }
 
@@ -181,7 +152,7 @@ let free c = c.c_running = None && c.c_reserved = None
    raised, so property tests can assert the counter stays zero. *)
 let check_idle_invariant t =
   if Array.exists free t.cpus && queued t > 0 then
-    t.stats.s_idle_with_waiter <- t.stats.s_idle_with_waiter + 1
+    Counters.incr t.stats s_idle_with_waiter
 
 let longest_runq t =
   let best = ref None in
@@ -204,16 +175,16 @@ let dispatch t cpu =
     match Queue.take_opt cpu.c_runq with
     | Some w ->
       cpu.c_running <- Some w.w_name;
-      t.stats.s_switches <- t.stats.s_switches + 1;
+      Counters.incr t.stats s_switches;
       w.w_wake cpu
     | None -> (
       match longest_runq t with
       | Some victim ->
         let w = Queue.take victim.c_runq in
         cpu.c_running <- Some w.w_name;
-        t.stats.s_switches <- t.stats.s_switches + 1;
-        t.stats.s_steals <- t.stats.s_steals + 1;
-        t.stats.s_migrations <- t.stats.s_migrations + 1;
+        Counters.incr t.stats s_switches;
+        Counters.incr t.stats s_steals;
+        Counters.incr t.stats s_migrations;
         w.w_wake cpu
       | None -> check_idle_invariant t)
   end
@@ -229,8 +200,8 @@ type entry = Entry_direct | Entry_queued | Entry_handoff | Entry_held
 
 let take t cpu name =
   cpu.c_running <- Some name;
-  t.stats.s_direct_dispatches <- t.stats.s_direct_dispatches + 1;
-  if cpu.c_last = name then t.stats.s_affinity_hits <- t.stats.s_affinity_hits + 1
+  Counters.incr t.stats s_direct_dispatches;
+  if cpu.c_last = name then Counters.incr t.stats s_affinity_hits
 
 let first_free t =
   let found = ref None in
@@ -290,7 +261,7 @@ let start_tenure t name =
       Hashtbl.remove t.pending_handoff name;
       consume_reservation t cpu;
       cpu.c_running <- Some name;
-      t.stats.s_handoff_claims <- t.stats.s_handoff_claims + 1;
+      Counters.incr t.stats s_handoff_claims;
       Some (cpu, Entry_handoff)
     | Some _ ->
       (* The reservation expired (or was re-issued) before we computed. *)
@@ -310,16 +281,16 @@ let start_tenure t name =
       match first_free t with
       | Some c ->
         take t c name;
-        if home <> None then t.stats.s_migrations <- t.stats.s_migrations + 1;
+        if home <> None then Counters.incr t.stats s_migrations;
         (c, Entry_direct)
       | None ->
         let target =
           match home with Some h -> t.cpus.(h) | None -> shortest_runq t
         in
-        t.stats.s_enqueues <- t.stats.s_enqueues + 1;
+        Counters.incr t.stats s_enqueues;
         let depth = queued t + 1 in
-        t.stats.s_queue_depth_sum <- t.stats.s_queue_depth_sum + depth;
-        if depth > t.stats.s_queue_depth_peak then t.stats.s_queue_depth_peak <- depth;
+        Counters.add t.stats s_queue_depth_sum depth;
+        Counters.peak t.stats s_queue_depth_peak depth;
         let cpu =
           Engine.suspend (fun _eng k -> Queue.add { w_name = name; w_wake = k } target.c_runq)
         in
@@ -328,7 +299,7 @@ let start_tenure t name =
 let acquire t name =
   match take_holds t name with
   | Some cpu ->
-    t.stats.s_holds <- t.stats.s_holds + 1;
+    Counters.incr t.stats s_holds;
     (cpu, Entry_held)
   | None -> start_tenure t name
 
@@ -353,7 +324,7 @@ let rec run_burst t cpu name remaining =
   else if Queue.length cpu.c_runq > 0 then begin
     (* Quantum expired with local contention: preempt. Requeue at the
        tail first so the dispatch below picks the earlier waiter. *)
-    t.stats.s_preemptions <- t.stats.s_preemptions + 1;
+    Counters.incr t.stats s_preemptions;
     trace_point t "preempt";
     note_affinity t cpu name;
     let cpu' =
@@ -414,7 +385,7 @@ let expire t cpu =
     | Some _ | None -> ())
   | Some _ | None -> ());
   consume_reservation t cpu;
-  t.stats.s_handoff_expired <- t.stats.s_handoff_expired + 1;
+  Counters.incr t.stats s_handoff_expired;
   dispatch t cpu
 
 let reserve t cpu =

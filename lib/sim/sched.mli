@@ -39,23 +39,6 @@
 
 type t
 
-type stats = {
-  mutable s_switches : int;  (** run-queue dispatches (each charged context-switch time) *)
-  mutable s_preemptions : int;  (** quantum expiries that yielded the processor *)
-  mutable s_migrations : int;  (** bursts begun on a different CPU than the thread's last *)
-  mutable s_steals : int;  (** idle CPUs that took a waiter from another run queue *)
-  mutable s_handoff_claims : int;  (** bursts entered on a donated processor, charge-free *)
-  mutable s_handoff_expired : int;
-      (** donations the beneficiary never claimed (expired or handed back) *)
-  mutable s_affinity_hits : int;  (** direct acquires of the thread's previous CPU *)
-  mutable s_direct_dispatches : int;  (** acquires that found an idle CPU (no queueing) *)
-  mutable s_enqueues : int;  (** acquires that had to wait on a run queue *)
-  mutable s_queue_depth_peak : int;  (** max total queued threads at any enqueue *)
-  mutable s_queue_depth_sum : int;  (** summed depth at enqueue (avg = sum/enqueues) *)
-  mutable s_idle_with_waiter : int;  (** invariant oracle; stays 0 unless stealing is broken *)
-  mutable s_holds : int;  (** bursts that re-entered the processor their paid tenure kept *)
-}
-
 val create :
   Engine.t -> cpus:int -> ?quantum_us:float -> context_switch_us:float -> unit -> t
 (** [quantum_us] defaults to 10ms of simulated time. *)
@@ -78,7 +61,7 @@ val compute_donating : t -> float -> donate_if:(unit -> bool) -> int option
 val cancel_handoff : t -> ticket:int -> unit
 (** Hand a live reservation back: the processor is re-dispatched at
     once instead of idling out its window (counted in
-    [s_handoff_expired]). Claimed-and-entered or unknown tickets are
+    [handoff_expired]). Claimed-and-entered or unknown tickets are
     ignored. *)
 
 val claim_handoff : t -> ticket:int -> name:string -> unit
@@ -87,8 +70,10 @@ val claim_handoff : t -> ticket:int -> name:string -> unit
     Expired or unknown tickets are ignored. *)
 
 val cpu_count : t -> int
-val stats : t -> stats
-val stats_to_list : stats -> (string * int) list
+val stats : t -> Mach_util.Metrics.Counters.t
+(** The host's [reg.sched.*] counters (declared in [sched.ml]):
+    dispatches, preemptions, migrations, steals, handoffs, run-queue
+    depth, and an idle-with-waiter oracle that stays 0. *)
 
 val set_trace : t -> Trace.t option -> unit
 (** Wire the host's trace: acquire entries ([enter_direct] /

@@ -1,19 +1,50 @@
 (* One registry for every subsystem's statistics.
 
-   The design point is that hot paths keep their cost profile: a
-   subsystem's existing mutable record of [s_foo <- s_foo + 1] fields
-   *is* its set of pre-registered handles — the registry holds only a
-   read closure over it ([register_source]) and never sits on the
-   increment path. New metrics that have no record to live in get a
-   sampled [gauge] (read at snapshot time) or a [histogram] (a fixed
-   array of log buckets reduced to count/mean/percentiles at snapshot
-   time).
+   The design point is that hot paths keep their cost profile. A
+   subsystem declares its counters once, as a [Counters] layout; each
+   instance is an [int array], an increment is one bounds-checked store,
+   and the registry reads the array only at snapshot time. Metrics that
+   are not counts get a sampled [gauge] (read at snapshot time) or a
+   [histogram] (a fixed array of log buckets reduced to
+   count/mean/percentiles at snapshot time).
 
    A snapshot is a flat, sorted [(key, value)] list with keys
    "subsystem.name", so one serializer covers every consumer: the
    vm_statistics-style syscall, the bench harness's --json writer, and
-   the machsim CLI. Duplicate keys (two pagers registered under one
-   name) sum. *)
+   the machsim CLI. Duplicate keys (two disks of one host, two pagers
+   registered under one name) sum. *)
+
+module Counters = struct
+  (* A layout grows while its module initialises; [create] fixes a
+     block's names to those declared so far. *)
+  type layout = { mutable rev_names : string list }
+  type id = int
+  type t = { names : string array; v : int array }
+
+  let layout () = { rev_names = [] }
+
+  let declare l name =
+    if List.mem name l.rev_names then invalid_arg ("Metrics.Counters.declare: duplicate " ^ name);
+    l.rev_names <- name :: l.rev_names;
+    List.length l.rev_names - 1
+
+  let create l =
+    let names = Array.of_list (List.rev l.rev_names) in
+    { names; v = Array.make (Array.length names) 0 }
+
+  let incr t i = t.v.(i) <- t.v.(i) + 1
+  let add t i n = t.v.(i) <- t.v.(i) + n
+  let peak t i n = if n > t.v.(i) then t.v.(i) <- n
+  let get t i = t.v.(i)
+
+  let value t name =
+    match Array.find_index (String.equal name) t.names with
+    | Some i -> t.v.(i)
+    | None -> invalid_arg ("Metrics.Counters.value: unknown counter " ^ name)
+
+  let to_list t = Array.to_list (Array.mapi (fun i name -> (name, t.v.(i))) t.names)
+  let reset t = Array.fill t.v 0 (Array.length t.v) 0
+end
 
 (* A histogram is a fixed array of log buckets, 64 per octave, so a
    kernel that faults for hours holds the same 3 k ints as one that
@@ -87,6 +118,7 @@ let percentile h p =
 type entry =
   | Gauge of (unit -> int)
   | Histogram of histogram
+  | Counters of Counters.t
   | Source of (unit -> (string * int) list)
 
 type registry = { mutable entries : (string * entry) list (* reverse registration order *) }
@@ -102,6 +134,7 @@ let histogram r ~subsystem name =
   r.entries <- (key ~subsystem name, Histogram h) :: r.entries;
   h
 
+let counters r ~subsystem block = r.entries <- (subsystem, Counters block) :: r.entries
 let register_source r ~subsystem read = r.entries <- (subsystem, Source read) :: r.entries
 
 let snapshot r =
@@ -121,6 +154,8 @@ let snapshot r =
           put (k ^ ".p95") (percentile h 95.0);
           put (k ^ ".max") h.m.mx
         end
+      | Counters b ->
+        Array.iteri (fun i name -> put (key ~subsystem:k name) (float_of_int b.Counters.v.(i))) b.names
       | Source read ->
         List.iter (fun (name, v) -> put (key ~subsystem:k name) (float_of_int v)) (read ()))
     r.entries;

@@ -1,19 +1,58 @@
 (** Unified metrics registry: every subsystem's counters behind one
     snapshot/serialize surface.
 
-    Hot paths keep their cost profile: a subsystem's existing mutable
-    stats record is itself the set of pre-registered O(1) handles — the
-    registry holds a read closure over it ({!register_source}) and is
-    never on the increment path. Metrics with no record to live in use
-    a sampled {!gauge} (a closure read at snapshot time) or a
+    Hot paths keep their cost profile. A subsystem declares each of its
+    counters once, in a {!Counters.layout}; an increment is one
+    bounds-checked store into an [int array], and the registry reads the
+    array only at snapshot time ({!counters}). Metrics that are not
+    counts use a sampled {!gauge} (a closure read at snapshot time) or a
     {!histogram} (fixed log buckets reduced to count/mean/p50/p95/max
     at snapshot time). Counters only grow: measure a phase with {!delta}
     between two snapshots.
 
     Keys are ["subsystem.name"]; a snapshot is flat and sorted, so one
     JSON serializer covers the syscall surface, the bench harness and
-    the CLI. Registering two sources under one subsystem (e.g. several
-    pagers named alike) sums their values. *)
+    the CLI. Registering two blocks or sources under one subsystem (the
+    disks of one host, pagers named alike) sums their values. *)
+
+(** Blocks of named integer counters, each name declared once. *)
+module Counters : sig
+  type layout
+  (** The names of a kind of block, in declaration order. *)
+
+  type id
+  (** One declared counter: an index into every block of its layout. *)
+
+  type t
+  (** A block: one [int] per counter of its layout, all starting at 0. *)
+
+  val layout : unit -> layout
+
+  val declare : layout -> string -> id
+  (** Append a counter to the layout. Declare every counter before
+      the first {!create}: a block holds the counters declared when it
+      was created. Raises [Invalid_argument] on a name declared twice. *)
+
+  val create : layout -> t
+  val incr : t -> id -> unit
+  val add : t -> id -> int -> unit
+
+  val peak : t -> id -> int -> unit
+  (** Raise the counter to the given value if it is larger: a running
+      maximum. *)
+
+  val get : t -> id -> int
+
+  val value : t -> string -> int
+  (** Read a counter by name. Raises [Invalid_argument] if the block
+      has no such counter. *)
+
+  val to_list : t -> (string * int) list
+  (** Every counter, in declaration order. *)
+
+  val reset : t -> unit
+  (** Zero every counter of the block. *)
+end
 
 type registry
 type snapshot = (string * float) list
@@ -39,9 +78,14 @@ val histogram : registry -> subsystem:string -> string -> histogram
 val observe : histogram -> float -> unit
 (** Record one sample; allocates nothing. *)
 
+val counters : registry -> subsystem:string -> Counters.t -> unit
+(** Report a block's counters as ["subsystem.name"] keys. *)
+
 val register_source : registry -> subsystem:string -> (unit -> (string * int) list) -> unit
-(** Adopt an existing stats block: [read] is typically the block's
-    [stats_to_list]. *)
+(** Report a stats record that is not a {!Counters} block: [read]
+    lists its values at snapshot time. [Pager_runtime.Stats] is the
+    one user; it stays a record because the [bench/perf] layer probe
+    reads its fields. *)
 
 val snapshot : registry -> snapshot
 (** Flat, sorted; duplicate keys summed. *)

@@ -32,7 +32,7 @@ let export kctx copy =
   (* Park the snapshot in a private kernel map: the copy's references
      move here, and reads below materialize pages through the ordinary
      (lazy copy-out) fault path only when the remote side asks. *)
-  let map = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem)) () in
+  let map = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem)) in
   let base = Vm_map.copyout map copy () in
   let space = Port_space.create ctx ~home:host in
   let mo = Port.create ctx ~home:host ~backlog:64 () in

@@ -51,7 +51,7 @@ let handle kctx map ~addr ~write ?policy () =
     | None -> invalid_arg "Fault.handle: map has no pmap"
     | Some pm -> pm
   in
-  stats.s_faults <- stats.s_faults + 1;
+  Counters.incr stats s_faults;
   (* The causal span of this fault: opened before any charge, closed
      with the resolution kind. The id rides in every message this fault
      causes (pager_data_request, the manager's reply), so the whole
@@ -93,7 +93,7 @@ let handle kctx map ~addr ~write ?policy () =
     if write then Prot.can_write page.page_lock else Prot.can_read page.page_lock
   in
   let note_depth depth =
-    if depth > stats.s_chain_depth_peak then stats.s_chain_depth_peak <- depth
+    Counters.peak stats s_chain_depth_peak depth
   in
   (* ---- copy engine predicates ------------------------------------- *)
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
@@ -164,7 +164,7 @@ let handle kctx map ~addr ~write ?policy () =
      with Exit -> ());
     if !n > 0 then begin
       Pmap.enter_batch pm !batch;
-      stats.s_burst_entered <- stats.s_burst_entered + !n;
+      Counters.add stats s_burst_entered !n;
       Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
     end
   in
@@ -196,8 +196,8 @@ let handle kctx map ~addr ~write ?policy () =
   (* FAST PATH terminal: the lookup that got us here is still valid (no
      yields since), so validate directly from it. *)
   let fast_finish lk page ~from_backing =
-    stats.s_fast_faults <- stats.s_fast_faults + 1;
-    stats.s_hits <- stats.s_hits + 1;
+    Counters.incr stats s_fast_faults;
+    Counters.incr stats s_hits;
     Page_queues.activate kctx.Kctx.queues page;
     let write_ok = lk.Vm_map.lk_writable && not from_backing in
     let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok ~page_lock:page.page_lock in
@@ -247,12 +247,12 @@ let handle kctx map ~addr ~write ?policy () =
      page first — the manager may have answered the cluster request
      only partially, so it is asked again for this page alone. *)
   and slow_busy page tries =
-    stats.s_slow_busy <- stats.s_slow_busy + 1;
+    Counters.incr stats s_slow_busy;
     via := (if page.p_state = Cleaning then "clean_hit" else "busy");
     (* Refault on a Cleaning page: absorbed by the laundry
        machinery — the old pipeline would have detached the page and
        round-tripped a fresh data_request to the manager. *)
-    if page.p_state = Cleaning then stats.s_clean_hits <- stats.s_clean_hits + 1;
+    if page.p_state = Cleaning then Counters.incr stats s_clean_hits;
     if page.p_state = Speculative then begin
       Vm_page.demand page;
       Pager_client.rerequest kctx page
@@ -265,7 +265,7 @@ let handle kctx map ~addr ~write ?policy () =
      so a task spinning on a poisoned page shows up in the E10 trace
      reduction instead of vanishing. *)
   and slow_error page tries =
-    stats.s_slow_error <- stats.s_slow_error + 1;
+    Counters.incr stats s_slow_error;
     via := "error";
     undelivered page tries
   (* The manager did not deliver by the policy's deadline (or at all):
@@ -275,14 +275,14 @@ let handle kctx map ~addr ~write ?policy () =
     match (policy, page.p_state) with
     | Zero_fill_after _, (Demanded | Speculative | Failed) ->
       Phys_mem.fill kctx.Kctx.mem page.frame '\000';
-      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Counters.incr stats s_zero_fill;
       Vm_page.resolve kctx page;
       resolve (tries + 1)
     | (Zero_fill_after _ | Wait_forever | Abort_after _), _ -> Pager_error
   (* Manager-imposed lock (§3.4.1): if the lock forbids this access,
      ask for an unlock and wait for pager_data_lock. *)
   and slow_lock page tries =
-    stats.s_slow_lock <- stats.s_slow_lock + 1;
+    Counters.incr stats s_slow_lock;
     via := "lock";
     let owner = page.p_obj in
     if dead_pager owner then
@@ -295,7 +295,7 @@ let handle kctx map ~addr ~write ?policy () =
         resolve (tries + 1)
       end
       else begin
-        stats.s_death_errors <- stats.s_death_errors + 1;
+        Counters.incr stats s_death_errors;
         Pager_error
       end
     else begin
@@ -332,7 +332,7 @@ let handle kctx map ~addr ~write ?policy () =
       Vm_page.rename src first_obj ~offset:off;
       src.dirty <- true;
       Page_queues.activate kctx.Kctx.queues src;
-      stats.s_cow_steals <- stats.s_cow_steals + 1
+      Counters.incr stats s_cow_steals
     in
     (* Copy [src] into [frame] as first_obj@off; drops the source's
        stale translations (sharers must refault through their own
@@ -374,7 +374,7 @@ let handle kctx map ~addr ~write ?policy () =
     match primary with
     | None -> resolve (tries + 1)
     | Some primary ->
-      stats.s_cow_faults <- stats.s_cow_faults + 1;
+      Counters.incr stats s_cow_faults;
       (* Clustered copy: sweep forward over adjacent pending-copy pages
          of the same record, stealing or copying each without further
          faults. The window opens only for a sequential fault — one
@@ -409,7 +409,7 @@ let handle kctx map ~addr ~write ?policy () =
          done
        with Exit -> ());
       first_obj.cow_next <- first_off + ((1 + !n_extras) * ps);
-      stats.s_cow_batched <- stats.s_cow_batched + !n_extras;
+      Counters.add stats s_cow_batched !n_extras;
       Metrics.observe kctx.Kctx.cow_batch_hist (float_of_int (1 + !n_extras));
       (* The batch's single charge sites. *)
       if !copies > 0 then
@@ -451,7 +451,7 @@ let handle kctx map ~addr ~write ?policy () =
   (* Not resident anywhere in the chain, and a manager owns the data:
      issue a (possibly clustered) pager_data_request and wait. *)
   and slow_pager powner poffset tries =
-    stats.s_slow_pager <- stats.s_slow_pager + 1;
+    Counters.incr stats s_slow_pager;
     via := "pager";
     if dead_pager powner then
       (* The manager is gone: resolve locally and deterministically
@@ -462,15 +462,15 @@ let handle kctx map ~addr ~write ?policy () =
         if Hashtbl.mem powner.obj_pages poffset then Kctx.free_frame kctx frame
         else begin
           let page = Vm_page.insert kctx powner ~offset:poffset ~frame ~state:Resident in
-          stats.s_zero_fill <- stats.s_zero_fill + 1;
-          stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
+          Counters.incr stats s_zero_fill;
+          Counters.incr stats s_death_zero_fills;
           Page_queues.activate kctx.Kctx.queues page
         end;
         (* Re-resolve: the page may sit in a backing object (COW due). *)
         resolve (tries + 1)
       end
       else begin
-        stats.s_death_errors <- stats.s_death_errors + 1;
+        Counters.incr stats s_death_errors;
         Pager_error
       end
     else begin
@@ -496,7 +496,7 @@ let handle kctx map ~addr ~write ?policy () =
     end
     else begin
       let page = Vm_page.insert kctx first_obj ~offset:first_off ~frame ~state:Resident in
-      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Counters.incr stats s_zero_fill;
       Page_queues.activate kctx.Kctx.queues page;
       finish page ~from_backing:false
     end
@@ -512,9 +512,8 @@ let handle kctx map ~addr ~write ?policy () =
          deferred half of the transfer: count them separately so the
          copyin-vs-materialization balance shows in the IPC stats. *)
       if lk.Vm_map.lk_from_copy then begin
-        let is = kctx.Kctx.node.Mach_ipc.Transport.node_stats in
-        is.Mach_ipc.Transport.s_lazy_copyout_faults <-
-          is.Mach_ipc.Transport.s_lazy_copyout_faults + 1
+        Counters.incr kctx.Kctx.node.Mach_ipc.Transport.node_stats
+          Mach_ipc.Transport.s_lazy_copyout_faults
       end;
       Trace.point tr ~subsystem:"vm" "shadow_walk";
       match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with

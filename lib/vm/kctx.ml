@@ -53,7 +53,6 @@ let fresh_obj_id t =
   id
 
 let pages_of_bytes t bytes = (bytes + t.page_size - 1) / t.page_size
-let trunc_page t addr = addr land lnot (t.page_size - 1)
 let round_page t addr = (addr + t.page_size - 1) land lnot (t.page_size - 1)
 
 let try_alloc_frame t ~privileged =
@@ -116,12 +115,12 @@ let default_terminator t obj =
         Page_queues.remove t.queues p;
         Hashtbl.remove obj.obj_pages p.p_offset;
         free_frame t p.frame;
-        t.stats.s_pages_freed <- t.stats.s_pages_freed + 1
+        Counters.incr t.stats s_pages_freed
       end)
     pages
 
 let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2_000_000.0)
-    ?metrics ?trace () =
+    ?trace () =
   let reserved =
     match reserved_frames with
     | Some r -> r
@@ -135,31 +134,28 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
   (* The host's observability spine: a metrics registry (per host) and
      a causal trace (shared across a cluster's hosts when the caller
      passes one trace to every boot). *)
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   let trace = match trace with Some tr -> tr | None -> Trace.create engine in
   Sched.set_trace sched (Some trace);
   Trace.add_cpu_hook trace (fun name ->
       match Sched.running_cpu sched name with Some c -> c | None -> -1);
-  let stats = fresh_stats () in
+  let stats = Counters.create vm_counters in
   let node =
     {
       Mach_ipc.Transport.node_host = host;
       node_params = params;
       node_page_size = Phys_mem.page_size mem;
-      node_stats = Mach_ipc.Transport.fresh_ipc_stats ();
+      node_stats = Counters.create Mach_ipc.Transport.ipc_counters;
       node_sched = Some sched;
       node_trace = Some trace;
     }
   in
   let queues = Page_queues.create () in
-  (* The existing mutable stats blocks are the registry's O(1) handles:
-     register each as a source so a snapshot covers every subsystem
-     without touching any increment site. *)
-  Metrics.register_source metrics ~subsystem:"vm" (fun () -> stats_to_list stats);
-  Metrics.register_source metrics ~subsystem:"ipc" (fun () ->
-      Mach_ipc.Transport.ipc_stats_to_list node.Mach_ipc.Transport.node_stats);
-  Metrics.register_source metrics ~subsystem:"sched" (fun () ->
-      Sched.stats_to_list (Sched.stats sched));
+  (* The host's counter blocks go into the registry as they are: a
+     snapshot reads them, an increment never touches the registry. *)
+  Metrics.counters metrics ~subsystem:"vm" stats;
+  Metrics.counters metrics ~subsystem:"ipc" node.Mach_ipc.Transport.node_stats;
+  Metrics.counters metrics ~subsystem:"sched" (Sched.stats sched);
   Metrics.gauge metrics ~subsystem:"vm" "free_frames" (fun () -> Phys_mem.free_frames mem);
   Metrics.gauge metrics ~subsystem:"vm" "active_pages" (fun () ->
       Page_queues.active_count queues);

@@ -23,9 +23,9 @@ type t = {
   queues : Page_queues.t;
   stats : stats;
   metrics : Mach_util.Metrics.registry;
-      (** the host's unified registry: the vm/ipc/sched stats blocks are
-          registered as sources at creation, pagers add theirs as they
-          start; snapshot it for a vm_statistics-style full report *)
+      (** the host's unified registry: the vm/ipc/sched counter blocks
+          are registered at creation, pagers add theirs as they start;
+          snapshot it for a vm_statistics-style full report *)
   trace : Mach_sim.Trace.t;
       (** the causal trace spine (shared across hosts in a cluster);
           disabled by default *)
@@ -82,18 +82,16 @@ val create :
   mem:Mach_hw.Phys_mem.t ->
   ?reserved_frames:int ->
   ?pager_timeout_us:float ->
-  ?metrics:Mach_util.Metrics.registry ->
   ?trace:Mach_sim.Trace.t ->
   unit ->
   t
-(** [metrics] and [trace] default to fresh instances; a cluster passes
-    one shared trace so cross-host spans land in one buffer, while each
-    host keeps its own registry (merge snapshots for cluster totals). *)
+(** Each host gets its own metrics registry (merge snapshots for
+    cluster totals). [trace] defaults to a fresh one; a cluster passes
+    one shared trace so cross-host spans land in one buffer. *)
 
 val fresh_obj_id : t -> int
 
 val pages_of_bytes : t -> int -> int
-val trunc_page : t -> int -> int
 val round_page : t -> int -> int
 
 (** {2 Frame allocation with reserved-pool semantics (§6.2.3)} *)

@@ -99,7 +99,7 @@ let reclaim_inactive kctx ~want =
       if page.wire_count > 0 || busy page then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
         (* Used while inactive: reactivate. *)
-        kctx.Kctx.stats.s_reactivations <- kctx.Kctx.stats.s_reactivations + 1;
+        Counters.incr kctx.Kctx.stats s_reactivations;
         Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
         Page_queues.activate queues page
       end

@@ -64,8 +64,7 @@ let rescue kctx (h : holding) =
     Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
     let pages = List.filter (still_held h) h.h_pages in
     let rescued = List.length pages + List.length h.h_frames in
-    kctx.Kctx.stats.s_pageout_to_default <-
-      kctx.Kctx.stats.s_pageout_to_default + rescued;
+    Counters.add kctx.Kctx.stats s_pageout_to_default rescued;
     (match kctx.Kctx.rescue_writer with Some w -> w h.h_data | None -> ());
     List.iter (Kctx.free_frame kctx) h.h_frames;
     h.h_frames <- [];
@@ -116,7 +115,7 @@ let pager_died kctx obj =
   | Pager p ->
     p.pager_dead <- true;
     let stats = kctx.Kctx.stats in
-    stats.s_pager_deaths <- stats.s_pager_deaths + 1;
+    Counters.incr stats s_pager_deaths;
     Log.warn (fun m -> m "pager died for object %d" obj.obj_id);
     let anonymous = p.is_default || obj.temporary in
     let pages = Hashtbl.fold (fun _ pg acc -> pg :: acc) obj.obj_pages [] in
@@ -128,12 +127,12 @@ let pager_died kctx obj =
           Vm_page.release_placeholder kctx page
         | Demanded when anonymous ->
           (* The frame is already zero-filled, as for data_unavailable. *)
-          stats.s_zero_fill <- stats.s_zero_fill + 1;
-          stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
+          Counters.incr stats s_zero_fill;
+          Counters.incr stats s_death_zero_fills;
           Vm_page.resolve kctx page
         | Demanded ->
           (* Waiters fail the fault, as after a slow-path timeout. *)
-          stats.s_death_errors <- stats.s_death_errors + 1;
+          Counters.incr stats s_death_errors;
           Vm_page.fail page
         | Resident | Failed | Cleaning ->
           if (not (Prot.equal page.page_lock Prot.none)) || page.unlock_requested then
@@ -182,7 +181,7 @@ let send_data_request kctx p ~offset ~length ~desired_access =
   let request =
     match p.request_port with Some r -> r | None -> invalid_arg "data_request: not initialized"
   in
-  kctx.Kctx.stats.s_data_requests <- kctx.Kctx.stats.s_data_requests + 1;
+  Counters.incr kctx.Kctx.stats s_data_requests;
   Mach_sim.Trace.point kctx.Kctx.trace ~subsystem:"vm" "data_request";
   send kctx
     (Pager_iface.encode_k2m ~reply:None
@@ -239,7 +238,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
        done
      with Exit -> ());
     let extra = List.length !spec in
-    kctx.Kctx.stats.s_cluster_pages <- kctx.Kctx.stats.s_cluster_pages + extra;
+    Counters.add kctx.Kctx.stats s_cluster_pages extra;
     if extra > 0 then begin
       (* Reclaim unfilled placeholders after the pager timeout so a
          manager that answers partially (or not at all) cannot pin
@@ -314,7 +313,7 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
     }
   in
   Hashtbl.replace kctx.Kctx.holdings write_id h;
-  kctx.Kctx.stats.s_data_writes <- kctx.Kctx.stats.s_data_writes + 1;
+  Counters.incr kctx.Kctx.stats s_data_writes;
   Engine.schedule kctx.Kctx.engine
     ~at:(Engine.now kctx.Kctx.engine +. Kctx.data_write_release_timeout_us)
     (fun () -> rescue kctx h);
@@ -331,8 +330,8 @@ let write_run kctx pages ~dispose =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
-  stats.s_pageouts <- stats.s_pageouts + n;
-  stats.s_laundered <- stats.s_laundered + n;
+  Counters.add stats s_pageouts n;
+  Counters.add stats s_laundered n;
   (* Mark the whole run Cleaning before anything can block, so a
      concurrent faulter waits on the busy machinery instead of racing. *)
   List.iter (Vm_page.launder kctx) pages;
@@ -353,7 +352,7 @@ let write_run_detached kctx pages =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
-  stats.s_pageouts <- stats.s_pageouts + n;
+  Counters.add stats s_pageouts n;
   let offset = (List.hd pages).p_offset in
   (* Detach the structures before anything can block, so no other path
      finds the pages mid-teardown. *)
@@ -395,7 +394,7 @@ let send_unlock kctx obj ~offset ~length ~desired_access =
   let request =
     match p.request_port with Some r -> r | None -> invalid_arg "send_unlock: not initialized"
   in
-  kctx.Kctx.stats.s_unlock_requests <- kctx.Kctx.stats.s_unlock_requests + 1;
+  Counters.incr kctx.Kctx.stats s_unlock_requests;
   send kctx
     (Pager_iface.encode_k2m ~reply:None
        (Pager_iface.Data_unlock
@@ -424,7 +423,7 @@ let apply_lock kctx page lock =
 let fill_provided kctx obj ~offset ~data ~lock_value =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
-  stats.s_data_provided <- stats.s_data_provided + 1;
+  Counters.incr stats s_data_provided;
   (* Partial trailing pages are discarded (§3.4.1). *)
   let whole_pages = Bytes.length data / ps in
   for i = 0 to whole_pages - 1 do
@@ -434,7 +433,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
     | Some ({ p_state = Demanded | Speculative | Failed; _ } as page) ->
       Phys_mem.write kctx.Kctx.mem page.frame ~off:0 chunk;
       page.page_lock <- lock_value;
-      stats.s_pageins <- stats.s_pageins + 1;
+      Counters.incr stats s_pageins;
       Vm_page.resolve kctx page
     | Some page ->
       (* Data for a page the kernel already has: the bytes are stale
@@ -451,7 +450,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
         let page = Vm_page.insert kctx obj ~offset:off ~frame ~state:Resident in
         Phys_mem.write kctx.Kctx.mem frame ~off:0 chunk;
         page.page_lock <- lock_value;
-        stats.s_pageins <- stats.s_pageins + 1;
+        Counters.incr stats s_pageins;
         Page_queues.activate kctx.Kctx.queues page
       | None -> ())
   done
@@ -459,14 +458,14 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
 let data_unavailable kctx obj ~offset ~size =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
-  stats.s_data_unavailable <- stats.s_data_unavailable + 1;
+  Counters.incr stats s_data_unavailable;
   let pages = (size + ps - 1) / ps in
   for i = 0 to pages - 1 do
     let off = offset + (i * ps) in
     match Vm_page.lookup obj ~offset:off with
     | Some ({ p_state = Demanded | Speculative | Failed; _ } as page) ->
       (* Frame is already zero-filled. *)
-      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Counters.incr stats s_zero_fill;
       Vm_page.resolve kctx page
     | Some _ | None -> ()
   done
@@ -516,13 +515,13 @@ let flush_range kctx obj ~offset ~length ~keep =
         in
         let run, rest = collect [ page ] page rest in
         if not keep then
-          kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + List.length run;
+          Counters.add kctx.Kctx.stats s_flushes (List.length run);
         write_run kctx run ~dispose;
         walk rest
       end
       else begin
         if not keep then begin
-          kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + 1;
+          Counters.incr kctx.Kctx.stats s_flushes;
           Vm_page.free kctx page
         end;
         walk rest

@@ -70,8 +70,6 @@ val handle_manager_message : Kctx.t -> Mach_ipc.Message.t -> unit
     thread calls this for traffic on pager request ports). Unknown or
     malformed messages are counted and dropped. *)
 
-val object_of_request_port : Kctx.t -> Mach_ipc.Message.port -> obj option
-
 val terminate : Kctx.t -> obj -> unit
 (** Release everything: resident pages, kernel port rights (destroying
     the request and name ports — the manager observes their death and

@@ -20,7 +20,10 @@ module Prot = Mach_hw.Prot
 
 module Stats = struct
   (** Uniform per-pager counters, surfaced through E9/E10 and the
-      conformance suite. *)
+      conformance suite. The one stats record left outside
+      [Metrics.Counters], and so [Metrics.register_source]'s one user:
+      the [bench/perf] layer probe reads its [s_requests],
+      [s_pages_served] and [s_writes] fields. *)
   type t = {
     mutable s_requests : int;  (** pager_data_request messages *)
     mutable s_pages_served : int;  (** pages sent in data_provided replies *)

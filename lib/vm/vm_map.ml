@@ -19,7 +19,6 @@ type t = {
   mutable map_entries : entry array; (* sorted by va_start, non-overlapping *)
   mutable map_hint : entry option; (* last entry a lookup resolved to *)
   mutable mref : int; (* sharing-map references *)
-  va_limit : int;
 }
 
 and entry = {
@@ -56,7 +55,10 @@ exception Bad_address of int
 
 let next_map_id = ref 0
 
-let create kctx ~pmap ?(va_limit = 1 lsl 40) () =
+(* The top of every map's address space. *)
+let va_limit = 1 lsl 40
+
+let create kctx ~pmap =
   incr next_map_id;
   {
     map_id = !next_map_id;
@@ -65,7 +67,6 @@ let create kctx ~pmap ?(va_limit = 1 lsl 40) () =
     map_entries = [||];
     map_hint = None;
     mref = 1;
-    va_limit;
   }
 
 let pmap t = t.map_pmap
@@ -138,10 +139,10 @@ let find_entry ?(count = false) t va =
   let stats = t.kctx.Kctx.stats in
   match t.map_hint with
   | Some h when covers h va ->
-    if count then stats.s_hint_hits <- stats.s_hint_hits + 1;
+    if count then Counters.incr stats s_hint_hits;
     Some h
   | _ ->
-    if count then stats.s_hint_misses <- stats.s_hint_misses + 1;
+    if count then Counters.incr stats s_hint_misses;
     let i = find_slot t va in
     if i < 0 then None
     else
@@ -362,7 +363,7 @@ let range_free t ~lo ~hi =
 let find_space t ~size =
   let ps = page_size t in
   let rec go cursor = function
-    | [] -> if cursor + size <= t.va_limit then cursor else raise No_space
+    | [] -> if cursor + size <= va_limit then cursor else raise No_space
     | e :: rest -> if cursor + size <= e.va_start then cursor else go e.va_end rest
   in
   go ps (entries t)
@@ -385,14 +386,14 @@ let pick_address t ?addr ~size ~anywhere () =
   (base, size)
 
 let allocate_with_object t ?addr ~size ~anywhere ~obj ~offset ?(needs_copy = false)
-    ?(from_copy = false) ?(protection = Prot.rw) ?(max_protection = Prot.all) () =
+    ?(from_copy = false) () =
   let base, size = pick_address t ?addr ~size ~anywhere () in
   insert_entry t
     {
       va_start = base;
       va_end = base + size;
-      protection;
-      max_protection;
+      protection = Prot.rw;
+      max_protection = Prot.all;
       inheritance = Inherit_copy;
       backing = Direct { d_obj = obj; d_offset = offset; needs_copy; d_from_copy = from_copy };
     };
@@ -525,7 +526,7 @@ let promote_to_share t e =
   match e.backing with
   | Shared _ -> ()
   | Direct d ->
-    let sm = create t.kctx ~pmap:None ~va_limit:t.va_limit () in
+    let sm = create t.kctx ~pmap:None in
     let span = e.va_end - e.va_start in
     sm.map_entries <-
       [|
@@ -573,7 +574,7 @@ let copy_pieces t e ~lo ~hi emit =
       sub
 
 let fork t ~child_pmap =
-  let child = create t.kctx ~pmap:child_pmap ~va_limit:t.va_limit () in
+  let child = create t.kctx ~pmap:child_pmap in
   Array.iter
     (fun e ->
       match e.inheritance with
@@ -638,8 +639,7 @@ let copyin t ~addr ~size =
             { cpc_rel = e.va_start - lo + rel; cpc_span = span; cpc_obj = obj; cpc_offset = offset }
             :: !pieces))
     es;
-  let stats = kctx.Kctx.node.Transport.node_stats in
-  stats.Transport.s_copyins <- stats.Transport.s_copyins + 1;
+  Counters.incr kctx.Kctx.node.Transport.node_stats Transport.s_copyins;
   (* Write-protecting the source is one map op per page: O(pages) map
      work instead of O(bytes) copying. *)
   Kctx.charge kctx (float_of_int ((hi - lo) / ps) *. kctx.Kctx.params.Machine.map_op_us);

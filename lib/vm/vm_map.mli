@@ -49,7 +49,9 @@ type region_info = {
 exception No_space
 exception Bad_address of int
 
-val create : Kctx.t -> pmap:Mach_hw.Pmap.t option -> ?va_limit:int -> unit -> t
+val create : Kctx.t -> pmap:Mach_hw.Pmap.t option -> t
+(** An empty map over addresses below [2^40]. *)
+
 val pmap : t -> Mach_hw.Pmap.t option
 val kctx : t -> Kctx.t
 val entries : t -> entry list
@@ -77,13 +79,11 @@ val allocate_with_object :
   offset:int ->
   ?needs_copy:bool ->
   ?from_copy:bool ->
-  ?protection:Mach_hw.Prot.t ->
-  ?max_protection:Mach_hw.Prot.t ->
   unit ->
   int
-(** Map an existing object (consumes one reference the caller must have
-    taken). Foundation of [vm_allocate_with_pager] and of mapped message
-    transfer. *)
+(** Map an existing object read-write (maximum protection: all),
+    consuming one reference the caller must have taken. Foundation of
+    [vm_allocate_with_pager] and of mapped message transfer. *)
 
 val deallocate : t -> addr:int -> size:int -> unit
 (** [vm_deallocate]: unmap the range, releasing object references and

@@ -2,7 +2,7 @@ open Vm_types
 module Port = Mach_ipc.Port
 
 let make kctx ~size ~pager ~temporary =
-  kctx.Kctx.stats.s_objects_created <- kctx.Kctx.stats.s_objects_created + 1;
+  Counters.incr kctx.Kctx.stats s_objects_created;
   {
     obj_id = Kctx.fresh_obj_id kctx;
     obj_size = size;
@@ -161,7 +161,7 @@ let collapse_once kctx obj =
       b.shadowers <- [];
       b.obj_alive <- false;
       b.ref_count <- 0;
-      kctx.Kctx.stats.s_collapses <- kctx.Kctx.stats.s_collapses + 1;
+      Counters.incr kctx.Kctx.stats s_collapses;
       true
     end
     else false (* busy pages remain; try again another time *)
@@ -191,8 +191,7 @@ let rec deallocate kctx obj =
         | Some node ->
           let victim = Dlist.value node in
           Hashtbl.remove kctx.Kctx.cached_index victim.obj_id;
-          kctx.Kctx.stats.s_object_cache_evictions <-
-            kctx.Kctx.stats.s_object_cache_evictions + 1;
+          Counters.incr kctx.Kctx.stats s_object_cache_evictions;
           terminate kctx victim
       done
     end
@@ -218,7 +217,6 @@ and terminate kctx obj =
     end
   | None -> ()
 
-let size_pages kctx obj = Kctx.pages_of_bytes kctx obj.obj_size
 let resident_count obj = Hashtbl.length obj.obj_pages
 
 let pp fmt obj =

@@ -67,6 +67,5 @@ val collapse : Kctx.t -> obj -> unit
     of the chain. Keeps chains short under fork-heavy workloads; a
     no-op when [kctx.enable_collapse] is false. *)
 
-val size_pages : Kctx.t -> obj -> int
 val resident_count : obj -> int
 val pp : Format.formatter -> obj -> unit

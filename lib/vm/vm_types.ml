@@ -141,125 +141,52 @@ type holding = {
   mutable h_released : bool;
 }
 
-(** Kernel VM statistics, in the spirit of [vm_statistics] (Table 3-3). *)
-type stats = {
-  mutable s_faults : int;
-  mutable s_zero_fill : int;
-  mutable s_cow_faults : int;
-  mutable s_pageins : int;
-  mutable s_pageouts : int;
-  mutable s_hits : int;  (** faults satisfied by a resident page *)
-  mutable s_reactivations : int;
-  mutable s_unlock_requests : int;
-  mutable s_flushes : int;
-  mutable s_objects_created : int;
-  mutable s_pages_freed : int;
-  mutable s_data_requests : int;
-  mutable s_data_provided : int;
-  mutable s_data_unavailable : int;
-  mutable s_pageout_to_default : int;  (** §6.2.2 double-paging rescues *)
-  mutable s_collapses : int;  (** shadow chains merged away *)
-  mutable s_fast_faults : int;  (** resolved entirely on the fault fast path *)
-  mutable s_hint_hits : int;  (** map lookups answered by the per-map hint *)
-  mutable s_hint_misses : int;  (** map lookups that fell back to binary search *)
-  mutable s_burst_entered : int;  (** neighbor translations pre-entered after a fault *)
-  mutable s_cluster_pages : int;  (** extra pages asked for by clustered data requests *)
-  mutable s_slow_busy : int;  (** slow-path entries: waited on a busy page *)
-  mutable s_slow_lock : int;  (** slow-path entries: waited on a manager unlock *)
-  mutable s_slow_pager : int;  (** slow-path entries: issued a pager request *)
-  mutable s_data_writes : int;  (** pager_data_write messages (one per run) *)
-  mutable s_laundered : int;  (** pages written back while kept resident *)
-  mutable s_clean_hits : int;  (** refaults absorbed by a cleaning/clean-resident page *)
-  mutable s_pager_deaths : int;  (** manager object ports that died *)
-  mutable s_death_zero_fills : int;
-      (** placeholder pages zero-filled when their pager died *)
-  mutable s_death_errors : int;
-      (** placeholder pages failed with an error when their pager died *)
-  mutable s_cow_steals : int;
-      (** COW resolutions that renamed the page up the chain instead of
-          copying it (sole user: no copy, no 400 µs charge) *)
-  mutable s_cow_batched : int;
-      (** extra pending-copy pages resolved by a neighbor's COW fault *)
-  mutable s_slow_error : int;  (** slow-path entries: fault on an error page *)
-  mutable s_chain_depth_peak : int;  (** deepest shadow chain walked by a fault *)
-  mutable s_object_cache_evictions : int;
-      (** cached persistent objects terminated by LRU pressure *)
-}
+(** Kernel VM statistics, in the spirit of [vm_statistics] (Table 3-3):
+    one block per host, reported as [reg.vm.*] in declaration order. *)
+module Counters = Mach_util.Metrics.Counters
 
-let fresh_stats () =
-  {
-    s_faults = 0;
-    s_zero_fill = 0;
-    s_cow_faults = 0;
-    s_pageins = 0;
-    s_pageouts = 0;
-    s_hits = 0;
-    s_reactivations = 0;
-    s_unlock_requests = 0;
-    s_flushes = 0;
-    s_objects_created = 0;
-    s_pages_freed = 0;
-    s_data_requests = 0;
-    s_data_provided = 0;
-    s_data_unavailable = 0;
-    s_pageout_to_default = 0;
-    s_collapses = 0;
-    s_fast_faults = 0;
-    s_hint_hits = 0;
-    s_hint_misses = 0;
-    s_burst_entered = 0;
-    s_cluster_pages = 0;
-    s_slow_busy = 0;
-    s_slow_lock = 0;
-    s_slow_pager = 0;
-    s_data_writes = 0;
-    s_laundered = 0;
-    s_clean_hits = 0;
-    s_pager_deaths = 0;
-    s_death_zero_fills = 0;
-    s_death_errors = 0;
-    s_cow_steals = 0;
-    s_cow_batched = 0;
-    s_slow_error = 0;
-    s_chain_depth_peak = 0;
-    s_object_cache_evictions = 0;
-  }
+type stats = Counters.t
 
-let stats_to_list s =
-  [
-    ("faults", s.s_faults);
-    ("zero_fill", s.s_zero_fill);
-    ("cow_faults", s.s_cow_faults);
-    ("pageins", s.s_pageins);
-    ("pageouts", s.s_pageouts);
-    ("hits", s.s_hits);
-    ("reactivations", s.s_reactivations);
-    ("unlock_requests", s.s_unlock_requests);
-    ("flushes", s.s_flushes);
-    ("objects_created", s.s_objects_created);
-    ("pages_freed", s.s_pages_freed);
-    ("data_requests", s.s_data_requests);
-    ("data_provided", s.s_data_provided);
-    ("data_unavailable", s.s_data_unavailable);
-    ("pageout_to_default", s.s_pageout_to_default);
-    ("collapses", s.s_collapses);
-    ("fast_faults", s.s_fast_faults);
-    ("hint_hits", s.s_hint_hits);
-    ("hint_misses", s.s_hint_misses);
-    ("burst_entered", s.s_burst_entered);
-    ("cluster_pages", s.s_cluster_pages);
-    ("slow_busy", s.s_slow_busy);
-    ("slow_lock", s.s_slow_lock);
-    ("slow_pager", s.s_slow_pager);
-    ("data_writes", s.s_data_writes);
-    ("laundered", s.s_laundered);
-    ("clean_hits", s.s_clean_hits);
-    ("pager_deaths", s.s_pager_deaths);
-    ("death_zero_fills", s.s_death_zero_fills);
-    ("death_errors", s.s_death_errors);
-    ("cow_steals", s.s_cow_steals);
-    ("cow_batched", s.s_cow_batched);
-    ("slow_error", s.s_slow_error);
-    ("chain_depth_peak", s.s_chain_depth_peak);
-    ("object_cache_evictions", s.s_object_cache_evictions);
-  ]
+let vm_counters = Counters.layout ()
+let vm_stat = Counters.declare vm_counters
+let s_faults = vm_stat "faults"
+let s_zero_fill = vm_stat "zero_fill"
+let s_cow_faults = vm_stat "cow_faults"
+let s_pageins = vm_stat "pageins"
+let s_pageouts = vm_stat "pageouts"
+let s_hits = vm_stat "hits" (* faults satisfied by a resident page *)
+let s_reactivations = vm_stat "reactivations"
+let s_unlock_requests = vm_stat "unlock_requests"
+let s_flushes = vm_stat "flushes"
+let s_objects_created = vm_stat "objects_created"
+let s_pages_freed = vm_stat "pages_freed"
+let s_data_requests = vm_stat "data_requests"
+let s_data_provided = vm_stat "data_provided"
+let s_data_unavailable = vm_stat "data_unavailable"
+let s_pageout_to_default = vm_stat "pageout_to_default" (* §6.2.2 double-paging rescues *)
+let s_collapses = vm_stat "collapses" (* shadow chains merged away *)
+let s_fast_faults = vm_stat "fast_faults" (* resolved entirely on the fault fast path *)
+let s_hint_hits = vm_stat "hint_hits" (* map lookups answered by the per-map hint *)
+let s_hint_misses = vm_stat "hint_misses" (* map lookups that fell back to binary search *)
+let s_burst_entered = vm_stat "burst_entered" (* neighbor translations pre-entered after a fault *)
+let s_cluster_pages = vm_stat "cluster_pages" (* extra pages asked for by clustered data requests *)
+let s_slow_busy = vm_stat "slow_busy" (* slow-path entries: waited on a busy page *)
+let s_slow_lock = vm_stat "slow_lock" (* slow-path entries: waited on a manager unlock *)
+let s_slow_pager = vm_stat "slow_pager" (* slow-path entries: issued a pager request *)
+let s_data_writes = vm_stat "data_writes" (* pager_data_write messages (one per run) *)
+let s_laundered = vm_stat "laundered" (* pages written back while kept resident *)
+let s_clean_hits = vm_stat "clean_hits" (* refaults absorbed by a cleaning/clean-resident page *)
+let s_pager_deaths = vm_stat "pager_deaths" (* manager object ports that died *)
+(* placeholder pages zero-filled when their pager died *)
+let s_death_zero_fills = vm_stat "death_zero_fills"
+(* placeholder pages failed with an error when their pager died *)
+let s_death_errors = vm_stat "death_errors"
+(* COW resolutions that renamed the page up the chain instead of copying
+   it (sole user: no copy, no 400 µs charge) *)
+let s_cow_steals = vm_stat "cow_steals"
+(* extra pending-copy pages resolved by a neighbor's COW fault *)
+let s_cow_batched = vm_stat "cow_batched"
+let s_slow_error = vm_stat "slow_error" (* slow-path entries: fault on an error page *)
+let s_chain_depth_peak = vm_stat "chain_depth_peak" (* deepest shadow chain walked by a fault *)
+(* cached persistent objects terminated by LRU pressure *)
+let s_object_cache_evictions = vm_stat "object_cache_evictions"

@@ -2,6 +2,7 @@
    read/write file path. *)
 
 module Engine = Mach_sim.Engine
+module Counters = Mach_util.Metrics.Counters
 module Disk = Mach_hw.Disk
 module Machine = Mach_hw.Machine
 module Buffer_cache = Mach_baseline.Buffer_cache
@@ -31,7 +32,7 @@ let test_cache_hit_miss () =
       check Alcotest.int "first is a miss" 1 (Buffer_cache.misses bc);
       ignore (Buffer_cache.bread bc ~block:7);
       check Alcotest.int "second is a hit" 1 (Buffer_cache.hits bc);
-      check Alcotest.int "one disk read" 1 (Disk.reads disk))
+      check Alcotest.int "one disk read" 1 (Counters.value (Disk.stats disk) "reads"))
 
 let test_cache_lru_eviction () =
   in_sim (fun eng ->
@@ -52,9 +53,9 @@ let test_cache_delayed_write () =
       let disk = make_disk eng in
       let bc = Buffer_cache.create ~disk ~buffers:2 in
       Buffer_cache.bwrite bc ~block:3 (Bytes.make bs 'w');
-      check Alcotest.int "write delayed" 0 (Disk.writes disk);
+      check Alcotest.int "write delayed" 0 (Counters.value (Disk.stats disk) "writes");
       Buffer_cache.sync bc;
-      check Alcotest.int "sync flushes" 1 (Disk.writes disk);
+      check Alcotest.int "sync flushes" 1 (Counters.value (Disk.stats disk) "writes");
       check Alcotest.string "data on disk" "w"
         (String.make 1 (Bytes.get (Disk.read_raw disk ~block:3) 0)))
 

@@ -113,7 +113,7 @@ let test_wal_ordering_under_pressure () =
              done;
              violations := Camelot.wal_violations cam;
              Alcotest.(check bool) "pageouts happened" true
-               ((Kernel.stats sys.Kernel.kernel).Vm_types.s_pageouts > 0))));
+               (Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_pageouts > 0))));
   Engine.run sys.Kernel.engine;
   check Alcotest.int "no WAL violations" 0 !violations
 
@@ -228,7 +228,7 @@ let test_abort_after_steal () =
                     (Bytes.of_string "steal-me"))
              done;
              Alcotest.(check bool) "pageouts (steal) happened" true
-               ((Kernel.stats sys.Kernel.kernel).Vm_types.s_pageouts > 0);
+               (Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_pageouts > 0);
              ok_or_fail "abort" (Camelot.Client.abort client ~server tid);
              (* Every page reads as zero again, even the stolen ones. *)
              for p = 0 to npages - 1 do

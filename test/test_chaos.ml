@@ -4,6 +4,7 @@
    Transport.send timeout edge cases. *)
 
 module Engine = Mach_sim.Engine
+module Counters = Mach_util.Metrics.Counters
 module Chaos = Mach_sim.Chaos
 module Mailbox = Mach_sim.Mailbox
 module Net = Mach_hw.Net
@@ -40,7 +41,7 @@ let node ?(host = 0) () =
     Transport.node_host = host;
     node_params = Machine.uniprocessor;
     node_page_size = 4096;
-    node_stats = Transport.fresh_ipc_stats ();
+    node_stats = Counters.create Transport.ipc_counters;
     node_sched = None;
     node_trace = None;
   }
@@ -129,12 +130,12 @@ let test_loss_recovered_by_retransmission () =
   let got, errors = run_numbered_sends eng ctx () in
   check Alcotest.(list string) "all delivered in order" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
-  Alcotest.(check bool) "faults actually injected" true ((Chaos.stats chaos).Chaos.s_dropped > 0);
-  Alcotest.(check bool) "retransmits happened" true (Net.retransmits net > 0);
+  Alcotest.(check bool) "faults actually injected" true (Counters.value (Chaos.stats chaos) "dropped" > 0);
+  Alcotest.(check bool) "retransmits happened" true (Counters.value (Net.stats net) "retransmits" > 0);
   check Alcotest.int "net counted every chaos drop"
-    (Chaos.faults_injected chaos - (Chaos.stats chaos).Chaos.s_reordered
-    - (Chaos.stats chaos).Chaos.s_duplicated)
-    (Net.dropped net)
+    (Chaos.faults_injected chaos - Counters.value (Chaos.stats chaos) "reordered"
+    - Counters.value (Chaos.stats chaos) "duplicated")
+    (Counters.value (Net.stats net) "dropped")
 
 let test_duplicate_storm_is_deduped () =
   let eng, _, ctx, chaos =
@@ -144,8 +145,8 @@ let test_duplicate_storm_is_deduped () =
   check Alcotest.(list string) "exactly once, in order" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
   Alcotest.(check bool) "duplicates injected" true
-    ((Chaos.stats chaos).Chaos.s_duplicated > 0);
-  let dup_dropped = List.assoc "dup_dropped" (Context.chan_stats_to_list ctx) in
+    (Counters.value (Chaos.stats chaos) "duplicated" > 0);
+  let dup_dropped = Counters.value (Context.chan_stats ctx) "dup_dropped" in
   Alcotest.(check bool) "receiver shed duplicates" true (dup_dropped > 0)
 
 let test_reorder_resequenced_fifo () =
@@ -155,8 +156,8 @@ let test_reorder_resequenced_fifo () =
   let got, errors = run_numbered_sends eng ctx () in
   check Alcotest.(list string) "FIFO preserved" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
-  Alcotest.(check bool) "reorders injected" true ((Chaos.stats chaos).Chaos.s_reordered > 0);
-  let reseq = List.assoc "resequenced" (Context.chan_stats_to_list ctx) in
+  Alcotest.(check bool) "reorders injected" true (Counters.value (Chaos.stats chaos) "reordered" > 0);
+  let reseq = Counters.value (Context.chan_stats ctx) "resequenced" in
   Alcotest.(check bool) "receiver resequenced" true (reseq > 0)
 
 let test_partition_exhausts_retry_budget () =
@@ -174,7 +175,7 @@ let test_partition_exhausts_retry_budget () =
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected Send_timed_out on a down channel");
   check Alcotest.(list string) "nothing delivered" [] (drain_payloads p);
-  let aborts = List.assoc "aborts" (Context.chan_stats_to_list ctx) in
+  let aborts = Counters.value (Context.chan_stats ctx) "aborts" in
   check Alcotest.int "one channel abort" 1 aborts
 
 let test_heal_revives_channel () =
@@ -227,11 +228,11 @@ let test_lossless_send_rides_channel () =
   let got, errors = run_numbered_sends eng ctx ~n () in
   check Alcotest.(list string) "all delivered in order" (expected_payloads n) got;
   check Alcotest.int "no send errors" 0 errors;
-  let stat key = List.assoc key (Context.chan_stats_to_list ctx) in
+  let stat key = Counters.value (Context.chan_stats ctx) key in
   check Alcotest.int "one data packet per send" n (stat "data_pkts");
   check Alcotest.int "one ack per data packet" n (stat "acks");
   check Alcotest.int "no retransmits" 0 (stat "retransmits");
-  check Alcotest.int "data packets and acks on the wire" (2 * n) (Net.messages net)
+  check Alcotest.int "data packets and acks on the wire" (2 * n) (Counters.value (Net.stats net) "messages")
 
 let test_crash_propagates_port_death () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
@@ -265,7 +266,7 @@ let test_same_seed_same_faults () =
   let run () =
     let eng, _, ctx, chaos = make_chaos_ctx ~seed:7 { Chaos.perfect with drop = 0.2; duplicate = 0.1 } in
     let got, _ = run_numbered_sends eng ctx () in
-    (got, Chaos.stats_to_list chaos, Context.chan_stats_to_list ctx)
+    (got, Counters.to_list (Chaos.stats chaos), Counters.to_list (Context.chan_stats ctx))
   in
   let a = run () and b = run () in
   let pp = Alcotest.(pair (list string) (pair (list (pair string int)) (list (pair string int)))) in

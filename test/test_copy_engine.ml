@@ -113,9 +113,9 @@ let test_chain_depth_bounded () =
       if d > 2 then Alcotest.failf "generation %d left chain depth %d (bound 2)" (i + 1) d)
     depths;
   Alcotest.(check bool) "collapses fired every generation" true
-    (stats.Vm_types.s_collapses >= 8);
+    (Counters.get stats Vm_types.s_collapses >= 8);
   Alcotest.(check bool) "walked depth also bounded" true
-    (stats.Vm_types.s_chain_depth_peak <= 2)
+    (Counters.get stats Vm_types.s_chain_depth_peak <= 2)
 
 (* ---- churn exercises both mechanisms ---------------------------------- *)
 
@@ -125,8 +125,8 @@ let test_steal_and_cluster () =
         ignore (churn sys task ~pages:16 ~gens:4);
         Kernel.stats sys.Kernel.kernel)
   in
-  Alcotest.(check bool) "pages stolen" true (stats.Vm_types.s_cow_steals > 0);
-  Alcotest.(check bool) "copy faults clustered" true (stats.Vm_types.s_cow_batched > 0)
+  Alcotest.(check bool) "pages stolen" true (Counters.get stats Vm_types.s_cow_steals > 0);
+  Alcotest.(check bool) "copy faults clustered" true (Counters.get stats Vm_types.s_cow_batched > 0)
 
 (* ---- collapse keeps translations -------------------------------------- *)
 
@@ -168,22 +168,22 @@ let test_collapse_keeps_translations () =
       for i = 0 to pages - 1 do
         ignore (load task (at i))
       done;
-      let collapses0 = stats.Vm_types.s_collapses in
+      let collapses0 = Counters.get stats Vm_types.s_collapses in
       Task.terminate child;
       check Alcotest.int "the exit collapsed the parent's chain" (collapses0 + 1)
-        stats.Vm_types.s_collapses;
-      let faults0 = stats.Vm_types.s_faults in
+        (Counters.get stats Vm_types.s_collapses);
+      let faults0 = Counters.get stats Vm_types.s_faults in
       for i = 0 to pages - 1 do
         check Alcotest.int "parent sees its own data" 1 (load task (at i))
       done;
-      check Alcotest.int "rereads fault nowhere" faults0 stats.Vm_types.s_faults;
-      let cow0 = stats.Vm_types.s_cow_faults in
-      let batched0 = stats.Vm_types.s_cow_batched in
+      check Alcotest.int "rereads fault nowhere" faults0 (Counters.get stats Vm_types.s_faults);
+      let cow0 = Counters.get stats Vm_types.s_cow_faults in
+      let batched0 = Counters.get stats Vm_types.s_cow_batched in
       let frames0 = Kernel.free_frames kernel in
       store task (at 40) 3;
       check Alcotest.int "write to a formerly shared page: no COW fault" cow0
-        stats.Vm_types.s_cow_faults;
-      check Alcotest.int "and no copy-ahead" batched0 stats.Vm_types.s_cow_batched;
+        (Counters.get stats Vm_types.s_cow_faults);
+      check Alcotest.int "and no copy-ahead" batched0 (Counters.get stats Vm_types.s_cow_batched);
       check Alcotest.int "and no frame taken" frames0 (Kernel.free_frames kernel);
       check Alcotest.int "write landed" 3 (load task (at 40)))
 
@@ -205,16 +205,18 @@ let test_copy_ahead_sequential_only () =
       in
       let scattered = region () and sweep = region () in
       let _child = Task.create kernel ~parent:task ~name:"child" () in
-      let cow0 = stats.Vm_types.s_cow_faults and batched0 = stats.Vm_types.s_cow_batched in
+      let cow () = Counters.get stats Vm_types.s_cow_faults in
+      let batched () = Counters.get stats Vm_types.s_cow_batched in
+      let cow0 = cow () and batched0 = batched () in
       List.iter (fun i -> touch task (scattered + (i * page)) ~write:true) [ 40; 3; 27; 11 ];
-      check Alcotest.int "one COW fault per scattered write" 4 (stats.Vm_types.s_cow_faults - cow0);
-      check Alcotest.int "no copy-ahead on scattered writes" batched0 stats.Vm_types.s_cow_batched;
-      let cow0 = stats.Vm_types.s_cow_faults and batched0 = stats.Vm_types.s_cow_batched in
+      check Alcotest.int "one COW fault per scattered write" 4 (cow () - cow0);
+      check Alcotest.int "no copy-ahead on scattered writes" batched0 (batched ());
+      let cow0 = cow () and batched0 = batched () in
       for i = 0 to pages - 1 do
         touch task (sweep + (i * page)) ~write:true
       done;
-      check Alcotest.int "sequential sweep: 8 faults" 8 (stats.Vm_types.s_cow_faults - cow0);
-      check Alcotest.int "of 8 pages each" 56 (stats.Vm_types.s_cow_batched - batched0))
+      check Alcotest.int "sequential sweep: 8 faults" 8 (cow () - cow0);
+      check Alcotest.int "of 8 pages each" 56 (batched () - batched0))
 
 (* ---- terminate-path collapse ------------------------------------------ *)
 
@@ -230,12 +232,12 @@ let test_terminate_path_collapse () =
   (* Drop the creator's reference: b is now held only by its shadows. *)
   Vm_object.deallocate kctx b;
   check Alcotest.int "no collapse while both shadows live" 0
-    kctx.Kctx.stats.Vm_types.s_collapses;
+    (Counters.get kctx.Kctx.stats Vm_types.s_collapses);
   check Alcotest.int "s1 still chained" 1 (Vm_object.chain_depth s1);
   (* s2 exits: its terminate drops b to one reference held by s1, and
      the collapse fires from the survivor. *)
   Vm_object.deallocate kctx s2;
-  check Alcotest.int "collapse fired at sibling exit" 1 kctx.Kctx.stats.Vm_types.s_collapses;
+  check Alcotest.int "collapse fired at sibling exit" 1 (Counters.get kctx.Kctx.stats Vm_types.s_collapses);
   check Alcotest.int "survivor flattened" 0 (Vm_object.chain_depth s1);
   Alcotest.(check bool) "backing gone" false b.Vm_types.obj_alive;
   match Vm_object.lookup_chain s1 ~offset:0 with
@@ -265,7 +267,7 @@ let test_object_cache_lru () =
       Vm_object.deallocate kctx o3);
   Engine.run kctx.Kctx.engine;
   (* Cap 2: caching o3 evicted the coldest entry (o1), terminating it. *)
-  check Alcotest.int "one eviction" 1 kctx.Kctx.stats.Vm_types.s_object_cache_evictions;
+  check Alcotest.int "one eviction" 1 (Counters.get kctx.Kctx.stats Vm_types.s_object_cache_evictions);
   Alcotest.(check bool) "coldest object terminated" false o1.Vm_types.obj_alive;
   Alcotest.(check bool) "o1 off the list" false (Vm_object.cache_is_member kctx o1);
   Alcotest.(check bool) "o2 cached" true (Vm_object.cache_is_member kctx o2);
@@ -277,7 +279,7 @@ let test_object_cache_lru () =
   Alcotest.(check bool) "revived object left the list" false
     (Vm_object.cache_is_member kctx o2);
   check Alcotest.int "no extra eviction on revival" 1
-    kctx.Kctx.stats.Vm_types.s_object_cache_evictions;
+    (Counters.get kctx.Kctx.stats Vm_types.s_object_cache_evictions);
   check Alcotest.int "one cached object remains" 1 (Dlist.length kctx.Kctx.cached_objects)
 
 (* ---- qcheck: the copy engine is invisible to programs ----------------- *)

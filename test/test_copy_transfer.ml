@@ -129,17 +129,17 @@ let test_lazy_copyout_faults_counted () =
       let size = 4 * page in
       let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
       write_str sender ~addr "payload";
-      let copyins0 = stats.Transport.s_copyins in
+      let copyins0 = Counters.get stats Transport.s_copyins in
       send_region sender ~addr ~size ~dest:svc_port;
-      check Alcotest.int "one copyin at send" 1 (stats.Transport.s_copyins - copyins0);
-      let faults0 = stats.Transport.s_lazy_copyout_faults in
+      check Alcotest.int "one copyin at send" 1 (Counters.get stats Transport.s_copyins - copyins0);
+      let faults0 = Counters.get stats Transport.s_lazy_copyout_faults in
       let raddr, _ = receive_mapped receiver ~svc in
       check Alcotest.int "mapping alone faults nothing" 0
-        (stats.Transport.s_lazy_copyout_faults - faults0);
+        (Counters.get stats Transport.s_lazy_copyout_faults - faults0);
       check Alcotest.string "first touch pages the copy in" "payload"
         (read_str receiver ~addr:raddr ~len:7);
       Alcotest.(check bool) "lazy copy-out faults counted" true
-        (stats.Transport.s_lazy_copyout_faults > faults0))
+        (Counters.get stats Transport.s_lazy_copyout_faults > faults0))
 
 let test_remote_copy_transfer () =
   let cluster = Kernel.create_cluster ~hosts:2 () in
@@ -204,9 +204,9 @@ let test_rpc_snapshots_at_send () =
       let addr = Syscalls.vm_allocate client ~size ~anywhere:true () in
       write_str client ~addr (pattern size);
       ignore (Thread.spawn server ~name:"server.main" (fun () -> serve_echo server ~svc));
-      let copyins0 = stats.Transport.s_copyins in
+      let copyins0 = Counters.get stats Transport.s_copyins in
       let echoed = rpc_region client ~addr ~size ~dest:svc_port in
-      check Alcotest.int "one copyin at send" 1 (stats.Transport.s_copyins - copyins0);
+      check Alcotest.int "one copyin at send" 1 (Counters.get stats Transport.s_copyins - copyins0);
       check Alcotest.string "server read the snapshot" (pattern size) echoed)
 
 let test_failed_send_discards_snapshot () =
@@ -253,11 +253,11 @@ let send_to_blocked sys sender ~receiver ~svc ~svc_port body =
          | Ok msg -> Ivar.fill got msg
          | Error _ -> Alcotest.fail "receive failed"));
   Engine.sleep 1_000.0;
-  let fast0 = stats.Transport.s_rpc_fastpath in
+  let fast0 = Counters.value stats "rpc_fastpath" in
   (match Syscalls.msg_send sender (Message.make ~dest:svc_port body) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "send failed");
-  let fast = stats.Transport.s_rpc_fastpath - fast0 in
+  let fast = Counters.value stats "rpc_fastpath" - fast0 in
   (fast, Ivar.read got)
 
 let test_copy_handle_takes_fastpath () =

@@ -2,6 +2,7 @@
    pmap, disk, network, machine models. *)
 
 module Engine = Mach_sim.Engine
+module Counters = Mach_util.Metrics.Counters
 module Prot = Mach_hw.Prot
 module Phys_mem = Mach_hw.Phys_mem
 module Pmap = Mach_hw.Pmap
@@ -212,7 +213,7 @@ let test_disk_multi_block_write () =
           Disk.write d ~block:7 (Bytes.make 513 'x')));
   Engine.run eng;
   check (Alcotest.float 1e-6) "one seek for three blocks" (1000.0 +. 1300.0) !elapsed;
-  check Alcotest.int "one op" 1 (Disk.writes d);
+  check Alcotest.int "one op" 1 (Counters.value (Disk.stats d) "writes");
   check Alcotest.int "bytes written" 1300 (Disk.bytes_written d);
   check Alcotest.string "first block" (String.make 512 'A') (Bytes.to_string (Disk.read_raw d ~block:2));
   check Alcotest.string "second block" (String.make 512 'B') (Bytes.to_string (Disk.read_raw d ~block:3));
@@ -236,8 +237,8 @@ let test_disk_multi_block_read () =
           ignore (Disk.read_blocks d ~block:6 ~count:3)));
   Engine.run eng;
   check (Alcotest.float 1e-6) "one seek for three blocks" (1000.0 +. (3.0 *. 512.0)) !elapsed;
-  check Alcotest.int "one op" 1 (Disk.reads d);
-  check Alcotest.int "three blocks" 3 (Disk.blocks_read d);
+  check Alcotest.int "one op" 1 (Counters.value (Disk.stats d) "reads");
+  check Alcotest.int "three blocks" 3 (Counters.value (Disk.stats d) "blocks_read");
   check Alcotest.int "bytes read" (3 * 512) (Disk.bytes_read d);
   check Alcotest.string "blocks in order, unwritten reads as zeroes"
     (String.make 512 'A' ^ String.make 512 '\000' ^ String.make 512 'C')
@@ -268,8 +269,8 @@ let test_net_latency_and_fifo () =
     check (Alcotest.float 1e-6) "big arrival" 1100.0 t1;
     check (Alcotest.float 1e-6) "small queued behind" 1110.0 t2
   | _ -> Alcotest.fail "wrong arrival order");
-  check Alcotest.int "messages" 2 (Net.messages net);
-  check Alcotest.int "bytes" 1010 (Net.bytes_carried net)
+  check Alcotest.int "messages" 2 (Counters.value (Net.stats net) "messages");
+  check Alcotest.int "bytes" 1010 (Counters.value (Net.stats net) "bytes_carried")
 
 let test_net_local_free () =
   let eng = Engine.create () in
@@ -277,7 +278,7 @@ let test_net_local_free () =
   let fired = ref false in
   Net.deliver net ~src:3 ~dst:3 ~bytes:100000 (fun () -> fired := true);
   Alcotest.(check bool) "same host is immediate" true !fired;
-  check Alcotest.int "not counted" 0 (Net.messages net)
+  check Alcotest.int "not counted" 0 (Counters.value (Net.stats net) "messages")
 
 let test_net_independent_channels () =
   let eng = Engine.create () in

@@ -228,7 +228,7 @@ let test_collapse_bounds_chains_end_to_end () =
                  (Vm_map.entries (Task.map parent))
              in
              depth := d;
-             collapses := (Kernel.stats sys.Kernel.kernel).Vm_types.s_collapses)));
+             collapses := Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_collapses)));
   Engine.run sys.Kernel.engine;
   Alcotest.(check bool) "chain depth bounded" true (!depth >= 0 && !depth <= 2);
   Alcotest.(check bool) "collapses happened" true (!collapses > 0)

@@ -2,6 +2,7 @@
    transport. *)
 
 module Engine = Mach_sim.Engine
+module Counters = Mach_util.Metrics.Counters
 module Net = Mach_hw.Net
 module Machine = Mach_hw.Machine
 module Context = Mach_ipc.Context
@@ -23,7 +24,7 @@ let node ?(host = 0) () =
     Transport.node_host = host;
     node_params = Machine.uniprocessor;
     node_page_size = 4096;
-    node_stats = Transport.fresh_ipc_stats ();
+    node_stats = Counters.create Transport.ipc_counters;
     node_sched = None;
     node_trace = None;
   }
@@ -487,7 +488,7 @@ let test_no_spurious_wakeups () =
   Engine.run eng;
   check Alcotest.int "exactly one winner" 1 !got;
   check Alcotest.int "losers timed out quietly" 2 !timed_out;
-  check Alcotest.int "zero spurious wakeups" 0 nd.Transport.node_stats.Transport.s_spurious_wakeups;
+  check Alcotest.int "zero spurious wakeups" 0 (Counters.value nd.Transport.node_stats "spurious_wakeups");
   check Alcotest.int "no leaked threads" 0 (Engine.live eng)
 
 let test_rpc_fastpath_counter () =
@@ -517,7 +518,7 @@ let test_rpc_fastpath_counter () =
               [ Message.Data (Bytes.create (Transport.fastpath_inline_bytes + 1)) ])));
   Engine.run eng;
   check Alcotest.int "both delivered" 2 !received;
-  check Alcotest.int "one fastpath handoff" 1 nd.Transport.node_stats.Transport.s_rpc_fastpath
+  check Alcotest.int "one fastpath handoff" 1 (Counters.value nd.Transport.node_stats "rpc_fastpath")
 
 let test_remote_burst_single_daemon () =
   (* A burst of cross-host sends drains through one per-destination

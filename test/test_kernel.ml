@@ -117,7 +117,7 @@ let test_vm_statistics_reporting () =
       check Alcotest.int "page size" page vs.Syscalls.vs_page_size;
       Alcotest.(check bool) "free counted" true (vs.Syscalls.vs_free_count > 0);
       Alcotest.(check bool) "active pages" true (vs.Syscalls.vs_active_count >= 4);
-      Alcotest.(check bool) "faults recorded" true (vs.Syscalls.vs_stats.Vm_types.s_faults >= 4)
+      Alcotest.(check bool) "faults recorded" true (Counters.get vs.Syscalls.vs_stats Vm_types.s_faults >= 4)
 
 )
 

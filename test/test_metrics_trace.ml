@@ -1,5 +1,6 @@
-(* The observability spine: Metrics registry semantics (snapshot /
-   delta / merge, QCheck'd against direct reads of a stats block) and
+(* The observability spine: Metrics registry semantics (counter blocks,
+   snapshot / delta / merge, QCheck'd against direct reads of a counter
+   block) and
    Trace behaviour (span balance, ring wraparound, disabled no-op), and
    an end-to-end check that a kernel fault storm produces balanced,
    causally linked spans. *)
@@ -11,12 +12,57 @@ module Metrics = Mach_util.Metrics
 
 (* ---- Metrics ------------------------------------------------------------ *)
 
-(* A one-counter stats block registered as a source, the way every
-   subsystem adopts its mutable stats record. *)
-let source_block r ~subsystem =
-  let n = ref 0 in
-  Metrics.register_source r ~subsystem (fun () -> [ ("n", !n) ]);
-  n
+module Counters = Metrics.Counters
+
+(* A one-counter block registered under [subsystem], the way every
+   subsystem reports its counters. *)
+let counter_block r ~subsystem =
+  let layout = Counters.layout () in
+  let n = Counters.declare layout "n" in
+  let block = Counters.create layout in
+  Metrics.counters r ~subsystem block;
+  (block, n)
+
+let test_counter_blocks () =
+  let layout = Counters.layout () in
+  let hits = Counters.declare layout "hits" in
+  let bytes = Counters.declare layout "bytes" in
+  let depth_peak = Counters.declare layout "depth_peak" in
+  let r = Metrics.create () in
+  let b = Counters.create layout in
+  Metrics.counters r ~subsystem:"blk" b;
+  Counters.incr b hits;
+  Counters.incr b hits;
+  Counters.add b bytes 4096;
+  List.iter (Counters.peak b depth_peak) [ 3; 7; 5 ];
+  let snap = Metrics.snapshot r in
+  check (float 0.0) "incr" 2.0 (Metrics.get snap "blk.hits");
+  check (float 0.0) "add" 4096.0 (Metrics.get snap "blk.bytes");
+  check (float 0.0) "peak keeps the maximum" 7.0 (Metrics.get snap "blk.depth_peak");
+  check
+    (list (pair string int))
+    "to_list in declaration order"
+    [ ("hits", 2); ("bytes", 4096); ("depth_peak", 7) ]
+    (Counters.to_list b);
+  check int "get by id" 4096 (Counters.get b bytes);
+  check int "value by name" 2 (Counters.value b "hits");
+  check_raises "unknown name"
+    (Invalid_argument "Metrics.Counters.value: unknown counter misses") (fun () ->
+      ignore (Counters.value b "misses"));
+  check_raises "duplicate name"
+    (Invalid_argument "Metrics.Counters.declare: duplicate hits") (fun () ->
+      ignore (Counters.declare layout "hits"));
+  (* A second block of the layout counts on its own; the two sum under
+     one subsystem. *)
+  let b2 = Counters.create layout in
+  Metrics.counters r ~subsystem:"blk" b2;
+  Counters.incr b2 hits;
+  check (float 0.0) "blocks sum" 3.0 (Metrics.get (Metrics.snapshot r) "blk.hits");
+  Counters.reset b;
+  check (list (pair string int)) "reset zeroes the block"
+    [ ("hits", 0); ("bytes", 0); ("depth_peak", 0) ]
+    (Counters.to_list b);
+  check int "reset leaves other blocks" 1 (Counters.get b2 hits)
 
 let test_registry_sources () =
   let r = Metrics.create () in
@@ -47,10 +93,10 @@ let test_histogram_keys () =
 
 let test_delta_merge () =
   let r = Metrics.create () in
-  let n = source_block r ~subsystem:"s" in
-  n := 5;
+  let b, n = counter_block r ~subsystem:"s" in
+  Counters.add b n 5;
   let before = Metrics.snapshot r in
-  n := !n + 7;
+  Counters.add b n 7;
   let after = Metrics.snapshot r in
   check (float 0.0) "delta" 7.0 (Metrics.get (Metrics.delta ~before ~after) "s.n");
   let merged = Metrics.merge [ before; after ] in
@@ -58,23 +104,23 @@ let test_delta_merge () =
   check (float 0.0) "missing key defaults to 0" 0.0 (Metrics.get after "s.zzz")
 
 (* QCheck: for any interleaving of increments and observations, the
-   snapshot agrees with direct reads of the stats block and histogram,
+   snapshot agrees with direct reads of the counter block and histogram,
    and delta(before, after) equals what happened in between. *)
 let prop_snapshot_agrees =
   QCheck.Test.make ~count:200 ~name:"snapshot/delta agree with direct reads"
     QCheck.(pair (list (int_bound 100)) (list (int_bound 100)))
     (fun (first, second) ->
       let r = Metrics.create () in
-      let c = source_block r ~subsystem:"q" in
+      let b, c = counter_block r ~subsystem:"q" in
       let h = Metrics.histogram r ~subsystem:"q" "h" in
-      List.iter (fun n -> c := !c + n; Metrics.observe h (float_of_int n)) first;
+      List.iter (fun n -> Counters.add b c n; Metrics.observe h (float_of_int n)) first;
       let before = Metrics.snapshot r in
-      List.iter (fun n -> c := !c + n) second;
+      List.iter (fun n -> Counters.add b c n) second;
       let after = Metrics.snapshot r in
       let sum l = List.fold_left ( + ) 0 l in
       Metrics.get before "q.n" = float_of_int (sum first)
-      && !c = sum first + sum second
-      && Metrics.get after "q.n" = float_of_int !c
+      && Counters.get b c = sum first + sum second
+      && Metrics.get after "q.n" = float_of_int (Counters.get b c)
       && Metrics.get (Metrics.delta ~before ~after) "q.n" = float_of_int (sum second)
       && Metrics.get before "q.h.count" = float_of_int (List.length first))
 
@@ -138,8 +184,8 @@ let test_observe_no_alloc () =
 
 let test_json_shape () =
   let r = Metrics.create () in
-  let k = source_block r ~subsystem:"j" in
-  k := 2;
+  let b, k = counter_block r ~subsystem:"j" in
+  Counters.add b k 2;
   let json = Metrics.to_json (Metrics.snapshot r) in
   check bool "flat key: value pair present" true
     (let sub = {|"j.n": 2|} in
@@ -257,7 +303,7 @@ let test_kernel_fault_spans () =
       (fun sp -> sp.Trace.sp_sub = "vm" && sp.Trace.sp_label = "fault")
       (Trace.spans tr)
   in
-  check int "every fault spanned" (Kernel.stats kernel).Vm_types.s_faults
+  check int "every fault spanned" (Counters.get (Kernel.stats kernel) Vm_types.s_faults)
     (List.length faults);
   List.iter
     (fun sp -> check string "anonymous touches zero-fill" "zero_fill" sp.Trace.sp_resolution)
@@ -266,10 +312,10 @@ let test_kernel_fault_spans () =
      histogram fed by the fault handler. *)
   let snap = Metrics.snapshot (Kernel.metrics kernel) in
   check (float 0.0) "registry saw the faults"
-    (float_of_int (Kernel.stats kernel).Vm_types.s_faults)
+    (float_of_int (Counters.get (Kernel.stats kernel) Vm_types.s_faults))
     (Metrics.get snap "vm.faults");
   check (float 0.0) "fault histogram observed every fault"
-    (float_of_int (Kernel.stats kernel).Vm_types.s_faults)
+    (float_of_int (Counters.get (Kernel.stats kernel) Vm_types.s_faults))
     (Metrics.get snap "vm.fault_us.count")
 
 let () =
@@ -285,6 +331,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_bounds;
           QCheck_alcotest.to_alcotest prop_histogram_small_ints;
           test_case "observe allocates nothing" `Quick test_observe_no_alloc;
+          test_case "counter blocks" `Quick test_counter_blocks;
         ] );
       ( "trace",
         [

@@ -7,6 +7,9 @@ module Fs_layout = Mach_fs.Fs_layout
 
 let check = Alcotest.check
 let page = 4096
+let disk_reads disk = Counters.value (Disk.stats disk) "reads"
+let disk_writes disk = Counters.value (Disk.stats disk) "writes"
+let disk_blocks_read disk = Counters.value (Disk.stats disk) "blocks_read"
 
 type env = { sys : Kernel.system; fsrv : Minimal_fs.t; client : task }
 
@@ -101,13 +104,13 @@ let test_cache_hit_second_read () =
       let disk = Fs_layout.disk (Minimal_fs.fs env.fsrv) in
       let addr, _ = expect_read env "cached" in
       ignore (read_mem env addr (4 * page));
-      let reads_after_first = Disk.reads disk in
+      let reads_after_first = disk_reads disk in
       Syscalls.vm_deallocate env.client ~addr ~size:(4 * page);
       (* Second read of the same file: pages must come from the
          kernel's object cache, not the disk (§9). *)
       let addr2, _ = expect_read env "cached" in
       ignore (read_mem env addr2 (4 * page));
-      check Alcotest.int "no new disk reads on re-read" reads_after_first (Disk.reads disk))
+      check Alcotest.int "no new disk reads on re-read" reads_after_first (disk_reads disk))
 
 let test_disk_full_is_an_error_not_a_crash () =
   (* A tiny disk: the server must reply with an error, not die. *)
@@ -183,9 +186,9 @@ let test_data_write_run_one_seek () =
       let disk = Fs_layout.disk fs in
       Fs_layout.write_file fs "run" (Bytes.make (8 * page) '\000');
       check Alcotest.int "file is contiguous" 1 (pieces fs "run" 8);
-      let writes = Disk.writes disk in
+      let writes = disk_writes disk in
       data_write env "run" ~offset:0 (run_data 8);
-      check Alcotest.int "an 8-page run is one disk write" 1 (Disk.writes disk - writes);
+      check Alcotest.int "an 8-page run is one disk write" 1 (disk_writes disk - writes);
       check Alcotest.bool "reads back byte-exact" true
         (Fs_layout.read_file fs "run" = Some (run_data 8)))
 
@@ -199,10 +202,10 @@ let test_data_write_fragmented () =
       Fs_layout.write_file fs "gap1" (Bytes.make page 'g');
       Fs_layout.write_range fs "frag" ~off:(3 * page) (Bytes.make (2 * page) 'a');
       Fs_layout.write_file fs "gap2" (Bytes.make page 'h');
-      let writes = Disk.writes disk in
+      let writes = disk_writes disk in
       data_write env "frag" ~offset:0 (run_data 8);
       check Alcotest.int "three contiguous pieces" 3 (pieces fs "frag" 8);
-      check Alcotest.int "one disk write per piece" 3 (Disk.writes disk - writes);
+      check Alcotest.int "one disk write per piece" 3 (disk_writes disk - writes);
       check Alcotest.bool "reads back byte-exact" true
         (Fs_layout.read_file fs "frag" = Some (run_data 8));
       check Alcotest.bool "neighbours untouched" true
@@ -244,10 +247,10 @@ let test_data_request_run_one_seek () =
       let disk = Fs_layout.disk fs in
       Fs_layout.write_file fs "run" (run_data 8);
       check Alcotest.int "file is contiguous" 1 (pieces fs "run" 8);
-      let reads = Disk.reads disk and blocks = Disk.blocks_read disk in
+      let reads = disk_reads disk and blocks = disk_blocks_read disk in
       let data = data_request env "run" ~npages:8 in
-      check Alcotest.int "an 8-page request is one disk read" 1 (Disk.reads disk - reads);
-      check Alcotest.int "it moves 8 blocks" 8 (Disk.blocks_read disk - blocks);
+      check Alcotest.int "an 8-page request is one disk read" 1 (disk_reads disk - reads);
+      check Alcotest.int "it moves 8 blocks" 8 (disk_blocks_read disk - blocks);
       check Alcotest.bool "byte-exact" true (Bytes.equal data (run_data 8)))
 
 let test_data_request_fragmented () =
@@ -262,19 +265,19 @@ let test_data_request_fragmented () =
       Fs_layout.write_file fs "gap2" (Bytes.make page 'h');
       Fs_layout.write_range fs "frag" ~off:0 (run_data 8);
       check Alcotest.int "three contiguous pieces" 3 (pieces fs "frag" 8);
-      let reads = Disk.reads disk in
+      let reads = disk_reads disk in
       let data = data_request env "frag" ~npages:8 in
-      check Alcotest.int "one disk read per piece" 3 (Disk.reads disk - reads);
+      check Alcotest.int "one disk read per piece" 3 (disk_reads disk - reads);
       check Alcotest.bool "byte-exact" true (Bytes.equal data (run_data 8)))
 
 let test_write_file_contiguous_one_seek () =
   with_fs (fun env ->
       let fs = Minimal_fs.fs env.fsrv in
       let disk = Fs_layout.disk fs in
-      let writes = Disk.writes disk in
+      let writes = disk_writes disk in
       Fs_layout.write_file fs "whole" (run_data 8);
       check Alcotest.int "file is contiguous" 1 (pieces fs "whole" 8);
-      check Alcotest.int "an 8-block file is one disk write" 1 (Disk.writes disk - writes);
+      check Alcotest.int "an 8-block file is one disk write" 1 (disk_writes disk - writes);
       check Alcotest.bool "reads back byte-exact" true
         (Fs_layout.read_file fs "whole" = Some (run_data 8)))
 

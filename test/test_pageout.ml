@@ -45,7 +45,7 @@ let test_anonymous_paging_roundtrip () =
         | Error e -> Alcotest.failf "write %d: %a" i Access.pp_error e
       done;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageouts happened" true (stats.Vm_types.s_pageouts > 0);
+      Alcotest.(check bool) "pageouts happened" true (Counters.get stats Vm_types.s_pageouts > 0);
       (* Read everything back: early pages were paged out to the
          default pager and must return with correct contents. *)
       for i = 0 to npages - 1 do
@@ -54,7 +54,7 @@ let test_anonymous_paging_roundtrip () =
         | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
       done;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageins from default pager" true (stats.Vm_types.s_pageins > 0);
+      Alcotest.(check bool) "pageins from default pager" true (Counters.get stats Vm_types.s_pageins > 0);
       Alcotest.(check bool) "paging disk used" true (Disk.ops sys.Kernel.kernel.Ktypes.k_paging_disk > 0))
 
 let test_repaged_data_modifiable () =
@@ -107,11 +107,11 @@ let test_lru_prefers_cold_pages () =
         done
       done;
       (* The hot pages should still be resident (no pagein needed). *)
-      let before = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let before = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_pageins in
       for h = 0 to hot_pages - 1 do
         ignore (Syscalls.touch task ~addr:(addr + (h * page)) ~write:false ())
       done;
-      let after = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let after = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_pageins in
       check Alcotest.int "hot set stayed resident" 0 (after - before);
       check_queues kctx)
 
@@ -129,9 +129,9 @@ let test_default_pager_stats () =
       done;
       (* The default pager's backing store now holds pages. *)
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageouts counted" true (stats.Vm_types.s_pageouts > 40);
+      Alcotest.(check bool) "pageouts counted" true (Counters.get stats Vm_types.s_pageouts > 40);
       Alcotest.(check bool) "paging disk has writes" true
-        (Disk.writes sys.Kernel.kernel.Ktypes.k_paging_disk > 0))
+        (Counters.value (Disk.stats sys.Kernel.kernel.Ktypes.k_paging_disk) "writes" > 0))
 
 let test_paging_blocks_recycled () =
   (* Repeatedly create, page out, and destroy address spaces: the
@@ -159,7 +159,7 @@ let test_paging_blocks_recycled () =
       (* Five rounds of ~56+ paged-out pages each would need hundreds
          of blocks if leaked; all must have come back. *)
       Alcotest.(check bool) "no pageouts would invalidate this test" true
-        ((Kernel.stats kernel).Vm_types.s_pageouts > 0);
+        (Counters.get (Kernel.stats kernel) Vm_types.s_pageouts > 0);
       check Alcotest.int "all paging blocks recycled" free_at_start (Default_pager.blocks_free dp))
 
 (* Serve [policy] from a new manager task holding one registered memory
@@ -212,7 +212,7 @@ let test_refault_during_clean () =
       done;
       let req = Ivar.read req_port in
       let requests_before = requests rt in
-      let hits_before = (Kernel.stats kernel).Vm_types.s_clean_hits in
+      let hits_before = Counters.get (Kernel.stats kernel) Vm_types.s_clean_hits in
       Rt.clean_request rt ~request:req ~offset:0 ~length:(npages * page);
       (* Let the kernel launder the run, then refault mid-clean. *)
       Engine.sleep 500.0;
@@ -227,7 +227,7 @@ let test_refault_during_clean () =
       done;
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "refaults absorbed by the laundry queue" true
-        (stats.Vm_types.s_clean_hits > hits_before);
+        (Counters.get stats Vm_types.s_clean_hits > hits_before);
       check Alcotest.int "no second data_request to the manager" requests_before (requests rt);
       check Alcotest.int "laundry drained" 0 (Page_queues.laundry_count kctx.Kctx.queues);
       check_queues kctx)
@@ -255,7 +255,7 @@ let test_rescue_still_double_pages () =
         ignore (Syscalls.touch task ~addr:(addr + (i * page)) ~write:true ())
       done;
       let req = Ivar.read req_port in
-      let rescued_before = (Kernel.stats kernel).Vm_types.s_pageout_to_default in
+      let rescued_before = Counters.get (Kernel.stats kernel) Vm_types.s_pageout_to_default in
       Rt.clean_request rt ~request:req ~offset:0 ~length:(npages * page);
       let kctx = kernel.Ktypes.k_kctx in
       Engine.sleep 500.0;
@@ -266,7 +266,7 @@ let test_rescue_still_double_pages () =
       Engine.sleep (Kctx.data_write_release_timeout_us +. 100_000.0);
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "rescue double-paged the run to the default pager" true
-        (stats.Vm_types.s_pageout_to_default > rescued_before);
+        (Counters.get stats Vm_types.s_pageout_to_default > rescued_before);
       check Alcotest.int "laundry drained by the rescue" 0
         (Page_queues.laundry_count kctx.Kctx.queues);
       (* The pages are gone; faulting again must re-request from the
@@ -340,8 +340,8 @@ let test_file_writeback_not_double_paged () =
         | Error e -> Alcotest.failf "map_file: %a" Minimal_fs.Client.pp_error e
       in
       let stats = Kernel.stats kernel in
-      let laundered = stats.Vm_types.s_laundered in
-      let rescued = stats.Vm_types.s_pageout_to_default in
+      let laundered = Counters.get stats Vm_types.s_laundered in
+      let rescued = Counters.get stats Vm_types.s_pageout_to_default in
       for i = 0 to npages - 1 do
         match Syscalls.write_bytes task ~addr:(addr + (i * page)) (Bytes.of_string (tag i)) () with
         | Ok () -> ()
@@ -350,9 +350,10 @@ let test_file_writeback_not_double_paged () =
       (* Let the last runs' releases come back. *)
       Engine.sleep 2_000_000.0;
       let stats = Kernel.stats kernel in
-      Alcotest.(check bool) "file pages were laundered" true (stats.Vm_types.s_laundered > laundered);
+      Alcotest.(check bool) "file pages were laundered" true
+        (Counters.get stats Vm_types.s_laundered > laundered);
       check Alcotest.int "no run double-paged to the default pager" 0
-        (stats.Vm_types.s_pageout_to_default - rescued);
+        (Counters.get stats Vm_types.s_pageout_to_default - rescued);
       for i = 0 to npages - 1 do
         match Syscalls.read_bytes task ~addr:(addr + (i * page)) ~len:(String.length (tag i)) () with
         | Ok b -> check Alcotest.string (Printf.sprintf "page %d" i) (tag i) (Bytes.to_string b)

@@ -32,7 +32,7 @@ let workload_trace ?(context_switch_us = 20.0) ~seed ~cpus ~threads ~bursts () =
             plan))
     plans;
   Engine.run eng;
-  (List.rev !trace, Sched.stats_to_list (Sched.stats s), Sched.busy_us s)
+  (List.rev !trace, Counters.to_list (Sched.stats s), Sched.busy_us s)
 
 let test_determinism () =
   let a = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 () in
@@ -82,7 +82,7 @@ let test_parallel_on_enough_cpus () =
       [ 100.0; 100.0; 100.0; 100.0 ] in
   check Alcotest.int "all finished" 4 finished;
   Alcotest.(check bool) "ran in parallel" true (elapsed < 150.0);
-  check Alcotest.int "no switch charges on idle acquires" 0 st.Sched.s_switches
+  check Alcotest.int "no switch charges on idle acquires" 0 (Counters.value st "switches")
 
 let test_quantum_preemption () =
   (* Two 25ms bursts on one CPU with a 10ms quantum interleave: the
@@ -97,7 +97,7 @@ let test_quantum_preemption () =
       second_start := Engine.now eng;
       Sched.compute s 25_000.0);
   Engine.run eng;
-  Alcotest.(check bool) "preemptions happened" true ((Sched.stats s).Sched.s_preemptions >= 2);
+  Alcotest.(check bool) "preemptions happened" true (Counters.value (Sched.stats s) "preemptions" >= 2);
   Alcotest.(check bool) "b started before a finished (timeslicing)" true
     (!second_start < !first_done)
 
@@ -113,8 +113,8 @@ let test_affinity_preferred () =
       done);
   Engine.run eng;
   let st = Sched.stats s in
-  Alcotest.(check bool) "affinity hits" true (st.Sched.s_affinity_hits >= 4);
-  check Alcotest.int "no migrations" 0 st.Sched.s_migrations
+  Alcotest.(check bool) "affinity hits" true (Counters.value st "affinity_hits" >= 4);
+  check Alcotest.int "no migrations" 0 (Counters.value st "migrations")
 
 let test_handoff_expiry () =
   (* A donation nobody claims frees the processor after one
@@ -135,7 +135,7 @@ let test_handoff_expiry () =
       late_done := true);
   Engine.run eng;
   Alcotest.(check bool) "burst ran after expiry" true !late_done;
-  check Alcotest.int "expiry counted" 1 (Sched.stats s).Sched.s_handoff_expired
+  check Alcotest.int "expiry counted" 1 (Counters.value (Sched.stats s) "handoff_expired")
 
 let test_handoff_cancel () =
   (* A donation handed back re-dispatches the processor at once: the
@@ -155,7 +155,7 @@ let test_handoff_cancel () =
   Engine.run eng;
   (* Donor ends at 10; other is dispatched at once and pays one switch. *)
   check (Alcotest.float 1e-9) "other ran right after the hand-back" 40.0 !other_done;
-  check Alcotest.int "hand-back counted as unclaimed" 1 (Sched.stats s).Sched.s_handoff_expired;
+  check Alcotest.int "hand-back counted as unclaimed" 1 (Counters.value (Sched.stats s) "handoff_expired");
   check Alcotest.int "nothing left reserved" 1 (Sched.idle_cpus s)
 
 (* ---- tenure: a paid switch keeps its processor ---------------------------- *)
@@ -188,8 +188,8 @@ let test_paid_tenure_holds () =
      (80 + 10 us), and b's last four bursts pay one more switch. *)
   check (Alcotest.float 1e-9) "b kept its CPU for 80 us of bursts" 260.0 !b_eighth;
   check (Alcotest.float 1e-9) "c ran once b's paid time was used" 350.0 !c_done;
-  check Alcotest.int "three switches, not one per burst" 3 st.Sched.s_switches;
-  check Alcotest.int "held bursts" 10 st.Sched.s_holds;
+  check Alcotest.int "three switches, not one per burst" 3 (Counters.value st "switches");
+  check Alcotest.int "held bursts" 10 (Counters.value st "holds");
   check Alcotest.int "nothing left held" 1 (Sched.idle_cpus s)
 
 let test_blocked_holder_releases () =
@@ -209,8 +209,8 @@ let test_blocked_holder_releases () =
   let st = Sched.stats s in
   check (Alcotest.float 1e-9) "c dispatched at the instant b blocked" (190.0 +. 80.0 +. 10.0)
     !c_done;
-  check Alcotest.int "no held re-entry" 0 st.Sched.s_holds;
-  check Alcotest.int "no idle CPU beside a waiter" 0 st.Sched.s_idle_with_waiter
+  check Alcotest.int "no held re-entry" 0 (Counters.value st "holds");
+  check Alcotest.int "no idle CPU beside a waiter" 0 (Counters.value st "idle_with_waiter")
 
 (* The holder blocks at 190, and x runs at that same instant before the
    hold's release event: x's acquire must see the blocked holder's CPU
@@ -230,7 +230,7 @@ let test_acquire_releases_blocked_holder () =
       x_done := Engine.now eng);
   Engine.run eng;
   check (Alcotest.float 1e-9) "x took the CPU directly" 200.0 !x_done;
-  check Alcotest.int "only h's entry was a switch" 1 (Sched.stats s).Sched.s_switches
+  check Alcotest.int "only h's entry was a switch" 1 (Counters.value (Sched.stats s) "switches")
 
 let test_free_tenures_do_not_hold () =
   (* Direct: a's first burst took the idle CPU for free, so its end
@@ -247,7 +247,7 @@ let test_free_tenures_do_not_hold () =
       b_done := Engine.now eng);
   Engine.run eng;
   check (Alcotest.float 1e-9) "direct tenure gave way after one burst" 100.0 !b_done;
-  check Alcotest.int "direct: no holds" 0 (Sched.stats s).Sched.s_holds;
+  check Alcotest.int "direct: no holds" 0 (Counters.value (Sched.stats s) "holds");
   (* Handoff: recv enters on the donated CPU for free; its first burst's
      end dispatches the queued c. *)
   let eng = Engine.create () in
@@ -268,10 +268,10 @@ let test_free_tenures_do_not_hold () =
       c_done := Engine.now eng);
   Engine.run eng;
   let st = Sched.stats s in
-  check Alcotest.int "donation claimed" 1 st.Sched.s_handoff_claims;
+  check Alcotest.int "donation claimed" 1 (Counters.value st "handoff_claims");
   check (Alcotest.float 1e-9) "handoff tenure gave way after one burst" (25.0 +. 20.0 +. 10.0)
     !c_done;
-  check Alcotest.int "handoff: no holds" 0 st.Sched.s_holds
+  check Alcotest.int "handoff: no holds" 0 (Counters.value st "holds")
 
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
@@ -333,12 +333,12 @@ let no_starvation_prop =
       let st = Sched.stats s in
       let burst_us = List.fold_left (fun acc (_, us, _, _) -> acc + us) 0 bursts in
       let expected_busy =
-        float_of_int burst_us +. (float_of_int st.Sched.s_switches *. context_switch_us)
+        float_of_int burst_us +. (float_of_int (Counters.value st "switches") *. context_switch_us)
       in
       !completed = total
       && Float.abs (Sched.busy_us s -. expected_busy) < 1e-6
-      && st.Sched.s_idle_with_waiter = 0
-      && st.Sched.s_handoff_claims + st.Sched.s_handoff_expired = !donations
+      && Counters.value st "idle_with_waiter" = 0
+      && Counters.value st "handoff_claims" + Counters.value st "handoff_expired" = !donations
       && Sched.queued s = 0
       && Sched.idle_cpus s = cpus)
 
@@ -373,8 +373,8 @@ let test_rpc_handoff_no_switch () =
              Engine.sleep 100.0;
              let reply = Syscalls.port_allocate task ~backlog:1 () in
              let reply_port = Port_space.lookup_exn (Task.space task) reply in
-             let sw0 = (Sched.stats sched).Sched.s_switches in
-             let ho0 = istats.Transport.s_handoffs in
+             let sw0 = Counters.value (Sched.stats sched) "switches" in
+             let ho0 = Counters.value istats "handoffs" in
              (match
                 Syscalls.msg_rpc task
                   (Message.make ~dest:svc_port ~reply:reply_port [ Message.Data (Bytes.create 4) ])
@@ -383,11 +383,11 @@ let test_rpc_handoff_no_switch () =
              | Ok _ -> ()
              | Error _ -> Alcotest.fail "rpc failed");
              check Alcotest.int "no context-switch charges on the RPC"
-               sw0 (Sched.stats sched).Sched.s_switches;
+               sw0 (Counters.value (Sched.stats sched) "switches");
              check Alcotest.int "request and reply both handed off"
-               (ho0 + 2) istats.Transport.s_handoffs;
+               (ho0 + 2) (Counters.value istats "handoffs");
              Alcotest.(check bool) "donations claimed" true
-               ((Sched.stats sched).Sched.s_handoff_claims >= 1);
+               (Counters.value (Sched.stats sched) "handoff_claims" >= 1);
              ok := true)));
   Engine.run sys.Kernel.engine;
   Alcotest.(check bool) "scenario completed" true !ok
@@ -456,13 +456,13 @@ let test_saturated_handoff () =
   let pairs = 4 and rpcs = 50 in
   let _, on, on_ipc = ping_pong ~handoff:true ~pairs ~rpcs in
   let _, off, _ = ping_pong ~handoff:false ~pairs ~rpcs in
-  let handoffs = on_ipc.Transport.s_handoffs in
-  let claims = on.Sched.s_handoff_claims in
+  let handoffs = Counters.value on_ipc "handoffs" in
+  let claims = Counters.value on "handoff_claims" in
   Alcotest.(check bool)
     (Printf.sprintf "claims %d >= 90%% of handoffs %d" claims handoffs)
     true
     (handoffs > 0 && 10 * claims >= 9 * handoffs);
-  let per_rpc st = float_of_int st.Sched.s_switches /. float_of_int (pairs * rpcs) in
+  let per_rpc st = float_of_int (Counters.value st "switches") /. float_of_int (pairs * rpcs) in
   Alcotest.(check bool)
     (Printf.sprintf "fewer switches per RPC (%.2f < %.2f)" (per_rpc on) (per_rpc off))
     true

@@ -110,8 +110,8 @@ let test_external_pager () =
       | Ok b -> check Alcotest.string "page 3 content" "DDDD" (Bytes.to_string b)
       | Error e -> Alcotest.failf "pager read 3: %a" Access.pp_error e);
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "data requests sent" true (stats.Vm_types.s_data_requests >= 2);
-      Alcotest.(check bool) "pageins recorded" true (stats.Vm_types.s_pageins >= 2))
+      Alcotest.(check bool) "data requests sent" true (Counters.get stats Vm_types.s_data_requests >= 2);
+      Alcotest.(check bool) "pageins recorded" true (Counters.get stats Vm_types.s_pageins >= 2))
 
 let test_spawn_and_run_helper () =
   let sys = Kernel.create_system () in

@@ -63,17 +63,17 @@ let counting_manager kernel ~lock_writes =
 let test_zero_fill_and_soft_fault () =
   with_system (fun sys task ->
       let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
-      let s0 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
+      let s0 = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_zero_fill in
       ignore (Syscalls.touch task ~addr ~write:false ());
-      let s1 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
+      let s1 = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_zero_fill in
       check Alcotest.int "one zero fill" 1 (s1 - s0);
       (* Invalidate the translation but keep the page: refault is soft. *)
       (match Vm_map.pmap (Task.map task) with
       | Some pm -> Mach_hw.Pmap.remove pm ~vpn:(addr / page)
       | None -> ());
-      let h0 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
+      let h0 = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_hits in
       ignore (Syscalls.touch task ~addr ~write:false ());
-      let h1 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
+      let h1 = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_hits in
       check Alcotest.int "soft fault hit" 1 (h1 - h0))
 
 let test_manager_write_lock_unlock_flow () =
@@ -94,7 +94,7 @@ let test_manager_write_lock_unlock_flow () =
       | Error e -> Alcotest.failf "write: %a" Access.pp_error e);
       check Alcotest.(list int) "one unlock for page 0" [ 0 ] !unlocks;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "unlock counted" true (stats.Vm_types.s_unlock_requests >= 1))
+      Alcotest.(check bool) "unlock counted" true (Counters.get stats Vm_types.s_unlock_requests >= 1))
 
 let test_data_unavailable_zero_fills () =
   with_system (fun sys task ->
@@ -107,7 +107,7 @@ let test_data_unavailable_zero_fills () =
       | Ok b ->
         check Alcotest.string "zero filled" (String.make 8 '\000') (Bytes.to_string b);
         let stats = Kernel.stats sys.Kernel.kernel in
-        Alcotest.(check bool) "counted" true (stats.Vm_types.s_data_unavailable >= 1)
+        Alcotest.(check bool) "counted" true (Counters.get stats Vm_types.s_data_unavailable >= 1)
       | Error e -> Alcotest.failf "read: %a" Access.pp_error e)
 
 let test_concurrent_faults_coalesce () =
@@ -184,30 +184,30 @@ let test_failed_page_refaults () =
       | Error (Access.Manager_failed _) -> ()
       | Ok _ -> Alcotest.fail "a fault on a dead file manager must fail"
       | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e);
-      check Alcotest.int "the demanded page failed at death" 1 stats.Vm_types.s_death_errors;
+      check Alcotest.int "the demanded page failed at death" 1 (Counters.get stats Vm_types.s_death_errors);
       let obj = Option.get (Vm_object.find_by_port kctx memory_object) in
       let pg = Option.get (Mach_vm.Vm_page.lookup obj ~offset:0) in
       Alcotest.(check bool) "failed placeholder on no queue" true
         (pg.Vm_types.q_state = Vm_types.Q_none);
-      let e0 = stats.Vm_types.s_slow_error in
+      let e0 = Counters.get stats Vm_types.s_slow_error in
       (match Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Abort_after 1000.0) () with
       | Error (Access.Manager_failed _) -> ()
       | Ok _ -> Alcotest.fail "refault on a failed page must fail under Abort_after"
       | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e);
-      check Alcotest.int "one error step" 1 (stats.Vm_types.s_slow_error - e0);
+      check Alcotest.int "one error step" 1 (Counters.get stats Vm_types.s_slow_error - e0);
       (match Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Zero_fill_after 1000.0) () with
       | Ok b -> check Alcotest.string "zeroes" "\000\000\000\000" (Bytes.to_string b)
       | Error e -> Alcotest.failf "zero-fill refault: %a" Access.pp_error e);
-      check Alcotest.int "second error step" 2 (stats.Vm_types.s_slow_error - e0);
+      check Alcotest.int "second error step" 2 (Counters.get stats Vm_types.s_slow_error - e0);
       Alcotest.(check bool) "same page, now active" true
         (Option.get (Mach_vm.Vm_page.lookup obj ~offset:0) == pg
         && pg.Vm_types.q_state = Vm_types.Q_active);
       (match Vm_map.pmap (Task.map task) with
       | Some pm -> Mach_hw.Pmap.remove pm ~vpn:(addr / page)
       | None -> ());
-      let f0 = stats.Vm_types.s_fast_faults in
+      let f0 = Counters.get stats Vm_types.s_fast_faults in
       ignore (Syscalls.touch task ~addr ~write:false ());
-      check Alcotest.int "resident: the next fault is fast" 1 (stats.Vm_types.s_fast_faults - f0))
+      check Alcotest.int "resident: the next fault is fast" 1 (Counters.get stats Vm_types.s_fast_faults - f0))
 
 let test_shared_inheritance_read_write () =
   with_system (fun sys task ->
@@ -421,8 +421,8 @@ let test_clustered_request_multi_page_provide () =
         Alcotest.(list (pair int int))
         "one clustered request" [ (0, 8 * page) ] !requests;
       let stats = Kernel.stats sys.Kernel.kernel in
-      check Alcotest.int "eight pages paged in" 8 stats.Vm_types.s_pageins;
-      Alcotest.(check bool) "cluster counted" true (stats.Vm_types.s_cluster_pages >= 7))
+      check Alcotest.int "eight pages paged in" 8 (Counters.get stats Vm_types.s_pageins);
+      Alcotest.(check bool) "cluster counted" true (Counters.get stats Vm_types.s_cluster_pages >= 7))
 
 let test_cluster_clipped_at_object_end () =
   (* The cluster window must not run past the end of the memory object:

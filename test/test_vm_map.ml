@@ -26,7 +26,7 @@ let make_kctx ?(frames = 256) () =
   Mach_vm.Pager_client.install kctx;
   kctx
 
-let make_map kctx = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem)) ()
+let make_map kctx = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem))
 
 let invariant_ok map =
   match Vm_map.check_invariants map with

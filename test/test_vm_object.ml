@@ -3,6 +3,7 @@
    counting, and cached-object revival. *)
 
 module Engine = Mach_sim.Engine
+module Counters = Mach_util.Metrics.Counters
 module Net = Mach_hw.Net
 module Machine = Mach_hw.Machine
 module Phys_mem = Mach_hw.Phys_mem
@@ -73,7 +74,7 @@ let test_collapse_with_offset_delta () =
   check Alcotest.int "b has one ref" 1 b.Vm_types.ref_count;
   Vm_object.collapse kctx s;
   check Alcotest.int "chain flattened" 0 (Vm_object.chain_depth s);
-  check Alcotest.int "one collapse" 1 kctx.Kctx.stats.Vm_types.s_collapses;
+  check Alcotest.int "one collapse" 1 (Counters.get kctx.Kctx.stats Vm_types.s_collapses);
   (* b's page at 4*page moved to s offset 0; the out-of-view page at
      6*page (s covers only 2 pages from base 4*page... offset 6*page ->
      up_offset 2*page which is beyond s's 2-page span) was freed. *)
@@ -94,7 +95,7 @@ let test_collapse_skips_shared_backing () =
   (* b now has 3 refs (original + two shadows): no collapse allowed. *)
   Vm_object.collapse kctx s1;
   check Alcotest.int "still chained" 1 (Vm_object.chain_depth s1);
-  check Alcotest.int "no collapse" 0 kctx.Kctx.stats.Vm_types.s_collapses
+  check Alcotest.int "no collapse" 0 (Counters.get kctx.Kctx.stats Vm_types.s_collapses)
 
 let test_collapse_respects_toggle () =
   let kctx = make_kctx () in
