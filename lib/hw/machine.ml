@@ -41,8 +41,6 @@ let base =
     handoff = true;
   }
 
-let vax_8800 = { base with model = "VAX 8800"; cpus = 2; local_access_us = 0.4; remote_access_us = Some 0.6 }
-
 let multimax =
   { base with model = "Encore MultiMax"; cpus = 16; local_access_us = 0.5; remote_access_us = Some 0.8 }
 

@@ -38,9 +38,6 @@ type params = {
           context-switch charge. *)
 }
 
-val vax_8800 : params
-(** 2-CPU UMA mainframe. *)
-
 val multimax : params
 (** 16-CPU UMA (Encore MultiMax). *)
 

@@ -37,6 +37,3 @@ val zipf : t -> n:int -> theta:float -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -52,7 +52,6 @@ let fresh_obj_id t =
   t.next_obj_id <- id + 1;
   id
 
-let pages_of_bytes t bytes = (bytes + t.page_size - 1) / t.page_size
 let round_page t addr = (addr + t.page_size - 1) land lnot (t.page_size - 1)
 
 let try_alloc_frame t ~privileged =
@@ -64,9 +63,8 @@ let try_alloc_frame t ~privileged =
    additionally throttle while laundry is in flight, letting in-progress
    cleans complete instead of racing the daemon for the last frames. *)
 let free_target t = max (2 * t.reserved_frames) (Phys_mem.total_frames t.mem / 20)
-let free_high_watermark = free_target
 let free_low_watermark t = max (t.reserved_frames + 1) (free_target t / 2)
-let need_pageout t = Phys_mem.free_frames t.mem < free_high_watermark t
+let need_pageout t = Phys_mem.free_frames t.mem < free_target t
 
 let alloc_frame t ~privileged =
   let rec loop () =

@@ -91,7 +91,6 @@ val create :
 
 val fresh_obj_id : t -> int
 
-val pages_of_bytes : t -> int -> int
 val round_page : t -> int -> int
 
 (** {2 Frame allocation with reserved-pool semantics (§6.2.3)} *)
@@ -114,13 +113,10 @@ val free_frame : t -> int -> unit
 val free_target : t -> int
 (** The number of free frames the pageout daemon tries to maintain. *)
 
-val free_high_watermark : t -> int
-(** Alias of {!free_target}: below this the daemon reclaims. *)
-
 val free_low_watermark : t -> int
 (** Below this, unprivileged allocators throttle while laundry is in
-    flight. Always above the reserved pool, at most half the high
-    watermark. *)
+    flight. Always above the reserved pool, at most half of
+    {!free_target}. *)
 
 val need_pageout : t -> bool
 

@@ -139,13 +139,6 @@ val iter_pages :
 (** {2 Block-boundary splitting} *)
 
 module Blocks : sig
-  val iter_spans :
-    block_size:int ->
-    offset:int ->
-    len:int ->
-    (index:int -> block_off:int -> buf_off:int -> len:int -> unit) ->
-    unit
-
   val read_range :
     block_size:int -> read:(index:int -> bytes option) -> offset:int -> len:int -> bytes
 

@@ -276,47 +276,65 @@ let test_adopt_attribution () =
 
 (* ---- end to end: a kernel fault storm ----------------------------------- *)
 
+(* The canned storm behind machsim stat/trace, [rounds] pages per
+   phase: anonymous zero-fill, soft refaults after pmap eviction, and
+   external-pager faults that ride IPC to a user-level manager. *)
+let rounds = 40
+
+let storm ~traced =
+  match Mach_workloads.Fault_storm.run ~rounds ~traced with
+  | sys -> sys
+  | exception Failure msg -> failf "storm did not complete (traced=%b): %s" traced msg
+
+let faults_of sys = Counters.get (Mach.Kernel.stats sys.Mach.Kernel.kernel) Mach.Vm_types.s_faults
+
+let fault_spans tr =
+  List.filter (fun sp -> sp.Trace.sp_sub = "vm" && sp.Trace.sp_label = "fault") (Trace.spans tr)
+
 let test_kernel_fault_spans () =
-  let open Mach in
-  let sys = Kernel.create_system () in
-  let kernel = sys.Kernel.kernel in
-  let tr = Kernel.trace kernel in
-  Trace.set_enabled tr true;
-  let pages = 6 in
-  Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
-      let task = Task.create kernel ~name:"app" () in
-      ignore
-        (Thread.spawn task ~name:"app.main" (fun () ->
-             let addr = Syscalls.vm_allocate task ~size:(pages * 4096) ~anywhere:true () in
-             for i = 0 to pages - 1 do
-               match Syscalls.touch task ~addr:(addr + (i * 4096)) ~write:true () with
-               | Ok _ -> ()
-               | Error _ -> failwith "touch failed"
-             done)));
-  Engine.run sys.Kernel.engine;
+  let sys = storm ~traced:true in
+  let kernel = sys.Mach.Kernel.kernel in
+  let tr = Mach.Kernel.trace kernel in
   let opens, closes = Trace.balance tr in
   check bool "some spans" true (opens > 0);
   check int "balanced" opens closes;
   check int "none left open" 0 (Trace.unclosed tr);
-  let faults =
-    List.filter
-      (fun sp -> sp.Trace.sp_sub = "vm" && sp.Trace.sp_label = "fault")
-      (Trace.spans tr)
-  in
-  check int "every fault spanned" (Counters.get (Kernel.stats kernel) Vm_types.s_faults)
-    (List.length faults);
-  List.iter
-    (fun sp -> check string "anonymous touches zero-fill" "zero_fill" sp.Trace.sp_resolution)
+  let faults = fault_spans tr in
+  let n = faults_of sys in
+  check int "every fault spanned" n (List.length faults);
+  check bool "at least one fault per page written" true (List.length faults >= rounds);
+  (* One thread faults in sequence, so close order is fault order: the
+     first [rounds] spans are the anonymous-write phase. *)
+  List.iteri
+    (fun i sp ->
+      if i < rounds then
+        check string "anonymous touches zero-fill" "zero_fill" sp.Trace.sp_resolution)
     faults;
   (* The same storm shows up in the registry, including the fault
      histogram fed by the fault handler. *)
-  let snap = Metrics.snapshot (Kernel.metrics kernel) in
-  check (float 0.0) "registry saw the faults"
-    (float_of_int (Counters.get (Kernel.stats kernel) Vm_types.s_faults))
-    (Metrics.get snap "vm.faults");
-  check (float 0.0) "fault histogram observed every fault"
-    (float_of_int (Counters.get (Kernel.stats kernel) Vm_types.s_faults))
+  let snap = Metrics.snapshot (Mach.Kernel.metrics kernel) in
+  check (float 0.0) "registry saw the faults" (float_of_int n) (Metrics.get snap "vm.faults");
+  check (float 0.0) "fault histogram observed every fault" (float_of_int n)
     (Metrics.get snap "vm.fault_us.count")
+
+(* Tracing charges no simulated time when on and is a branch when off,
+   so enabling it can never perturb an experiment's numbers. *)
+let test_traced_untraced_identical () =
+  let on = storm ~traced:true in
+  let tr = Mach.Kernel.trace on.Mach.Kernel.kernel in
+  let fault_ids = List.map (fun sp -> sp.Trace.sp_id) (fault_spans tr) in
+  check bool "a fault span crossed into the IPC layer" true
+    (List.exists
+       (fun ev -> ev.Trace.ev_sub = "ipc" && List.mem ev.Trace.ev_span fault_ids)
+       (Trace.events tr));
+  let off = storm ~traced:false in
+  let tr_off = Mach.Kernel.trace off.Mach.Kernel.kernel in
+  check int "untraced run records nothing" 0 (Trace.recorded tr_off);
+  check (list pass) "untraced run buffers no events" [] (Trace.events tr_off);
+  check (float 0.0) "identical simulated time"
+    (Engine.now on.Mach.Kernel.engine)
+    (Engine.now off.Mach.Kernel.engine);
+  check int "identical fault counts" (faults_of on) (faults_of off)
 
 let () =
   run "metrics_trace"
@@ -341,5 +359,9 @@ let () =
           test_case "cross-fiber adoption" `Quick test_adopt_attribution;
         ] );
       ( "kernel",
-        [ test_case "fault storm: balanced spans + registry" `Quick test_kernel_fault_spans ] );
+        [
+          test_case "fault storm: balanced spans + registry" `Quick test_kernel_fault_spans;
+          test_case "fault storm: traced and untraced runs are sim-identical" `Quick
+            test_traced_untraced_identical;
+        ] );
     ]

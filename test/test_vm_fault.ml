@@ -533,7 +533,7 @@ let test_cluster_between_watermarks () =
           ~offset:0 ()
       in
       let free = Kctx.free_low_watermark kctx + 4 in
-      Alcotest.(check bool) "below the high watermark" true (free < Kctx.free_high_watermark kctx);
+      Alcotest.(check bool) "below the high watermark" true (free < Kctx.free_target kctx);
       leave_free sys free;
       (match Syscalls.read_bytes task ~addr ~len:(4 * page) () with
       | Ok b ->
