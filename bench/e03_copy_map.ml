@@ -70,8 +70,7 @@ let exchange sys ~sender ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr ~size
                Ivar.fill finished ()));
         let body =
           match mode with
-          | Copy ->
-            [ Message.Ool { Message.ool_data = Bytes.create size; transfer = Message.Copy_transfer } ]
+          | Copy -> [ Message.Data (Bytes.create size) ]
           | Map_lazy | Map_read | Map_write -> [ Syscalls.ool_region sender ~addr:src_addr ~size ]
         in
         (match Syscalls.msg_send sender (Message.make ~dest:recv_port body) with

@@ -18,7 +18,6 @@ let create ~disk ~buffers =
   { disk; capacity = buffers; table = Hashtbl.create (2 * buffers); lru = Dlist.create ();
     hits = 0; misses = 0; writebacks = 0 }
 
-let buffers t = t.capacity
 
 let touch t buf =
   (match buf.node with

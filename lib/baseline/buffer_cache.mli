@@ -8,8 +8,6 @@ type t
 val create : disk:Mach_hw.Disk.t -> buffers:int -> t
 (** [buffers] fixed cache slots of one disk block each. *)
 
-val buffers : t -> int
-
 val bread : t -> block:int -> bytes
 (** Read through the cache; charges disk time only on a miss. The
     returned bytes are the cache buffer itself — treat as read-only. *)

@@ -22,7 +22,6 @@ let create params ~disk ~cache_buffers ~format =
   }
 
 let fs t = t.layout
-let cache t = t.bcache
 let file_size t name = Fs_layout.file_size t.layout name
 let sync t = Buffer_cache.sync t.bcache
 

@@ -19,7 +19,6 @@ val create :
     of the machine's page frames for the classic configuration). *)
 
 val fs : t -> Mach_fs.Fs_layout.t
-val cache : t -> Buffer_cache.t
 
 val read : t -> string -> off:int -> len:int -> bytes option
 (** [read] syscall: cache lookup per block plus a kernel-to-user copy

@@ -1,6 +1,7 @@
 open Mach_kernel.Ktypes
 module Message = Mach_ipc.Message
 module Port_space = Mach_ipc.Port_space
+module Mailbox = Mach_sim.Mailbox
 module Engine = Mach_sim.Engine
 module Syscalls = Mach_kernel.Syscalls
 module Rt = Mach_vm.Pager_runtime
@@ -25,9 +26,12 @@ let send_from task (msg : Message.t) =
 
 let serve ?(service_threads = 1) ?(on_other = fun _ _ _ -> ()) srv_task policy =
   let kctx = srv_task.t_kernel.k_kctx in
+  (* A policy's [p_death] may send (netmem's revokes) and so block:
+     deaths queue here for the notify thread, never run in the hook. *)
+  let deaths = Mailbox.create () in
   let rt =
     Rt.create ~name:srv_task.t_name ~page_size:kctx.Mach_vm.Kctx.page_size
-      ~send:(send_from srv_task) policy
+      ~send:(send_from srv_task) ~defer:(Mailbox.send deaths) policy
   in
   (* Every user-level manager's stats block lands in the host registry
      under its own namespace, e.g. "pager.vnode-pager.requests". *)
@@ -57,10 +61,7 @@ let serve ?(service_threads = 1) ?(on_other = fun _ _ _ -> ()) srv_task policy =
   Engine.spawn engine ~name:(srv_task.t_name ^ ".notify") (fun () ->
       let rec loop () =
         if t.running then begin
-          (match Port_space.next_notification srv_task.t_space () with
-          | Some (Port_space.Port_deleted name) ->
-            Option.iter (Rt.handle_port_death rt) (Port_space.port_of_name srv_task.t_space name)
-          | None -> ());
+          Mailbox.recv deaths ();
           loop ()
         end
       in

@@ -13,10 +13,10 @@
     or threads for deadlock-sensitive services (§6.1).
 
     {v
-      Memory_object_server   (receive loop, port-death notify)
+      Memory_object_server   (receive loop, notify thread running deaths)
              |
-        Pager_runtime        (decoding, registry, splitting, coalescing, stats)
-             |
+        Pager_runtime        (decoding, registry, death hooks, splitting,
+             |                coalescing, stats)
         policy module        (backing-store read/write + consistency)
     v} *)
 
@@ -31,12 +31,14 @@ val serve :
   'o Mach_vm.Pager_runtime.policy ->
   'o Mach_vm.Pager_runtime.t * t
 (** Spawn [service_threads] service threads (default 1) receiving
-    kernel calls on every enabled port of the task, plus the
-    notification thread. Every message goes through
-    {!Mach_vm.Pager_runtime.dispatch}, non-protocol traffic to
-    [on_other], port deaths to the runtime. Multiple threads are the
-    §6.1 advice: they let one thread serve a data request while another
-    is blocked, and remove the server as a serial bottleneck. Returns
+    kernel calls on every enabled port of the task, plus the [.notify]
+    thread. Every message goes through {!Mach_vm.Pager_runtime.dispatch},
+    non-protocol traffic to [on_other]. The runtime hears of each
+    object- or request-port death and the notify thread runs it, so a
+    [p_death] that sends may block without stalling the port's
+    destroyer. Multiple threads are the §6.1 advice: they let one
+    thread serve a data request while another is blocked, and remove
+    the server as a serial bottleneck. Returns
     the runtime (for registering objects, sending Table 3-6 calls and
     reading stats) and the server (for [create_memory_object], [stop]).
     The runtime's stats block is registered in the host's metrics under

@@ -3,7 +3,6 @@ type fault = Missing | Protection
 type t = { mem : Phys_mem.t; table : (int, Phys_mem.frame * Prot.t) Hashtbl.t }
 
 let create mem = { mem; table = Hashtbl.create 256 }
-let phys_mem t = t.mem
 let enter t ~vpn ~frame ~prot = Hashtbl.replace t.table vpn (frame, prot)
 
 let enter_batch t entries =

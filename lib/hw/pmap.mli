@@ -15,7 +15,6 @@ type fault = Missing | Protection
     but forbids the attempted access. *)
 
 val create : Phys_mem.t -> t
-val phys_mem : t -> Phys_mem.t
 
 val enter : t -> vpn:int -> frame:Phys_mem.frame -> prot:Prot.t -> unit
 (** Install (or replace) the translation for virtual page [vpn]. *)

@@ -17,7 +17,7 @@ and header = {
 and item =
   | Data of bytes
   | Caps of cap list
-  | Ool of ool
+  | Ool of bytes
   | Ool_region of ool_region
   | Ool_copy of copy_object
 
@@ -25,8 +25,6 @@ and ool_region = { src_task : int; src_addr : int; region_size : int }
 and copy_object = { cp_size : int; cp_payload : copy_payload }
 and cap = { cap_port : port; cap_right : right }
 and right = Send_right | Receive_right
-and ool = { ool_data : bytes; transfer : transfer_mode }
-and transfer_mode = Copy_transfer | Map_transfer
 and port = t Port.t
 
 type copy_payload += Net_copy of { nc_object : port }
@@ -47,34 +45,32 @@ let inline_bytes t =
     (fun acc item ->
       match item with
       | Data b -> acc + Bytes.length b
-      | Ool { ool_data; transfer = Copy_transfer } -> acc + Bytes.length ool_data
-      | Ool { transfer = Map_transfer; _ } | Caps _ | Ool_region _ | Ool_copy _ -> acc)
+      | Ool _ | Caps _ | Ool_region _ | Ool_copy _ -> acc)
     0 t.body
 
 let mapped_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Ool { ool_data; transfer = Map_transfer } -> acc + Bytes.length ool_data
+      | Ool b -> acc + Bytes.length b
       | Ool_region r -> acc + r.region_size
       | Ool_copy c -> acc + c.cp_size
-      | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
+      | Data _ | Caps _ -> acc)
     0 t.body
 
 let carried_mapped_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Ool { ool_data; transfer = Map_transfer } -> acc + Bytes.length ool_data
-      | Ool_region _ | Ool_copy _ | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
+      | Ool b -> acc + Bytes.length b
+      | Ool_region _ | Ool_copy _ | Data _ | Caps _ -> acc)
     0 t.body
 
 let wire_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Data b -> acc + Bytes.length b
-      | Ool { ool_data; _ } -> acc + Bytes.length ool_data
+      | Data b | Ool b -> acc + Bytes.length b
       | Ool_region _ -> acc + copy_handle_bytes
       | Ool_copy _ -> acc + copy_handle_bytes
       | Caps _ -> acc)
@@ -97,7 +93,7 @@ let caps t =
 
 let ool_payloads t =
   List.filter_map
-    (function Ool o -> Some o.ool_data | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
+    (function Ool b -> Some b | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
     t.body
 
 let pp fmt t =

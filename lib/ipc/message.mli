@@ -30,7 +30,12 @@ and header = {
 and item =
   | Data of bytes  (** inline typed data: moved by copying *)
   | Caps of cap list  (** port capabilities *)
-  | Ool of ool  (** out-of-line memory region (payload carried) *)
+  | Ool of bytes
+      (** out-of-line memory carried in the message and mapped
+          (copy-on-write) at the receiver: a constant mapping cost per
+          page instead of a copy — the memory/communication duality
+          applied to large messages. Data to be copied goes inline in
+          a [Data] item. *)
   | Ool_region of ool_region
       (** out-of-line *address-space region* as named by the sender: the
           kernel resolves it into an {!Ool_copy} at send time
@@ -51,18 +56,6 @@ and copy_object = {
 and cap = { cap_port : port; cap_right : right }
 and right = Send_right | Receive_right
 
-and ool = {
-  ool_data : bytes;
-  transfer : transfer_mode;
-}
-
-and transfer_mode =
-  | Copy_transfer  (** physical copy: cost scales with size *)
-  | Map_transfer
-      (** virtual (copy-on-write) transfer: constant mapping cost per
-          page; this is the memory/communication duality applied to
-          large messages *)
-
 and port = t Port.t
 
 type copy_payload += Net_copy of { nc_object : port }
@@ -76,18 +69,18 @@ val data : (Mach_util.Codec.Enc.t -> unit) -> item
 (** A [Data] item holding what the marshaller writes. *)
 
 val inline_bytes : t -> int
-(** Bytes that must be physically copied to transfer this message
-    (inline data plus [Copy_transfer] out-of-line regions). *)
+(** Bytes that must be physically copied to transfer this message:
+    its [Data] items. *)
 
 val mapped_bytes : t -> int
-(** Bytes moved by mapping ([Map_transfer] regions, unresolved
-    [Ool_region]s, and copy objects). *)
+(** Bytes moved by mapping ([Ool] payloads, unresolved [Ool_region]s,
+    and copy objects). *)
 
 val carried_mapped_bytes : t -> int
-(** Mapped bytes whose payload travels with the message ([Map_transfer]
-    [Ool] items) — the portion {!Transport.send_cost_us} charges map ops
-    for. Regions and copy objects are excluded: copyin/copyout charge
-    their own. *)
+(** Mapped bytes whose payload travels with the message ([Ool] items)
+    — the portion {!Transport.send_cost_us} charges map ops for.
+    Regions and copy objects are excluded: copyin/copyout charge their
+    own. *)
 
 val wire_bytes : t -> int
 (** Bytes that cross the network for a remote send: inline data, carried

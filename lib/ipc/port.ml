@@ -6,7 +6,7 @@ type 'msg t = {
   mutable home : int;
   queue : 'msg Mailbox.t;
   mutable alive : bool;
-  mutable death_hooks : (int * (unit -> unit)) list;
+  mutable death_hooks : (unit -> unit) list;
   mutable arrival_hooks : (int * (unit -> unit)) list;
   mutable next_hook : int;
 }
@@ -40,7 +40,7 @@ and destroy t =
     (* Drop queued messages and wake blocked receivers/senders with the
        death (RCV_PORT_DIED semantics). *)
     Mailbox.close t.queue;
-    List.iter (fun (_, f) -> f ()) hooks
+    List.iter (fun f -> f ()) hooks
   end
 
 let id t = t.id
@@ -53,13 +53,7 @@ let set_backlog t n = if t.alive then Mailbox.set_capacity t.queue (Some n)
 let queued t = Mailbox.length t.queue
 let queue t = t.queue
 
-let on_death t f =
-  let hook_id = t.next_hook in
-  t.next_hook <- t.next_hook + 1;
-  if t.alive then t.death_hooks <- (hook_id, f) :: t.death_hooks else f ();
-  hook_id
-
-let cancel_on_death t hook_id = t.death_hooks <- List.remove_assoc hook_id t.death_hooks
+let on_death t f = if t.alive then t.death_hooks <- f :: t.death_hooks else f ()
 
 let on_arrival t f =
   let hook_id = t.next_hook in

@@ -38,11 +38,9 @@ val destroy : 'msg t -> unit
 (** Destroy the port (receive right death): runs death hooks, drops
     queued messages. Idempotent. *)
 
-val on_death : 'msg t -> (unit -> unit) -> int
-(** Register a callback run at {!destroy}; returns a hook id. Fires
-    immediately if the port is already dead. *)
-
-val cancel_on_death : 'msg t -> int -> unit
+val on_death : 'msg t -> (unit -> unit) -> unit
+(** Register a callback run at {!destroy}, after those registered
+    before it. Fires immediately if the port is already dead. *)
 
 val on_arrival : 'msg t -> (unit -> unit) -> int
 (** Register a callback run whenever a message is enqueued (used by

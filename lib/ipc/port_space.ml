@@ -1,8 +1,6 @@
-module Mailbox = Mach_sim.Mailbox
 module Waitq = Mach_sim.Waitq
 
 type name = int
-type notification = Port_deleted of name
 
 type status = { st_queued : int; st_backlog : int; st_has_receive : bool; st_enabled : bool }
 
@@ -11,9 +9,7 @@ type entry = {
   mutable send : bool;
   mutable receive : bool;
   mutable is_enabled : bool;
-  mutable dead : bool;
   mutable in_ready : bool;  (** name is on the ready FIFO *)
-  mutable death_hook : int option;
   mutable arrival_hook : int option;
 }
 
@@ -30,7 +26,6 @@ type t = {
          enabled port. Entries can go stale (message consumed by a
          direct receive, port disabled or dead); [pop_ready] validates
          and discards lazily. *)
-  notifications : notification Mailbox.t;
 }
 
 let create ctx ~home =
@@ -42,12 +37,10 @@ let create ctx ~home =
     next_name = 1;
     activity = Waitq.create ();
     ready = Queue.create ();
-    notifications = Mailbox.create ();
   }
 
 let context t = t.ctx
 let home t = t.host
-let set_home t host = t.host <- host
 let activity t = t.activity
 
 let fresh_name t =
@@ -55,26 +48,14 @@ let fresh_name t =
   t.next_name <- n + 1;
   n
 
-let watch_death t name entry =
-  let hook =
-    Port.on_death entry.port (fun () ->
-        if not entry.dead then begin
-          entry.dead <- true;
-          Mailbox.send t.notifications (Port_deleted name)
-        end)
-  in
-  entry.death_hook <- Some hook
+(* A name is dead when its port is. *)
+let dead entry = not (Port.alive entry.port)
 
 let register t port ~send ~receive =
   let name = fresh_name t in
-  let entry =
-    { port; send; receive; is_enabled = false; dead = not (Port.alive port); in_ready = false;
-      death_hook = None; arrival_hook = None }
-  in
+  let entry = { port; send; receive; is_enabled = false; in_ready = false; arrival_hook = None } in
   Hashtbl.replace t.names name entry;
   Hashtbl.replace t.by_port (Port.id port) name;
-  if not entry.dead then watch_death t name entry
-  else Mailbox.send t.notifications (Port_deleted name);
   name
 
 let allocate t ?backlog () =
@@ -97,12 +78,7 @@ let insert t port right =
 
 let find t name = Hashtbl.find_opt t.names name
 
-let detach_hooks entry =
-  (match entry.death_hook with
-  | Some h ->
-    Port.cancel_on_death entry.port h;
-    entry.death_hook <- None
-  | None -> ());
+let detach_arrival entry =
   match entry.arrival_hook with
   | Some h ->
     Port.cancel_on_arrival entry.port h;
@@ -113,20 +89,16 @@ let deallocate t name =
   match find t name with
   | None -> invalid_arg "Port_space.deallocate: unknown name"
   | Some entry ->
-    detach_hooks entry;
-    (* A destroy already running its hooks may still call this entry's
-       death hook: the name is gone, so it must not be notified. *)
-    let was_dead = entry.dead in
-    entry.dead <- true;
+    detach_arrival entry;
     Hashtbl.remove t.names name;
     Hashtbl.remove t.by_port (Port.id entry.port);
-    (* Dropping the receive right destroys the port and notifies
-       senders (their own death hooks fire). *)
-    if entry.receive && not was_dead then Port.destroy entry.port
+    (* Dropping the receive right destroys the port (a no-op if it is
+       already dead), and the port's death hooks tell whoever listens. *)
+    if entry.receive then Port.destroy entry.port
 
 let lookup t name =
   match find t name with
-  | Some entry when not entry.dead -> Some entry.port
+  | Some entry when not (dead entry) -> Some entry.port
   | Some _ | None -> None
 
 let lookup_exn t name =
@@ -134,10 +106,9 @@ let lookup_exn t name =
   | Some p -> p
   | None -> invalid_arg "Port_space.lookup_exn: unknown or dead name"
 
-let port_of_name t name = match find t name with Some e -> Some e.port | None -> None
 let name_of t port = Hashtbl.find_opt t.by_port (Port.id port)
-let has_receive t name = match find t name with Some e -> e.receive && not e.dead | None -> false
-let has_send t name = match find t name with Some e -> e.send && not e.dead | None -> false
+let has_receive t name = match find t name with Some e -> e.receive && not (dead e) | None -> false
+let has_send t name = match find t name with Some e -> e.send && not (dead e) | None -> false
 
 let mark_ready t name entry =
   if not entry.in_ready then begin
@@ -150,7 +121,7 @@ let enable t name =
   | None -> invalid_arg "Port_space.enable: unknown name"
   | Some entry ->
     if not entry.receive then invalid_arg "Port_space.enable: no receive right";
-    if not entry.is_enabled && not entry.dead then begin
+    if not entry.is_enabled && not (dead entry) then begin
       entry.is_enabled <- true;
       (* Each arrival pushes the port onto the ready FIFO (once) and
          wakes exactly one receive-any waiter: the message can be
@@ -174,11 +145,7 @@ let disable t name =
   | None -> invalid_arg "Port_space.disable: unknown name"
   | Some entry ->
     entry.is_enabled <- false;
-    (match entry.arrival_hook with
-    | Some h ->
-      Port.cancel_on_arrival entry.port h;
-      entry.arrival_hook <- None
-    | None -> ())
+    detach_arrival entry
 
 let pop_ready t =
   let rec go () =
@@ -189,7 +156,7 @@ let pop_ready t =
       | None -> go () (* deallocated since queued; its flag died with it *)
       | Some entry ->
         entry.in_ready <- false;
-        if entry.is_enabled && not entry.dead && Port.queued entry.port > 0 then
+        if entry.is_enabled && not (dead entry) && Port.queued entry.port > 0 then
           Some (name, entry.port)
         else go () (* stale: consumed elsewhere, disabled, or dead *))
   in
@@ -197,17 +164,17 @@ let pop_ready t =
 
 let requeue_ready t name =
   match find t name with
-  | Some entry when entry.is_enabled && not entry.dead && Port.queued entry.port > 0 ->
+  | Some entry when entry.is_enabled && not (dead entry) && Port.queued entry.port > 0 ->
     mark_ready t name entry
   | Some _ | None -> ()
 
 let enabled t =
-  Hashtbl.fold (fun name e acc -> if e.is_enabled && not e.dead then name :: acc else acc) t.names []
+  Hashtbl.fold (fun name e acc -> if e.is_enabled && not (dead e) then name :: acc else acc) t.names []
   |> List.sort compare
 
 let enabled_ports t =
   Hashtbl.fold
-    (fun name e acc -> if e.is_enabled && not e.dead then (name, e.port) :: acc else acc)
+    (fun name e acc -> if e.is_enabled && not (dead e) then (name, e.port) :: acc else acc)
     t.names []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -220,8 +187,8 @@ let status t name =
   | Some e ->
     Some
       {
-        st_queued = (if e.dead then 0 else Port.queued e.port);
-        st_backlog = (if e.dead then 0 else Port.backlog e.port);
+        st_queued = (if dead e then 0 else Port.queued e.port);
+        st_backlog = (if dead e then 0 else Port.backlog e.port);
         st_has_receive = e.receive;
         st_enabled = e.is_enabled;
       }
@@ -231,13 +198,7 @@ let set_backlog t name n =
   | None -> invalid_arg "Port_space.set_backlog: unknown name"
   | Some e ->
     if not e.receive then invalid_arg "Port_space.set_backlog: no receive right";
-    if not e.dead then Port.set_backlog e.port n
-
-let next_notification t ?timeout () =
-  match timeout with
-  | None -> Some (Mailbox.recv t.notifications)
-  | Some timeout -> Mailbox.recv_timeout t.notifications ~timeout
-let pending_notifications t = Mailbox.length t.notifications
+    Port.set_backlog e.port n
 
 let destroy t =
   let all = Hashtbl.fold (fun name _ acc -> name :: acc) t.names [] |> List.sort compare in

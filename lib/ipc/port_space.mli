@@ -3,14 +3,13 @@
     Tasks refer to ports by small-integer local names; rights
     (send/receive) are tracked per name. A space also owns the task's
     "default group of ports" for [msg_receive] ([port_enable] /
-    [port_disable]) and the queue of port-death notifications. *)
+    [port_disable]). A name whose port has died is a dead name: it
+    stays allocated until deallocated, but {!lookup} finds nothing and
+    it holds no rights. Whoever must act on a death hooks the port
+    ({!Port.on_death}); the space keeps no notices. *)
 
 type t
 type name = int
-
-type notification =
-  | Port_deleted of name
-      (** the port named [name] died while this space held rights on it *)
 
 type status = {
   st_queued : int;  (** messages waiting *)
@@ -22,7 +21,6 @@ type status = {
 val create : Context.t -> home:int -> t
 val context : t -> Context.t
 val home : t -> int
-val set_home : t -> int -> unit
 
 (** {2 Allocation and rights} *)
 
@@ -37,18 +35,13 @@ val insert : t -> Message.port -> Message.right -> name
 
 val deallocate : t -> name -> unit
 (** [port_deallocate]: drop this space's rights. Dropping the receive
-    right destroys the port (senders everywhere are notified). The name
-    is never notified of its port's death, even by a destroy already
-    running its hooks. Unknown names raise [Invalid_argument]. *)
+    right destroys the port, which runs its death hooks. Unknown names
+    raise [Invalid_argument]. *)
 
 val lookup : t -> name -> Message.port option
-(** [None] if the name is unknown or the right was deallocated. *)
+(** [None] if the name is unknown, deallocated or dead. *)
 
 val lookup_exn : t -> name -> Message.port
-
-val port_of_name : t -> name -> Message.port option
-(** Like {!lookup} but also returns dead ports (needed to identify
-    which port a death notification was about). *)
 
 val name_of : t -> Message.port -> name option
 val has_receive : t -> name -> bool
@@ -71,14 +64,6 @@ val status : t -> name -> status option
 
 val set_backlog : t -> name -> int -> unit
 (** [port_set_backlog]: requires the receive right. *)
-
-(** {2 Notifications} *)
-
-val next_notification : t -> ?timeout:float -> unit -> notification option
-(** Block for the next port-death notification (forever when no timeout
-    is given — only returns [None] on timeout). *)
-
-val pending_notifications : t -> int
 
 (** {2 Receive-any support (transport use)} *)
 

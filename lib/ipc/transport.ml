@@ -10,7 +10,7 @@ module Counters = Mach_util.Metrics.Counters
 let ipc_counters = Counters.layout ()
 let ipc_stat = Counters.declare ipc_counters
 let s_msgs_sent = ipc_stat "msgs_sent"
-let s_bytes_copied = ipc_stat "bytes_copied" (* inline + [Copy_transfer] bytes copied at send *)
+let s_bytes_copied = ipc_stat "bytes_copied" (* inline bytes copied at send *)
 let s_bytes_mapped = ipc_stat "bytes_mapped" (* bytes moved by mapping (incl. copy objects) *)
 let s_copyins = ipc_stat "copyins"
 let s_lazy_copyout_faults = ipc_stat "lazy_copyout_faults"
@@ -286,16 +286,16 @@ let receive node space ~from ?timeout () =
       | None -> Error Recv_invalid_port
       | Some port -> receive_one node space port ?timeout ())
 
-let rpc node space msg ?send_timeout ?recv_timeout () =
+let rpc node space msg =
   match msg.Message.header.reply with
   | None -> invalid_arg "Transport.rpc: message has no reply port"
   | Some reply_port -> (
     match Port_space.name_of space reply_port with
     | None -> invalid_arg "Transport.rpc: reply port not in caller's space"
     | Some reply_name -> (
-      match send node ?timeout:send_timeout msg with
+      match send node msg with
       | Error e -> Error (`Send e)
       | Ok () -> (
-        match receive node space ~from:(`Port reply_name) ?timeout:recv_timeout () with
+        match receive node space ~from:(`Port reply_name) () with
         | Ok reply -> Ok reply
         | Error e -> Error (`Recv e))))

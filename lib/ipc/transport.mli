@@ -3,9 +3,9 @@
 
     Cost model (charged in simulated time to the calling thread):
     - a fixed per-message software overhead ([msg_overhead_us]);
-    - inline and [Copy_transfer] out-of-line bytes cost a physical copy
-      (derived from the machine's page-copy rate);
-    - [Map_transfer] out-of-line payloads carried in the message cost
+    - inline ([Data]) bytes cost a physical copy (derived from the
+      machine's page-copy rate);
+    - out-of-line ([Ool]) payloads carried in the message cost
       one map operation per page — the duality's win for large
       messages; [Ool_copy] handles cost nothing here (copyin charged
       its map ops already, copyout/fault pay theirs lazily);
@@ -58,7 +58,7 @@ val fastpath_inline_bytes : int
 (** Largest inline payload eligible for the direct-handoff fast path
     (delivered straight to a blocked receiver, skipping the arrival
     notification). Copy-object handles ([Ool_copy]) do not disqualify
-    a message; [Map_transfer] payloads carried in it do. *)
+    a message; [Ool] payloads carried in it do. *)
 
 val send :
   node -> ?timeout:float -> Message.t -> (unit, send_error) result
@@ -86,9 +86,6 @@ val rpc :
   node ->
   Port_space.t ->
   Message.t ->
-  ?send_timeout:float ->
-  ?recv_timeout:float ->
-  unit ->
   (Message.t, [ `Send of send_error | `Recv of recv_error ]) result
 (** [msg_rpc]: send, then receive on the message's reply port (which
     must be present and held with receive rights in [space]). *)

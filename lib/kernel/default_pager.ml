@@ -1,5 +1,4 @@
 module Engine = Mach_sim.Engine
-module Port = Mach_ipc.Port
 module Port_space = Mach_ipc.Port_space
 module Message = Mach_ipc.Message
 module Disk = Mach_hw.Disk
@@ -75,12 +74,11 @@ let policy get =
 (* An object this pager does not manage yet: one the kernel hands over
    with pager_create, or one named by a pager_init (a default pager can
    also serve as an ordinary manager). Take the receive right — a no-op
-   for an init, which arrives on a port already held — and reclaim the
-   object's paging blocks when the kernel destroys the request port on
-   termination. *)
-let adopt t ~memory_object ~request =
+   for an init, which arrives on a port already held. The runtime
+   reclaims the paging blocks when the request port or the object port
+   dies. *)
+let adopt t ~memory_object =
   Port_space.enable t.space (Port_space.insert t.space memory_object Message.Receive_right);
-  ignore (Port.on_death request (fun () -> Rt.handle_port_death t.rt request));
   { blocks = Hashtbl.create 16 }
 
 let start kctx ~disk =
@@ -90,7 +88,11 @@ let start kctx ~disk =
   (* Replies must not block the pager loop; a dead port is a dropped
      reply the runtime counts. *)
   let send = Mach_vm.Pager_client.kernel_send ~retry_thread:"default-pager-send" kctx in
-  let rt = Rt.create ~name:"default-pager" ~page_size:kctx.Kctx.page_size ~send (policy get) in
+  let rt =
+    Rt.create ~name:"default-pager" ~page_size:kctx.Kctx.page_size ~send
+      ~defer:(fun death -> death ())
+      (policy get)
+  in
   let t = { disk; space; rt; free_blocks = Queue.create (); stored = 0 } in
   t_ref := Some t;
   Mach_util.Metrics.register_source kctx.Kctx.metrics ~subsystem:"pager.default-pager" (fun () ->

@@ -30,6 +30,8 @@ let default_config =
 let register_disk k disk =
   Mach_util.Metrics.counters k.k_kctx.Kctx.metrics ~subsystem:"disk" (Disk.stats disk)
 
+(* One host's kernel. [trace] lets several hosts share one causal trace
+   spine: [create_cluster] passes the same trace to every boot. *)
 let boot engine ctx net ?trace ~host config =
   let mem = Phys_mem.create ~frames:config.phys_frames ~page_size:config.page_size in
   let kctx =
@@ -116,16 +118,12 @@ let attach_chaos ctx net trace chaos =
   Mach_sim.Chaos.on_restart chaos (fun host -> Mach_ipc.Context.restart_host ctx ~host);
   Mach_sim.Chaos.on_heal chaos (fun a b -> Mach_ipc.Context.reset_link ctx a b)
 
-let create_cluster ~hosts ?(config = default_config) ?net_latency_us ?net_us_per_byte
-    ?chaos () =
+let create_cluster ~hosts ?(config = default_config) ?chaos () =
   let engine = Engine.create () in
-  let latency =
-    match net_latency_us with Some l -> l | None -> config.params.Machine.net_latency_us
+  let net =
+    Net.create engine ~latency_us:config.params.Machine.net_latency_us
+      ~us_per_byte:config.params.Machine.net_us_per_byte ()
   in
-  let per_byte =
-    match net_us_per_byte with Some c -> c | None -> config.params.Machine.net_us_per_byte
-  in
-  let net = Net.create engine ~latency_us:latency ~us_per_byte:per_byte () in
   let ctx = Mach_ipc.Context.create engine net in
   (* One trace for the whole cluster: spans that cross hosts (NORMA
      faults served by a remote manager) land in one buffer in causal

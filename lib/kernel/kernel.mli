@@ -18,17 +18,6 @@ val default_config : config
 (** VAX 11/780-class host: 1024 frames of 4 KB (4 MB), 4096-page paging
     area, 2 s manager timeout. *)
 
-val boot :
-  Mach_sim.Engine.t ->
-  Mach_ipc.Context.t ->
-  Mach_hw.Net.t ->
-  ?trace:Mach_sim.Trace.t ->
-  host:int ->
-  config ->
-  kernel
-(** [trace] lets several hosts share one causal trace spine;
-    {!create_cluster} passes the same trace to every boot. *)
-
 (** A self-contained single-host system (most tests and examples). *)
 type system = {
   engine : Mach_sim.Engine.t;
@@ -52,8 +41,6 @@ type cluster = {
 val create_cluster :
   hosts:int ->
   ?config:config ->
-  ?net_latency_us:float ->
-  ?net_us_per_byte:float ->
   ?chaos:Mach_sim.Chaos.t ->
   unit ->
   cluster

@@ -72,10 +72,10 @@ let msg_receive t ?(from = `Any) ?timeout () =
   enter t;
   Transport.receive t.t_node t.t_space ~from ?timeout ()
 
-let msg_rpc t msg ?send_timeout ?recv_timeout () =
+let msg_rpc t msg () =
   enter t;
   let sent = resolve_ool t msg in
-  match Transport.rpc t.t_node t.t_space sent ?send_timeout ?recv_timeout () with
+  match Transport.rpc t.t_node t.t_space sent with
   | Error (`Send _) as e ->
     discard_resolved ~orig:msg sent;
     e

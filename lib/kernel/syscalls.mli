@@ -30,8 +30,6 @@ val msg_receive :
 val msg_rpc :
   task ->
   Message.t ->
-  ?send_timeout:float ->
-  ?recv_timeout:float ->
   unit ->
   (Message.t, [ `Send of Transport.send_error | `Recv of Transport.recv_error ]) result
 (** Send then receive on the reply port; the request's out-of-line

@@ -10,7 +10,7 @@ val create : kernel -> ?parent:task -> name:string -> unit -> task
 
 val terminate : task -> unit
 (** Destroy the address space and port space (ports whose receive rights
-    live here die; senders are notified). *)
+    live here die; other tasks' names for them go dead). *)
 
 val kernel : task -> kernel
 val map : task -> Mach_vm.Vm_map.t

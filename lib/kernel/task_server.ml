@@ -97,16 +97,15 @@ let start kernel =
   let space = kernel.k_space in
   let t = { kernel; by_port = Hashtbl.create 32 } in
   (* Whatever kills a port (its thread's exit, its task's termination,
-     a host crash), the server forgets the target and frees the name.
-     This hook is registered before the space's own, so the name is
-     gone before the space would queue a death notice nobody reads. *)
+     a host crash), the server forgets the target and frees the name,
+     so the kernel's space keeps no dead names. *)
   let forget port =
     Hashtbl.remove t.by_port (Port.id port);
     Option.iter (Port_space.deallocate space) (Port_space.name_of space port)
   in
   let make_port target =
     let port = Port.create kernel.k_ctx ~home:kernel.k_host ~backlog:64 () in
-    ignore (Port.on_death port (fun () -> forget port));
+    Port.on_death port (fun () -> forget port);
     let name = Port_space.insert space port Message.Receive_right in
     Port_space.enable space name;
     Hashtbl.replace t.by_port (Port.id port) target;

@@ -16,7 +16,8 @@ type t
 
 val start : kernel -> t
 (** Spawn the dispatcher and install the port maker so subsequent
-    {!Task.create} calls get task ports. Called from {!Kernel.boot}. *)
+    {!Task.create} calls get task ports. Called at every kernel's boot
+    ({!Kernel.create_system}, {!Kernel.create_cluster}). *)
 
 val task_port : task -> Mach_ipc.Message.port
 (** The port representing a task; raises [Invalid_argument] for tasks

@@ -31,7 +31,6 @@ val start :
     and runs crash recovery: committed transactions are redone onto the
     data disk, uncommitted ones undone. *)
 
-val server_task : t -> task
 val service_port : t -> Mach_ipc.Message.port
 
 (** {2 Introspection} *)

@@ -29,8 +29,6 @@ type migration = {
 val start : kernel -> ?name:string -> unit -> t
 (** The migration manager task; run it on the source task's host. *)
 
-val server_task : t -> task
-
 val migrate : t -> src:task -> dst_kernel:kernel -> strategy -> migration
 (** Move [src]'s address space to a new task on [dst_kernel]. The
     source task must be frozen (no running threads); it is kept alive

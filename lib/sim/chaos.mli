@@ -44,8 +44,6 @@ val partition : t -> int -> int -> unit
 val heal : t -> int -> int -> unit
 (** Restore a cut link and fire [on_heal] hooks. *)
 
-val partitioned : t -> int -> int -> bool
-
 val crash_host : t -> int -> unit
 (** Take a host off the fabric and fire [on_crash] hooks. Hooks may
     destroy ports and run death callbacks that block, so call this

@@ -163,4 +163,3 @@ let self_name_opt () =
   | name -> Some name
   | exception Effect.Unhandled Self_name -> None
 let sleep delay = suspend (fun t k -> schedule t ~at:(t.now +. delay) (fun () -> k ()))
-let yield () = sleep 0.0

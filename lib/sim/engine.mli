@@ -50,10 +50,6 @@ val sleep : float -> unit
 (** Block the calling thread for the given number of simulated
     microseconds. Must be called from inside a thread. *)
 
-val yield : unit -> unit
-(** Re-schedule the calling thread at the current time, letting other
-    ready threads run first. *)
-
 (** {2 Internal plumbing for synchronisation primitives} *)
 
 type 'a resumer = 'a -> unit

@@ -72,12 +72,6 @@ let set_enabled t b = t.on <- b
 let capacity t = Array.length t.buf
 let add_cpu_hook t f = t.cpu_hooks <- f :: t.cpu_hooks
 
-let clear t =
-  t.head <- 0;
-  t.count <- 0;
-  t.total <- 0;
-  Hashtbl.reset t.stacks
-
 let cpu_of t = function
   | None -> none
   | Some name ->

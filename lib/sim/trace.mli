@@ -47,9 +47,6 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 val capacity : t -> int
 
-val clear : t -> unit
-(** Drop all events and open-span stacks (ids keep advancing). *)
-
 val add_cpu_hook : t -> (string -> int) -> unit
 (** Register a thread-name → running-CPU resolver (one per host
     scheduler); the first hook answering [>= 0] stamps the event. *)

@@ -2,7 +2,6 @@ type waiter = { mutable fired : bool; wake : bool -> unit }
 type t = { queue : waiter Queue.t }
 
 let create () = { queue = Queue.create () }
-let waiters t = Queue.fold (fun n w -> if w.fired then n else n + 1) 0 t.queue
 
 let wait t =
   let woken =

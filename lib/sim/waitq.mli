@@ -20,4 +20,3 @@ val signal : t -> unit
 val broadcast : t -> unit
 (** Wake all current waiters. *)
 
-val waiters : t -> int

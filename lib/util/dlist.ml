@@ -16,7 +16,6 @@ let create () =
 let node value = { value; prev = None; next = None; owner = -1 }
 let value n = n.value
 let length t = t.len
-let is_empty t = t.len = 0
 let attached n = n.owner >= 0
 
 let push_back t n =

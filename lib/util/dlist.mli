@@ -15,7 +15,6 @@ val node : 'a -> 'a node
 
 val value : 'a node -> 'a
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val attached : 'a node -> bool
 (** Whether the node is currently on some list. *)

@@ -10,8 +10,8 @@
 
    Lifecycle: the receiving kernel's pager_init names its request port;
    when the receiver is done (vm_deallocate / task death) its kernel
-   destroys that port, our death hook tears the export down, and the
-   server thread exits. *)
+   destroys that port, the runtime runs [p_death], which tears the
+   export down, and the server thread exits. *)
 
 module Engine = Mach_sim.Engine
 module Port = Mach_ipc.Port
@@ -60,15 +60,19 @@ let export kctx copy =
             | Error e ->
               Log.warn (fun m -> m "copy export read failed: %a" Access.pp_error e);
               Rt.Unavailable);
-      (* The receiver's kernel is attached; its request port's death is
-         the signal that it unmapped the region. Nothing is ever locked
-         and receiver-side writes shadow locally (needs_copy), so the
-         other defaults never run. *)
-      p_init = (fun _ _ ~request -> ignore (Port.on_death request teardown));
+      (* The receiver's request port's death is the signal that it
+         unmapped the region. Nothing is ever locked and receiver-side
+         writes shadow locally (needs_copy), so the other defaults
+         never run. *)
+      p_death = (fun _ _ _ -> teardown ());
     }
   in
   let send msg = Result.map_error ignore (Transport.send kctx.Kctx.node msg) in
-  let rt = Rt.create ~name:"copy-server" ~page_size:kctx.Kctx.page_size ~send policy in
+  let rt =
+    Rt.create ~name:"copy-server" ~page_size:kctx.Kctx.page_size ~send
+      ~defer:(fun death -> death ())
+      policy
+  in
   ignore (Rt.register rt ~memory_object:mo ());
   Engine.spawn kctx.Kctx.engine ~name:"copy-server" (fun () ->
       let rec loop () =

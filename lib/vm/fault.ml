@@ -168,48 +168,33 @@ let handle kctx map ~addr ~write ?policy () =
       Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
     end
   in
-  (* Hardware-validate [page] for the faulting address and finish. Slow
-     paths may have slept, so the map entry must be looked up afresh; a
-     vanished entry still returns Done — the fault was resolved, the
-     access simply re-faults. *)
-  let finish page ~from_backing =
-    (match Vm_map.lookup ~count:false map ~addr ~write with
-    | Ok lk ->
-      let write_ok = lk.Vm_map.lk_writable && not from_backing in
-      let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok ~page_lock:page.page_lock in
-      let vpn = addr / ps in
-      Pmap.enter pm ~vpn ~frame:page.frame ~prot;
-      Vm_page.add_mapping page pm ~vpn;
-      (* Hold the page across the charge: the map-op sleep is a yield
-         point, and a manager flush landing inside it would revoke the
-         translation before the faulter ever retries the access —
-         under write contention the two kernels then revoke each other
-         forever. The flush waits for the hold to drain instead. *)
-      page.grant_hold <- page.grant_hold + 1;
-      Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us;
-      burst_enter ();
-      page.grant_hold <- page.grant_hold - 1;
-      Waitq.broadcast page.busy_wait
-    | Error _ -> ());
-    Done
-  in
-  (* FAST PATH terminal: the lookup that got us here is still valid (no
-     yields since), so validate directly from it. *)
-  let fast_finish lk page ~from_backing =
-    Counters.incr stats s_fast_faults;
-    Counters.incr stats s_hits;
-    Page_queues.activate kctx.Kctx.queues page;
+  (* Hardware-validate [page] for the faulting address through the map
+     lookup [lk], and finish the fault. *)
+  let validate lk page ~from_backing =
     let write_ok = lk.Vm_map.lk_writable && not from_backing in
     let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok ~page_lock:page.page_lock in
     let vpn = addr / ps in
     Pmap.enter pm ~vpn ~frame:page.frame ~prot;
     Vm_page.add_mapping page pm ~vpn;
+    (* Hold the page across the charge: the map-op sleep is a yield
+       point, and a manager flush landing inside it would revoke the
+       translation before the faulter ever retries the access — under
+       write contention the two kernels then revoke each other forever.
+       The flush waits for the hold to drain instead. *)
     page.grant_hold <- page.grant_hold + 1;
     Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us;
     burst_enter ();
     page.grant_hold <- page.grant_hold - 1;
     Waitq.broadcast page.busy_wait;
     Done
+  in
+  (* Slow paths may have slept, so the map entry must be looked up
+     afresh; a vanished entry still returns Done — the fault was
+     resolved, the access simply re-faults. *)
+  let finish page ~from_backing =
+    match Vm_map.lookup ~count:false map ~addr ~write with
+    | Ok lk -> validate lk page ~from_backing
+    | Error _ -> Done
   in
   (* ---- SLOW PATH -------------------------------------------------- *)
   let rec resolve tries =
@@ -521,8 +506,13 @@ let handle kctx map ~addr ~write ?policy () =
         when page.p_state = Resident
              && (not (lock_forbids page))
              && not (write && depth > 0) ->
+        (* FAST PATH: the lookup that got us here is still valid (no
+           yields since), so validate directly from it. *)
         note_depth depth;
-        fast_finish lk page ~from_backing:(depth > 0)
+        Counters.incr stats s_fast_faults;
+        Counters.incr stats s_hits;
+        Page_queues.activate kctx.Kctx.queues page;
+        validate lk page ~from_backing:(depth > 0)
       | Some _ | None -> resolve 0)
   in
   (match result with

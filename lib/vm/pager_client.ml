@@ -169,7 +169,7 @@ let ensure_initialized kctx obj =
       p.initialized <- true;
       let request, name = make_request_ports kctx obj p in
       (* Fires immediately if the manager is already gone. *)
-      ignore (Port.on_death p.memory_object (fun () -> pager_died kctx obj));
+      Port.on_death p.memory_object (fun () -> pager_died kctx obj);
       send kctx
         (Pager_iface.encode_k2m ~reply:None
            (Pager_iface.Init { memory_object = p.memory_object; request; name })
@@ -470,6 +470,8 @@ let data_unavailable kctx obj ~offset ~size =
     | Some _ | None -> ()
   done
 
+(* A manager's flush ([keep] false) or clean ([keep] true) of a range,
+   answered with lock_completed once every dirty run has shipped. *)
 let flush_range kctx obj ~offset ~length ~keep =
   let ps = kctx.Kctx.page_size in
   let lo = offset land lnot (ps - 1) in
@@ -527,7 +529,12 @@ let flush_range kctx obj ~offset ~length ~keep =
         walk rest
       end
   in
-  walk targets
+  walk targets;
+  let p = get_pager obj in
+  send kctx
+    (Pager_iface.encode_k2m ~reply:p.request_port
+       (Pager_iface.Lock_completed { memory_object = p.memory_object; offset; length })
+       ~dest:p.memory_object)
 
 let handle_manager_message kctx (msg : Message.t) =
   match Pager_iface.decode_m2k msg with
@@ -549,19 +556,9 @@ let handle_manager_message kctx (msg : Message.t) =
           (fun off page -> if off >= lo && off < hi then apply_lock kctx page lock_value)
           obj.obj_pages
       | Pager_iface.Flush_request { offset; length } ->
-        flush_range kctx obj ~offset ~length ~keep:false;
-        let p = get_pager obj in
-        send kctx
-          (Pager_iface.encode_k2m ~reply:p.request_port
-             (Pager_iface.Lock_completed { memory_object = p.memory_object; offset; length })
-             ~dest:p.memory_object)
+        flush_range kctx obj ~offset ~length ~keep:false
       | Pager_iface.Clean_request { offset; length } ->
-        flush_range kctx obj ~offset ~length ~keep:true;
-        let p = get_pager obj in
-        send kctx
-          (Pager_iface.encode_k2m ~reply:p.request_port
-             (Pager_iface.Lock_completed { memory_object = p.memory_object; offset; length })
-             ~dest:p.memory_object)
+        flush_range kctx obj ~offset ~length ~keep:true
       | Pager_iface.Cache { may_cache } -> obj.can_persist <- may_cache
       | Pager_iface.Release_write { write_id } -> release_write kctx ~write_id))
 

@@ -60,7 +60,7 @@ let is_pager_msg (m : Message.t) =
 let send_cap port = { Message.cap_port = port; cap_right = Message.Send_right }
 let receive_cap port = { Message.cap_port = port; cap_right = Message.Receive_right }
 
-let ool data = Message.Ool { ool_data = data; transfer = Message.Map_transfer }
+let ool data = Message.Ool data
 
 let encode_k2m ~reply call ~dest =
   match call with

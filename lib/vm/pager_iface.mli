@@ -6,8 +6,8 @@
     sent to the memory object port (except [pager_create], which goes to
     the default pager's public port); manager → kernel calls are sent to
     the pager request port handed out by [pager_init]. Page contents
-    travel out-of-line with [Map_transfer] — the duality applied to the
-    paging path itself. *)
+    travel out-of-line, mapped rather than copied — the duality applied
+    to the paging path itself. *)
 
 module Message = Mach_ipc.Message
 

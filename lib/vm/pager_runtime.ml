@@ -87,6 +87,7 @@ type 'o t = {
   rt_stats : Stats.t;
   rt_objects : (int, 'o obj) Hashtbl.t;
   rt_policy : 'o policy;
+  rt_defer : (unit -> unit) -> unit;
 }
 
 and 'o policy = {
@@ -127,7 +128,7 @@ let default_policy =
     p_may_cache = None;
   }
 
-let create ~name ~page_size ~send policy =
+let create ~name ~page_size ~send ~defer policy =
   {
     rt_name = name;
     rt_page_size = page_size;
@@ -135,6 +136,7 @@ let create ~name ~page_size ~send policy =
     rt_stats = Stats.create ();
     rt_objects = Hashtbl.create 32;
     rt_policy = policy;
+    rt_defer = defer;
   }
 
 let name t = t.rt_name
@@ -143,12 +145,40 @@ let stats t = t.rt_stats
 
 (* --- registry ----------------------------------------------------------- *)
 
+let unregister t o = Hashtbl.remove t.rt_objects o.o_id
+
+(* A port died: either a kernel's request port (that kernel is gone
+   from every object that registered it) or a memory-object port itself
+   (the object is dead). Collect first — [p_death] may unregister. *)
+let handle_port_death t port =
+  let pid = Port.id port in
+  let victims =
+    Hashtbl.fold
+      (fun _ o acc ->
+        if o.o_id = pid || List.exists (fun r -> Port.id r = pid) o.o_requests then o :: acc
+        else acc)
+      t.rt_objects []
+  in
+  if victims <> [] then
+    t.rt_stats.Stats.s_port_deaths <- t.rt_stats.Stats.s_port_deaths + 1;
+  List.iter
+    (fun o ->
+      o.o_requests <- List.filter (fun r -> Port.id r <> pid) o.o_requests;
+      t.rt_policy.p_death t o port;
+      if o.o_id = pid then unregister t o)
+    victims
+
+(* The one way a manager hears of a death: the runtime hooks every
+   object port and every request port an object names, and the host's
+   [defer] decides where [handle_port_death] runs. *)
+let watch t port = Port.on_death port (fun () -> t.rt_defer (fun () -> handle_port_death t port))
+
 let register t ~memory_object o_data =
   let o = { o_port = memory_object; o_id = Port.id memory_object; o_requests = []; o_data } in
   Hashtbl.replace t.rt_objects o.o_id o;
+  watch t memory_object;
   o
 
-let unregister t o = Hashtbl.remove t.rt_objects o.o_id
 let find t port = Hashtbl.find_opt t.rt_objects (Port.id port)
 let find_data t port = Option.map (fun o -> o.o_data) (find t port)
 let requests o = o.o_requests
@@ -186,18 +216,21 @@ let cache t ~request ~may_cache = send_m2k t (Pager_iface.Cache { may_cache }) ~
 
 (* [pager_create] and [pager_init] both attach a kernel (its request
    port) to an object; [adopt] registers one this manager does not know
-   yet. *)
+   yet. A request port is watched from the first time an object names
+   it. *)
 let handle_init t adopt ~memory_object ~request =
   let known =
     match (find t memory_object, adopt) with
-    | None, Some adopt -> Some (register t ~memory_object (adopt ~memory_object ~request))
+    | None, Some adopt -> Some (register t ~memory_object (adopt ~memory_object))
     | o, _ -> o
   in
   match known with
   | None -> ()
   | Some o ->
-    if not (List.exists (fun r -> Port.id r = Port.id request) o.o_requests) then
+    if not (List.exists (fun r -> Port.id r = Port.id request) o.o_requests) then begin
       o.o_requests <- request :: o.o_requests;
+      watch t request
+    end;
     (match t.rt_policy.p_may_cache with
     | Some may_cache -> cache t ~request ~may_cache
     | None -> ());
@@ -340,27 +373,6 @@ let dispatch t ?adopt ~other (msg : Message.t) =
       handle_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
     | Pager_iface.Lock_completed { memory_object; offset; length } ->
       handle_lock_completed t ~memory_object ~request:msg.Message.header.reply ~offset ~length
-
-(* A port died: either a kernel's request port (that kernel is gone
-   from every object that registered it) or a memory-object port itself
-   (the object is dead). Collect first — [p_death] may unregister. *)
-let handle_port_death t port =
-  let pid = Port.id port in
-  let victims =
-    Hashtbl.fold
-      (fun _ o acc ->
-        if o.o_id = pid || List.exists (fun r -> Port.id r = pid) o.o_requests then o :: acc
-        else acc)
-      t.rt_objects []
-  in
-  if victims <> [] then
-    t.rt_stats.Stats.s_port_deaths <- t.rt_stats.Stats.s_port_deaths + 1;
-  List.iter
-    (fun o ->
-      o.o_requests <- List.filter (fun r -> Port.id r <> pid) o.o_requests;
-      t.rt_policy.p_death t o port;
-      if o.o_id = pid then unregister t o)
-    victims
 
 (* --- block-boundary splitting helpers ------------------------------------
    Shared by every disk-backed policy (previously copied between

@@ -80,8 +80,15 @@ val create :
   name:string ->
   page_size:int ->
   send:(Message.t -> (unit, unit) result) ->
+  defer:((unit -> unit) -> unit) ->
   'o policy ->
   'o t
+(** The runtime hooks the death of every registered object port and of
+    every request port an object names, and hands each death to
+    [defer]: a host whose [p_death] may block queues it to a thread of
+    its own, one that must not wait runs it at once. The death drops
+    the port from every object that named it, runs [p_death], and
+    unregisters an object whose own port died. *)
 
 val name : 'o t -> string
 val page_size : 'o t -> int
@@ -113,7 +120,7 @@ val cache : 'o t -> request:Message.port -> may_cache:bool -> unit
 
 val dispatch :
   'o t ->
-  ?adopt:(memory_object:Message.port -> request:Message.port -> 'o) ->
+  ?adopt:(memory_object:Message.port -> 'o) ->
   other:(Message.t -> unit) ->
   Message.t ->
   unit
@@ -125,10 +132,6 @@ val dispatch :
     header's reply port, also for an object no longer registered.
     Traffic outside the pager protocol goes to [other] (a manager's own
     RPCs); malformed pager messages are dropped. *)
-
-val handle_port_death : 'o t -> Message.port -> unit
-(** A kernel's request port, or a memory-object port, died: drop it
-    from every object that registered it and run [p_death]. *)
 
 val iter_pages :
   'o t -> offset:int -> data:bytes -> (page:int -> pos:int -> len:int -> unit) -> unit

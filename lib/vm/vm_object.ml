@@ -68,8 +68,6 @@ let create_external kctx ~memory_object ~size =
     Hashtbl.replace kctx.Kctx.objects_by_port (Port.id memory_object) obj;
     obj
 
-let reference obj = obj.ref_count <- obj.ref_count + 1
-
 let destroy_pages kctx obj =
   let rec drain () =
     let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in

@@ -27,8 +27,6 @@ val create_external : Kctx.t -> memory_object:Vm_types.port -> size:int -> obj
     more reference. [pager_init] is NOT sent here; the {!Pager_client}
     does that on first mapping. *)
 
-val reference : obj -> unit
-
 val deallocate : Kctx.t -> obj -> unit
 (** Drop one reference. At zero, the object is either cached (manager
     called [pager_cache true]; past [kctx.object_cache_cap] the coldest

@@ -239,8 +239,8 @@ let test_crash_propagates_port_death () =
   let remote = Port.create ctx ~home:1 () in
   let local = Port.create ctx ~home:0 () in
   let deaths = ref [] in
-  ignore (Port.on_death remote (fun () -> deaths := "remote" :: !deaths));
-  ignore (Port.on_death local (fun () -> deaths := "local" :: !deaths));
+  Port.on_death remote (fun () -> deaths := "remote" :: !deaths);
+  Port.on_death local (fun () -> deaths := "local" :: !deaths);
   in_sim eng (fun () -> Chaos.crash_host chaos 1);
   Alcotest.(check bool) "remote port died" false (Port.alive remote);
   Alcotest.(check bool) "local port survived" true (Port.alive local);

@@ -284,7 +284,7 @@ let test_copy_handle_takes_fastpath () =
       | other -> Alcotest.failf "expected one mapped region, got %d" (List.length other))
 
 let test_carried_payload_skips_fastpath () =
-  (* A Map_transfer payload carried in the message still pays its map
+  (* An Ool payload carried in the message still pays its map
      operations on the queue path. *)
   with_system (fun sys sender ->
       let receiver = Task.create sys.Kernel.kernel ~name:"receiver" () in
@@ -293,7 +293,7 @@ let test_carried_payload_skips_fastpath () =
       let payload = Bytes.of_string (pattern page) in
       let fast, msg =
         send_to_blocked sys sender ~receiver ~svc ~svc_port
-          [ Message.Ool { Message.ool_data = payload; transfer = Message.Map_transfer } ]
+          [ Message.Ool payload ]
       in
       check Alcotest.int "carried payload took the queue path" 0 fast;
       check Alcotest.(list string) "payload delivered" [ pattern page ]

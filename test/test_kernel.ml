@@ -36,9 +36,10 @@ let test_task_termination_notifies_senders () =
       let p = Port_space.lookup_exn (Task.space t) n in
       let my_name = Syscalls.port_insert task p Message.Send_right in
       Task.terminate t;
-      match Port_space.next_notification (Task.space task) ~timeout:1000.0 () with
-      | Some (Port_space.Port_deleted dead) -> check Alcotest.int "notified of death" my_name dead
-      | None -> Alcotest.fail "expected notification")
+      Alcotest.(check bool) "sender's name is dead" true
+        (Port_space.lookup (Task.space task) my_name = None);
+      Alcotest.(check bool) "and holds no send right" false
+        (Port_space.has_send (Task.space task) my_name))
 
 let test_thread_suspend_resume () =
   with_system (fun sys _task ->
@@ -166,10 +167,9 @@ let test_fork_inherits_port_space_not () =
    on how many tasks and threads have come and gone. *)
 let residue kernel =
   let snap = Metrics.snapshot (Kernel.metrics kernel) in
-  ( List.map (Metrics.get snap) [ "ipc.ports_live"; "task_server.targets"; "sched.affinity" ],
-    Port_space.pending_notifications kernel.Ktypes.k_space )
+  List.map (Metrics.get snap) [ "ipc.ports_live"; "task_server.targets"; "sched.affinity" ]
 
-let residue_t = Alcotest.(pair (list (float 0.0)) int)
+let residue_t = Alcotest.(list (float 0.0))
 
 (* Fork a child that writes a page from its own thread and exits; a
    short-lived thread comes and goes in the parent meanwhile; then the
@@ -208,8 +208,7 @@ let test_no_residue_after_cycles () =
   in
   let after_one = run_cycles ~first:0 1 in
   let after_fifty = run_cycles ~first:1 50 in
-  check residue_t "ports, targets, affinity, notices after 1 and 51 cycles" after_one after_fifty;
-  check Alcotest.int "the task server's space queues no death notices" 0 (snd after_fifty)
+  check residue_t "ports, targets, affinity after 1 and 51 cycles" after_one after_fifty
 
 let test_terminate_kills_running_threads () =
   with_system (fun sys _task ->
@@ -244,9 +243,7 @@ let test_crash_forgets_targets () =
   let snap = Metrics.snapshot (Kernel.metrics remote) in
   check (Alcotest.float 0.0) "the crashed host's task server forgot every target" 0.0
     (Metrics.get snap "task_server.targets");
-  check Alcotest.(list int) "and freed every name" [] (Port_space.enabled remote.Ktypes.k_space);
-  check Alcotest.int "with no death notices queued" 0
-    (Port_space.pending_notifications remote.Ktypes.k_space)
+  check Alcotest.(list int) "and freed every name" [] (Port_space.enabled remote.Ktypes.k_space)
 
 let () =
   Alcotest.run "kernel"

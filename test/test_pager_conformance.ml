@@ -277,6 +277,23 @@ let test_default_pager_init_keeps_data () =
       Engine.sleep 100_000.0;
       Alcotest.(check int) "paging blocks reclaimed" free0 (Default_pager.blocks_free dp))
 
+(* The object port dying (not only the request port) ends the object:
+   the runtime hears of it and the default pager frees its blocks. *)
+let test_default_pager_object_death () =
+  in_driver ~name:"default-pager object death" (fun sys d ->
+      let dp = default_pager sys in
+      let free0 = Default_pager.blocks_free dp in
+      let dest = create_default_object sys d in
+      send d ~with_reply:true
+        (Pager_iface.Data_write
+           { memory_object = dest; offset = 0; data = Bytes.make (3 * page) 'w'; write_id = 1 })
+        ~dest;
+      ignore (drain d);
+      Alcotest.(check int) "three blocks in use" (free0 - 3) (Default_pager.blocks_free dp);
+      Port.destroy dest;
+      Engine.sleep 100_000.0;
+      Alcotest.(check int) "paging blocks reclaimed" free0 (Default_pager.blocks_free dp))
+
 let () =
   Alcotest.run "pager_conformance"
     [
@@ -292,5 +309,7 @@ let () =
         [
           Alcotest.test_case "later init keeps written pages" `Quick
             test_default_pager_init_keeps_data;
+          Alcotest.test_case "object-port death reclaims blocks" `Quick
+            test_default_pager_object_death;
         ] );
     ]
