@@ -31,7 +31,7 @@ type chan_tx = {
       (* oldest first; always the contiguous range of seqs below tx_next
          not yet covered by a cumulative ack *)
   mutable tx_strikes : int;
-  mutable tx_timer_gen : int;  (* bumping this orphans any armed timer *)
+  mutable tx_timer : Engine.timer;  (* armed while packets are unacked *)
   mutable tx_down : bool;
 }
 
@@ -135,7 +135,7 @@ let tx_chan t ~src ~dst =
         tx_next = 1;
         tx_unacked = Queue.create ();
         tx_strikes = 0;
-        tx_timer_gen = 0;
+        tx_timer = Engine.no_timer;
         tx_down = false;
       }
     in
@@ -192,8 +192,7 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
            not time since the window opened: restart it for the packets
            still outstanding (their deadline was set for an older,
            shorter queue), or disarm it when the window drained. *)
-        if Queue.is_empty chan.tx_unacked then
-          chan.tx_timer_gen <- chan.tx_timer_gen + 1
+        if Queue.is_empty chan.tx_unacked then Engine.cancel t.engine chan.tx_timer
         else arm_timer t chan
       end
     end
@@ -239,15 +238,14 @@ and transmit t chan pk =
   Net.deliver t.net ~src ~dst ~bytes:(pk.pk_bytes + seq_header_bytes) (fun () ->
       rx_ingest t ~src ~dst ~epoch ~seq:pk.pk_seq pk.pk_thunk)
 
+(* Every path that drains the window or downs the channel cancels the
+   timer, so a timer that fires has unacked packets to retransmit. *)
 and arm_timer t chan =
-  chan.tx_timer_gen <- chan.tx_timer_gen + 1;
-  let gen = chan.tx_timer_gen in
-  Engine.schedule t.engine
-    ~at:(Engine.now t.engine +. rto t chan)
-    (fun () ->
-      if gen = chan.tx_timer_gen && (not chan.tx_down)
-         && not (Queue.is_empty chan.tx_unacked)
-      then begin
+  Engine.cancel t.engine chan.tx_timer;
+  chan.tx_timer <-
+    Engine.timer t.engine
+      ~at:(Engine.now t.engine +. rto t chan)
+      (fun () ->
         chan.tx_strikes <- chan.tx_strikes + 1;
         if chan.tx_strikes > retry_budget then begin
           (* Watchdog: the peer has been silent through the whole retry
@@ -265,8 +263,7 @@ and arm_timer t chan =
               transmit t chan pk)
             chan.tx_unacked;
           arm_timer t chan
-        end
-      end)
+        end)
 
 let remote_deliver t ~src ~dst ~bytes thunk =
   let chan = tx_chan t ~src ~dst in
@@ -289,7 +286,7 @@ let reset_tx t chan =
   chan.tx_next <- 1;
   Queue.clear chan.tx_unacked;
   chan.tx_strikes <- 0;
-  chan.tx_timer_gen <- chan.tx_timer_gen + 1;
+  Engine.cancel t.engine chan.tx_timer;
   chan.tx_down <- false;
   Counters.incr t.cstats s_resets
 

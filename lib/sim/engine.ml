@@ -1,14 +1,45 @@
-type event = { time : float; seq : int; action : unit -> unit }
+type event = {
+  time : float;
+  seq : int;
+  action : unit -> unit;
+  mutable pos : int; (* index in the heap array; -1 once run or cancelled *)
+}
 
 (* Binary min-heap on (time, seq); seq breaks ties so runs are
-   deterministic. *)
+   deterministic. Each event knows its slot, so a cancelled timer
+   leaves from the middle in O(log n). *)
 module Heap = struct
-  type t = { mutable data : event array; mutable size : int }
+  type t = { mutable data : event array; mutable size : int; mutable peak : int }
 
-  let dummy = { time = 0.0; seq = 0; action = (fun () -> ()) }
-  let create () = { data = Array.make 64 dummy; size = 0 }
+  let dummy = { time = 0.0; seq = 0; action = (fun () -> ()); pos = -1 }
+  let create () = { data = Array.make 64 dummy; size = 0; peak = 0 }
 
   let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let set h i e =
+    h.data.(i) <- e;
+    e.pos <- i
+
+  (* Fill the hole at [i] with [e], moving the hole towards the root
+     ([sift_up]) or the leaves ([sift_down]) until [e] is in order. *)
+  let rec sift_up h i e =
+    let p = (i - 1) / 2 in
+    if i > 0 && less e h.data.(p) then begin
+      set h i h.data.(p);
+      sift_up h p e
+    end
+    else set h i e
+
+  let rec sift_down h i e =
+    let l = (2 * i) + 1 in
+    if l >= h.size then set h i e
+    else
+      let c = if l + 1 < h.size && less h.data.(l + 1) h.data.(l) then l + 1 else l in
+      if less h.data.(c) e then begin
+        set h i h.data.(c);
+        sift_down h c e
+      end
+      else set h i e
 
   let push h e =
     if h.size = Array.length h.data then begin
@@ -16,49 +47,25 @@ module Heap = struct
       Array.blit h.data 0 bigger 0 h.size;
       h.data <- bigger
     end;
-    h.data.(h.size) <- e;
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.data.(p) in
-      h.data.(p) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := p
-    done
+    if h.size > h.peak then h.peak <- h.size;
+    sift_up h (h.size - 1) e
 
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- dummy;
-      let i = ref 0 in
-      let continue_sifting = ref true in
-      while !continue_sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue_sifting := false
-        else begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-
-  let peek h = if h.size = 0 then None else Some h.data.(0)
+  (* Take out the event at slot [i]; the last event fills the hole. *)
+  let remove h i =
+    h.data.(i).pos <- -1;
+    h.size <- h.size - 1;
+    let last = h.data.(h.size) in
+    h.data.(h.size) <- dummy;
+    if i < h.size then
+      if i > 0 && less last h.data.((i - 1) / 2) then sift_up h i last else sift_down h i last
 end
 
 type t = {
   mutable now : float;
   mutable seq : int;
   heap : Heap.t;
+  mutable events_run : int;
   mutable live : int;
   suspended : (int, string) Hashtbl.t; (* suspension token -> thread name *)
   mutable next_token : int;
@@ -73,15 +80,27 @@ type _ Effect.t +=
   | Self_name : string Effect.t
 
 let create () =
-  { now = 0.0; seq = 0; heap = Heap.create (); live = 0;
+  { now = 0.0; seq = 0; heap = Heap.create (); events_run = 0; live = 0;
     suspended = Hashtbl.create 64; next_token = 0; anon_count = 0; failure = None }
 
 let now t = t.now
 
-let schedule t ~at action =
+type timer = event
+
+let no_timer = Heap.dummy
+
+let timer t ~at action =
   let at = if at < t.now then t.now else at in
   t.seq <- t.seq + 1;
-  Heap.push t.heap { time = at; seq = t.seq; action }
+  let e = { time = at; seq = t.seq; action; pos = -1 } in
+  Heap.push t.heap e;
+  e
+
+let schedule t ~at action = ignore (timer t ~at action)
+let cancel t e = if e.pos >= 0 then Heap.remove t.heap e.pos
+let pending t = t.heap.Heap.size
+let peak_pending t = t.heap.Heap.peak
+let events_run t = t.events_run
 
 let spawn t ?name f =
   let name =
@@ -119,6 +138,7 @@ let spawn t ?name f =
   schedule t ~at:t.now fiber
 
 let run ?until t =
+  let h = t.heap in
   let stop = ref false in
   while not !stop do
     (match t.failure with
@@ -126,19 +146,19 @@ let run ?until t =
       t.failure <- None;
       raise e
     | None -> ());
-    match Heap.peek t.heap with
-    | None -> stop := true
-    | Some e ->
-      (match until with
+    if h.Heap.size = 0 then stop := true
+    else begin
+      let e = h.Heap.data.(0) in
+      match until with
       | Some limit when e.time > limit ->
         t.now <- limit;
         stop := true
       | _ ->
-        (match Heap.pop t.heap with
-        | None -> assert false
-        | Some e ->
-          t.now <- e.time;
-          e.action ()))
+        Heap.remove h 0;
+        t.now <- e.time;
+        t.events_run <- t.events_run + 1;
+        e.action ()
+    end
   done;
   match t.failure with
   | Some e ->

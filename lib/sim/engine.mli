@@ -14,7 +14,12 @@ type t
 val create : unit -> t
 
 val now : t -> float
-(** Current simulated time in microseconds. *)
+(** Current simulated time in microseconds: the time of the event
+    running now or, between runs, of the last event that ran. A
+    cancelled timer never runs, so its deadline never moves the clock.
+    When {!run} [~until] stops at an event past [until], [now] reads
+    [until]; when the queue drains first, it reads the last event's
+    time. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] schedules a new simulated thread to start at the current
@@ -24,6 +29,31 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Low-level: run a callback (not a coroutine — it must not block) at the
     given absolute time. *)
+
+type timer
+(** A scheduled callback that can be withdrawn before it runs. *)
+
+val timer : t -> at:float -> (unit -> unit) -> timer
+(** Like {!schedule}, and return a handle for {!cancel}. The callback
+    keeps its place in (time, sequence) order. *)
+
+val cancel : t -> timer -> unit
+(** Remove the timer from the queue now, in O(log n): its callback
+    never runs. Cancelling a timer that already ran or was already
+    cancelled does nothing. *)
+
+val no_timer : timer
+(** A timer that never runs; cancelling it does nothing. Fills a timer
+    field before the real timer is armed. *)
+
+val pending : t -> int
+(** Events in the queue: ready threads, sleeps and armed timers. *)
+
+val peak_pending : t -> int
+(** The longest the queue has been. *)
+
+val events_run : t -> int
+(** Events run so far; cancelled timers are not counted. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is empty or simulated time would exceed

@@ -35,7 +35,13 @@ let read_timeout t ~timeout =
             k v
           end
         in
-        (match t.state with
+        match t.state with
         | Full v -> once (Some v)
-        | Empty waiters -> t.state <- Empty ((fun v -> once (Some v)) :: waiters));
-        Engine.schedule eng ~at:(Engine.now eng +. timeout) (fun () -> once None))
+        | Empty waiters ->
+          let timer = Engine.timer eng ~at:(Engine.now eng +. timeout) (fun () -> once None) in
+          t.state <-
+            Empty
+              ((fun v ->
+                 Engine.cancel eng timer;
+                 once (Some v))
+              :: waiters))

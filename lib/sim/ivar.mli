@@ -23,4 +23,5 @@ val read : 'a t -> 'a
 
 val read_timeout : 'a t -> timeout:float -> 'a option
 (** Block for at most [timeout] simulated microseconds; [None] on
-    expiry. *)
+    expiry. The fill cancels the timeout, so a read that ends early
+    leaves no timer queued. *)

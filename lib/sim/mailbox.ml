@@ -1,4 +1,11 @@
-type 'a waiter = { mutable fired : bool; wake : 'a -> unit }
+(* [timer] is the timeout of a timed wait ([Engine.no_timer] for an
+   untimed one); the wake that ends the wait cancels it. *)
+type 'a waiter = {
+  mutable fired : bool;
+  wake : 'a -> unit;
+  eng : Engine.t;
+  mutable timer : Engine.timer;
+}
 
 type 'a t = {
   queue : 'a Queue.t;
@@ -11,6 +18,17 @@ type 'a t = {
 exception Closed
 
 let check_open t = if t.closed then raise Closed
+
+let fire w v =
+  w.fired <- true;
+  Engine.cancel w.eng w.timer;
+  w.wake v
+
+let waiter eng k = { fired = false; wake = k; eng; timer = Engine.no_timer }
+
+(* Arm [w]'s timeout: unless woken first, it wakes with [expired]. *)
+let arm eng w ~timeout expired =
+  w.timer <- Engine.timer eng ~at:(Engine.now eng +. timeout) (fun () -> fire w expired)
 
 let create ?capacity () =
   (match capacity with
@@ -45,8 +63,7 @@ let admit_blocked_sender t =
     | None -> ()
     | Some (v, w) ->
       Queue.add v t.queue;
-      w.fired <- true;
-      w.wake true
+      fire w true
 
 let set_capacity t cap =
   (match cap with
@@ -61,8 +78,7 @@ let set_capacity t cap =
       | None -> continue_admitting := false
       | Some (v, w) ->
         Queue.add v t.queue;
-        w.fired <- true;
-        w.wake true
+        fire w true
     end
     else continue_admitting := false
   done
@@ -70,8 +86,7 @@ let set_capacity t cap =
 let deliver_direct t v =
   match pop_live_receiver t.receivers with
   | Some w ->
-    w.fired <- true;
-    w.wake (Some v);
+    fire w (Some v);
     true
   | None -> false
 
@@ -86,15 +101,9 @@ let send_timeout t v ~timeout =
   else begin
     let accepted =
       Engine.suspend (fun eng k ->
-          let w = { fired = false; wake = k } in
+          let w = waiter eng k in
           Queue.add (v, w) t.senders;
-          Engine.schedule eng
-            ~at:(Engine.now eng +. timeout)
-            (fun () ->
-              if not w.fired then begin
-                w.fired <- true;
-                w.wake false
-              end))
+          arm eng w ~timeout false)
     in
     if (not accepted) && t.closed then raise Closed;
     accepted
@@ -106,9 +115,7 @@ let send t v =
   else if has_room t then Queue.add v t.queue
   else
     let accepted =
-      Engine.suspend (fun _eng k ->
-          let w = { fired = false; wake = k } in
-          Queue.add (v, w) t.senders)
+      Engine.suspend (fun eng k -> Queue.add (v, waiter eng k) t.senders)
     in
     if not accepted then begin
       (* Only a close can refuse an untimed send. *)
@@ -126,8 +133,7 @@ let try_recv t =
     (* A blocked sender's message can bypass an empty queue. *)
     match pop_live t.senders with
     | Some (v, w) ->
-      w.fired <- true;
-      w.wake true;
+      fire w true;
       Some v
     | None -> None)
 
@@ -136,9 +142,7 @@ let recv t =
   | Some v -> v
   | None -> (
     let r =
-      Engine.suspend (fun _eng k ->
-          let w = { fired = false; wake = k } in
-          Queue.add w t.receivers)
+      Engine.suspend (fun eng k -> Queue.add (waiter eng k) t.receivers)
     in
     match r with
     | Some v -> v
@@ -154,15 +158,9 @@ let recv_timeout t ~timeout =
     else
       match
         Engine.suspend (fun eng k ->
-            let w = { fired = false; wake = k } in
+            let w = waiter eng k in
             Queue.add w t.receivers;
-            Engine.schedule eng
-              ~at:(Engine.now eng +. timeout)
-              (fun () ->
-                if not w.fired then begin
-                  w.fired <- true;
-                  w.wake None
-                end))
+            arm eng w ~timeout None)
       with
       | Some v -> Some v
       | None -> if t.closed then raise Closed else None
@@ -172,21 +170,9 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     Queue.clear t.queue;
-    Queue.iter
-      (fun w ->
-        if not w.fired then begin
-          w.fired <- true;
-          w.wake None
-        end)
-      t.receivers;
+    Queue.iter (fun w -> if not w.fired then fire w None) t.receivers;
     Queue.clear t.receivers;
-    Queue.iter
-      (fun (_, w) ->
-        if not w.fired then begin
-          w.fired <- true;
-          w.wake false
-        end)
-      t.senders;
+    Queue.iter (fun (_, w) -> if not w.fired then fire w false) t.senders;
     Queue.clear t.senders
   end
 

@@ -20,12 +20,18 @@ val send : 'a t -> 'a -> unit
 
 val send_timeout : 'a t -> 'a -> timeout:float -> bool
 (** Like {!send} but gives up after [timeout] simulated microseconds,
-    returning [false]. A zero timeout is a non-blocking try-send. *)
+    returning [false]. A zero timeout is a non-blocking try-send. A
+    receiver that admits the message (or a {!close}) cancels the
+    timeout, so a send that ends early leaves no timer queued. *)
 
 val recv : 'a t -> 'a
 (** Dequeue, blocking while the mailbox is empty. *)
 
 val recv_timeout : 'a t -> timeout:float -> 'a option
+(** Like {!recv} but gives up after [timeout] simulated microseconds,
+    returning [None]. A sender that delivers (or a {!close}) cancels
+    the timeout, so a receive that ends early leaves no timer queued. *)
+
 val try_recv : 'a t -> 'a option
 
 val waiters : 'a t -> int

@@ -12,7 +12,8 @@ val wait : t -> unit
 (** Block until the next {!broadcast} or {!signal}. *)
 
 val wait_timeout : t -> timeout:float -> bool
-(** [true] if woken by a signal, [false] on timeout. *)
+(** [true] if woken by a signal, [false] on timeout. The wake cancels
+    the timeout, so a wait that ends early leaves no timer queued. *)
 
 val signal : t -> unit
 (** Wake at most one waiter. *)

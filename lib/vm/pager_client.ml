@@ -57,30 +57,30 @@ let still_held (h : holding) page =
    and take the frames back. Cleaning pages lose their frames — waiters
    wake and re-resolve against the manager, which still owes the data it
    never released. Runs in a timer callback, so nothing here may block:
-   mappings were removed at launder time, making every free charge-less. *)
+   mappings were removed at launder time, making every free charge-less.
+   Release and rescue both take the holding out of [holdings] and cancel
+   its timer, so a holding is released or rescued at most once. *)
 let rescue kctx (h : holding) =
-  if not h.h_released then begin
-    h.h_released <- true;
-    Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
-    let pages = List.filter (still_held h) h.h_pages in
-    let rescued = List.length pages + List.length h.h_frames in
-    Counters.add kctx.Kctx.stats s_pageout_to_default rescued;
-    (match kctx.Kctx.rescue_writer with Some w -> w h.h_data | None -> ());
-    List.iter (Kctx.free_frame kctx) h.h_frames;
-    h.h_frames <- [];
-    List.iter
-      (fun page ->
-        Vm_page.cleaned page;
-        Vm_page.free kctx page)
-      pages;
-    h.h_pages <- []
-  end
+  Engine.cancel kctx.Kctx.engine h.h_timer;
+  Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
+  let pages = List.filter (still_held h) h.h_pages in
+  let rescued = List.length pages + List.length h.h_frames in
+  Counters.add kctx.Kctx.stats s_pageout_to_default rescued;
+  (match kctx.Kctx.rescue_writer with Some w -> w h.h_data | None -> ());
+  List.iter (Kctx.free_frame kctx) h.h_frames;
+  h.h_frames <- [];
+  List.iter
+    (fun page ->
+      Vm_page.cleaned page;
+      Vm_page.free kctx page)
+    pages;
+  h.h_pages <- []
 
 let release_write kctx ~write_id =
   match Hashtbl.find_opt kctx.Kctx.holdings write_id with
   | None -> () (* already rescued or bogus id *)
   | Some h ->
-    h.h_released <- true;
+    Engine.cancel kctx.Kctx.engine h.h_timer;
     Hashtbl.remove kctx.Kctx.holdings write_id;
     List.iter (Kctx.free_frame kctx) h.h_frames;
     h.h_frames <- [];
@@ -309,14 +309,15 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
       h_pages = pages;
       h_frames = frames;
       h_dispose = dispose;
-      h_released = false;
+      h_timer = Engine.no_timer;
     }
   in
   Hashtbl.replace kctx.Kctx.holdings write_id h;
   Counters.incr kctx.Kctx.stats s_data_writes;
-  Engine.schedule kctx.Kctx.engine
-    ~at:(Engine.now kctx.Kctx.engine +. Kctx.data_write_release_timeout_us)
-    (fun () -> rescue kctx h);
+  h.h_timer <-
+    Engine.timer kctx.Kctx.engine
+      ~at:(Engine.now kctx.Kctx.engine +. Kctx.data_write_release_timeout_us)
+      (fun () -> rescue kctx h);
   send kctx
     (Pager_iface.encode_k2m ~reply:p.request_port
        (Pager_iface.Data_write { memory_object = p.memory_object; offset; data; write_id })

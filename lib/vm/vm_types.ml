@@ -138,7 +138,7 @@ type holding = {
   mutable h_pages : page list;  (** resident cleaning pages, offset order *)
   mutable h_frames : int list;  (** parked frames of detached pages *)
   h_dispose : dispose;
-  mutable h_released : bool;
+  mutable h_timer : Mach_sim.Engine.timer;  (** rescue timer; cancelled on release *)
 }
 
 (** Kernel VM statistics, in the spirit of [vm_statistics] (Table 3-3):

@@ -259,6 +259,46 @@ let test_three_host_contention_storm () =
   Engine.run cluster.Kernel.c_engine;
   check Alcotest.int "all three hosts completed" 3 !finished
 
+(* Regression: every fault that waits on the manager arms the default
+   pager timeout (2 s), and the fault ends milliseconds later. The
+   timer must leave the event queue with the wait, or the queue gains
+   one dead timeout per fault until the first deadlines pass (over 200
+   here). What stays queued is live work (about 10 events) plus the 2 s
+   placeholder-reclaim timers of clustered requests (about 20 more over
+   this sub-second run). *)
+let test_fault_timers_die_with_their_wait () =
+  let pages = 4 and touches = 100 in
+  let cluster = Kernel.create_cluster ~hosts:3 () in
+  let engine = cluster.Kernel.c_engine in
+  let done_ = ref 0 and peak = ref 0 in
+  Engine.spawn engine ~name:"setup" (fun () ->
+      let nm = Netmem.start cluster.Kernel.c_kernels.(0) () in
+      let region = Netmem.create_region nm ~size:(pages * page) in
+      for host = 0 to 2 do
+        let task =
+          Task.create cluster.Kernel.c_kernels.(host) ~name:(Printf.sprintf "timers-%d" host) ()
+        in
+        ignore
+          (Thread.spawn task ~name:(Printf.sprintf "timers-%d.main" host) (fun () ->
+               let addr =
+                 Syscalls.vm_allocate_with_pager task ~size:(pages * page) ~anywhere:true
+                   ~memory_object:region ~offset:0 ()
+               in
+               let rng = Mach_util.Rng.create ((host * 7) + 3) in
+               for _ = 1 to touches do
+                 let p = Mach_util.Rng.int rng pages in
+                 let write = Mach_util.Rng.float rng 1.0 < 0.3 in
+                 (match Syscalls.touch task ~addr:(addr + (p * page)) ~write () with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "touch: %a" Access.pp_error e);
+                 incr done_;
+                 peak := max !peak (Engine.pending engine)
+               done))
+      done);
+  Engine.run engine;
+  check Alcotest.int "every touch completed" (3 * touches) !done_;
+  if !peak > 64 then Alcotest.failf "%d events queued after a fault (at most 64 expected)" !peak
+
 (* Regression: read_bytes/write_bytes used the frame [touch] returned,
    but touch's closing charge can yield to a coherence flush that frees
    that frame ("Phys_mem: frame not allocated"). A seeded 3-host storm
@@ -356,6 +396,8 @@ let () =
           Alcotest.test_case "dirty data written back on unmap" `Quick test_write_back_on_unmap;
           Alcotest.test_case "interleaved stress stays coherent" `Quick test_interleaved_stress;
           Alcotest.test_case "three-host contention storm" `Quick test_three_host_contention_storm;
+          Alcotest.test_case "fault timers die with their wait" `Quick
+            test_fault_timers_die_with_their_wait;
           Alcotest.test_case "byte loads/stores survive flushes" `Quick test_byte_access_storm;
         ] );
     ]

@@ -148,6 +148,169 @@ let determinism_prop =
       in
       run () = run ())
 
+(* ---- timers ------------------------------------------------------------- *)
+
+let test_cancelled_timer_never_runs () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let early = Engine.timer eng ~at:10.0 (fun () -> log := 1 :: !log) in
+  Engine.schedule eng ~at:20.0 (fun () -> log := 2 :: !log);
+  let late = Engine.timer eng ~at:30.0 (fun () -> log := 3 :: !log) in
+  Engine.schedule eng ~at:15.0 (fun () -> Engine.cancel eng late);
+  Engine.cancel eng early;
+  check Alcotest.int "cancelled timer left the queue" 3 (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.(list int) "only the live event ran" [ 2 ] (List.rev !log);
+  check Alcotest.int "events run" 2 (Engine.events_run eng);
+  check Alcotest.int "peak queue" 4 (Engine.peak_pending eng)
+
+(* A cancelled deadline never moves the clock: at quiescence [now] is
+   the last live event, with or without [~until]. *)
+let test_now_at_quiescence () =
+  let eng = Engine.create () in
+  Engine.schedule eng ~at:20.0 ignore;
+  Engine.cancel eng (Engine.timer eng ~at:2_000_000.0 ignore);
+  Engine.run eng;
+  check (Alcotest.float 1e-9) "clock at last live event" 20.0 (Engine.now eng);
+  Engine.schedule eng ~at:40.0 ignore;
+  Engine.cancel eng (Engine.timer eng ~at:60.0 ignore);
+  Engine.run ~until:100.0 eng;
+  check (Alcotest.float 1e-9) "drained before the limit" 40.0 (Engine.now eng)
+
+let test_cancel_is_idempotent () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let fired = Engine.timer eng ~at:5.0 (fun () -> log := 5 :: !log) in
+  Engine.schedule eng ~at:7.0 (fun () -> log := 7 :: !log);
+  Engine.schedule eng ~at:9.0 (fun () -> log := 9 :: !log);
+  Engine.run ~until:6.0 eng;
+  (* [fired] ran; its old slot now holds another event. *)
+  Engine.cancel eng fired;
+  let twice = Engine.timer eng ~at:8.0 (fun () -> log := 8 :: !log) in
+  Engine.cancel eng twice;
+  Engine.cancel eng twice;
+  Engine.cancel eng Engine.no_timer;
+  check Alcotest.int "two events still queued" 2 (Engine.pending eng);
+  Engine.run eng;
+  check Alcotest.(list int) "others untouched" [ 5; 7; 9 ] (List.rev !log)
+
+(* qcheck: random schedules, timers and cancels — before the run or
+   from callbacks, so timers leave from anywhere in the heap — run in
+   the order of a sorted-list model: (time, creation order), minus
+   whatever was cancelled before its turn. *)
+let timer_order_prop =
+  let open QCheck2 in
+  let op_gen =
+    Gen.(
+      oneof
+        [
+          map (fun t -> `Schedule t) (int_bound 20);
+          map (fun t -> `Timer t) (int_bound 20);
+          map (fun k -> `Cancel k) nat;
+          map2 (fun t k -> `Cancel_at (t, k)) (int_bound 20) nat;
+        ])
+  in
+  let print_op = function
+    | `Schedule t -> Printf.sprintf "schedule %d" t
+    | `Timer t -> Printf.sprintf "timer %d" t
+    | `Cancel k -> Printf.sprintf "cancel #%d" k
+    | `Cancel_at (t, k) -> Printf.sprintf "cancel #%d at %d" k t
+  in
+  Test.make ~name:"timers run in (time, seq) order; cancelled ones never" ~count:300
+    ~print:Print.(list print_op)
+    Gen.(list_size (int_range 0 60) op_gen)
+    (fun ops ->
+      let eng = Engine.create () in
+      let log = ref [] in
+      let timers = ref [] in
+      (* (time, id, id of the timer it cancels); id is the op index, so
+         it orders like the engine's sequence number *)
+      let model = ref [] in
+      let pick k =
+        match !timers with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      let drop target l = List.filter (fun (_, id, _) -> id <> target) l in
+      List.iteri
+        (fun id op ->
+          let run () = log := id :: !log in
+          match op with
+          | `Schedule t ->
+            Engine.schedule eng ~at:(float_of_int t) run;
+            model := (t, id, None) :: !model
+          | `Timer t ->
+            timers := (id, Engine.timer eng ~at:(float_of_int t) run) :: !timers;
+            model := (t, id, None) :: !model
+          | `Cancel k -> (
+            match pick k with
+            | None -> ()
+            | Some (target, tm) ->
+              Engine.cancel eng tm;
+              model := drop target !model)
+          | `Cancel_at (t, k) -> (
+            match pick k with
+            | None -> ()
+            | Some (target, tm) ->
+              Engine.schedule eng ~at:(float_of_int t) (fun () ->
+                  run ();
+                  Engine.cancel eng tm);
+              model := (t, id, Some target) :: !model))
+        ops;
+      let rec replay acc = function
+        | [] -> List.rev acc
+        | (_, id, cancels) :: rest ->
+          let rest = match cancels with Some target -> drop target rest | None -> rest in
+          replay (id :: acc) rest
+      in
+      let expected = replay [] (List.sort compare !model) in
+      Engine.run eng;
+      List.rev !log = expected && Engine.pending eng = 0)
+
+(* A timed wait woken early takes its timer with it: when the waiter
+   resumes nothing else is queued, and the run ends at the wake, not at
+   the deadline. [wait] reports whether the wake (not the timeout)
+   ended the wait. *)
+let woken_early ~wait ~wake () =
+  let eng = Engine.create () in
+  let woken = ref false and left = ref (-1) in
+  Engine.spawn eng ~name:"waiter" (fun () ->
+      woken := wait ();
+      left := Engine.pending eng);
+  Engine.spawn eng ~name:"waker" (fun () ->
+      Engine.sleep 10.0;
+      wake ());
+  Engine.run eng;
+  Alcotest.(check bool) "woken, not timed out" true !woken;
+  check Alcotest.int "no timer left queued" 0 !left;
+  check (Alcotest.float 1e-9) "clock stops at the wake" 10.0 (Engine.now eng)
+
+let long = 1e9
+
+let test_waitq_timer_dies () =
+  let wq = Waitq.create () in
+  woken_early ~wait:(fun () -> Waitq.wait_timeout wq ~timeout:long) ~wake:(fun () -> Waitq.signal wq) ()
+
+let test_send_timer_dies () =
+  let mb = Mailbox.create ~capacity:1 () in
+  Mailbox.send mb 0;
+  woken_early
+    ~wait:(fun () -> Mailbox.send_timeout mb 1 ~timeout:long)
+    ~wake:(fun () -> ignore (Mailbox.recv mb))
+    ()
+
+let test_recv_timer_dies () =
+  let mb = Mailbox.create () in
+  woken_early
+    ~wait:(fun () -> Mailbox.recv_timeout mb ~timeout:long = Some 1)
+    ~wake:(fun () -> Mailbox.send mb 1)
+    ()
+
+let test_ivar_timer_dies () =
+  let iv = Ivar.create () in
+  woken_early
+    ~wait:(fun () -> Ivar.read_timeout iv ~timeout:long = Some 1)
+    ~wake:(fun () -> Ivar.fill iv 1)
+    ()
+
 (* ---- ivar --------------------------------------------------------------- *)
 
 let test_ivar_fill_then_read () =
@@ -431,6 +594,17 @@ let () =
           Alcotest.test_case "self name" `Quick test_self_name;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
           QCheck_alcotest.to_alcotest determinism_prop;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "cancelled timer never runs" `Quick test_cancelled_timer_never_runs;
+          Alcotest.test_case "now at quiescence" `Quick test_now_at_quiescence;
+          Alcotest.test_case "cancel is idempotent" `Quick test_cancel_is_idempotent;
+          QCheck_alcotest.to_alcotest timer_order_prop;
+          Alcotest.test_case "waitq wake cancels the timeout" `Quick test_waitq_timer_dies;
+          Alcotest.test_case "send wake cancels the timeout" `Quick test_send_timer_dies;
+          Alcotest.test_case "recv wake cancels the timeout" `Quick test_recv_timer_dies;
+          Alcotest.test_case "ivar fill cancels the timeout" `Quick test_ivar_timer_dies;
         ] );
       ( "ivar",
         [
