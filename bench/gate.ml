@@ -49,6 +49,10 @@ let spec = [
     ge "warm_speedup" (Base 0.9);
     le "mach_warm_io" (Base 1.0);
     eq "unix_warm_io" (Base 1.0);
+    (* Pageout frees clean pages before it launders dirty ones: the
+       image emit sends the file server no more pages than the
+       baseline's. *)
+    le "wb_pageouts" (Base 1.0);
   ] );
   ( "E5", [
     ge "fault_storm_speedup_4" (Const 1.5);
@@ -102,6 +106,7 @@ let spec = [
        reserved pool. *)
     ge "hoarder_rescued" (Const 1.0);
     eq "hoarder_alive" (Const 1.0);
+    eq "hoarder_write_failures" (Const 0.0);
     eq "flooder_can_alloc" (Const 1.0);
     ge "flooder_free_after" (Cur "flooder_reserved");
     (* Retransmission stays proportionate and the heal converges. *)

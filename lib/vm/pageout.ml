@@ -4,6 +4,10 @@ module Waitq = Mach_sim.Waitq
 module Phys_mem = Mach_hw.Phys_mem
 module Machine = Mach_hw.Machine
 
+(* Pages pageout leaves alone: wired, in transit, or held by a faulter
+   that has not yet retried its access (Fault's grant hold). *)
+let pinned page = page.wire_count > 0 || busy page || page.grant_hold > 0
+
 (* Move aged pages (reference bit clear) from the active queue to the
    inactive queue; referenced pages rotate back with their bit cleared,
    approximating LRU with a clock sweep. *)
@@ -17,7 +21,7 @@ let refill_inactive kctx ~want =
     | None -> scanned := budget
     | Some page ->
       incr scanned;
-      if page.wire_count > 0 || busy page then Page_queues.activate queues page
+      if pinned page then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
         Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
         Page_queues.activate queues page (* second chance *)
@@ -79,34 +83,42 @@ let collect_run kctx seed =
    backlog a fault can land behind. *)
 let laundry_limit kctx = max (2 * Kctx.cluster_pages) (Kctx.free_target kctx)
 
-(* Returns the number of frames actually freed. Dirty pages are
-   laundered — shipped to their manager in run-sized pager_data_writes
-   and kept resident busy-cleaning — so they do not count as freed here;
-   their frames come back at release_write (or rescue) time. Laundered
-   pages do count toward the pass target, though: their frames are
-   already on the way. *)
+(* Returns the number of frames actually freed. Clean pages go first:
+   they cost nothing to drop, so the first pass frees them and sets
+   dirty ones aside at the inactive tail (a first pass that falls short
+   has visited the whole queue, so the dirty pages keep their order).
+   The second pass launders for the deficit left — run-sized
+   pager_data_writes, the pages kept resident busy-cleaning — so those
+   do not count as freed here; their frames come back at release_write
+   (or rescue) time. Laundered pages do count toward the pass target,
+   though: their frames are already on the way. *)
 let reclaim_inactive kctx ~want =
   let queues = kctx.Kctx.queues in
   let freed = ref 0 in
   let laundered = ref 0 in
-  let scanned = ref 0 in
-  let budget = Page_queues.inactive_count queues in
-  while !freed + !laundered < want && !scanned < budget do
-    match Page_queues.oldest_inactive queues with
-    | None -> scanned := budget
-    | Some page ->
-      incr scanned;
-      if page.wire_count > 0 || busy page then Page_queues.activate queues page
-      else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
-        (* Used while inactive: reactivate. *)
-        Counters.incr kctx.Kctx.stats s_reactivations;
-        Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
-        Page_queues.activate queues page
-      end
-      else begin
-        Vm_page.harvest_bits kctx page;
-        if page.dirty then begin
-          if Page_queues.laundry_count queues >= laundry_limit kctx then
+  let pass ~launder =
+    let scanned = ref 0 in
+    let budget = Page_queues.inactive_count queues in
+    while !freed + !laundered < want && !scanned < budget do
+      match Page_queues.oldest_inactive queues with
+      | None -> scanned := budget
+      | Some page ->
+        incr scanned;
+        if pinned page then Page_queues.activate queues page
+        else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
+          (* Used while inactive: reactivate. *)
+          Counters.incr kctx.Kctx.stats s_reactivations;
+          Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
+          Page_queues.activate queues page
+        end
+        else begin
+          Vm_page.harvest_bits kctx page;
+          if not page.dirty then begin
+            Vm_page.free kctx page;
+            incr freed
+          end
+          else if not launder then Page_queues.deactivate queues page
+          else if Page_queues.laundry_count queues >= laundry_limit kctx then
             (* Enough in flight; end the pass and let releases drain. *)
             scanned := budget
           else begin
@@ -123,12 +135,10 @@ let reclaim_inactive kctx ~want =
               Page_queues.activate queues page
           end
         end
-        else begin
-          Vm_page.free kctx page;
-          incr freed
-        end
-      end
-  done;
+    done
+  in
+  pass ~launder:false;
+  pass ~launder:true;
   !freed
 
 let run_once kctx =

@@ -2,11 +2,14 @@
 
     Maintains the free-frame target by aging pages from the active queue
     to the inactive queue (clearing hardware reference bits so reuse is
-    observable), freeing clean inactive pages, and laundering dirty ones:
-    each reclaim seed grows into a run of adjacent same-object dirty
-    pages shipped in one [pager_data_write], kept resident busy-cleaning
-    until the manager's release. Anonymous memory being paged out for
-    the first time is handed to the default pager with [pager_create]. *)
+    observable), then reclaiming inactive pages clean first: a pass
+    frees clean pages before it launders any dirty one, and launders
+    only for the deficit the clean pages leave. Each laundering seed
+    grows into a run of adjacent same-object dirty pages shipped in one
+    [pager_data_write], kept resident busy-cleaning until the manager's
+    release. Wired, busy and faulter-held pages are never taken.
+    Anonymous memory being paged out for the first time is handed to
+    the default pager with [pager_create]. *)
 
 val start : Kctx.t -> unit
 (** Spawn the daemon thread. It wakes when {!Kctx.alloc_frame} signals

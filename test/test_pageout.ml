@@ -6,6 +6,7 @@ open Mach
 module Mos = Memory_object_server
 module Rt = Pager_runtime
 module Page_queues = Mach_vm.Page_queues
+module Vm_page = Mach_vm.Vm_page
 module Minimal_fs = Mach_pagers.Minimal_fs
 module Fs_layout = Mach_fs.Fs_layout
 
@@ -360,6 +361,118 @@ let test_file_writeback_not_double_paged () =
         | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
       done)
 
+(* One reclaim pass over an inactive queue built by hand, in a bare
+   kernel context with no daemon running. Page [i] caches offset
+   [i * page] of one external object that no manager serves, and
+   the queue holds the pages in list order, oldest first. Free memory
+   is cut to [deficit] frames below the free target, so [run_once]
+   reclaims exactly that many. Returns the frames freed, the
+   data_writes sent, and the pages. *)
+type inactive_page = { dirty : bool; referenced : bool; held : bool }
+
+let clean = { dirty = false; referenced = false; held = false }
+let dirty = { clean with dirty = true }
+
+let reclaim_pass specs ~deficit =
+  let eng = Engine.create () in
+  let ctx = Context.create eng (Net.create eng ()) in
+  let mem = Phys_mem.create ~frames:128 ~page_size:page in
+  let kctx =
+    Kctx.create eng ctx ~host:0 ~params:Machine.uniprocessor ~mem ~reserved_frames:16 ()
+  in
+  Mach_vm.Pager_client.install kctx;
+  let obj =
+    Vm_object.create_external kctx ~memory_object:(Port.create ctx ~home:0 ())
+      ~size:(List.length specs * page)
+  in
+  let pages =
+    List.mapi
+      (fun i s ->
+        let frame = Option.get (Phys_mem.alloc mem) in
+        let p = Vm_page.insert kctx obj ~offset:(i * page) ~frame ~state:Vm_types.Resident in
+        p.Vm_types.dirty <- s.dirty;
+        p.Vm_types.grant_hold <- (if s.held then 1 else 0);
+        Phys_mem.set_referenced mem frame s.referenced;
+        Page_queues.deactivate kctx.Kctx.queues p;
+        p)
+      specs
+  in
+  while Phys_mem.free_frames mem > Kctx.free_target kctx - deficit do
+    ignore (Phys_mem.alloc mem)
+  done;
+  let freed = ref None in
+  Engine.spawn eng (fun () -> freed := Some (Pageout.run_once kctx));
+  (* Stop before the unanswered writes' rescue timers fire. *)
+  Engine.run ~until:(Kctx.data_write_release_timeout_us /. 2.0) eng;
+  check_queues kctx;
+  match !freed with
+  | Some freed -> (freed, Counters.get kctx.Kctx.stats Vm_types.s_data_writes, pages)
+  | None -> Alcotest.fail "the pass did not finish"
+
+let gone (p : Vm_types.page) =
+  match Vm_page.lookup p.Vm_types.p_obj ~offset:p.Vm_types.p_offset with
+  | Some q -> q != p
+  | None -> true
+
+let cleaning (p : Vm_types.page) = p.Vm_types.p_state = Vm_types.Cleaning
+
+let test_held_page_survives () =
+  (* A faulter holds the page across its map-op charge: freeing it
+     there makes the faulter refault, and under pressure forever. *)
+  let freed, writes, pages = reclaim_pass [ { clean with held = true } ] ~deficit:1 in
+  check Alcotest.int "nothing freed" 0 freed;
+  check Alcotest.int "nothing laundered" 0 writes;
+  Alcotest.(check bool) "held page still resident" false (gone (List.hd pages))
+
+let test_clean_pages_go_first () =
+  (* Older dirty pages, newer clean ones, and a deficit the clean pages
+     cover: the pass drops clean pages and writes nothing. *)
+  let dirty_pages = List.init 8 (fun _ -> dirty) and clean_pages = List.init 8 (fun _ -> clean) in
+  let freed, writes, pages = reclaim_pass (dirty_pages @ clean_pages) ~deficit:4 in
+  check Alcotest.int "deficit freed" 4 freed;
+  check Alcotest.int "no data_write" 0 writes;
+  check Alcotest.(list bool) "the four oldest clean pages freed"
+    (List.init 16 (fun i -> i >= 8 && i < 12))
+    (List.map gone pages)
+
+let test_deficit_past_clean_launders () =
+  (* Dirty 0-3, clean 4-5, dirty 6-9, and a deficit of 6: both clean
+     pages go, then the oldest dirty run is laundered as one write. *)
+  let specs = List.init 10 (fun i -> if i = 4 || i = 5 then clean else dirty) in
+  let freed, writes, pages = reclaim_pass specs ~deficit:6 in
+  check Alcotest.int "clean pages freed" 2 freed;
+  check Alcotest.int "one data_write" 1 writes;
+  check Alcotest.(list bool) "the oldest run is cleaning"
+    (List.init 10 (fun i -> i < 4))
+    (List.map cleaning pages)
+
+(* Random inactive queues: a pass frees clean idle pages up to the
+   deficit, launders exactly when they cannot cover it, and never frees
+   a referenced or held page. [reclaim_pass] checks the queues. *)
+let clean_first_prop =
+  let open QCheck2 in
+  let spec =
+    Gen.(
+      map3 (fun dirty referenced held -> { dirty; referenced; held }) bool bool
+        (map (fun n -> n = 0) (int_range 0 3)))
+  in
+  let show s =
+    String.concat ""
+      [ (if s.dirty then "D" else "C"); (if s.referenced then "r" else "-");
+        (if s.held then "h" else "-") ]
+  in
+  Test.make ~name:"a pass launders only what clean pages cannot cover" ~count:200
+    ~print:Print.(pair (list show) int)
+    Gen.(pair (list_size (int_range 1 24) spec) (int_range 1 24))
+    (fun (specs, deficit) ->
+      let freed, writes, pages = reclaim_pass specs ~deficit in
+      let idle s = (not s.referenced) && not s.held in
+      let freeable = List.length (List.filter (fun s -> idle s && not s.dirty) specs) in
+      let launderable = List.exists (fun s -> idle s && s.dirty) specs in
+      freed = min freeable deficit
+      && (writes > 0) = (freeable < deficit && launderable)
+      && List.for_all2 (fun s p -> idle s || not (gone p)) specs pages)
+
 let () =
   Alcotest.run "pageout"
     [
@@ -383,5 +496,13 @@ let () =
             test_rescue_still_double_pages;
           Alcotest.test_case "file server writeback is not double-paged" `Quick
             test_file_writeback_not_double_paged;
+        ] );
+      ( "reclaim",
+        [
+          Alcotest.test_case "a held page survives a pass" `Quick test_held_page_survives;
+          Alcotest.test_case "clean pages go first" `Quick test_clean_pages_go_first;
+          Alcotest.test_case "a deficit past the clean pages launders" `Quick
+            test_deficit_past_clean_launders;
+          QCheck_alcotest.to_alcotest clean_first_prop;
         ] );
     ]
