@@ -37,8 +37,8 @@ let frame_tag kctx (p : Vm_types.page) = Bytes.get (Phys_mem.data kctx.Kctx.mem 
 
 (* Full system; runs [f sys task] on a fresh task's thread and returns
    its result. *)
-let with_system f =
-  let sys = Kernel.create_system () in
+let with_system ?config f =
+  let sys = Kernel.create_system ?config () in
   let result = ref None in
   Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
       let task = Task.create sys.Kernel.kernel ~name:"main" () in
@@ -186,6 +186,52 @@ let test_collapse_keeps_translations () =
       check Alcotest.int "and no copy-ahead" batched0 (Counters.get stats Vm_types.s_cow_batched);
       check Alcotest.int "and no frame taken" frames0 (Kernel.free_frames kernel);
       check Alcotest.int "write landed" 3 (load task (at 40)))
+
+(* ---- fork under paging pressure --------------------------------------- *)
+
+(* A parent region larger than physical memory, forked and touched:
+   pageout binds the parent's intermediate shadows to the default pager,
+   and every load must still return the parent's last store, whether the
+   newest copy is resident, in a deeper object, or with the pager. *)
+let test_fork_under_paging_keeps_writes () =
+  let config = { Kernel.default_config with Kernel.phys_frames = 64 } in
+  let pages = 48 and cycles = 4 and touches = 128 in
+  let bad, pageouts =
+    with_system ~config (fun sys task ->
+        let kernel = sys.Kernel.kernel in
+        let rng = Mach_util.Rng.create 1 in
+        let addr = Syscalls.vm_allocate task ~size:(pages * page) ~anywhere:true () in
+        let word v =
+          let b = Bytes.create 8 in
+          Bytes.set_int64_le b 0 (Int64.of_int v);
+          b
+        in
+        let last = Array.init pages (fun p -> p) in
+        let store p v =
+          match Syscalls.write_bytes task ~addr:(addr + (p * page)) (word v) () with
+          | Ok () -> last.(p) <- v
+          | Error _ -> Alcotest.fail "store failed"
+        in
+        for p = 0 to pages - 1 do
+          store p p
+        done;
+        let bad = ref 0 in
+        for c = 1 to cycles do
+          let child = Task.create kernel ~parent:task ~name:(Printf.sprintf "c%d" c) () in
+          for i = 1 to touches do
+            let p = Mach_util.Rng.int rng pages in
+            if Mach_util.Rng.int rng 100 < 25 then store p ((c * 1000) + i)
+            else
+              match Syscalls.read_bytes task ~addr:(addr + (p * page)) ~len:8 () with
+              | Ok b -> if Int64.to_int (Bytes.get_int64_le b 0) <> last.(p) then incr bad
+              | Error _ -> Alcotest.fail "load failed"
+          done;
+          Task.terminate child
+        done;
+        (!bad, Counters.get (Kernel.stats kernel) Vm_types.s_pageouts))
+  in
+  Alcotest.(check bool) "the region really paged" true (pageouts > 0);
+  check Alcotest.int "every load returns the last store" 0 bad
 
 (* ---- copy-ahead follows the access pattern ---------------------------- *)
 
@@ -406,6 +452,8 @@ let () =
           Alcotest.test_case "churn steals and clusters" `Quick test_steal_and_cluster;
           Alcotest.test_case "collapse keeps translations" `Quick
             test_collapse_keeps_translations;
+          Alcotest.test_case "fork under paging keeps every write" `Quick
+            test_fork_under_paging_keeps_writes;
           Alcotest.test_case "copy-ahead only on sequential faults" `Quick
             test_copy_ahead_sequential_only;
           Alcotest.test_case "terminate-path collapse" `Quick test_terminate_path_collapse;

@@ -97,6 +97,32 @@ let test_multi_page_file () =
       check Alcotest.string "page1" "1" (read_mem env (addr + page) 1);
       check Alcotest.string "page2" "2" (read_mem env (addr + (2 * page)) 1))
 
+(* Once the private mapping's shadow has paged to the default pager, a
+   page the client never read still comes from the file, and the paged
+   page from the default pager. *)
+let test_private_mapping_after_shadow_pageout () =
+  with_fs (fun env ->
+      let data = Bytes.init (16 * page) (fun i -> Char.chr (0x41 + (i / page))) in
+      expect_write env "big" data;
+      let addr, _ = expect_read env "big" in
+      (match Syscalls.write_bytes env.client ~addr (Bytes.of_string "x") () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write: %a" Access.pp_error e);
+      let kctx = Kernel.kctx env.sys.Kernel.kernel in
+      let shadow, off =
+        match Vm_map.lookup (Task.map env.client) ~addr ~write:false with
+        | Ok lk -> (lk.Vm_map.lk_obj, lk.Vm_map.lk_offset)
+        | Error _ -> Alcotest.fail "mapping gone"
+      in
+      Alcotest.(check bool) "the write made a shadow" true (shadow.Vm_types.backing <> None);
+      let p = Option.get (Mach_vm.Vm_page.lookup shadow ~offset:off) in
+      Mach_vm.Pager_client.bind_to_default_pager kctx shadow;
+      Mach_vm.Pager_client.write_run kctx [ p ] ~dispose:Vm_types.Dispose_free;
+      Mach_vm.Vm_page.wait_unbusy p;
+      check Alcotest.string "never-read page from the file" "M"
+        (read_mem env (addr + (12 * page)) 1);
+      check Alcotest.string "paged page from the default pager" "x" (read_mem env addr 1))
+
 let test_cache_hit_second_read () =
   with_fs (fun env ->
       let data = Bytes.make (4 * page) 'x' in
@@ -300,6 +326,8 @@ let () =
           Alcotest.test_case "write-back visible after flush" `Quick test_write_back_visible;
           Alcotest.test_case "multi-page file" `Quick test_multi_page_file;
           Alcotest.test_case "second read hits memory cache" `Quick test_cache_hit_second_read;
+          Alcotest.test_case "private page after shadow pageout" `Quick
+            test_private_mapping_after_shadow_pageout;
           Alcotest.test_case "list files" `Quick test_list_files;
           Alcotest.test_case "disk full is an error, not a crash" `Quick
             test_disk_full_is_an_error_not_a_crash;

@@ -14,6 +14,7 @@ module Vm_types = Mach_vm.Vm_types
 module Vm_object = Mach_vm.Vm_object
 module Vm_page = Mach_vm.Vm_page
 module Page_queues = Mach_vm.Page_queues
+module Pager_client = Mach_vm.Pager_client
 
 let check = Alcotest.check
 let page = 4096
@@ -136,6 +137,32 @@ let test_chain_has_pager_translation () =
     check Alcotest.int "translated offset" (3 * page) off
   | None -> Alcotest.fail "pager not found through chain"
 
+(* A page the shadow shipped to the default pager is newer than any
+   copy below it: collapse must free the backing object's stale page,
+   not rename it up over the pager's copy. *)
+let test_collapse_keeps_pager_copy () =
+  let sys = Mach.Kernel.create_system () in
+  let kctx = Mach.Kernel.kctx sys.Mach.Kernel.kernel in
+  let seen = ref None in
+  Engine.spawn sys.Mach.Kernel.engine (fun () ->
+      let b = Vm_object.create_anonymous kctx ~size:page in
+      ignore (add_page kctx b ~offset:0 'o');
+      let s = Vm_object.create_shadow kctx ~backs:b ~offset:0 ~size:page in
+      Vm_object.deallocate kctx b;
+      let p = add_page kctx s ~offset:0 'n' in
+      p.Vm_types.dirty <- true;
+      Pager_client.bind_to_default_pager kctx s;
+      Pager_client.write_run kctx [ p ] ~dispose:Vm_types.Dispose_free;
+      Vm_page.wait_unbusy p;
+      Vm_object.collapse kctx s;
+      let q =
+        Pager_client.request_cluster kctx s ~offset:0 ~desired_access:Mach_hw.Prot.read ~window:1
+      in
+      Vm_page.wait_unbusy q;
+      seen := Some (frame_tag kctx q));
+  Engine.run sys.Mach.Kernel.engine;
+  check Alcotest.(option char) "the shadow's paged-out copy wins" (Some 'n') !seen
+
 (* qcheck: the pageout queues stay consistent with each page's q_state
    and page state under random activate/deactivate/launder/remove
    sequences. Laundering goes through the Cleaning transition, and a
@@ -198,6 +225,8 @@ let () =
             test_collapse_skips_shared_backing;
           Alcotest.test_case "collapse toggle" `Quick test_collapse_respects_toggle;
           Alcotest.test_case "pager lookup through chain" `Quick test_chain_has_pager_translation;
+          Alcotest.test_case "collapse keeps the pager's copy" `Quick
+            test_collapse_keeps_pager_copy;
         ] );
       ( "object-cache",
         [ Alcotest.test_case "cached object revival" `Quick test_cached_object_revival ] );
