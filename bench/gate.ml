@@ -148,6 +148,10 @@ let spec = [
     le "cow_copies" (Base 1.0);
     le "gen_depth_peak" (Const 2.0);
     ge "collapses" (Cur "generations");
+    (* Forked memory twice the size of physical memory really pages,
+       and every parent load still returns the parent's last store. *)
+    eq "paging_bad_loads" (Const 0.0);
+    ge "paging_pageouts" (Const 1.0);
   ] );
   ( "E12", [
     (* The two remaining ablation switches keep earning their place:

@@ -167,10 +167,8 @@ let adjust_wiring t ~addr ~size delta =
         | Error `Invalid_address -> Error (Access.Bad_address va)
         | Error `Protection -> Error (Access.Access_denied va)
         | Ok lk -> (
-          match
-            Mach_vm.Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset
-          with
-          | Some (page, _, _) ->
+          match Mach_vm.Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+          | Mach_vm.Vm_object.Resident (page, _, _) ->
             page.Mach_vm.Vm_types.wire_count <-
               max 0 (page.Mach_vm.Vm_types.wire_count + delta);
             (* Wired pages leave the replacement queues; unwired ones
@@ -179,7 +177,7 @@ let adjust_wiring t ~addr ~size delta =
               Page_queues.remove kctx.Kctx.queues page
             else Page_queues.activate kctx.Kctx.queues page;
             go (va + ps)
-          | None -> go (va + ps)))
+          | Paged _ | Nowhere -> go (va + ps)))
   in
   go lo
 

@@ -95,29 +95,14 @@ let handle kctx map ~addr ~write ?policy () =
   let note_depth depth =
     Counters.peak stats s_chain_depth_peak depth
   in
-  (* ---- copy engine predicates ------------------------------------- *)
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
-     no 400 µs charge) when nobody else can ever reach it: every object
-     strictly below [top] down to the page's owner is a sole-referenced,
-     anonymous temporary — so the only reference path to the page runs
-     through [top] — and the page itself is Resident, unwired, and mapped
-     in no pmap but ours. *)
-  let chain_exclusive top ~owner =
-    let rec walk cur =
-      match cur.backing with
-      | Some { back_obj = b; _ } ->
-        b.ref_count = 1 && b.temporary && b.obj_alive
-        && (match b.pager with No_pager -> true | Pager _ -> false)
-        && (b == owner || walk b)
-      | None -> false
-    in
-    walk top
-  in
-  let can_steal first_obj (page : page) =
-    page.p_state = Resident
+     no 400 µs charge) when nobody else can ever reach it: the walk found
+     it [sole], and it is Resident, unwired, and mapped in no pmap but ours. *)
+  let can_steal ~sole (page : page) =
+    sole
+    && page.p_state = Resident
     && page.wire_count = 0
     && List.for_all (fun (pm', _) -> pm' == pm) page.mappings
-    && chain_exclusive first_obj ~owner:page.p_obj
   in
   (* Manager-imposed lock check used while waiting for pager_data_lock:
      the page may be flushed out from under us; a dead page ends the
@@ -151,15 +136,15 @@ let handle kctx map ~addr ~write ?policy () =
          match Vm_map.lookup ~count:false map ~addr:a ~write:false with
          | Error _ -> raise Exit
          | Ok lk -> (
-           match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
-           | Some (p, _, _)
+           match Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+           | Vm_object.Resident (p, _, _)
              when p.p_state = Resident && not (Prot.can_read p.page_lock) ->
              let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok:false ~page_lock:p.page_lock in
              batch := (vpn, p.frame, prot) :: !batch;
              Vm_page.add_mapping p pm ~vpn;
              Page_queues.activate kctx.Kctx.queues p;
              incr n
-           | Some _ | None -> raise Exit)
+           | Vm_object.Resident _ | Paged _ | Nowhere -> raise Exit)
        done
      with Exit -> ());
     if !n > 0 then begin
@@ -208,24 +193,22 @@ let handle kctx map ~addr ~write ?policy () =
         let first_obj = lk.Vm_map.lk_obj in
         let first_off = lk.Vm_map.lk_offset in
         Trace.point tr ~subsystem:"vm" "shadow_walk";
-        match Vm_object.lookup_chain first_obj ~offset:first_off with
-        | Some (page, _owner, depth) ->
+        match Vm_object.walk first_obj ~offset:first_off with
+        | Vm_object.Resident (page, depth, sole) -> (
           note_depth depth;
-          (match page.p_state with
+          match page.p_state with
           | Demanded | Speculative | Cleaning -> slow_busy page tries
           | Failed -> slow_error page tries
           | Resident ->
             if forbidden page () then slow_lock page tries
-            else if depth > 0 && write then slow_cow lk page tries
+            else if depth > 0 && write then slow_cow lk page ~sole tries
             else begin
               (* Usable after at least one slow step. *)
               Page_queues.activate kctx.Kctx.queues page;
               finish page ~from_backing:(depth > 0)
             end)
-        | None -> (
-          match Vm_object.chain_has_pager first_obj ~offset:first_off with
-          | Some (powner, poffset) -> slow_pager powner poffset tries
-          | None -> slow_zero_fill first_obj first_off tries))
+        | Paged (powner, poffset) -> slow_pager powner poffset tries
+        | Nowhere -> slow_zero_fill first_obj first_off tries)
     end
   (* Data in transit (or another faulter working the page): wait and
      retry. A speculative cluster placeholder is promoted to a demanded
@@ -303,7 +286,7 @@ let handle kctx map ~addr ~write ?policy () =
      adjacent pending-copy pages in the same record is resolved the
      same way under the same fault — one fault_base, one batched page
      charge, one batched map charge, one pmap validation. *)
-  and slow_cow lk page tries =
+  and slow_cow lk page ~sole tries =
     let first_obj = lk.Vm_map.lk_obj in
     let first_off = lk.Vm_map.lk_offset in
     let copies = ref 0 in
@@ -334,7 +317,7 @@ let handle kctx map ~addr ~write ?policy () =
     in
     (* Resolve the faulting page first (it may block in alloc_frame). *)
     let primary =
-      if can_steal first_obj page then begin
+      if can_steal ~sole page then begin
         via := "cow_steal";
         steal page ~off:first_off;
         Some page
@@ -377,10 +360,10 @@ let handle kctx map ~addr ~write ?policy () =
          for i = 1 to window - 1 do
            let off = first_off + (i * ps) in
            if Hashtbl.mem first_obj.obj_pages off then raise Exit;
-           match Vm_object.lookup_chain first_obj ~offset:off with
-           | Some (p, _, depth)
+           match Vm_object.walk first_obj ~offset:off with
+           | Vm_object.Resident (p, depth, sole)
              when depth > 0 && p.p_state = Resident && p.page_lock = Prot.none ->
-             if can_steal first_obj p then begin
+             if can_steal ~sole p then begin
                steal p ~off;
                extras := p :: !extras
              end
@@ -390,7 +373,7 @@ let handle kctx map ~addr ~write ?policy () =
                | Some frame -> extras := copy p frame ~off :: !extras
              end;
              incr n_extras
-           | Some _ | None -> raise Exit
+           | Vm_object.Resident _ | Paged _ | Nowhere -> raise Exit
          done
        with Exit -> ());
       first_obj.cow_next <- first_off + ((1 + !n_extras) * ps);
@@ -433,7 +416,7 @@ let handle kctx map ~addr ~write ?policy () =
         if !n_extras = 0 then burst_enter ()
       | Ok _ -> ignore (finish primary ~from_backing:false));
       Done
-  (* Not resident anywhere in the chain, and a manager owns the data:
+  (* Not resident down to an object whose manager holds the data:
      issue a (possibly clustered) pager_data_request and wait. *)
   and slow_pager powner poffset tries =
     Counters.incr stats s_slow_pager;
@@ -470,7 +453,7 @@ let handle kctx map ~addr ~write ?policy () =
       if wait_while page (fun () -> busy page) then resolve (tries + 1)
       else undelivered page tries
     end
-  (* Not resident, no manager anywhere in the chain: fresh zeroes. *)
+  (* Not resident, and no manager in the chain holds it: fresh zeroes. *)
   and slow_zero_fill first_obj first_off tries =
     via := "zero_fill";
     let frame = Kctx.alloc_frame kctx ~privileged:false in
@@ -501,8 +484,8 @@ let handle kctx map ~addr ~write ?policy () =
           Mach_ipc.Transport.s_lazy_copyout_faults
       end;
       Trace.point tr ~subsystem:"vm" "shadow_walk";
-      match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
-      | Some (page, _owner, depth)
+      match Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+      | Vm_object.Resident (page, depth, _)
         when page.p_state = Resident
              && (not (lock_forbids page))
              && not (write && depth > 0) ->
@@ -513,7 +496,7 @@ let handle kctx map ~addr ~write ?policy () =
         Counters.incr stats s_hits;
         Page_queues.activate kctx.Kctx.queues page;
         validate lk page ~from_backing:(depth > 0)
-      | Some _ | None -> resolve 0)
+      | Vm_object.Resident _ | Paged _ | Nowhere -> resolve 0)
   in
   (match result with
   | Done -> ()

@@ -125,12 +125,14 @@ let reclaim_inactive kctx ~want =
             (match page.p_obj.pager with
             | No_pager -> Pager_client.bind_to_default_pager kctx page.p_obj
             | Pager _ -> ());
-            match page.p_obj.pager with
-            | Pager _ ->
+            (* Binding sends pager_create, which can sleep: recheck. *)
+            match (page.p_obj.pager, Vm_page.lookup page.p_obj ~offset:page.p_offset) with
+            | Pager _, Some p when p == page && not (pinned page) ->
               let run = collect_run kctx page in
               laundered := !laundered + List.length run;
               Pager_client.write_run kctx run ~dispose:Dispose_keep
-            | No_pager ->
+            | Pager _, _ -> ()
+            | No_pager, _ ->
               (* No default pager registered: cannot clean; keep active. *)
               Page_queues.activate queues page
           end
@@ -160,7 +162,16 @@ let start kctx =
   Engine.spawn kctx.Kctx.engine ~name:"pageout-daemon" (fun () ->
       let rec loop () =
         if Kctx.need_pageout kctx then begin
+          let idle freed = freed = 0 && Page_queues.laundry_count kctx.Kctx.queues = 0 in
           let freed = run_once kctx in
+          (* A pass that only aged pages frees nothing: with nothing else
+             left to run, an allocator asleep at the reserve would wait
+             forever, so pass again over the pages just aged. *)
+          let stalled =
+            Engine.pending kctx.Kctx.engine = 0
+            && Phys_mem.free_frames kctx.Kctx.mem <= kctx.Kctx.reserved_frames
+          in
+          let freed = if idle freed && stalled then run_once kctx else freed in
           (* With laundry in flight (or progress just made), back off
              briefly and re-check — a release will free frames, and the
              low-watermark check in alloc_frame wakes us early. When
@@ -168,7 +179,7 @@ let start kctx =
              until an allocator or a release changes the world: a
              demand-driven daemon keeps the event queue empty at
              quiescence. *)
-          if freed = 0 && Page_queues.laundry_count kctx.Kctx.queues = 0 then
+          if idle freed then
             Waitq.wait kctx.Kctx.pageout_wanted
           else ignore (Waitq.wait_timeout kctx.Kctx.pageout_wanted ~timeout:backoff)
         end

@@ -229,6 +229,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
          if off >= obj_end
             || Phys_mem.free_frames kctx.Kctx.mem <= Kctx.free_low_watermark kctx
             || Vm_page.lookup obj ~offset:off <> None
+            || not (Vm_object.pager_holds obj ~offset:off)
          then raise Exit;
          match Kctx.try_alloc_frame kctx ~privileged:false with
          | None -> raise Exit
@@ -274,6 +275,7 @@ let bind_to_default_pager kctx obj =
         init_wait = Mach_sim.Ivar.create ();
         is_default = true;
         pager_dead = false;
+        shipped = Offsets.empty;
       }
     in
     obj.pager <- Pager p;
@@ -313,6 +315,10 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
     }
   in
   Hashtbl.replace kctx.Kctx.holdings write_id h;
+  if p.is_default then
+    for i = 0 to (Bytes.length data / kctx.Kctx.page_size) - 1 do
+      p.shipped <- Offsets.add (offset + (i * kctx.Kctx.page_size)) p.shipped
+    done;
   Counters.incr kctx.Kctx.stats s_data_writes;
   h.h_timer <-
     Engine.timer kctx.Kctx.engine

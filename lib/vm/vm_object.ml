@@ -62,6 +62,7 @@ let create_external kctx ~memory_object ~size =
           init_wait = Mach_sim.Ivar.create ();
           is_default = false;
           pager_dead = false;
+          shipped = Offsets.empty;
         }
     in
     let obj = make kctx ~size ~pager ~temporary:false in
@@ -90,27 +91,27 @@ let destroy_pages kctx obj =
   in
   drain ()
 
-let lookup_chain obj ~offset =
-  let rec walk cur off depth =
+(* Mach's vm_external: a shadow's default pager holds what was shipped to it. *)
+let pager_holds obj ~offset =
+  match obj.pager with
+  | No_pager -> false
+  | Pager p -> (not p.is_default) || obj.backing = None || Offsets.mem offset p.shipped
+
+type found = Resident of page * int * bool | Paged of obj * int | Nowhere
+
+let walk obj ~offset =
+  let rec go cur off depth sole =
     match Vm_page.lookup cur ~offset:off with
-    | Some page -> Some (page, cur, depth)
+    | Some page -> Resident (page, depth, sole)
+    | None when pager_holds cur ~offset:off -> Paged (cur, off)
     | None -> (
       match cur.backing with
-      | Some { back_obj; back_offset } -> walk back_obj (off + back_offset) (depth + 1)
-      | None -> None)
+      | Some { back_obj = b; back_offset } ->
+        let excl = b.ref_count = 1 && b.temporary && b.obj_alive && b.pager = No_pager in
+        go b (off + back_offset) (depth + 1) (sole && excl)
+      | None -> Nowhere)
   in
-  walk obj offset 0
-
-let chain_has_pager obj ~offset =
-  let rec walk cur off =
-    match cur.pager with
-    | Pager _ -> Some (cur, off)
-    | No_pager -> (
-      match cur.backing with
-      | Some { back_obj; back_offset } -> walk back_obj (off + back_offset)
-      | None -> None)
-  in
-  walk obj offset
+  go obj offset 0 true
 
 let chain_depth obj =
   let rec go acc = function
@@ -140,11 +141,11 @@ let collapse_once kctx obj =
           if
             up_offset >= 0
             && up_offset < Kctx.round_page kctx obj.obj_size
-            && not (Hashtbl.mem obj.obj_pages up_offset)
+            && not (Hashtbl.mem obj.obj_pages up_offset || pager_holds obj ~offset:up_offset)
           then Vm_page.rename page obj ~offset:up_offset
           else
-            (* Shadowed above (or out of view): the copy below is
-               unreachable and can go. *)
+            (* Shadowed above, resident or held by obj's pager (or
+               out of view): the copy below is unreachable and can go. *)
             Vm_page.free kctx page
         end)
       pages;

@@ -45,15 +45,22 @@ val cache_is_member : Kctx.t -> obj -> bool
 val destroy_pages : Kctx.t -> obj -> unit
 (** Free every resident page (waiting out busy ones). *)
 
-val lookup_chain : obj -> offset:int -> (page * obj * int) option
-(** Walk the shadow chain looking for a resident page covering
-    [offset] (an offset in the *top* object): returns the page, the
-    object that owns it and the chain depth (0 = top). *)
+val pager_holds : obj -> offset:int -> bool
+(** Whether the object's pager holds [offset]: an external manager and a bottom
+    object's default pager hold all, a shadow's default pager those in [shipped]. *)
 
-val chain_has_pager : obj -> offset:int -> (obj * int) option
-(** The first object in the chain (starting at [obj]) that has a pager
-    binding, with [offset] translated into that object; [None] if the
-    whole chain is anonymous. *)
+type found =
+  | Resident of page * int * bool
+      (** the page, its depth (0 = [obj]), and [sole]: every object below
+          [obj] down to the page's owner is a sole-referenced, live,
+          anonymous temporary, so the page may be stolen *)
+  | Paged of obj * int  (** a pager holds the data: ask it, at this offset *)
+  | Nowhere  (** no data anywhere in the chain: zero-fill in [obj] *)
+
+val walk : obj -> offset:int -> found
+(** Look for [offset] in [obj] one object at a time, as Mach's
+    [vm_fault_page] does: a resident page ends the walk, then an object
+    whose pager holds the offset; otherwise it goes one object down. *)
 
 val chain_depth : obj -> int
 (** Number of backing links below this object (0 = no shadow chain). *)

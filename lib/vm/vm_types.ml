@@ -51,6 +51,8 @@ type page_state = Resident | Demanded | Speculative | Failed | Cleaning
 (** Which queue a resident page is on (§5.4). *)
 type queue_state = Q_none | Q_active | Q_inactive | Q_laundry
 
+module Offsets = Set.Make (Int)
+
 type obj = {
   obj_id : int;
   mutable obj_size : int;  (** bytes *)
@@ -87,6 +89,7 @@ and extpager = {
   mutable pager_dead : bool;
       (** the manager's object port died; outstanding and future
           requests resolve locally (zero-fill or fault error) *)
+  mutable shipped : Offsets.t;  (** offsets sent in a [pager_data_write] *)
 }
 
 and page = {

@@ -286,11 +286,11 @@ let test_terminate_path_collapse () =
   check Alcotest.int "collapse fired at sibling exit" 1 (Counters.get kctx.Kctx.stats Vm_types.s_collapses);
   check Alcotest.int "survivor flattened" 0 (Vm_object.chain_depth s1);
   Alcotest.(check bool) "backing gone" false b.Vm_types.obj_alive;
-  match Vm_object.lookup_chain s1 ~offset:0 with
-  | Some (p, owner, 0) ->
-    Alcotest.(check bool) "page now owned by survivor" true (owner == s1);
+  match Vm_object.walk s1 ~offset:0 with
+  | Vm_object.Resident (p, 0, _) ->
+    Alcotest.(check bool) "page now owned by survivor" true (p.Vm_types.p_obj == s1);
     check Alcotest.char "data preserved" 'x' (frame_tag kctx p)
-  | Some _ | None -> Alcotest.fail "backing page did not move to the survivor"
+  | Resident _ | Paged _ | Nowhere -> Alcotest.fail "backing page did not move to the survivor"
 
 (* ---- LRU object cache ------------------------------------------------- *)
 
@@ -336,8 +336,9 @@ let test_object_cache_lru () =
 
 type op = Write | Send | Churn
 
-let run_scenario (nchildren, ops) =
-  with_system (fun sys task ->
+let run_scenario ~frames (nchildren, ops) =
+  let config = { Kernel.default_config with Kernel.phys_frames = frames } in
+  with_system ~config (fun sys task ->
       let kernel = sys.Kernel.kernel in
       let verdict = ref true in
       let addr = Syscalls.vm_allocate task ~size:(8 * page) ~anywhere:true () in
@@ -418,29 +419,41 @@ let run_scenario (nchildren, ops) =
       (match Page_queues.check_invariants (Kernel.kctx kernel).Kctx.queues with
       | Ok () -> ()
       | Error _ -> verdict := false);
-      !verdict)
+      (!verdict, Counters.get (Kernel.stats kernel) Vm_types.s_pageouts))
+
+(* The frame budget comes from two regimes: resident (the default
+   1024 frames) and oversubscribed, where the tasks' copies of the
+   region outgrow memory and pageout binds shadows to the default
+   pager. *)
+let oversubscribed = QCheck2.Gen.int_range 16 24
+
+let program =
+  let open QCheck2.Gen in
+  let op (a, k, pg, v) =
+    let kind = if k <= 5 then Write else if k <= 7 then Send else Churn in
+    (a, kind, pg, v)
+  in
+  pair (int_range 1 3)
+    (list_size (int_range 1 16)
+       (map op
+          (tup4 (int_range 0 3) (* actor *)
+             (int_range 0 9) (* op selector *)
+             (int_range 0 7) (* page *)
+             (int_range 2 255) (* value *))))
 
 let copy_engine_prop =
   let open QCheck2 in
-  let gen =
-    Gen.(
-      pair (int_range 1 3)
-        (list_size (int_range 1 16)
-           (tup4 (int_range 0 3) (* actor *)
-              (int_range 0 9) (* op selector *)
-              (int_range 0 7) (* page *)
-              (int_range 2 255) (* value *))))
-  in
-  Test.make ~name:"copy engine matches eager-copy oracle on random programs" ~count:10 gen
-    (fun (nchildren, raw_ops) ->
-      let ops =
-        List.map
-          (fun (a, k, pg, v) ->
-            let kind = if k <= 5 then Write else if k <= 7 then Send else Churn in
-            (a, kind, pg, v))
-          raw_ops
-      in
-      run_scenario (nchildren, ops))
+  Test.make ~name:"copy engine matches eager-copy oracle on random programs" ~count:10
+    Gen.(pair (oneof [ return 1024; oversubscribed ]) program)
+    (fun (frames, prog) -> fst (run_scenario ~frames prog))
+
+(* The oversubscribed regime really pages: one fixed draw. *)
+let test_oversubscribed_pages () =
+  let rand = Random.State.make [| 41 |] in
+  let frames = QCheck2.Gen.generate1 ~rand oversubscribed in
+  let ok, pageouts = run_scenario ~frames (QCheck2.Gen.generate1 ~rand program) in
+  Alcotest.(check bool) "pages went out" true (pageouts > 0);
+  Alcotest.(check bool) "and every task matches the oracle" true ok
 
 let () =
   Alcotest.run "copy_engine"
@@ -459,5 +472,9 @@ let () =
           Alcotest.test_case "terminate-path collapse" `Quick test_terminate_path_collapse;
           Alcotest.test_case "object cache LRU eviction" `Quick test_object_cache_lru;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest copy_engine_prop ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest copy_engine_prop;
+          Alcotest.test_case "oversubscribed regime pages" `Quick test_oversubscribed_pages;
+        ] );
     ]

@@ -446,6 +446,47 @@ let test_deficit_past_clean_launders () =
     (List.init 10 (fun i -> i < 4))
     (List.map cleaning pages)
 
+(* Every resident page was just referenced, so the daemon's first pass
+   only ages them and frees nothing. The allocator is already asleep at
+   the reserve and nothing else is left to run: the daemon must pass
+   again rather than sleep, or the allocator waits forever. *)
+let test_aging_pass_wakes_allocator () =
+  with_system ~config:small (fun sys _task ->
+      let kctx = sys.Kernel.kernel.Ktypes.k_kctx in
+      let obj = Vm_object.create_anonymous kctx ~size:(64 * page) in
+      let rec fill i =
+        match Kctx.try_alloc_frame kctx ~privileged:false with
+        | None -> ()
+        | Some frame ->
+          let p = Vm_page.insert kctx obj ~offset:(i * page) ~frame ~state:Vm_types.Resident in
+          Phys_mem.set_referenced kctx.Kctx.mem frame true;
+          Page_queues.activate kctx.Kctx.queues p;
+          fill (i + 1)
+      in
+      fill 0;
+      Kctx.free_frame kctx (Kctx.alloc_frame kctx ~privileged:false);
+      Alcotest.(check bool) "aged pages freed" true
+        (Counters.get kctx.Kctx.stats Vm_types.s_pages_freed > 0))
+
+(* An anonymous object's first pageout sends pager_create, and the send
+   can sleep: a page freed meanwhile must not be laundered. *)
+let test_page_freed_during_bind () =
+  with_system ~config:small (fun sys _task ->
+      let kctx = sys.Kernel.kernel.Ktypes.k_kctx in
+      let obj = Vm_object.create_anonymous kctx ~size:page in
+      let frame = Option.get (Kctx.try_alloc_frame kctx ~privileged:false) in
+      let p = Vm_page.insert kctx obj ~offset:0 ~frame ~state:Vm_types.Resident in
+      p.Vm_types.dirty <- true;
+      Page_queues.deactivate kctx.Kctx.queues p;
+      while Phys_mem.free_frames kctx.Kctx.mem >= Kctx.free_target kctx do
+        ignore (Phys_mem.alloc kctx.Kctx.mem)
+      done;
+      let engine = sys.Kernel.engine in
+      Engine.schedule engine ~at:(Engine.now engine) (fun () -> Vm_page.free kctx p);
+      ignore (Pageout.run_once kctx);
+      Alcotest.(check bool) "the object was bound" true (obj.Vm_types.pager <> Vm_types.No_pager);
+      check Alcotest.int "no data_write" 0 (Counters.get kctx.Kctx.stats Vm_types.s_data_writes))
+
 (* Random inactive queues: a pass frees clean idle pages up to the
    deficit, launders exactly when they cannot cover it, and never frees
    a referenced or held page. [reclaim_pass] checks the queues. *)
@@ -503,6 +544,9 @@ let () =
           Alcotest.test_case "clean pages go first" `Quick test_clean_pages_go_first;
           Alcotest.test_case "a deficit past the clean pages launders" `Quick
             test_deficit_past_clean_launders;
+          Alcotest.test_case "an aging pass wakes the allocator" `Quick
+            test_aging_pass_wakes_allocator;
+          Alcotest.test_case "a page freed during bind" `Quick test_page_freed_during_bind;
           QCheck_alcotest.to_alcotest clean_first_prop;
         ] );
     ]

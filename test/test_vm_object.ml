@@ -46,21 +46,21 @@ let test_chain_lookup_with_offsets () =
   ignore (add_page kctx b ~offset:(5 * page) 'y');
   let s = Vm_object.create_shadow kctx ~backs:b ~offset:(4 * page) ~size:(2 * page) in
   check Alcotest.int "depth" 1 (Vm_object.chain_depth s);
-  (match Vm_object.lookup_chain s ~offset:0 with
-  | Some (p, owner, depth) ->
+  (match Vm_object.walk s ~offset:0 with
+  | Vm_object.Resident (p, depth, _) ->
     check Alcotest.int "found below" 1 depth;
-    Alcotest.(check bool) "owner is b" true (owner == b);
+    Alcotest.(check bool) "owner is b" true (p.Vm_types.p_obj == b);
     check Alcotest.char "right page" 'x' (frame_tag kctx p)
-  | None -> Alcotest.fail "page not found through chain");
-  (match Vm_object.lookup_chain s ~offset:page with
-  | Some (p, _, _) -> check Alcotest.char "offset translation" 'y' (frame_tag kctx p)
-  | None -> Alcotest.fail "second page not found");
+  | Paged _ | Nowhere -> Alcotest.fail "page not found through chain");
+  (match Vm_object.walk s ~offset:page with
+  | Vm_object.Resident (p, _, _) -> check Alcotest.char "offset translation" 'y' (frame_tag kctx p)
+  | Paged _ | Nowhere -> Alcotest.fail "second page not found");
   (* A page in the shadow itself hides the backing page. *)
   ignore (add_page kctx s ~offset:0 'S');
-  match Vm_object.lookup_chain s ~offset:0 with
-  | Some (p, _, 0) -> check Alcotest.char "shadow page wins" 'S' (frame_tag kctx p)
-  | Some _ -> Alcotest.fail "expected depth 0"
-  | None -> Alcotest.fail "shadow page missing"
+  match Vm_object.walk s ~offset:0 with
+  | Vm_object.Resident (p, 0, _) -> check Alcotest.char "shadow page wins" 'S' (frame_tag kctx p)
+  | Vm_object.Resident _ -> Alcotest.fail "expected depth 0"
+  | Paged _ | Nowhere -> Alcotest.fail "shadow page missing"
 
 let test_collapse_with_offset_delta () =
   let kctx = make_kctx () in
@@ -79,11 +79,11 @@ let test_collapse_with_offset_delta () =
   (* b's page at 4*page moved to s offset 0; the out-of-view page at
      6*page (s covers only 2 pages from base 4*page... offset 6*page ->
      up_offset 2*page which is beyond s's 2-page span) was freed. *)
-  (match Vm_object.lookup_chain s ~offset:0 with
-  | Some (p, owner, 0) ->
-    Alcotest.(check bool) "page now owned by s" true (owner == s);
+  (match Vm_object.walk s ~offset:0 with
+  | Vm_object.Resident (p, 0, _) ->
+    Alcotest.(check bool) "page now owned by s" true (p.Vm_types.p_obj == s);
     check Alcotest.char "data preserved" 'x' (frame_tag kctx p)
-  | Some _ | None -> Alcotest.fail "moved page missing");
+  | Resident _ | Paged _ | Nowhere -> Alcotest.fail "moved page missing");
   Alcotest.(check bool) "backing gone" true (s.Vm_types.backing = None);
   Alcotest.(check bool) "b dead" false b.Vm_types.obj_alive
 
@@ -126,16 +126,16 @@ let test_cached_object_revival () =
   Alcotest.(check bool) "left the cache list" true
     (not (Vm_object.cache_is_member kctx obj))
 
-let test_chain_has_pager_translation () =
+let test_walk_pager_translation () =
   let kctx = make_kctx () in
   let port = Port.create kctx.Kctx.ctx ~home:0 () in
   let backed = Vm_object.create_external kctx ~memory_object:port ~size:(8 * page) in
   let s = Vm_object.create_shadow kctx ~backs:backed ~offset:(2 * page) ~size:(4 * page) in
-  match Vm_object.chain_has_pager s ~offset:page with
-  | Some (owner, off) ->
+  match Vm_object.walk s ~offset:page with
+  | Vm_object.Paged (owner, off) ->
     Alcotest.(check bool) "pager owner" true (owner == backed);
     check Alcotest.int "translated offset" (3 * page) off
-  | None -> Alcotest.fail "pager not found through chain"
+  | Resident _ | Nowhere -> Alcotest.fail "pager not found through chain"
 
 (* A page the shadow shipped to the default pager is newer than any
    copy below it: collapse must free the backing object's stale page,
@@ -224,7 +224,7 @@ let () =
           Alcotest.test_case "collapse skips shared backing" `Quick
             test_collapse_skips_shared_backing;
           Alcotest.test_case "collapse toggle" `Quick test_collapse_respects_toggle;
-          Alcotest.test_case "pager lookup through chain" `Quick test_chain_has_pager_translation;
+          Alcotest.test_case "pager lookup through chain" `Quick test_walk_pager_translation;
           Alcotest.test_case "collapse keeps the pager's copy" `Quick
             test_collapse_keeps_pager_copy;
         ] );
