@@ -339,8 +339,7 @@ let write_runs t blocks buf =
     if i = n || blocks.(i) <> blocks.(i - 1) + 1 then begin
       let pos = !start * t.bs in
       let len = min (Bytes.length buf) (i * t.bs) - pos in
-      Disk.write t.disk ~block:blocks.(!start)
-        (if len = Bytes.length buf then buf else Bytes.sub buf pos len);
+      Disk.write t.disk ~block:blocks.(!start) ~pos ~len buf;
       start := i
     end
   done

@@ -66,16 +66,15 @@ let contents t block =
   let b = t.store.(block) in
   if b == unwritten then Bytes.make t.block_size '\000' else Bytes.copy b
 
-(* Store [data] from the start of [block] on; a short final block keeps
-   its tail. *)
-let store t block data =
+(* Store [len] bytes of [data] from [pos] at the start of [block] on; a
+   short final block keeps its tail. *)
+let store t block data ~pos ~len =
   let bs = t.block_size in
-  let len = Bytes.length data in
   let i = ref 0 in
   while !i * bs < len do
     let b = block + !i in
     if t.store.(b) == unwritten then t.store.(b) <- Bytes.make bs '\000';
-    Bytes.blit data (!i * bs) t.store.(b) 0 (min bs (len - (!i * bs)));
+    Bytes.blit data (pos + (!i * bs)) t.store.(b) 0 (min bs (len - (!i * bs)));
     incr i
   done
 
@@ -96,22 +95,23 @@ let read_blocks t ~block ~count =
 
 let read t ~block = read_blocks t ~block ~count:1
 
-let write t ~block data =
-  let len = Bytes.length data in
+let write t ~block ?(pos = 0) ?len data =
+  let len = Option.value len ~default:(Bytes.length data - pos) in
   check_span t ~what:"write" block len;
   transfer t len;
   Counters.incr t.stats s_writes;
   Counters.add t.stats s_blocks_written ((len + t.block_size - 1) / t.block_size);
   Counters.add t.stats s_bytes_written len;
-  store t block data
+  store t block data ~pos ~len
 
 let read_raw t ~block =
   check t block;
   contents t block
 
 let write_raw t ~block data =
-  check_span t ~what:"write" block (Bytes.length data);
-  store t block data
+  let len = Bytes.length data in
+  check_span t ~what:"write" block len;
+  store t block data ~pos:0 ~len
 
 let stats t = t.stats
 let bytes_read t = Counters.get t.stats s_bytes_read

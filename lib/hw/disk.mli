@@ -40,12 +40,13 @@ val read_blocks : t -> block:int -> count:int -> bytes
     [Invalid_argument] if [count < 1] or the run goes past the last
     block. *)
 
-val write : t -> block:int -> bytes -> unit
-(** Blocking. [data] fills [block] and the blocks after it in order, so
-    one call can store a run of consecutive blocks: it charges one seek
-    plus the per-byte transfer and counts as one operation. A short
-    final block keeps its tail. Raises [Invalid_argument] if the data
-    runs past the last block. *)
+val write : t -> block:int -> ?pos:int -> ?len:int -> bytes -> unit
+(** Blocking. [len] bytes (default: the rest) of [data] from [pos]
+    (default 0) fill [block] and the blocks after it in order, so one
+    call can store a run of consecutive blocks: it charges one seek
+    plus the per-byte transfer of [len] bytes and counts as one
+    operation. A short final block keeps its tail. Raises
+    [Invalid_argument] if the data runs past the last block. *)
 
 val read_raw : t -> block:int -> bytes
 (** Instantaneous, no time charge and no counter update — for crash

@@ -60,13 +60,13 @@ let data t f =
   check t f;
   t.frames.(f)
 
-let read t f ~off ~len =
+let read_into t f ~off dst ~pos ~len =
   check t f;
-  Bytes.sub t.frames.(f) off len
+  Bytes.blit t.frames.(f) off dst pos len
 
-let write t f ~off b =
+let write t f ~off ?(pos = 0) ?len src =
   check t f;
-  Bytes.blit b 0 t.frames.(f) off (Bytes.length b)
+  Bytes.blit src pos t.frames.(f) off (Option.value len ~default:(Bytes.length src - pos))
 
 let fill t f c =
   check t f;

@@ -27,8 +27,19 @@ val data : t -> frame -> bytes
 (** The frame's backing store, length [page_size]. Mutating it mutates
     the frame (this is how the simulation moves page contents). *)
 
-val read : t -> frame -> off:int -> len:int -> bytes
-val write : t -> frame -> off:int -> bytes -> unit
+(** {2 Page data}
+
+    [read_into] and [write] are one blit each. They raise
+    [Invalid_argument] on a range outside the frame or the buffer, and
+    on a free frame. *)
+
+val read_into : t -> frame -> off:int -> bytes -> pos:int -> len:int -> unit
+(** Copy [len] bytes of the frame from [off] into the buffer at [pos]. *)
+
+val write : t -> frame -> off:int -> ?pos:int -> ?len:int -> bytes -> unit
+(** Copy [len] bytes (default: the rest) of the source from [pos]
+    (default 0) into the frame at [off]. *)
+
 val fill : t -> frame -> char -> unit
 
 val copy : t -> src:frame -> dst:frame -> unit

@@ -47,7 +47,8 @@ let policy get =
         match Hashtbl.find_opt o.Rt.o_data.blocks (page * ps) with
         | Some block ->
           let data = Disk.read t.disk ~block in
-          Rt.Data (Bytes.sub data 0 (min ps (Bytes.length data)))
+          let len = min ps (Bytes.length data) in
+          Rt.Data (if len = Bytes.length data then data else Bytes.sub data 0 len)
         | None ->
           (* Never paged out: the kernel zero-fills. *)
           Rt.Unavailable);
@@ -67,7 +68,7 @@ let policy get =
                 t.stored <- t.stored + 1;
                 b
             in
-            Disk.write t.disk ~block (Bytes.sub data pos len)));
+            Disk.write t.disk ~block ~pos ~len data));
     p_death = (fun _ o _ -> release_blocks (get ()) o);
   }
 
@@ -120,7 +121,7 @@ let start kctx ~disk =
             let npages = max 1 ((Bytes.length data + ps - 1) / ps) in
             for i = 0 to npages - 1 do
               let len = min ps (Bytes.length data - (i * ps)) in
-              Disk.write t.disk ~block:scratch_block (Bytes.sub data (i * ps) len)
+              Disk.write t.disk ~block:scratch_block ~pos:(i * ps) ~len data
             done));
   Pager_service.receive_loop kctx ~name:"default-pager" space
     (Rt.dispatch rt ~adopt:(adopt t) ~other:ignore);

@@ -61,27 +61,34 @@ module Heap = struct
       if i > 0 && less last h.data.((i - 1) / 2) then sift_up h i last else sift_down h i last
 end
 
+(* A simulated thread: its name, and whether it waits for its resumer. *)
+type fiber = { name : string; mutable blocked : bool }
+
+let no_fiber = { name = ""; blocked = false }
+
 type t = {
   mutable now : float;
   mutable seq : int;
   heap : Heap.t;
   mutable events_run : int;
-  mutable live : int;
-  suspended : (int, string) Hashtbl.t; (* suspension token -> thread name *)
-  mutable next_token : int;
+  fibers : (int, fiber) Hashtbl.t; (* unfinished threads, by spawn number *)
+  mutable spawned : int;
   mutable anon_count : int; (* per-engine, so names are deterministic *)
+  mutable current : fiber; (* the thread running now, or [no_fiber] *)
+  mutable until : float; (* the limit of the [run] driving this engine *)
   mutable failure : exn option;
 }
 
 type 'a resumer = 'a -> unit
 
-type _ Effect.t +=
-  | Suspend : (t -> 'a resumer -> unit) -> 'a Effect.t
-  | Self_name : string Effect.t
+type _ Effect.t += Suspend : (t -> 'a resumer -> unit) -> 'a Effect.t
+
+(* The engine whose [run] is innermost on the stack. *)
+let running = ref None
 
 let create () =
-  { now = 0.0; seq = 0; heap = Heap.create (); events_run = 0; live = 0;
-    suspended = Hashtbl.create 64; next_token = 0; anon_count = 0; failure = None }
+  { now = 0.0; seq = 0; heap = Heap.create (); events_run = 0; fibers = Hashtbl.create 64;
+    spawned = 0; anon_count = 0; current = no_fiber; until = infinity; failure = None }
 
 let now t = t.now
 
@@ -110,12 +117,15 @@ let spawn t ?name f =
       t.anon_count <- t.anon_count + 1;
       Printf.sprintf "thread-%d" t.anon_count
   in
-  t.live <- t.live + 1;
+  let id = t.spawned and fib = { name; blocked = false } in
+  t.spawned <- id + 1;
+  Hashtbl.add t.fibers id fib;
   let fiber () =
     let open Effect.Deep in
+    t.current <- fib;
     match_with f ()
       {
-        retc = (fun () -> t.live <- t.live - 1);
+        retc = (fun () -> Hashtbl.remove t.fibers id);
         exnc = (fun e -> if t.failure = None then t.failure <- Some e);
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -123,63 +133,75 @@ let spawn t ?name f =
             | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let token = t.next_token in
-                  t.next_token <- t.next_token + 1;
-                  Hashtbl.replace t.suspended token name;
-                  let resumer v =
-                    Hashtbl.remove t.suspended token;
-                    schedule t ~at:t.now (fun () -> continue k v)
-                  in
-                  register t resumer)
-            | Self_name -> Some (fun (k : (a, unit) continuation) -> continue k name)
+                  t.current <- no_fiber;
+                  fib.blocked <- true;
+                  register t (fun v ->
+                      fib.blocked <- false;
+                      schedule t ~at:t.now (fun () ->
+                          t.current <- fib;
+                          continue k v)))
             | _ -> None);
       }
   in
   schedule t ~at:t.now fiber
 
-let run ?until t =
-  let h = t.heap in
-  let stop = ref false in
-  while not !stop do
-    (match t.failure with
-    | Some e ->
-      t.failure <- None;
-      raise e
-    | None -> ());
-    if h.Heap.size = 0 then stop := true
-    else begin
-      let e = h.Heap.data.(0) in
-      match until with
-      | Some limit when e.time > limit ->
-        t.now <- limit;
-        stop := true
-      | _ ->
-        Heap.remove h 0;
-        t.now <- e.time;
-        t.events_run <- t.events_run + 1;
-        e.action ()
-    end
-  done;
-  match t.failure with
+(* Run events in order until the queue drains or the next one is due
+   after [until]. A thread that yields or ends leaves [current]. *)
+let rec drain t =
+  (match t.failure with
   | Some e ->
     t.failure <- None;
     raise e
-  | None -> ()
+  | None -> ());
+  let h = t.heap in
+  if h.Heap.size > 0 then begin
+    let e = h.Heap.data.(0) in
+    if e.time > t.until then t.now <- t.until
+    else begin
+      Heap.remove h 0;
+      t.now <- e.time;
+      t.events_run <- t.events_run + 1;
+      e.action ();
+      t.current <- no_fiber;
+      drain t
+    end
+  end
 
-let live t = t.live
+let run ?until t =
+  let outer = !running and outer_until = t.until in
+  running := Some t;
+  t.until <- Option.value until ~default:infinity;
+  Fun.protect ~finally:(fun () -> running := outer; t.until <- outer_until) (fun () -> drain t)
+
+let live t = Hashtbl.length t.fibers
 
 let blocked_names t =
-  Hashtbl.fold (fun _ name acc -> name :: acc) t.suspended []
+  Hashtbl.fold (fun _ f acc -> if f.blocked then f.name :: acc else acc) t.fibers []
   |> List.sort_uniq String.compare
 
 let suspend register = Effect.perform (Suspend register)
-let self_name () = Effect.perform Self_name
 
-(* Timer callbacks ([schedule]) and code outside [run] are not fibers;
-   performing an effect there raises. Observability plumbing (Trace)
-   wants "whoever is running, if anyone" without caring. *)
-let self_name_opt () =
-  match Effect.perform Self_name with
-  | name -> Some name
-  | exception Effect.Unhandled Self_name -> None
-let sleep delay = suspend (fun t k -> schedule t ~at:(t.now +. delay) (fun () -> k ()))
+(* The thread running now; [no_fiber] in timer callbacks ([schedule])
+   and outside [run]. *)
+let current () = match !running with Some t -> t.current | None -> no_fiber
+let self_name_opt () = match current () with f when f == no_fiber -> None | f -> Some f.name
+let self_name () =
+  match current () with f when f == no_fiber -> invalid_arg "Engine.self_name" | f -> f.name
+
+(* A sleep due alone (nothing queued is due at or before its wake, and
+   the wake is within [until]) would be the next event the run pops,
+   and the resume it schedules the one after: advance the clock in
+   place, counting [seq] and [events_run] for both. An event due at the
+   wake still goes first, as it wins the tie on [seq]. *)
+let sleep delay =
+  match !running with
+  | Some t when t.current != no_fiber ->
+    let at = t.now +. delay in
+    let at = if at < t.now then t.now else at and h = t.heap in
+    if at <= t.until && (h.Heap.size = 0 || h.Heap.data.(0).time > at) then begin
+      t.now <- at;
+      t.seq <- t.seq + 2;
+      t.events_run <- t.events_run + 2
+    end
+    else suspend (fun t k -> schedule t ~at (fun () -> k ()))
+  | _ -> suspend (fun t k -> schedule t ~at:(t.now +. delay) (fun () -> k ()))

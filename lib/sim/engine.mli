@@ -66,10 +66,12 @@ val live : t -> int
     a deadlock or a wait on an external wake-up that never came. *)
 
 val blocked_names : t -> string list
-(** Names of currently-suspended threads (diagnostic, sorted). *)
+(** Names of currently-suspended threads (diagnostic, sorted). A thread
+    asleep past {!run}'s [until] is one. *)
 
 val self_name : unit -> string
-(** Name of the calling simulated thread. *)
+(** Name of the calling simulated thread. Raises [Invalid_argument]
+    outside a thread. *)
 
 val self_name_opt : unit -> string option
 (** Like {!self_name}, but [None] when called outside a simulated
@@ -78,7 +80,10 @@ val self_name_opt : unit -> string option
 
 val sleep : float -> unit
 (** Block the calling thread for the given number of simulated
-    microseconds. Must be called from inside a thread. *)
+    microseconds. Must be called from inside a thread. When nothing
+    queued is due at or before the wake, the clock advances in place:
+    the order of events and {!events_run} are as if the wake had been
+    queued, but it never counts towards {!pending}. *)
 
 (** {2 Internal plumbing for synchronisation primitives} *)
 

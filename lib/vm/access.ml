@@ -50,8 +50,7 @@ let read_bytes kctx map ~addr ~len ?policy () =
       let a = addr + pos in
       let in_page = min (len - pos) (ps - (a land (ps - 1))) in
       let blit frame =
-        Bytes.blit (Phys_mem.read kctx.Kctx.mem frame ~off:(a land (ps - 1)) ~len:in_page) 0 out
-          pos in_page
+        Phys_mem.read_into kctx.Kctx.mem frame ~off:(a land (ps - 1)) out ~pos ~len:in_page
       in
       match access kctx map ~addr:a ~write:false ?policy blit with
       | Error e -> Error e
@@ -72,7 +71,7 @@ let write_bytes kctx map ~addr data ?policy () =
       let a = addr + pos in
       let in_page = min (len - pos) (ps - (a land (ps - 1))) in
       let store frame =
-        Phys_mem.write kctx.Kctx.mem frame ~off:(a land (ps - 1)) (Bytes.sub data pos in_page)
+        Phys_mem.write kctx.Kctx.mem frame ~off:(a land (ps - 1)) ~pos ~len:in_page data
       in
       match access kctx map ~addr:a ~write:true ?policy store with
       | Error e -> Error e

@@ -435,10 +435,10 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
   let whole_pages = Bytes.length data / ps in
   for i = 0 to whole_pages - 1 do
     let off = offset + (i * ps) in
-    let chunk = Bytes.sub data (i * ps) ps in
+    let fill frame = Phys_mem.write kctx.Kctx.mem frame ~off:0 ~pos:(i * ps) ~len:ps data in
     match Vm_page.lookup obj ~offset:off with
     | Some ({ p_state = Demanded | Speculative | Failed; _ } as page) ->
-      Phys_mem.write kctx.Kctx.mem page.frame ~off:0 chunk;
+      fill page.frame;
       page.page_lock <- lock_value;
       Counters.incr stats s_pageins;
       Vm_page.resolve kctx page
@@ -455,7 +455,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
       match Kctx.try_alloc_frame kctx ~privileged:false with
       | Some frame ->
         let page = Vm_page.insert kctx obj ~offset:off ~frame ~state:Resident in
-        Phys_mem.write kctx.Kctx.mem frame ~off:0 chunk;
+        fill frame;
         page.page_lock <- lock_value;
         Counters.incr stats s_pageins;
         Page_queues.activate kctx.Kctx.queues page

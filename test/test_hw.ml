@@ -57,6 +57,11 @@ let test_phys_exhaustion () =
   ignore (Phys_mem.alloc m);
   check Alcotest.(option int) "exhausted" None (Phys_mem.alloc m)
 
+let read m f ~off ~len =
+  let b = Bytes.make len '?' in
+  Phys_mem.read_into m f ~off b ~pos:0 ~len;
+  b
+
 let test_phys_zeroed_on_free () =
   let m = Phys_mem.create ~frames:2 ~page_size:4096 in
   let f = Option.get (Phys_mem.alloc m) in
@@ -66,7 +71,7 @@ let test_phys_zeroed_on_free () =
   ignore f2;
   (* The freed frame comes back eventually; allocate the other one too. *)
   let f3 = Option.get (Phys_mem.alloc m) in
-  let data = Phys_mem.read m f3 ~off:0 ~len:5 in
+  let data = read m f3 ~off:0 ~len:5 in
   check Alcotest.string "zeroed" "\000\000\000\000\000" (Bytes.to_string data)
 
 let test_phys_double_free_rejected () =
@@ -82,7 +87,7 @@ let test_phys_copy_and_bits () =
   let b = Option.get (Phys_mem.alloc m) in
   Phys_mem.write m a ~off:100 (Bytes.of_string "payload");
   Phys_mem.copy m ~src:a ~dst:b;
-  check Alcotest.string "copied" "payload" (Bytes.to_string (Phys_mem.read m b ~off:100 ~len:7));
+  check Alcotest.string "copied" "payload" (Bytes.to_string (read m b ~off:100 ~len:7));
   Alcotest.(check bool) "ref clear" false (Phys_mem.referenced m a);
   Phys_mem.set_referenced m a true;
   Phys_mem.set_modified m a true;
@@ -137,6 +142,27 @@ let test_pmap_frames_mapping () =
   Pmap.enter pm ~vpn:10 ~frame:f ~prot:Prot.read;
   Pmap.enter pm ~vpn:20 ~frame:f ~prot:Prot.read;
   check Alcotest.(list int) "both vpns" [ 10; 20 ] (Pmap.frames_mapping pm f)
+
+let test_phys_slices () =
+  let m = Phys_mem.create ~frames:2 ~page_size:4096 in
+  let f = Option.get (Phys_mem.alloc m) in
+  Phys_mem.write m f ~off:4093 ~pos:2 ~len:3 (Bytes.of_string "..abc..");
+  Phys_mem.write m f ~off:7 ~pos:3 (Bytes.of_string "...rest");
+  let out = Bytes.make 9 '-' in
+  Phys_mem.read_into m f ~off:4093 out ~pos:1 ~len:3;
+  Phys_mem.read_into m f ~off:7 out ~pos:5 ~len:4;
+  check Alcotest.string "slices round-trip" "-abc-rest" (Bytes.to_string out);
+  let bad name fn = Alcotest.check_raises name (Invalid_argument "Bytes.blit") fn in
+  bad "write past the frame" (fun () -> Phys_mem.write m f ~off:4094 (Bytes.of_string "abc"));
+  bad "write past the source" (fun () -> Phys_mem.write m f ~off:0 ~pos:2 ~len:2 (Bytes.of_string "abc"));
+  bad "read past the frame" (fun () -> Phys_mem.read_into m f ~off:4095 out ~pos:0 ~len:2);
+  bad "read past the buffer" (fun () -> Phys_mem.read_into m f ~off:0 out ~pos:8 ~len:2);
+  let other = 1 - f in
+  let unallocated name fn =
+    Alcotest.check_raises name (Invalid_argument "Phys_mem: frame not allocated") fn
+  in
+  unallocated "write to a free frame" (fun () -> Phys_mem.write m other ~off:0 ~pos:0 ~len:1 out);
+  unallocated "read from a free frame" (fun () -> Phys_mem.read_into m other ~off:0 out ~pos:0 ~len:1)
 
 (* ---- disk ----------------------------------------------------------------- *)
 
@@ -244,6 +270,24 @@ let test_disk_multi_block_read () =
     (String.make 512 'A' ^ String.make 512 '\000' ^ String.make 512 'C')
     (Bytes.to_string !got)
 
+let test_disk_slice_write () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"d8" ~blocks:4 ~block_size:512 ~seek_us:1000.0 ~transfer_us_per_byte:1.0 () in
+  let elapsed = ref 0.0 in
+  let data = Bytes.init 700 (fun i -> if i < 100 then '.' else Char.chr (65 + ((i - 100) / 512))) in
+  Engine.spawn eng (fun () ->
+      let t0 = Engine.now eng in
+      Disk.write d ~block:1 ~pos:100 ~len:600 data;
+      elapsed := Engine.now eng -. t0);
+  Engine.run eng;
+  check (Alcotest.float 1e-6) "timing follows the length" (1000.0 +. 600.0) !elapsed;
+  check Alcotest.int "bytes written" 600 (Disk.bytes_written d);
+  check Alcotest.int "blocks written" 2 (Counters.value (Disk.stats d) "blocks_written");
+  check Alcotest.string "first block from the offset" (String.make 512 'A')
+    (Bytes.to_string (Disk.read_raw d ~block:1));
+  check Alcotest.string "second block" (String.make 88 'B' ^ String.make 424 '\000')
+    (Bytes.to_string (Disk.read_raw d ~block:2))
+
 let test_disk_bounds () =
   let eng = Engine.create () in
   let d = Disk.create eng ~name:"d4" ~blocks:4 ~block_size:512 () in
@@ -340,6 +384,7 @@ let () =
           Alcotest.test_case "zeroed on free" `Quick test_phys_zeroed_on_free;
           Alcotest.test_case "double free rejected" `Quick test_phys_double_free_rejected;
           Alcotest.test_case "copy and ref/mod bits" `Quick test_phys_copy_and_bits;
+          Alcotest.test_case "slice write and read" `Quick test_phys_slices;
         ] );
       ( "pmap",
         [
@@ -358,6 +403,7 @@ let () =
             test_disk_reattach_shares_later_writes;
           Alcotest.test_case "multi-block write is one seek" `Quick test_disk_multi_block_write;
           Alcotest.test_case "multi-block read is one seek" `Quick test_disk_multi_block_read;
+          Alcotest.test_case "slice write" `Quick test_disk_slice_write;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
         ] );
       ( "net",

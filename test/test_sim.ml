@@ -83,6 +83,73 @@ let test_self_name () =
   Engine.run eng;
   check Alcotest.string "self name" "me" !name
 
+let test_sleep_outside_a_thread_raises () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: returned" name
+    | exception Effect.Unhandled _ -> ()
+  in
+  raises "outside run" (fun () -> Engine.sleep 1.0);
+  let eng = Engine.create () in
+  Engine.schedule eng ~at:5.0 (fun () -> Engine.sleep 1.0);
+  raises "in a timer callback" (fun () -> Engine.run eng)
+
+let test_self_name_opt () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let note where = seen := (where, Engine.self_name_opt ()) :: !seen in
+  Engine.schedule eng ~at:3.0 (fun () -> note "callback");
+  Engine.spawn eng ~name:"worker" (fun () ->
+      note "start";
+      Engine.sleep 3.0;
+      note "queued wake";
+      Engine.sleep 10.0;
+      note "wake due alone");
+  Engine.run eng;
+  note "outside";
+  check
+    Alcotest.(list (pair string (option string)))
+    "names"
+    [
+      ("start", Some "worker");
+      ("callback", None);
+      ("queued wake", Some "worker");
+      ("wake due alone", Some "worker");
+      ("outside", None);
+    ]
+    (List.rev !seen)
+
+let test_blocked_past_until () =
+  let eng = Engine.create () in
+  Engine.spawn eng ~name:"sleeper" (fun () -> Engine.sleep 1000.0);
+  Engine.spawn eng ~name:"quick" (fun () -> Engine.sleep 10.0);
+  Engine.run ~until:500.0 eng;
+  check Alcotest.(list string) "parked sleeper listed" [ "sleeper" ] (Engine.blocked_names eng);
+  check (Alcotest.float 1e-9) "clock at until" 500.0 (Engine.now eng);
+  check Alcotest.int "one still live" 1 (Engine.live eng);
+  Engine.run eng;
+  check Alcotest.(list string) "none once done" [] (Engine.blocked_names eng);
+  check (Alcotest.float 1e-9) "woke on time" 1000.0 (Engine.now eng)
+
+let test_nested_run_keeps_name () =
+  let outer = Engine.create () in
+  let names = ref [] and inner_now = ref 0.0 in
+  Engine.spawn outer ~name:"outer" (fun () ->
+      Engine.sleep 5.0;
+      let inner = Engine.create () in
+      Engine.spawn inner ~name:"inner" (fun () ->
+          Engine.sleep 100.0;
+          names := Engine.self_name () :: !names);
+      Engine.run inner;
+      inner_now := Engine.now inner;
+      names := Engine.self_name () :: !names;
+      Engine.sleep 1.0;
+      names := Engine.self_name () :: !names);
+  Engine.run outer;
+  check Alcotest.(list string) "names" [ "inner"; "outer"; "outer" ] (List.rev !names);
+  check (Alcotest.float 1e-9) "inner clock" 100.0 !inner_now;
+  check (Alcotest.float 1e-9) "outer clock" 6.0 (Engine.now outer)
+
 let test_determinism_across_runs () =
   let run () =
     let eng = Engine.create () in
@@ -264,6 +331,86 @@ let timer_order_prop =
       let expected = replay [] (List.sort compare !model) in
       Engine.run eng;
       List.rev !log = expected && Engine.pending eng = 0)
+
+(* Threads that sleep, among callbacks, against a model that queues
+   every event in (time, seq) order. A fiber's start takes a sequence
+   number at spawn. A sleep queues its wake, and the wake queues the
+   fiber's resume at the same time. Delays include zero and land on
+   queued events' times; the run stops at [until] first. *)
+let sleep_order_prop =
+  let open QCheck2 in
+  let op_gen =
+    Gen.(
+      oneof
+        [
+          map (fun t -> `Event t) (int_bound 20);
+          map (fun ds -> `Fiber ds) (list_size (int_range 0 4) (int_bound 6));
+        ])
+  in
+  let print_op = function
+    | `Event t -> Printf.sprintf "event %d" t
+    | `Fiber ds -> "sleeps " ^ String.concat "," (List.map string_of_int ds)
+  in
+  Test.make ~name:"sleeps keep (time, seq) order and count as events" ~count:300
+    ~print:Print.(pair (list print_op) int)
+    Gen.(pair (list_size (int_range 0 30) op_gen) (int_bound 30))
+    (fun (ops, until) ->
+      let eng = Engine.create () in
+      let log = ref [] in
+      let note id () = log := (id, int_of_float (Engine.now eng)) :: !log in
+      (* (time, seq, id, what) *)
+      let queue = ref [] and seq = ref 0 in
+      let push t id what =
+        incr seq;
+        queue := (t, !seq, id, what) :: !queue
+      in
+      List.iteri
+        (fun id op ->
+          match op with
+          | `Event t ->
+            Engine.schedule eng ~at:(float_of_int t) (note id);
+            push t id `Callback
+          | `Fiber ds ->
+            Engine.spawn eng ~name:(string_of_int id) (fun () ->
+                List.iter
+                  (fun d ->
+                    note id ();
+                    Engine.sleep (float_of_int d))
+                  ds;
+                note id ());
+            push 0 id (`Run ds))
+        ops;
+      let expected = ref [] and runs = ref 0 and now = ref 0 in
+      let rec model limit =
+        match List.sort compare !queue with
+        | (t, _, id, what) :: rest when t <= limit ->
+          queue := rest;
+          incr runs;
+          now := t;
+          (match what with
+          | `Callback -> expected := (id, t) :: !expected
+          | `Wake ds -> push t id (`Run ds)
+          | `Run ds -> (
+            expected := (id, t) :: !expected;
+            match ds with d :: ds -> push (t + d) id (`Wake ds) | [] -> ()));
+          model limit
+        | rest -> if rest <> [] then now := limit
+      in
+      let same () =
+        !log = !expected && Engine.events_run eng = !runs && int_of_float (Engine.now eng) = !now
+      in
+      model until;
+      Engine.run ~until:(float_of_int until) eng;
+      (* A fiber is blocked from its sleep until its wake runs. *)
+      let blocked =
+        List.filter_map
+          (function _, _, id, `Wake _ -> Some (string_of_int id) | _ -> None)
+          !queue
+      in
+      let ok = same () && Engine.blocked_names eng = List.sort_uniq String.compare blocked in
+      model max_int;
+      Engine.run eng;
+      ok && same () && Engine.pending eng = 0 && Engine.live eng = 0)
 
 (* A timed wait woken early takes its timer with it: when the waiter
    resumes nothing else is queued, and the run ends at the wake, not at
@@ -592,6 +739,10 @@ let () =
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "self name" `Quick test_self_name;
+          Alcotest.test_case "sleep outside a thread raises" `Quick test_sleep_outside_a_thread_raises;
+          Alcotest.test_case "self name only in a thread" `Quick test_self_name_opt;
+          Alcotest.test_case "blocked past until" `Quick test_blocked_past_until;
+          Alcotest.test_case "nested run keeps the name" `Quick test_nested_run_keeps_name;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
           QCheck_alcotest.to_alcotest determinism_prop;
         ] );
@@ -601,6 +752,7 @@ let () =
           Alcotest.test_case "now at quiescence" `Quick test_now_at_quiescence;
           Alcotest.test_case "cancel is idempotent" `Quick test_cancel_is_idempotent;
           QCheck_alcotest.to_alcotest timer_order_prop;
+          QCheck_alcotest.to_alcotest sleep_order_prop;
           Alcotest.test_case "waitq wake cancels the timeout" `Quick test_waitq_timer_dies;
           Alcotest.test_case "send wake cancels the timeout" `Quick test_send_timer_dies;
           Alcotest.test_case "recv wake cancels the timeout" `Quick test_recv_timer_dies;

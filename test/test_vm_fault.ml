@@ -76,6 +76,22 @@ let test_zero_fill_and_soft_fault () =
       let h1 = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_hits in
       check Alcotest.int "soft fault hit" 1 (h1 - h0))
 
+(* A run that starts at an odd offset crosses two page boundaries on the
+   way in and out; the bytes around it stay zero. *)
+let test_bytes_cross_pages () =
+  with_system (fun _ task ->
+      let addr = Syscalls.vm_allocate task ~size:(3 * page) ~anywhere:true () in
+      let data = Bytes.init (page + 11) (fun i -> Char.chr (33 + (i mod 90))) in
+      let start = addr + page - 7 in
+      (match Syscalls.write_bytes task ~addr:start data () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write: %a" Access.pp_error e);
+      match Syscalls.read_bytes task ~addr:(start - 3) ~len:(page + 17) () with
+      | Ok b ->
+        check Alcotest.string "round trip" ("\000\000\000" ^ Bytes.to_string data ^ "\000\000\000")
+          (Bytes.to_string b)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e)
+
 let test_manager_write_lock_unlock_flow () =
   with_system (fun sys task ->
       let _rt, memory_object, unlocks = counting_manager sys.Kernel.kernel ~lock_writes:true in
@@ -586,6 +602,7 @@ let () =
       ( "fault-paths",
         [
           Alcotest.test_case "zero-fill then soft" `Quick test_zero_fill_and_soft_fault;
+          Alcotest.test_case "bytes across pages" `Quick test_bytes_cross_pages;
           Alcotest.test_case "protection fault" `Quick test_protection_fault_surfaces;
           Alcotest.test_case "bad address" `Quick test_bad_address_surfaces;
           Alcotest.test_case "write across protection boundary" `Quick
