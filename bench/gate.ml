@@ -26,6 +26,17 @@ let ge subject bound = { subject; cmp = Ge; bound }
 let le subject bound = { subject; cmp = Le; bound }
 let eq subject bound = { subject; cmp = Eq; bound }
 
+(* The pageout daemon looks at each inactive page a bounded number of
+   times: once per pass for the page it stops at, and at most twice for
+   a page it frees, launders or reactivates (on the inactive queue, then
+   on the dirty queue). A daemon that rescans the dirty pages on every
+   pass while laundry is in flight scans millions. *)
+let scan_bounded =
+  let passes = Cur "reg.vm.pageout_passes" and freed = Cur "reg.vm.pages_freed"
+  and pageouts = Cur "reg.vm.pageouts" and reactivations = Cur "reg.vm.reactivations" in
+  le "reg.vm.pageout_scanned"
+    (Sum [ passes; freed; freed; pageouts; pageouts; reactivations; reactivations ])
+
 (* Runs are deterministic, so the slack over a baseline (0.8 of it for a
    floor, 1.25 for a ceiling) only covers intentional cost-model
    retuning; larger moves re-baseline deliberately. *)
@@ -53,6 +64,7 @@ let spec = [
        image emit sends the file server no more pages than the
        baseline's. *)
     le "wb_pageouts" (Base 1.0);
+    scan_bounded;
   ] );
   ( "E5", [
     ge "fault_storm_speedup_4" (Const 1.5);
@@ -112,6 +124,7 @@ let spec = [
     (* Retransmission stays proportionate and the heal converges. *)
     le "loss10_retransmits" (Max (Const 20.0, Base 4.0));
     le "partition_convergence_us" (Max (Const 500_000.0, Base 3.0));
+    scan_bounded;
   ] );
   ( "E10", [
     (* Span ledger: balanced, and one span per fault. *)
@@ -152,6 +165,7 @@ let spec = [
        and every parent load still returns the parent's last store. *)
     eq "paging_bad_loads" (Const 0.0);
     ge "paging_pageouts" (Const 1.0);
+    scan_bounded;
   ] );
   ( "E12", [
     (* The two remaining ablation switches keep earning their place:
@@ -161,6 +175,7 @@ let spec = [
     le "collapse_depth" (Const 1.0);
     ge "no_collapse_depth" (Base 1.0);
     ge "no_cache_disk_reads" (Sum [ Cur "cache_disk_reads"; Const 1.0 ]);
+    scan_bounded;
   ] );
   ( "E13", [
     (* The §7 duality: messages are the cheap mechanism on a NORMA,

@@ -1,11 +1,16 @@
 open Vm_types
 module Dlist = Mach_util.Dlist
 
-type t = { active : page Dlist.t; inactive : page Dlist.t; laundry : page Dlist.t }
+(* [dirty]: inactive pages found dirty, set aside for the launder pass. *)
+type t = { active : page Dlist.t; inactive : page Dlist.t; dirty : page Dlist.t; laundry : page Dlist.t }
 
-let create () = { active = Dlist.create (); inactive = Dlist.create (); laundry = Dlist.create () }
+let create () =
+  let q () = Dlist.create () in
+  { active = q (); inactive = q (); dirty = q (); laundry = q () }
+
 let active_count t = Dlist.length t.active
-let inactive_count t = Dlist.length t.inactive
+let inactive_count t = Dlist.length t.inactive + Dlist.length t.dirty
+let dirty_count t = Dlist.length t.dirty
 let laundry_count t = Dlist.length t.laundry
 
 let node_of page =
@@ -21,6 +26,7 @@ let remove t page =
   | Q_none -> ()
   | Q_active -> Dlist.remove t.active (node_of page)
   | Q_inactive -> Dlist.remove t.inactive (node_of page)
+  | Q_dirty -> Dlist.remove t.dirty (node_of page)
   | Q_laundry -> Dlist.remove t.laundry (node_of page));
   page.q_state <- Q_none
 
@@ -34,6 +40,11 @@ let deactivate t page =
   Dlist.push_back t.inactive (node_of page);
   page.q_state <- Q_inactive
 
+let set_dirty t page =
+  remove t page;
+  Dlist.push_back t.dirty (node_of page);
+  page.q_state <- Q_dirty
+
 let launder t page =
   remove t page;
   Dlist.push_back t.laundry (node_of page);
@@ -41,6 +52,7 @@ let launder t page =
 
 let oldest_active t = Option.map Dlist.value (Dlist.peek_front t.active)
 let oldest_inactive t = Option.map Dlist.value (Dlist.peek_front t.inactive)
+let oldest_dirty t = Option.map Dlist.value (Dlist.peek_front t.dirty)
 
 (* Invariant oracle for the property tests: every page on a queue must
    carry the matching [q_state] and page state, every page can be on at
@@ -70,4 +82,5 @@ let check_invariants t =
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   check_queue t.active Q_active Resident "active" >>= fun () ->
   check_queue t.inactive Q_inactive Resident "inactive" >>= fun () ->
+  check_queue t.dirty Q_dirty Resident "dirty" >>= fun () ->
   check_queue t.laundry Q_laundry Cleaning "laundry" >>= fun () -> Ok ()

@@ -84,26 +84,29 @@ let collect_run kctx seed =
 let laundry_limit kctx = max (2 * Kctx.cluster_pages) (Kctx.free_target kctx)
 
 (* Returns the number of frames actually freed. Clean pages go first:
-   they cost nothing to drop, so the first pass frees them and sets
-   dirty ones aside at the inactive tail (a first pass that falls short
-   has visited the whole queue, so the dirty pages keep their order).
-   The second pass launders for the deficit left — run-sized
-   pager_data_writes, the pages kept resident busy-cleaning — so those
-   do not count as freed here; their frames come back at release_write
-   (or rescue) time. Laundered pages do count toward the pass target,
-   though: their frames are already on the way. *)
+   they cost nothing to drop, so the first pass walks the inactive queue,
+   frees them and sets each dirty one aside on the dirty queue, where no
+   later clean pass looks at it again. The second pass launders for the
+   deficit left, oldest dirty page first — run-sized pager_data_writes,
+   the pages kept resident busy-cleaning — so those do not count as
+   freed here; their frames come back at release_write (or rescue) time.
+   Laundered pages do count toward the pass target, though: their frames
+   are already on the way. *)
 let reclaim_inactive kctx ~want =
   let queues = kctx.Kctx.queues in
+  Counters.incr kctx.Kctx.stats s_pageout_passes;
   let freed = ref 0 in
   let laundered = ref 0 in
   let pass ~launder =
     let scanned = ref 0 in
-    let budget = Page_queues.inactive_count queues in
+    let budget = (if launder then Page_queues.dirty_count else Page_queues.inactive_count) queues in
+    let oldest = if launder then Page_queues.oldest_dirty else Page_queues.oldest_inactive in
     while !freed + !laundered < want && !scanned < budget do
-      match Page_queues.oldest_inactive queues with
+      match oldest queues with
       | None -> scanned := budget
       | Some page ->
         incr scanned;
+        Counters.incr kctx.Kctx.stats s_pageout_scanned;
         if pinned page then Page_queues.activate queues page
         else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
           (* Used while inactive: reactivate. *)
@@ -117,7 +120,7 @@ let reclaim_inactive kctx ~want =
             Vm_page.free kctx page;
             incr freed
           end
-          else if not launder then Page_queues.deactivate queues page
+          else if not launder then Page_queues.set_dirty queues page
           else if Page_queues.laundry_count queues >= laundry_limit kctx then
             (* Enough in flight; end the pass and let releases drain. *)
             scanned := budget

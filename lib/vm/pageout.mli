@@ -4,8 +4,11 @@
     to the inactive queue (clearing hardware reference bits so reuse is
     observable), then reclaiming inactive pages clean first: a pass
     frees clean pages before it launders any dirty one, and launders
-    only for the deficit the clean pages leave. Each laundering seed
-    grows into a run of adjacent same-object dirty pages shipped in one
+    only for the deficit the clean pages leave. A dirty page it finds
+    moves once to the dirty queue, which the launder pass drains oldest
+    first; [vm.pageout_passes] and [vm.pageout_scanned] count the
+    passes and the pages they look at. Each laundering seed grows into
+    a run of adjacent same-object dirty pages shipped in one
     [pager_data_write], kept resident busy-cleaning until the manager's
     release. Wired, busy and faulter-held pages are never taken.
     Anonymous memory being paged out for the first time is handed to

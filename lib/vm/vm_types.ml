@@ -33,7 +33,7 @@ let inheritance_to_string = function
            |     \                 |                     |
            |      \ resolve        | resolve             | resolve
            |       +-------------> v <-------------------+
-           |                    Resident   (Q_active, Q_inactive)
+           |                    Resident   (Q_active, Q_inactive, Q_dirty)
      release_placeholder          |    ^
            |              launder |    | cleaned (release_write, or
            v                      v    |   the §6.2.2 rescue, which
@@ -49,7 +49,7 @@ let inheritance_to_string = function
 type page_state = Resident | Demanded | Speculative | Failed | Cleaning
 
 (** Which queue a resident page is on (§5.4). *)
-type queue_state = Q_none | Q_active | Q_inactive | Q_laundry
+type queue_state = Q_none | Q_active | Q_inactive | Q_dirty | Q_laundry
 
 module Offsets = Set.Make (Int)
 
@@ -193,3 +193,5 @@ let s_slow_error = vm_stat "slow_error" (* slow-path entries: fault on an error 
 let s_chain_depth_peak = vm_stat "chain_depth_peak" (* deepest shadow chain walked by a fault *)
 (* cached persistent objects terminated by LRU pressure *)
 let s_object_cache_evictions = vm_stat "object_cache_evictions"
+let s_pageout_passes = vm_stat "pageout_passes" (* reclaim passes over the inactive queues *)
+let s_pageout_scanned = vm_stat "pageout_scanned" (* pages those passes looked at *)

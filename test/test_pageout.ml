@@ -361,19 +361,21 @@ let test_file_writeback_not_double_paged () =
         | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
       done)
 
-(* One reclaim pass over an inactive queue built by hand, in a bare
+(* Reclaim passes over an inactive queue built by hand, in a bare
    kernel context with no daemon running. Page [i] caches offset
    [i * page] of one external object that no manager serves, and
    the queue holds the pages in list order, oldest first. Free memory
    is cut to [deficit] frames below the free target, so [run_once]
-   reclaims exactly that many. Returns the frames freed, the
-   data_writes sent, and the pages. *)
+   reclaims exactly that many. With [laundry_full], more pages of the
+   object fill the laundry to pageout's [laundry_limit] first, as if
+   already shipped. Returns the frames freed over [passes] calls of
+   [run_once], the kernel context, and the pages. *)
 type inactive_page = { dirty : bool; referenced : bool; held : bool }
 
 let clean = { dirty = false; referenced = false; held = false }
 let dirty = { clean with dirty = true }
 
-let reclaim_pass specs ~deficit =
+let reclaim ?(passes = 1) ?(laundry_full = false) specs ~deficit =
   let eng = Engine.create () in
   let ctx = Context.create eng (Net.create eng ()) in
   let mem = Phys_mem.create ~frames:128 ~page_size:page in
@@ -381,33 +383,54 @@ let reclaim_pass specs ~deficit =
     Kctx.create eng ctx ~host:0 ~params:Machine.uniprocessor ~mem ~reserved_frames:16 ()
   in
   Mach_vm.Pager_client.install kctx;
+  let n = List.length specs in
+  let in_laundry =
+    if laundry_full then max (2 * Kctx.cluster_pages) (Kctx.free_target kctx) else 0
+  in
   let obj =
     Vm_object.create_external kctx ~memory_object:(Port.create ctx ~home:0 ())
-      ~size:(List.length specs * page)
+      ~size:((n + in_laundry) * page)
+  in
+  let insert i =
+    let frame = Option.get (Phys_mem.alloc mem) in
+    Vm_page.insert kctx obj ~offset:(i * page) ~frame ~state:Vm_types.Resident
   in
   let pages =
     List.mapi
       (fun i s ->
-        let frame = Option.get (Phys_mem.alloc mem) in
-        let p = Vm_page.insert kctx obj ~offset:(i * page) ~frame ~state:Vm_types.Resident in
+        let p = insert i in
         p.Vm_types.dirty <- s.dirty;
         p.Vm_types.grant_hold <- (if s.held then 1 else 0);
-        Phys_mem.set_referenced mem frame s.referenced;
+        Phys_mem.set_referenced mem p.Vm_types.frame s.referenced;
         Page_queues.deactivate kctx.Kctx.queues p;
         p)
       specs
   in
+  for i = n to n + in_laundry - 1 do
+    Vm_page.launder kctx (insert i)
+  done;
   while Phys_mem.free_frames mem > Kctx.free_target kctx - deficit do
     ignore (Phys_mem.alloc mem)
   done;
   let freed = ref None in
-  Engine.spawn eng (fun () -> freed := Some (Pageout.run_once kctx));
+  Engine.spawn eng (fun () ->
+      let total = ref 0 in
+      for _ = 1 to passes do
+        total := !total + Pageout.run_once kctx
+      done;
+      freed := Some !total);
   (* Stop before the unanswered writes' rescue timers fire. *)
   Engine.run ~until:(Kctx.data_write_release_timeout_us /. 2.0) eng;
   check_queues kctx;
   match !freed with
-  | Some freed -> (freed, Counters.get kctx.Kctx.stats Vm_types.s_data_writes, pages)
-  | None -> Alcotest.fail "the pass did not finish"
+  | Some freed -> (freed, kctx, pages)
+  | None -> Alcotest.fail "the passes did not finish"
+
+(* One pass; returns the frames freed, the data_writes sent, and the
+   pages. *)
+let reclaim_pass specs ~deficit =
+  let freed, kctx, pages = reclaim specs ~deficit in
+  (freed, Counters.get kctx.Kctx.stats Vm_types.s_data_writes, pages)
 
 let gone (p : Vm_types.page) =
   match Vm_page.lookup p.Vm_types.p_obj ~offset:p.Vm_types.p_offset with
@@ -444,6 +467,34 @@ let test_deficit_past_clean_launders () =
   check Alcotest.int "one data_write" 1 writes;
   check Alcotest.(list bool) "the oldest run is cleaning"
     (List.init 10 (fun i -> i < 4))
+    (List.map cleaning pages)
+
+let test_dirty_page_set_aside_once () =
+  (* The laundry is full, so no pass can launder: each ends at the
+     oldest dirty page. A pass that rescanned the dirty pages would look
+     at all of them every time. *)
+  let n = 16 and k = 10 in
+  let _, kctx, pages =
+    reclaim ~passes:k ~laundry_full:true (List.init n (fun _ -> dirty)) ~deficit:4
+  in
+  let stats = kctx.Kctx.stats in
+  let scanned = Counters.get stats Vm_types.s_pageout_scanned in
+  check Alcotest.int "passes" k (Counters.get stats Vm_types.s_pageout_passes);
+  Alcotest.(check bool)
+    (Printf.sprintf "scanned %d <= passes + pages" scanned) true (scanned <= k + n);
+  check Alcotest.int "no data_write" 0 (Counters.get stats Vm_types.s_data_writes);
+  Alcotest.(check bool) "every page waits on the dirty queue" true
+    (List.for_all (fun p -> p.Vm_types.q_state = Vm_types.Q_dirty) pages)
+
+let test_launder_oldest_first () =
+  (* 24 adjacent dirty pages and a deficit of one: each pass launders
+     one cluster-window run, and the second pass takes up where the
+     first stopped, not at the newest page. *)
+  let _, kctx, pages = reclaim ~passes:2 (List.init 24 (fun _ -> dirty)) ~deficit:1 in
+  check Alcotest.int "one data_write per pass" 2
+    (Counters.get kctx.Kctx.stats Vm_types.s_data_writes);
+  check Alcotest.(list bool) "the two oldest runs are cleaning"
+    (List.init 24 (fun i -> i < 2 * Kctx.cluster_pages))
     (List.map cleaning pages)
 
 (* Every resident page was just referenced, so the daemon's first pass
@@ -547,6 +598,10 @@ let () =
           Alcotest.test_case "an aging pass wakes the allocator" `Quick
             test_aging_pass_wakes_allocator;
           Alcotest.test_case "a page freed during bind" `Quick test_page_freed_during_bind;
+          Alcotest.test_case "a dirty page is set aside once" `Quick
+            test_dirty_page_set_aside_once;
+          Alcotest.test_case "the launder pass ships the oldest first" `Quick
+            test_launder_oldest_first;
           QCheck_alcotest.to_alcotest clean_first_prop;
         ] );
     ]

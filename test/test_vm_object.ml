@@ -164,14 +164,14 @@ let test_collapse_keeps_pager_copy () =
   check Alcotest.(option char) "the shadow's paged-out copy wins" (Some 'n') !seen
 
 (* qcheck: the pageout queues stay consistent with each page's q_state
-   and page state under random activate/deactivate/launder/remove
-   sequences. Laundering goes through the Cleaning transition, and a
-   Cleaning page is cleaned before any other queue operation, as
-   release_write does. *)
+   and page state under random activate/deactivate/set_dirty/launder/
+   remove sequences; the dirty queue counts toward [inactive_count].
+   Laundering goes through the Cleaning transition, and a Cleaning page
+   is cleaned before any other queue operation, as release_write does. *)
 let page_queue_prop =
   let open QCheck2 in
   Test.make ~name:"page queues consistent under random transitions" ~count:150
-    Gen.(list_size (int_range 1 40) (pair (int_range 0 7) (int_range 0 3)))
+    Gen.(list_size (int_range 1 40) (pair (int_range 0 7) (int_range 0 4)))
     (fun ops ->
       let kctx = make_kctx ~frames:16 () in
       let q = kctx.Kctx.queues in
@@ -183,17 +183,21 @@ let page_queue_prop =
       in
       let ok = ref true in
       let verify () =
-        let active = ref 0 and inactive = ref 0 and laundry = ref 0 in
+        let active = ref 0 and inactive = ref 0 and dirty = ref 0 and laundry = ref 0 in
         Array.iter
           (fun (p : Vm_types.page) ->
             match p.Vm_types.q_state with
             | Vm_types.Q_active -> incr active
             | Vm_types.Q_inactive -> incr inactive
+            | Vm_types.Q_dirty ->
+              incr inactive;
+              incr dirty
             | Vm_types.Q_laundry -> incr laundry
             | Vm_types.Q_none -> ())
           pages;
         if !active <> Page_queues.active_count q then ok := false;
         if !inactive <> Page_queues.inactive_count q then ok := false;
+        if !dirty <> Page_queues.dirty_count q then ok := false;
         if !laundry <> Page_queues.laundry_count q then ok := false;
         match Page_queues.check_invariants q with Ok () -> () | Error _ -> ok := false
       in
@@ -205,13 +209,17 @@ let page_queue_prop =
           | 0 -> Page_queues.activate q p
           | 1 -> Page_queues.deactivate q p
           | 2 -> Vm_page.launder kctx p
+          | 3 -> Page_queues.set_dirty q p
           | _ -> Page_queues.remove q p);
           verify ())
         ops;
-      (* Draining: oldest_active/inactive agree with membership. *)
+      (* Draining: oldest_active and oldest_dirty agree with membership. *)
       (match Page_queues.oldest_active q with
       | Some p -> if p.Vm_types.q_state <> Vm_types.Q_active then ok := false
       | None -> if Page_queues.active_count q <> 0 then ok := false);
+      (match Page_queues.oldest_dirty q with
+      | Some p -> if p.Vm_types.q_state <> Vm_types.Q_dirty then ok := false
+      | None -> if Page_queues.dirty_count q <> 0 then ok := false);
       !ok)
 
 let () =
