@@ -41,6 +41,17 @@ let scan_bounded =
    floor, 1.25 for a ceiling) only covers intentional cost-model
    retuning; larger moves re-baseline deliberately. *)
 let spec = [
+  ( "E1", [
+    (* A null round trip keeps its cost: a send charged its fixed
+       message overhead twice fails this. (Losing the blocked-receiver
+       handoff alone, one context switch per round trip, stays inside
+       the 1.25x slack.) *)
+    le "msg_rpc_us" (Base 1.25);
+    (* An inline payload is copied at send, so a 4 KB round trip costs
+       more than a 1 KB one; an inline copy charged at 0 us/byte makes
+       them equal. *)
+    ge "rpc_us_4096" (Sum [ Cur "rpc_us_1024"; Const 1.0 ]);
+  ] );
   ( "E3", [
     (* A copy-vs-map crossover exists (-1: copy never lost), at 64 KB
        at the latest, and a mapped send copies nothing eagerly. *)
@@ -51,6 +62,11 @@ let spec = [
     (* Clustered COW keeps writing a mapped-in 1 MB region below one
        fault+copy per page. *)
     le "map_write_us_1048576" (Base 1.25);
+    (* A snapshot pays only for the write access it revokes: re-sending
+       an unchanged 1 MB region costs no more than a first one-page
+       send. A copyin charging one map op per page of the range fails
+       this (the resend then costs what the first 1 MB send does). *)
+    le "map_resend_us_1048576" (Cur "map_untouched_us_4096");
   ] );
   ( "E4", [
     (* §9: a warm compile from the kernel's file cache keeps its lead

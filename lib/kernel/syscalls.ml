@@ -47,8 +47,8 @@ let resolve_ool t msg =
     { msg with Message.body = List.map resolve msg.Message.body }
   end
 
-(* A message that never left drops the local snapshots [resolve_ool]
-   took for it, returning their object references. *)
+(* A message that never left drops the snapshots [resolve_ool] took: a
+   local one's references, a remote export by killing its object port. *)
 let discard_resolved ~orig sent =
   List.iter2
     (fun before after ->
@@ -56,6 +56,9 @@ let discard_resolved ~orig sent =
       | Message.Ool_region _, Message.Ool_copy { Message.cp_payload = Vm_map.Vm_copy_handle c; _ }
         ->
         Vm_map.copy_discard c
+      | ( Message.Ool_region _,
+          Message.Ool_copy { Message.cp_payload = Message.Net_copy { nc_object }; _ } ) ->
+        Mach_ipc.Port.destroy nc_object
       | _ -> ())
     orig.Message.body sent.Message.body
 

@@ -294,11 +294,12 @@ let limit_hw t e ~lo ~hi prot =
 (* Write-protect every mapping (in all pmaps) of resident pages backing
    this direct record: the next write anywhere faults and copies.
    The sweep is batched: mappings are gathered per pmap and
-   write-protected as contiguous vpn runs through Pmap.protect_range,
-   under one map-op charge for the whole record — fork/copyin freeze
-   cost is O(entries), not O(pages x mappings). *)
+   write-protected as contiguous vpn runs through Pmap.protect_range.
+   Returns the count of translations that still allowed writing (the
+   write access revoked), and charges one map op for the whole record
+   only when that count is above 0. *)
 let freeze_chain kctx d ~lo_off ~span =
-  let groups = ref [] in
+  let groups = ref [] and revoked = ref 0 in
   let add pmap vpn =
     match List.find_opt (fun (pm, _) -> pm == pmap) !groups with
     | Some (_, vpns) -> vpns := vpn :: !vpns
@@ -319,9 +320,15 @@ let freeze_chain kctx d ~lo_off ~span =
           Pmap.protect_range pm ~lo:v ~hi ~prot:Prot.rx;
           runs rest'
       in
-      runs (List.sort_uniq compare !vpns))
+      let vpns = List.sort_uniq compare !vpns in
+      let writable vpn =
+        match Pmap.lookup pm ~vpn with Some (_, p) -> Prot.can_write p | None -> false
+      in
+      revoked := List.fold_left (fun n vpn -> if writable vpn then n + 1 else n) !revoked vpns;
+      runs vpns)
     !groups;
-  if !groups <> [] then Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
+  if !revoked > 0 then Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us;
+  !revoked
 
 (* ---- deallocation ------------------------------------------------------ *)
 
@@ -542,36 +549,39 @@ let promote_to_share t e =
     e.backing <- Shared { share_map = sm; sh_offset = 0 }
 
 (* Set up symmetric copy-on-write of a direct record for a new holder:
-   returns the (obj, offset) the copy should reference. *)
+   returns the copy's (obj, offset) and the write access it revoked. *)
 let cow_share kctx d ~lo_off ~span =
   d.d_obj.ref_count <- d.d_obj.ref_count + 1;
   d.needs_copy <- true;
-  freeze_chain kctx d ~lo_off ~span;
-  (d.d_obj, lo_off)
+  let revoked = freeze_chain kctx d ~lo_off ~span in
+  (d.d_obj, lo_off, revoked)
 
 (* Build the copy-entries for address range [lo, hi) of entry [e],
-   calling [emit] with (rel_addr, span, obj, offset) pieces. *)
+   calling [emit] with (rel_addr, span, obj, offset) pieces; returns
+   the writable translations revoked, summed over the pieces. *)
 let copy_pieces t e ~lo ~hi emit =
   let kctx = t.kctx in
   match e.backing with
   | Direct d ->
     let lo_off = d.d_offset + (lo - e.va_start) in
-    let obj, offset = cow_share kctx d ~lo_off ~span:(hi - lo) in
-    emit ~rel:0 ~span:(hi - lo) ~obj ~offset
+    let obj, offset, revoked = cow_share kctx d ~lo_off ~span:(hi - lo) in
+    emit ~rel:0 ~span:(hi - lo) ~obj ~offset;
+    revoked
   | Shared s ->
     let sh_lo = s.sh_offset + (lo - e.va_start) in
     let sh_hi = sh_lo + (hi - lo) in
     let sub = entries_covering s.share_map ~lo:sh_lo ~hi:sh_hi in
-    List.iter
-      (fun se ->
+    List.fold_left
+      (fun acc se ->
         match se.backing with
         | Direct d ->
           let lo_off = d.d_offset + (max se.va_start sh_lo - se.va_start) in
           let span = min se.va_end sh_hi - max se.va_start sh_lo in
-          let obj, offset = cow_share kctx d ~lo_off ~span in
-          emit ~rel:(max se.va_start sh_lo - sh_lo) ~span ~obj ~offset
+          let obj, offset, revoked = cow_share kctx d ~lo_off ~span in
+          emit ~rel:(max se.va_start sh_lo - sh_lo) ~span ~obj ~offset;
+          acc + revoked
         | Shared _ -> assert false)
-      sub
+      0 sub
 
 let fork t ~child_pmap =
   let child = create t.kctx ~pmap:child_pmap in
@@ -605,7 +615,8 @@ let fork t ~child_pmap =
                 inheritance = e.inheritance;
                 backing =
                   Direct { d_obj = obj; d_offset = offset; needs_copy = true; d_from_copy = false };
-              }))
+              })
+        |> ignore)
     t.map_entries;
   child
 
@@ -628,21 +639,26 @@ let copyin t ~addr ~size =
   let lo = addr land lnot (ps - 1) in
   let hi = (addr + size + ps - 1) land lnot (ps - 1) in
   let es = entries_covering t ~lo ~hi in
-  let pieces = ref [] in
+  let pieces = ref [] and revoked = ref 0 in
   List.iter
     (fun e ->
       (* cow_share (inside copy_pieces) takes an object reference for
          the copy object and COW-protects the sender's entries: later
          sender writes shadow, leaving the snapshot untouched. *)
-      copy_pieces t e ~lo:e.va_start ~hi:e.va_end (fun ~rel ~span ~obj ~offset ->
-          pieces :=
-            { cpc_rel = e.va_start - lo + rel; cpc_span = span; cpc_obj = obj; cpc_offset = offset }
-            :: !pieces))
+      revoked :=
+        !revoked
+        + copy_pieces t e ~lo:e.va_start ~hi:e.va_end (fun ~rel ~span ~obj ~offset ->
+              pieces :=
+                { cpc_rel = e.va_start - lo + rel; cpc_span = span; cpc_obj = obj;
+                  cpc_offset = offset }
+                :: !pieces))
     es;
   Counters.incr kctx.Kctx.node.Transport.node_stats Transport.s_copyins;
-  (* Write-protecting the source is one map op per page: O(pages) map
+  (* Write-protecting the source is one map op per translation whose
+     write access it revokes: a page with no translation, or one an
+     earlier snapshot already froze, costs nothing. O(written pages) map
      work instead of O(bytes) copying. *)
-  Kctx.charge kctx (float_of_int ((hi - lo) / ps) *. kctx.Kctx.params.Machine.map_op_us);
+  Kctx.charge kctx (float_of_int !revoked *. kctx.Kctx.params.Machine.map_op_us);
   { vc_kctx = kctx; vc_size = hi - lo; vc_pieces = List.rev !pieces; vc_consumed = false }
 
 let copyout t copy ?addr () =

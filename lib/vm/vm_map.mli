@@ -165,8 +165,9 @@ type Mach_ipc.Message.copy_payload += Vm_copy_handle of vm_copy
 
 val copyin : t -> addr:int -> size:int -> vm_copy
 (** [vm_map_copyin]: snapshot [addr, addr+size) (page-rounded). Charges
-    one map op per page (the COW write-protect); copies no bytes.
-    Raises {!Bad_address} if the range has holes. Increments the
+    one map op per sender translation whose write access it revokes,
+    plus one per record with any (the COW write-protect); copies no
+    bytes. Raises {!Bad_address} if the range has holes. Increments the
     kernel's [s_copyins] counter. *)
 
 val copyout : t -> vm_copy -> ?addr:int -> unit -> int

@@ -241,6 +241,124 @@ let test_failed_send_discards_snapshot () =
       check Alcotest.int "failed msg_rpc dropped its snapshot" refs0 obj.Vm_types.ref_count;
       check Alcotest.string "sender data intact" "doomed" (read_str sender ~addr ~len:6))
 
+(* The direct object backing [addr] in [task]'s map. *)
+let backing_object task ~addr =
+  match
+    List.find
+      (fun e -> e.Vm_map.va_start <= addr && addr < e.Vm_map.va_end)
+      (Vm_map.entries (Task.map task))
+  with
+  | { Vm_map.backing = Vm_map.Direct d; _ } -> d.Vm_map.d_obj
+  | _ -> Alcotest.fail "expected a direct entry"
+
+let test_failed_remote_send_discards_export () =
+  (* A send to a dead remote port has already exported its snapshot to
+     the network: the failure must return the export's object reference
+     and end its server. *)
+  let cluster = Kernel.create_cluster ~hosts:2 () in
+  let engine = cluster.Kernel.c_engine in
+  let result = ref None in
+  Engine.spawn engine ~name:"setup" (fun () ->
+      let sender = Task.create cluster.Kernel.c_kernels.(0) ~name:"sender" () in
+      let dead = Task.create cluster.Kernel.c_kernels.(1) ~name:"dead" () in
+      let svc = Syscalls.port_allocate dead () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space dead) svc in
+      Task.terminate dead;
+      ignore
+        (Thread.spawn sender ~name:"sender.main" (fun () ->
+             let size = 2 * page in
+             let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+             write_str sender ~addr "doomed";
+             let obj = backing_object sender ~addr in
+             let refs0 = obj.Vm_types.ref_count in
+             let region () = [ Syscalls.ool_region sender ~addr ~size ] in
+             (match Syscalls.msg_send sender (Message.make ~dest:svc_port (region ())) with
+             | Error Transport.Send_invalid_port -> ()
+             | Ok () | Error _ -> Alcotest.fail "msg_send to a dead remote port did not fail");
+             let reply_name = Syscalls.port_allocate sender () in
+             let reply = Mach_ipc.Port_space.lookup_exn (Task.space sender) reply_name in
+             (match Syscalls.msg_rpc sender (Message.make ~dest:svc_port ~reply (region ())) () with
+             | Error (`Send Transport.Send_invalid_port) -> ()
+             | Ok _ | Error _ -> Alcotest.fail "msg_rpc to a dead remote port did not fail");
+             result := Some (obj, refs0))));
+  Engine.run engine;
+  match !result with
+  | None -> Alcotest.fail "scenario did not complete (deadlock?)"
+  | Some (obj, refs0) ->
+    check Alcotest.int "failed remote sends dropped their exports' references" refs0
+      obj.Vm_types.ref_count;
+    check Alcotest.(list string) "no copy-server left blocked" []
+      (List.filter (String.equal "copy-server") (Engine.blocked_names engine))
+
+(* Simulated time [f] takes on the calling fiber, in map operations. *)
+let map_ops sys f =
+  let engine = sys.Kernel.engine in
+  let map_op_us = (Kernel.kctx sys.Kernel.kernel).Kctx.params.Machine.map_op_us in
+  let t0 = Engine.now engine in
+  let r = f () in
+  ((Engine.now engine -. t0) /. map_op_us, r)
+
+let copyin_ops sys task ~addr ~size =
+  let ops, copy = map_ops sys (fun () -> Vm_map.copyin (Task.map task) ~addr ~size) in
+  Vm_map.copy_discard copy;
+  ops
+
+let write_pages task ~addr pages =
+  List.iter (fun i -> write_str task ~addr:(addr + (i * page)) (Printf.sprintf "page %d" i)) pages
+
+let n_pages = 6
+
+let test_copyin_charges_revoked_writes () =
+  (* copyin charges one map op per translation whose write access it
+     revokes, plus one for the record when there is any. *)
+  with_system (fun sys task ->
+      let size = n_pages * page in
+      let addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
+      write_pages task ~addr (List.init n_pages Fun.id);
+      check (Alcotest.float 1e-9) "first send: N + 1" (float_of_int (n_pages + 1))
+        (copyin_ops sys task ~addr ~size);
+      check (Alcotest.float 1e-9) "unchanged resend: free" 0.0 (copyin_ops sys task ~addr ~size);
+      write_pages task ~addr [ 1; 4 ];
+      check (Alcotest.float 1e-9) "after rewriting k pages: k + 1" 3.0
+        (copyin_ops sys task ~addr ~size))
+
+let test_copyin_untranslated_range_free () =
+  with_system (fun sys task ->
+      let size = n_pages * page in
+      let addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
+      check (Alcotest.float 1e-9) "no translations: free" 0.0 (copyin_ops sys task ~addr ~size))
+
+let test_resend_snapshot_isolated () =
+  (* A resend revokes nothing, yet a later sender write must still
+     shadow away from the second snapshot. *)
+  with_system (fun sys sender ->
+      let receiver = Task.create sys.Kernel.kernel ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      let size = 2 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      write_str sender ~addr "first";
+      send_region sender ~addr ~size ~dest:svc_port;
+      send_region sender ~addr ~size ~dest:svc_port;
+      write_str sender ~addr "LATER";
+      List.iter
+        (fun which ->
+          let raddr, _ = receive_mapped receiver ~svc in
+          check Alcotest.string which "first" (read_str receiver ~addr:raddr ~len:5))
+        [ "first snapshot"; "second snapshot" ];
+      check Alcotest.string "sender sees its write" "LATER" (read_str sender ~addr ~len:5))
+
+let test_fork_charge_per_record () =
+  (* Fork keeps its one map op per record however many translations it
+     protects (per-PTE fork cost is a separate change). *)
+  with_system (fun sys task ->
+      let size = n_pages * page in
+      let addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
+      write_pages task ~addr (List.init n_pages Fun.id);
+      let ops, child = map_ops sys (fun () -> Vm_map.fork (Task.map task) ~child_pmap:None) in
+      Vm_map.destroy child;
+      check (Alcotest.float 1e-9) "one map op for the record" 1.0 ops)
+
 (* A message reaching a receiver already blocked on [svc]: the sender
    waits until the receiver has blocked. Returns the fast-path count
    the send added and what the receiver got. *)
@@ -388,11 +506,20 @@ let () =
             test_copy_handle_takes_fastpath;
           Alcotest.test_case "carried payload skips the fast path" `Quick
             test_carried_payload_skips_fastpath;
+          Alcotest.test_case "copyin charges revoked write access" `Quick
+            test_copyin_charges_revoked_writes;
+          Alcotest.test_case "copyin of an untranslated range is free" `Quick
+            test_copyin_untranslated_range_free;
+          Alcotest.test_case "resent snapshot still isolated" `Quick
+            test_resend_snapshot_isolated;
+          Alcotest.test_case "fork charges per record" `Quick test_fork_charge_per_record;
         ] );
       ( "remote",
         [
           Alcotest.test_case "cross-host snapshot" `Quick test_remote_copy_transfer;
           Alcotest.test_case "cross-host msg_rpc region" `Quick test_remote_rpc_region;
+          Alcotest.test_case "failed remote send discards export" `Quick
+            test_failed_remote_send_discards_export;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest copy_oracle_prop ]);
     ]
