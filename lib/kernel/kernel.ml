@@ -39,7 +39,6 @@ let boot engine ctx net ?trace ~host config =
       ?reserved_frames:config.reserved_frames ~pager_timeout_us:config.pager_timeout_us
       ?trace ()
   in
-  Mach_vm.Pager_client.install kctx;
   let paging_disk =
     Disk.create engine
       ~name:(Printf.sprintf "paging%d" host)

@@ -234,19 +234,15 @@ let policy get =
         let t = get () in
         let seg = o.Rt.o_data in
         let ps = Rt.page_size rt in
-        let bs = Fs_layout.block_size t.fs in
-        let first = page * ps / bs in
-        let last = ((page * ps) + ps - 1) / bs in
-        let any_stored = ref false in
-        for i = first to last do
-          if Fs_layout.read_block t.fs seg.sg_name ~index:i <> None then any_stored := true
-        done;
-        if not !any_stored then Rt.Unavailable (* never written: zero-fill *)
-        else
+        (* The file's size says whether the page was ever written,
+           without a disk read. *)
+        match Fs_layout.file_size t.fs seg.sg_name with
+        | Some size when page * ps < size ->
           Rt.Data
-            (Rt.Blocks.read_range ~block_size:bs
+            (Rt.Blocks.read_range ~block_size:(Fs_layout.block_size t.fs)
                ~read:(fun ~index -> Fs_layout.read_block t.fs seg.sg_name ~index)
-               ~offset:(page * ps) ~len:ps));
+               ~offset:(page * ps) ~len:ps)
+        | Some _ | None -> Rt.Unavailable (* never written: zero-fill *));
     p_write =
       (fun _ o ~offset ~data ->
         let t = get () in

@@ -34,7 +34,6 @@ type t = {
   free_wait : Waitq.t;
   pageout_wanted : Waitq.t;
   pager_timeout_us : float;
-  mutable obj_terminator : t -> obj -> unit;
   holdings : (int, holding) Hashtbl.t;
   mutable next_write_id : int;
   mutable rescue_writer : (bytes -> unit) option;
@@ -99,23 +98,6 @@ let free_frame t f =
    page copies, the pageout daemon's accounting — occupies one of the
    host's processors for its duration. *)
 let charge t us = if us > 0.0 then Sched.compute t.sched us
-
-(* The fallback terminator releases resident pages but knows nothing of
-   pager ports; Pager_client installs the full version at boot. *)
-let default_terminator t obj =
-  obj.obj_alive <- false;
-  let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in
-  List.iter
-    (fun (p : page) ->
-      if not (busy p) then begin
-        List.iter (fun (pmap, vpn) -> Pmap.remove pmap ~vpn) p.mappings;
-        p.mappings <- [];
-        Page_queues.remove t.queues p;
-        Hashtbl.remove obj.obj_pages p.p_offset;
-        free_frame t p.frame;
-        Counters.incr t.stats s_pages_freed
-      end)
-    pages
 
 let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2_000_000.0)
     ?trace () =
@@ -191,7 +173,6 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
     free_wait = Waitq.create ();
     pageout_wanted = Waitq.create ();
     pager_timeout_us;
-    obj_terminator = default_terminator;
     holdings = Hashtbl.create 32;
     next_write_id = 1;
     rescue_writer = None;

@@ -48,9 +48,6 @@ type t = {
   pageout_wanted : Mach_sim.Waitq.t;  (** wakes the pageout daemon *)
   pager_timeout_us : float;
       (** how long a fault waits for an external manager (§6.2.1) *)
-  mutable obj_terminator : t -> obj -> unit;
-      (** how to terminate an unreferenced object; Pager_client installs
-          the port-aware version at boot *)
   holdings : (int, holding) Hashtbl.t;
       (** write-id → frame parked until the manager releases it (§6.2.2) *)
   mutable next_write_id : int;

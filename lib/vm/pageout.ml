@@ -33,48 +33,6 @@ let refill_inactive kctx ~want =
   done;
   !moved
 
-(* Grow a reclaim seed into a run of adjacent same-object dirty pages —
-   the write-side mirror of read clustering. Neighbors qualify whatever
-   queue they are on, as long as they are unwired, not busy, unreferenced
-   and dirty; the run is clamped to the cluster window. *)
-let collect_run kctx seed =
-  let ps = kctx.Kctx.page_size in
-  let window = Kctx.cluster_pages in
-  let obj = seed.p_obj in
-  let eligible q =
-    q.wire_count = 0
-    && (not (busy q))
-    && (not (Phys_mem.referenced kctx.Kctx.mem q.frame))
-    && (Vm_page.harvest_bits kctx q;
-        q.dirty)
-  in
-  let back = ref [] in
-  let n = ref 1 in
-  let off = ref (seed.p_offset - ps) in
-  (try
-     while !n < window && !off >= 0 do
-       match Vm_page.lookup obj ~offset:!off with
-       | Some q when eligible q ->
-         back := q :: !back;
-         incr n;
-         off := !off - ps
-       | _ -> raise Exit
-     done
-   with Exit -> ());
-  let fwd = ref [] in
-  let off = ref (seed.p_offset + ps) in
-  (try
-     while !n < window do
-       match Vm_page.lookup obj ~offset:!off with
-       | Some q when eligible q ->
-         fwd := q :: !fwd;
-         incr n;
-         off := !off + ps
-       | _ -> raise Exit
-     done
-   with Exit -> ());
-  !back @ (seed :: List.rev !fwd)
-
 (* Cap on pages busy-cleaning at once. Without it a pass over an
    all-dirty inactive queue would launder the whole queue, and the
    manager's message queue grows without bound — refaulting
@@ -131,7 +89,17 @@ let reclaim_inactive kctx ~want =
             (* Binding sends pager_create, which can sleep: recheck. *)
             match (page.p_obj.pager, Vm_page.lookup page.p_obj ~offset:page.p_offset) with
             | Pager _, Some p when p == page && not (pinned page) ->
-              let run = collect_run kctx page in
+              (* A run grows backward, then forward, over neighbours
+                 on any queue that pageout could take on their own:
+                 idle, unreferenced and dirty. *)
+              let run =
+                Pager_client.run_from kctx page ~back:true ~eligible:(fun q ->
+                    (not (pinned q))
+                    && (not (Phys_mem.referenced kctx.Kctx.mem q.frame))
+                    &&
+                    (Vm_page.harvest_bits kctx q;
+                     q.dirty))
+              in
               laundered := !laundered + List.length run;
               Pager_client.write_run kctx run ~dispose:Dispose_keep
             | Pager _, _ -> ()

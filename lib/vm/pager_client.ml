@@ -43,32 +43,34 @@ let fresh_write_id kctx =
   kctx.Kctx.next_write_id <- id + 1;
   id
 
-(* [page] is still the cleaning page the holding shipped: not freed,
-   renamed, or replaced while we slept. Busy-cleaning pages cannot be
-   freed out from under us, but object teardown detaches structures. *)
-let still_held (h : holding) page =
-  page.p_obj == h.h_obj
-  && (match Hashtbl.find_opt h.h_obj.obj_pages page.p_offset with
-     | Some p -> p == page
-     | None -> false)
+(* [page] is still [obj]'s page at its offset: not freed, renamed, or
+   replaced while we slept. A holding's busy-cleaning pages cannot be
+   freed out from under it, but object teardown detaches structures. *)
+let resident obj page =
+  match Hashtbl.find_opt obj.obj_pages page.p_offset with
+  | Some p -> p == page
+  | None -> false
+
+(* Close a holding: cancel its rescue timer, take it out of [holdings]
+   and free the frames it parked. Release and rescue both close the
+   holding, so a holding is released or rescued at most once. *)
+let close kctx (h : holding) =
+  Engine.cancel kctx.Kctx.engine h.h_timer;
+  Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
+  List.iter (Kctx.free_frame kctx) h.h_frames;
+  h.h_frames <- []
 
 (* §6.2.2 double paging: the manager sat on the data past the release
    timeout. Push the run's contents to the default pager's backing store
    and take the frames back. Cleaning pages lose their frames — waiters
    wake and re-resolve against the manager, which still owes the data it
    never released. Runs in a timer callback, so nothing here may block:
-   mappings were removed at launder time, making every free charge-less.
-   Release and rescue both take the holding out of [holdings] and cancel
-   its timer, so a holding is released or rescued at most once. *)
+   mappings were removed at launder time, making every free charge-less. *)
 let rescue kctx (h : holding) =
-  Engine.cancel kctx.Kctx.engine h.h_timer;
-  Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
-  let pages = List.filter (still_held h) h.h_pages in
-  let rescued = List.length pages + List.length h.h_frames in
-  Counters.add kctx.Kctx.stats s_pageout_to_default rescued;
+  let pages = List.filter (resident h.h_obj) h.h_pages in
+  Counters.add kctx.Kctx.stats s_pageout_to_default (List.length pages + List.length h.h_frames);
   (match kctx.Kctx.rescue_writer with Some w -> w h.h_data | None -> ());
-  List.iter (Kctx.free_frame kctx) h.h_frames;
-  h.h_frames <- [];
+  close kctx h;
   List.iter
     (fun page ->
       Vm_page.cleaned page;
@@ -80,16 +82,13 @@ let release_write kctx ~write_id =
   match Hashtbl.find_opt kctx.Kctx.holdings write_id with
   | None -> () (* already rescued or bogus id *)
   | Some h ->
-    Engine.cancel kctx.Kctx.engine h.h_timer;
-    Hashtbl.remove kctx.Kctx.holdings write_id;
-    List.iter (Kctx.free_frame kctx) h.h_frames;
-    h.h_frames <- [];
+    close kctx h;
     (* Partial release: the run's pages are handled one at a time, so
        under continued pressure the head of the run is freed and the
        tail stays clean-resident once the watermark is met again. *)
     List.iter
       (fun page ->
-        if still_held h page then begin
+        if resident h.h_obj page then begin
           page.dirty <- false;
           Vm_page.cleaned page;
           match h.h_dispose with
@@ -163,19 +162,15 @@ let make_request_ports kctx obj p =
 
 let ensure_initialized kctx obj =
   match obj.pager with
-  | No_pager -> ()
+  | No_pager | Pager { request_port = Some _; _ } -> ()
   | Pager p ->
-    if not p.initialized then begin
-      p.initialized <- true;
-      let request, name = make_request_ports kctx obj p in
-      (* Fires immediately if the manager is already gone. *)
-      Port.on_death p.memory_object (fun () -> pager_died kctx obj);
-      send kctx
-        (Pager_iface.encode_k2m ~reply:None
-           (Pager_iface.Init { memory_object = p.memory_object; request; name })
-           ~dest:p.memory_object);
-      Mach_sim.Ivar.fill p.init_wait ()
-    end
+    let request, name = make_request_ports kctx obj p in
+    (* Fires immediately if the manager is already gone. *)
+    Port.on_death p.memory_object (fun () -> pager_died kctx obj);
+    send kctx
+      (Pager_iface.encode_k2m ~reply:None
+         (Pager_iface.Init { memory_object = p.memory_object; request; name })
+         ~dest:p.memory_object)
 
 let send_data_request kctx p ~offset ~length ~desired_access =
   let request =
@@ -192,6 +187,12 @@ let send_data_request kctx p ~offset ~length ~desired_access =
 let rerequest kctx page ~desired_access =
   let p = get_pager page.p_obj in
   send_data_request kctx p ~offset:page.p_offset ~length:kctx.Kctx.page_size ~desired_access
+
+(* Mach's vm_external: a shadow's default pager holds what was shipped to it. *)
+let pager_holds obj ~offset =
+  match obj.pager with
+  | No_pager -> false
+  | Pager p -> (not p.is_default) || obj.backing = None || Offsets.mem offset p.shipped
 
 let request_cluster kctx obj ~offset ~desired_access ~window =
   let p = get_pager obj in
@@ -229,7 +230,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
          if off >= obj_end
             || Phys_mem.free_frames kctx.Kctx.mem <= Kctx.free_low_watermark kctx
             || Vm_page.lookup obj ~offset:off <> None
-            || not (Vm_object.pager_holds obj ~offset:off)
+            || not (pager_holds obj ~offset:off)
          then raise Exit;
          match Kctx.try_alloc_frame kctx ~privileged:false with
          | None -> raise Exit
@@ -271,8 +272,6 @@ let bind_to_default_pager kctx obj =
         memory_object;
         request_port = None;
         name_port = None;
-        initialized = true;
-        init_wait = Mach_sim.Ivar.create ();
         is_default = true;
         pager_dead = false;
         shipped = Offsets.empty;
@@ -281,44 +280,65 @@ let bind_to_default_pager kctx obj =
     obj.pager <- Pager p;
     Hashtbl.replace kctx.Kctx.objects_by_port (Port.id memory_object) obj;
     let request, name = make_request_ports kctx obj p in
-    Mach_sim.Ivar.fill p.init_wait ();
     send kctx
       (Pager_iface.encode_k2m ~reply:None
          (Pager_iface.Create { new_memory_object = memory_object; request; name; size = obj.obj_size })
          ~dest:dp)
 
-(* --- pageout (pager_data_write): laundered, clustered writeback -------- *)
+(* --- pager_data_write: every dirty page leaves for its manager here ---- *)
 
-(* A pageout ships a run of adjacent dirty pages in ONE pager_data_write
-   (the write-side mirror of read clustering). The pages normally stay
-   resident on the laundry queue, busy-cleaning, until the manager
-   releases the data — so a refault during the clean waits on the busy
-   machinery instead of round-tripping to the pager. Pages detached
-   before the release (object termination) park their frames in
-   [h_frames] instead. *)
+(* Pageout, a manager's flush or clean, and object termination all ship
+   runs of adjacent dirty pages, ONE pager_data_write per run (the
+   write-side mirror of read clustering). Each caller picks the seed and
+   says which neighbours qualify; [run_from] decides what the run is. *)
+let run_from kctx seed ~back ~eligible =
+  let ps = kctx.Kctx.page_size in
+  (* Grow one page at a time by [step] from [off]; [acc] comes out in
+     the reverse of the growth order. *)
+  let rec grow acc n off step =
+    if n >= Kctx.cluster_pages || off < 0 then (acc, n)
+    else
+      match Vm_page.lookup seed.p_obj ~offset:off with
+      | Some q when eligible q -> grow (q :: acc) (n + 1) (off + step) step
+      | _ -> (acc, n)
+  in
+  let below, n = if back then grow [] 1 (seed.p_offset - ps) (-ps) else ([], 1) in
+  let above, _ = grow [] n (seed.p_offset + ps) ps in
+  below @ (seed :: List.rev above)
 
-(* Ship a prepared run: one holding record, one rescue timer, one
-   pager_data_write. *)
-let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
+(* Snapshot a run and ship it: one holding record, one rescue timer, one
+   pager_data_write. The run is non-empty, same-object, offset-sorted
+   and offset-adjacent, and each page is already out of other paths'
+   reach (busy-cleaning, or detached). Kept pages stay in the holding
+   until the manager's release; a [detached] run parks only its frames
+   there, in [h_frames]. *)
+let ship_run kctx run ~dispose ~detached =
+  let obj = (List.hd run).p_obj and offset = (List.hd run).p_offset in
   let p = get_pager obj in
+  let ps = kctx.Kctx.page_size in
+  Counters.add kctx.Kctx.stats s_pageouts (List.length run);
+  (* Invalidate mappings (this may charge map-op time and block), then
+     snapshot the run contents. *)
+  List.iter (fun page -> Vm_page.remove_all_mappings kctx page) run;
+  let data = Bytes.create (List.length run * ps) in
+  List.iteri
+    (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
+    run;
   let write_id = fresh_write_id kctx in
   let h =
     {
       h_write_id = write_id;
       h_obj = obj;
-      h_offset = offset;
       h_data = data;
-      h_pages = pages;
-      h_frames = frames;
+      h_pages = (if detached then [] else run);
+      h_frames = (if detached then List.map (fun page -> page.frame) run else []);
       h_dispose = dispose;
       h_timer = Engine.no_timer;
     }
   in
   Hashtbl.replace kctx.Kctx.holdings write_id h;
   if p.is_default then
-    for i = 0 to (Bytes.length data / kctx.Kctx.page_size) - 1 do
-      p.shipped <- Offsets.add (offset + (i * kctx.Kctx.page_size)) p.shipped
-    done;
+    List.iter (fun page -> p.shipped <- Offsets.add page.p_offset p.shipped) run;
   Counters.incr kctx.Kctx.stats s_data_writes;
   h.h_timer <-
     Engine.timer kctx.Kctx.engine
@@ -329,72 +349,14 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
        (Pager_iface.Data_write { memory_object = p.memory_object; offset; data; write_id })
        ~dest:p.memory_object)
 
-(* Launder a run of adjacent dirty pages: keep them resident and
-   busy-cleaning until the manager's release. [pages] must be non-empty,
-   same-object, offset-sorted, offset-adjacent, non-busy. *)
+(* Launder a run: the pages stay resident and busy-cleaning until the
+   manager's release. The whole run is marked Cleaning before anything
+   can block, so a concurrent faulter waits on the busy machinery
+   instead of racing. *)
 let write_run kctx pages ~dispose =
-  let obj = (List.hd pages).p_obj in
-  let ps = kctx.Kctx.page_size in
-  let stats = kctx.Kctx.stats in
-  let n = List.length pages in
-  Counters.add stats s_pageouts n;
-  Counters.add stats s_laundered n;
-  (* Mark the whole run Cleaning before anything can block, so a
-     concurrent faulter waits on the busy machinery instead of racing. *)
+  Counters.add kctx.Kctx.stats s_laundered (List.length pages);
   List.iter (Vm_page.launder kctx) pages;
-  (* Invalidate mappings (this may charge map-op time and block — safe
-     now that the pages are busy), then snapshot the run contents. *)
-  List.iter (fun page -> Vm_page.remove_all_mappings kctx page) pages;
-  let data = Bytes.create (n * ps) in
-  List.iteri
-    (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
-    pages;
-  ship_run kctx obj ~offset:(List.hd pages).p_offset ~data ~dispose ~pages ~frames:[]
-
-(* Object teardown cannot wait for an untrusted manager's release:
-   detach the run's page structures outright and park the frames in the
-   holding; release/rescue returns the frames later. *)
-let write_run_detached kctx pages =
-  let obj = (List.hd pages).p_obj in
-  let ps = kctx.Kctx.page_size in
-  let stats = kctx.Kctx.stats in
-  let n = List.length pages in
-  Counters.add stats s_pageouts n;
-  let offset = (List.hd pages).p_offset in
-  (* Detach the structures before anything can block, so no other path
-     finds the pages mid-teardown. *)
-  List.iter
-    (fun page ->
-      Page_queues.remove kctx.Kctx.queues page;
-      Hashtbl.remove obj.obj_pages page.p_offset)
-    pages;
-  List.iter (fun page -> Vm_page.remove_all_mappings kctx page) pages;
-  let data = Bytes.create (n * ps) in
-  List.iteri
-    (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
-    pages;
-  let frames = List.map (fun page -> page.frame) pages in
-  ship_run kctx obj ~offset ~data ~dispose:Dispose_free ~pages:[] ~frames
-
-(* Group an offset-sorted page list into maximal runs of adjacent pages
-   satisfying [eligible], each clamped to the cluster window. *)
-let adjacent_runs kctx pages ~eligible =
-  let ps = kctx.Kctx.page_size in
-  let window = Kctx.cluster_pages in
-  let runs, cur =
-    List.fold_left
-      (fun (runs, cur) page ->
-        if not (eligible page) then
-          ((if cur = [] then runs else List.rev cur :: runs), [])
-        else
-          match cur with
-          | prev :: _ when page.p_offset = prev.p_offset + ps && List.length cur < window ->
-            (runs, page :: cur)
-          | [] -> (runs, [ page ])
-          | _ -> (List.rev cur :: runs, [ page ]))
-      ([], []) pages
-  in
-  List.rev (if cur = [] then runs else List.rev cur :: runs)
+  ship_run kctx pages ~dispose ~detached:false
 
 let send_unlock kctx obj ~offset ~length ~desired_access =
   let p = get_pager obj in
@@ -477,29 +439,42 @@ let data_unavailable kctx obj ~offset ~size =
     | Some _ | None -> ()
   done
 
+(* [obj]'s resident pages in [lo, hi), offset order. *)
+let pages_between obj ~lo ~hi =
+  Hashtbl.fold (fun off p acc -> if off >= lo && off < hi then p :: acc else acc) obj.obj_pages []
+  |> List.sort (fun a b -> compare a.p_offset b.p_offset)
+
+(* What is left of an offset-sorted page list past a shipped run. *)
+let past run pages =
+  let last = (List.nth run (List.length run - 1)).p_offset in
+  let rec drop = function page :: rest when page.p_offset <= last -> drop rest | l -> l in
+  drop pages
+
 (* A manager's flush ([keep] false) or clean ([keep] true) of a range,
    answered with lock_completed once every dirty run has shipped. *)
 let flush_range kctx obj ~offset ~length ~keep =
   let ps = kctx.Kctx.page_size in
-  let lo = offset land lnot (ps - 1) in
   let hi = offset + length in
-  let targets =
-    Hashtbl.fold (fun off p acc -> if off >= lo && off < hi then p :: acc else acc) obj.obj_pages []
-    |> List.sort (fun a b -> compare a.p_offset b.p_offset)
-  in
-  let resident page =
-    match Hashtbl.find_opt obj.obj_pages page.p_offset with
-    | Some p -> p == page
-    | None -> false
-  in
-  let window = Kctx.cluster_pages in
   let dispose = if keep then Dispose_keep else Dispose_free in
-  (* Walk the sorted range, shipping each maximal run of adjacent dirty
-     pages as one pager_data_write. Eligibility is re-checked as each
-     run is collected: shipping a run can block, and the world moves. *)
+  (* A run grows forward from its seed over dirty pages below [hi] that
+     no one else is using. A held page ends it: the walk then comes to
+     that page and waits on it. *)
+  let eligible q =
+    q.p_offset < hi
+    && (not (busy q))
+    && q.grant_hold = 0
+    &&
+    (Vm_page.harvest_bits kctx q;
+     q.dirty)
+  in
+  (* Walk the sorted range, shipping each run as one pager_data_write.
+     Shipping can block and the world moves, so each page is re-checked
+     as the walk reaches it, and the walk drops the run's pages: a
+     release can land while [write_run] blocks, leaving them neither
+     busy nor gone. *)
   let rec walk = function
     | [] -> ()
-    | page :: rest when busy page || not (resident page) -> walk rest
+    | page :: rest when busy page || not (resident obj page) -> walk rest
     | page :: rest when page.grant_hold > 0 ->
       (* A faulter just validated a translation for this page and has
          not yet retried its access. Let it commit before revoking —
@@ -511,22 +486,10 @@ let flush_range kctx obj ~offset ~length ~keep =
     | page :: rest ->
       Vm_page.harvest_bits kctx page;
       if page.dirty then begin
-        let rec collect run last rest =
-          match rest with
-          | next :: rest'
-            when next.p_offset = last.p_offset + ps
-                 && (not (busy next))
-                 && resident next
-                 && List.length run < window ->
-            Vm_page.harvest_bits kctx next;
-            if next.dirty then collect (next :: run) next rest' else (List.rev run, rest)
-          | _ -> (List.rev run, rest)
-        in
-        let run, rest = collect [ page ] page rest in
-        if not keep then
-          Counters.add kctx.Kctx.stats s_flushes (List.length run);
+        let run = run_from kctx page ~back:false ~eligible in
+        if not keep then Counters.add kctx.Kctx.stats s_flushes (List.length run);
         write_run kctx run ~dispose;
-        walk rest
+        walk (past run rest)
       end
       else begin
         if not keep then begin
@@ -536,7 +499,7 @@ let flush_range kctx obj ~offset ~length ~keep =
         walk rest
       end
   in
-  walk targets;
+  walk (pages_between obj ~lo:(offset land lnot (ps - 1)) ~hi);
   let p = get_pager obj in
   send kctx
     (Pager_iface.encode_k2m ~reply:p.request_port
@@ -571,6 +534,29 @@ let handle_manager_message kctx (msg : Message.t) =
 
 (* --- termination -------------------------------------------------------- *)
 
+(* Free every resident page, waiting out busy ones. *)
+let destroy_pages kctx obj =
+  let rec drain () =
+    let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in
+    match pages with
+    | [] -> ()
+    | _ ->
+      List.iter
+        (fun p ->
+          (* Speculative cluster placeholders have no waiters and no
+             data coming that anyone cares about: drop them instead of
+             stalling teardown until the reclaim timer. *)
+          if p.p_state = Speculative then Vm_page.release_placeholder kctx p
+          else begin
+            Vm_page.wait_unbusy p;
+            (* The page may have been freed or renamed while we waited. *)
+            if resident obj p then Vm_page.free kctx p
+          end)
+        pages;
+      drain ()
+  in
+  drain ()
+
 let terminate kctx obj =
   if obj.obj_alive then begin
     obj.obj_alive <- false;
@@ -580,19 +566,33 @@ let terminate kctx obj =
        contents need not outlive them, so cleaning would only ship
        garbage to the default pager. *)
     (match obj.pager with
-    | Pager p when p.initialized && not obj.temporary ->
-      let pages = Hashtbl.fold (fun _ pg acc -> pg :: acc) obj.obj_pages [] in
-      let pages = List.sort (fun a b -> compare a.p_offset b.p_offset) pages in
-      let runs =
-        adjacent_runs kctx pages ~eligible:(fun pg ->
-            (not (busy pg))
-            &&
-            (Vm_page.harvest_bits kctx pg;
-             pg.dirty))
+    | Pager { request_port = Some _; _ } when not obj.temporary ->
+      let eligible page =
+        (not (busy page))
+        &&
+        (Vm_page.harvest_bits kctx page;
+         page.dirty)
       in
-      List.iter (fun run -> write_run_detached kctx run) runs
+      (* Teardown cannot wait for an untrusted manager's release: each
+         run's page structures are detached before anything can block,
+         so no other path finds them mid-teardown, and the holding
+         parks only their frames. *)
+      let rec walk = function
+        | [] -> ()
+        | page :: rest when resident obj page && eligible page ->
+          let run = run_from kctx page ~back:false ~eligible in
+          List.iter
+            (fun page ->
+              Page_queues.remove kctx.Kctx.queues page;
+              Hashtbl.remove obj.obj_pages page.p_offset)
+            run;
+          ship_run kctx run ~dispose:Dispose_free ~detached:true;
+          walk (past run rest)
+        | _ :: rest -> walk rest
+      in
+      walk (pages_between obj ~lo:0 ~hi:max_int)
     | Pager _ | No_pager -> ());
-    Vm_object.destroy_pages kctx obj;
+    destroy_pages kctx obj;
     match obj.pager with
     | No_pager -> ()
     | Pager p ->
@@ -611,5 +611,3 @@ let terminate kctx obj =
         | None -> Port.destroy n)
       | None -> ())
   end
-
-let install kctx = kctx.Kctx.obj_terminator <- terminate

@@ -18,15 +18,16 @@ val kernel_send : ?retry_thread:string -> Kctx.t -> Mach_ipc.Message.t -> (unit,
     [retry_thread] (default ["kernel-send-retry"]) and counts as sent;
     [Error ()] means the destination port is dead. *)
 
-val install : Kctx.t -> unit
-(** Install the port-aware object terminator into the context. Call once
-    at kernel boot. *)
-
 val ensure_initialized : Kctx.t -> obj -> unit
 (** If the object has an external pager that has not been initialised,
     allocate the pager request and name ports, register them, and send
     [pager_init] (§3.4.1: performed before [vm_allocate_with_pager]
     completes, without awaiting a reply). *)
+
+val pager_holds : obj -> offset:int -> bool
+(** Whether the object's pager holds [offset] (Mach's [vm_external]): an
+    external manager and a bottom object's default pager hold every
+    offset, a shadow's default pager those shipped to it. *)
 
 val request_cluster :
   Kctx.t -> obj -> offset:int -> desired_access:Mach_hw.Prot.t -> window:int -> page
@@ -48,6 +49,17 @@ val bind_to_default_pager : Kctx.t -> obj -> unit
 (** First pageout from an anonymous object: create a kernel memory
     object, hand it to the default pager with [pager_create], and bind
     it as the object's pager. Requires [default_pager_port] to be set. *)
+
+val run_from : Kctx.t -> page -> back:bool -> eligible:(page -> bool) -> page list
+(** The one run builder of the write path: [run_from kctx seed ~back
+    ~eligible] is [seed] plus the pages of its object at adjacent
+    offsets that [eligible] accepts, growing backward first when [back]
+    and then forward, each way up to the first page missing or refused,
+    at most {!Kctx.cluster_pages} pages in all, in offset order.
+    [eligible] is not asked about the seed. Pageout grows both ways
+    over idle, unreferenced, dirty pages; a flush or clean forward over
+    dirty pages below the range end that are neither busy nor held;
+    termination forward over dirty pages that are not busy. *)
 
 val write_run : Kctx.t -> page list -> dispose:dispose -> unit
 (** Launder a run of adjacent dirty pages: one [pager_data_write] for
@@ -71,6 +83,8 @@ val handle_manager_message : Kctx.t -> Mach_ipc.Message.t -> unit
     malformed messages are counted and dropped. *)
 
 val terminate : Kctx.t -> obj -> unit
-(** Release everything: resident pages, kernel port rights (destroying
-    the request and name ports — the manager observes their death and
-    shuts down, §3.4.1), registry entries. *)
+(** Release everything ({!Vm_object.deallocate} calls this when the last
+    reference goes): dirty pages of a non-temporary object go back to
+    its manager in detached runs, then resident pages, kernel port
+    rights (destroying the request and name ports — the manager
+    observes their death and shuts down, §3.4.1), registry entries. *)

@@ -375,9 +375,10 @@ let dispatch t ?adopt ~other (msg : Message.t) =
       handle_lock_completed t ~memory_object ~request:msg.Message.header.reply ~offset ~length
 
 (* --- block-boundary splitting helpers ------------------------------------
-   Shared by every disk-backed policy (previously copied between
-   minimal_fs and camelot): map a byte range onto fixed-size backing
-   blocks, with read-merge-write for partial spans. *)
+   For a policy that stores pages in fixed-size blocks one at a time
+   (Camelot's; Minimal_fs goes through Fs_layout's range calls): map a
+   byte range onto the blocks, with read-merge-write for partial
+   spans. *)
 module Blocks = struct
   (* Call [f ~index ~block_off ~buf_off ~len] for each block-aligned
      span of [offset, offset+len). *)

@@ -58,8 +58,6 @@ let create_external kctx ~memory_object ~size =
           memory_object;
           request_port = None;
           name_port = None;
-          initialized = false;
-          init_wait = Mach_sim.Ivar.create ();
           is_default = false;
           pager_dead = false;
           shipped = Offsets.empty;
@@ -69,41 +67,13 @@ let create_external kctx ~memory_object ~size =
     Hashtbl.replace kctx.Kctx.objects_by_port (Port.id memory_object) obj;
     obj
 
-let destroy_pages kctx obj =
-  let rec drain () =
-    let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in
-    match pages with
-    | [] -> ()
-    | _ ->
-      List.iter
-        (fun p ->
-          (* Speculative cluster placeholders have no waiters and no
-             data coming that anyone cares about: drop them instead of
-             stalling teardown until the reclaim timer. *)
-          if p.p_state = Speculative then Vm_page.release_placeholder kctx p
-          else begin
-            Vm_page.wait_unbusy p;
-            (* The page may have been freed or renamed while we waited. *)
-            if p.p_obj == obj && Hashtbl.mem obj.obj_pages p.p_offset then Vm_page.free kctx p
-          end)
-        pages;
-      drain ()
-  in
-  drain ()
-
-(* Mach's vm_external: a shadow's default pager holds what was shipped to it. *)
-let pager_holds obj ~offset =
-  match obj.pager with
-  | No_pager -> false
-  | Pager p -> (not p.is_default) || obj.backing = None || Offsets.mem offset p.shipped
-
 type found = Resident of page * int * bool | Paged of obj * int | Nowhere
 
 let walk obj ~offset =
   let rec go cur off depth sole =
     match Vm_page.lookup cur ~offset:off with
     | Some page -> Resident (page, depth, sole)
-    | None when pager_holds cur ~offset:off -> Paged (cur, off)
+    | None when Pager_client.pager_holds cur ~offset:off -> Paged (cur, off)
     | None -> (
       match cur.backing with
       | Some { back_obj = b; back_offset } ->
@@ -141,7 +111,9 @@ let collapse_once kctx obj =
           if
             up_offset >= 0
             && up_offset < Kctx.round_page kctx obj.obj_size
-            && not (Hashtbl.mem obj.obj_pages up_offset || pager_holds obj ~offset:up_offset)
+            && not
+                 (Hashtbl.mem obj.obj_pages up_offset
+                 || Pager_client.pager_holds obj ~offset:up_offset)
           then Vm_page.rename page obj ~offset:up_offset
           else
             (* Shadowed above, resident or held by obj's pager (or
@@ -197,14 +169,15 @@ let rec deallocate kctx obj =
     else terminate kctx obj
   end
 
-(* Terminate a zero-referenced object: run the installed terminator,
-   release its backing reference, and — the copy engine's deallocate
-   trigger — if the backing survives with exactly one live shadower,
-   collapse from that shadower. A fork/exit generation ends here, not
-   at some future write fault, so chains stop accreting depth. *)
+(* Terminate a zero-referenced object: release its pages and ports
+   ({!Pager_client.terminate}), then its backing reference, and — the
+   copy engine's deallocate trigger — if the backing survives with
+   exactly one live shadower, collapse from that shadower. A fork/exit
+   generation ends here, not at some future write fault, so chains stop
+   accreting depth. *)
 and terminate kctx obj =
   let backing = obj.backing in
-  kctx.Kctx.obj_terminator kctx obj;
+  Pager_client.terminate kctx obj;
   match backing with
   | Some { back_obj; _ } ->
     back_obj.shadowers <- List.filter (fun s -> s != obj) back_obj.shadowers;

@@ -30,24 +30,18 @@ val create_external : Kctx.t -> memory_object:Vm_types.port -> size:int -> obj
 val deallocate : Kctx.t -> obj -> unit
 (** Drop one reference. At zero, the object is either cached (manager
     called [pager_cache true]; past [kctx.object_cache_cap] the coldest
-    cached object is evicted and terminated) or terminated via
-    [kctx.obj_terminator] (normally {!Pager_client}'s, installed at
-    boot). Shadow-chain references are released recursively, and when
-    the released backing object survives with a single live shadower
-    the chain is collapsed from that shadower — exiting a fork
-    generation shortens the chain immediately instead of waiting for
-    the survivor's next write fault. *)
+    cached object is evicted and terminated) or terminated:
+    {!Pager_client.terminate} cleans its dirty pages back to the
+    manager and releases its pages and ports. Shadow-chain references
+    are released recursively, and when the released backing object
+    survives with a single live shadower the chain is collapsed from
+    that shadower — exiting a fork generation shortens the chain
+    immediately instead of waiting for the survivor's next write
+    fault. *)
 
 val cache_is_member : Kctx.t -> obj -> bool
 (** Whether the object currently sits in the unreferenced-object cache
     (diagnostic / tests). *)
-
-val destroy_pages : Kctx.t -> obj -> unit
-(** Free every resident page (waiting out busy ones). *)
-
-val pager_holds : obj -> offset:int -> bool
-(** Whether the object's pager holds [offset]: an external manager and a bottom
-    object's default pager hold all, a shadow's default pager those in [shipped]. *)
 
 type found =
   | Resident of page * int * bool

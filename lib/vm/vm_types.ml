@@ -11,7 +11,6 @@
     same asymptotics. *)
 
 module Waitq = Mach_sim.Waitq
-module Ivar = Mach_sim.Ivar
 
 type port = Mach_ipc.Message.port
 
@@ -61,7 +60,7 @@ type obj = {
   mutable ref_count : int;  (** address-map references *)
   mutable can_persist : bool;  (** data manager called pager_cache(true) *)
   mutable backing : backing option;  (** shadow chain: where to look next *)
-  mutable temporary : bool;
+  temporary : bool;
       (** contents need not outlive the object (shadow / anonymous) *)
   mutable obj_alive : bool;
   mutable shadowers : obj list;
@@ -81,10 +80,10 @@ and pager_binding =
 
 and extpager = {
   memory_object : port;  (** manager holds receive rights *)
-  mutable request_port : port option;  (** kernel holds receive rights *)
+  mutable request_port : port option;
+      (** kernel holds receive rights; set when the kernel initializes the
+          object ([pager_init] or [pager_create]) *)
   mutable name_port : port option;
-  mutable initialized : bool;
-  init_wait : unit Ivar.t;
   is_default : bool;  (** trusted default pager (§6.2.2) *)
   mutable pager_dead : bool;
       (** the manager's object port died; outstanding and future
@@ -136,7 +135,6 @@ type dispose = Dispose_keep | Dispose_free
 type holding = {
   h_write_id : int;
   h_obj : obj;
-  h_offset : int;  (** run start *)
   h_data : bytes;  (** run contents as shipped, for the §6.2.2 rescue *)
   mutable h_pages : page list;  (** resident cleaning pages, offset order *)
   mutable h_frames : int list;  (** parked frames of detached pages *)

@@ -23,7 +23,6 @@ let make_kctx ?(frames = 64) () =
   let ctx = Context.create eng net in
   let mem = Phys_mem.create ~frames ~page_size:page in
   let kctx = Kctx.create eng ctx ~host:0 ~params:Machine.uniprocessor ~mem () in
-  Mach_vm.Pager_client.install kctx;
   kctx
 
 let add_page kctx obj ~offset tagchar =

@@ -361,6 +361,100 @@ let test_file_writeback_not_double_paged () =
         | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
       done)
 
+(* --- run shapes -------------------------------------------------------------
+   Pageout, a manager's clean request and object termination each ship
+   runs of adjacent dirty pages. A manager that records every
+   data_write as (first page, pages) shows the runs' shapes. *)
+
+let recording_manager kernel =
+  let writes = ref [] in
+  let rt, memory_object, req_port =
+    make_manager kernel ~name:"recording-mgr" ~p_write:(fun _ _ ~offset ~data ->
+        writes := (offset / page, Bytes.length data / page) :: !writes)
+  in
+  (rt, memory_object, req_port, fun () -> List.rev !writes)
+
+(* Map [npages] of the manager's object and touch each one, writing all
+   but those in [clean]; returns the address and the kernel's object. *)
+let map_touched task kctx memory_object ~npages ~clean =
+  let addr =
+    Syscalls.vm_allocate_with_pager task ~size:(npages * page) ~anywhere:true ~memory_object
+      ~offset:0 ()
+  in
+  for i = 0 to npages - 1 do
+    match Syscalls.touch task ~addr:(addr + (i * page)) ~write:(not (List.mem i clean)) () with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "touch %d: %a" i Access.pp_error e
+  done;
+  (addr, Option.get (Vm_object.find_by_port kctx memory_object))
+
+let page_at obj i = Option.get (Vm_page.lookup obj ~offset:(i * page))
+let runs = Alcotest.(list (pair int int))
+
+let test_pageout_run_shape () =
+  (* Sixteen dirty, idle pages; page 2 alone is inactive, so the launder
+     pass seeds its run there. The run reaches back to page 0 and
+     forward to the cluster window's end. *)
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let kctx = kernel.Ktypes.k_kctx in
+      let _rt, memory_object, _req, writes = recording_manager kernel in
+      let _, obj = map_touched task kctx memory_object ~npages:16 ~clean:[] in
+      for i = 0 to 15 do
+        Phys_mem.set_referenced kctx.Kctx.mem (page_at obj i).Vm_types.frame false
+      done;
+      Page_queues.deactivate kctx.Kctx.queues (page_at obj 2);
+      let stolen = ref [] in
+      while Phys_mem.free_frames kctx.Kctx.mem >= Kctx.free_target kctx do
+        stolen := Option.get (Phys_mem.alloc kctx.Kctx.mem) :: !stolen
+      done;
+      ignore (Pageout.run_once kctx);
+      List.iter (Kctx.free_frame kctx) !stolen;
+      Engine.sleep 100_000.0;
+      check runs "one run, pages 0-7" [ (0, Kctx.cluster_pages) ] (writes ()))
+
+let test_clean_request_run_shape () =
+  (* Pages 0-11 dirty but page 3; a clean request over pages 0-9 ships
+     0-2 and 4-9: a run stops at a clean page and at the range's end. *)
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let rt, memory_object, req_port, writes = recording_manager kernel in
+      ignore (map_touched task kernel.Ktypes.k_kctx memory_object ~npages:12 ~clean:[ 3 ]);
+      Rt.clean_request rt ~request:(Ivar.read req_port) ~offset:0 ~length:(10 * page);
+      Engine.sleep 100_000.0;
+      check runs "runs 0-2 and 4-9" [ (0, 3); (4, 6) ] (writes ()))
+
+let test_terminate_run_shape () =
+  (* Unmapping the object's only mapping terminates it: its ten dirty
+     pages go back as a cluster-window run and the rest. *)
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let _rt, memory_object, _req, writes = recording_manager kernel in
+      let addr, obj = map_touched task kernel.Ktypes.k_kctx memory_object ~npages:10 ~clean:[] in
+      Syscalls.vm_deallocate task ~addr ~size:(10 * page);
+      Alcotest.(check bool) "terminated" false obj.Vm_types.obj_alive;
+      Engine.sleep 100_000.0;
+      check runs "runs of 8 and 2" [ (0, 8); (8, 2) ] (writes ()))
+
+let test_clean_request_waits_on_held_neighbour () =
+  (* Page 1's faulter holds a fresh translation: the clean ships page 0
+     alone and waits on page 1 until the hold drains. *)
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let rt, memory_object, req_port, writes = recording_manager kernel in
+      let _, obj = map_touched task kernel.Ktypes.k_kctx memory_object ~npages:4 ~clean:[] in
+      let held = page_at obj 1 in
+      held.Vm_types.grant_hold <- 1;
+      Rt.clean_request rt ~request:(Ivar.read req_port) ~offset:0 ~length:(4 * page);
+      Engine.sleep 100_000.0;
+      check runs "page 0 alone" [ (0, 1) ] (writes ());
+      Alcotest.(check bool) "held page not laundered" false
+        (held.Vm_types.p_state = Vm_types.Cleaning);
+      held.Vm_types.grant_hold <- 0;
+      Waitq.broadcast held.Vm_types.busy_wait;
+      Engine.sleep 100_000.0;
+      check runs "pages 1-3 once the hold drains" [ (0, 1); (1, 3) ] (writes ()))
+
 (* Reclaim passes over an inactive queue built by hand, in a bare
    kernel context with no daemon running. Page [i] caches offset
    [i * page] of one external object that no manager serves, and
@@ -382,7 +476,6 @@ let reclaim ?(passes = 1) ?(laundry_full = false) specs ~deficit =
   let kctx =
     Kctx.create eng ctx ~host:0 ~params:Machine.uniprocessor ~mem ~reserved_frames:16 ()
   in
-  Mach_vm.Pager_client.install kctx;
   let n = List.length specs in
   let in_laundry =
     if laundry_full then max (2 * Kctx.cluster_pages) (Kctx.free_target kctx) else 0
@@ -446,6 +539,12 @@ let test_held_page_survives () =
   check Alcotest.int "nothing freed" 0 freed;
   check Alcotest.int "nothing laundered" 0 writes;
   Alcotest.(check bool) "held page still resident" false (gone (List.hd pages))
+
+let test_held_neighbour_ends_run () =
+  (* The seed's dirty neighbour is held: the run is the seed alone. *)
+  let _, writes, pages = reclaim_pass [ dirty; { dirty with held = true } ] ~deficit:1 in
+  check Alcotest.int "one data_write" 1 writes;
+  check Alcotest.(list bool) "only the seed is cleaning" [ true; false ] (List.map cleaning pages)
 
 let test_clean_pages_go_first () =
   (* Older dirty pages, newer clean ones, and a deficit the clean pages
@@ -589,9 +688,21 @@ let () =
           Alcotest.test_case "file server writeback is not double-paged" `Quick
             test_file_writeback_not_double_paged;
         ] );
+      ( "run shapes",
+        [
+          Alcotest.test_case "pageout grows a run both ways, up to the window" `Quick
+            test_pageout_run_shape;
+          Alcotest.test_case "a clean request's runs stop at a clean page and the range end"
+            `Quick test_clean_request_run_shape;
+          Alcotest.test_case "termination ships ten dirty pages as 8 and 2" `Quick
+            test_terminate_run_shape;
+          Alcotest.test_case "a clean request waits on a held neighbour" `Quick
+            test_clean_request_waits_on_held_neighbour;
+        ] );
       ( "reclaim",
         [
           Alcotest.test_case "a held page survives a pass" `Quick test_held_page_survives;
+          Alcotest.test_case "a held neighbour ends a run" `Quick test_held_neighbour_ends_run;
           Alcotest.test_case "clean pages go first" `Quick test_clean_pages_go_first;
           Alcotest.test_case "a deficit past the clean pages launders" `Quick
             test_deficit_past_clean_launders;

@@ -23,7 +23,6 @@ let make_kctx ?(frames = 256) () =
   let ctx = Context.create eng net in
   let mem = Phys_mem.create ~frames ~page_size:page in
   let kctx = Kctx.create eng ctx ~host:0 ~params:Machine.uniprocessor ~mem () in
-  Mach_vm.Pager_client.install kctx;
   kctx
 
 let make_map kctx = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem))
