@@ -688,7 +688,7 @@ let () =
           Alcotest.test_case "file server writeback is not double-paged" `Quick
             test_file_writeback_not_double_paged;
         ] );
-      ( "run shapes",
+      ( "runs",
         [
           Alcotest.test_case "pageout grows a run both ways, up to the window" `Quick
             test_pageout_run_shape;
