@@ -1,6 +1,7 @@
 (* E8 — §8.3: Camelot on the external pager interface. Measures commit
    throughput with write-ahead logging, verifies the WAL invariant under
-   paging, exercises crash recovery, and compares against a naive
+   paging (the same transactions on a host with half the segment's
+   frames), exercises crash recovery, and compares against a naive
    synchronous write-through design (every update forces a data-disk
    write), quantifying what mapped recoverable memory buys. *)
 
@@ -18,8 +19,10 @@ type point = {
   p_data_ops : int;
 }
 
-let run_camelot ~txns ~updates_per_txn =
-  let sys = Kernel.create_system () in
+let segment_pages = 256
+
+let run_camelot ?(frames = Kernel.default_config.Kernel.phys_frames) ~txns ~updates_per_txn () =
+  let sys = Kernel.create_system ~config:{ Kernel.default_config with Kernel.phys_frames = frames } () in
   let log_disk = Disk.create sys.Kernel.engine ~name:"log" ~blocks:4096 ~block_size:page () in
   let data_disk = Disk.create sys.Kernel.engine ~name:"data" ~blocks:4096 ~block_size:page () in
   let result = ref None in
@@ -30,7 +33,8 @@ let run_camelot ~txns ~updates_per_txn =
         (Thread.spawn client ~name:"txn.main" (fun () ->
              let server = Camelot.service_port cam in
              let base =
-               ok_exn "map" (Camelot.Client.map_segment client ~server "db" ~size:(256 * page))
+               ok_exn "map"
+                 (Camelot.Client.map_segment client ~server "db" ~size:(segment_pages * page))
              in
              let rng = Rng.create 99 in
              let t0 = Engine.now sys.Kernel.engine in
@@ -38,7 +42,7 @@ let run_camelot ~txns ~updates_per_txn =
                let tid = ok_exn "begin" (Camelot.Client.begin_txn client ~server) in
                for _ = 1 to updates_per_txn do
                  (* 16-aligned so an 8-byte update never crosses a page. *)
-                 let offset = 16 * Rng.int rng (256 * page / 16) in
+                 let offset = 16 * Rng.int rng (segment_pages * page / 16) in
                  ok_exn "store"
                    (Camelot.Client.store client ~server tid ~segment:"db" ~base ~offset
                       (Bytes.make 8 'u'))
@@ -70,7 +74,7 @@ let run_write_through ~txns ~updates_per_txn =
       let t0 = Engine.now sys.Kernel.engine in
       for _ = 1 to txns do
         for _ = 1 to updates_per_txn do
-          let offset = 16 * Rng.int rng (256 * page / 16) in
+          let offset = 16 * Rng.int rng (segment_pages * page / 16) in
           let idx = offset / page in
           let block =
             match Mach_fs.Fs_layout.read_block fs "db" ~index:idx with
@@ -94,28 +98,39 @@ let run_write_through ~txns ~updates_per_txn =
   note_registry sys.Kernel.kernel;
   match !result with Some r -> r | None -> failwith "E8 write-through run deadlocked"
 
-(* Crash/recovery demonstration: commit one transaction, lose another,
-   reboot, count redo/undo. *)
+(* Crash/recovery demonstration: commit one transaction, then leave a
+   second open while memory pressure steals its dirty page to the data
+   disk (the WAL rule forces its log record first); crash, reboot, and
+   count redo/undo. Recovery must redo the first and undo the second. *)
+let recovery_frames = 64
+
 let run_recovery () =
   let scratch = Engine.create () in
   let log_disk = Disk.create scratch ~name:"rlog" ~blocks:1024 ~block_size:page () in
   let data_disk = Disk.create scratch ~name:"rdata" ~blocks:1024 ~block_size:page () in
-  let epoch ~format f =
-    let sys = Kernel.create_system () in
+  let epoch ~format ~frames f =
+    let sys =
+      Kernel.create_system ~config:{ Kernel.default_config with Kernel.phys_frames = frames } ()
+    in
     let log_disk = Disk.reattach log_disk sys.Kernel.engine in
     let data_disk = Disk.reattach data_disk sys.Kernel.engine in
     let out = ref None in
     Engine.spawn sys.Kernel.engine ~name:"setup" (fun () ->
         let cam = Camelot.start sys.Kernel.kernel ~log_disk ~data_disk ~format () in
         let client = Task.create sys.Kernel.kernel ~name:"txn" () in
-        ignore (Thread.spawn client ~name:"txn.main" (fun () -> out := Some (f cam client))));
+        ignore
+          (Thread.spawn client ~name:"txn.main" (fun () ->
+               let server = Camelot.service_port cam in
+               let base =
+                 ok_exn "map"
+                   (Camelot.Client.map_segment client ~server "db" ~size:(8 * page))
+               in
+               out := Some (f cam client ~server ~base))));
     Engine.run sys.Kernel.engine;
-  note_registry sys.Kernel.kernel;
+    note_registry sys.Kernel.kernel;
     match !out with Some r -> r | None -> failwith "E8 recovery epoch deadlocked"
   in
-  epoch ~format:true (fun cam client ->
-      let server = Camelot.service_port cam in
-      let base = ok_exn "map" (Camelot.Client.map_segment client ~server "db" ~size:(8 * page)) in
+  epoch ~format:true ~frames:recovery_frames (fun _cam client ~server ~base ->
       let t1 = ok_exn "begin" (Camelot.Client.begin_txn client ~server) in
       ok_exn "store"
         (Camelot.Client.store client ~server t1 ~segment:"db" ~base ~offset:0
@@ -124,11 +139,17 @@ let run_recovery () =
       let t2 = ok_exn "begin" (Camelot.Client.begin_txn client ~server) in
       ok_exn "store"
         (Camelot.Client.store client ~server t2 ~segment:"db" ~base ~offset:page
-           (Bytes.of_string "VANISHES")));
+           (Bytes.of_string "VANISHES"));
+      (* Dirtying twice the host's frames of scratch memory makes
+         pageout launder the oldest dirty pages: the two above. *)
+      let pages = 2 * recovery_frames in
+      let spare = Syscalls.vm_allocate client ~size:(pages * page) ~anywhere:true () in
+      for p = 0 to pages - 1 do
+        ok_exn "dirty" (Syscalls.write_bytes client ~addr:(spare + (p * page)) (Bytes.make 1 's') ())
+      done);
   (* crash *)
-  epoch ~format:false (fun cam client ->
-      let server = Camelot.service_port cam in
-      let base = ok_exn "map" (Camelot.Client.map_segment client ~server "db" ~size:(8 * page)) in
+  epoch ~format:false ~frames:Kernel.default_config.Kernel.phys_frames
+    (fun cam client ~server:_ ~base ->
       let committed =
         match Syscalls.read_bytes client ~addr:base ~len:8 () with
         | Ok b -> Bytes.to_string b = "SURVIVES"
@@ -141,11 +162,17 @@ let run_recovery () =
       in
       (Camelot.recovered_redo cam, Camelot.recovered_undo cam, committed, uncommitted_gone))
 
-let systems = [ ("camelot", "Camelot (WAL + mapped memory)"); ("wt", "synchronous write-through") ]
+let systems =
+  [
+    ("camelot", "Camelot (WAL + mapped memory)");
+    ("paged", "Camelot, half the segment's frames");
+    ("wt", "synchronous write-through");
+  ]
 
 let body scale =
   let txns, updates_per_txn = match scale with Full -> (50, 20) | Small -> (5, 5) in
-  let cam = run_camelot ~txns ~updates_per_txn in
+  let cam = run_camelot ~txns ~updates_per_txn () in
+  let paged = run_camelot ~frames:(segment_pages / 2) ~txns ~updates_per_txn () in
   let wt = run_write_through ~txns ~updates_per_txn in
   let redo, undo, committed, gone = run_recovery () in
   let b v = if v then 1.0 else 0.0 in
@@ -158,7 +185,7 @@ let body scale =
           (key ^ "_log_forces", fi p.p_log_forces);
           (key ^ "_wal_violations", fi p.p_violations);
         ])
-      [ ("camelot", cam); ("wt", wt) ]
+      [ ("camelot", cam); ("paged", paged); ("wt", wt) ]
   @ [ ("redo", fi redo); ("undo", fi undo); ("committed_survives", b committed);
       ("uncommitted_rolled_back", b gone) ]
 

@@ -113,6 +113,27 @@ let spec = [
        refetch the baseline avoided. *)
     le "reg.vm.data_requests" (Base 1.0);
   ] );
+  ( "E8", [
+    (* §8.3's write-ahead rule under paging: with half the segment's
+       frames, dirty recoverable pages reach the data disk mid-
+       transaction, and each write forces the log first. Dropping the
+       force from [Camelot.force_for_write] fails the first check; a
+       [p_write] that skips [apply_to_disk] leaves nothing to check and
+       fails the second. (The fully resident arm writes no data page,
+       so its own violation count cannot fail and is not gated.) *)
+    eq "paged_wal_violations" (Const 0.0);
+    ge "paged_data_ops" (Const 1.0);
+    (* Recovery redoes the committed transaction and undoes the one
+       whose page was stolen before the crash. A [recover] that
+       collects no winners undoes both and fails the first; an undo
+       pass that skips its [apply_to_disk] fails the second. *)
+    eq "committed_survives" (Const 1.0);
+    eq "uncommitted_rolled_back" (Const 1.0);
+    (* Mapped memory plus a log beats writing every update through: a
+       log write that also applies the update to the data disk
+       ([apply_to_disk] in the [id_log_write] handler) fails this. *)
+    ge "camelot_txns_per_s" (Cur "wt_txns_per_s");
+  ] );
   ( "E9", [
     (* The §6 local defenses hold, and nothing hangs or fails. *)
     ge "pager_deaths" (Const 1.0);

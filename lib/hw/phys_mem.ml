@@ -2,46 +2,44 @@ type frame = int
 
 type t = {
   page_size : int;
-  frames : bytes array;
-  free_list : int Queue.t;
+  frames : bytes array;  (* [untouched] until a frame's first [alloc] *)
+  free_stack : int array;  (* slots [0, free_count): a LIFO stack, [vm_page_free]'s order *)
   allocated : bool array;
   referenced : bool array;
   modified : bool array;
   mutable free_count : int;
 }
 
+let untouched = Bytes.empty
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let create ~frames ~page_size =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
   if not (is_power_of_two page_size) then invalid_arg "Phys_mem.create: page_size must be a power of two";
-  let t =
-    {
-      page_size;
-      frames = Array.init frames (fun _ -> Bytes.make page_size '\000');
-      free_list = Queue.create ();
-      allocated = Array.make frames false;
-      referenced = Array.make frames false;
-      modified = Array.make frames false;
-      free_count = frames;
-    }
-  in
-  for i = 0 to frames - 1 do
-    Queue.add i t.free_list
-  done;
-  t
+  {
+    page_size;
+    frames = Array.make frames untouched;
+    free_stack = Array.init frames (fun i -> frames - 1 - i);
+    allocated = Array.make frames false;
+    referenced = Array.make frames false;
+    modified = Array.make frames false;
+    free_count = frames;
+  }
 
 let page_size t = t.page_size
 let total_frames t = Array.length t.frames
 let free_frames t = t.free_count
+let backed_frames t = Array.fold_left (fun n b -> if b == untouched then n else n + 1) 0 t.frames
 
 let alloc t =
-  match Queue.take_opt t.free_list with
-  | None -> None
-  | Some f ->
-    t.allocated.(f) <- true;
+  if t.free_count = 0 then None
+  else begin
     t.free_count <- t.free_count - 1;
+    let f = t.free_stack.(t.free_count) in
+    if t.frames.(f) == untouched then t.frames.(f) <- Bytes.make t.page_size '\000';
+    t.allocated.(f) <- true;
     Some f
+  end
 
 let check t f =
   if f < 0 || f >= Array.length t.frames then invalid_arg "Phys_mem: bad frame";
@@ -53,8 +51,8 @@ let free t f =
   t.allocated.(f) <- false;
   t.referenced.(f) <- false;
   t.modified.(f) <- false;
-  t.free_count <- t.free_count + 1;
-  Queue.add f t.free_list
+  t.free_stack.(t.free_count) <- f;
+  t.free_count <- t.free_count + 1
 
 let data t f =
   check t f;

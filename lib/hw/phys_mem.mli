@@ -8,20 +8,29 @@ type t
 type frame = int
 
 val create : frames:int -> page_size:int -> t
-(** All frames start free and zero-filled. [page_size] must be a power
-    of two. *)
+(** All frames start free and read as zeros. A frame gets its
+    [page_size] bytes on the host the first time {!alloc} hands it out,
+    so simulated memory costs only the frames the kernel uses.
+    [page_size] must be a power of two. *)
 
 val page_size : t -> int
 val total_frames : t -> int
 val free_frames : t -> int
 
+val backed_frames : t -> int
+(** Frames that have been allocated at least once and so hold their
+    bytes. LIFO reuse keeps this at the most frames ever allocated at
+    once. *)
+
 val alloc : t -> frame option
-(** Take a free frame (zeroed), or [None] when physical memory is
-    exhausted. *)
+(** Take the most recently freed frame (zeroed), or [None] when physical
+    memory is exhausted. Frames never yet allocated come out in
+    ascending order. *)
 
 val free : t -> frame -> unit
-(** Return a frame; it is zeroed and its ref/mod bits cleared. Raises
-    [Invalid_argument] if the frame is already free. *)
+(** Return a frame to the top of the free stack (Mach's
+    [vm_page_free] order); it is zeroed and its ref/mod bits cleared.
+    Raises [Invalid_argument] if the frame is already free. *)
 
 val data : t -> frame -> bytes
 (** The frame's backing store, length [page_size]. Mutating it mutates

@@ -22,7 +22,7 @@ and item =
   | Ool_copy of copy_object
 
 and ool_region = { src_task : int; src_addr : int; region_size : int }
-and copy_object = { cp_size : int; cp_payload : copy_payload }
+and copy_object = { cp_size : int; cp_payload : copy_payload; cp_discard : unit -> unit }
 and cap = { cap_port : port; cap_right : right }
 and right = Send_right | Receive_right
 and port = t Port.t
@@ -94,6 +94,11 @@ let caps t =
 let ool_payloads t =
   List.filter_map
     (function Ool b -> Some b | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
+    t.body
+
+let discard t =
+  List.iter
+    (function Ool_copy c -> c.cp_discard () | Data _ | Caps _ | Ool _ | Ool_region _ -> ())
     t.body
 
 let pp fmt t =

@@ -51,6 +51,9 @@ and ool_region = { src_task : int; src_addr : int; region_size : int }
 and copy_object = {
   cp_size : int;  (** bytes covered by the snapshot *)
   cp_payload : copy_payload;
+  cp_discard : unit -> unit;
+      (** releases the snapshot of a message that is never received
+          ([vm_map_copy_discard]); idempotent *)
 }
 
 and cap = { cap_port : port; cap_right : right }
@@ -97,5 +100,11 @@ val caps : t -> cap list
 (** All capabilities in body order. *)
 
 val ool_payloads : t -> bytes list
+
+val discard : t -> unit
+(** Release the snapshots held by a message that will never be received
+    (its port died with it queued, or it arrived at a dead port): each
+    copy object's [cp_discard], as [ipc_kmsg_destroy] discards a
+    kmsg's out-of-line copies. *)
 
 val pp : Format.formatter -> t -> unit

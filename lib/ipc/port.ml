@@ -5,19 +5,21 @@ type 'msg t = {
   ctx : Context.t;
   mutable home : int;
   queue : 'msg Mailbox.t;
+  drop : 'msg -> unit;
   mutable alive : bool;
   mutable death_hooks : (unit -> unit) list;
   mutable arrival_hooks : (int * (unit -> unit)) list;
   mutable next_hook : int;
 }
 
-let rec create ctx ~home ?(backlog = 32) () =
+let rec create ctx ~home ?(backlog = 32) ~drop () =
   let t =
     {
       id = Context.fresh_id ctx;
       ctx;
       home;
       queue = Mailbox.create ~capacity:backlog ();
+      drop;
       alive = true;
       death_hooks = [];
       arrival_hooks = [];
@@ -37,9 +39,9 @@ and destroy t =
     Context.forget_port t.ctx ~id:t.id;
     let hooks = List.rev t.death_hooks in
     t.death_hooks <- [];
-    (* Drop queued messages and wake blocked receivers/senders with the
-       death (RCV_PORT_DIED semantics). *)
-    Mailbox.close t.queue;
+    (* Drop queued messages, releasing what they hold, and wake blocked
+       receivers/senders with the death (RCV_PORT_DIED semantics). *)
+    Mailbox.close ~drop:t.drop t.queue;
     List.iter (fun f -> f ()) hooks
   end
 

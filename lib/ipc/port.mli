@@ -9,9 +9,11 @@
 
 type 'msg t
 
-val create : Context.t -> home:int -> ?backlog:int -> unit -> 'msg t
+val create : Context.t -> home:int -> ?backlog:int -> drop:('msg -> unit) -> unit -> 'msg t
 (** [home] is the host id where the receive right lives; [backlog]
-    bounds the queue (default 32, matching a small kernel queue). *)
+    bounds the queue (default 32, matching a small kernel queue).
+    [destroy] passes each message still queued to [drop], which
+    releases what it holds ({!Message.discard}). *)
 
 val id : 'msg t -> int
 (** Globally unique within the context; stable identity for hashing. *)
@@ -35,8 +37,8 @@ val queue : 'msg t -> 'msg Mach_sim.Mailbox.t
 (** The underlying mailbox (transport use only). *)
 
 val destroy : 'msg t -> unit
-(** Destroy the port (receive right death): runs death hooks, drops
-    queued messages. Idempotent. *)
+(** Destroy the port (receive right death): drops queued messages
+    through the port's [drop], then runs death hooks. Idempotent. *)
 
 val on_death : 'msg t -> (unit -> unit) -> unit
 (** Register a callback run at {!destroy}, after those registered

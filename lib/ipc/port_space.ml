@@ -59,7 +59,7 @@ let register t port ~send ~receive =
   name
 
 let allocate t ?backlog () =
-  let port = Port.create t.ctx ~home:t.host ?backlog () in
+  let port = Port.create t.ctx ~home:t.host ?backlog ~drop:Message.discard () in
   register t port ~send:true ~receive:true
 
 let insert t port right =

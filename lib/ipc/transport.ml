@@ -174,8 +174,8 @@ let send node ?timeout msg =
       let bytes = Message.wire_bytes msg in
       match
         Context.remote_deliver ctx ~src:node.node_host ~dst ~bytes (fun () ->
-            if Port.alive dest then
-              match enqueue_local node dest msg with Ok () | Error _ -> ())
+            (* A message that finds its port dead is never received. *)
+            match enqueue_local node dest msg with Ok () -> () | Error _ -> Message.discard msg)
       with
       | Ok () -> Ok ()
       | Error `Unreachable ->

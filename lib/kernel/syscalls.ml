@@ -37,11 +37,13 @@ let resolve_ool t msg =
         | Message.Ool_region { Message.src_addr; region_size; _ } ->
           let copy = Vm_map.copyin t.t_map ~addr:src_addr ~size:region_size in
           let size = Vm_map.copy_size copy in
-          let payload =
-            if local then Vm_map.Vm_copy_handle copy
-            else Message.Net_copy { nc_object = Mach_vm.Copy_server.export kctx copy }
+          let payload, discard =
+            if local then (Vm_map.Vm_copy_handle copy, fun () -> Vm_map.copy_discard copy)
+            else
+              let nc_object = Mach_vm.Copy_server.export kctx copy in
+              (Message.Net_copy { nc_object }, fun () -> Mach_ipc.Port.destroy nc_object)
           in
-          Message.Ool_copy { Message.cp_size = size; cp_payload = payload }
+          Message.Ool_copy { Message.cp_size = size; cp_payload = payload; cp_discard = discard }
         | item -> item
     in
     { msg with Message.body = List.map resolve msg.Message.body }
@@ -53,12 +55,7 @@ let discard_resolved ~orig sent =
   List.iter2
     (fun before after ->
       match (before, after) with
-      | Message.Ool_region _, Message.Ool_copy { Message.cp_payload = Vm_map.Vm_copy_handle c; _ }
-        ->
-        Vm_map.copy_discard c
-      | ( Message.Ool_region _,
-          Message.Ool_copy { Message.cp_payload = Message.Net_copy { nc_object }; _ } ) ->
-        Mach_ipc.Port.destroy nc_object
+      | Message.Ool_region _, Message.Ool_copy c -> c.Message.cp_discard ()
       | _ -> ())
     orig.Message.body sent.Message.body
 
@@ -230,14 +227,14 @@ let map_ool t msg =
   List.filter_map
     (fun item ->
       match item with
-      | Message.Ool_copy { Message.cp_size; cp_payload = Vm_map.Vm_copy_handle copy } ->
+      | Message.Ool_copy { Message.cp_size; cp_payload = Vm_map.Vm_copy_handle copy; _ } ->
         if copy.Vm_map.vc_kctx != kctx then
           invalid_arg "Syscalls.map_ool: local copy handle from another host";
         (* Lazy copy-out: O(pieces) map manipulation now, pages
            materialize through the fault path on first touch. *)
         let addr = Vm_map.copyout t.t_map copy () in
         Some (addr, cp_size)
-      | Message.Ool_copy { Message.cp_size; cp_payload = Message.Net_copy { nc_object } } ->
+      | Message.Ool_copy { Message.cp_size; cp_payload = Message.Net_copy { nc_object }; _ } ->
         (* Remote copy object: map the sender's export like any
            manager-backed region; pages cross the wire on demand.
            needs_copy keeps local writes in a shadow so they can never

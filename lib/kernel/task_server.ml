@@ -104,7 +104,7 @@ let start kernel =
     Option.iter (Port_space.deallocate space) (Port_space.name_of space port)
   in
   let make_port target =
-    let port = Port.create kernel.k_ctx ~home:kernel.k_host ~backlog:64 () in
+    let port = Port.create kernel.k_ctx ~home:kernel.k_host ~backlog:64 ~drop:Message.discard () in
     Port.on_death port (fun () -> forget port);
     let name = Port_space.insert space port Message.Receive_right in
     Port_space.enable space name;

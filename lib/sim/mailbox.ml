@@ -166,13 +166,15 @@ let recv_timeout t ~timeout =
       | None -> if t.closed then raise Closed else None
 
 
-let close t =
+let close ~drop t =
   if not t.closed then begin
     t.closed <- true;
-    Queue.clear t.queue;
+    let dropped = Queue.create () in
+    Queue.transfer t.queue dropped;
     Queue.iter (fun w -> if not w.fired then fire w None) t.receivers;
     Queue.clear t.receivers;
     Queue.iter (fun (_, w) -> if not w.fired then fire w false) t.senders;
-    Queue.clear t.senders
+    Queue.clear t.senders;
+    Queue.iter drop dropped
   end
 

@@ -39,10 +39,11 @@ val waiters : 'a t -> int
 
 exception Closed
 
-val close : 'a t -> unit
-(** Close the mailbox: queued messages are dropped, blocked receivers
-    and senders are woken with {!Closed}, and all future operations
-    raise {!Closed} (except [close] itself, which is idempotent).
+val close : drop:('a -> unit) -> 'a t -> unit
+(** Close the mailbox: queued messages are dropped (each passed to
+    [drop], once the waiters are woken), blocked receivers and senders
+    are woken with {!Closed}, and all future operations raise {!Closed}
+    (except [close] itself, which is idempotent).
     A destroyed IPC port closes its queue this way so blocked receivers
     learn of the death instead of waiting forever. *)
 

@@ -35,7 +35,7 @@ let export kctx copy =
   let map = Vm_map.create kctx ~pmap:(Some (Pmap.create kctx.Kctx.mem)) in
   let base = Vm_map.copyout map copy () in
   let space = Port_space.create ctx ~home:host in
-  let mo = Port.create ctx ~home:host ~backlog:64 () in
+  let mo = Port.create ctx ~home:host ~backlog:64 ~drop:Message.discard () in
   let mo_name = Port_space.insert space mo Message.Receive_right in
   let torn_down = ref false in
   let teardown () =

@@ -89,6 +89,24 @@ let handle kctx map ~addr ~write ?policy () =
       in
       loop ()
   in
+  (* Wait out data in transit. A faulter waiting for a [Demanded] page
+     is counted in [awaited]; [pager_data_provided] turns the count into
+     holds, so a manager flush queued right behind the data cannot free
+     the page before its faulters run (they would ask again, forever).
+     Each drops its hold on waking, and [validate] takes its own before
+     the next yield. *)
+  let wait_busy page =
+    let demanded = page.p_state = Demanded in
+    if demanded then page.awaited <- page.awaited + 1;
+    let arrived = wait_while page (fun () -> busy page) in
+    if demanded then
+      if page.awaited > 0 then page.awaited <- page.awaited - 1
+      else begin
+        page.grant_hold <- page.grant_hold - 1;
+        if page.grant_hold = 0 then Waitq.broadcast page.busy_wait
+      end;
+    arrived
+  in
   let lock_forbids page =
     if write then Prot.can_write page.page_lock else Prot.can_read page.page_lock
   in
@@ -226,8 +244,7 @@ let handle kctx map ~addr ~write ?policy () =
       Pager_client.rerequest kctx page
         ~desired_access:(if write then Prot.rw else Prot.read)
     end;
-    if wait_while page (fun () -> busy page) then resolve (tries + 1)
-    else undelivered page tries
+    if wait_busy page then resolve (tries + 1) else undelivered page tries
   (* A previous pager interaction failed for this page. Error refaults
      ride the same retry budget as the other slow steps and are counted,
      so a task spinning on a poisoned page shows up in the E10 trace
@@ -450,8 +467,7 @@ let handle kctx map ~addr ~write ?policy () =
           ~desired_access:(if write then Prot.rw else Prot.read)
           ~window:Kctx.cluster_pages
       in
-      if wait_while page (fun () -> busy page) then resolve (tries + 1)
-      else undelivered page tries
+      if wait_busy page then resolve (tries + 1) else undelivered page tries
     end
   (* Not resident, and no manager in the chain holds it: fresh zeroes. *)
   and slow_zero_fill first_obj first_off tries =

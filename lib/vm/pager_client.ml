@@ -150,8 +150,8 @@ let pager_died kctx obj =
 
 let make_request_ports kctx obj p =
   let ctx = kctx.Kctx.ctx in
-  let request = Port.create ctx ~home:kctx.Kctx.host ~backlog:256 () in
-  let name = Port.create ctx ~home:kctx.Kctx.host () in
+  let request = Port.create ctx ~home:kctx.Kctx.host ~backlog:256 ~drop:Message.discard () in
+  let name = Port.create ctx ~home:kctx.Kctx.host ~drop:Message.discard () in
   let request_name = Port_space.insert kctx.Kctx.kspace request Message.Receive_right in
   Port_space.enable kctx.Kctx.kspace request_name;
   ignore (Port_space.insert kctx.Kctx.kspace name Message.Receive_right);
@@ -266,7 +266,7 @@ let bind_to_default_pager kctx obj =
     let ctx = kctx.Kctx.ctx in
     (* The kernel creates the memory object and hands its receive right
        to the default pager via pager_create. *)
-    let memory_object = Port.create ctx ~home:(Port.home dp) ~backlog:256 () in
+    let memory_object = Port.create ctx ~home:(Port.home dp) ~backlog:256 ~drop:Message.discard () in
     let p =
       {
         memory_object;
@@ -403,6 +403,9 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
       fill page.frame;
       page.page_lock <- lock_value;
       Counters.incr stats s_pageins;
+      (* The waiting faulters hold the page until they have run. *)
+      page.grant_hold <- page.grant_hold + page.awaited;
+      page.awaited <- 0;
       Vm_page.resolve kctx page
     | Some page ->
       (* Data for a page the kernel already has: the bytes are stale
@@ -476,11 +479,11 @@ let flush_range kctx obj ~offset ~length ~keep =
     | [] -> ()
     | page :: rest when busy page || not (resident obj page) -> walk rest
     | page :: rest when page.grant_hold > 0 ->
-      (* A faulter just validated a translation for this page and has
-         not yet retried its access. Let it commit before revoking —
-         flushing inside that window starves write-shared hot pages
-         (each kernel's grant revoked before use, forever). The hold
-         is released with a broadcast. *)
+      (* A faulter was just handed this page's data or validated a
+         translation for it, and has not yet retried its access. Let it
+         commit before revoking — flushing inside that window starves
+         write-shared hot pages (each kernel's grant revoked before
+         use, forever). The hold is released with a broadcast. *)
       Mach_sim.Waitq.wait page.busy_wait;
       walk (page :: rest)
     | page :: rest ->

@@ -24,6 +24,7 @@ let insert kctx obj ~offset ~frame ~state =
       q_node = None;
       mappings = [];
       grant_hold = 0;
+      awaited = 0;
     }
   in
   Hashtbl.replace obj.obj_pages offset page;

@@ -105,12 +105,16 @@ and page = {
   mutable q_node : page Mach_util.Dlist.node option;
   mutable mappings : (Mach_hw.Pmap.t * int) list;  (** (pmap, vpn) validations *)
   mutable grant_hold : int;
-      (** faulters that just validated a translation and have not yet
-          retried the access. A manager flush waits for the holds to
-          drain, so a freshly granted page is used at least once before
-          it is surrendered — otherwise two kernels write-sharing a hot
-          page can revoke each other's grants forever (the Li & Hudak
-          ping-pong livelock). *)
+      (** faulters that were just handed this page's data or just
+          validated a translation, and have not yet retried the access.
+          A manager flush waits for the holds to drain, so a freshly
+          granted page is used at least once before it is surrendered —
+          otherwise two kernels write-sharing a hot page can revoke each
+          other's grants forever (the Li & Hudak ping-pong livelock). *)
+  mutable awaited : int;
+      (** faulters waiting for this [Demanded] page's data;
+          [pager_data_provided] turns each into a [grant_hold] that the
+          faulter drops when it wakes *)
 }
 
 (** Data in transit, in ([Demanded], [Speculative]) or out ([Cleaning]):

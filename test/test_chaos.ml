@@ -65,7 +65,7 @@ let drain_payloads port =
 (* Send [n] numbered messages host 0 -> host 1 and return the payloads
    that arrived, in arrival order. *)
 let run_numbered_sends eng ctx ?(n = 24) () =
-  let p = Port.create ctx ~home:1 ~backlog:64 () in
+  let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
   let nd = node () in
   let errors = ref 0 in
   Engine.spawn eng ~name:"sender" (fun () ->
@@ -162,7 +162,7 @@ let test_reorder_resequenced_fifo () =
 
 let test_partition_exhausts_retry_budget () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  let p = Port.create ctx ~home:1 () in
+  let p = Port.create ctx ~home:1 ~drop:Message.discard () in
   let nd = node () in
   in_sim eng (fun () ->
       Chaos.partition chaos 0 1;
@@ -180,7 +180,7 @@ let test_partition_exhausts_retry_budget () =
 
 let test_heal_revives_channel () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  let p = Port.create ctx ~home:1 ~backlog:64 () in
+  let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
   let nd = node () in
   in_sim eng (fun () ->
       Chaos.partition chaos 0 1;
@@ -200,7 +200,7 @@ let test_short_partition_recovers_without_loss () =
   (* A partition shorter than the retry budget window: retransmission
      carries every message across the heal, nothing is lost. *)
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  let p = Port.create ctx ~home:1 ~backlog:64 () in
+  let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
   let nd = node () in
   let errors = ref 0 in
   Engine.spawn eng ~name:"sender" (fun () ->
@@ -236,8 +236,8 @@ let test_lossless_send_rides_channel () =
 
 let test_crash_propagates_port_death () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  let remote = Port.create ctx ~home:1 () in
-  let local = Port.create ctx ~home:0 () in
+  let remote = Port.create ctx ~home:1 ~drop:Message.discard () in
+  let local = Port.create ctx ~home:0 ~drop:Message.discard () in
   let deaths = ref [] in
   Port.on_death remote (fun () -> deaths := "remote" :: !deaths);
   Port.on_death local (fun () -> deaths := "local" :: !deaths);
@@ -251,7 +251,7 @@ let test_crash_propagates_port_death () =
 
 let test_sends_to_crashed_host_fail_cleanly () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
-  let p = Port.create ctx ~home:1 () in
+  let p = Port.create ctx ~home:1 ~drop:Message.discard () in
   let nd = node () in
   in_sim eng (fun () ->
       Chaos.crash_host chaos 1;
@@ -305,7 +305,7 @@ let exactly_once_fifo_prop =
       let eng, _, ctx, _ =
         make_chaos_ctx ~seed { Chaos.drop; duplicate; reorder; jitter_us }
       in
-      let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) () in
+      let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) ~drop:Message.discard () in
       let nd = node () in
       Engine.spawn eng ~name:"sender" (fun () ->
           List.iter

@@ -297,7 +297,7 @@ let test_object_cache_lru () =
   let kctx = make_kctx () in
   kctx.Kctx.object_cache_cap <- 2;
   let mk tag =
-    let port = Port.create kctx.Kctx.ctx ~home:0 () in
+    let port = Port.create kctx.Kctx.ctx ~home:0 ~drop:Message.discard () in
     let o = Vm_object.create_external kctx ~memory_object:port ~size:page in
     o.Vm_types.can_persist <- true;
     ignore (add_page kctx o ~offset:0 tag);

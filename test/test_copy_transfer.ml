@@ -290,6 +290,69 @@ let test_failed_remote_send_discards_export () =
     check Alcotest.(list string) "no copy-server left blocked" []
       (List.filter (String.equal "copy-server") (Engine.blocked_names engine))
 
+let test_port_death_discards_queued_snapshot () =
+  (* A message still queued when its port dies is never received: the
+     death must drop the snapshot it holds. *)
+  with_system (fun sys sender ->
+      let receiver = Task.create sys.Kernel.kernel ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      let size = 2 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      write_str sender ~addr "queued";
+      let obj = backing_object sender ~addr in
+      let refs0 = obj.Vm_types.ref_count in
+      send_region sender ~addr ~size ~dest:svc_port;
+      check Alcotest.int "message queued" 1 (Mach_ipc.Port.queued svc_port);
+      check Alcotest.int "the snapshot holds a reference" (refs0 + 1) obj.Vm_types.ref_count;
+      Task.terminate receiver;
+      check Alcotest.int "port death dropped the snapshot" refs0 obj.Vm_types.ref_count;
+      check Alcotest.(list string) "no copy-server blocked" []
+        (List.filter (String.equal "copy-server") (Engine.blocked_names sys.Kernel.engine));
+      check Alcotest.string "sender data intact" "queued" (read_str sender ~addr ~len:6))
+
+(* Send a region from host 0 to a port on host 1, let the message travel
+   for [settle] simulated us, then kill the receiving task. *)
+let remote_send_then_kill ~settle =
+  let cluster = Kernel.create_cluster ~hosts:2 () in
+  let engine = cluster.Kernel.c_engine in
+  let result = ref None in
+  Engine.spawn engine ~name:"setup" (fun () ->
+      let sender = Task.create cluster.Kernel.c_kernels.(0) ~name:"sender" () in
+      let receiver = Task.create cluster.Kernel.c_kernels.(1) ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      ignore
+        (Thread.spawn sender ~name:"sender.main" (fun () ->
+             let size = 2 * page in
+             let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+             write_str sender ~addr "remote";
+             let obj = backing_object sender ~addr in
+             let refs0 = obj.Vm_types.ref_count in
+             send_region sender ~addr ~size ~dest:svc_port;
+             if settle > 0.0 then Engine.sleep settle;
+             let queued = Mach_ipc.Port.queued svc_port in
+             Task.terminate receiver;
+             result := Some (obj, refs0, queued))));
+  Engine.run engine;
+  match !result with
+  | None -> Alcotest.fail "scenario did not complete (deadlock?)"
+  | Some (obj, refs0, queued) ->
+    (obj, refs0, queued, List.filter (String.equal "copy-server") (Engine.blocked_names engine))
+
+let test_remote_port_death_discards_queued_export () =
+  let obj, refs0, queued, servers = remote_send_then_kill ~settle:50_000.0 in
+  check Alcotest.int "message queued at the remote port" 1 queued;
+  check Alcotest.int "port death dropped the export's reference" refs0 obj.Vm_types.ref_count;
+  check Alcotest.(list string) "no copy-server left blocked" [] servers
+
+let test_remote_arrival_at_dead_port_discards_export () =
+  let obj, refs0, queued, servers = remote_send_then_kill ~settle:0.0 in
+  check Alcotest.int "port died before the message arrived" 0 queued;
+  check Alcotest.int "arrival at the dead port dropped the export's reference" refs0
+    obj.Vm_types.ref_count;
+  check Alcotest.(list string) "no copy-server left blocked" [] servers
+
 (* Simulated time [f] takes on the calling fiber, in map operations. *)
 let map_ops sys f =
   let engine = sys.Kernel.engine in
@@ -502,6 +565,8 @@ let () =
           Alcotest.test_case "msg_rpc snapshots at send" `Quick test_rpc_snapshots_at_send;
           Alcotest.test_case "failed send discards snapshot" `Quick
             test_failed_send_discards_snapshot;
+          Alcotest.test_case "port death discards queued snapshot" `Quick
+            test_port_death_discards_queued_snapshot;
           Alcotest.test_case "copy handle takes the fast path" `Quick
             test_copy_handle_takes_fastpath;
           Alcotest.test_case "carried payload skips the fast path" `Quick
@@ -520,6 +585,10 @@ let () =
           Alcotest.test_case "cross-host msg_rpc region" `Quick test_remote_rpc_region;
           Alcotest.test_case "failed remote send discards export" `Quick
             test_failed_remote_send_discards_export;
+          Alcotest.test_case "port death discards queued export" `Quick
+            test_remote_port_death_discards_queued_export;
+          Alcotest.test_case "arrival at a dead port discards export" `Quick
+            test_remote_arrival_at_dead_port_discards_export;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest copy_oracle_prop ]);
     ]

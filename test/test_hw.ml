@@ -67,12 +67,50 @@ let test_phys_zeroed_on_free () =
   let f = Option.get (Phys_mem.alloc m) in
   Phys_mem.write m f ~off:0 (Bytes.of_string "dirty");
   Phys_mem.free m f;
+  (* The free list is LIFO, so the freed frame comes back at once. *)
   let f2 = Option.get (Phys_mem.alloc m) in
-  ignore f2;
-  (* The freed frame comes back eventually; allocate the other one too. *)
-  let f3 = Option.get (Phys_mem.alloc m) in
-  let data = read m f3 ~off:0 ~len:5 in
+  check Alcotest.int "same frame" f f2;
+  let data = read m f2 ~off:0 ~len:5 in
   check Alcotest.string "zeroed" "\000\000\000\000\000" (Bytes.to_string data)
+
+let test_phys_new_frame_zeroed () =
+  let m = Phys_mem.create ~frames:3 ~page_size:4096 in
+  check Alcotest.int "nothing backed yet" 0 (Phys_mem.backed_frames m);
+  let f = Option.get (Phys_mem.alloc m) in
+  check Alcotest.int "one backed" 1 (Phys_mem.backed_frames m);
+  check Alcotest.int "page-sized" 4096 (Bytes.length (Phys_mem.data m f));
+  check Alcotest.string "zeros" (String.make 4096 '\000') (Bytes.to_string (Phys_mem.data m f))
+
+let test_phys_lifo_reuse () =
+  let m = Phys_mem.create ~frames:8 ~page_size:4096 in
+  let fs = List.init 4 (fun _ -> Option.get (Phys_mem.alloc m)) in
+  check Alcotest.(list int) "untouched frames in ascending order" [ 0; 1; 2; 3 ] fs;
+  List.iter (Phys_mem.free m) [ 1; 3; 0 ];
+  let again = List.init 3 (fun _ -> Option.get (Phys_mem.alloc m)) in
+  check Alcotest.(list int) "most recently freed first" [ 0; 3; 1 ] again;
+  check Alcotest.int "then an untouched frame" 4 (Option.get (Phys_mem.alloc m))
+
+(* Under any alloc/free sequence the frames holding bytes number at most
+   the most frames ever allocated at once. *)
+let phys_backed_prop =
+  let open QCheck2 in
+  Test.make ~name:"backed frames bounded by peak in use" ~count:200
+    Gen.(list_size (int_range 1 200) bool)
+    (fun ops ->
+      let m = Phys_mem.create ~frames:16 ~page_size:64 in
+      let held = ref [] and peak = ref 0 in
+      List.for_all
+        (fun take ->
+          (if take then Option.iter (fun f -> held := f :: !held) (Phys_mem.alloc m)
+           else
+             match !held with
+             | f :: rest ->
+               Phys_mem.free m f;
+               held := rest
+             | [] -> ());
+          peak := max !peak (List.length !held);
+          Phys_mem.backed_frames m <= !peak)
+        ops)
 
 let test_phys_double_free_rejected () =
   let m = Phys_mem.create ~frames:2 ~page_size:4096 in
@@ -382,6 +420,9 @@ let () =
           Alcotest.test_case "alloc/free" `Quick test_phys_alloc_free;
           Alcotest.test_case "exhaustion" `Quick test_phys_exhaustion;
           Alcotest.test_case "zeroed on free" `Quick test_phys_zeroed_on_free;
+          Alcotest.test_case "new frame reads as zeros" `Quick test_phys_new_frame_zeroed;
+          Alcotest.test_case "LIFO reuse" `Quick test_phys_lifo_reuse;
+          QCheck_alcotest.to_alcotest phys_backed_prop;
           Alcotest.test_case "double free rejected" `Quick test_phys_double_free_rejected;
           Alcotest.test_case "copy and ref/mod bits" `Quick test_phys_copy_and_bits;
           Alcotest.test_case "slice write and read" `Quick test_phys_slices;

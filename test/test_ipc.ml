@@ -41,15 +41,15 @@ let in_sim eng f =
 
 let test_port_identity () =
   let _, _, ctx = make_ctx () in
-  let a = Port.create ctx ~home:0 () in
-  let b = Port.create ctx ~home:0 () in
+  let a = Port.create ctx ~home:0 ~drop:Message.discard () in
+  let b = Port.create ctx ~home:0 ~drop:Message.discard () in
   Alcotest.(check bool) "distinct ids" true (Port.id a <> Port.id b);
   Alcotest.(check bool) "equal self" true (Port.equal a a);
   Alcotest.(check bool) "not equal other" false (Port.equal a b)
 
 let test_port_death_hooks () =
   let _, _, ctx = make_ctx () in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   let fired = ref [] in
   Port.on_death p (fun () -> fired := 1 :: !fired);
   Port.on_death p (fun () -> fired := 2 :: !fired);
@@ -65,7 +65,7 @@ let test_port_death_hooks () =
 
 let test_port_backlog_accessors () =
   let _, _, ctx = make_ctx () in
-  let p = Port.create ctx ~home:0 ~backlog:5 () in
+  let p = Port.create ctx ~home:0 ~backlog:5 ~drop:Message.discard () in
   check Alcotest.int "backlog" 5 (Port.backlog p);
   Port.set_backlog p 9;
   check Alcotest.int "updated" 9 (Port.backlog p)
@@ -74,8 +74,8 @@ let test_port_backlog_accessors () =
 
 let test_message_accounting () =
   let _, _, ctx = make_ctx () in
-  let dest = Port.create ctx ~home:0 () in
-  let cap = Port.create ctx ~home:0 () in
+  let dest = Port.create ctx ~home:0 ~drop:Message.discard () in
+  let cap = Port.create ctx ~home:0 ~drop:Message.discard () in
   let msg =
     Message.make ~dest
       [
@@ -108,7 +108,7 @@ let test_space_allocate_lookup () =
 let test_space_rights_coalesce () =
   let _, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   let n1 = Port_space.insert sp p Message.Send_right in
   let n2 = Port_space.insert sp p Message.Send_right in
   check Alcotest.int "same name" n1 n2;
@@ -156,7 +156,7 @@ let test_space_enable_disable () =
 let test_space_enable_requires_receive () =
   let _, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   let n = Port_space.insert sp p Message.Send_right in
   Alcotest.check_raises "no receive right" (Invalid_argument "Port_space.enable: no receive right")
     (fun () -> Port_space.enable sp n)
@@ -207,7 +207,7 @@ let test_send_receive_roundtrip () =
 
 let test_send_to_dead_port () =
   let eng, _, ctx = make_ctx () in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   Port.destroy p;
   in_sim eng (fun () ->
       match Transport.send (node ()) (Message.make ~dest:p [ data "x" ]) with
@@ -239,7 +239,7 @@ let test_receive_timeout () =
 let test_receive_requires_receive_right () =
   let eng, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   let n = Port_space.insert sp p Message.Send_right in
   in_sim eng (fun () ->
       match Transport.receive (node ()) sp ~from:(`Port n) () with
@@ -343,7 +343,7 @@ let test_cross_host_latency () =
 let test_send_cost_scales_with_mode () =
   let n = node () in
   let _, _, ctx = make_ctx () in
-  let dest = Port.create ctx ~home:0 () in
+  let dest = Port.create ctx ~home:0 ~drop:Message.discard () in
   let big = Bytes.create 65536 in
   let copy_msg = Message.make ~dest [ Message.Data big ] in
   let map_msg = Message.make ~dest [ Message.Ool big ] in

@@ -481,7 +481,7 @@ let reclaim ?(passes = 1) ?(laundry_full = false) specs ~deficit =
     if laundry_full then max (2 * Kctx.cluster_pages) (Kctx.free_target kctx) else 0
   in
   let obj =
-    Vm_object.create_external kctx ~memory_object:(Port.create ctx ~home:0 ())
+    Vm_object.create_external kctx ~memory_object:(Port.create ctx ~home:0 ~drop:Message.discard ())
       ~size:((n + in_laundry) * page)
   in
   let insert i =

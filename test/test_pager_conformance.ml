@@ -224,7 +224,7 @@ let test_migrator () =
    right the default pager adopts. *)
 let create_default_object sys d =
   let dp_port = Option.get (Kernel.kctx sys.Kernel.kernel).Kctx.default_pager_port in
-  let memory_object = Port.create sys.Kernel.ipc_ctx ~home:(Port.home dp_port) ~backlog:256 () in
+  let memory_object = Port.create sys.Kernel.ipc_ctx ~home:(Port.home dp_port) ~backlog:256 ~drop:Message.discard () in
   send d
     (Pager_iface.Create
        { new_memory_object = memory_object; request = d.d_request; name = d.d_request; size = 4 * page })

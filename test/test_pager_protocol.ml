@@ -18,9 +18,9 @@ let make_ctx () =
 
 let test_k2m_roundtrips () =
   let ctx = make_ctx () in
-  let mo = Port.create ctx ~home:0 () in
-  let rq = Port.create ctx ~home:0 () in
-  let nm = Port.create ctx ~home:0 () in
+  let mo = Port.create ctx ~home:0 ~drop:Message.discard () in
+  let rq = Port.create ctx ~home:0 ~drop:Message.discard () in
+  let nm = Port.create ctx ~home:0 ~drop:Message.discard () in
   let calls =
     [
       Pager_iface.Init { memory_object = mo; request = rq; name = nm };
@@ -64,7 +64,7 @@ let test_k2m_roundtrips () =
 
 let test_m2k_roundtrips () =
   let ctx = make_ctx () in
-  let rq = Port.create ctx ~home:0 () in
+  let rq = Port.create ctx ~home:0 ~drop:Message.discard () in
   let calls =
     [
       Pager_iface.Data_provided
@@ -101,7 +101,7 @@ let test_m2k_roundtrips () =
 
 let test_malformed_rejected () =
   let ctx = make_ctx () in
-  let p = Port.create ctx ~home:0 () in
+  let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   (* Unknown id. *)
   let bogus = Message.make ~msg_id:2199 ~dest:p [ Message.Data (Bytes.create 4) ] in
   Alcotest.check_raises "unknown k2m id"
@@ -134,7 +134,7 @@ let m2k_prop =
       let eng = Engine.create () in
       let net = Net.create eng () in
       let ctx = Context.create eng net in
-      let rq = Port.create ctx ~home:0 () in
+      let rq = Port.create ctx ~home:0 ~drop:Message.discard () in
       let m =
         match call with
         | `Provided (offset, data, lock_value) ->

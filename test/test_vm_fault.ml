@@ -296,6 +296,50 @@ let test_manager_flush_drops_clean_pages () =
       ignore (Syscalls.read_bytes task ~addr ~len:1 ());
       check Alcotest.int "second request" 2 (requests ()))
 
+let test_flush_behind_provide_waits_for_faulter () =
+  (* The manager answers a data request and flushes the page back to
+     back, as a coherence manager revokes a grant for another host. The
+     flush must wait until the faulter has used the data: freeing the
+     page first makes the faulter ask again, and such a manager answers
+     every request the same way, forever. Receives that find a message
+     queued cost nothing here, so the kernel's pager-service thread
+     handles the flush before the woken faulter has run. *)
+  let params = { Kernel.default_config.Kernel.params with Machine.context_switch_us = 0.0 } in
+  let config = { Kernel.default_config with Kernel.params } in
+  with_system ~config (fun sys task ->
+      let asked = Ivar.create () in
+      let policy =
+        {
+          Rt.default_policy with
+          Rt.p_reshape = one_page;
+          Rt.p_read =
+            (fun _ _ ~request ~page:_ ~npages:_ ~desired_access:_ ->
+              ignore (Ivar.try_fill asked request);
+              Rt.Defer);
+        }
+      in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"revoker" policy in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
+      in
+      (* Both replies land on the kernel's request port in one step, as
+         a delivery daemon lands messages that arrived together. *)
+      ignore
+        (Thread.spawn task ~name:"revoker.driver" (fun () ->
+             let request = Ivar.read asked in
+             List.iter
+               (fun call -> Mailbox.send (Port.queue request) (Pager_iface.encode_m2k call ~request))
+               [
+                 Pager_iface.Data_provided
+                   { offset = 0; data = Bytes.make page 'G'; lock_value = Prot.none };
+                 Pager_iface.Flush_request { offset = 0; length = page };
+               ];
+             Port.notify_arrival request));
+      (match Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Abort_after 1_000_000.0) () with
+      | Ok b -> check Alcotest.string "faulter read the provided data" "GGGG" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "fault did not complete: %a" Access.pp_error e);
+      check Alcotest.int "one data request" 1 (Rt.stats rt).Rt.Stats.s_requests)
+
 let test_mapping_at_object_offset () =
   (* Table 3-4: the mapped region corresponds to a given offset within
      the memory object; requests arriving at the manager carry object
@@ -621,6 +665,8 @@ let () =
           Alcotest.test_case "failed page refaults" `Quick test_failed_page_refaults;
           Alcotest.test_case "manager flush drops clean pages" `Quick
             test_manager_flush_drops_clean_pages;
+          Alcotest.test_case "flush behind data_provided waits for the faulter" `Quick
+            test_flush_behind_provide_waits_for_faulter;
           Alcotest.test_case "mapping at object offset" `Quick test_mapping_at_object_offset;
           Alcotest.test_case "multiple mappings share pages" `Quick
             test_two_mappings_same_object_share_pages;

@@ -9,6 +9,7 @@ module Machine = Mach_hw.Machine
 module Phys_mem = Mach_hw.Phys_mem
 module Context = Mach_ipc.Context
 module Port = Mach_ipc.Port
+module Message = Mach_ipc.Message
 module Kctx = Mach_vm.Kctx
 module Vm_types = Mach_vm.Vm_types
 module Vm_object = Mach_vm.Vm_object
@@ -109,7 +110,7 @@ let test_collapse_respects_toggle () =
 let test_cached_object_revival () =
   let kctx = make_kctx () in
   let eng = kctx.Kctx.engine in
-  let port = Port.create kctx.Kctx.ctx ~home:0 () in
+  let port = Port.create kctx.Kctx.ctx ~home:0 ~drop:Message.discard () in
   let obj = Vm_object.create_external kctx ~memory_object:port ~size:(2 * page) in
   obj.Vm_types.can_persist <- true;
   ignore (add_page kctx obj ~offset:0 'c');
@@ -127,7 +128,7 @@ let test_cached_object_revival () =
 
 let test_walk_pager_translation () =
   let kctx = make_kctx () in
-  let port = Port.create kctx.Kctx.ctx ~home:0 () in
+  let port = Port.create kctx.Kctx.ctx ~home:0 ~drop:Message.discard () in
   let backed = Vm_object.create_external kctx ~memory_object:port ~size:(8 * page) in
   let s = Vm_object.create_shadow kctx ~backs:backed ~offset:(2 * page) ~size:(4 * page) in
   match Vm_object.walk s ~offset:page with
