@@ -20,6 +20,9 @@ type packet = {
   pk_seq : int;
   pk_bytes : int;  (* payload bytes, excluding the sequence header *)
   pk_thunk : unit -> unit;
+  pk_drop : unit -> unit;  (* releases what the payload holds when the packet is shed *)
+  mutable pk_settled : bool;
+      (* delivered or shed: exactly one of [pk_thunk] and [pk_drop] runs *)
 }
 
 type chan_tx = {
@@ -38,7 +41,7 @@ type chan_tx = {
 type chan_rx = {
   mutable rx_epoch : int;
   mutable rx_next : int;
-  rx_hold : (int, unit -> unit) Hashtbl.t;
+  rx_hold : (int, packet) Hashtbl.t;
 }
 
 module Counters = Mach_util.Metrics.Counters
@@ -150,6 +153,19 @@ let rx_chan t ~src ~dst =
     Hashtbl.replace t.rxs (src, dst) c;
     c
 
+(* Give up on every unacked packet: one the receiver has not taken
+   (lost, or held behind a gap) is never delivered, so its drop thunk
+   releases what its payload holds — out-of-line exports, for one. *)
+let shed chan =
+  Queue.iter
+    (fun pk ->
+      if not pk.pk_settled then begin
+        pk.pk_settled <- true;
+        pk.pk_drop ()
+      end)
+    chan.tx_unacked;
+  Queue.clear chan.tx_unacked
+
 (* Retransmission timeout: current link queueing both ways, plus a
    round trip with slack for the largest packet still in flight,
    doubled per silent round, capped. The backlog term matters: the
@@ -197,7 +213,8 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
       end
     end
 
-and rx_ingest t ~src ~dst ~epoch ~seq thunk =
+and rx_ingest t ~src ~dst ~epoch pk =
+  let seq = pk.pk_seq in
   let chan = rx_chan t ~src ~dst in
   if epoch < chan.rx_epoch then Counters.incr t.cstats s_stale_epoch
   else begin
@@ -213,15 +230,19 @@ and rx_ingest t ~src ~dst ~epoch ~seq thunk =
       Counters.incr t.cstats s_dup_dropped
     else begin
       if seq <> chan.rx_next then Counters.incr t.cstats s_resequenced;
-      Hashtbl.replace chan.rx_hold seq thunk;
+      Hashtbl.replace chan.rx_hold seq pk;
       let continue = ref true in
       while !continue do
         match Hashtbl.find_opt chan.rx_hold chan.rx_next with
         | None -> continue := false
-        | Some th ->
+        | Some pk ->
           Hashtbl.remove chan.rx_hold chan.rx_next;
           chan.rx_next <- chan.rx_next + 1;
-          deliver_to t ~dst th
+          (* A packet its sender already shed was released there. *)
+          if not pk.pk_settled then begin
+            pk.pk_settled <- true;
+            deliver_to t ~dst pk.pk_thunk
+          end
       done
     end;
     (* Always ack, even for duplicates: a lost ack is indistinguishable
@@ -236,7 +257,7 @@ and transmit t chan pk =
   let epoch = chan.tx_epoch in
   let src = chan.tx_src and dst = chan.tx_dst in
   Net.deliver t.net ~src ~dst ~bytes:(pk.pk_bytes + seq_header_bytes) (fun () ->
-      rx_ingest t ~src ~dst ~epoch ~seq:pk.pk_seq pk.pk_thunk)
+      rx_ingest t ~src ~dst ~epoch pk)
 
 (* Every path that drains the window or downs the channel cancels the
    timer, so a timer that fires has unacked packets to retransmit. *)
@@ -252,7 +273,7 @@ and arm_timer t chan =
              budget — declare the channel down and shed its queue.
              Subsequent sends fail fast with [`Unreachable]. *)
           chan.tx_down <- true;
-          Queue.clear chan.tx_unacked;
+          shed chan;
           Counters.incr t.cstats s_aborts
         end
         else begin
@@ -265,11 +286,14 @@ and arm_timer t chan =
           arm_timer t chan
         end)
 
-let remote_deliver t ~src ~dst ~bytes thunk =
+let remote_deliver t ~src ~dst ~bytes ~drop thunk =
   let chan = tx_chan t ~src ~dst in
   if chan.tx_down then Error `Unreachable
   else begin
-    let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
+    let pk =
+      { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk; pk_drop = drop;
+        pk_settled = false }
+    in
     chan.tx_next <- chan.tx_next + 1;
     Queue.push pk chan.tx_unacked;
     Counters.incr t.cstats s_data_pkts;
@@ -284,7 +308,7 @@ let chan_down t ~src ~dst =
 let reset_tx t chan =
   chan.tx_epoch <- chan.tx_epoch + 1;
   chan.tx_next <- 1;
-  Queue.clear chan.tx_unacked;
+  shed chan;
   chan.tx_strikes <- 0;
   Engine.cancel t.engine chan.tx_timer;
   chan.tx_down <- false;

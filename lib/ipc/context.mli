@@ -27,11 +27,20 @@ val delivery_backlog : t -> dst:int -> int
     one 16-byte ack on the reverse link. *)
 
 val remote_deliver :
-  t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> (unit, [ `Unreachable ]) result
+  t ->
+  src:int ->
+  dst:int ->
+  bytes:int ->
+  drop:(unit -> unit) ->
+  (unit -> unit) ->
+  (unit, [ `Unreachable ]) result
 (** Deliver [thunk] on host [dst], paying the wire cost of [bytes].
     Never blocks. [Error `Unreachable] means the channel to [dst] has
     exhausted its retry budget and is down; it stays down until
-    {!reset_link} or {!restart_host}. *)
+    {!reset_link} or {!restart_host}. A packet the channel sheds before
+    the receiver took it (the watchdog declares the channel down, or a
+    heal or restart resets it) runs [drop] instead of [thunk]: exactly
+    one of the two runs, or neither while the packet is in flight. *)
 
 val chan_down : t -> src:int -> dst:int -> bool
 

@@ -173,7 +173,9 @@ let send node ?timeout msg =
       let dst = Port.home dest in
       let bytes = Message.wire_bytes msg in
       match
-        Context.remote_deliver ctx ~src:node.node_host ~dst ~bytes (fun () ->
+        Context.remote_deliver ctx ~src:node.node_host ~dst ~bytes
+          ~drop:(fun () -> Message.discard msg)
+          (fun () ->
             (* A message that finds its port dead is never received. *)
             match enqueue_local node dest msg with Ok () -> () | Error _ -> Message.discard msg)
       with

@@ -115,7 +115,8 @@ let handle kctx map ~addr ~write ?policy () =
   in
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
      no 400 µs charge) when nobody else can ever reach it: the walk found
-     it [sole], and it is Resident, unwired, and mapped in no pmap but ours. *)
+     it [sole] (every other shadow of its owner already holds its own
+     copy), and it is Resident, unwired, and mapped in no pmap but ours. *)
   let can_steal ~sole (page : page) =
     sole
     && page.p_state = Resident
@@ -211,7 +212,7 @@ let handle kctx map ~addr ~write ?policy () =
         let first_obj = lk.Vm_map.lk_obj in
         let first_off = lk.Vm_map.lk_offset in
         Trace.point tr ~subsystem:"vm" "shadow_walk";
-        match Vm_object.walk first_obj ~offset:first_off with
+        match Vm_object.walk ~steal:write first_obj ~offset:first_off with
         | Vm_object.Resident (page, depth, sole) -> (
           note_depth depth;
           match page.p_state with
@@ -319,17 +320,31 @@ let handle kctx map ~addr ~write ?policy () =
       Page_queues.activate kctx.Kctx.queues src;
       Counters.incr stats s_cow_steals
     in
-    (* Copy [src] into [frame] as first_obj@off; drops the source's
-       stale translations (sharers must refault through their own
-       chains and see their own copy). *)
+    (* Copy [src] into [frame] as first_obj@off, and drop the
+       translations of [src] that the copy makes stale: those of every
+       map that reaches [off] through first_obj. When first_obj is
+       private to this map (a direct record, one reference, no shadow
+       above it), that is our own translation alone. Every other map
+       keeps its valid read-only translation of [src]: the pmap is a
+       cache of the map (§5.5), and dropping it would cost that map a
+       fault to rebuild it (Mach's vm_fault marks this removal as
+       avoidable when one map has access). Otherwise every translation
+       goes: through a sharing map or a shadow above first_obj, other
+       maps see the new page. *)
     let copy src frame ~off =
       Phys_mem.copy kctx.Kctx.mem ~src:src.frame ~dst:frame;
       incr copies;
       let fresh = Vm_page.insert kctx first_obj ~offset:off ~frame ~state:Resident in
       fresh.dirty <- true;
       Page_queues.activate kctx.Kctx.queues fresh;
-      if src.mappings <> [] then removed := true;
-      Vm_page.remove_all_mappings ~charge:false kctx src;
+      if (not lk.Vm_map.lk_shared) && first_obj.ref_count = 1 && first_obj.shadowers = [] then begin
+        if Vm_page.remove_mapping kctx src pm ~vpn:((addr + off - first_off) / ps) then
+          removed := true
+      end
+      else begin
+        if src.mappings <> [] then removed := true;
+        Vm_page.remove_all_mappings ~charge:false kctx src
+      end;
       fresh
     in
     (* Resolve the faulting page first (it may block in alloc_frame). *)
@@ -377,7 +392,7 @@ let handle kctx map ~addr ~write ?policy () =
          for i = 1 to window - 1 do
            let off = first_off + (i * ps) in
            if Hashtbl.mem first_obj.obj_pages off then raise Exit;
-           match Vm_object.walk first_obj ~offset:off with
+           match Vm_object.walk ~steal:true first_obj ~offset:off with
            | Vm_object.Resident (p, depth, sole)
              when depth > 0 && p.p_state = Resident && p.page_lock = Prot.none ->
              if can_steal ~sole p then begin

@@ -135,13 +135,11 @@ let start kctx =
         if Kctx.need_pageout kctx then begin
           let idle freed = freed = 0 && Page_queues.laundry_count kctx.Kctx.queues = 0 in
           let freed = run_once kctx in
-          (* A pass that only aged pages frees nothing: with nothing else
-             left to run, an allocator asleep at the reserve would wait
-             forever, so pass again over the pages just aged. *)
-          let stalled =
-            Engine.pending kctx.Kctx.engine = 0
-            && Phys_mem.free_frames kctx.Kctx.mem <= kctx.Kctx.reserved_frames
-          in
+          (* A pass that only aged pages frees nothing. At the reserve an
+             allocator may be asleep on us, and the daemon is about to
+             block until someone signals it; work queued elsewhere need
+             not be that someone, so pass again over the pages just aged. *)
+          let stalled = Phys_mem.free_frames kctx.Kctx.mem <= kctx.Kctx.reserved_frames in
           let freed = if idle freed && stalled then run_once kctx else freed in
           (* With laundry in flight (or progress just made), back off
              briefly and re-check — a release will free frames, and the

@@ -473,6 +473,9 @@ type lookup = {
       (* bytes from lk_offset to the end of the backing record: the
          faulted page plus the forward window the copy engine may
          resolve in the same fault *)
+  lk_shared : bool;
+      (* reached through a sharing map: every map holding it reaches
+         lk_obj through one object reference *)
 }
 
 (* Resolve a pending copy-on-write by interposing a shadow object over
@@ -494,7 +497,7 @@ let lookup ?(count = true) t ~addr ~write =
     let needed = if write then Prot.write else Prot.read in
     if not (Prot.subset needed e.protection) then Error `Protection
     else begin
-      let resolve d ~rec_base ~span =
+      let resolve d ~rec_base ~span ~shared =
         (* [rec_base]: the virtual address corresponding to d_offset's
            start; [span]: extent of the record. *)
         if write && d.needs_copy then resolve_copy t.kctx d ~span;
@@ -508,10 +511,11 @@ let lookup ?(count = true) t ~addr ~write =
             lk_writable = Prot.can_write e.protection && not d.needs_copy;
             lk_from_copy = d.d_from_copy;
             lk_run = d.d_offset + span - lk_offset;
+            lk_shared = shared;
           }
       in
       match e.backing with
-      | Direct d -> resolve d ~rec_base:e.va_start ~span:(e.va_end - e.va_start)
+      | Direct d -> resolve d ~rec_base:e.va_start ~span:(e.va_end - e.va_start) ~shared:false
       | Shared s -> (
         let sh_addr = s.sh_offset + (addr - e.va_start) in
         match find_entry s.share_map sh_addr with
@@ -522,7 +526,7 @@ let lookup ?(count = true) t ~addr ~write =
             (* Translate so that rec_base maps [addr] onto the right
                sub-entry offset. *)
             let rec_base = addr - (sh_addr - se.va_start) in
-            resolve d ~rec_base ~span:(se.va_end - se.va_start)
+            resolve d ~rec_base ~span:(se.va_end - se.va_start) ~shared:true
           | Shared _ -> assert false))
     end
 

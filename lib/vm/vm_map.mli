@@ -115,6 +115,10 @@ type lookup = {
       (** bytes from [lk_offset] to the end of the backing record — the
           faulting page plus the forward window of same-entry neighbors
           a clustered COW fault may resolve alongside it *)
+  lk_shared : bool;
+      (** the record was reached through a sharing map: every task
+          sharing the region reaches [lk_obj], though the sharing map
+          holds only one reference to it *)
 }
 
 val lookup :

@@ -69,7 +69,30 @@ let create_external kctx ~memory_object ~size =
 
 type found = Resident of page * int * bool | Paged of obj * int | Nowhere
 
-let walk obj ~offset =
+(* Whether [b]'s page at [offset], found by a walk coming down from
+   [from], is visible through [from] alone. [b] must be a live,
+   pager-less, anonymous temporary (no manager owns the bytes) with no
+   reference but its shadowers', and every other shadower must already
+   hold its own resident page at the matching offset: those shadowers
+   hide [b]'s page from everything above them. The coverage check runs
+   only below an object with more than one reference. *)
+let private_below b ~from ~offset =
+  b.temporary && b.obj_alive && b.pager = No_pager
+  && (b.ref_count = 1
+     || b.ref_count = List.length b.shadowers
+        && List.for_all
+             (fun s ->
+               s == from
+               ||
+               match s.backing with
+               | Some { back_offset; _ } -> (
+                 match Vm_page.lookup s ~offset:(offset - back_offset) with
+                 | Some p -> p.p_state = Resident
+                 | None -> false)
+               | None -> false)
+             b.shadowers)
+
+let walk ?(steal = false) obj ~offset =
   let rec go cur off depth sole =
     match Vm_page.lookup cur ~offset:off with
     | Some page -> Resident (page, depth, sole)
@@ -77,11 +100,11 @@ let walk obj ~offset =
     | None -> (
       match cur.backing with
       | Some { back_obj = b; back_offset } ->
-        let excl = b.ref_count = 1 && b.temporary && b.obj_alive && b.pager = No_pager in
-        go b (off + back_offset) (depth + 1) (sole && excl)
+        let off = off + back_offset in
+        go b off (depth + 1) (sole && private_below b ~from:cur ~offset:off)
       | None -> Nowhere)
   in
-  go obj offset 0 true
+  go obj offset 0 steal
 
 let chain_depth obj =
   let rec go acc = function

@@ -45,16 +45,22 @@ val cache_is_member : Kctx.t -> obj -> bool
 
 type found =
   | Resident of page * int * bool
-      (** the page, its depth (0 = [obj]), and [sole]: every object below
-          [obj] down to the page's owner is a sole-referenced, live,
-          anonymous temporary, so the page may be stolen *)
+      (** the page, its depth (0 = [obj]), and [sole]: the walk asked
+          for it ([~steal]), and each object below [obj] down to the
+          page's owner is a live, pager-less, anonymous temporary whose
+          page there no other object can see: every reference to it is
+          a shadower, and every shadower but the one the walk came
+          through holds its own resident page at that offset. Such a
+          page may be stolen. *)
   | Paged of obj * int  (** a pager holds the data: ask it, at this offset *)
   | Nowhere  (** no data anywhere in the chain: zero-fill in [obj] *)
 
-val walk : obj -> offset:int -> found
+val walk : ?steal:bool -> obj -> offset:int -> found
 (** Look for [offset] in [obj] one object at a time, as Mach's
     [vm_fault_page] does: a resident page ends the walk, then an object
-    whose pager holds the offset; otherwise it goes one object down. *)
+    whose pager holds the offset; otherwise it goes one object down.
+    [steal] (default false) asks for [sole]; without it [sole] is false
+    and the walk checks nothing beyond the pages it probes. *)
 
 val chain_depth : obj -> int
 (** Number of backing links below this object (0 = no shadow chain). *)

@@ -86,6 +86,15 @@ let remove_all_mappings ?(charge = true) kctx page =
   page.mappings <- [];
   if charge && n > 0 then Kctx.charge kctx (float_of_int n *. kctx.Kctx.params.Machine.map_op_us)
 
+let remove_mapping kctx page pmap ~vpn =
+  List.exists (fun (pm, v) -> pm == pmap && v = vpn) page.mappings
+  && begin
+       harvest_bits kctx page;
+       Pmap.remove pmap ~vpn;
+       drop_mapping page pmap ~vpn;
+       true
+     end
+
 (* Structural detachment happens before the (potentially blocking) map
    charges, so a fault running while we sleep never sees a half-freed
    page in the tables. *)

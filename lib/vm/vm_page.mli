@@ -52,6 +52,11 @@ val remove_all_mappings : ?charge:bool -> Kctx.t -> page -> unit
     batch many pages under one charge site (the copy engine) use it and
     account for the whole batch themselves. *)
 
+val remove_mapping : Kctx.t -> page -> Mach_hw.Pmap.t -> vpn:int -> bool
+(** Invalidate this page's translation at [vpn] in one pmap, harvesting
+    modify bits first; false if it had none there. Charges nothing, like
+    [remove_all_mappings ~charge:false]. *)
+
 val harvest_bits : Kctx.t -> page -> unit
 (** Pull the hardware reference/modify bits into the page structure
     ([dirty]) and clear them. *)

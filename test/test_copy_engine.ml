@@ -161,12 +161,8 @@ let test_collapse_keeps_translations () =
       let child = Task.create kernel ~parent:task ~name:"child" () in
       (* One parent write gives the parent its own shadow: the survivor. *)
       store task (at 0) 1;
+      (* The child's copies leave the parent's translations in place. *)
       in_child child "child.main" (fun () -> List.iter (fun i -> store child (at i) 2) [ 40; 50; 60 ]);
-      (* The child's copies revoked the parent's translations of the
-         pages it wrote; map everything again before the exit. *)
-      for i = 0 to pages - 1 do
-        ignore (load task (at i))
-      done;
       let collapses0 = Counters.get stats Vm_types.s_collapses in
       Task.terminate child;
       check Alcotest.int "the exit collapsed the parent's chain" (collapses0 + 1)
@@ -185,6 +181,69 @@ let test_collapse_keeps_translations () =
       check Alcotest.int "and no copy-ahead" batched0 (Counters.get stats Vm_types.s_cow_batched);
       check Alcotest.int "and no frame taken" frames0 (Kernel.free_frames kernel);
       check Alcotest.int "write landed" 3 (load task (at 40)))
+
+(* ---- a COW copy changes only the faulting map's view ------------------ *)
+
+(* The child's copy of a page leaves the parent's read-only translation
+   of the original in place: the parent still reads its own data through
+   it, so the read does not fault. *)
+let test_copy_keeps_other_translations () =
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let stats = Kernel.stats kernel in
+      let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      store task addr 1;
+      let child = Task.create kernel ~parent:task ~name:"child" () in
+      in_child child "child.main" (fun () -> store child addr 2);
+      let faults0 = Counters.get stats Vm_types.s_faults in
+      check Alcotest.int "parent reads its own data" 1 (load task addr);
+      check Alcotest.int "through the translation it kept" faults0
+        (Counters.get stats Vm_types.s_faults);
+      in_child child "child.check" (fun () ->
+          check Alcotest.int "child reads its copy" 2 (load child addr)))
+
+(* Once the live child holds its own copy of a page, the original is
+   visible to the parent alone: the parent's write renames it into the
+   parent's shadow instead of copying it. *)
+let test_steal_page_sibling_copied () =
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let stats = Kernel.stats kernel in
+      let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      store task addr 1;
+      let child = Task.create kernel ~parent:task ~name:"child" () in
+      in_child child "child.main" (fun () -> store child addr 2);
+      let steals0 = Counters.get stats Vm_types.s_cow_steals in
+      let cow0 = Counters.get stats Vm_types.s_cow_faults in
+      let frames0 = Kernel.free_frames kernel in
+      store task addr 3;
+      check Alcotest.int "one COW fault" (cow0 + 1) (Counters.get stats Vm_types.s_cow_faults);
+      check Alcotest.int "resolved by a steal" (steals0 + 1)
+        (Counters.get stats Vm_types.s_cow_steals);
+      check Alcotest.int "no page copied: no frame taken" frames0 (Kernel.free_frames kernel);
+      check Alcotest.int "parent sees its write" 3 (load task addr);
+      in_child child "child.check" (fun () ->
+          check Alcotest.int "child keeps its copy" 2 (load child addr)))
+
+(* A sharing map holds one reference to its object while several maps
+   reach it. A region shared by inheritance and then frozen by a
+   snapshot gets a fresh shadow with one reference on the writer's next
+   write; the sharer's translation of the frozen page must still go, so
+   the sharer reads the writer's new bytes. *)
+let test_share_map_sharer_sees_copy () =
+  with_system (fun sys task ->
+      let kernel = sys.Kernel.kernel in
+      let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      store task addr 1;
+      Syscalls.vm_inherit task ~addr ~size:page Inherit_share;
+      let sharer = Task.create kernel ~parent:task ~name:"sharer" () in
+      in_child sharer "sharer.read" (fun () ->
+          check Alcotest.int "sharer maps the page" 1 (load sharer addr));
+      let snapshot = Vm_map.copyin (Task.map task) ~addr ~size:page in
+      store task addr 2;
+      in_child sharer "sharer.reread" (fun () ->
+          check Alcotest.int "sharer reads the writer's new bytes" 2 (load sharer addr));
+      Vm_map.copy_discard snapshot)
 
 (* ---- fork under paging pressure --------------------------------------- *)
 
@@ -331,9 +390,10 @@ let test_object_cache_lru () =
 
 (* Random fork/write/send interleavings against a naive eager-copy
    oracle (each actor conceptually owns a private copy of the region;
-   an OOL send snapshots the sender's bytes at send time). *)
+   an OOL send snapshots the sender's bytes at send time; a sharer
+   forked through [vm_inherit share] owns its parent's copy). *)
 
-type op = Write | Send | Churn
+type op = Write | Send | Churn | Share
 
 let run_scenario ~frames (nchildren, ops) =
   let config = { Kernel.default_config with Kernel.phys_frames = frames } in
@@ -353,19 +413,30 @@ let run_scenario ~frames (nchildren, ops) =
         List.init nchildren (fun i ->
             Task.create kernel ~parent:task ~name:(Printf.sprintf "c%d" i) ())
       in
-      let tasks = Array.of_list (task :: children) in
-      let model = Array.init (nchildren + 1) (fun _ -> Array.make 8 1) in
+      let tasks = ref (Array.of_list (task :: children)) in
+      let model_of = ref (Array.init (nchildren + 1) (fun _ -> Array.make 8 1)) in
       let receiver = Task.create kernel ~name:"rx" () in
       let recv_svc = Syscalls.port_allocate receiver ~backlog:4 () in
       let recv_port = Port_space.lookup_exn (Task.space receiver) recv_svc in
       List.iter
         (fun (actor, kind, pg, v) ->
-          let actor = actor mod (nchildren + 1) in
-          let t = tasks.(actor) in
+          let actor = actor mod Array.length !tasks in
+          let t = !tasks.(actor) in
+          let model = !model_of.(actor) in
           match kind with
           | Write ->
             wr t (addr + (pg * page)) v;
-            model.(actor).(pg) <- v
+            model.(pg) <- v
+          | Share ->
+            (* A sharer reads and writes the actor's own copy through a
+               sharing map; later forks of either copy it again. *)
+            Syscalls.vm_inherit t ~addr ~size:(8 * page) Inherit_share;
+            let sharer = Task.create kernel ~parent:t ~name:"sharer" () in
+            List.iter
+              (fun t -> Syscalls.vm_inherit t ~addr ~size:(8 * page) Inherit_copy)
+              [ t; sharer ];
+            tasks := Array.append !tasks [| sharer |];
+            model_of := Array.append !model_of [| model |]
           | Churn ->
             (* A transient grandchild dirties a few pages and exits; its
                writes die with it, but the exit exercises the
@@ -380,7 +451,7 @@ let run_scenario ~frames (nchildren, ops) =
             (* Snapshot semantics: the receiver must see the sender's
                bytes as of the send, even though the sender overwrites
                a page before the message is consumed. *)
-            let snap = Array.copy model.(actor) in
+            let snap = Array.copy model in
             (match
                Syscalls.msg_send t
                  (Message.make ~dest:recv_port
@@ -389,7 +460,7 @@ let run_scenario ~frames (nchildren, ops) =
             | Ok () -> ()
             | Error _ -> verdict := false);
             wr t (addr + (pg * page)) v;
-            model.(actor).(pg) <- v;
+            model.(pg) <- v;
             in_child receiver "rx.main" (fun () ->
                 match Syscalls.msg_receive receiver ~from:(`Port recv_svc) () with
                 | Ok msg ->
@@ -411,10 +482,10 @@ let run_scenario ~frames (nchildren, ops) =
         (fun actor t ->
           for pg = 0 to 7 do
             match Syscalls.read_bytes t ~addr:(addr + (pg * page)) ~len:1 () with
-            | Ok b -> if Bytes.get_uint8 b 0 <> model.(actor).(pg) then verdict := false
+            | Ok b -> if Bytes.get_uint8 b 0 <> !model_of.(actor).(pg) then verdict := false
             | Error _ -> verdict := false
           done)
-        tasks;
+        !tasks;
       (match Page_queues.check_invariants (Kernel.kctx kernel).Kctx.queues with
       | Ok () -> ()
       | Error _ -> verdict := false);
@@ -429,7 +500,7 @@ let oversubscribed = QCheck2.Gen.int_range 16 24
 let program =
   let open QCheck2.Gen in
   let op (a, k, pg, v) =
-    let kind = if k <= 5 then Write else if k <= 7 then Send else Churn in
+    let kind = if k <= 5 then Write else if k <= 7 then Send else if k = 8 then Churn else Share in
     (a, kind, pg, v)
   in
   pair (int_range 1 3)
@@ -440,9 +511,16 @@ let program =
              (int_range 0 7) (* page *)
              (int_range 2 255) (* value *))))
 
+let print_program (frames, (nchildren, ops)) =
+  let kind = function Write -> "write" | Send -> "send" | Churn -> "churn" | Share -> "share" in
+  Printf.sprintf "frames=%d children=%d [%s]" frames nchildren
+    (String.concat "; "
+       (List.map (fun (a, k, pg, v) -> Printf.sprintf "%d %s p%d=%d" a (kind k) pg v) ops))
+
 let copy_engine_prop =
   let open QCheck2 in
-  Test.make ~name:"copy engine matches eager-copy oracle on random programs" ~count:10
+  Test.make ~name:"copy engine matches eager-copy oracle on random programs" ~count:50
+    ~print:print_program
     Gen.(pair (oneof [ return 1024; oversubscribed ]) program)
     (fun (frames, prog) -> fst (run_scenario ~frames prog))
 
@@ -470,6 +548,12 @@ let () =
             test_copy_ahead_sequential_only;
           Alcotest.test_case "terminate-path collapse" `Quick test_terminate_path_collapse;
           Alcotest.test_case "object cache LRU eviction" `Quick test_object_cache_lru;
+          Alcotest.test_case "a copy keeps other maps' translations" `Quick
+            test_copy_keeps_other_translations;
+          Alcotest.test_case "a page the sibling copied is stolen" `Quick
+            test_steal_page_sibling_copied;
+          Alcotest.test_case "a sharer sees the writer's copy" `Quick
+            test_share_map_sharer_sees_copy;
         ] );
       ( "properties",
         [

@@ -312,9 +312,12 @@ let test_port_death_discards_queued_snapshot () =
       check Alcotest.string "sender data intact" "queued" (read_str sender ~addr ~len:6))
 
 (* Send a region from host 0 to a port on host 1, let the message travel
-   for [settle] simulated us, then kill the receiving task. *)
-let remote_send_then_kill ~settle =
-  let cluster = Kernel.create_cluster ~hosts:2 () in
+   for [settle] simulated us, then kill the receiving task. With
+   [partition], the link is cut before the send and healed that many
+   simulated us later, before the settle. *)
+let remote_send_then_kill ?partition ~settle () =
+  let chaos = Option.map (fun _ -> Mach_sim.Chaos.create ()) partition in
+  let cluster = Kernel.create_cluster ~hosts:2 ?chaos () in
   let engine = cluster.Kernel.c_engine in
   let result = ref None in
   Engine.spawn engine ~name:"setup" (fun () ->
@@ -329,7 +332,13 @@ let remote_send_then_kill ~settle =
              write_str sender ~addr "remote";
              let obj = backing_object sender ~addr in
              let refs0 = obj.Vm_types.ref_count in
+             Option.iter (fun c -> Mach_sim.Chaos.partition c 0 1) chaos;
              send_region sender ~addr ~size ~dest:svc_port;
+             (match (chaos, partition) with
+             | Some c, Some us ->
+               Engine.sleep us;
+               Mach_sim.Chaos.heal c 0 1
+             | _ -> ());
              if settle > 0.0 then Engine.sleep settle;
              let queued = Mach_ipc.Port.queued svc_port in
              Task.terminate receiver;
@@ -341,15 +350,27 @@ let remote_send_then_kill ~settle =
     (obj, refs0, queued, List.filter (String.equal "copy-server") (Engine.blocked_names engine))
 
 let test_remote_port_death_discards_queued_export () =
-  let obj, refs0, queued, servers = remote_send_then_kill ~settle:50_000.0 in
+  let obj, refs0, queued, servers = remote_send_then_kill ~settle:50_000.0 () in
   check Alcotest.int "message queued at the remote port" 1 queued;
   check Alcotest.int "port death dropped the export's reference" refs0 obj.Vm_types.ref_count;
   check Alcotest.(list string) "no copy-server left blocked" [] servers
 
 let test_remote_arrival_at_dead_port_discards_export () =
-  let obj, refs0, queued, servers = remote_send_then_kill ~settle:0.0 in
+  let obj, refs0, queued, servers = remote_send_then_kill ~settle:0.0 () in
   check Alcotest.int "port died before the message arrived" 0 queued;
   check Alcotest.int "arrival at the dead port dropped the export's reference" refs0
+    obj.Vm_types.ref_count;
+  check Alcotest.(list string) "no copy-server left blocked" [] servers
+
+(* A partition long enough to exhaust the channel's retry budget sheds
+   the unacked message: the channel must discard it, or its export keeps
+   the source object's reference and its server waits forever. *)
+let test_partition_sheds_export () =
+  let obj, refs0, queued, servers =
+    remote_send_then_kill ~partition:20_000_000.0 ~settle:50_000.0 ()
+  in
+  check Alcotest.int "the message never arrived" 0 queued;
+  check Alcotest.int "the shed message dropped the export's reference" refs0
     obj.Vm_types.ref_count;
   check Alcotest.(list string) "no copy-server left blocked" [] servers
 
@@ -589,6 +610,8 @@ let () =
             test_remote_port_death_discards_queued_export;
           Alcotest.test_case "arrival at a dead port discards export" `Quick
             test_remote_arrival_at_dead_port_discards_export;
+          Alcotest.test_case "a partition that sheds a send discards export" `Quick
+            test_partition_sheds_export;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest copy_oracle_prop ]);
     ]

@@ -22,8 +22,8 @@ let make_source kernel ~pages =
          Ivar.fill done_ addr));
   (src, done_)
 
-let run_cluster f =
-  let cluster = Kernel.create_cluster ~hosts:2 () in
+let run_cluster ?config f =
+  let cluster = Kernel.create_cluster ~hosts:2 ?config () in
   let result = ref None in
   Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () -> result := Some (f cluster));
   Engine.run cluster.Kernel.c_engine;
@@ -160,6 +160,31 @@ let test_finish_stops_demand_paging () =
              Ivar.fill fin ()));
       Ivar.read fin)
 
+(* Pre-paging a task larger than either host's memory: the destination
+   pages the migrated copy out while the source pages the frozen one,
+   and the pageout daemon must keep both moving even when its pass only
+   ages referenced pages while other work is queued. *)
+let test_prepaging_beyond_memory () =
+  let config = { Kernel.default_config with Kernel.phys_frames = 102 } in
+  let pages = 128 in
+  run_cluster ~config (fun cluster ->
+      let src, addr_ivar = make_source cluster.Kernel.c_kernels.(0) ~pages in
+      let addr = Ivar.read addr_ivar in
+      let mgr = Migrator.start cluster.Kernel.c_kernels.(0) () in
+      let mg =
+        Migrator.migrate mgr ~src ~dst_kernel:cluster.Kernel.c_kernels.(1) (Migrator.Pre_paging 4)
+      in
+      let dst = mg.Migrator.mg_task in
+      let finished = Ivar.create () in
+      ignore
+        (Thread.spawn dst ~name:"victim-migrated.main" (fun () ->
+             for i = 0 to pages - 1 do
+               check Alcotest.string "page content survives migration"
+                 (Printf.sprintf "page-%03d" i) (read_tag dst addr i)
+             done;
+             Ivar.fill finished ()));
+      Ivar.read finished)
+
 let () =
   Alcotest.run "migrator"
     [
@@ -179,5 +204,7 @@ let () =
           Alcotest.test_case "multi-region task keeps addresses" `Quick test_multi_region_task;
           Alcotest.test_case "finish reclaims source, stops paging" `Quick
             test_finish_stops_demand_paging;
+          Alcotest.test_case "pre-paging completes on hosts smaller than the task" `Quick
+            test_prepaging_beyond_memory;
         ] );
     ]
