@@ -90,21 +90,15 @@ let handle kctx map ~addr ~write ?policy () =
       loop ()
   in
   (* Wait out data in transit. A faulter waiting for a [Demanded] page
-     is counted in [awaited]; [pager_data_provided] turns the count into
-     holds, so a manager flush queued right behind the data cannot free
-     the page before its faulters run (they would ask again, forever).
-     Each drops its hold on waking, and [validate] takes its own before
-     the next yield. *)
+     pins it for the whole wait, whatever the manager answers: neither a
+     flush queued right behind the data nor pageout can take the page
+     before the faulter has run (it would ask again, forever). It unpins
+     on waking, and [validate] pins again before the next yield. *)
   let wait_busy page =
     let demanded = page.p_state = Demanded in
-    if demanded then page.awaited <- page.awaited + 1;
+    if demanded then Vm_page.pin page;
     let arrived = wait_while page (fun () -> busy page) in
-    if demanded then
-      if page.awaited > 0 then page.awaited <- page.awaited - 1
-      else begin
-        page.grant_hold <- page.grant_hold - 1;
-        if page.grant_hold = 0 then Waitq.broadcast page.busy_wait
-      end;
+    if demanded then Vm_page.unpin page;
     arrived
   in
   let lock_forbids page =
@@ -116,13 +110,11 @@ let handle kctx map ~addr ~write ?policy () =
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
      no 400 µs charge) when nobody else can ever reach it: the walk found
      it [sole] (every other shadow of its owner already holds its own
-     copy), and it is Resident, unwired, and mapped in no pmap but ours. *)
-  let can_steal ~sole (page : page) =
-    sole
-    && page.p_state = Resident
-    && page.wire_count = 0
-    && List.for_all (fun (pm', _) -> pm' == pm) page.mappings
-  in
+     copy), and it may move (Resident, unwired, unpinned). Only maps
+     that reach it through the faulting object can translate it: every
+     other map reached it through a shadow that now holds its own copy,
+     and that copy dropped the map's translation. *)
+  let can_steal ~sole page = sole && Vm_page.may_move page in
   (* Manager-imposed lock check used while waiting for pager_data_lock:
      the page may be flushed out from under us; a dead page ends the
      wait and the fault re-runs from scratch. *)
@@ -180,16 +172,15 @@ let handle kctx map ~addr ~write ?policy () =
     let vpn = addr / ps in
     Pmap.enter pm ~vpn ~frame:page.frame ~prot;
     Vm_page.add_mapping page pm ~vpn;
-    (* Hold the page across the charge: the map-op sleep is a yield
+    (* Pin the page across the charge: the map-op sleep is a yield
        point, and a manager flush landing inside it would revoke the
        translation before the faulter ever retries the access — under
        write contention the two kernels then revoke each other forever.
-       The flush waits for the hold to drain instead. *)
-    page.grant_hold <- page.grant_hold + 1;
+       The flush waits for the pin instead. *)
+    Vm_page.pin page;
     Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us;
     burst_enter ();
-    page.grant_hold <- page.grant_hold - 1;
-    Waitq.broadcast page.busy_wait;
+    Vm_page.unpin page;
     Done
   in
   (* Slow paths may have slept, so the map entry must be looked up
@@ -310,8 +301,8 @@ let handle kctx map ~addr ~write ?policy () =
     let copies = ref 0 in
     let removed = ref false in
     (* Steal: move the page itself into the faulting object. The stale
-       read-only translations it carries (ours by [can_steal]) are
-       dropped first; accounting is deferred to the batch charge sites. *)
+       read-only translations it carries are dropped first; accounting
+       is deferred to the batch charge sites. *)
     let steal src ~off =
       if src.mappings <> [] then removed := true;
       Vm_page.remove_all_mappings ~charge:false kctx src;

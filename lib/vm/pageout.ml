@@ -4,10 +4,6 @@ module Waitq = Mach_sim.Waitq
 module Phys_mem = Mach_hw.Phys_mem
 module Machine = Mach_hw.Machine
 
-(* Pages pageout leaves alone: wired, in transit, or held by a faulter
-   that has not yet retried its access (Fault's grant hold). *)
-let pinned page = page.wire_count > 0 || busy page || page.grant_hold > 0
-
 (* Move aged pages (reference bit clear) from the active queue to the
    inactive queue; referenced pages rotate back with their bit cleared,
    approximating LRU with a clock sweep. *)
@@ -21,7 +17,7 @@ let refill_inactive kctx ~want =
     | None -> scanned := budget
     | Some page ->
       incr scanned;
-      if pinned page then Page_queues.activate queues page
+      if not (Vm_page.may_free page) then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
         Phys_mem.set_referenced kctx.Kctx.mem page.frame false;
         Page_queues.activate queues page (* second chance *)
@@ -65,7 +61,7 @@ let reclaim_inactive kctx ~want =
       | Some page ->
         incr scanned;
         Counters.incr kctx.Kctx.stats s_pageout_scanned;
-        if pinned page then Page_queues.activate queues page
+        if not (Vm_page.may_free page) then Page_queues.activate queues page
         else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
           (* Used while inactive: reactivate. *)
           Counters.incr kctx.Kctx.stats s_reactivations;
@@ -88,13 +84,13 @@ let reclaim_inactive kctx ~want =
             | Pager _ -> ());
             (* Binding sends pager_create, which can sleep: recheck. *)
             match (page.p_obj.pager, Vm_page.lookup page.p_obj ~offset:page.p_offset) with
-            | Pager _, Some p when p == page && not (pinned page) ->
+            | Pager _, Some p when p == page && Vm_page.may_free page ->
               (* A run grows backward, then forward, over neighbours
                  on any queue that pageout could take on their own:
                  idle, unreferenced and dirty. *)
               let run =
                 Pager_client.run_from kctx page ~back:true ~eligible:(fun q ->
-                    (not (pinned q))
+                    Vm_page.may_free q
                     && (not (Phys_mem.referenced kctx.Kctx.mem q.frame))
                     &&
                     (Vm_page.harvest_bits kctx q;

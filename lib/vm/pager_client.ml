@@ -117,7 +117,6 @@ let pager_died kctx obj =
     Counters.incr stats s_pager_deaths;
     Log.warn (fun m -> m "pager died for object %d" obj.obj_id);
     let anonymous = p.is_default || obj.temporary in
-    let pages = Hashtbl.fold (fun _ pg acc -> pg :: acc) obj.obj_pages [] in
     List.iter
       (fun page ->
         match page.p_state with
@@ -138,7 +137,7 @@ let pager_died kctx obj =
             (* The unlock can never arrive; wake waiters so the fault
                path re-checks against the dead pager. *)
             Mach_sim.Waitq.broadcast page.busy_wait)
-      pages;
+      (Vm_page.pages_between obj ~lo:0 ~hi:max_int);
     (* Outstanding data_writes will never be released: run the §6.2.2
        rescue immediately instead of waiting out the timer. *)
     let doomed =
@@ -403,9 +402,6 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
       fill page.frame;
       page.page_lock <- lock_value;
       Counters.incr stats s_pageins;
-      (* The waiting faulters hold the page until they have run. *)
-      page.grant_hold <- page.grant_hold + page.awaited;
-      page.awaited <- 0;
       Vm_page.resolve kctx page
     | Some page ->
       (* Data for a page the kernel already has: the bytes are stale
@@ -442,11 +438,6 @@ let data_unavailable kctx obj ~offset ~size =
     | Some _ | None -> ()
   done
 
-(* [obj]'s resident pages in [lo, hi), offset order. *)
-let pages_between obj ~lo ~hi =
-  Hashtbl.fold (fun off p acc -> if off >= lo && off < hi then p :: acc else acc) obj.obj_pages []
-  |> List.sort (fun a b -> compare a.p_offset b.p_offset)
-
 (* What is left of an offset-sorted page list past a shipped run. *)
 let past run pages =
   let last = (List.nth run (List.length run - 1)).p_offset in
@@ -460,12 +451,11 @@ let flush_range kctx obj ~offset ~length ~keep =
   let hi = offset + length in
   let dispose = if keep then Dispose_keep else Dispose_free in
   (* A run grows forward from its seed over dirty pages below [hi] that
-     no one else is using. A held page ends it: the walk then comes to
+     the manager may take. A pinned page ends it: the walk then comes to
      that page and waits on it. *)
   let eligible q =
     q.p_offset < hi
-    && (not (busy q))
-    && q.grant_hold = 0
+    && Vm_page.may_revoke q
     &&
     (Vm_page.harvest_bits kctx q;
      q.dirty)
@@ -477,13 +467,13 @@ let flush_range kctx obj ~offset ~length ~keep =
      busy nor gone. *)
   let rec walk = function
     | [] -> ()
-    | page :: rest when busy page || not (resident obj page) -> walk rest
-    | page :: rest when page.grant_hold > 0 ->
-      (* A faulter was just handed this page's data or validated a
-         translation for it, and has not yet retried its access. Let it
-         commit before revoking — flushing inside that window starves
-         write-shared hot pages (each kernel's grant revoked before
-         use, forever). The hold is released with a broadcast. *)
+    | page :: rest when busy page || page.wire_count > 0 || not (resident obj page) -> walk rest
+    | page :: rest when not (Vm_page.may_revoke page) ->
+      (* Pinned: a faulter still has to use this page's data or the
+         translation it just validated. Let it commit before revoking —
+         flushing inside that window starves write-shared hot pages (each
+         kernel's grant revoked before use, forever). The last unpin
+         broadcasts. *)
       Mach_sim.Waitq.wait page.busy_wait;
       walk (page :: rest)
     | page :: rest ->
@@ -502,7 +492,7 @@ let flush_range kctx obj ~offset ~length ~keep =
         walk rest
       end
   in
-  walk (pages_between obj ~lo:(offset land lnot (ps - 1)) ~hi);
+  walk (Vm_page.pages_between obj ~lo:(offset land lnot (ps - 1)) ~hi);
   let p = get_pager obj in
   send kctx
     (Pager_iface.encode_k2m ~reply:p.request_port
@@ -522,12 +512,10 @@ let handle_manager_message kctx (msg : Message.t) =
         fill_provided kctx obj ~offset ~data ~lock_value
       | Pager_iface.Data_unavailable { offset; size } -> data_unavailable kctx obj ~offset ~size
       | Pager_iface.Data_lock { offset; length; lock_value } ->
-        let ps = kctx.Kctx.page_size in
-        let lo = offset land lnot (ps - 1) in
-        let hi = offset + length in
-        Hashtbl.iter
-          (fun off page -> if off >= lo && off < hi then apply_lock kctx page lock_value)
-          obj.obj_pages
+        let lo = offset land lnot (kctx.Kctx.page_size - 1) in
+        List.iter
+          (fun page -> apply_lock kctx page lock_value)
+          (Vm_page.pages_between obj ~lo ~hi:(offset + length))
       | Pager_iface.Flush_request { offset; length } ->
         flush_range kctx obj ~offset ~length ~keep:false
       | Pager_iface.Clean_request { offset; length } ->
@@ -537,13 +525,12 @@ let handle_manager_message kctx (msg : Message.t) =
 
 (* --- termination -------------------------------------------------------- *)
 
-(* Free every resident page, waiting out busy ones. *)
+(* Free every resident page, waiting out busy and pinned ones. *)
 let destroy_pages kctx obj =
   let rec drain () =
-    let pages = Hashtbl.fold (fun _ p acc -> p :: acc) obj.obj_pages [] in
-    match pages with
+    match Vm_page.pages_between obj ~lo:0 ~hi:max_int with
     | [] -> ()
-    | _ ->
+    | pages ->
       List.iter
         (fun p ->
           (* Speculative cluster placeholders have no waiters and no
@@ -551,9 +538,14 @@ let destroy_pages kctx obj =
              stalling teardown until the reclaim timer. *)
           if p.p_state = Speculative then Vm_page.release_placeholder kctx p
           else begin
-            Vm_page.wait_unbusy p;
-            (* The page may have been freed or renamed while we waited. *)
-            if resident obj p then Vm_page.free kctx p
+            Vm_page.wait_unpinned p;
+            (* The page may have been freed or renamed while we waited.
+               Its wirings went with the map entries that held the
+               object. *)
+            if resident obj p then begin
+              p.wire_count <- 0;
+              Vm_page.free kctx p
+            end
           end)
         pages;
       drain ()
@@ -593,7 +585,7 @@ let terminate kctx obj =
           walk (past run rest)
         | _ :: rest -> walk rest
       in
-      walk (pages_between obj ~lo:0 ~hi:max_int)
+      walk (Vm_page.pages_between obj ~lo:0 ~hi:max_int)
     | Pager _ | No_pager -> ());
     destroy_pages kctx obj;
     match obj.pager with

@@ -125,11 +125,9 @@ let collapse_once kctx obj =
   | Some { back_obj = b; back_offset = delta } when
       b.ref_count = 1 && b.temporary && b.obj_alive
       && (match b.pager with No_pager -> true | Pager _ -> false) ->
-    let pages = Hashtbl.fold (fun _ p acc -> p :: acc) b.obj_pages [] in
     List.iter
       (fun (page : page) ->
-        if busy page then ()
-        else begin
+        if Vm_page.may_move page then begin
           let up_offset = page.p_offset - delta in
           if
             up_offset >= 0
@@ -143,7 +141,7 @@ let collapse_once kctx obj =
                out of view): the copy below is unreachable and can go. *)
             Vm_page.free kctx page
         end)
-      pages;
+      (Vm_page.pages_between b ~lo:0 ~hi:max_int);
     if Hashtbl.length b.obj_pages = 0 then begin
       (* Splice: obj inherits b's backing (and its reference). *)
       obj.backing <-
@@ -158,7 +156,7 @@ let collapse_once kctx obj =
       Counters.incr kctx.Kctx.stats s_collapses;
       true
     end
-    else false (* busy pages remain; try again another time *)
+    else false (* busy, wired or pinned pages remain; try again another time *)
   | Some _ | None -> false
 
 let collapse kctx obj =

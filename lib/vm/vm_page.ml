@@ -23,8 +23,7 @@ let insert kctx obj ~offset ~frame ~state =
       q_state = Q_none;
       q_node = None;
       mappings = [];
-      grant_hold = 0;
-      awaited = 0;
+      pins = 0;
     }
   in
   Hashtbl.replace obj.obj_pages offset page;
@@ -32,8 +31,23 @@ let insert kctx obj ~offset ~frame ~state =
 
 let lookup obj ~offset = Hashtbl.find_opt obj.obj_pages offset
 
-let wait_unbusy page =
-  while busy page do
+let pages_between obj ~lo ~hi =
+  Hashtbl.fold (fun off p acc -> if off >= lo && off < hi then p :: acc else acc) obj.obj_pages []
+  |> List.sort (fun a b -> compare a.p_offset b.p_offset)
+
+let pin page = page.pins <- page.pins + 1
+
+let unpin page =
+  assert (page.pins > 0);
+  page.pins <- page.pins - 1;
+  if page.pins = 0 then Waitq.broadcast page.busy_wait
+
+let may_free page = (not (busy page)) && page.wire_count = 0 && page.pins = 0
+let may_revoke = may_free
+let may_move page = page.p_state = Resident && page.wire_count = 0 && page.pins = 0
+
+let wait_unpinned page =
+  while busy page || page.pins > 0 do
     Waitq.wait page.busy_wait
   done
 
@@ -99,7 +113,7 @@ let remove_mapping kctx page pmap ~vpn =
    charges, so a fault running while we sleep never sees a half-freed
    page in the tables. *)
 let free kctx page =
-  assert (not (busy page));
+  assert (may_free page);
   Page_queues.remove kctx.Kctx.queues page;
   Hashtbl.remove page.p_obj.obj_pages page.p_offset;
   (* Anyone waiting on this page (e.g. for a manager unlock) must wake

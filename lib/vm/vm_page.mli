@@ -21,8 +21,38 @@ val insert :
 val lookup : obj -> offset:int -> page option
 (** The §5.3 virtual-to-physical lookup for one object. *)
 
-val wait_unbusy : page -> unit
-(** Block until the page is not busy (data arrived / pageout done). *)
+val pages_between : obj -> lo:int -> hi:int -> page list
+(** [obj]'s resident pages at offsets in \[[lo], [hi]), in offset order.
+    A walk that can block or free goes through this, so the page
+    table's hash order never decides what the simulation does. *)
+
+(** {2 Pins} A faulter pins a page for as long as it must still use it:
+    while it waits for the page's [Demanded] data, whatever the manager
+    answers, and while it validates a translation. The three predicates
+    below are the only readers that decide whether a page may be taken;
+    each names the question its consumer asks. *)
+
+val pin : page -> unit
+(** Add one faulter pin. *)
+
+val unpin : page -> unit
+(** Drop one faulter pin; the last one out wakes [busy_wait]. *)
+
+val may_free : page -> bool
+(** The page may leave memory now: it is not busy, not wired and not
+    pinned. Pageout takes only such pages, and {!free} asserts it. *)
+
+val may_revoke : page -> bool
+(** A manager's flush or clean may take the page's data now: exactly
+    when the kernel could free it. A flush skips busy and wired pages
+    and waits for a pinned one to be unpinned. *)
+
+val may_move : page -> bool
+(** The page may move to another object (copy-on-write steal, chain
+    collapse): it is [Resident], not wired and not pinned. *)
+
+val wait_unpinned : page -> unit
+(** Block until the page is neither busy nor pinned. *)
 
 (** {2 Transitions} The only writers of [p_state]: each asserts its
     source state and wakes [busy_wait] on leaving a busy state. *)
@@ -63,7 +93,7 @@ val harvest_bits : Kctx.t -> page -> unit
 
 val free : Kctx.t -> page -> unit
 (** Remove from its object, the queues and all pmaps; release the frame.
-    The page must not be busy. *)
+    Asserts {!may_free}. *)
 
 val release_placeholder : Kctx.t -> page -> unit
 (** Reclaim a [Speculative] placeholder whose data never arrived;

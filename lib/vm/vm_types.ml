@@ -95,7 +95,7 @@ and page = {
   mutable frame : int;  (** physical frame holding the data *)
   mutable p_obj : obj;
   mutable p_offset : int;  (** page-aligned offset within p_obj *)
-  mutable wire_count : int;
+  mutable wire_count : int;  (** [vm_wire]s: the page stays resident and in place *)
   mutable p_state : page_state;
   busy_wait : Waitq.t;
   mutable page_lock : Mach_hw.Prot.t;  (** accesses forbidden by the manager *)
@@ -104,21 +104,17 @@ and page = {
   mutable q_state : queue_state;
   mutable q_node : page Mach_util.Dlist.node option;
   mutable mappings : (Mach_hw.Pmap.t * int) list;  (** (pmap, vpn) validations *)
-  mutable grant_hold : int;
-      (** faulters that were just handed this page's data or just
-          validated a translation, and have not yet retried the access.
-          A manager flush waits for the holds to drain, so a freshly
-          granted page is used at least once before it is surrendered —
-          otherwise two kernels write-sharing a hot page can revoke each
-          other's grants forever (the Li & Hudak ping-pong livelock). *)
-  mutable awaited : int;
-      (** faulters waiting for this [Demanded] page's data;
-          [pager_data_provided] turns each into a [grant_hold] that the
-          faulter drops when it wakes *)
+  mutable pins : int;
+      (** faulters that must use the page before anyone takes it: each
+          waiting for its [Demanded] data, or validating a translation,
+          until it retries the access. Written only by {!Vm_page.pin}
+          and {!Vm_page.unpin}; read through [Vm_page.may_free],
+          [may_revoke] and [may_move]. *)
 }
 
 (** Data in transit, in ([Demanded], [Speculative]) or out ([Cleaning]):
-    faulters wait on [busy_wait], and pageout and collapse skip the page. *)
+    faulters wait on [busy_wait], and no one frees, revokes or moves
+    the page (see {!Vm_page.may_free}). *)
 let busy page =
   match page.p_state with
   | Demanded | Speculative | Cleaning -> true

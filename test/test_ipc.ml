@@ -227,6 +227,40 @@ let test_send_timeout_on_full_queue () =
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected timeout")
 
+let test_port_set_backlog_syscall () =
+  (* Table 3-2's port_set_backlog, called by a task: with a backlog of
+     [n] the (n+1)th queued send times out, and once the backlog is
+     raised by one the same send goes through. *)
+  let sys = Mach.Kernel.create_system () in
+  let result = ref None in
+  Engine.spawn sys.Mach.Kernel.engine ~name:"setup" (fun () ->
+      let task = Mach.Task.create sys.Mach.Kernel.kernel ~name:"app" () in
+      ignore
+        (Mach.Thread.spawn task ~name:"app.main" (fun () ->
+             let n = 3 in
+             let name = Mach.Syscalls.port_allocate task ~backlog:n () in
+             let port = Option.get (Mach.Syscalls.port_lookup task name) in
+             let send () =
+               Mach.Syscalls.msg_send task ~timeout:50.0 (Message.make ~dest:port [ data "x" ])
+             in
+             let queued = List.init n (fun _ -> send ()) in
+             let over = send () in
+             Mach.Syscalls.port_set_backlog task name (n + 1);
+             result := Some (queued, over, send ()))));
+  Engine.run sys.Mach.Kernel.engine;
+  match !result with
+  | None -> Alcotest.fail "sender blocked forever"
+  | Some (queued, over, raised) ->
+    List.iter
+      (function Ok () -> () | Error _ -> Alcotest.fail "a send within the backlog failed")
+      queued;
+    (match over with
+    | Error Transport.Send_timed_out -> ()
+    | Ok () | Error _ -> Alcotest.fail "the send past the backlog should time out");
+    match raised with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "the send after raising the backlog failed"
+
 let test_receive_timeout () =
   let eng, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
@@ -624,6 +658,7 @@ let () =
           Alcotest.test_case "send/receive roundtrip" `Quick test_send_receive_roundtrip;
           Alcotest.test_case "send to dead port" `Quick test_send_to_dead_port;
           Alcotest.test_case "send timeout on full queue" `Quick test_send_timeout_on_full_queue;
+          Alcotest.test_case "port_set_backlog syscall" `Quick test_port_set_backlog_syscall;
           Alcotest.test_case "receive timeout" `Quick test_receive_timeout;
           Alcotest.test_case "receive needs receive right" `Quick test_receive_requires_receive_right;
           Alcotest.test_case "receive-any from enabled set" `Quick test_receive_any_from_enabled_set;

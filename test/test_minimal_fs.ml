@@ -118,7 +118,7 @@ let test_private_mapping_after_shadow_pageout () =
       let p = Option.get (Mach_vm.Vm_page.lookup shadow ~offset:off) in
       Mach_vm.Pager_client.bind_to_default_pager kctx shadow;
       Mach_vm.Pager_client.write_run kctx [ p ] ~dispose:Vm_types.Dispose_free;
-      Mach_vm.Vm_page.wait_unbusy p;
+      Mach_vm.Vm_page.wait_unpinned p;
       check Alcotest.string "never-read page from the file" "M"
         (read_mem env (addr + (12 * page)) 1);
       check Alcotest.string "paged page from the default pager" "x" (read_mem env addr 1))

@@ -444,14 +444,13 @@ let test_clean_request_waits_on_held_neighbour () =
       let rt, memory_object, req_port, writes = recording_manager kernel in
       let _, obj = map_touched task kernel.Ktypes.k_kctx memory_object ~npages:4 ~clean:[] in
       let held = page_at obj 1 in
-      held.Vm_types.grant_hold <- 1;
+      Vm_page.pin held;
       Rt.clean_request rt ~request:(Ivar.read req_port) ~offset:0 ~length:(4 * page);
       Engine.sleep 100_000.0;
       check runs "page 0 alone" [ (0, 1) ] (writes ());
       Alcotest.(check bool) "held page not laundered" false
         (held.Vm_types.p_state = Vm_types.Cleaning);
-      held.Vm_types.grant_hold <- 0;
-      Waitq.broadcast held.Vm_types.busy_wait;
+      Vm_page.unpin held;
       Engine.sleep 100_000.0;
       check runs "pages 1-3 once the hold drains" [ (0, 1); (1, 3) ] (writes ()))
 
@@ -493,7 +492,7 @@ let reclaim ?(passes = 1) ?(laundry_full = false) specs ~deficit =
       (fun i s ->
         let p = insert i in
         p.Vm_types.dirty <- s.dirty;
-        p.Vm_types.grant_hold <- (if s.held then 1 else 0);
+        if s.held then Vm_page.pin p;
         Phys_mem.set_referenced mem p.Vm_types.frame s.referenced;
         Page_queues.deactivate kctx.Kctx.queues p;
         p)

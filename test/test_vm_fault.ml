@@ -340,6 +340,53 @@ let test_flush_behind_provide_waits_for_faulter () =
       | Error e -> Alcotest.failf "fault did not complete: %a" Access.pp_error e);
       check Alcotest.int "one data request" 1 (Rt.stats rt).Rt.Stats.s_requests)
 
+(* Take free frames out of the allocator until [free] are left. No
+   page holds them, so the pageout daemon cannot win them back. *)
+let leave_free sys free =
+  let mem = (Kernel.kctx sys.Kernel.kernel).Kctx.mem in
+  while Phys_mem.free_frames mem > free do
+    ignore (Phys_mem.alloc mem)
+  done
+
+let test_unavailable_page_survives_pageout () =
+  (* The manager answers data_unavailable, and a pageout pass under
+     memory pressure runs before the woken faulter does. The zero-filled
+     page is clean and unreferenced, so only the faulter's pin keeps
+     pageout from freeing it; freed, the faulter would ask again. The
+     reply and the pass run back to back in one thread, as the kernel's
+     pager-service thread and the daemon can between two dispatches. *)
+  with_system (fun sys task ->
+      let kctx = Kernel.kctx sys.Kernel.kernel in
+      let asked = Ivar.create () in
+      let policy =
+        {
+          Rt.default_policy with
+          Rt.p_reshape = one_page;
+          Rt.p_read =
+            (fun _ _ ~request ~page:_ ~npages:_ ~desired_access:_ ->
+              ignore (Ivar.try_fill asked request);
+              Rt.Defer);
+        }
+      in
+      let rt, memory_object = serve_object sys.Kernel.kernel ~name:"sparse-mgr" policy in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
+      in
+      ignore
+        (Thread.spawn task ~name:"unavailable.driver" (fun () ->
+             let request = Ivar.read asked in
+             leave_free sys (Kctx.free_low_watermark kctx);
+             Mach_vm.Pager_client.handle_manager_message kctx
+               (Pager_iface.encode_m2k
+                  (Pager_iface.Data_unavailable { offset = 0; size = page })
+                  ~request);
+             ignore (Pageout.run_once kctx)));
+      let read = Syscalls.read_bytes task ~addr ~len:4 ~policy:(Fault.Abort_after 100_000.0) () in
+      check Alcotest.int "one data request" 1 (Rt.stats rt).Rt.Stats.s_requests;
+      match read with
+      | Ok b -> check Alcotest.string "zero filled" (String.make 4 '\000') (Bytes.to_string b)
+      | Error e -> Alcotest.failf "fault did not complete: %a" Access.pp_error e)
+
 let test_mapping_at_object_offset () =
   (* Table 3-4: the mapped region corresponds to a given offset within
      the memory object; requests arriving at the manager carry object
@@ -573,14 +620,6 @@ let test_bad_address_surfaces () =
       | Ok _ -> Alcotest.fail "unmapped read must fail"
       | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e)
 
-(* Take free frames out of the allocator until [free] are left. No
-   page holds them, so the pageout daemon cannot win them back. *)
-let leave_free sys free =
-  let mem = (Kernel.kctx sys.Kernel.kernel).Kctx.mem in
-  while Phys_mem.free_frames mem > free do
-    ignore (Phys_mem.alloc mem)
-  done
-
 let test_cluster_between_watermarks () =
   (* Memory sits below the free target (the pageout daemon's high
      watermark) but above the low watermark: a paging workload's steady
@@ -667,6 +706,8 @@ let () =
             test_manager_flush_drops_clean_pages;
           Alcotest.test_case "flush behind data_provided waits for the faulter" `Quick
             test_flush_behind_provide_waits_for_faulter;
+          Alcotest.test_case "unavailable page stays pinned" `Quick
+            test_unavailable_page_survives_pageout;
           Alcotest.test_case "mapping at object offset" `Quick test_mapping_at_object_offset;
           Alcotest.test_case "multiple mappings share pages" `Quick
             test_two_mappings_same_object_share_pages;

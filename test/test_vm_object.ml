@@ -153,12 +153,12 @@ let test_collapse_keeps_pager_copy () =
       p.Vm_types.dirty <- true;
       Pager_client.bind_to_default_pager kctx s;
       Pager_client.write_run kctx [ p ] ~dispose:Vm_types.Dispose_free;
-      Vm_page.wait_unbusy p;
+      Vm_page.wait_unpinned p;
       Vm_object.collapse kctx s;
       let q =
         Pager_client.request_cluster kctx s ~offset:0 ~desired_access:Mach_hw.Prot.read ~window:1
       in
-      Vm_page.wait_unbusy q;
+      Vm_page.wait_unpinned q;
       seen := Some (frame_tag kctx q));
   Engine.run sys.Mach.Kernel.engine;
   check Alcotest.(option char) "the shadow's paged-out copy wins" (Some 'n') !seen
