@@ -10,7 +10,7 @@
     passes and the pages they look at. Each laundering seed grows into
     a run of adjacent same-object dirty pages shipped in one
     [pager_data_write], kept resident busy-cleaning until the manager's
-    release. Wired, busy and faulter-held pages are never taken.
+    release. It takes only pages that {!Vm_page.may_free}.
     Anonymous memory being paged out for the first time is handed to
     the default pager with [pager_create]. *)
 

@@ -211,14 +211,3 @@ and terminate kctx obj =
   | None -> ()
 
 let resident_count obj = Hashtbl.length obj.obj_pages
-
-let pp fmt obj =
-  let pager =
-    match obj.pager with
-    | No_pager -> "anon"
-    | Pager p -> if p.is_default then "default" else "external"
-  in
-  Format.fprintf fmt "obj#%d{%s size=%d resident=%d refs=%d%s%s}" obj.obj_id pager obj.obj_size
-    (resident_count obj) obj.ref_count
-    (if obj.backing = None then "" else " shadow")
-    (if obj.obj_alive then "" else " dead")

@@ -73,4 +73,3 @@ val collapse : Kctx.t -> obj -> unit
     no-op when [kctx.enable_collapse] is false. *)
 
 val resident_count : obj -> int
-val pp : Format.formatter -> obj -> unit

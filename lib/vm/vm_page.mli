@@ -22,34 +22,28 @@ val lookup : obj -> offset:int -> page option
 (** The §5.3 virtual-to-physical lookup for one object. *)
 
 val pages_between : obj -> lo:int -> hi:int -> page list
-(** [obj]'s resident pages at offsets in \[[lo], [hi]), in offset order.
-    A walk that can block or free goes through this, so the page
-    table's hash order never decides what the simulation does. *)
+(** [obj]'s resident pages in \[[lo], [hi]), in offset order: walks that
+    block or free use it, so hash order never reaches the simulation. *)
 
-(** {2 Pins} A faulter pins a page for as long as it must still use it:
-    while it waits for the page's [Demanded] data, whatever the manager
-    answers, and while it validates a translation. The three predicates
-    below are the only readers that decide whether a page may be taken;
-    each names the question its consumer asks. *)
+(** {2 Pins} A faulter pins a page while it waits for the page's
+    [Demanded] data, whatever the manager answers, and while it
+    validates a translation. Whether a page may be taken is asked only
+    through the three predicates, each named for its consumer's question. *)
 
 val pin : page -> unit
-(** Add one faulter pin. *)
-
 val unpin : page -> unit
-(** Drop one faulter pin; the last one out wakes [busy_wait]. *)
+(** The last [unpin] wakes [busy_wait]. *)
 
 val may_free : page -> bool
-(** The page may leave memory now: it is not busy, not wired and not
-    pinned. Pageout takes only such pages, and {!free} asserts it. *)
+(** Not busy, wired or pinned: pageout may take it, and {!free} asserts it. *)
 
 val may_revoke : page -> bool
-(** A manager's flush or clean may take the page's data now: exactly
-    when the kernel could free it. A flush skips busy and wired pages
-    and waits for a pinned one to be unpinned. *)
+(** A manager's flush or clean may take the data: exactly when the
+    kernel could free the page. *)
 
 val may_move : page -> bool
-(** The page may move to another object (copy-on-write steal, chain
-    collapse): it is [Resident], not wired and not pinned. *)
+(** [Resident], not wired and not pinned: a COW steal or a chain
+    collapse may rename it. *)
 
 val wait_unpinned : page -> unit
 (** Block until the page is neither busy nor pinned. *)

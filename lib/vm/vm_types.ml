@@ -105,11 +105,8 @@ and page = {
   mutable q_node : page Mach_util.Dlist.node option;
   mutable mappings : (Mach_hw.Pmap.t * int) list;  (** (pmap, vpn) validations *)
   mutable pins : int;
-      (** faulters that must use the page before anyone takes it: each
-          waiting for its [Demanded] data, or validating a translation,
-          until it retries the access. Written only by {!Vm_page.pin}
-          and {!Vm_page.unpin}; read through [Vm_page.may_free],
-          [may_revoke] and [may_move]. *)
+      (** faulters still to use the page: waiting for its data, or
+          validating a translation. Only {!Vm_page.pin}/[unpin] write it. *)
 }
 
 (** Data in transit, in ([Demanded], [Speculative]) or out ([Cleaning]):

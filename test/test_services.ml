@@ -63,6 +63,55 @@ let test_wire_faults_pages_in () =
       | Ok b -> check Alcotest.string "zeroed" "\000\000\000\000" (Bytes.to_string b)
       | Error e -> Alcotest.failf "read: %a" Access.pp_error e)
 
+let test_deallocate_wired_region () =
+  (* Wirings belong to the map entries that made them: deallocating a
+     wired region terminates its object and frees the wired pages. *)
+  with_system (fun sys task ->
+      let addr = Syscalls.vm_allocate task ~size:(2 * page) ~anywhere:true () in
+      (match Syscalls.vm_wire task ~addr ~size:(2 * page) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let freed () = Counters.get (Kernel.stats sys.Kernel.kernel) Vm_types.s_pages_freed in
+      let before = freed () in
+      Syscalls.vm_deallocate task ~addr ~size:(2 * page);
+      check Alcotest.int "both wired pages freed" 2 (freed () - before))
+
+let test_flush_keeps_wired_pages () =
+  (* A manager's flush takes back only what the kernel may free: a wired
+     page stays resident and readable without another data request. *)
+  with_system (fun sys task ->
+      let policy =
+        {
+          Pager_runtime.default_policy with
+          Pager_runtime.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
+          Pager_runtime.p_read =
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ ->
+              Pager_runtime.Data (Bytes.make page 'W'));
+        }
+      in
+      let rt, srv = Mos.serve (Task.create sys.Kernel.kernel ~name:"mgr" ()) policy in
+      let memory_object = Mos.create_memory_object srv () in
+      ignore (Pager_runtime.register rt ~memory_object ());
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
+      in
+      (match Syscalls.vm_wire task ~addr ~size:page with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let obj = Option.get (Vm_object.find_by_port (Kernel.kctx sys.Kernel.kernel) memory_object) in
+      let request =
+        match obj.Vm_types.pager with
+        | Vm_types.Pager p -> Option.get p.Vm_types.request_port
+        | Vm_types.No_pager -> Alcotest.fail "expected a pager"
+      in
+      Pager_runtime.flush_request rt ~request ~offset:0 ~length:page;
+      Engine.sleep 10_000.0;
+      check Alcotest.int "wired page still resident" 1 (Vm_object.resident_count obj);
+      (match Syscalls.read_bytes task ~addr ~len:1 () with
+      | Ok b -> check Alcotest.string "data kept" "W" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      check Alcotest.int "one data request" 1 (Pager_runtime.stats rt).Pager_runtime.Stats.s_requests)
+
 (* ---- name server ----------------------------------------------------------- *)
 
 let test_name_server_check_in_look_up () =
@@ -337,6 +386,8 @@ let () =
           Alcotest.test_case "wired pages survive pressure" `Quick
             test_wired_pages_survive_pressure;
           Alcotest.test_case "wire faults pages in" `Quick test_wire_faults_pages_in;
+          Alcotest.test_case "deallocate wired region" `Quick test_deallocate_wired_region;
+          Alcotest.test_case "flush keeps wired pages" `Quick test_flush_keeps_wired_pages;
         ] );
       ( "name-server",
         [

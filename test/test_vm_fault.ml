@@ -348,7 +348,7 @@ let leave_free sys free =
     ignore (Phys_mem.alloc mem)
   done
 
-let test_unavailable_page_survives_pageout () =
+let test_unavailable_page_stays_pinned () =
   (* The manager answers data_unavailable, and a pageout pass under
      memory pressure runs before the woken faulter does. The zero-filled
      page is clean and unreferenced, so only the faulter's pin keeps
@@ -707,7 +707,7 @@ let () =
           Alcotest.test_case "flush behind data_provided waits for the faulter" `Quick
             test_flush_behind_provide_waits_for_faulter;
           Alcotest.test_case "unavailable page stays pinned" `Quick
-            test_unavailable_page_survives_pageout;
+            test_unavailable_page_stays_pinned;
           Alcotest.test_case "mapping at object offset" `Quick test_mapping_at_object_offset;
           Alcotest.test_case "multiple mappings share pages" `Quick
             test_two_mappings_same_object_share_pages;
