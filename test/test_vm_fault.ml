@@ -373,7 +373,7 @@ let test_unavailable_page_stays_pinned () =
         Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
       in
       ignore
-        (Thread.spawn task ~name:"unavailable.driver" (fun () ->
+        (Thread.spawn task ~name:"sparse-mgr.reply" (fun () ->
              let request = Ivar.read asked in
              leave_free sys (Kctx.free_low_watermark kctx);
              Mach_vm.Pager_client.handle_manager_message kctx
