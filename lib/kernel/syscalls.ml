@@ -149,18 +149,16 @@ let vm_regions t =
   enter t;
   Vm_map.regions t.t_map
 
-(* Walk the range page by page: fault each page in, then adjust its
-   wire count through the map lookup (the resident page is reachable by
-   the same path the fault handler used). *)
-let adjust_wiring t ~addr ~size delta =
-  let kctx = t.t_kernel.k_kctx in
-  let ps = kctx.Kctx.page_size in
-  let lo = addr land lnot (ps - 1) in
-  let hi = addr + size in
+(* Walk the range page by page: fault each page in, then wire the
+   resident page the map resolves it to (the page the fault handler
+   used). *)
+let vm_wire t ~addr ~size =
+  enter t;
+  let ps = t.t_kernel.k_kctx.Kctx.page_size in
   let rec go va =
-    if va >= hi then Ok ()
+    if va >= addr + size then Ok ()
     else
-      match Access.touch kctx t.t_map ~addr:va ~write:false () with
+      match Access.touch t.t_kernel.k_kctx t.t_map ~addr:va ~write:false () with
       | Error e -> Error e
       | Ok _ -> (
         match Vm_map.lookup t.t_map ~addr:va ~write:false with
@@ -169,25 +167,15 @@ let adjust_wiring t ~addr ~size delta =
         | Ok lk -> (
           match Mach_vm.Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
           | Mach_vm.Vm_object.Resident (page, _, _) ->
-            page.Mach_vm.Vm_types.wire_count <-
-              max 0 (page.Mach_vm.Vm_types.wire_count + delta);
-            (* Wired pages leave the replacement queues; unwired ones
-               return to the active queue. *)
-            if page.Mach_vm.Vm_types.wire_count > 0 then
-              Page_queues.remove kctx.Kctx.queues page
-            else Page_queues.activate kctx.Kctx.queues page;
+            Vm_map.wire t.t_map ~addr:va page;
             go (va + ps)
           | Paged _ | Nowhere -> go (va + ps)))
   in
-  go lo
-
-let vm_wire t ~addr ~size =
-  enter t;
-  adjust_wiring t ~addr ~size 1
+  go (addr land lnot (ps - 1))
 
 let vm_unwire t ~addr ~size =
   enter t;
-  match adjust_wiring t ~addr ~size (-1) with Ok () | Error _ -> ()
+  Vm_map.unwire t.t_map ~lo:addr ~hi:(addr + size)
 
 type vm_statistics = {
   vs_page_size : int;

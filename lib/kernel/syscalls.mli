@@ -70,6 +70,8 @@ val vm_wire : task -> addr:int -> size:int -> (unit, Mach_vm.Access.error) resul
     this). *)
 
 val vm_unwire : task -> addr:int -> size:int -> unit
+(** Drop one wiring of each page of a range. Deallocating a range, or
+    the task's death, drops all of its wirings. *)
 
 type vm_statistics = {
   vs_page_size : int;

@@ -104,9 +104,6 @@ let handle kctx map ~addr ~write ?policy () =
   let lock_forbids page =
     if write then Prot.can_write page.page_lock else Prot.can_read page.page_lock
   in
-  let note_depth depth =
-    Counters.peak stats s_chain_depth_peak depth
-  in
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
      no 400 µs charge) when nobody else can ever reach it: the walk found
      it [sole] (every other shadow of its owner already holds its own
@@ -205,7 +202,7 @@ let handle kctx map ~addr ~write ?policy () =
         Trace.point tr ~subsystem:"vm" "shadow_walk";
         match Vm_object.walk ~steal:write first_obj ~offset:first_off with
         | Vm_object.Resident (page, depth, sole) -> (
-          note_depth depth;
+          Counters.peak stats s_chain_depth_peak depth;
           match page.p_state with
           | Demanded | Speculative | Cleaning -> slow_busy page tries
           | Failed -> slow_error page tries
@@ -513,7 +510,7 @@ let handle kctx map ~addr ~write ?policy () =
              && not (write && depth > 0) ->
         (* FAST PATH: the lookup that got us here is still valid (no
            yields since), so validate directly from it. *)
-        note_depth depth;
+        Counters.peak stats s_chain_depth_peak depth;
         Counters.incr stats s_fast_faults;
         Counters.incr stats s_hits;
         Page_queues.activate kctx.Kctx.queues page;

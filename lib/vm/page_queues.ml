@@ -21,34 +21,27 @@ let node_of page =
     page.q_node <- Some n;
     n
 
+let queue t = function
+  | Q_active -> t.active
+  | Q_inactive -> t.inactive
+  | Q_dirty -> t.dirty
+  | Q_laundry -> t.laundry
+  | Q_none -> invalid_arg "Page_queues: not a queue"
+
 let remove t page =
-  (match page.q_state with
-  | Q_none -> ()
-  | Q_active -> Dlist.remove t.active (node_of page)
-  | Q_inactive -> Dlist.remove t.inactive (node_of page)
-  | Q_dirty -> Dlist.remove t.dirty (node_of page)
-  | Q_laundry -> Dlist.remove t.laundry (node_of page));
+  if page.q_state <> Q_none then Dlist.remove (queue t page.q_state) (node_of page);
   page.q_state <- Q_none
 
-let activate t page =
+(* Detach from any queue, then join the tail of [state]'s. *)
+let move state t page =
   remove t page;
-  Dlist.push_back t.active (node_of page);
-  page.q_state <- Q_active
+  Dlist.push_back (queue t state) (node_of page);
+  page.q_state <- state
 
-let deactivate t page =
-  remove t page;
-  Dlist.push_back t.inactive (node_of page);
-  page.q_state <- Q_inactive
-
-let set_dirty t page =
-  remove t page;
-  Dlist.push_back t.dirty (node_of page);
-  page.q_state <- Q_dirty
-
-let launder t page =
-  remove t page;
-  Dlist.push_back t.laundry (node_of page);
-  page.q_state <- Q_laundry
+let activate t page = move Q_active t page
+let deactivate t page = move Q_inactive t page
+let set_dirty t page = move Q_dirty t page
+let launder t page = move Q_laundry t page
 
 let oldest_active t = Option.map Dlist.value (Dlist.peek_front t.active)
 let oldest_inactive t = Option.map Dlist.value (Dlist.peek_front t.inactive)

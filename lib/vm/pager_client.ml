@@ -64,8 +64,9 @@ let close kctx (h : holding) =
    timeout. Push the run's contents to the default pager's backing store
    and take the frames back. Cleaning pages lose their frames — waiters
    wake and re-resolve against the manager, which still owes the data it
-   never released. Runs in a timer callback, so nothing here may block:
-   mappings were removed at launder time, making every free charge-less. *)
+   never released; a wired page keeps its frame. Runs in a timer
+   callback, so nothing here may block: mappings were removed at launder
+   time, making every free charge-less. *)
 let rescue kctx (h : holding) =
   let pages = List.filter (resident h.h_obj) h.h_pages in
   Counters.add kctx.Kctx.stats s_pageout_to_default (List.length pages + List.length h.h_frames);
@@ -74,7 +75,8 @@ let rescue kctx (h : holding) =
   List.iter
     (fun page ->
       Vm_page.cleaned page;
-      Vm_page.free kctx page)
+      if Vm_page.may_free page then Vm_page.free kctx page
+      else Page_queues.remove kctx.Kctx.queues page)
     pages;
   h.h_pages <- []
 
@@ -85,13 +87,15 @@ let release_write kctx ~write_id =
     close kctx h;
     (* Partial release: the run's pages are handled one at a time, so
        under continued pressure the head of the run is freed and the
-       tail stays clean-resident once the watermark is met again. *)
+       tail stays clean-resident once the watermark is met again. A
+       wired page always stays, off the replacement queues. *)
     List.iter
       (fun page ->
         if resident h.h_obj page then begin
           page.dirty <- false;
           Vm_page.cleaned page;
           match h.h_dispose with
+          | _ when not (Vm_page.may_free page) -> Page_queues.remove kctx.Kctx.queues page
           | Dispose_free -> Vm_page.free kctx page
           | Dispose_keep ->
             if Kctx.need_pageout kctx then Vm_page.free kctx page
@@ -171,10 +175,11 @@ let ensure_initialized kctx obj =
          (Pager_iface.Init { memory_object = p.memory_object; request; name })
          ~dest:p.memory_object)
 
+let request_port p =
+  match p.request_port with Some r -> r | None -> invalid_arg "Pager_client: not initialized"
+
 let send_data_request kctx p ~offset ~length ~desired_access =
-  let request =
-    match p.request_port with Some r -> r | None -> invalid_arg "data_request: not initialized"
-  in
+  let request = request_port p in
   Counters.incr kctx.Kctx.stats s_data_requests;
   Mach_sim.Trace.point kctx.Kctx.trace ~subsystem:"vm" "data_request";
   send kctx
@@ -359,9 +364,7 @@ let write_run kctx pages ~dispose =
 
 let send_unlock kctx obj ~offset ~length ~desired_access =
   let p = get_pager obj in
-  let request =
-    match p.request_port with Some r -> r | None -> invalid_arg "send_unlock: not initialized"
-  in
+  let request = request_port p in
   Counters.incr kctx.Kctx.stats s_unlock_requests;
   send kctx
     (Pager_iface.encode_k2m ~reply:None
@@ -452,7 +455,9 @@ let flush_range kctx obj ~offset ~length ~keep =
   let dispose = if keep then Dispose_keep else Dispose_free in
   (* A run grows forward from its seed over dirty pages below [hi] that
      the manager may take. A pinned page ends it: the walk then comes to
-     that page and waits on it. *)
+     that page and waits on it. A wired page's data goes back like any
+     other, but its frame stays (the release keeps it), as in Mach's
+     memory_object_lock_request. *)
   let eligible q =
     q.p_offset < hi
     && Vm_page.may_revoke q
@@ -467,7 +472,7 @@ let flush_range kctx obj ~offset ~length ~keep =
      busy nor gone. *)
   let rec walk = function
     | [] -> ()
-    | page :: rest when busy page || page.wire_count > 0 || not (resident obj page) -> walk rest
+    | page :: rest when busy page || not (resident obj page) -> walk rest
     | page :: rest when not (Vm_page.may_revoke page) ->
       (* Pinned: a faulter still has to use this page's data or the
          translation it just validated. Let it commit before revoking —
@@ -485,7 +490,7 @@ let flush_range kctx obj ~offset ~length ~keep =
         walk (past run rest)
       end
       else begin
-        if not keep then begin
+        if (not keep) && Vm_page.may_free page then begin
           Counters.incr kctx.Kctx.stats s_flushes;
           Vm_page.free kctx page
         end;
@@ -542,10 +547,7 @@ let destroy_pages kctx obj =
             (* The page may have been freed or renamed while we waited.
                Its wirings went with the map entries that held the
                object. *)
-            if resident obj p then begin
-              p.wire_count <- 0;
-              Vm_page.free kctx p
-            end
+            if resident obj p then Vm_page.free kctx p
           end)
         pages;
       drain ()

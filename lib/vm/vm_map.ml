@@ -19,6 +19,7 @@ type t = {
   mutable map_entries : entry array; (* sorted by va_start, non-overlapping *)
   mutable map_hint : entry option; (* last entry a lookup resolved to *)
   mutable mref : int; (* sharing-map references *)
+  mutable map_wired : (int * page) list; (* one (vpn, page) per vm_wire *)
 }
 
 and entry = {
@@ -67,13 +68,17 @@ let create kctx ~pmap =
     map_entries = [||];
     map_hint = None;
     mref = 1;
+    map_wired = [];
   }
 
 let pmap t = t.map_pmap
-let kctx t = t.kctx
 let entries t = Array.to_list t.map_entries
 let page_size t = t.kctx.Kctx.page_size
 let size t = Array.fold_left (fun acc e -> acc + (e.va_end - e.va_start)) 0 t.map_entries
+
+(* The whole pages covering [addr, addr + size), as [(lo, hi)]. *)
+let page_range t ~addr ~size =
+  (addr land lnot (page_size t - 1), Kctx.round_page t.kctx (addr + size))
 
 let check_invariants t =
   let ps = page_size t in
@@ -330,37 +335,48 @@ let freeze_chain kctx d ~lo_off ~span =
   if !revoked > 0 then Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us;
   !revoked
 
-(* ---- deallocation ------------------------------------------------------ *)
+(* ---- wiring and deallocation ------------------------------------------- *)
 
-let release_entry t e =
+(* A wiring belongs to the map that made it and names the page it wired,
+   so a later copy-on-write resolving the address elsewhere still
+   unwires the right page. Wired pages leave the replacement queues, and
+   deleting an entry unwires it, as Mach's vm_map_delete does. *)
+let wire t ~addr page =
+  page.wire_count <- page.wire_count + 1;
+  Page_queues.remove t.kctx.Kctx.queues page;
+  t.map_wired <- (addr / page_size t, page) :: t.map_wired
+
+(* Drop the wirings of [lo, hi): one per page, or every one with [all]. *)
+let unwire ?(all = false) t ~lo ~hi =
+  let ps = page_size t and dropped = ref [] in
+  let keep (vpn, page) =
+    let drop = vpn >= lo / ps && vpn * ps < hi && (all || not (List.mem vpn !dropped)) in
+    if drop then begin
+      dropped := vpn :: !dropped;
+      page.wire_count <- page.wire_count - 1;
+      if page.wire_count = 0 && not (busy page) then Page_queues.activate t.kctx.Kctx.queues page
+    end;
+    not drop
+  in
+  t.map_wired <- List.filter keep t.map_wired
+
+let rec release_entry t e =
+  if t.map_wired <> [] then unwire ~all:true t ~lo:e.va_start ~hi:e.va_end;
   drop_hw t e ~lo:e.va_start ~hi:e.va_end;
   match e.backing with
   | Direct d -> Vm_object.deallocate t.kctx d.d_obj
   | Shared s ->
     s.share_map.mref <- s.share_map.mref - 1;
-    if s.share_map.mref = 0 then begin
-      Array.iter
-        (fun se ->
-          match se.backing with
-          | Direct d -> Vm_object.deallocate t.kctx d.d_obj
-          | Shared _ -> assert false)
-        s.share_map.map_entries;
-      set_entries s.share_map [||]
-    end
+    if s.share_map.mref = 0 then destroy s.share_map
 
-let deallocate t ~addr ~size =
-  let ps = page_size t in
-  let lo = addr land lnot (ps - 1) in
-  let hi = (addr + size + ps - 1) land lnot (ps - 1) in
+and deallocate t ~addr ~size =
+  let lo, hi = page_range t ~addr ~size in
   let doomed = entries_in_range t ~lo ~hi in
   set_entries t
     (Array.of_list (List.filter (fun e -> not (List.memq e doomed)) (entries t)));
   List.iter (release_entry t) doomed
 
-let destroy t =
-  let doomed = entries t in
-  set_entries t [||];
-  List.iter (release_entry t) doomed
+and destroy t = deallocate t ~addr:0 ~size:va_limit
 
 (* ---- allocation -------------------------------------------------------- *)
 
@@ -413,9 +429,7 @@ let allocate t ?addr ~size ~anywhere () =
 (* ---- attributes -------------------------------------------------------- *)
 
 let protect t ~addr ~size ~set_max prot =
-  let ps = page_size t in
-  let lo = addr land lnot (ps - 1) in
-  let hi = (addr + size + ps - 1) land lnot (ps - 1) in
+  let lo, hi = page_range t ~addr ~size in
   let es = entries_covering t ~lo ~hi in
   List.iter
     (fun e ->
@@ -431,9 +445,7 @@ let protect t ~addr ~size ~set_max prot =
     es
 
 let set_inheritance t ~addr ~size inh =
-  let ps = page_size t in
-  let lo = addr land lnot (ps - 1) in
-  let hi = (addr + size + ps - 1) land lnot (ps - 1) in
+  let lo, hi = page_range t ~addr ~size in
   let es = entries_covering t ~lo ~hi in
   List.iter (fun e -> e.inheritance <- inh) es
 
@@ -638,10 +650,8 @@ type vm_copy = {
 type Mach_ipc.Message.copy_payload += Vm_copy_handle of vm_copy
 
 let copyin t ~addr ~size =
-  let ps = page_size t in
   let kctx = t.kctx in
-  let lo = addr land lnot (ps - 1) in
-  let hi = (addr + size + ps - 1) land lnot (ps - 1) in
+  let lo, hi = page_range t ~addr ~size in
   let es = entries_covering t ~lo ~hi in
   let pieces = ref [] and revoked = ref 0 in
   List.iter

@@ -53,7 +53,6 @@ val create : Kctx.t -> pmap:Mach_hw.Pmap.t option -> t
 (** An empty map over addresses below [2^40]. *)
 
 val pmap : t -> Mach_hw.Pmap.t option
-val kctx : t -> Kctx.t
 val entries : t -> entry list
 (** Sorted; for inspection and invariant checks. *)
 
@@ -84,6 +83,13 @@ val allocate_with_object :
 (** Map an existing object read-write (maximum protection: all),
     consuming one reference the caller must have taken. Foundation of
     [vm_allocate_with_pager] and of mapped message transfer. *)
+
+val wire : t -> addr:int -> page -> unit
+(** Record one [vm_wire] of the page resident at [addr]: it stays
+    resident and in place until {!unwire} or the entry's deletion. *)
+
+val unwire : ?all:bool -> t -> lo:int -> hi:int -> unit
+(** Drop one wiring of each page in \[[lo], [hi]) ([~all]: every one). *)
 
 val deallocate : t -> addr:int -> size:int -> unit
 (** [vm_deallocate]: unmap the range, releasing object references and

@@ -159,11 +159,8 @@ let collapse_once kctx obj =
     else false (* busy, wired or pinned pages remain; try again another time *)
   | Some _ | None -> false
 
-let collapse kctx obj =
-  if kctx.Kctx.enable_collapse then
-    while collapse_once kctx obj do
-      ()
-    done
+let rec collapse kctx obj =
+  if kctx.Kctx.enable_collapse && collapse_once kctx obj then collapse kctx obj
 
 let rec deallocate kctx obj =
   if obj.ref_count <= 0 then invalid_arg "Vm_object.deallocate: no references";

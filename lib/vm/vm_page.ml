@@ -42,8 +42,8 @@ let unpin page =
   page.pins <- page.pins - 1;
   if page.pins = 0 then Waitq.broadcast page.busy_wait
 
-let may_free page = (not (busy page)) && page.wire_count = 0 && page.pins = 0
-let may_revoke = may_free
+let may_revoke page = (not (busy page)) && page.pins = 0
+let may_free page = may_revoke page && page.wire_count = 0
 let may_move page = page.p_state = Resident && page.wire_count = 0 && page.pins = 0
 
 let wait_unpinned page =

@@ -34,12 +34,13 @@ val pin : page -> unit
 val unpin : page -> unit
 (** The last [unpin] wakes [busy_wait]. *)
 
-val may_free : page -> bool
-(** Not busy, wired or pinned: pageout may take it, and {!free} asserts it. *)
-
 val may_revoke : page -> bool
-(** A manager's flush or clean may take the data: exactly when the
-    kernel could free the page. *)
+(** Neither busy nor pinned: a manager's flush or clean may take the
+    data back. *)
+
+val may_free : page -> bool
+(** {!may_revoke} and not wired: pageout, a flush or a write's release
+    may take the frame too, and {!free} asserts it. *)
 
 val may_move : page -> bool
 (** [Resident], not wired and not pinned: a COW steal or a chain

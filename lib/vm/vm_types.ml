@@ -17,11 +17,6 @@ type port = Mach_ipc.Message.port
 (** Inheritance attribute of an address range (§3.3, [vm_inherit]). *)
 type inheritance = Inherit_share | Inherit_copy | Inherit_none
 
-let inheritance_to_string = function
-  | Inherit_share -> "share"
-  | Inherit_copy -> "copy"
-  | Inherit_none -> "none"
-
 (** What the kernel is doing with a resident page (§5). Each
     transition is one function in {!Vm_page}; the queue a page is on
     follows from its state.
@@ -95,7 +90,7 @@ and page = {
   mutable frame : int;  (** physical frame holding the data *)
   mutable p_obj : obj;
   mutable p_offset : int;  (** page-aligned offset within p_obj *)
-  mutable wire_count : int;  (** [vm_wire]s: the page stays resident and in place *)
+  mutable wire_count : int;  (** wirings maps hold ({!Vm_map.wire}): resident, in place *)
   mutable p_state : page_state;
   busy_wait : Waitq.t;
   mutable page_lock : Mach_hw.Prot.t;  (** accesses forbidden by the manager *)
@@ -119,8 +114,9 @@ let busy page =
 
 (** What to do with a laundered page once the manager releases the
     data: keep it resident and clean (absorbing refaults), or free it
-    (flush semantics — the page must leave the cache). [`Keep] still
-    frees the frame when memory pressure persists at release time. *)
+    (flush semantics — the page must leave the cache). A wired page is
+    kept either way; [Dispose_keep] still frees an unwired page's frame
+    when memory pressure persists at release time. *)
 type dispose = Dispose_keep | Dispose_free
 
 (** A run of adjacent dirty pages shipped to a data manager by one

@@ -112,6 +112,120 @@ let test_flush_keeps_wired_pages () =
       | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
       check Alcotest.int "one data request" 1 (Pager_runtime.stats rt).Pager_runtime.Stats.s_requests)
 
+(* The page [addr] resolves to in [task]'s map. *)
+let resident_page task addr =
+  match Vm_map.lookup (Task.map task) ~addr ~write:false with
+  | Ok lk -> (
+    match Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+    | Vm_object.Resident (p, _, _) -> p
+    | Vm_object.Paged _ | Vm_object.Nowhere -> Alcotest.fail "page not resident")
+  | Error _ -> Alcotest.fail "lookup failed"
+
+let test_clean_and_flush_return_wired_dirty_page () =
+  (* A clean or flush writes a wired page's new bytes back, and the
+     page stays resident for the task that wired it. *)
+  with_system (fun sys task ->
+      let written = ref [] in
+      let policy =
+        {
+          Pager_runtime.default_policy with
+          Pager_runtime.p_reshape = (fun _ _ ~first ~npages:_ -> (first, 1));
+          Pager_runtime.p_read =
+            (fun _ _ ~request:_ ~page:_ ~npages:_ ~desired_access:_ ->
+              Pager_runtime.Data (Bytes.make page 'W'));
+          Pager_runtime.p_write =
+            (fun _ _ ~offset:_ ~data -> written := Bytes.sub_string data 0 1 :: !written);
+        }
+      in
+      let rt, srv = Mos.serve (Task.create sys.Kernel.kernel ~name:"mgr" ()) policy in
+      let memory_object = Mos.create_memory_object srv () in
+      ignore (Pager_runtime.register rt ~memory_object ());
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:page ~anywhere:true ~memory_object ~offset:0 ()
+      in
+      (match Syscalls.vm_wire task ~addr ~size:page with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let obj = Option.get (Vm_object.find_by_port (Kernel.kctx sys.Kernel.kernel) memory_object) in
+      let request =
+        match obj.Vm_types.pager with
+        | Vm_types.Pager p -> Option.get p.Vm_types.request_port
+        | Vm_types.No_pager -> Alcotest.fail "expected a pager"
+      in
+      let store c =
+        match Syscalls.write_bytes task ~addr (Bytes.make 1 c) () with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "write: %a" Access.pp_error e
+      in
+      store 'X';
+      Pager_runtime.clean_request rt ~request ~offset:0 ~length:page;
+      Engine.sleep 10_000.0;
+      check Alcotest.(list string) "clean wrote the new bytes" [ "X" ] !written;
+      store 'Y';
+      Pager_runtime.flush_request rt ~request ~offset:0 ~length:page;
+      Engine.sleep 10_000.0;
+      check Alcotest.(list string) "flush wrote the new bytes" [ "Y"; "X" ] !written;
+      check Alcotest.int "wired page still resident" 1 (Vm_object.resident_count obj);
+      check Alcotest.int "still wired" 1 (resident_page task addr).Vm_types.wire_count;
+      (match Syscalls.read_bytes task ~addr ~len:1 () with
+      | Ok b -> check Alcotest.string "data kept" "Y" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      check Alcotest.int "one data request" 1 (Pager_runtime.stats rt).Pager_runtime.Stats.s_requests)
+
+let test_deallocate_unwires_forked_region () =
+  (* Wire, fork, deallocate: the parent's wirings end with its mapping,
+     so the child's copy-on-write writes can steal the pages and its
+     shadow chain collapses back to one object. *)
+  with_system (fun sys task ->
+      let n = 2 in
+      let addr = Syscalls.vm_allocate task ~size:(n * page) ~anywhere:true () in
+      for i = 0 to n - 1 do
+        ignore (Syscalls.write_bytes task ~addr:(addr + (i * page)) (Bytes.make 1 'p') ())
+      done;
+      (match Syscalls.vm_wire task ~addr ~size:(n * page) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let wired = List.init n (fun i -> resident_page task (addr + (i * page))) in
+      let child = Task.create sys.Kernel.kernel ~parent:task ~name:"child" () in
+      Syscalls.vm_deallocate task ~addr ~size:(n * page);
+      List.iter (fun p -> check Alcotest.int "unwired" 0 p.Vm_types.wire_count) wired;
+      let finished = Ivar.create () in
+      ignore
+        (Thread.spawn child ~name:"child.main" (fun () ->
+             for i = 0 to n - 1 do
+               ignore (Syscalls.write_bytes child ~addr:(addr + (i * page)) (Bytes.make 1 'c') ())
+             done;
+             Ivar.fill finished ()));
+      Ivar.read finished;
+      let depth =
+        List.fold_left
+          (fun acc e ->
+            match e.Vm_map.backing with
+            | Vm_map.Direct d -> max acc (Vm_object.chain_depth d.Vm_map.d_obj)
+            | Vm_map.Shared _ -> acc)
+          0
+          (Vm_map.entries (Task.map child))
+      in
+      check Alcotest.int "child's chain collapsed" 0 depth;
+      Task.terminate child)
+
+let test_unwire_drops_one_wiring () =
+  with_system (fun _sys task ->
+      let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      for _ = 1 to 2 do
+        match Syscalls.vm_wire task ~addr ~size:page with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "wire: %a" Access.pp_error e
+      done;
+      let p = resident_page task addr in
+      check Alcotest.int "wired twice" 2 p.Vm_types.wire_count;
+      Syscalls.vm_unwire task ~addr ~size:page;
+      check Alcotest.int "one unwire" 1 p.Vm_types.wire_count;
+      Syscalls.vm_unwire task ~addr ~size:page;
+      check Alcotest.int "both unwired" 0 p.Vm_types.wire_count;
+      Syscalls.vm_unwire task ~addr ~size:page;
+      check Alcotest.int "unwiring an unwired page is a no-op" 0 p.Vm_types.wire_count)
+
 (* ---- name server ----------------------------------------------------------- *)
 
 let test_name_server_check_in_look_up () =
@@ -388,6 +502,11 @@ let () =
           Alcotest.test_case "wire faults pages in" `Quick test_wire_faults_pages_in;
           Alcotest.test_case "deallocate wired region" `Quick test_deallocate_wired_region;
           Alcotest.test_case "flush keeps wired pages" `Quick test_flush_keeps_wired_pages;
+          Alcotest.test_case "clean and flush return wired dirty page" `Quick
+            test_clean_and_flush_return_wired_dirty_page;
+          Alcotest.test_case "deallocate unwires forked region" `Quick
+            test_deallocate_unwires_forked_region;
+          Alcotest.test_case "unwire drops one wiring" `Quick test_unwire_drops_one_wiring;
         ] );
       ( "name-server",
         [
