@@ -72,15 +72,16 @@ let bwrite t ~block data =
     Hashtbl.replace t.table block buf;
     touch t buf
 
+(* In block order, over a snapshot: each write blocks. *)
 let sync t =
-  Hashtbl.iter
-    (fun block buf ->
-      if buf.dirty then begin
-        buf.dirty <- false;
-        t.writebacks <- t.writebacks + 1;
-        Disk.write t.disk ~block buf.data
-      end)
-    t.table
+  Hashtbl.fold (fun _ buf acc -> if buf.dirty then buf :: acc else acc) t.table []
+  |> List.sort (fun a b -> compare a.block b.block)
+  |> List.iter (fun buf ->
+         if buf.dirty then begin
+           buf.dirty <- false;
+           t.writebacks <- t.writebacks + 1;
+           Disk.write t.disk ~block:buf.block buf.data
+         end)
 
 let hits t = t.hits
 let misses t = t.misses

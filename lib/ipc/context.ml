@@ -333,13 +333,12 @@ let forget_port t ~id = Hashtbl.remove t.ports id
 let live_ports t = Hashtbl.length t.ports
 
 let reset_host_chans t ~host =
-  Hashtbl.iter (fun (src, dst) chan -> if src = host || dst = host then reset_tx t chan)
-    t.txs;
-  let stale =
-    Hashtbl.fold (fun ((src, dst) as key) _ acc ->
-        if src = host || dst = host then key :: acc else acc)
-      t.rxs []
-  in
+  let touches (src, dst) = src = host || dst = host in
+  (* In (src, dst) order, not hash order: [shed] runs drop thunks. *)
+  Hashtbl.fold (fun key chan acc -> if touches key then (key, chan) :: acc else acc) t.txs []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, chan) -> reset_tx t chan);
+  let stale = Hashtbl.fold (fun key _ acc -> if touches key then key :: acc else acc) t.rxs [] in
   List.iter
     (fun key ->
       let c = Hashtbl.find t.rxs key in

@@ -16,11 +16,9 @@ and header = {
   msg_id : int;  (** operation identifier, like Mach's msgh_id *)
   mutable handoff : int option;
       (** set by the transport when the message was handed directly to a
-          blocked receiver: the receive path skips its context-switch
-          charge, and a non-negative value is a scheduler ticket for the
-          donated processor ({!Mach_sim.Sched.claim_handoff}); [-1]
-          marks a handoff with no processor to donate (e.g. a node without
-          a scheduler) *)
+          blocked receiver: the scheduler ticket of the donated processor
+          ({!Mach_sim.Sched.claim_handoff}); the receive path claims it
+          and skips its context-switch charge *)
   mutable trace_span : int;
       (** set by the transport when tracing: the sender's current
           {!Mach_sim.Trace} span id, so receivers can {!Mach_sim.Trace.adopt}

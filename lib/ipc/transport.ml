@@ -1,5 +1,6 @@
 module Engine = Mach_sim.Engine
 module Sched = Mach_sim.Sched
+module Trace = Mach_sim.Trace
 module Mailbox = Mach_sim.Mailbox
 module Waitq = Mach_sim.Waitq
 module Machine = Mach_hw.Machine
@@ -17,7 +18,7 @@ let s_lazy_copyout_faults = ipc_stat "lazy_copyout_faults"
 let s_rpc_fastpath = ipc_stat "rpc_fastpath" (* sends handed directly to a blocked receiver *)
 
 (* Receives completed via handoff: the blocked receiver was woken by a
-   fast-path send that donated a processor to it (ticket [>= 0]), so
+   fast-path send that donated a processor to it, so
    [sched.handoff_claims / handoffs] is the share of donations the
    receivers used. *)
 let s_handoffs = ipc_stat "handoffs"
@@ -28,29 +29,18 @@ type node = {
   node_params : Machine.params;
   node_page_size : int;
   node_stats : Counters.t;
-  mutable node_sched : Sched.t option;
-  mutable node_trace : Mach_sim.Trace.t option;
+  node_sched : Sched.t;
+  node_trace : Trace.t;
 }
 
 (* Stamp an outgoing message with the sender's causal span (unless a
    layer above stamped it already) and mark the send; the receive side
    adopts the id, so one span threads a fault through its pager RPC. *)
 let trace_send node msg ~local =
-  match node.node_trace with
-  | Some tr when Mach_sim.Trace.enabled tr ->
-    let hdr = msg.Message.header in
-    if hdr.Message.trace_span < 0 then hdr.Message.trace_span <- Mach_sim.Trace.current tr;
-    Mach_sim.Trace.point tr
-      ~span:hdr.Message.trace_span ~subsystem:"ipc"
-      (if local then "send" else "send_remote")
-  | Some _ | None -> ()
-
-(* All IPC CPU costs contend for the host's processors when a scheduler
-   is wired up; bare nodes (unit tests) keep the old un-contended
-   behaviour. *)
-let node_compute node us =
-  if us > 0.0 then
-    match node.node_sched with Some s -> Sched.compute s us | None -> Engine.sleep us
+  let hdr = msg.Message.header in
+  if hdr.Message.trace_span < 0 then hdr.Message.trace_span <- Trace.current node.node_trace;
+  Trace.point node.node_trace ~span:hdr.Message.trace_span ~subsystem:"ipc"
+    (if local then "send" else "send_remote")
 
 type send_error = Send_invalid_port | Send_timed_out
 type recv_error = Recv_timed_out | Recv_invalid_port
@@ -87,15 +77,13 @@ let fastpath_ready port msg =
 (* A processor reserved for a handoff that will not happen goes back to
    the run queues at once rather than idling out its window. *)
 let give_back node = function
-  | Some ticket -> (
-    match node.node_sched with Some s -> Sched.cancel_handoff s ~ticket | None -> ())
+  | Some ticket -> Sched.cancel_handoff node.node_sched ~ticket
   | None -> ()
 
 (* [handoff] is the header mark a fast-path delivery carries: the
-   ticket of the processor the send burst reserved for the receiver, or
-   [-1] when there is no scheduler to reserve one. Deliveries without
-   it (remote ones, the ablation arm) leave the receive its switch
-   charge. *)
+   ticket of the processor the send burst reserved for the receiver.
+   Deliveries without it (remote ones, the ablation arm) leave the
+   receive its switch charge. *)
 let enqueue_local node ?timeout ?handoff port msg =
   let stats = node.node_stats in
   let q = Port.queue port in
@@ -138,13 +126,8 @@ let send node ?timeout msg =
        other threads are waiting for the CPU. Remote deliveries never
        donate: the daemon's processor belongs to the destination host. *)
     let ticket =
-      match node.node_sched with
-      | Some s ->
-        Sched.compute_donating s cost ~donate_if:(fun () ->
-            local && node.node_params.Machine.handoff && fastpath_ready dest msg)
-      | None ->
-        node_compute node cost;
-        None
+      Sched.compute_donating node.node_sched cost ~donate_if:(fun () ->
+          local && node.node_params.Machine.handoff && fastpath_ready dest msg)
     in
     let stats = node.node_stats in
     Counters.incr stats s_msgs_sent;
@@ -157,10 +140,7 @@ let send node ?timeout msg =
     end
     else if local then begin
       trace_send node msg ~local:true;
-      let handoff =
-        if node.node_params.Machine.handoff then Some (Option.value ticket ~default:(-1)) else None
-      in
-      enqueue_local node ?timeout ?handoff dest msg
+      enqueue_local node ?timeout ?handoff:ticket dest msg
     end
     else begin
       trace_send node msg ~local:false;
@@ -193,31 +173,21 @@ let insert_caps space msg =
     (fun { Message.cap_port; cap_right } -> ignore (Port_space.insert space cap_port cap_right))
     (Message.caps msg)
 
-(* A normal receive pays a context switch (block + redispatch), through
-   the scheduler when one is wired. A handoff receive pays nothing: the
-   sender drove the wakeup and donated its processor — the receiver
-   claims the reservation so its next compute burst starts on the
-   donated CPU without touching a run queue. Only receives that got a
-   processor count as handoffs, so claims / handoffs is a claim rate. *)
+(* A normal receive pays a context switch (block + redispatch) through
+   the scheduler. A handoff receive pays nothing: the sender drove the
+   wakeup and donated its processor — the receiver claims the
+   reservation so its next compute burst starts on the donated CPU
+   without touching a run queue. *)
 let charge_receive node msg =
-  (match node.node_trace with
-  | Some tr when Mach_sim.Trace.enabled tr ->
-    Mach_sim.Trace.point tr
-      ~span:msg.Message.header.Message.trace_span ~subsystem:"ipc"
-      (match msg.Message.header.Message.handoff with
-      | Some _ -> "recv_handoff"
-      | None -> "recv")
-  | Some _ | None -> ());
-  match msg.Message.header.Message.handoff with
+  let hdr = msg.Message.header in
+  Trace.point node.node_trace ~span:hdr.Message.trace_span ~subsystem:"ipc"
+    (if Option.is_some hdr.Message.handoff then "recv_handoff" else "recv");
+  match hdr.Message.handoff with
   | Some ticket ->
-    msg.Message.header.Message.handoff <- None;
-    if ticket >= 0 then begin
-      Counters.incr node.node_stats s_handoffs;
-      match node.node_sched with
-      | Some s -> Sched.claim_handoff s ~ticket ~name:(Engine.self_name ())
-      | None -> ()
-    end
-  | None -> node_compute node node.node_params.Machine.context_switch_us
+    hdr.Message.handoff <- None;
+    Counters.incr node.node_stats s_handoffs;
+    Sched.claim_handoff node.node_sched ~ticket ~name:(Engine.self_name ())
+  | None -> Sched.compute node.node_sched node.node_params.Machine.context_switch_us
 
 let receive_one node space port ?timeout () =
   let result =

@@ -28,22 +28,21 @@ type node = {
   node_params : Mach_hw.Machine.params;
   node_page_size : int;
   node_stats : Mach_util.Metrics.Counters.t;  (** a block of {!ipc_counters} *)
-  mutable node_sched : Mach_sim.Sched.t option;
+  node_sched : Mach_sim.Sched.t;
       (** the host's processor scheduler: send/receive CPU costs contend
           for processors through it, and a local fast-path send ends
           its send burst by reserving the processor it ran on for the
           receiver ({!Mach_sim.Sched.compute_donating}) instead of
-          dispatching the run queue (handoff scheduling). [None] (bare
-          test nodes) falls back to un-contended sleeps. With
+          dispatching the run queue (handoff scheduling). With
           [node_params.handoff = false], local fast-path sends neither
           donate a processor nor mark the message, so every receive
           pays the full context-switch charge. *)
-  mutable node_trace : Mach_sim.Trace.t option;
-      (** when set and enabled, {!send} stamps the sender's current
-          span id into the header (unless already stamped) and emits
-          "ipc" [send]/[send_remote] points; receives emit
+  node_trace : Mach_sim.Trace.t;
+      (** when enabled, {!send} stamps the sender's current span id
+          into the header (unless already stamped) and emits "ipc"
+          [send]/[send_remote] points; receives emit
           [recv]/[recv_handoff] points attributed to the carried
-          span. [None] (bare test nodes) traces nothing. *)
+          span. *)
 }
 
 type send_error =

@@ -27,13 +27,14 @@ let alloc_block t =
   | Some b -> b
   | None -> failwith "default pager: paging disk full"
 
-(* Paging blocks of a dead object go back to the free pool. *)
+(* Paging blocks of a dead object go back to the free pool, in offset
+   order. *)
 let release_blocks t (o : managed Rt.obj) =
-  Hashtbl.iter
-    (fun _ block ->
-      t.stored <- t.stored - 1;
-      Queue.add block t.free_blocks)
-    o.Rt.o_data.blocks;
+  Hashtbl.fold (fun off block acc -> (off, block) :: acc) o.Rt.o_data.blocks []
+  |> List.sort compare
+  |> List.iter (fun (_, block) ->
+         t.stored <- t.stored - 1;
+         Queue.add block t.free_blocks);
   Hashtbl.reset o.Rt.o_data.blocks;
   Rt.unregister t.rt o
 

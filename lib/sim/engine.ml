@@ -181,6 +181,33 @@ let blocked_names t =
 
 let suspend register = Effect.perform (Suspend register)
 
+(* [timer] is the timeout of a timed block ([no_timer] for an untimed
+   one); the wake that ends the block cancels it. *)
+type 'a waiter = {
+  mutable waiting : bool;
+  resume : 'a resumer;
+  eng : t;
+  mutable timer : timer;
+}
+
+let waiting w = w.waiting
+
+let wake w v =
+  if w.waiting then begin
+    w.waiting <- false;
+    cancel w.eng w.timer;
+    w.resume v
+  end
+
+let block ?timeout register =
+  suspend (fun eng k ->
+      let w = { waiting = true; resume = k; eng; timer = no_timer } in
+      register w;
+      match timeout with
+      | Some (delay, expired) when w.waiting ->
+        w.timer <- timer eng ~at:(eng.now +. delay) (fun () -> wake w expired)
+      | _ -> ())
+
 (* The thread running now; [no_fiber] in timer callbacks ([schedule])
    and outside [run]. *)
 let current () = match !running with Some t -> t.current | None -> no_fiber

@@ -94,3 +94,23 @@ type 'a resumer = 'a -> unit
 val suspend : (t -> 'a resumer -> unit) -> 'a
 (** [suspend register] blocks the calling thread; [register] receives the
     engine and a one-shot resumer. *)
+
+type 'a waiter
+(** A blocked thread and its optional timeout: the one wait every
+    synchronisation primitive with a wake-up of its own ({!Waitq},
+    {!Mailbox}, {!Ivar}) is built on. *)
+
+val block : ?timeout:float * 'a -> ('a waiter -> unit) -> 'a
+(** [block ?timeout register] blocks the calling thread until {!wake};
+    [register] receives the waiter and files it where a waker will find
+    it (it may also wake it at once). [timeout = (delay, v)] arms a
+    timer, only if the waiter is still waiting after [register], that
+    wakes it with [v] after [delay] simulated microseconds. *)
+
+val wake : 'a waiter -> 'a -> unit
+(** Resume the waiter with a value and cancel its timeout, so a wait
+    that ends early leaves no timer queued. Only the first wake (or the
+    timeout) counts; later ones do nothing. *)
+
+val waiting : 'a waiter -> bool
+(** [true] until the waiter is woken or times out. *)

@@ -1,4 +1,4 @@
-type 'a state = Empty of ('a -> unit) list | Full of 'a
+type 'a state = Empty of 'a option Engine.waiter list | Full of 'a
 type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
@@ -8,40 +8,17 @@ let try_fill t v =
   | Full _ -> false
   | Empty waiters ->
     t.state <- Full v;
-    List.iter (fun w -> w v) (List.rev waiters);
+    List.iter (fun w -> Engine.wake w (Some v)) (List.rev waiters);
     true
 
 let fill t v = if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
 let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
-let read t =
-  match t.state with
-  | Full v -> v
-  | Empty _ ->
-    Engine.suspend (fun _eng k ->
-        match t.state with
-        | Full v -> k v
-        | Empty waiters -> t.state <- Empty (k :: waiters))
-
-let read_timeout t ~timeout =
+(* [None] only when the timeout expires first. *)
+let wait t ?timeout () =
   match t.state with
   | Full v -> Some v
-  | Empty _ ->
-    Engine.suspend (fun eng k ->
-        let fired = ref false in
-        let once v =
-          if not !fired then begin
-            fired := true;
-            k v
-          end
-        in
-        match t.state with
-        | Full v -> once (Some v)
-        | Empty waiters ->
-          let timer = Engine.timer eng ~at:(Engine.now eng +. timeout) (fun () -> once None) in
-          t.state <-
-            Empty
-              ((fun v ->
-                 Engine.cancel eng timer;
-                 once (Some v))
-              :: waiters))
+  | Empty waiters -> Engine.block ?timeout (fun w -> t.state <- Empty (w :: waiters))
+
+let read t = Option.get (wait t ())
+let read_timeout t ~timeout = wait t ~timeout:(timeout, None) ()

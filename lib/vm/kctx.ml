@@ -126,8 +126,8 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
       node_params = params;
       node_page_size = Phys_mem.page_size mem;
       node_stats = Counters.create Mach_ipc.Transport.ipc_counters;
-      node_sched = Some sched;
-      node_trace = Some trace;
+      node_sched = sched;
+      node_trace = trace;
     }
   in
   let queues = Page_queues.create () in

@@ -143,13 +143,11 @@ let pager_died kctx obj =
             Mach_sim.Waitq.broadcast page.busy_wait)
       (Vm_page.pages_between obj ~lo:0 ~hi:max_int);
     (* Outstanding data_writes will never be released: run the §6.2.2
-       rescue immediately instead of waiting out the timer. *)
-    let doomed =
-      Hashtbl.fold
-        (fun _ h acc -> if h.h_obj == obj then h :: acc else acc)
-        kctx.Kctx.holdings []
-    in
-    List.iter (rescue kctx) doomed
+       rescue immediately instead of waiting out the timer, oldest write
+       first (each rescue spawns a thread and frees frames). *)
+    Hashtbl.fold (fun _ h acc -> if h.h_obj == obj then h :: acc else acc) kctx.Kctx.holdings []
+    |> List.sort (fun a b -> compare a.h_write_id b.h_write_id)
+    |> List.iter (rescue kctx)
 
 let make_request_ports kctx obj p =
   let ctx = kctx.Kctx.ctx in

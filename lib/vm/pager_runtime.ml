@@ -149,7 +149,8 @@ let unregister t o = Hashtbl.remove t.rt_objects o.o_id
 
 (* A port died: either a kernel's request port (that kernel is gone
    from every object that registered it) or a memory-object port itself
-   (the object is dead). Collect first — [p_death] may unregister. *)
+   (the object is dead). Collect first — [p_death] may unregister —
+   and visit in object-id order, as [p_death] may send. *)
 let handle_port_death t port =
   let pid = Port.id port in
   let victims =
@@ -158,6 +159,7 @@ let handle_port_death t port =
         if o.o_id = pid || List.exists (fun r -> Port.id r = pid) o.o_requests then o :: acc
         else acc)
       t.rt_objects []
+    |> List.sort (fun a b -> compare a.o_id b.o_id)
   in
   if victims <> [] then
     t.rt_stats.Stats.s_port_deaths <- t.rt_stats.Stats.s_port_deaths + 1;

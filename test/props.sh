@@ -9,7 +9,9 @@
 # followed by the names of its failed cases. Exits 1 if any run failed.
 # `dune runtest` pins one seed (test/dune) so tier-1 repeats; the
 # `props` alias (`dune build @test/props`) runs this script for the
-# random coverage.
+# random coverage. Every run also draws a fresh Hashtbl seed
+# (OCAMLRUNPARAM=R), so no test may depend on hash order.
+export OCAMLRUNPARAM="${OCAMLRUNPARAM:+$OCAMLRUNPARAM,}R"
 n=$1
 shift
 status=0

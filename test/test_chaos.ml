@@ -36,15 +36,29 @@ let make_chaos_ctx ?(seed = 42) plan =
   Chaos.on_restart chaos (fun host -> Context.restart_host ctx ~host);
   (eng, net, ctx, chaos)
 
-let node ?(host = 0) () =
-  {
-    Transport.node_host = host;
-    node_params = Machine.uniprocessor;
-    node_page_size = 4096;
-    node_stats = Counters.create Transport.ipc_counters;
-    node_sched = None;
-    node_trace = None;
-  }
+(* One node per host of a context, as a booted kernel has: a scheduler
+   with a processor for every test thread, and a trace left off. *)
+let nodes = ref []
+
+let node ?(host = 0) ctx =
+  match List.find_opt (fun (c, h, _) -> c == ctx && h = host) !nodes with
+  | Some (_, _, nd) -> nd
+  | None ->
+    let eng = Context.engine ctx in
+    let nd =
+      {
+        Transport.node_host = host;
+        node_params = Machine.uniprocessor;
+        node_page_size = 4096;
+        node_stats = Counters.create Transport.ipc_counters;
+        node_sched =
+          Mach_sim.Sched.create eng ~cpus:64
+            ~context_switch_us:Machine.uniprocessor.Machine.context_switch_us ();
+        node_trace = Mach_sim.Trace.create eng;
+      }
+    in
+    nodes := (ctx, host, nd) :: !nodes;
+    nd
 
 let data s = Message.Data (Bytes.of_string s)
 
@@ -66,7 +80,7 @@ let drain_payloads port =
    that arrived, in arrival order. *)
 let run_numbered_sends eng ctx ?(n = 24) () =
   let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
-  let nd = node () in
+  let nd = node ctx in
   let errors = ref 0 in
   Engine.spawn eng ~name:"sender" (fun () ->
       for i = 1 to n do
@@ -92,11 +106,11 @@ let test_send_timeout_zero_nonblocking () =
   let n = Port_space.allocate sp ~backlog:1 () in
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p [ data "1" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p [ data "1" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "first send");
       let before = Engine.now eng in
-      (match Transport.send (node ()) ~timeout:0.0 (Message.make ~dest:p [ data "2" ]) with
+      (match Transport.send (node ctx) ~timeout:0.0 (Message.make ~dest:p [ data "2" ]) with
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected immediate timeout");
       (* timeout 0 is a try: no sim time passes waiting on the queue
@@ -109,11 +123,11 @@ let test_send_timeout_expires_behind_full_queue () =
   let n = Port_space.allocate sp ~backlog:1 () in
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p [ data "1" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p [ data "1" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "first send");
       let before = Engine.now eng in
-      (match Transport.send (node ()) ~timeout:250.0 (Message.make ~dest:p [ data "2" ]) with
+      (match Transport.send (node ctx) ~timeout:250.0 (Message.make ~dest:p [ data "2" ]) with
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected timeout");
       let waited = Engine.now eng -. before in
@@ -163,7 +177,7 @@ let test_reorder_resequenced_fifo () =
 let test_partition_exhausts_retry_budget () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let p = Port.create ctx ~home:1 ~drop:Message.discard () in
-  let nd = node () in
+  let nd = node ctx in
   in_sim eng (fun () ->
       Chaos.partition chaos 0 1;
       (match Transport.send nd (Message.make ~dest:p [ data "lost" ]) with
@@ -181,7 +195,7 @@ let test_partition_exhausts_retry_budget () =
 let test_heal_revives_channel () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
-  let nd = node () in
+  let nd = node ctx in
   in_sim eng (fun () ->
       Chaos.partition chaos 0 1;
       ignore (Transport.send nd (Message.make ~dest:p [ data "lost" ]));
@@ -201,7 +215,7 @@ let test_short_partition_recovers_without_loss () =
      carries every message across the heal, nothing is lost. *)
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let p = Port.create ctx ~home:1 ~backlog:64 ~drop:Message.discard () in
-  let nd = node () in
+  let nd = node ctx in
   let errors = ref 0 in
   Engine.spawn eng ~name:"sender" (fun () ->
       for i = 1 to 8 do
@@ -252,7 +266,7 @@ let test_crash_propagates_port_death () =
 let test_sends_to_crashed_host_fail_cleanly () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let p = Port.create ctx ~home:1 ~drop:Message.discard () in
-  let nd = node () in
+  let nd = node ctx in
   in_sim eng (fun () ->
       Chaos.crash_host chaos 1;
       (* The proxy port died with its host. *)
@@ -306,7 +320,7 @@ let exactly_once_fifo_prop =
         make_chaos_ctx ~seed { Chaos.drop; duplicate; reorder; jitter_us }
       in
       let p = Port.create ctx ~home:1 ~backlog:(List.length payloads + 1) ~drop:Message.discard () in
-      let nd = node () in
+      let nd = node ctx in
       Engine.spawn eng ~name:"sender" (fun () ->
           List.iter
             (fun s -> ignore (Transport.send nd (Message.make ~dest:p [ data s ])))

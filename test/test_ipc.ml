@@ -19,15 +19,29 @@ let make_ctx () =
   let ctx = Context.create eng net in
   (eng, net, ctx)
 
-let node ?(host = 0) () =
-  {
-    Transport.node_host = host;
-    node_params = Machine.uniprocessor;
-    node_page_size = 4096;
-    node_stats = Counters.create Transport.ipc_counters;
-    node_sched = None;
-    node_trace = None;
-  }
+(* One node per host of a context, as a booted kernel has: a scheduler
+   with a processor for every test thread, and a trace left off. *)
+let nodes = ref []
+
+let node ?(host = 0) ctx =
+  match List.find_opt (fun (c, h, _) -> c == ctx && h = host) !nodes with
+  | Some (_, _, nd) -> nd
+  | None ->
+    let eng = Context.engine ctx in
+    let nd =
+      {
+        Transport.node_host = host;
+        node_params = Machine.uniprocessor;
+        node_page_size = 4096;
+        node_stats = Counters.create Transport.ipc_counters;
+        node_sched =
+          Mach_sim.Sched.create eng ~cpus:64
+            ~context_switch_us:Machine.uniprocessor.Machine.context_switch_us ();
+        node_trace = Mach_sim.Trace.create eng;
+      }
+    in
+    nodes := (ctx, host, nd) :: !nodes;
+    nd
 
 let data s = Message.Data (Bytes.of_string s)
 
@@ -173,8 +187,8 @@ let test_space_messages_waiting () =
   let p2 = Port_space.lookup_exn sp n2 in
   let p3 = Port_space.lookup_exn sp n3 in
   in_sim eng (fun () ->
-      ignore (Transport.send (node ()) (Message.make ~dest:p2 [ data "a" ]));
-      ignore (Transport.send (node ()) (Message.make ~dest:p3 [ data "b" ]));
+      ignore (Transport.send (node ctx) (Message.make ~dest:p2 [ data "a" ]));
+      ignore (Transport.send (node ctx) (Message.make ~dest:p3 [ data "b" ]));
       (* port_messages: enabled ports with queued messages only. *)
       check Alcotest.(list int) "only enabled, queued ports" [ n2 ]
         (Port_space.messages_waiting sp))
@@ -198,10 +212,10 @@ let test_send_receive_roundtrip () =
   let n = Port_space.allocate sp () in
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p [ data "ping" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p [ data "ping" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "send failed");
-      match Transport.receive (node ()) sp ~from:(`Port n) () with
+      match Transport.receive (node ctx) sp ~from:(`Port n) () with
       | Ok msg -> check Alcotest.string "payload" "ping" (Bytes.to_string (Message.data_exn msg))
       | Error _ -> Alcotest.fail "receive failed")
 
@@ -210,7 +224,7 @@ let test_send_to_dead_port () =
   let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   Port.destroy p;
   in_sim eng (fun () ->
-      match Transport.send (node ()) (Message.make ~dest:p [ data "x" ]) with
+      match Transport.send (node ctx) (Message.make ~dest:p [ data "x" ]) with
       | Error Transport.Send_invalid_port -> ()
       | Ok () | Error _ -> Alcotest.fail "expected invalid port")
 
@@ -220,10 +234,10 @@ let test_send_timeout_on_full_queue () =
   let n = Port_space.allocate sp ~backlog:1 () in
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p [ data "1" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p [ data "1" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "first send");
-      match Transport.send (node ()) ~timeout:50.0 (Message.make ~dest:p [ data "2" ]) with
+      match Transport.send (node ctx) ~timeout:50.0 (Message.make ~dest:p [ data "2" ]) with
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected timeout")
 
@@ -261,12 +275,55 @@ let test_port_set_backlog_syscall () =
     | Ok () -> ()
     | Error _ -> Alcotest.fail "the send after raising the backlog failed"
 
+let test_port_set_backlog_admits_blocked_sender () =
+  (* Table 3-2's port_set_backlog with a sender already blocked on the
+     full queue: raising the backlog admits it without a receive. *)
+  let sys = Mach.Kernel.create_system () in
+  let eng = sys.Mach.Kernel.engine in
+  let result = ref None in
+  Engine.spawn eng ~name:"setup" (fun () ->
+      let task = Mach.Task.create sys.Mach.Kernel.kernel ~name:"app" () in
+      ignore
+        (Mach.Thread.spawn task ~name:"app.main" (fun () ->
+             let name = Mach.Syscalls.port_allocate task ~backlog:1 () in
+             let port = Option.get (Mach.Syscalls.port_lookup task name) in
+             let send ?timeout s =
+               Mach.Syscalls.msg_send task ?timeout (Message.make ~dest:port [ data s ])
+             in
+             let first = send "1" in
+             let over = send ~timeout:50.0 "2" in
+             let blocked = ref None in
+             ignore (Mach.Thread.spawn task ~name:"app.sender" (fun () -> blocked := Some (send "3")));
+             Engine.sleep 1_000.0;
+             let before = !blocked in
+             Mach.Syscalls.port_set_backlog task name 4;
+             Engine.sleep 1_000.0;
+             result := Some (first, over, before, !blocked, Mach.Syscalls.port_status task name))));
+  Engine.run eng;
+  match !result with
+  | None -> Alcotest.fail "app.main blocked forever"
+  | Some (first, over, before, after, status) -> (
+    (match first with Ok () -> () | Error _ -> Alcotest.fail "the send within the backlog failed");
+    (match over with
+    | Error Transport.Send_timed_out -> ()
+    | Ok () | Error _ -> Alcotest.fail "the timed send past the backlog should time out");
+    Alcotest.(check bool) "untimed sender blocked on the full queue" true (before = None);
+    (match after with
+    | Some (Ok ()) -> ()
+    | Some (Error _) -> Alcotest.fail "the admitted send failed"
+    | None -> Alcotest.fail "raising the backlog left the sender blocked");
+    match status with
+    | Some st ->
+      check Alcotest.int "backlog" 4 st.Port_space.st_backlog;
+      check Alcotest.int "queued" 2 st.Port_space.st_queued
+    | None -> Alcotest.fail "status missing")
+
 let test_receive_timeout () =
   let eng, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
   let n = Port_space.allocate sp () in
   in_sim eng (fun () ->
-      match Transport.receive (node ()) sp ~from:(`Port n) ~timeout:40.0 () with
+      match Transport.receive (node ctx) sp ~from:(`Port n) ~timeout:40.0 () with
       | Error Transport.Recv_timed_out -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected timeout")
 
@@ -276,7 +333,7 @@ let test_receive_requires_receive_right () =
   let p = Port.create ctx ~home:0 ~drop:Message.discard () in
   let n = Port_space.insert sp p Message.Send_right in
   in_sim eng (fun () ->
-      match Transport.receive (node ()) sp ~from:(`Port n) () with
+      match Transport.receive (node ctx) sp ~from:(`Port n) () with
       | Error Transport.Recv_invalid_port -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected invalid port")
 
@@ -289,10 +346,10 @@ let test_receive_any_from_enabled_set () =
   Port_space.enable sp n2;
   let p2 = Port_space.lookup_exn sp n2 in
   in_sim eng (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p2 [ data "via-2" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p2 [ data "via-2" ]) with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "send");
-      match Transport.receive (node ()) sp ~from:`Any () with
+      match Transport.receive (node ctx) sp ~from:`Any () with
       | Ok msg -> check Alcotest.string "right message" "via-2" (Bytes.to_string (Message.data_exn msg))
       | Error _ -> Alcotest.fail "receive-any failed")
 
@@ -304,12 +361,12 @@ let test_receive_any_blocks_until_arrival () =
   let p = Port_space.lookup_exn sp n in
   let got_at = ref 0.0 in
   Engine.spawn eng ~name:"receiver" (fun () ->
-      match Transport.receive (node ()) sp ~from:`Any () with
+      match Transport.receive (node ctx) sp ~from:`Any () with
       | Ok _ -> got_at := Engine.now eng
       | Error _ -> ());
   Engine.spawn eng ~name:"sender" (fun () ->
       Engine.sleep 500.0;
-      ignore (Transport.send (node ()) (Message.make ~dest:p [ data "late" ])));
+      ignore (Transport.send (node ctx) (Message.make ~dest:p [ data "late" ])));
   Engine.run eng;
   Alcotest.(check bool) "woken after send" true (!got_at >= 500.0)
 
@@ -323,13 +380,13 @@ let test_caps_inserted_on_receive () =
   let gift = Port_space.lookup_exn sender_sp gift_name in
   in_sim eng (fun () ->
       (match
-         Transport.send (node ())
+         Transport.send (node ctx)
            (Message.make ~dest
               [ Message.Caps [ { Message.cap_port = gift; cap_right = Message.Send_right } ] ])
        with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "send");
-      match Transport.receive (node ()) recv_sp ~from:(`Port n) () with
+      match Transport.receive (node ctx) recv_sp ~from:(`Port n) () with
       | Ok _ ->
         (* The receiver's space now holds a send right on the gift. *)
         (match Port_space.name_of recv_sp gift with
@@ -346,13 +403,13 @@ let test_rpc () =
   let reply_n = Port_space.allocate client_sp () in
   let reply = Port_space.lookup_exn client_sp reply_n in
   Engine.spawn eng ~name:"server" (fun () ->
-      match Transport.receive (node ()) server_sp ~from:(`Port svc_n) () with
+      match Transport.receive (node ctx) server_sp ~from:(`Port svc_n) () with
       | Ok msg ->
         let r = Option.get msg.Message.header.reply in
-        ignore (Transport.send (node ()) (Message.make ~dest:r [ data "pong" ]))
+        ignore (Transport.send (node ctx) (Message.make ~dest:r [ data "pong" ]))
       | Error _ -> ());
   in_sim eng (fun () ->
-      match Transport.rpc (node ()) client_sp (Message.make ~reply ~dest:svc [ data "ping" ]) with
+      match Transport.rpc (node ctx) client_sp (Message.make ~reply ~dest:svc [ data "ping" ]) with
       | Ok resp -> check Alcotest.string "reply" "pong" (Bytes.to_string (Message.data_exn resp))
       | Error _ -> Alcotest.fail "rpc failed")
 
@@ -363,11 +420,11 @@ let test_cross_host_latency () =
   let p = Port_space.lookup_exn remote_sp n in
   let sent_at = ref 0.0 and got_at = ref 0.0 in
   Engine.spawn eng ~name:"remote-receiver" (fun () ->
-      match Transport.receive (node ~host:1 ()) remote_sp ~from:(`Port n) () with
+      match Transport.receive (node ~host:1 ctx) remote_sp ~from:(`Port n) () with
       | Ok _ -> got_at := Engine.now eng
       | Error _ -> ());
   Engine.spawn eng ~name:"local-sender" (fun () ->
-      (match Transport.send (node ()) (Message.make ~dest:p [ data "wire" ]) with
+      (match Transport.send (node ctx) (Message.make ~dest:p [ data "wire" ]) with
       | Ok () -> sent_at := Engine.now eng
       | Error _ -> ()));
   Engine.run eng;
@@ -375,8 +432,8 @@ let test_cross_host_latency () =
   Alcotest.(check bool) "network delay applied" true (!got_at -. !sent_at >= 100.0)
 
 let test_send_cost_scales_with_mode () =
-  let n = node () in
   let _, _, ctx = make_ctx () in
+  let n = node ctx in
   let dest = Port.create ctx ~home:0 ~drop:Message.discard () in
   let big = Bytes.create 65536 in
   let copy_msg = Message.make ~dest [ Message.Data big ] in
@@ -391,7 +448,7 @@ let test_receiver_woken_by_port_death () =
   let n = Port_space.allocate sp () in
   let outcome = ref `Pending in
   Engine.spawn eng ~name:"blocked-receiver" (fun () ->
-      match Transport.receive (node ()) sp ~from:(`Port n) () with
+      match Transport.receive (node ctx) sp ~from:(`Port n) () with
       | Ok _ -> outcome := `Got_message
       | Error Transport.Recv_invalid_port -> outcome := `Port_died
       | Error _ -> outcome := `Other);
@@ -412,8 +469,8 @@ let test_blocked_sender_woken_by_port_death () =
   let p = Port_space.lookup_exn sp n in
   let outcome = ref `Pending in
   Engine.spawn eng ~name:"blocked-sender" (fun () ->
-      ignore (Transport.send (node ()) (Message.make ~dest:p [ data "1" ]));
-      match Transport.send (node ()) (Message.make ~dest:p [ data "2" ]) with
+      ignore (Transport.send (node ctx) (Message.make ~dest:p [ data "1" ]));
+      match Transport.send (node ctx) (Message.make ~dest:p [ data "2" ]) with
       | Ok () -> outcome := `Sent
       | Error Transport.Send_invalid_port -> outcome := `Port_died
       | Error _ -> outcome := `Other);
@@ -441,7 +498,7 @@ let test_receive_any_arrival_order () =
   let p2 = Port_space.lookup_exn sp n2 in
   let p3 = Port_space.lookup_exn sp n3 in
   in_sim eng (fun () ->
-      let nd = node () in
+      let nd = node ctx in
       (* Sends are sequential in simulated time: arrival order is c, a, b. *)
       ignore (Transport.send nd (Message.make ~dest:p3 [ data "c" ]));
       ignore (Transport.send nd (Message.make ~dest:p1 [ data "a" ]));
@@ -465,7 +522,7 @@ let test_receive_any_same_port_drains () =
   Port_space.enable sp n;
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      let nd = node () in
+      let nd = node ctx in
       ignore (Transport.send nd (Message.make ~dest:p [ data "first" ]));
       ignore (Transport.send nd (Message.make ~dest:p [ data "second" ]));
       let next () =
@@ -485,7 +542,7 @@ let test_enable_seeds_ready () =
   let n = Port_space.allocate sp () in
   let p = Port_space.lookup_exn sp n in
   in_sim eng (fun () ->
-      let nd = node () in
+      let nd = node ctx in
       ignore (Transport.send nd (Message.make ~dest:p [ data "early" ]));
       Port_space.enable sp n;
       match Transport.receive nd sp ~from:`Any ~timeout:10.0 () with
@@ -502,7 +559,7 @@ let test_no_spurious_wakeups () =
   let names = List.init 16 (fun _ -> Port_space.allocate sp ()) in
   List.iter (Port_space.enable sp) names;
   let target = Port_space.lookup_exn sp (List.nth names 11) in
-  let nd = node () in
+  let nd = node ctx in
   let got = ref 0 and timed_out = ref 0 in
   for i = 1 to 3 do
     Engine.spawn eng ~name:(Printf.sprintf "waiter-%d" i) (fun () ->
@@ -513,7 +570,7 @@ let test_no_spurious_wakeups () =
   done;
   Engine.spawn eng ~name:"sender" (fun () ->
       Engine.sleep 200.0;
-      ignore (Transport.send (node ()) (Message.make ~dest:target [ data "one" ])));
+      ignore (Transport.send (node ctx) (Message.make ~dest:target [ data "one" ])));
   Engine.run eng;
   check Alcotest.int "exactly one winner" 1 !got;
   check Alcotest.int "losers timed out quietly" 2 !timed_out;
@@ -527,7 +584,7 @@ let test_rpc_fastpath_counter () =
   let sp = Port_space.create ctx ~home:0 in
   let n = Port_space.allocate sp () in
   let p = Port_space.lookup_exn sp n in
-  let nd = node () in
+  let nd = node ctx in
   let received = ref 0 in
   Engine.spawn eng ~name:"receiver" (fun () ->
       for _ = 1 to 2 do
@@ -561,12 +618,12 @@ let test_remote_burst_single_daemon () =
   let burst = 20 in
   let received = ref [] in
   Engine.spawn eng ~name:"sender" (fun () ->
-      let nd = node ~host:0 () in
+      let nd = node ~host:0 ctx in
       for i = 1 to burst do
         ignore (Transport.send nd (Message.make ~dest:p [ data (string_of_int i) ]))
       done);
   Engine.spawn eng ~name:"receiver" (fun () ->
-      let nd = node ~host:1 () in
+      let nd = node ~host:1 ctx in
       for _ = 1 to burst do
         (* Slow consumer: the daemon must block on the full port queue
            and resume, not drop or reorder. *)
@@ -606,12 +663,12 @@ let fifo_prop =
               Mach_util.Codec.Enc.int e sender;
               Mach_util.Codec.Enc.int e k;
               ignore
-                (Transport.send (node ())
+                (Transport.send (node ctx)
                    (Message.make ~dest:p [ Message.Data (Mach_util.Codec.Enc.to_bytes e) ])))
             send_plan);
       Engine.spawn eng ~name:"receiver" (fun () ->
           for _ = 1 to List.length send_plan do
-            match Transport.receive (node ()) sp ~from:(`Port n) () with
+            match Transport.receive (node ctx) sp ~from:(`Port n) () with
             | Ok msg ->
               let d = Mach_util.Codec.Dec.of_bytes (Message.data_exn msg) in
               let sender = Mach_util.Codec.Dec.int d in
@@ -659,6 +716,8 @@ let () =
           Alcotest.test_case "send to dead port" `Quick test_send_to_dead_port;
           Alcotest.test_case "send timeout on full queue" `Quick test_send_timeout_on_full_queue;
           Alcotest.test_case "port_set_backlog syscall" `Quick test_port_set_backlog_syscall;
+          Alcotest.test_case "port_set_backlog admits a blocked sender" `Quick
+            test_port_set_backlog_admits_blocked_sender;
           Alcotest.test_case "receive timeout" `Quick test_receive_timeout;
           Alcotest.test_case "receive needs receive right" `Quick test_receive_requires_receive_right;
           Alcotest.test_case "receive-any from enabled set" `Quick test_receive_any_from_enabled_set;

@@ -726,6 +726,211 @@ let test_waitq_timeout () =
   Engine.run eng;
   Alcotest.(check bool) "timed out" false !result
 
+(* ---- one waiter under Waitq, Mailbox and Ivar ---------------------------- *)
+
+type step =
+  | Sleep of int
+  | Wait
+  | Wait_for of int
+  | Signal
+  | Broadcast
+  | Send of int
+  | Recv of int
+  | Close
+  | Read of int
+  | Fill
+
+type outcome = Unit | Flag of bool | Value of int option | Shut
+
+(* One step of one fiber: when it began and, once it returned, when and
+   with what. [value] is what a [Send] or [Fill] offers. *)
+type op = {
+  fiber : int;
+  step : step;
+  value : int;
+  start : float;
+  mutable finish : (float * outcome) option;
+}
+
+let show_step = function
+  | Sleep d -> Printf.sprintf "sleep %d" d
+  | Wait -> "wait"
+  | Wait_for d -> Printf.sprintf "wait %d" d
+  | Signal -> "signal"
+  | Broadcast -> "broadcast"
+  | Send d -> Printf.sprintf "send %d" d
+  | Recv d -> Printf.sprintf "recv %d" d
+  | Close -> "close"
+  | Read d -> Printf.sprintf "read %d" d
+  | Fill -> "fill"
+
+let fiber_name i = Printf.sprintf "f%d" i
+
+(* Fibers share one wait queue, one one-slot mailbox and one ivar, and
+   block with and without timeouts. Each step's outcome is checked
+   against the wake that should have ended it: a timeout value exactly
+   at the deadline, a wake value no later than it and from a waker that
+   ran at that instant. A signal, or a message handed over, while a
+   fiber stays blocked wakes another. The ivar hands every reader the
+   first fill; the mailbox loses and duplicates nothing. At quiescence
+   no timer is left (the clock stops at the last step) and the only
+   blocked fibers wait untimed on the queue with no broadcast after
+   they began. *)
+let waiter_prop =
+  let open QCheck2 in
+  let step_gen =
+    let d = Gen.int_bound 20 in
+    Gen.(
+      frequency
+        [
+          (3, map (fun d -> Sleep d) d);
+          (2, pure Wait);
+          (3, map (fun d -> Wait_for d) d);
+          (2, pure Signal);
+          (1, pure Broadcast);
+          (3, map (fun d -> Send d) d);
+          (3, map (fun d -> Recv d) d);
+          (1, pure Close);
+          (3, map (fun d -> Read d) d);
+          (1, pure Fill);
+        ])
+  in
+  Test.make ~name:"every wait ends once, by its first waker or its timeout" ~count:500
+    ~print:Print.(list (list show_step))
+    Gen.(list_size (int_range 1 5) (list_size (int_range 0 8) step_gen))
+    (fun fibers ->
+      let eng = Engine.create () in
+      let wq = Waitq.create () and mb = Mailbox.create ~capacity:1 () and iv = Ivar.create () in
+      let ops = ref [] and dropped = ref [] in
+      List.iteri
+        (fun i steps ->
+          Engine.spawn eng ~name:(fiber_name i) (fun () ->
+              List.iteri
+                (fun j step ->
+                  let op =
+                    { fiber = i; step; value = (100 * i) + j; start = Engine.now eng; finish = None }
+                  in
+                  ops := op :: !ops;
+                  let outcome =
+                    match step with
+                    | Sleep d ->
+                      Engine.sleep (float_of_int d);
+                      Unit
+                    | Wait ->
+                      Waitq.wait wq;
+                      Flag true
+                    | Wait_for d -> Flag (Waitq.wait_timeout wq ~timeout:(float_of_int d))
+                    | Signal ->
+                      Waitq.signal wq;
+                      Unit
+                    | Broadcast ->
+                      Waitq.broadcast wq;
+                      Unit
+                    | Send d -> (
+                      match Mailbox.send_timeout mb op.value ~timeout:(float_of_int d) with
+                      | b -> Flag b
+                      | exception Mailbox.Closed -> Shut)
+                    | Recv d -> (
+                      match Mailbox.recv_timeout mb ~timeout:(float_of_int d) with
+                      | v -> Value v
+                      | exception Mailbox.Closed -> Shut)
+                    | Close ->
+                      Mailbox.close ~drop:(fun v -> dropped := v :: !dropped) mb;
+                      Unit
+                    | Read d -> Value (Ivar.read_timeout iv ~timeout:(float_of_int d))
+                    | Fill -> Flag (Ivar.try_fill iv op.value)
+                  in
+                  op.finish <- Some (Engine.now eng, outcome))
+                steps))
+        fibers;
+      Engine.run eng;
+      let all = List.rev !ops in
+      let finished =
+        List.filter_map (fun op -> Option.map (fun (t, o) -> (op, t, o)) op.finish) all
+      in
+      let is_wait = function Wait | Wait_for _ -> true | _ -> false in
+      let is_send = function Send _ -> true | _ -> false in
+      let is_recv = function Recv _ -> true | _ -> false in
+      let times p = List.filter_map (fun (op, t, o) -> if p op.step o then Some t else None) finished in
+      let values p =
+        List.filter_map (fun (op, _, o) -> if p op.step o then Some op.value else None) finished
+      in
+      let wakes = times (fun st _ -> st = Signal || st = Broadcast) in
+      let broadcasts = times (fun st _ -> st = Broadcast) and closes = times (fun st _ -> st = Close) in
+      let broadcast_within lo hi = List.exists (fun b -> b > lo && b < hi) broadcasts in
+      let fill =
+        List.find_map
+          (fun (op, t, o) -> if op.step = Fill && o = Flag true then Some (t, op.value) else None)
+          finished
+      in
+      let sent = values (fun st o -> is_send st && o = Flag true) in
+      let refused = values (fun st o -> is_send st && (o = Flag false || o = Shut)) in
+      let received =
+        List.filter_map
+          (fun (op, _, o) -> match op.step, o with Recv _, Value v -> v | _ -> None)
+          finished
+      in
+      let step_ok (op, t, o) =
+        let s = op.start in
+        let deadline d = s +. float_of_int d in
+        match op.step, o with
+        | Sleep d, Unit -> t = deadline d
+        | (Signal | Broadcast | Close), Unit | Fill, Flag _ -> t = s
+        | Wait, Flag true -> List.mem t wakes
+        | Wait_for d, Flag true -> t <= deadline d && List.mem t wakes
+        | Wait_for d, Flag false -> t = deadline d && not (broadcast_within s t)
+        | (Send d, Flag true | Recv d, Value (Some _)) -> t <= deadline d
+        | (Send d, Flag false | Recv d, Value None) -> t = deadline d
+        | (Send _ | Recv _), Shut -> List.exists (fun c -> c <= t) closes
+        | Read d, Value (Some v) -> (
+          match fill with
+          | Some (tf, vf) -> v = vf && t = Float.max s tf && t <= deadline d
+          | None -> false)
+        | Read d, Value None -> (
+          t = deadline d && match fill with Some (tf, _) -> tf >= t | None -> true)
+        | _ -> false
+      in
+      (* While a [blocked] step stays blocked across an instant, each
+         [serve] step that returns then must wake one [woken] step. *)
+      let served ~blocked ~serve ~woken =
+        let live_across ts =
+          List.exists
+            (fun op ->
+              blocked op.step && op.start < ts
+              && match op.finish with None -> true | Some (t, _) -> t > ts)
+            all
+        in
+        let at ts p = List.length (List.filter (fun (op, t, o) -> t = ts && p op.step o) finished) in
+        List.for_all (fun ts -> (not (live_across ts)) || at ts woken >= at ts serve) (times serve)
+      in
+      let got st o = is_recv st && match o with Value (Some _) -> true | _ -> false in
+      let accepted st o = is_send st && o = Flag true in
+      let unfinished = List.filter (fun op -> op.finish = None) all in
+      let last =
+        List.fold_left
+          (fun m op -> Float.max m (match op.finish with Some (t, _) -> t | None -> op.start))
+          0.0 all
+      in
+      let remaining = if closes = [] then Mailbox.length mb else List.length !dropped in
+      List.for_all step_ok finished
+      && List.length (times (fun st o -> st = Fill && o = Flag true)) <= 1
+      && served ~blocked:is_wait ~serve:(fun st _ -> st = Signal) ~woken:(fun st o ->
+             is_wait st && o = Flag true)
+      && served ~blocked:is_send ~serve:got ~woken:accepted
+      && served ~blocked:is_recv ~serve:accepted ~woken:got
+      && List.length (List.sort_uniq compare received) = List.length received
+      && List.for_all (fun v -> List.mem v sent) (received @ !dropped)
+      && List.for_all (fun v -> not (List.mem v received)) refused
+      && List.length sent = List.length received + remaining
+      && List.for_all
+           (fun op -> op.step = Wait && not (broadcast_within op.start infinity))
+           unfinished
+      && Engine.blocked_names eng
+         = List.sort_uniq String.compare (List.map (fun op -> fiber_name op.fiber) unfinished)
+      && Engine.live eng = List.length unfinished
+      && Engine.pending eng = 0
+      && Engine.now eng = last)
+
 let () =
   Alcotest.run "sim"
     [
@@ -758,6 +963,7 @@ let () =
           Alcotest.test_case "recv wake cancels the timeout" `Quick test_recv_timer_dies;
           Alcotest.test_case "ivar fill cancels the timeout" `Quick test_ivar_timer_dies;
         ] );
+      ("waiter", [ QCheck_alcotest.to_alcotest waiter_prop ]);
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
