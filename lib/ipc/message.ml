@@ -10,7 +10,8 @@ and header = {
   dest : port;
   reply : port option;
   msg_id : int;
-  mutable handoff : int option;  (* transport-set: delivered to a blocked receiver *)
+  mutable handoff : Mach_sim.Sched.reservation option;
+      (* transport-set: delivered to a blocked receiver *)
   mutable trace_span : int;  (* transport-set: sender's causal span id, -1 if none *)
 }
 

@@ -14,9 +14,9 @@ and header = {
   dest : port;
   reply : port option;
   msg_id : int;  (** operation identifier, like Mach's msgh_id *)
-  mutable handoff : int option;
+  mutable handoff : Mach_sim.Sched.reservation option;
       (** set by the transport when the message was handed directly to a
-          blocked receiver: the scheduler ticket of the donated processor
+          blocked receiver: the donated processor's reservation
           ({!Mach_sim.Sched.claim_handoff}); the receive path claims it
           and skips its context-switch charge *)
   mutable trace_span : int;

@@ -76,14 +76,12 @@ let fastpath_ready port msg =
 
 (* A processor reserved for a handoff that will not happen goes back to
    the run queues at once rather than idling out its window. *)
-let give_back node = function
-  | Some ticket -> Sched.cancel_handoff node.node_sched ~ticket
-  | None -> ()
+let give_back = Option.iter Sched.cancel_handoff
 
 (* [handoff] is the header mark a fast-path delivery carries: the
-   ticket of the processor the send burst reserved for the receiver.
-   Deliveries without it (remote ones, the ablation arm) leave the
-   receive its switch charge. *)
+   processor the send burst reserved for the receiver. Deliveries
+   without it (remote ones, the ablation arm) leave the receive its
+   switch charge. *)
 let enqueue_local node ?timeout ?handoff port msg =
   let stats = node.node_stats in
   let q = Port.queue port in
@@ -97,7 +95,7 @@ let enqueue_local node ?timeout ?handoff port msg =
       Counters.incr stats s_rpc_fastpath;
       Ok ()
     | exception Mailbox.Closed ->
-      give_back node handoff;
+      give_back handoff;
       Error Send_invalid_port
   end
   else
@@ -125,7 +123,7 @@ let send node ?timeout msg =
        the receiver enters without a run-queue round trip even when
        other threads are waiting for the CPU. Remote deliveries never
        donate: the daemon's processor belongs to the destination host. *)
-    let ticket =
+    let handoff =
       Sched.compute_donating node.node_sched cost ~donate_if:(fun () ->
           local && node.node_params.Machine.handoff && fastpath_ready dest msg)
     in
@@ -135,12 +133,12 @@ let send node ?timeout msg =
     Counters.add stats s_bytes_mapped (Message.mapped_bytes msg);
     (* The port may have died while we were copying. *)
     if not (Port.alive dest) then begin
-      give_back node ticket;
+      give_back handoff;
       Error Send_invalid_port
     end
     else if local then begin
       trace_send node msg ~local:true;
-      enqueue_local node ?timeout ?handoff:ticket dest msg
+      enqueue_local node ?timeout ?handoff dest msg
     end
     else begin
       trace_send node msg ~local:false;
@@ -183,10 +181,10 @@ let charge_receive node msg =
   Trace.point node.node_trace ~span:hdr.Message.trace_span ~subsystem:"ipc"
     (if Option.is_some hdr.Message.handoff then "recv_handoff" else "recv");
   match hdr.Message.handoff with
-  | Some ticket ->
+  | Some r ->
     hdr.Message.handoff <- None;
     Counters.incr node.node_stats s_handoffs;
-    Sched.claim_handoff node.node_sched ~ticket ~name:(Engine.self_name ())
+    Sched.claim_handoff r ~name:(Engine.self_name ())
   | None -> Sched.compute node.node_sched node.node_params.Machine.context_switch_us
 
 let receive_one node space port ?timeout () =

@@ -151,25 +151,36 @@ let vm_regions t =
 
 (* Walk the range page by page: fault each page in, then wire the
    resident page the map resolves it to (the page the fault handler
-   used). *)
+   used). A writable entry faults for write, as Mach's wiring does, so
+   a pending copy-on-write is resolved first and the wired page is the
+   one the task writes. *)
 let vm_wire t ~addr ~size =
   enter t;
   let ps = t.t_kernel.k_kctx.Kctx.page_size in
+  let lookup va =
+    match Vm_map.lookup t.t_map ~addr:va ~write:false with
+    | Error `Invalid_address -> Error (Access.Bad_address va)
+    | Error `Protection -> Error (Access.Access_denied va)
+    | Ok lk -> Ok lk
+  in
   let rec go va =
     if va >= addr + size then Ok ()
     else
-      match Access.touch t.t_kernel.k_kctx t.t_map ~addr:va ~write:false () with
+      match lookup va with
       | Error e -> Error e
-      | Ok _ -> (
-        match Vm_map.lookup t.t_map ~addr:va ~write:false with
-        | Error `Invalid_address -> Error (Access.Bad_address va)
-        | Error `Protection -> Error (Access.Access_denied va)
-        | Ok lk -> (
-          match Mach_vm.Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
-          | Mach_vm.Vm_object.Resident (page, _, _) ->
-            Vm_map.wire t.t_map ~addr:va page;
-            go (va + ps)
-          | Paged _ | Nowhere -> go (va + ps)))
+      | Ok lk -> (
+        let write = Prot.can_write lk.Vm_map.lk_entry_prot in
+        match Access.touch t.t_kernel.k_kctx t.t_map ~addr:va ~write () with
+        | Error e -> Error e
+        | Ok _ -> (
+          match lookup va with
+          | Error e -> Error e
+          | Ok lk -> (
+            match Mach_vm.Vm_object.walk lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with
+            | Mach_vm.Vm_object.Resident (page, _, _) ->
+              Vm_map.wire t.t_map ~addr:va page;
+              go (va + ps)
+            | Paged _ | Nowhere -> go (va + ps))))
   in
   go (addr land lnot (ps - 1))
 

@@ -61,10 +61,12 @@ module Heap = struct
       if i > 0 && less last h.data.((i - 1) / 2) then sift_up h i last else sift_down h i last
 end
 
-(* A simulated thread: its name, and whether it waits for its resumer. *)
-type fiber = { name : string; mutable blocked : bool }
+(* A simulated thread: its name, whether it waits for its resumer, and
+   the state other layers keep per thread: its open trace spans
+   (innermost first) and the processor it occupies ([-1] for none). *)
+type fiber = { name : string; mutable blocked : bool; mutable spans : int list; mutable cpu : int }
 
-let no_fiber = { name = ""; blocked = false }
+let no_fiber = { name = ""; blocked = false; spans = []; cpu = -1 }
 
 type t = {
   mutable now : float;
@@ -79,9 +81,7 @@ type t = {
   mutable failure : exn option;
 }
 
-type 'a resumer = 'a -> unit
-
-type _ Effect.t += Suspend : (t -> 'a resumer -> unit) -> 'a Effect.t
+type _ Effect.t += Suspend : (t -> ('a -> unit) -> unit) -> 'a Effect.t
 
 (* The engine whose [run] is innermost on the stack. *)
 let running = ref None
@@ -117,7 +117,7 @@ let spawn t ?name f =
       t.anon_count <- t.anon_count + 1;
       Printf.sprintf "thread-%d" t.anon_count
   in
-  let id = t.spawned and fib = { name; blocked = false } in
+  let id = t.spawned and fib = { name; blocked = false; spans = []; cpu = -1 } in
   t.spawned <- id + 1;
   Hashtbl.add t.fibers id fib;
   let fiber () =
@@ -185,7 +185,7 @@ let suspend register = Effect.perform (Suspend register)
    one); the wake that ends the block cancels it. *)
 type 'a waiter = {
   mutable waiting : bool;
-  resume : 'a resumer;
+  resume : 'a -> unit;
   eng : t;
   mutable timer : timer;
 }
@@ -211,9 +211,14 @@ let block ?timeout register =
 (* The thread running now; [no_fiber] in timer callbacks ([schedule])
    and outside [run]. *)
 let current () = match !running with Some t -> t.current | None -> no_fiber
-let self_name_opt () = match current () with f when f == no_fiber -> None | f -> Some f.name
-let self_name () =
-  match current () with f when f == no_fiber -> invalid_arg "Engine.self_name" | f -> f.name
+let self_opt () = match current () with f when f == no_fiber -> None | f -> Some f
+let self () = match current () with f when f == no_fiber -> invalid_arg "Engine.self" | f -> f
+let self_name () = (self ()).name
+let fiber_name f = f.name
+let spans f = f.spans
+let set_spans f s = f.spans <- s
+let cpu f = f.cpu
+let set_cpu f c = f.cpu <- c
 
 (* A sleep due alone (nothing queued is due at or before its wake, and
    the wake is within [until]) would be the next event the run pops,

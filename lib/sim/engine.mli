@@ -69,14 +69,31 @@ val blocked_names : t -> string list
 (** Names of currently-suspended threads (diagnostic, sorted). A thread
     asleep past {!run}'s [until] is one. *)
 
-val self_name : unit -> string
-(** Name of the calling simulated thread. Raises [Invalid_argument]
-    outside a thread. *)
+type fiber
+(** A simulated thread, as the thread itself: state that other layers
+    keep per thread lives on it. *)
 
-val self_name_opt : unit -> string option
-(** Like {!self_name}, but [None] when called outside a simulated
-    thread (e.g. from a {!schedule} timer callback) instead of
-    raising. *)
+val self : unit -> fiber
+(** The calling simulated thread. Raises [Invalid_argument] outside a
+    thread. *)
+
+val self_opt : unit -> fiber option
+(** Like {!self}, but [None] when called outside a simulated thread
+    (e.g. from a {!schedule} timer callback) instead of raising. *)
+
+val self_name : unit -> string
+(** [fiber_name (self ())]. *)
+
+val fiber_name : fiber -> string
+
+val spans : fiber -> int list
+val set_spans : fiber -> int list -> unit
+(** The fiber's open {!Trace} spans, innermost first; empty at spawn. *)
+
+val cpu : fiber -> int
+val set_cpu : fiber -> int -> unit
+(** The processor the fiber occupies on its host's {!Sched}; [-1] (the
+    value at spawn) when it occupies none. *)
 
 val sleep : float -> unit
 (** Block the calling thread for the given number of simulated
@@ -87,18 +104,10 @@ val sleep : float -> unit
 
 (** {2 Internal plumbing for synchronisation primitives} *)
 
-type 'a resumer = 'a -> unit
-(** Resuming schedules the suspended thread at the current simulated time.
-    Must be called at most once. *)
-
-val suspend : (t -> 'a resumer -> unit) -> 'a
-(** [suspend register] blocks the calling thread; [register] receives the
-    engine and a one-shot resumer. *)
-
 type 'a waiter
 (** A blocked thread and its optional timeout: the one wait every
-    synchronisation primitive with a wake-up of its own ({!Waitq},
-    {!Mailbox}, {!Ivar}) is built on. *)
+    synchronisation primitive ({!Waitq}, {!Mailbox}, {!Ivar},
+    {!Semaphore}, {!Sched}'s run queues) is built on. *)
 
 val block : ?timeout:float * 'a -> ('a waiter -> unit) -> 'a
 (** [block ?timeout register] blocks the calling thread until {!wake};

@@ -66,13 +66,14 @@ let s_idle_with_waiter = sched_stat "idle_with_waiter"
 (* bursts that re-entered the processor their paid tenure kept *)
 let s_holds = sched_stat "holds"
 
-type reservation = { r_ticket : int; mutable r_for : string option }
+(* A donated processor, live while it is its CPU's [c_reserved]. *)
+type reservation = { r_sched : t; r_cpu : cpu; mutable r_for : string option }
 
-type waiter = { w_name : string; w_wake : cpu -> unit }
+and waiter = { w_fiber : Engine.fiber; w_wake : cpu Engine.waiter }
 
 and cpu = {
   c_id : int;
-  mutable c_running : string option;
+  mutable c_running : Engine.fiber option; (* its fiber's [Engine.cpu] is [c_id] *)
   mutable c_last : string;
   c_runq : waiter Queue.t;
   mutable c_reserved : reservation option;
@@ -81,13 +82,11 @@ and cpu = {
   mutable c_held : bool; (* occupied between bursts of a paid tenure *)
 }
 
-type t = {
+and t = {
   eng : Engine.t;
   cpus : cpu array;
   affinity : (string, int) Hashtbl.t; (* thread name -> last CPU *)
-  reservations : (int, cpu) Hashtbl.t; (* live handoff tickets *)
   pending_handoff : (string, cpu) Hashtbl.t; (* claimed, not yet entered *)
-  mutable next_ticket : int;
   quantum_us : float;
   context_switch_us : float;
   stats : Counters.t;
@@ -112,9 +111,7 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
             c_held = false;
           });
     affinity = Hashtbl.create 64;
-    reservations = Hashtbl.create 8;
     pending_handoff = Hashtbl.create 8;
-    next_ticket = 0;
     quantum_us;
     context_switch_us;
     stats = Counters.create sched_counters;
@@ -125,12 +122,12 @@ let cpu_count t = Array.length t.cpus
 let stats t = t.stats
 let set_trace t tr = t.trace <- tr
 
-(* Which processor (if any) a named thread currently occupies — the
-   trace's CPU-stamping hook. *)
-let running_cpu t name =
-  let found = ref None in
-  Array.iter (fun c -> if !found = None && c.c_running = Some name then found := Some c.c_id) t.cpus;
-  !found
+(* Give [cpu] to [fib] (or to nobody), keeping the occupant's
+   [Engine.cpu] in step. *)
+let occupy cpu fib =
+  Option.iter (fun f -> Engine.set_cpu f (-1)) cpu.c_running;
+  cpu.c_running <- fib;
+  Option.iter (fun f -> Engine.set_cpu f cpu.c_id) fib
 
 let trace_point t label =
   match t.trace with
@@ -174,18 +171,18 @@ let dispatch t cpu =
   if cpu.c_reserved = None then begin
     match Queue.take_opt cpu.c_runq with
     | Some w ->
-      cpu.c_running <- Some w.w_name;
+      occupy cpu (Some w.w_fiber);
       Counters.incr t.stats s_switches;
-      w.w_wake cpu
+      Engine.wake w.w_wake cpu
     | None -> (
       match longest_runq t with
       | Some victim ->
         let w = Queue.take victim.c_runq in
-        cpu.c_running <- Some w.w_name;
+        occupy cpu (Some w.w_fiber);
         Counters.incr t.stats s_switches;
         Counters.incr t.stats s_steals;
         Counters.incr t.stats s_migrations;
-        w.w_wake cpu
+        Engine.wake w.w_wake cpu
       | None -> check_idle_invariant t)
   end
 
@@ -198,10 +195,10 @@ let affinity_entries t = Hashtbl.length t.affinity
 
 type entry = Entry_direct | Entry_queued | Entry_handoff | Entry_held
 
-let take t cpu name =
-  cpu.c_running <- Some name;
+let take t cpu fib =
+  occupy cpu (Some fib);
   Counters.incr t.stats s_direct_dispatches;
-  if cpu.c_last = name then Counters.incr t.stats s_affinity_hits
+  if cpu.c_last = Engine.fiber_name fib then Counters.incr t.stats s_affinity_hits
 
 let first_free t =
   let found = ref None in
@@ -213,29 +210,25 @@ let shortest_runq t =
   Array.iter (fun c -> if Queue.length c.c_runq < Queue.length !best.c_runq then best := c) t.cpus;
   !best
 
-let consume_reservation t cpu =
-  (match cpu.c_reserved with
-  | Some r -> Hashtbl.remove t.reservations r.r_ticket
-  | None -> ());
-  cpu.c_reserved <- None
+let live r = match r.r_cpu.c_reserved with Some r' -> r' == r | None -> false
 
 (* End a hold: the holder has blocked, so its processor goes to the run
    queues. *)
 let release t cpu =
   cpu.c_held <- false;
-  cpu.c_running <- None;
+  occupy cpu None;
   dispatch t cpu
 
 (* The caller is the only fiber running, so every other holder is
    blocked: release those, and resume the caller's own hold if it has
    one. *)
-let take_holds t name =
+let take_holds t fib =
   let own = ref None in
   Array.iter
     (fun c ->
       if c.c_held then
         match c.c_running with
-        | Some n when String.equal n name ->
+        | Some f when f == fib ->
           c.c_held <- false;
           own := Some c
         | Some _ | None -> release t c)
@@ -253,14 +246,15 @@ let hold t cpu =
   Engine.schedule t.eng ~at:(Engine.now t.eng) (fun () -> if cpu.c_held then release t cpu)
 
 (* A new tenure: a claimed handoff, an idle CPU, or a run-queue wait. *)
-let start_tenure t name =
+let start_tenure t fib =
+  let name = Engine.fiber_name fib in
   let claimed =
     match Hashtbl.find_opt t.pending_handoff name with
     | Some cpu
       when (match cpu.c_reserved with Some r -> r.r_for = Some name | None -> false) ->
       Hashtbl.remove t.pending_handoff name;
-      consume_reservation t cpu;
-      cpu.c_running <- Some name;
+      cpu.c_reserved <- None;
+      occupy cpu (Some fib);
       Counters.incr t.stats s_handoff_claims;
       Some (cpu, Entry_handoff)
     | Some _ ->
@@ -275,12 +269,12 @@ let start_tenure t name =
     let home = Hashtbl.find_opt t.affinity name in
     match home with
     | Some h when free t.cpus.(h) ->
-      take t t.cpus.(h) name;
+      take t t.cpus.(h) fib;
       (t.cpus.(h), Entry_direct)
     | _ -> (
       match first_free t with
       | Some c ->
-        take t c name;
+        take t c fib;
         if home <> None then Counters.incr t.stats s_migrations;
         (c, Entry_direct)
       | None ->
@@ -291,17 +285,15 @@ let start_tenure t name =
         let depth = queued t + 1 in
         Counters.add t.stats s_queue_depth_sum depth;
         Counters.peak t.stats s_queue_depth_peak depth;
-        let cpu =
-          Engine.suspend (fun _eng k -> Queue.add { w_name = name; w_wake = k } target.c_runq)
-        in
+        let cpu = Engine.block (fun w -> Queue.add { w_fiber = fib; w_wake = w } target.c_runq) in
         (cpu, Entry_queued)))
 
-let acquire t name =
-  match take_holds t name with
+let acquire t fib =
+  match take_holds t fib with
   | Some cpu ->
     Counters.incr t.stats s_holds;
     (cpu, Entry_held)
-  | None -> start_tenure t name
+  | None -> start_tenure t fib
 
 (* The context-switch cost of entering via a run queue, charged to the
    incoming thread on its new processor; it begins a paid tenure. *)
@@ -314,7 +306,7 @@ let charge_switch t cpu =
 
 (* Runs a burst to completion and returns the processor it finished on,
    still occupied; the caller decides who gets it next. *)
-let rec run_burst t cpu name remaining =
+let rec run_burst t cpu fib remaining =
   let slice = if remaining > t.quantum_us then t.quantum_us else remaining in
   Engine.sleep slice;
   cpu.c_busy_us <- cpu.c_busy_us +. slice;
@@ -326,23 +318,23 @@ let rec run_burst t cpu name remaining =
        tail first so the dispatch below picks the earlier waiter. *)
     Counters.incr t.stats s_preemptions;
     trace_point t "preempt";
-    note_affinity t cpu name;
+    note_affinity t cpu (Engine.fiber_name fib);
     let cpu' =
-      Engine.suspend (fun _eng k ->
-          Queue.add { w_name = name; w_wake = k } cpu.c_runq;
-          cpu.c_running <- None;
+      Engine.block (fun w ->
+          Queue.add { w_fiber = fib; w_wake = w } cpu.c_runq;
+          occupy cpu None;
           dispatch t cpu)
     in
     charge_switch t cpu';
-    run_burst t cpu' name remaining
+    run_burst t cpu' fib remaining
   end
-  else run_burst t cpu name remaining
+  else run_burst t cpu fib remaining
 
 (* A positive-length burst on the calling thread; returns its processor
    still occupied (affinity noted) for [finish] or a donation. *)
 let burst t us =
-  let name = Engine.self_name () in
-  let cpu, entry = acquire t name in
+  let fib = Engine.self () in
+  let cpu, entry = acquire t fib in
   trace_point t
     (match entry with
     | Entry_direct -> "enter_direct"
@@ -353,8 +345,8 @@ let burst t us =
   | Entry_queued -> charge_switch t cpu
   | Entry_direct | Entry_handoff -> cpu.c_paid_us <- 0.0
   | Entry_held -> ());
-  let cpu = run_burst t cpu name us in
-  note_affinity t cpu name;
+  let cpu = run_burst t cpu fib us in
+  note_affinity t cpu (Engine.fiber_name fib);
   cpu
 
 (* A paid tenure with switch time left holds its processor; any other
@@ -362,7 +354,7 @@ let burst t us =
 let finish t cpu =
   if cpu.c_paid_us > 0.0 then hold t cpu
   else begin
-    cpu.c_running <- None;
+    occupy cpu None;
     dispatch t cpu
   end
 
@@ -384,23 +376,17 @@ let expire t cpu =
     | Some c when c == cpu -> Hashtbl.remove t.pending_handoff name
     | Some _ | None -> ())
   | Some _ | None -> ());
-  consume_reservation t cpu;
+  cpu.c_reserved <- None;
   Counters.incr t.stats s_handoff_expired;
   dispatch t cpu
 
 let reserve t cpu =
-  let ticket = t.next_ticket in
-  t.next_ticket <- ticket + 1;
-  cpu.c_reserved <- Some { r_ticket = ticket; r_for = None };
-  Hashtbl.replace t.reservations ticket cpu;
+  let r = { r_sched = t; r_cpu = cpu; r_for = None } in
+  cpu.c_reserved <- Some r;
   trace_point t "donate";
-  Engine.schedule t.eng
-    ~at:(Engine.now t.eng +. reserve_window t)
-    (fun () ->
-      match cpu.c_reserved with
-      | Some r when r.r_ticket = ticket -> expire t cpu
-      | Some _ | None -> ());
-  ticket
+  Engine.schedule t.eng ~at:(Engine.now t.eng +. reserve_window t) (fun () ->
+      if live r then expire t cpu);
+  r
 
 (* The predicate runs at the instant the burst ends, with nothing else
    interleaved, so a caller may act on the same condition right after. *)
@@ -409,7 +395,7 @@ let compute_donating t us ~donate_if =
   else begin
     let cpu = burst t us in
     if donate_if () then begin
-      cpu.c_running <- None;
+      occupy cpu None;
       Some (reserve t cpu)
     end
     else begin
@@ -418,17 +404,10 @@ let compute_donating t us ~donate_if =
     end
   end
 
-let cancel_handoff t ~ticket =
-  match Hashtbl.find_opt t.reservations ticket with
-  | Some cpu -> expire t cpu
-  | None -> ()
+let cancel_handoff r = if live r then expire r.r_sched r.r_cpu
 
-let claim_handoff t ~ticket ~name =
-  match Hashtbl.find_opt t.reservations ticket with
-  | None -> ()
-  | Some cpu -> (
-    match cpu.c_reserved with
-    | Some r when r.r_ticket = ticket && r.r_for = None ->
-      r.r_for <- Some name;
-      Hashtbl.replace t.pending_handoff name cpu
-    | _ -> ())
+let claim_handoff r ~name =
+  if live r && r.r_for = None then begin
+    r.r_for <- Some name;
+    Hashtbl.replace r.r_sched.pending_handoff name r.r_cpu
+  end

@@ -50,24 +50,27 @@ val compute : t -> float -> unit
     negative length return immediately. The processor is held for the
     thread's next burst or re-dispatched by the tenure rule above. *)
 
-val compute_donating : t -> float -> donate_if:(unit -> bool) -> int option
+type reservation
+(** A processor donated for a handoff, held for its beneficiary. *)
+
+val compute_donating : t -> float -> donate_if:(unit -> bool) -> reservation option
 (** {!compute}, except that at the end of the burst [donate_if ()] is
     asked — at that instant, with nothing interleaved — whether to
     reserve the processor the burst ran on for a handoff instead of
-    ending as {!compute} does. Returns the reservation's ticket for
+    ending as {!compute} does. Returns the reservation for
     {!claim_handoff}, or [None] (no donation; zero-length bursts
     occupy no processor and never donate). *)
 
-val cancel_handoff : t -> ticket:int -> unit
+val cancel_handoff : reservation -> unit
 (** Hand a live reservation back: the processor is re-dispatched at
     once instead of idling out its window (counted in
-    [handoff_expired]). Claimed-and-entered or unknown tickets are
-    ignored. *)
+    [handoff_expired]). Claimed-and-entered or expired reservations
+    are ignored. *)
 
-val claim_handoff : t -> ticket:int -> name:string -> unit
+val claim_handoff : reservation -> name:string -> unit
 (** Bind a live reservation to thread [name]; its next {!compute}
     enters on the donated processor without queueing or switch charge.
-    Expired or unknown tickets are ignored. *)
+    Expired or already claimed reservations are ignored. *)
 
 val cpu_count : t -> int
 val stats : t -> Mach_util.Metrics.Counters.t
@@ -80,10 +83,6 @@ val set_trace : t -> Trace.t option -> unit
     [enter_queued] / [enter_handoff] / [hold]), preemptions and
     donations emit "sched" points attributed to the computing fiber's
     current span. *)
-
-val running_cpu : t -> string -> int option
-(** The processor a named thread currently occupies, if any — the
-    trace's CPU-stamping hook. *)
 
 val busy_us : t -> float
 (** Total processor-busy time accumulated across all CPUs (compute

@@ -1,4 +1,4 @@
-type waiter = { n : int; wake : unit -> unit }
+type waiter = { n : int; wake : unit Engine.waiter }
 type t = { mutable avail : int; waiting : waiter Queue.t }
 
 let create permits =
@@ -14,14 +14,14 @@ let drain t =
     | Some w when w.n <= t.avail ->
       ignore (Queue.take t.waiting);
       t.avail <- t.avail - w.n;
-      w.wake ()
+      Engine.wake w.wake ()
     | Some _ | None -> continue_draining := false
   done
 
 let acquire ?(n = 1) t =
   if Queue.is_empty t.waiting && t.avail >= n then t.avail <- t.avail - n
   else
-    Engine.suspend (fun _eng k -> Queue.add { n; wake = (fun () -> k ()) } t.waiting)
+    Engine.block (fun wake -> Queue.add { n; wake } t.waiting)
 
 let try_acquire ?(n = 1) t =
   if Queue.is_empty t.waiting && t.avail >= n then begin

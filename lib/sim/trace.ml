@@ -3,15 +3,15 @@
 
    A *span* is an interval with a causal identity — one page fault, one
    bench phase. [span_open] allocates a fresh id (parented on the
-   opener's current span) and pushes it on the opening fiber's span
-   stack; [span_close] records the resolution label and pops. [point]
-   marks an instant inside the current (or an explicit) span. Causality
-   crosses fibers by carrying the id — the IPC transport stamps the
-   sender's current span into the message header and the receiving
-   service loop runs its handler under [adopt] — so one fault's id
-   threads fault entry → pager request → IPC send/receive → manager →
-   reply → resolution, across any number of threads and hosts sharing
-   the engine.
+   opener's current span) and pushes it on the span stack the opening
+   fiber carries ([Engine.spans]); [span_close] records the resolution
+   label and pops. [point] marks an instant inside the current (or an
+   explicit) span. Causality crosses fibers by carrying the id — the
+   IPC transport stamps the sender's current span into the message
+   header and the receiving service loop runs its handler under
+   [adopt] — so one fault's id threads fault entry → pager request →
+   IPC send/receive → manager → reply → resolution, across any number
+   of threads and hosts sharing the engine.
 
    Tracing is an observability layer, not a simulation effect: it
    charges no simulated time, so a traced run and an untraced run have
@@ -51,9 +51,6 @@ type t = {
   mutable count : int;  (* valid events, <= capacity *)
   mutable total : int;  (* ever recorded *)
   mutable next_span : int;
-  mutable cpu_hooks : (string -> int) list;
-      (* thread name -> running CPU or -1; one hook per host scheduler *)
-  stacks : (string, int list) Hashtbl.t;  (* fiber name -> open-span stack *)
 }
 
 let none = -1
@@ -65,25 +62,18 @@ let dummy_event =
 let create ?(capacity = 65536) eng =
   if capacity < 2 then invalid_arg "Trace.create: capacity must be at least 2";
   { eng; on = false; buf = Array.make capacity dummy_event; head = 0; count = 0;
-    total = 0; next_span = 0; cpu_hooks = []; stacks = Hashtbl.create 64 }
+    total = 0; next_span = 0 }
 
 let enabled t = t.on
 let set_enabled t b = t.on <- b
 let capacity t = Array.length t.buf
-let add_cpu_hook t f = t.cpu_hooks <- f :: t.cpu_hooks
 
-let cpu_of t = function
-  | None -> none
-  | Some name ->
-    let rec go = function
-      | [] -> none
-      | f :: rest -> ( match f name with -1 -> go rest | c -> c)
-    in
-    go t.cpu_hooks
-
+(* The span stack and the processor come from the recording fiber
+   itself; a timer callback has neither. *)
 let record t ~span ~parent ~sub ~kind ~label ~who =
   let ev =
-    { ev_seq = t.total; ev_time = Engine.now t.eng; ev_cpu = cpu_of t who; ev_span = span;
+    { ev_seq = t.total; ev_time = Engine.now t.eng;
+      ev_cpu = (match who with Some f -> Engine.cpu f | None -> none); ev_span = span;
       ev_parent = parent; ev_sub = sub; ev_kind = kind; ev_label = label }
   in
   t.buf.(t.head) <- ev;
@@ -91,74 +81,53 @@ let record t ~span ~parent ~sub ~kind ~label ~who =
   if t.count < Array.length t.buf then t.count <- t.count + 1;
   t.total <- t.total + 1
 
-let top_of t who =
-  match Hashtbl.find_opt t.stacks who with Some (s :: _) -> s | Some [] | None -> none
+let top_of = function
+  | Some f -> ( match Engine.spans f with s :: _ -> s | [] -> none)
+  | None -> none
 
-let current t =
-  if not t.on then none
-  else match Engine.self_name_opt () with None -> none | Some who -> top_of t who
+let current t = if not t.on then none else top_of (Engine.self_opt ())
 
-let push t who span =
-  Hashtbl.replace t.stacks who
-    (span :: Option.value (Hashtbl.find_opt t.stacks who) ~default:[])
+let push f span = Engine.set_spans f (span :: Engine.spans f)
 
 (* Pop the topmost occurrence; out-of-order closes (span kept across a
    structured retry) still unwind correctly. *)
-let pop t who span =
-  match Hashtbl.find_opt t.stacks who with
-  | None -> ()
-  | Some stack ->
-    let removed = ref false in
-    let stack' =
-      List.filter
-        (fun s ->
-          if (not !removed) && s = span then begin
-            removed := true;
-            false
-          end
-          else true)
-        stack
-    in
-    if stack' = [] then Hashtbl.remove t.stacks who else Hashtbl.replace t.stacks who stack'
+let pop f span =
+  let rec drop = function [] -> [] | s :: rest -> if s = span then rest else s :: drop rest in
+  Engine.set_spans f (drop (Engine.spans f))
 
 let span_open t ~subsystem ~label =
   if not t.on then none
   else begin
-    let who = Engine.self_name_opt () in
-    let parent = match who with None -> none | Some w -> top_of t w in
+    let who = Engine.self_opt () in
     let id = t.next_span in
     t.next_span <- id + 1;
-    record t ~span:id ~parent ~sub:subsystem ~kind:Open ~label ~who;
-    (match who with Some w -> push t w id | None -> ());
+    record t ~span:id ~parent:(top_of who) ~sub:subsystem ~kind:Open ~label ~who;
+    Option.iter (fun f -> push f id) who;
     id
   end
 
 let span_close t ~subsystem ~label span =
   if t.on && span >= 0 then begin
-    let who = Engine.self_name_opt () in
+    let who = Engine.self_opt () in
     record t ~span ~parent:none ~sub:subsystem ~kind:Close ~label ~who;
-    match who with Some w -> pop t w span | None -> ()
+    Option.iter (fun f -> pop f span) who
   end
 
 let point ?span t ~subsystem label =
   if t.on then begin
-    let who = Engine.self_name_opt () in
-    let sp =
-      match span with
-      | Some s -> s
-      | None -> ( match who with None -> none | Some w -> top_of t w)
-    in
+    let who = Engine.self_opt () in
+    let sp = match span with Some s -> s | None -> top_of who in
     record t ~span:sp ~parent:none ~sub:subsystem ~kind:Point ~label ~who
   end
 
 let adopt t span f =
   if (not t.on) || span < 0 then f ()
   else
-    match Engine.self_name_opt () with
+    match Engine.self_opt () with
     | None -> f ()
     | Some w ->
-      push t w span;
-      Fun.protect ~finally:(fun () -> pop t w span) f
+      push w span;
+      Fun.protect ~finally:(fun () -> pop w span) f
 
 (* {2 Reductions} *)
 

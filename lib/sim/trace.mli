@@ -21,7 +21,7 @@ type kind = Open | Close | Point
 type event = {
   ev_seq : int;  (** monotone over the run; reveals ring wraparound *)
   ev_time : float;  (** simulated microseconds *)
-  ev_cpu : int;  (** processor of the recording fiber; [-1] if unknown *)
+  ev_cpu : int;  (** processor the recording fiber occupies ({!Engine.cpu}); [-1] if none *)
   ev_span : int;  (** span id; [-1] for points outside any span *)
   ev_parent : int;  (** on [Open]: enclosing span id, [-1] for roots *)
   ev_sub : string;  (** subsystem namespace: "vm", "ipc", "sched", ... *)
@@ -46,10 +46,6 @@ val create : ?capacity:int -> Engine.t -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 val capacity : t -> int
-
-val add_cpu_hook : t -> (string -> int) -> unit
-(** Register a thread-name → running-CPU resolver (one per host
-    scheduler); the first hook answering [>= 0] stamps the event. *)
 
 val span_open : t -> subsystem:string -> label:string -> int
 (** Open a span parented on the calling fiber's current span. Returns

@@ -117,8 +117,6 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
   let metrics = Metrics.create () in
   let trace = match trace with Some tr -> tr | None -> Trace.create engine in
   Sched.set_trace sched (Some trace);
-  Trace.add_cpu_hook trace (fun name ->
-      match Sched.running_cpu sched name with Some c -> c | None -> -1);
   let stats = Counters.create vm_counters in
   let node =
     {

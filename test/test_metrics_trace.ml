@@ -274,6 +274,58 @@ let test_adopt_attribution () =
   check int "cross-fiber point attributed to adopted span" !carried served.Trace.ev_span;
   check int "span closed across the adoption" 0 (Trace.unclosed tr)
 
+(* Every host of a cluster boots kernel fibers with the same names
+   (pager-service, task-server, ...) and records into the one cluster
+   trace. A fiber's open spans and processor are its own, whatever
+   another host's namesake is doing. *)
+let test_cluster_namesakes () =
+  let module Kctx = Mach.Kctx in
+  let module Message = Mach_ipc.Message in
+  let cluster = Mach.Kernel.create_cluster ~hosts:2 () in
+  let eng = cluster.Mach.Kernel.c_engine in
+  let k0 = Mach.Kernel.kctx cluster.c_kernels.(0) in
+  let k1 = Mach.Kernel.kctx cluster.c_kernels.(1) in
+  let tr = k0.Kctx.trace in
+  check bool "one cluster trace" true (tr == k1.Kctx.trace);
+  Trace.set_enabled tr true;
+  let opened label =
+    let id = ref (-1) in
+    Engine.spawn eng ~name:("client-" ^ label) (fun () ->
+        id := Trace.span_open tr ~subsystem:"t" ~label;
+        Engine.sleep 100.0;
+        Trace.span_close tr ~subsystem:"t" ~label:"done" !id);
+    id
+  in
+  let span_a = opened "a" and span_b = opened "b" in
+  let dest = Mach_ipc.Port.create cluster.c_ctx ~home:0 ~drop:Message.discard () in
+  let child = ref (-1) and sent = ref None in
+  Engine.spawn eng ~name:"twin" (fun () ->
+      Engine.sleep 1.0;
+      Trace.adopt tr !span_a (fun () ->
+          (* Blocked while host 1's twin adopts B and computes. *)
+          Engine.sleep 10.0;
+          Trace.point tr ~subsystem:"t" "p";
+          child := Trace.span_open tr ~subsystem:"t" ~label:"child";
+          Trace.span_close tr ~subsystem:"t" ~label:"done" !child;
+          let msg = Message.make ~dest [] in
+          ignore (Mach_ipc.Transport.send k0.Kctx.node msg);
+          sent := Some msg));
+  Engine.spawn eng ~name:"twin" (fun () ->
+      Engine.sleep 5.0;
+      Trace.adopt tr !span_b (fun () -> Mach_sim.Sched.compute k1.Kctx.sched 50.0));
+  Engine.run eng ~until:1_000.0;
+  let ev label = List.find (fun ev -> ev.Trace.ev_label = label) (Trace.events tr) in
+  let p = ev "p" in
+  check int "point attributed to A" !span_a p.Trace.ev_span;
+  check int "point stamped with no CPU: host 1's twin holds that one" (-1) p.Trace.ev_cpu;
+  (match Trace.find_span tr !child with
+  | Some sp -> check int "child span parented on A" !span_a sp.Trace.sp_parent
+  | None -> fail "child span not recorded");
+  check int "send stamped with A" !span_a (ev "send").Trace.ev_span;
+  match !sent with
+  | Some msg -> check int "header carries A" !span_a msg.Message.header.Message.trace_span
+  | None -> fail "send did not run"
+
 (* ---- end to end: a kernel fault storm ----------------------------------- *)
 
 (* The canned storm behind machsim stat/trace, [rounds] pages per
@@ -357,6 +409,7 @@ let () =
           test_case "ring wraparound" `Quick test_ring_wraparound;
           test_case "disabled mode is a no-op" `Quick test_disabled_noop;
           test_case "cross-fiber adoption" `Quick test_adopt_attribution;
+          test_case "cluster namesakes keep their own spans" `Quick test_cluster_namesakes;
         ] );
       ( "kernel",
         [

@@ -145,7 +145,7 @@ let test_handoff_cancel () =
   let other_done = ref 0.0 in
   Engine.spawn eng ~name:"donor" (fun () ->
       match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
-      | Some ticket -> Sched.cancel_handoff s ~ticket
+      | Some r -> Sched.cancel_handoff r
       | None -> Alcotest.fail "a burst's end should always be able to donate");
   Engine.spawn eng ~name:"other" (fun () ->
       Engine.sleep 1.0;
@@ -255,7 +255,7 @@ let test_free_tenures_do_not_hold () =
   let c_done = ref 0.0 in
   Engine.spawn eng ~name:"donor" (fun () ->
       match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
-      | Some ticket -> Sched.claim_handoff s ~ticket ~name:"recv"
+      | Some r -> Sched.claim_handoff r ~name:"recv"
       | None -> Alcotest.fail "a burst's end should always be able to donate");
   Engine.spawn eng ~name:"recv" (fun () ->
       Engine.sleep 15.0;
@@ -321,9 +321,9 @@ let no_starvation_prop =
                   | None -> Sched.compute s us
                   | Some b -> (
                     match Sched.compute_donating s us ~donate_if:(fun () -> true) with
-                    | Some ticket ->
+                    | Some r ->
                       incr donations;
-                      Sched.claim_handoff s ~ticket ~name:(name (b mod threads))
+                      Sched.claim_handoff r ~name:(name (b mod threads))
                     | None -> ()));
                   incr completed;
                   Option.iter (fun g -> Engine.sleep (float_of_int g)) gap)

@@ -209,6 +209,28 @@ let test_deallocate_unwires_forked_region () =
       check Alcotest.int "child's chain collapsed" 0 depth;
       Task.terminate child)
 
+let test_fork_then_wire_then_write () =
+  (* Wiring a range the task shares copy-on-write with its child wires
+     the page the task writes: the wire resolves the copy-on-write, so
+     the parent's next write lands on the wired page and the child
+     keeps the old bytes. *)
+  with_system (fun sys task ->
+      let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
+      ignore (Syscalls.write_bytes task ~addr (Bytes.make 1 'o') ());
+      let child = Task.create sys.Kernel.kernel ~parent:task ~name:"child" () in
+      (match Syscalls.vm_wire task ~addr ~size:page with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let wired = resident_page task addr in
+      ignore (Syscalls.write_bytes task ~addr (Bytes.make 1 'p') ());
+      let written = resident_page task addr in
+      check Alcotest.bool "the write lands on the wired page" true (written == wired);
+      check Alcotest.int "parent's page wired" 1 written.Vm_types.wire_count;
+      (match Syscalls.read_bytes child ~addr ~len:1 () with
+      | Ok b -> check Alcotest.string "child keeps the old bytes" "o" (Bytes.to_string b)
+      | Error e -> Alcotest.failf "child read: %a" Access.pp_error e);
+      Task.terminate child)
+
 let test_unwire_drops_one_wiring () =
   with_system (fun _sys task ->
       let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
@@ -507,6 +529,8 @@ let () =
           Alcotest.test_case "deallocate unwires forked region" `Quick
             test_deallocate_unwires_forked_region;
           Alcotest.test_case "unwire drops one wiring" `Quick test_unwire_drops_one_wiring;
+          Alcotest.test_case "fork, wire, then the parent writes" `Quick
+            test_fork_then_wire_then_write;
         ] );
       ( "name-server",
         [

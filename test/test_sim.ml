@@ -97,7 +97,7 @@ let test_sleep_outside_a_thread_raises () =
 let test_self_name_opt () =
   let eng = Engine.create () in
   let seen = ref [] in
-  let note where = seen := (where, Engine.self_name_opt ()) :: !seen in
+  let note where = seen := (where, Option.map Engine.fiber_name (Engine.self_opt ())) :: !seen in
   Engine.schedule eng ~at:3.0 (fun () -> note "callback");
   Engine.spawn eng ~name:"worker" (fun () ->
       note "start";
