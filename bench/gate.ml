@@ -43,9 +43,9 @@ let scan_bounded =
 let spec = [
   ( "E1", [
     (* A null round trip keeps its cost: a send charged its fixed
-       message overhead twice fails this. (Losing the blocked-receiver
-       handoff alone, one context switch per round trip, stays inside
-       the 1.25x slack.) *)
+       message overhead twice reads 496 us and fails this, and so does
+       losing the blocked-receiver handoff (506 us: a switch per round
+       trip, and no donation to bill the server's trap after). *)
     le "msg_rpc_us" (Base 1.25);
     (* The handoff shows in its own count instead: a receive counts
        when the send donated its processor. With Machine.handoff =
@@ -57,6 +57,13 @@ let spec = [
        more than a 1 KB one; an inline copy charged at 0 us/byte makes
        them equal. *)
     ge "rpc_us_4096" (Sum [ Cur "rpc_us_1024"; Const 1.0 ]);
+    (* On E1's one processor a replying server gives its CPU to the
+       client, and its next receive bills its trap on wakeup instead of
+       queueing behind the client for it: the ping-pong dispatches
+       nothing off a run queue (baseline 2 switches for the whole run).
+       Charging that trap up front again ([late] false in
+       [Syscalls.msg_receive]) reads 2 001 and fails. *)
+    le "reg.sched.switches" (Const 10.0);
   ] );
   ( "E3", [
     (* A copy-vs-map crossover exists (-1: copy never lost), at 64 KB

@@ -68,9 +68,18 @@ let msg_send t ?timeout msg =
     discard_resolved ~orig:msg sent;
     e
 
+(* Handoff gives a replying server's processor to its client on the
+   assumption that the server blocks next. With no processor idle, the
+   trap of the receive it makes next would only wait in a run queue and
+   pay a switch to go to sleep; so a receive right after a donation
+   bills its trap when it returns, on the processor the thread wakes
+   on. *)
 let msg_receive t ?(from = `Any) ?timeout () =
-  enter t;
-  Transport.receive t.t_node t.t_space ~from ?timeout ()
+  let late = Engine.donated (Engine.self ()) && Sched.idle_cpus t.t_kernel.k_sched = 0 in
+  if late then Thread.self_checkpoint t else enter t;
+  let r = Transport.receive t.t_node t.t_space ~from ?timeout () in
+  if late then Cpu.compute t.t_kernel Cpu.syscall_overhead_us;
+  r
 
 let msg_rpc t msg () =
   enter t;

@@ -63,10 +63,17 @@ end
 
 (* A simulated thread: its name, whether it waits for its resumer, and
    the state other layers keep per thread: its open trace spans
-   (innermost first) and the processor it occupies ([-1] for none). *)
-type fiber = { name : string; mutable blocked : bool; mutable spans : int list; mutable cpu : int }
+   (innermost first), the processor it occupies ([-1] for none) and
+   whether its last burst gave that processor away. *)
+type fiber = {
+  name : string;
+  mutable blocked : bool;
+  mutable spans : int list;
+  mutable cpu : int;
+  mutable donated : bool;
+}
 
-let no_fiber = { name = ""; blocked = false; spans = []; cpu = -1 }
+let no_fiber = { name = ""; blocked = false; spans = []; cpu = -1; donated = false }
 
 type t = {
   mutable now : float;
@@ -117,7 +124,7 @@ let spawn t ?name f =
       t.anon_count <- t.anon_count + 1;
       Printf.sprintf "thread-%d" t.anon_count
   in
-  let id = t.spawned and fib = { name; blocked = false; spans = []; cpu = -1 } in
+  let id = t.spawned and fib = { name; blocked = false; spans = []; cpu = -1; donated = false } in
   t.spawned <- id + 1;
   Hashtbl.add t.fibers id fib;
   let fiber () =
@@ -219,6 +226,8 @@ let spans f = f.spans
 let set_spans f s = f.spans <- s
 let cpu f = f.cpu
 let set_cpu f c = f.cpu <- c
+let donated f = f.donated
+let set_donated f d = f.donated <- d
 
 (* A sleep due alone (nothing queued is due at or before its wake, and
    the wake is within [until]) would be the next event the run pops,

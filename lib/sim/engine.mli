@@ -95,6 +95,12 @@ val set_cpu : fiber -> int -> unit
 (** The processor the fiber occupies on its host's {!Sched}; [-1] (the
     value at spawn) when it occupies none. *)
 
+val donated : fiber -> bool
+val set_donated : fiber -> bool -> unit
+(** Whether the fiber's last {!Sched} burst ended by donating its
+    processor for a handoff: it gave the processor away and has
+    computed nothing since. [false] at spawn; {!Sched} keeps it. *)
+
 val sleep : float -> unit
 (** Block the calling thread for the given number of simulated
     microseconds. Must be called from inside a thread. When nothing

@@ -334,6 +334,7 @@ let rec run_burst t cpu fib remaining =
    still occupied (affinity noted) for [finish] or a donation. *)
 let burst t us =
   let fib = Engine.self () in
+  Engine.set_donated fib false;
   let cpu, entry = acquire t fib in
   trace_point t
     (match entry with
@@ -396,6 +397,7 @@ let compute_donating t us ~donate_if =
     let cpu = burst t us in
     if donate_if () then begin
       occupy cpu None;
+      Engine.set_donated (Engine.self ()) true;
       Some (reserve t cpu)
     end
     else begin

@@ -1,6 +1,7 @@
 open Vm_types
 module Prot = Mach_hw.Prot
 module Pmap = Mach_hw.Pmap
+module Phys_mem = Mach_hw.Phys_mem
 module Machine = Mach_hw.Machine
 module Transport = Mach_ipc.Transport
 
@@ -599,8 +600,61 @@ let copy_pieces t e ~lo ~hi emit =
         | Shared _ -> assert false)
       0 sub
 
+(* Mach's vm_map_fork gives the child a copy of a wired entry instead
+   of sharing it copy-on-write, which would make the parent's next
+   write copy away from its own wired page. Wirings here are per page:
+   a private copy-inherited record holding wired pages is first split
+   at the ends of each run of them, so every such entry is wired
+   throughout, and the parent keeps writing its wired pages in place. *)
+let wired_record t e =
+  match (e.inheritance, e.backing) with
+  | Inherit_copy, Direct d
+    when (not d.needs_copy) && List.exists (fun (vpn, _) -> covers e (vpn * page_size t)) t.map_wired
+    ->
+    Some d
+  | _ -> None
+
+let split_wired_runs t =
+  let ps = page_size t in
+  let wired vpn = List.mem_assoc vpn t.map_wired in
+  let split va = if Option.bind (find_entry t va) (wired_record t) <> None then clip t va in
+  List.iter
+    (fun (vpn, _) ->
+      if not (wired (vpn - 1)) then split (vpn * ps);
+      if not (wired (vpn + 1)) then split ((vpn + 1) * ps))
+    t.map_wired
+
+(* The pages [e] shows, when the parent sees a wired page at every
+   one; otherwise the record is shared copy-on-write as any other. *)
+let wired_pages t e d =
+  let ps = page_size t in
+  let rec from i acc =
+    if i < 0 then Some acc
+    else
+      match Vm_object.walk d.d_obj ~offset:(d.d_offset + (i * ps)) with
+      | Vm_object.Resident (p, _, _) when p.wire_count > 0 -> from (i - 1) (p :: acc)
+      | Vm_object.Resident _ | Vm_object.Paged _ | Vm_object.Nowhere -> None
+  in
+  from (((e.va_end - e.va_start) / ps) - 1) []
+
+(* The child's copy: a fresh object holding a copy of each page. *)
+let copy_wired t pages =
+  let kctx = t.kctx and ps = page_size t in
+  let obj = Vm_object.create_anonymous kctx ~size:(List.length pages * ps) in
+  List.iteri
+    (fun i src ->
+      let frame = Kctx.alloc_frame kctx ~privileged:false in
+      Phys_mem.copy kctx.Kctx.mem ~src:src.frame ~dst:frame;
+      let page = Vm_page.insert kctx obj ~offset:(i * ps) ~frame ~state:Resident in
+      page.dirty <- true;
+      Page_queues.activate kctx.Kctx.queues page)
+    pages;
+  Kctx.charge kctx (float_of_int (List.length pages) *. kctx.Kctx.params.Machine.page_copy_us);
+  obj
+
 let fork t ~child_pmap =
   let child = create t.kctx ~pmap:child_pmap in
+  split_wired_runs t;
   Array.iter
     (fun e ->
       match e.inheritance with
@@ -620,19 +674,28 @@ let fork t ~child_pmap =
               backing = Shared { share_map = s.share_map; sh_offset = s.sh_offset };
             }
         | Direct _ -> assert false)
-      | Inherit_copy ->
-        copy_pieces t e ~lo:e.va_start ~hi:e.va_end (fun ~rel ~span ~obj ~offset ->
-            insert_entry child
-              {
-                va_start = e.va_start + rel;
-                va_end = e.va_start + rel + span;
-                protection = e.protection;
-                max_protection = e.max_protection;
-                inheritance = e.inheritance;
-                backing =
-                  Direct { d_obj = obj; d_offset = offset; needs_copy = true; d_from_copy = false };
-              })
-        |> ignore)
+      | Inherit_copy -> (
+        match Option.bind (wired_record t e) (wired_pages t e) with
+        | Some pages ->
+          let obj = copy_wired t pages in
+          insert_entry child
+            {
+              e with
+              backing = Direct { d_obj = obj; d_offset = 0; needs_copy = false; d_from_copy = false };
+            }
+        | None ->
+          copy_pieces t e ~lo:e.va_start ~hi:e.va_end (fun ~rel ~span ~obj ~offset ->
+              insert_entry child
+                {
+                  va_start = e.va_start + rel;
+                  va_end = e.va_start + rel + span;
+                  protection = e.protection;
+                  max_protection = e.max_protection;
+                  inheritance = e.inheritance;
+                  backing =
+                    Direct { d_obj = obj; d_offset = offset; needs_copy = true; d_from_copy = false };
+                })
+          |> ignore))
     t.map_entries;
   child
 

@@ -392,11 +392,12 @@ let test_rpc_handoff_no_switch () =
   Engine.run sys.Kernel.engine;
   Alcotest.(check bool) "scenario completed" true !ok
 
-(* [pairs] client/server pairs of ping-pong RPCs on 2 CPUs. Returns the
-   longest client's elapsed time and the run's scheduler and IPC
-   counters. *)
-let ping_pong ~handoff ~pairs ~rpcs =
-  let config = { Kernel.default_config with Kernel.params = { multimax2 with Machine.handoff } } in
+(* [pairs] client/server pairs of ping-pong RPCs on [cpus] CPUs (2 by
+   default). Returns the longest client's elapsed time and the run's
+   scheduler and IPC counters. *)
+let ping_pong ?(cpus = 2) ~handoff ~pairs ~rpcs () =
+  let params = { multimax2 with Machine.handoff; cpus } in
+  let config = { Kernel.default_config with Kernel.params } in
   let sys = Kernel.create_system ~config () in
   let kctx = Kernel.kctx sys.Kernel.kernel in
   let elapsed = ref 0.0 in
@@ -440,8 +441,8 @@ let ping_pong ~handoff ~pairs ~rpcs =
    saving is the two context-switch charges the handoff skips. *)
 let test_handoff_cheaper_than_queue () =
   let rpcs = 50 in
-  let on, _, _ = ping_pong ~handoff:true ~pairs:1 ~rpcs in
-  let off, _, _ = ping_pong ~handoff:false ~pairs:1 ~rpcs in
+  let on, _, _ = ping_pong ~handoff:true ~pairs:1 ~rpcs () in
+  let off, _, _ = ping_pong ~handoff:false ~pairs:1 ~rpcs () in
   Alcotest.(check bool)
     (Printf.sprintf "handoff path cheaper (%.1f < %.1f us)" on off)
     true (on < off);
@@ -449,13 +450,35 @@ let test_handoff_cheaper_than_queue () =
   let expected_saving = float_of_int (2 * rpcs) *. multimax2.Machine.context_switch_us in
   check (Alcotest.float 1.0) "saving = two switch charges per RPC" expected_saving (off -. on)
 
+(* On one CPU the server's reply donates the only processor, so its
+   next receive would queue behind the client for a trap and then go
+   to sleep. It bills that trap when it wakes instead: no round trip
+   touches a run queue, and each costs exactly its three traps (the
+   client's [msg_rpc], the server's receive and reply) and two sends.
+   The server's first receive trapped before the client started its
+   clock, so the window holds one trap less. *)
+let test_one_cpu_ping_pong () =
+  let rpcs = 50 in
+  let elapsed, st, _ = ping_pong ~cpus:1 ~handoff:true ~pairs:1 ~rpcs () in
+  Alcotest.(check bool)
+    (Printf.sprintf "no switch per round trip (%d for %d RPCs)" (Counters.value st "switches") rpcs)
+    true
+    (Counters.value st "switches" <= 2);
+  let p = multimax2 in
+  let page_size = Kernel.default_config.Kernel.page_size in
+  (* [Transport.send_cost_us] of the 4-byte request or reply. *)
+  let send_us = p.Machine.msg_overhead_us +. (4.0 *. p.Machine.page_copy_us /. float_of_int page_size) in
+  let trap_us = Cpu.syscall_overhead_us in
+  let expected = (float_of_int rpcs *. ((3.0 *. trap_us) +. (2.0 *. send_us))) -. trap_us in
+  check (Alcotest.float 1e-6) "three traps and two sends per round trip" expected elapsed
+
 (* Four pairs on two CPUs keep every processor busy, so a donation can
    only happen at the end of the send burst, before the run queue takes
    the processor. Nearly every handoff must still get its CPU. *)
 let test_saturated_handoff () =
   let pairs = 4 and rpcs = 50 in
-  let _, on, on_ipc = ping_pong ~handoff:true ~pairs ~rpcs in
-  let _, off, _ = ping_pong ~handoff:false ~pairs ~rpcs in
+  let _, on, on_ipc = ping_pong ~handoff:true ~pairs ~rpcs () in
+  let _, off, _ = ping_pong ~handoff:false ~pairs ~rpcs () in
   let handoffs = Counters.value on_ipc "handoffs" in
   let claims = Counters.value on "handoff_claims" in
   Alcotest.(check bool)
@@ -493,6 +516,7 @@ let () =
         [
           Alcotest.test_case "RPC fast path charges no switch" `Quick test_rpc_handoff_no_switch;
           Alcotest.test_case "handoff cheaper than run queue" `Quick test_handoff_cheaper_than_queue;
+          Alcotest.test_case "one-CPU ping-pong pays no switch" `Quick test_one_cpu_ping_pong;
           Alcotest.test_case "saturated handoff keeps its CPU" `Quick test_saturated_handoff;
         ] );
     ]

@@ -174,8 +174,8 @@ let test_clean_and_flush_return_wired_dirty_page () =
 
 let test_deallocate_unwires_forked_region () =
   (* Wire, fork, deallocate: the parent's wirings end with its mapping,
-     so the child's copy-on-write writes can steal the pages and its
-     shadow chain collapses back to one object. *)
+     and the child, which got its own copy of the wired pages at the
+     fork, writes them in one object. *)
   with_system (fun sys task ->
       let n = 2 in
       let addr = Syscalls.vm_allocate task ~size:(n * page) ~anywhere:true () in
@@ -206,7 +206,7 @@ let test_deallocate_unwires_forked_region () =
           0
           (Vm_map.entries (Task.map child))
       in
-      check Alcotest.int "child's chain collapsed" 0 depth;
+      check Alcotest.int "child's chain is flat" 0 depth;
       Task.terminate child)
 
 let test_fork_then_wire_then_write () =
@@ -229,6 +229,37 @@ let test_fork_then_wire_then_write () =
       (match Syscalls.read_bytes child ~addr ~len:1 () with
       | Ok b -> check Alcotest.string "child keeps the old bytes" "o" (Bytes.to_string b)
       | Error e -> Alcotest.failf "child read: %a" Access.pp_error e);
+      Task.terminate child)
+
+let test_wire_then_fork_then_write () =
+  (* A fork copies a wired range for the child instead of sharing it
+     copy-on-write: the parent's next write lands on its wired page,
+     and the child keeps the bytes of the fork. The unwired pages on
+     either side of the wired one stay copy-on-write. *)
+  with_system (fun sys task ->
+      let addr = Syscalls.vm_allocate task ~size:(3 * page) ~anywhere:true () in
+      let mid = addr + page in
+      let write a c = ignore (Syscalls.write_bytes task ~addr:a (Bytes.make 1 c) ()) in
+      write addr 'u';
+      write mid 'o';
+      write (mid + page) 'v';
+      (match Syscalls.vm_wire task ~addr:mid ~size:page with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "wire: %a" Access.pp_error e);
+      let wired = resident_page task mid in
+      let child = Task.create sys.Kernel.kernel ~parent:task ~name:"child" () in
+      List.iter (fun a -> write a 'p') [ addr; mid; mid + page ];
+      let written = resident_page task mid in
+      check Alcotest.bool "the write lands on the wired page" true (written == wired);
+      check Alcotest.int "parent's page wired" 1 written.Vm_types.wire_count;
+      let read a =
+        match Syscalls.read_bytes child ~addr:a ~len:1 () with
+        | Ok b -> Bytes.to_string b
+        | Error e -> Alcotest.failf "child read: %a" Access.pp_error e
+      in
+      check Alcotest.string "child keeps the old byte" "o" (read mid);
+      check Alcotest.(list string) "child's unwired pages stay copy-on-write" [ "u"; "v" ]
+        [ read addr; read (mid + page) ];
       Task.terminate child)
 
 let test_unwire_drops_one_wiring () =
@@ -531,6 +562,8 @@ let () =
           Alcotest.test_case "unwire drops one wiring" `Quick test_unwire_drops_one_wiring;
           Alcotest.test_case "fork, wire, then the parent writes" `Quick
             test_fork_then_wire_then_write;
+          Alcotest.test_case "wire, fork, then the parent writes" `Quick
+            test_wire_then_fork_then_write;
         ] );
       ( "name-server",
         [
