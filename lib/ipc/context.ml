@@ -65,7 +65,6 @@ type t = {
       (* Remote deliveries for one destination host drain in arrival
          order through a single daemon thread: a burst of sends queues
          work instead of forking a thread per message. *)
-  daemon_names : (int, string) Hashtbl.t; (* destination host -> its daemon's name *)
   txs : (int * int, chan_tx) Hashtbl.t;
   rxs : (int * int, chan_rx) Hashtbl.t;
   cstats : Counters.t;
@@ -80,7 +79,6 @@ let create engine net =
     net;
     next_id = 1;
     deliveries = Hashtbl.create 8;
-    daemon_names = Hashtbl.create 8;
     txs = Hashtbl.create 8;
     rxs = Hashtbl.create 8;
     cstats = Counters.create chan_counters;
@@ -95,18 +93,8 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
-(* A daemon is respawned whenever deliveries resume after it idled, so
-   each host's name is built once. *)
-let daemon_name t dst =
-  match Hashtbl.find_opt t.daemon_names dst with
-  | Some name -> name
-  | None ->
-    let name = Printf.sprintf "net-delivery-h%d" dst in
-    Hashtbl.replace t.daemon_names dst name;
-    name
-
 let spawn_daemon t ~dst q =
-  Engine.spawn t.engine ~name:(daemon_name t dst) (fun () ->
+  Engine.spawn t.engine ~name:("net-delivery-h" ^ string_of_int dst) (fun () ->
       let rec loop () =
         match Queue.take_opt q with
         | Some thunk ->

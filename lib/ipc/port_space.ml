@@ -40,7 +40,6 @@ let create ctx ~home =
   }
 
 let context t = t.ctx
-let home t = t.host
 let activity t = t.activity
 
 let fresh_name t =

@@ -20,7 +20,6 @@ type status = {
 
 val create : Context.t -> home:int -> t
 val context : t -> Context.t
-val home : t -> int
 
 (** {2 Allocation and rights} *)
 

@@ -184,7 +184,7 @@ let charge_receive node msg =
   | Some r ->
     hdr.Message.handoff <- None;
     Counters.incr node.node_stats s_handoffs;
-    Sched.claim_handoff r ~name:(Engine.self_name ())
+    Sched.claim_handoff r (Engine.self ())
   | None -> Sched.compute node.node_sched node.node_params.Machine.context_switch_us
 
 let receive_one node space port ?timeout () =

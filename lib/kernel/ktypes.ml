@@ -16,7 +16,7 @@ type kernel = {
   k_params : Mach_hw.Machine.params;
   k_sched : Sched.t;
       (** the host's processors (shared with [k_kctx.sched]): per-CPU
-          run queues, soft affinity, work stealing, handoff *)
+          run queues, home CPUs, work stealing, handoff *)
   k_paging_disk : Mach_hw.Disk.t;
   mutable k_tasks : task list;
   mutable k_next_task_id : int;
@@ -40,9 +40,6 @@ and task = {
   t_space : Mach_ipc.Port_space.t;
   t_node : Mach_ipc.Transport.node;
   mutable t_threads : thread list;
-  t_threads_by_name : (string, thread) Hashtbl.t;
-      (** by-name index over [t_threads]; keeps the per-checkpoint
-          self-lookup O(1) once preemption makes checkpoints hot *)
   mutable t_alive : bool;
   mutable t_port : Mach_ipc.Message.port option;
       (** the kernel port representing this task; messages to it invoke

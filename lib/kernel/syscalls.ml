@@ -104,10 +104,6 @@ let port_enable t name =
   enter t;
   Port_space.enable t.t_space name
 
-let port_messages t =
-  enter t;
-  Port_space.messages_waiting t.t_space
-
 let port_status t name =
   enter t;
   Port_space.status t.t_space name

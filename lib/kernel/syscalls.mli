@@ -40,7 +40,6 @@ val msg_rpc :
 val port_allocate : task -> ?backlog:int -> unit -> Port_space.name
 val port_deallocate : task -> Port_space.name -> unit
 val port_enable : task -> Port_space.name -> unit
-val port_messages : task -> Port_space.name list
 val port_status : task -> Port_space.name -> Port_space.status option
 val port_set_backlog : task -> Port_space.name -> int -> unit
 val port_lookup : task -> Port_space.name -> Message.port option

@@ -23,7 +23,6 @@ let create k ?parent ~name () =
          place instead of scattering across per-task records. *)
       t_node = k.k_kctx.Mach_vm.Kctx.node;
       t_threads = [];
-      t_threads_by_name = Hashtbl.create 8;
       t_alive = true;
       t_port = None;
     }

@@ -2,6 +2,10 @@ open Ktypes
 module Engine = Mach_sim.Engine
 module Waitq = Mach_sim.Waitq
 
+(* A thread's fiber carries it, so the running thread is found without
+   a table. *)
+type Engine.owner += Kernel_thread of thread
+
 let spawn task ?name body =
   let k = task.t_kernel in
   let id = k.k_next_thread_id in
@@ -17,15 +21,13 @@ let spawn task ?name body =
   | Some make -> th.th_port <- Some (make th)
   | None -> ());
   task.t_threads <- th :: task.t_threads;
-  Hashtbl.replace task.t_threads_by_name th_name th;
   (* Nothing outlives the thread: its port dies (and the task server
-     forgets it) and its home CPU is forgotten, whether the body returns
-     or raises. *)
+     forgets it), whether the body returns or raises. *)
   Engine.spawn k.k_engine ~name:th_name (fun () ->
+      Engine.set_owner (Engine.self ()) (Kernel_thread th);
       Fun.protect body ~finally:(fun () ->
           th.th_done <- true;
-          Option.iter Mach_ipc.Port.destroy th.th_port;
-          Mach_sim.Sched.forget k.k_sched th_name));
+          Option.iter Mach_ipc.Port.destroy th.th_port));
   th
 
 let suspend th = th.th_suspend_count <- th.th_suspend_count + 1
@@ -42,8 +44,8 @@ let checkpoint th =
   done
 
 let self_checkpoint task =
-  match Hashtbl.find_opt task.t_threads_by_name (Engine.self_name ()) with
-  | Some th -> checkpoint th
-  | None -> ()
+  match Engine.owner (Engine.self ()) with
+  | Kernel_thread th when th.th_task == task -> checkpoint th
+  | _ -> ()
 
 let is_done th = th.th_done

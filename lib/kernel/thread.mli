@@ -22,7 +22,7 @@ val checkpoint : thread -> unit
 (** Park here while the thread is suspended. *)
 
 val self_checkpoint : task -> unit
-(** Checkpoint for the calling thread, located by name. No-op if the
-    caller is not a registered thread of [task]. *)
+(** Checkpoint for the calling thread, found on its fiber. No-op if the
+    caller is not a thread of [task]. *)
 
 val is_done : thread -> bool

@@ -46,7 +46,6 @@ let s_grants = netmem_stat "grants"
 
 type t = { rt : region Rt.t; srv : Mos.t; page_size : int; stats : Counters.t }
 
-let server_task t = Mos.task t.srv
 let runtime_stats t = Rt.stats t.rt
 
 let region_exn t port =

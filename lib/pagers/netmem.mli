@@ -42,8 +42,6 @@ val start : kernel -> ?name:string -> unit -> t
     and {!grants} counters join [kernel]'s metrics registry as
     [netmem.*]. *)
 
-val server_task : t -> task
-
 val create_region : t -> size:int -> Mach_ipc.Message.port
 (** Allocate a shared-memory region; returns its memory object, which
     any client task maps with [vm_allocate_with_pager] (how clients

@@ -61,19 +61,28 @@ module Heap = struct
       if i > 0 && less last h.data.((i - 1) / 2) then sift_up h i last else sift_down h i last
 end
 
+type owner = ..
+type owner += No_owner
+
 (* A simulated thread: its name, whether it waits for its resumer, and
    the state other layers keep per thread: its open trace spans
-   (innermost first), the processor it occupies ([-1] for none) and
-   whether its last burst gave that processor away. *)
+   (innermost first), the processor it occupies ([-1] for none), the
+   one it last ran on, whether its last burst gave its processor away,
+   and what it runs for. *)
 type fiber = {
   name : string;
   mutable blocked : bool;
   mutable spans : int list;
   mutable cpu : int;
+  mutable home : int;
   mutable donated : bool;
+  mutable owner : owner;
 }
 
-let no_fiber = { name = ""; blocked = false; spans = []; cpu = -1; donated = false }
+let new_fiber name =
+  { name; blocked = false; spans = []; cpu = -1; home = -1; donated = false; owner = No_owner }
+
+let no_fiber = new_fiber ""
 
 type t = {
   mutable now : float;
@@ -124,7 +133,7 @@ let spawn t ?name f =
       t.anon_count <- t.anon_count + 1;
       Printf.sprintf "thread-%d" t.anon_count
   in
-  let id = t.spawned and fib = { name; blocked = false; spans = []; cpu = -1; donated = false } in
+  let id = t.spawned and fib = new_fiber name in
   t.spawned <- id + 1;
   Hashtbl.add t.fibers id fib;
   let fiber () =
@@ -220,14 +229,17 @@ let block ?timeout register =
 let current () = match !running with Some t -> t.current | None -> no_fiber
 let self_opt () = match current () with f when f == no_fiber -> None | f -> Some f
 let self () = match current () with f when f == no_fiber -> invalid_arg "Engine.self" | f -> f
-let self_name () = (self ()).name
 let fiber_name f = f.name
 let spans f = f.spans
 let set_spans f s = f.spans <- s
 let cpu f = f.cpu
 let set_cpu f c = f.cpu <- c
+let home f = f.home
+let set_home f c = f.home <- c
 let donated f = f.donated
 let set_donated f d = f.donated <- d
+let owner f = f.owner
+let set_owner f o = f.owner <- o
 
 (* A sleep due alone (nothing queued is due at or before its wake, and
    the wake is within [until]) would be the next event the run pops,

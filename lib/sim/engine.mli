@@ -81,9 +81,6 @@ val self_opt : unit -> fiber option
 (** Like {!self}, but [None] when called outside a simulated thread
     (e.g. from a {!schedule} timer callback) instead of raising. *)
 
-val self_name : unit -> string
-(** [fiber_name (self ())]. *)
-
 val fiber_name : fiber -> string
 
 val spans : fiber -> int list
@@ -95,11 +92,25 @@ val set_cpu : fiber -> int -> unit
 (** The processor the fiber occupies on its host's {!Sched}; [-1] (the
     value at spawn) when it occupies none. *)
 
+val home : fiber -> int
+val set_home : fiber -> int -> unit
+(** The processor the fiber last ran on, which {!Sched} prefers for its
+    next burst; [-1] (the value at spawn) before its first burst. *)
+
 val donated : fiber -> bool
 val set_donated : fiber -> bool -> unit
 (** Whether the fiber's last {!Sched} burst ended by donating its
     processor for a handoff: it gave the processor away and has
     computed nothing since. [false] at spawn; {!Sched} keeps it. *)
+
+type owner = ..
+(** What a fiber runs for. The layer that spawns a fiber for one of its
+    own records extends this type with that record and sets it, so the
+    record is found from {!self} without a table. *)
+
+val owner : fiber -> owner
+val set_owner : fiber -> owner -> unit
+(** A fiber starts with an owner that no other module can name. *)
 
 val sleep : float -> unit
 (** Block the calling thread for the given number of simulated

@@ -19,7 +19,6 @@ let create ?capacity () =
 
 let capacity t = t.cap
 let length t = Queue.length t.queue
-let is_empty t = Queue.is_empty t.queue
 
 let rec pop_live q =
   match Queue.take_opt q with

@@ -13,7 +13,6 @@ val create : ?capacity:int -> unit -> 'a t
 val capacity : 'a t -> int option
 val set_capacity : 'a t -> int option -> unit
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Enqueue, blocking while the mailbox is full. *)

@@ -4,8 +4,8 @@
    occupy a CPU while blocked on I/O or IPC; they occupy one only for
    the duration of a compute burst ([compute]). A burst:
 
-   - acquires a processor: the thread's *home* CPU (soft affinity: the
-     one it last ran on) if idle, else any idle CPU (a migration), else
+   - acquires a processor: the thread's *home* CPU (the one it last
+     ran on) if idle, else any idle CPU (a migration), else
      it enqueues on its home CPU's run queue and blocks;
    - runs in quantum-sized slices; at each slice boundary, if the run
      queue of its CPU is non-empty, the burst is preempted: it requeues
@@ -67,14 +67,14 @@ let s_idle_with_waiter = sched_stat "idle_with_waiter"
 let s_holds = sched_stat "holds"
 
 (* A donated processor, live while it is its CPU's [c_reserved]. *)
-type reservation = { r_sched : t; r_cpu : cpu; mutable r_for : string option }
+type reservation = { r_sched : t; r_cpu : cpu; mutable r_for : Engine.fiber option }
 
 and waiter = { w_fiber : Engine.fiber; w_wake : cpu Engine.waiter }
 
 and cpu = {
   c_id : int;
   mutable c_running : Engine.fiber option; (* its fiber's [Engine.cpu] is [c_id] *)
-  mutable c_last : string;
+  mutable c_last : Engine.fiber option;
   c_runq : waiter Queue.t;
   mutable c_reserved : reservation option;
   mutable c_busy_us : float;
@@ -85,8 +85,6 @@ and cpu = {
 and t = {
   eng : Engine.t;
   cpus : cpu array;
-  affinity : (string, int) Hashtbl.t; (* thread name -> last CPU *)
-  pending_handoff : (string, cpu) Hashtbl.t; (* claimed, not yet entered *)
   quantum_us : float;
   context_switch_us : float;
   stats : Counters.t;
@@ -103,15 +101,13 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
           {
             c_id = i;
             c_running = None;
-            c_last = "";
+            c_last = None;
             c_runq = Queue.create ();
             c_reserved = None;
             c_busy_us = 0.0;
             c_paid_us = 0.0;
             c_held = false;
           });
-    affinity = Hashtbl.create 64;
-    pending_handoff = Hashtbl.create 8;
     quantum_us;
     context_switch_us;
     stats = Counters.create sched_counters;
@@ -186,19 +182,19 @@ let dispatch t cpu =
       | None -> check_idle_invariant t)
   end
 
-let note_affinity t cpu name =
-  cpu.c_last <- name;
-  Hashtbl.replace t.affinity name cpu.c_id
-
-let forget t name = Hashtbl.remove t.affinity name
-let affinity_entries t = Hashtbl.length t.affinity
+(* [fib] still occupies [cpu], so [c_running] already holds it. *)
+let note_home cpu fib =
+  cpu.c_last <- cpu.c_running;
+  Engine.set_home fib cpu.c_id
 
 type entry = Entry_direct | Entry_queued | Entry_handoff | Entry_held
 
 let take t cpu fib =
   occupy cpu (Some fib);
   Counters.incr t.stats s_direct_dispatches;
-  if cpu.c_last = Engine.fiber_name fib then Counters.incr t.stats s_affinity_hits
+  match cpu.c_last with
+  | Some f when f == fib -> Counters.incr t.stats s_affinity_hits
+  | Some _ | None -> ()
 
 let first_free t =
   let found = ref None in
@@ -245,48 +241,43 @@ let hold t cpu =
   cpu.c_held <- true;
   Engine.schedule t.eng ~at:(Engine.now t.eng) (fun () -> if cpu.c_held then release t cpu)
 
+(* The CPU whose live reservation [fib] claimed, from CPU [i] on; one
+   that expired before [fib] computed is no longer any CPU's. *)
+let rec claimed_by cpus fib i =
+  if i = Array.length cpus then None
+  else
+    match cpus.(i).c_reserved with
+    | Some { r_for = Some f; _ } when f == fib -> Some cpus.(i)
+    | Some _ | None -> claimed_by cpus fib (i + 1)
+
 (* A new tenure: a claimed handoff, an idle CPU, or a run-queue wait. *)
 let start_tenure t fib =
-  let name = Engine.fiber_name fib in
-  let claimed =
-    match Hashtbl.find_opt t.pending_handoff name with
-    | Some cpu
-      when (match cpu.c_reserved with Some r -> r.r_for = Some name | None -> false) ->
-      Hashtbl.remove t.pending_handoff name;
-      cpu.c_reserved <- None;
-      occupy cpu (Some fib);
-      Counters.incr t.stats s_handoff_claims;
-      Some (cpu, Entry_handoff)
-    | Some _ ->
-      (* The reservation expired (or was re-issued) before we computed. *)
-      Hashtbl.remove t.pending_handoff name;
-      None
-    | None -> None
-  in
-  match claimed with
-  | Some r -> r
+  match claimed_by t.cpus fib 0 with
+  | Some cpu ->
+    cpu.c_reserved <- None;
+    occupy cpu (Some fib);
+    Counters.incr t.stats s_handoff_claims;
+    (cpu, Entry_handoff)
   | None -> (
-    let home = Hashtbl.find_opt t.affinity name in
-    match home with
-    | Some h when free t.cpus.(h) ->
-      take t t.cpus.(h) fib;
-      (t.cpus.(h), Entry_direct)
-    | _ -> (
+    let home = Engine.home fib in
+    if home >= 0 && free t.cpus.(home) then begin
+      take t t.cpus.(home) fib;
+      (t.cpus.(home), Entry_direct)
+    end
+    else
       match first_free t with
       | Some c ->
         take t c fib;
-        if home <> None then Counters.incr t.stats s_migrations;
+        if home >= 0 then Counters.incr t.stats s_migrations;
         (c, Entry_direct)
       | None ->
-        let target =
-          match home with Some h -> t.cpus.(h) | None -> shortest_runq t
-        in
+        let target = if home >= 0 then t.cpus.(home) else shortest_runq t in
         Counters.incr t.stats s_enqueues;
         let depth = queued t + 1 in
         Counters.add t.stats s_queue_depth_sum depth;
         Counters.peak t.stats s_queue_depth_peak depth;
         let cpu = Engine.block (fun w -> Queue.add { w_fiber = fib; w_wake = w } target.c_runq) in
-        (cpu, Entry_queued)))
+        (cpu, Entry_queued))
 
 let acquire t fib =
   match take_holds t fib with
@@ -318,7 +309,7 @@ let rec run_burst t cpu fib remaining =
        tail first so the dispatch below picks the earlier waiter. *)
     Counters.incr t.stats s_preemptions;
     trace_point t "preempt";
-    note_affinity t cpu (Engine.fiber_name fib);
+    note_home cpu fib;
     let cpu' =
       Engine.block (fun w ->
           Queue.add { w_fiber = fib; w_wake = w } cpu.c_runq;
@@ -331,7 +322,7 @@ let rec run_burst t cpu fib remaining =
   else run_burst t cpu fib remaining
 
 (* A positive-length burst on the calling thread; returns its processor
-   still occupied (affinity noted) for [finish] or a donation. *)
+   still occupied (home noted) for [finish] or a donation. *)
 let burst t us =
   let fib = Engine.self () in
   Engine.set_donated fib false;
@@ -347,7 +338,7 @@ let burst t us =
   | Entry_direct | Entry_handoff -> cpu.c_paid_us <- 0.0
   | Entry_held -> ());
   let cpu = run_burst t cpu fib us in
-  note_affinity t cpu (Engine.fiber_name fib);
+  note_home cpu fib;
   cpu
 
 (* A paid tenure with switch time left holds its processor; any other
@@ -371,12 +362,6 @@ let reserve_window t = t.context_switch_us
 (* End a reservation nobody claimed — its window ran out, or the donor
    handed it back — and give the processor to the run queues. *)
 let expire t cpu =
-  (match cpu.c_reserved with
-  | Some { r_for = Some name; _ } -> (
-    match Hashtbl.find_opt t.pending_handoff name with
-    | Some c when c == cpu -> Hashtbl.remove t.pending_handoff name
-    | Some _ | None -> ())
-  | Some _ | None -> ());
   cpu.c_reserved <- None;
   Counters.incr t.stats s_handoff_expired;
   dispatch t cpu
@@ -408,8 +393,4 @@ let compute_donating t us ~donate_if =
 
 let cancel_handoff r = if live r then expire r.r_sched r.r_cpu
 
-let claim_handoff r ~name =
-  if live r && r.r_for = None then begin
-    r.r_for <- Some name;
-    Hashtbl.replace r.r_sched.pending_handoff name r.r_cpu
-  end
+let claim_handoff r fib = if live r && Option.is_none r.r_for then r.r_for <- Some fib

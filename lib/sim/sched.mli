@@ -4,11 +4,11 @@
     One [t] models the processors of one simulated host. A thread
     occupies a processor for a *tenure*: one or more {!compute} bursts,
     each sliced into quanta and preempted at slice boundaries when the
-    run queue is contended. Placement is soft-affine (a thread prefers
-    the processor it last ran on), idle processors are taken directly,
-    and a processor going idle steals the oldest waiter from the
-    longest run queue — so no processor idles while a thread is
-    runnable.
+    run queue is contended. A thread prefers its home processor, the
+    one it last ran on, which its fiber carries ({!Engine.home}); idle
+    processors are taken directly, and a processor going idle steals
+    the oldest waiter from the longest run queue — so no processor
+    idles while a thread is runnable.
 
     Run-queue dispatches (including preemption resumes) charge the
     configured context-switch time to the incoming thread; acquiring an
@@ -31,11 +31,12 @@
     by reserving its own processor for a blocked-receiver IPC
     beneficiary instead of dispatching the run queue, so donation works
     on a saturated host too. {!claim_handoff} (from the receive path)
-    binds the reservation to the woken thread, whose next {!compute}
-    then enters with no run-queue round trip and no context-switch
-    charge. Unclaimed reservations expire after one context-switch
-    window, handed-back ones ({!cancel_handoff}) at once, and the
-    processor is re-dispatched. *)
+    binds the reservation to the woken thread's fiber, whose next
+    {!compute} then enters with no run-queue round trip and no
+    context-switch charge; another fiber with the same name does not.
+    Unclaimed reservations expire after one context-switch window,
+    handed-back ones ({!cancel_handoff}) at once, and the processor is
+    re-dispatched. *)
 
 type t
 
@@ -67,9 +68,9 @@ val cancel_handoff : reservation -> unit
     [handoff_expired]). Claimed-and-entered or expired reservations
     are ignored. *)
 
-val claim_handoff : reservation -> name:string -> unit
-(** Bind a live reservation to thread [name]; its next {!compute}
-    enters on the donated processor without queueing or switch charge.
+val claim_handoff : reservation -> Engine.fiber -> unit
+(** Bind a live reservation to the fiber; its next {!compute} enters
+    on the donated processor without queueing or switch charge.
     Expired or already claimed reservations are ignored. *)
 
 val cpu_count : t -> int
@@ -91,12 +92,5 @@ val busy_us : t -> float
 
 val queued : t -> int
 (** Threads currently waiting on run queues. *)
-
-val forget : t -> string -> unit
-(** Drop a finished thread's home CPU, so the affinity table holds only
-    names that may run again. *)
-
-val affinity_entries : t -> int
-(** Thread names with a home CPU. *)
 
 val idle_cpus : t -> int

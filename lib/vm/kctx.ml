@@ -26,7 +26,6 @@ type t = {
   objects_by_port : (int, obj) Hashtbl.t;
   objects_by_request : (int, obj) Hashtbl.t;
   cached_objects : obj Mach_util.Dlist.t;
-  cached_index : (int, obj Mach_util.Dlist.node) Hashtbl.t;
   mutable object_cache_cap : int;
   mutable default_pager_port : port option;
   mutable next_obj_id : int;
@@ -142,7 +141,6 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
   Metrics.gauge metrics ~subsystem:"vm" "laundry_pages" (fun () ->
       Page_queues.laundry_count queues);
   Metrics.gauge metrics ~subsystem:"sched" "run_queued" (fun () -> Sched.queued sched);
-  Metrics.gauge metrics ~subsystem:"sched" "affinity" (fun () -> Sched.affinity_entries sched);
   let fault_hist = Metrics.histogram metrics ~subsystem:"vm" "fault_us" in
   let cow_batch_hist = Metrics.histogram metrics ~subsystem:"vm" "cow_batch" in
   {
@@ -163,7 +161,6 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
     objects_by_port = Hashtbl.create 64;
     objects_by_request = Hashtbl.create 64;
     cached_objects = Mach_util.Dlist.create ();
-    cached_index = Hashtbl.create 64;
     object_cache_cap = 64;
     default_pager_port = None;
     next_obj_id = 1;

@@ -37,8 +37,6 @@ type t = {
   cached_objects : obj Mach_util.Dlist.t;
       (** unreferenced but persisting objects, LRU order (front =
           coldest); capped at [object_cache_cap], evictions terminate *)
-  cached_index : (int, obj Mach_util.Dlist.node) Hashtbl.t;
-      (** obj_id → cache node, so revival is O(1) instead of a scan *)
   mutable object_cache_cap : int;
   mutable default_pager_port : port option;
       (** where [pager_create] messages go; set at boot *)

@@ -15,6 +15,7 @@ let make kctx ~size ~pager ~temporary =
     obj_alive = true;
     shadowers = [];
     cow_next = 0;
+    cache_node = None;
   }
 
 let create_anonymous kctx ~size = make kctx ~size ~pager:No_pager ~temporary:true
@@ -29,18 +30,16 @@ let create_shadow kctx ~backs ~offset ~size =
 let find_by_port kctx port = Hashtbl.find_opt kctx.Kctx.objects_by_port (Port.id port)
 
 (* The cache of unreferenced-but-persisting objects is an LRU: revival
-   removes in O(1) via the obj_id index, insertion at the tail evicts
-   the coldest entries past the cap (eviction = real termination). *)
+   removes in O(1) through the object's own node, insertion at the tail
+   evicts the coldest entries past the cap (eviction = real
+   termination). *)
 module Dlist = Mach_util.Dlist
 
 let cache_remove kctx obj =
-  match Hashtbl.find_opt kctx.Kctx.cached_index obj.obj_id with
-  | Some node ->
-    Dlist.remove kctx.Kctx.cached_objects node;
-    Hashtbl.remove kctx.Kctx.cached_index obj.obj_id
-  | None -> ()
+  Option.iter (Dlist.remove kctx.Kctx.cached_objects) obj.cache_node;
+  obj.cache_node <- None
 
-let cache_is_member kctx obj = Hashtbl.mem kctx.Kctx.cached_index obj.obj_id
+let cache_is_member obj = Option.is_some obj.cache_node
 
 let create_external kctx ~memory_object ~size =
   match find_by_port kctx memory_object with
@@ -171,7 +170,7 @@ let rec deallocate kctx obj =
     in
     if cacheable then begin
       let node = Dlist.node obj in
-      Hashtbl.replace kctx.Kctx.cached_index obj.obj_id node;
+      obj.cache_node <- Some node;
       Dlist.push_back kctx.Kctx.cached_objects node;
       (* LRU cap: terminate the coldest entries past the limit. *)
       while Dlist.length kctx.Kctx.cached_objects > kctx.Kctx.object_cache_cap do
@@ -179,7 +178,7 @@ let rec deallocate kctx obj =
         | None -> assert false
         | Some node ->
           let victim = Dlist.value node in
-          Hashtbl.remove kctx.Kctx.cached_index victim.obj_id;
+          victim.cache_node <- None;
           Counters.incr kctx.Kctx.stats s_object_cache_evictions;
           terminate kctx victim
       done

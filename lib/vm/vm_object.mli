@@ -39,7 +39,7 @@ val deallocate : Kctx.t -> obj -> unit
     immediately instead of waiting for the survivor's next write
     fault. *)
 
-val cache_is_member : Kctx.t -> obj -> bool
+val cache_is_member : obj -> bool
 (** Whether the object currently sits in the unreferenced-object cache
     (diagnostic / tests). *)
 

@@ -65,6 +65,8 @@ type obj = {
   mutable cow_next : int;
       (** offset just past this object's last copy-on-write batch: a COW
           fault landing exactly here is sequential and copies ahead *)
+  mutable cache_node : obj Mach_util.Dlist.node option;
+      (** its node on [Kctx.cached_objects] while it is cached *)
 }
 
 and backing = { back_obj : obj; back_offset : int }

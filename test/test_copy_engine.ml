@@ -373,15 +373,15 @@ let test_object_cache_lru () =
   (* Cap 2: caching o3 evicted the coldest entry (o1), terminating it. *)
   check Alcotest.int "one eviction" 1 (Counters.get kctx.Kctx.stats Vm_types.s_object_cache_evictions);
   Alcotest.(check bool) "coldest object terminated" false o1.Vm_types.obj_alive;
-  Alcotest.(check bool) "o1 off the list" false (Vm_object.cache_is_member kctx o1);
-  Alcotest.(check bool) "o2 cached" true (Vm_object.cache_is_member kctx o2);
-  Alcotest.(check bool) "o3 cached" true (Vm_object.cache_is_member kctx o3);
+  Alcotest.(check bool) "o1 off the list" false (Vm_object.cache_is_member o1);
+  Alcotest.(check bool) "o2 cached" true (Vm_object.cache_is_member o2);
+  Alcotest.(check bool) "o3 cached" true (Vm_object.cache_is_member o3);
   check Alcotest.int "cache holds exactly the cap" 2 (Dlist.length kctx.Kctx.cached_objects);
   (* Revival pulls the object out of the list without an eviction. *)
   let again = Vm_object.create_external kctx ~memory_object:p2 ~size:page in
   Alcotest.(check bool) "revived same object" true (again == o2);
   Alcotest.(check bool) "revived object left the list" false
-    (Vm_object.cache_is_member kctx o2);
+    (Vm_object.cache_is_member o2);
   check Alcotest.int "no extra eviction on revival" 1
     (Counters.get kctx.Kctx.stats Vm_types.s_object_cache_evictions);
   check Alcotest.int "one cached object remains" 1 (Dlist.length kctx.Kctx.cached_objects)

@@ -167,7 +167,7 @@ let test_fork_inherits_port_space_not () =
    on how many tasks and threads have come and gone. *)
 let residue kernel =
   let snap = Metrics.snapshot (Kernel.metrics kernel) in
-  List.map (Metrics.get snap) [ "ipc.ports_live"; "task_server.targets"; "sched.affinity" ]
+  List.map (Metrics.get snap) [ "ipc.ports_live"; "task_server.targets" ]
 
 let residue_t = Alcotest.(list (float 0.0))
 
@@ -208,7 +208,7 @@ let test_no_residue_after_cycles () =
   in
   let after_one = run_cycles ~first:0 1 in
   let after_fifty = run_cycles ~first:1 50 in
-  check residue_t "ports, targets, affinity after 1 and 51 cycles" after_one after_fifty
+  check residue_t "ports and targets after 1 and 51 cycles" after_one after_fifty
 
 let test_terminate_kills_running_threads () =
   with_system (fun sys _task ->

@@ -1,4 +1,4 @@
-(* Tests for the processor scheduler: per-CPU run queues, affinity,
+(* Tests for the processor scheduler: per-CPU run queues, home CPUs,
    work stealing, quantum preemption, handoff donation — and the
    kernel-level guarantee that the IPC RPC fast path hands the sender's
    processor to the receiver without a context-switch charge. *)
@@ -252,12 +252,13 @@ let test_free_tenures_do_not_hold () =
      end dispatches the queued c. *)
   let eng = Engine.create () in
   let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
-  let c_done = ref 0.0 in
+  let c_done = ref 0.0 and recv = ref None in
   Engine.spawn eng ~name:"donor" (fun () ->
       match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
-      | Some r -> Sched.claim_handoff r ~name:"recv"
+      | Some r -> Sched.claim_handoff r (Option.get !recv)
       | None -> Alcotest.fail "a burst's end should always be able to donate");
   Engine.spawn eng ~name:"recv" (fun () ->
+      recv := Some (Engine.self ());
       Engine.sleep 15.0;
       Sched.compute s 10.0;
       Sched.compute s 10.0);
@@ -272,6 +273,34 @@ let test_free_tenures_do_not_hold () =
   check (Alcotest.float 1e-9) "handoff tenure gave way after one burst" (25.0 +. 20.0 +. 10.0)
     !c_done;
   check Alcotest.int "handoff: no holds" 0 (Counters.value st "holds")
+
+(* A donation is claimed for a fiber, not for its name: of two fibers
+   named [w], the one that computes first queues behind the reservation,
+   and the one the donation names enters the donated CPU. *)
+let test_handoff_claim_is_per_fiber () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
+  let first_done = ref 0.0 and second_done = ref 0.0 and second = ref None in
+  Engine.spawn eng ~name:"donor" (fun () ->
+      match Sched.compute_donating s 10.0 ~donate_if:(fun () -> true) with
+      | Some r -> Sched.claim_handoff r (Option.get !second)
+      | None -> Alcotest.fail "a burst's end should always be able to donate");
+  Engine.spawn eng ~name:"w" (fun () ->
+      Engine.sleep 12.0;
+      Sched.compute s 10.0;
+      first_done := Engine.now eng);
+  Engine.spawn eng ~name:"w" (fun () ->
+      second := Some (Engine.self ());
+      Engine.sleep 15.0;
+      Sched.compute s 10.0;
+      second_done := Engine.now eng);
+  Engine.run eng;
+  let st = Sched.stats s in
+  check Alcotest.int "donation claimed" 1 (Counters.value st "handoff_claims");
+  check (Alcotest.float 1e-9) "the named fiber entered at once" 25.0 !second_done;
+  check (Alcotest.float 1e-9) "its namesake queued and paid a switch" (25.0 +. 20.0 +. 10.0)
+    !first_done;
+  check Alcotest.int "one switch" 1 (Counters.value st "switches")
 
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
@@ -304,6 +333,7 @@ let no_starvation_prop =
       let context_switch_us = 20.0 in
       let s = Sched.create eng ~cpus ~quantum_us:100.0 ~context_switch_us () in
       let name i = Printf.sprintf "t%d" i in
+      let fibers = Array.make threads None in
       let plans = Array.make threads [] in
       List.iter
         (fun (th, us, donate_to, gap) ->
@@ -315,6 +345,7 @@ let no_starvation_prop =
       Array.iteri
         (fun i plan ->
           Engine.spawn eng ~name:(name i) (fun () ->
+              fibers.(i) <- Some (Engine.self ());
               List.iter
                 (fun (us, donate_to, gap) ->
                   (match donate_to with
@@ -323,7 +354,7 @@ let no_starvation_prop =
                     match Sched.compute_donating s us ~donate_if:(fun () -> true) with
                     | Some r ->
                       incr donations;
-                      Sched.claim_handoff r ~name:(name (b mod threads))
+                      Option.iter (Sched.claim_handoff r) fibers.(b mod threads)
                     | None -> ()));
                   incr completed;
                   Option.iter (fun g -> Engine.sleep (float_of_int g)) gap)
@@ -510,6 +541,8 @@ let () =
           Alcotest.test_case "acquire releases a blocked holder" `Quick
             test_acquire_releases_blocked_holder;
           Alcotest.test_case "free tenures do not hold" `Quick test_free_tenures_do_not_hold;
+          Alcotest.test_case "a claim names a fiber, not a name" `Quick
+            test_handoff_claim_is_per_fiber;
           QCheck_alcotest.to_alcotest no_starvation_prop;
         ] );
       ( "ipc-handoff",

@@ -436,6 +436,35 @@ let test_thread_port_ops () =
       Engine.sleep 2_000.0;
       Alcotest.(check bool) "target resumed" true (!progress > frozen))
 
+let test_namesake_thread_suspend () =
+  (* Two threads of one task share a name: suspending the first through
+     its thread port stops it at its next syscall, and only it. *)
+  with_system (fun sys task ->
+      let worker = Task.create sys.Kernel.kernel ~name:"worker" () in
+      let addr = Syscalls.vm_allocate worker ~size:page ~anywhere:true () in
+      let twin progress =
+        Thread.spawn worker ~name:"worker.twin" (fun () ->
+            for _ = 1 to 100 do
+              (match Syscalls.touch worker ~addr ~write:false () with
+              | Ok () -> ()
+              | Error _ -> Alcotest.fail "touch");
+              incr progress;
+              Engine.sleep 50.0
+            done)
+      in
+      let first_progress = ref 0 and second_progress = ref 0 in
+      let first = twin first_progress in
+      ignore (twin second_progress);
+      Engine.sleep 500.0;
+      (match Task_server.Client.suspend task ~target:(Task_server.thread_port first) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "suspend: %a" Task_server.Client.pp_error e);
+      Engine.sleep 100.0;
+      let frozen = !first_progress and second_before = !second_progress in
+      Engine.sleep 2_000.0;
+      check Alcotest.int "first thread stopped" frozen !first_progress;
+      Alcotest.(check bool) "its namesake unaffected" true (!second_progress > second_before))
+
 let test_task_port_info_and_remote_alloc () =
   with_system (fun sys task ->
       let victim = Task.create sys.Kernel.kernel ~name:"victim" () in
@@ -580,6 +609,8 @@ let () =
       ( "task-ports",
         [
           Alcotest.test_case "thread port suspend/resume" `Quick test_thread_port_ops;
+          Alcotest.test_case "suspend stops one of two namesakes" `Quick
+            test_namesake_thread_suspend;
           Alcotest.test_case "info and remote allocation" `Quick
             test_task_port_info_and_remote_alloc;
           Alcotest.test_case "terminate via port, death notified" `Quick

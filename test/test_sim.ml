@@ -79,7 +79,7 @@ let test_deadlock_detection () =
 let test_self_name () =
   let eng = Engine.create () in
   let name = ref "" in
-  Engine.spawn eng ~name:"me" (fun () -> name := Engine.self_name ());
+  Engine.spawn eng ~name:"me" (fun () -> name := Engine.fiber_name (Engine.self ()));
   Engine.run eng;
   check Alcotest.string "self name" "me" !name
 
@@ -139,12 +139,12 @@ let test_nested_run_keeps_name () =
       let inner = Engine.create () in
       Engine.spawn inner ~name:"inner" (fun () ->
           Engine.sleep 100.0;
-          names := Engine.self_name () :: !names);
+          names := Engine.fiber_name (Engine.self ()) :: !names);
       Engine.run inner;
       inner_now := Engine.now inner;
-      names := Engine.self_name () :: !names;
+      names := Engine.fiber_name (Engine.self ()) :: !names;
       Engine.sleep 1.0;
-      names := Engine.self_name () :: !names);
+      names := Engine.fiber_name (Engine.self ()) :: !names);
   Engine.run outer;
   check Alcotest.(list string) "names" [ "inner"; "outer"; "outer" ] (List.rev !names);
   check (Alcotest.float 1e-9) "inner clock" 100.0 !inner_now;

@@ -124,7 +124,7 @@ let test_cached_object_revival () =
   Alcotest.(check bool) "same object" true (again == obj);
   check Alcotest.int "one ref again" 1 again.Vm_types.ref_count;
   Alcotest.(check bool) "left the cache list" true
-    (not (Vm_object.cache_is_member kctx obj))
+    (not (Vm_object.cache_is_member obj))
 
 let test_walk_pager_translation () =
   let kctx = make_kctx () in
