@@ -295,12 +295,13 @@ let run_check id ~base ~cur c =
     Printf.printf "%s %s: %.3f (%s %.3f)\n" (if held then "ok  " else "FAIL") line v what b;
     held
 
-(* The five reg.* counters with the largest |change| since the baseline. *)
+(* The five reg.* keys with the largest |change| since the baseline: two
+   runs compared key by key, not two phases of one run. *)
 let print_moved ~base ~cur =
-  let reg = List.filter (fun (k, _) -> String.starts_with ~prefix:"reg." k) in
-  let base = reg base in
-  Metrics.delta ~before:base ~after:(reg cur)
-  |> List.filter (fun (_, d) -> d <> 0.0)
+  cur
+  |> List.filter_map (fun (k, v) ->
+         let d = v -. Metrics.get base k in
+         if String.starts_with ~prefix:"reg." k && d <> 0.0 then Some (k, d) else None)
   |> List.stable_sort (fun (_, a) (_, b) -> Float.compare (Float.abs b) (Float.abs a))
   |> List.filteri (fun i _ -> i < 5)
   |> List.iter (fun (k, d) ->

@@ -58,7 +58,3 @@ let access t ~vpn ~write =
     end
 
 let resident_count t = Hashtbl.length t.table
-
-let frames_mapping t frame =
-  Hashtbl.fold (fun vpn (f, _) acc -> if f = frame then vpn :: acc else acc) t.table []
-  |> List.sort compare

@@ -49,6 +49,3 @@ val access : t -> vpn:int -> write:bool -> (Phys_mem.frame, fault) result
 
 val resident_count : t -> int
 (** Number of valid translations (diagnostic). *)
-
-val frames_mapping : t -> Phys_mem.frame -> int list
-(** Virtual pages of this pmap currently mapped to the given frame. *)

@@ -171,15 +171,6 @@ let enabled t =
   Hashtbl.fold (fun name e acc -> if e.is_enabled && not (dead e) then name :: acc else acc) t.names []
   |> List.sort compare
 
-let enabled_ports t =
-  Hashtbl.fold
-    (fun name e acc -> if e.is_enabled && not (dead e) then (name, e.port) :: acc else acc)
-    t.names []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let messages_waiting t =
-  enabled_ports t |> List.filter (fun (_, p) -> Port.queued p > 0) |> List.map fst
-
 let status t name =
   match find t name with
   | None -> None

@@ -55,9 +55,6 @@ val disable : t -> name -> unit
 val enabled : t -> name list
 (** Sorted by name. *)
 
-val messages_waiting : t -> name list
-(** [port_messages]: enabled ports with queued messages, sorted. *)
-
 val status : t -> name -> status option
 (** [port_status]. *)
 

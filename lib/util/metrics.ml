@@ -137,11 +137,14 @@ let histogram r ~subsystem name =
 let counters r ~subsystem block = r.entries <- (subsystem, Counters block) :: r.entries
 let register_source r ~subsystem read = r.entries <- (subsystem, Source read) :: r.entries
 
+let add_to acc k v = Hashtbl.replace acc k (v +. Option.value (Hashtbl.find_opt acc k) ~default:0.0)
+let contents acc =
+  Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 let snapshot r =
   let acc = Hashtbl.create 64 in
-  let put k v =
-    Hashtbl.replace acc k (v +. Option.value (Hashtbl.find_opt acc k) ~default:0.0)
-  in
+  let put = add_to acc in
   List.iter
     (fun (k, entry) ->
       match entry with
@@ -159,23 +162,44 @@ let snapshot r =
       | Source read ->
         List.iter (fun (name, v) -> put (key ~subsystem:k name) (float_of_int v)) (read ()))
     r.entries;
-  Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  contents acc
 
 let find s k = List.assoc_opt k s
 let get ?(default = 0.0) s k = Option.value (find s k) ~default
 
-let delta ~before ~after =
-  List.map (fun (k, v) -> (k, v -. get before k)) after
-
-let merge snapshots =
+(* The sum of [w * s] over the weighted snapshots, key by key. A
+   histogram [h] shows as [h.count], and once it has samples also as
+   [h.mean], [h.p50], [h.p95] and [h.max]. The count adds like a counter,
+   and the others are exact or absent: those of one input with samples
+   and weight 1 add to nothing and stay; otherwise the mean is rebuilt
+   from the counts and means, the max is the largest when every weight
+   is 1, and no percentile is kept. *)
+let combine weighted =
   let acc = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         Hashtbl.replace acc k (v +. Option.value (Hashtbl.find_opt acc k) ~default:0.0)))
-    snapshots;
-  Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  List.iter (fun (w, s) -> List.iter (fun (k, v) -> add_to acc k (w *. v)) s) weighted;
+  let rebuild h =
+    let key x = h ^ x in
+    let total f = List.fold_left (fun acc (w, s) -> acc +. (w *. f s)) 0.0 in
+    let count s = get s (key ".count") in
+    match List.filter (fun (_, s) -> find s (key ".mean") <> None) weighted with
+    | [ (1.0, _) ] -> ()
+    | sampled ->
+      let n = total count sampled in
+      let mean = total (fun s -> count s *. get s (key ".mean")) sampled /. n in
+      let maxes =
+        List.filter_map (fun (w, s) -> if w = 1.0 then find s (key ".max") else None) sampled
+      in
+      List.iter (fun x -> Hashtbl.remove acc (key x)) [ ".mean"; ".p50"; ".p95"; ".max" ];
+      if n > 0.0 then Hashtbl.replace acc (key ".mean") mean;
+      if List.compare_lengths maxes sampled = 0 then
+        Hashtbl.replace acc (key ".max") (List.fold_left Float.max neg_infinity maxes)
+  in
+  let rebuild_at (k, _) = Option.iter rebuild (Filename.chop_suffix_opt ~suffix:".mean" k) in
+  List.iter (fun (_, s) -> List.iter rebuild_at s) weighted;
+  contents acc
+
+let delta ~before ~after = combine [ (-1.0, before); (1.0, after) ]
+let merge snapshots = combine (List.map (fun s -> (1.0, s)) snapshots)
 
 (* Integers print without a fraction so counter values stay readable;
    everything else keeps three decimals. *)

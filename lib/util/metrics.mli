@@ -91,13 +91,16 @@ val snapshot : registry -> snapshot
 (** Flat, sorted; duplicate keys summed. *)
 
 val delta : before:snapshot -> after:snapshot -> snapshot
-(** Pointwise [after - before] over [after]'s keys (missing [before]
-    keys count as 0). Meaningful for monotone counters; histogram
-    percentile keys subtract numerically like everything else. *)
+(** Pointwise [after - before] (a missing key counts as 0): meaningful
+    for monotone counters and a histogram's [.count]. Its [.mean] is the
+    phase's own; its [.p50], [.p95] and [.max] appear only when [before]
+    had no samples, as two snapshots give them exactly only then. *)
 
 val merge : snapshot list -> snapshot
 (** Pointwise sum over the union of keys (e.g. the hosts of a
-    cluster). *)
+    cluster). A histogram's [.mean] is weighted by count and its [.max]
+    is the largest; its [.p50] and [.p95] appear only when a single
+    input had samples. *)
 
 val find : snapshot -> string -> float option
 val get : ?default:float -> snapshot -> string -> float

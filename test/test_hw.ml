@@ -173,14 +173,6 @@ let test_pmap_remove_range () =
   Alcotest.(check bool) "vpn 1 intact" true (Pmap.lookup pm ~vpn:1 <> None);
   Alcotest.(check bool) "vpn 3 gone" true (Pmap.lookup pm ~vpn:3 = None)
 
-let test_pmap_frames_mapping () =
-  let m = Phys_mem.create ~frames:4 ~page_size:4096 in
-  let pm = Pmap.create m in
-  let f = Option.get (Phys_mem.alloc m) in
-  Pmap.enter pm ~vpn:10 ~frame:f ~prot:Prot.read;
-  Pmap.enter pm ~vpn:20 ~frame:f ~prot:Prot.read;
-  check Alcotest.(list int) "both vpns" [ 10; 20 ] (Pmap.frames_mapping pm f)
-
 let test_phys_slices () =
   let m = Phys_mem.create ~frames:2 ~page_size:4096 in
   let f = Option.get (Phys_mem.alloc m) in
@@ -432,7 +424,6 @@ let () =
           Alcotest.test_case "enter and access" `Quick test_pmap_enter_access;
           Alcotest.test_case "protection fault" `Quick test_pmap_protection_fault;
           Alcotest.test_case "remove range" `Quick test_pmap_remove_range;
-          Alcotest.test_case "frames mapping" `Quick test_pmap_frames_mapping;
         ] );
       ( "disk",
         [

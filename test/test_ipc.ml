@@ -175,24 +175,6 @@ let test_space_enable_requires_receive () =
   Alcotest.check_raises "no receive right" (Invalid_argument "Port_space.enable: no receive right")
     (fun () -> Port_space.enable sp n)
 
-let test_space_messages_waiting () =
-  let eng, _, ctx = make_ctx () in
-  let sp = Port_space.create ctx ~home:0 in
-  let n1 = Port_space.allocate sp () in
-  let n2 = Port_space.allocate sp () in
-  let n3 = Port_space.allocate sp () in
-  Port_space.enable sp n1;
-  Port_space.enable sp n2;
-  (* n3 deliberately not enabled. *)
-  let p2 = Port_space.lookup_exn sp n2 in
-  let p3 = Port_space.lookup_exn sp n3 in
-  in_sim eng (fun () ->
-      ignore (Transport.send (node ctx) (Message.make ~dest:p2 [ data "a" ]));
-      ignore (Transport.send (node ctx) (Message.make ~dest:p3 [ data "b" ]));
-      (* port_messages: enabled ports with queued messages only. *)
-      check Alcotest.(list int) "only enabled, queued ports" [ n2 ]
-        (Port_space.messages_waiting sp))
-
 let test_space_status () =
   let _, _, ctx = make_ctx () in
   let sp = Port_space.create ctx ~home:0 in
@@ -707,7 +689,6 @@ let () =
           Alcotest.test_case "death notification" `Quick test_space_death_notification;
           Alcotest.test_case "enable/disable" `Quick test_space_enable_disable;
           Alcotest.test_case "enable requires receive" `Quick test_space_enable_requires_receive;
-          Alcotest.test_case "port_messages" `Quick test_space_messages_waiting;
           Alcotest.test_case "status" `Quick test_space_status;
         ] );
       ( "transport",

@@ -103,6 +103,43 @@ let test_delta_merge () =
   check (float 0.0) "merge sums" 17.0 (Metrics.get merged "s.n");
   check (float 0.0) "missing key defaults to 0" 0.0 (Metrics.get after "s.zzz")
 
+(* A snapshot of one histogram [vm.lat_us] fed [samples]. *)
+let histogram_snapshot samples =
+  let r = Metrics.create () in
+  let h = Metrics.histogram r ~subsystem:"vm" "lat_us" in
+  List.iter (Metrics.observe h) samples;
+  (r, h, Metrics.snapshot r)
+
+let no_summaries s keys =
+  List.iter (fun k -> check (option (float 0.0)) k None (Metrics.find s ("vm.lat_us." ^ k))) keys
+
+(* A histogram's summaries are not counters. The delta over a second
+   phase has that phase's own count and mean, and no percentile or max,
+   which two snapshots cannot give exactly. *)
+let test_histogram_delta () =
+  let second = [ 3.0; 41.0; 5.5 ] in
+  let r, h, before = histogram_snapshot [ 900.0; 1200.0; 7.5; 64000.0 ] in
+  List.iter (Metrics.observe h) second;
+  let d = Metrics.delta ~before ~after:(Metrics.snapshot r) in
+  let _, _, fresh = histogram_snapshot second in
+  let mean = Metrics.get fresh "vm.lat_us.mean" in
+  check (float 0.0) "count" (Metrics.get fresh "vm.lat_us.count") (Metrics.get d "vm.lat_us.count");
+  check (float (1e-9 *. mean)) "mean" mean (Metrics.get d "vm.lat_us.mean");
+  no_summaries d [ "p50"; "p95"; "max" ]
+
+(* Merged histograms sum their counts, weight their means by count and
+   keep the larger max; a histogram with no samples changes nothing. *)
+let test_histogram_merge () =
+  let _, _, a = histogram_snapshot [ 10.0; 20.0; 30.0 ] in
+  let _, _, b = histogram_snapshot [ 100.0 ] in
+  let m = Metrics.merge [ a; b ] in
+  check (float 0.0) "count" 4.0 (Metrics.get m "vm.lat_us.count");
+  check (float 1e-9) "mean" 40.0 (Metrics.get m "vm.lat_us.mean");
+  check (float 0.0) "max" 100.0 (Metrics.get m "vm.lat_us.max");
+  no_summaries m [ "p50"; "p95" ];
+  let _, _, empty = histogram_snapshot [] in
+  check (list (pair string (float 0.0))) "merged with an empty one" a (Metrics.merge [ a; empty ])
+
 (* QCheck: for any interleaving of increments and observations, the
    snapshot agrees with direct reads of the counter block and histogram,
    and delta(before, after) equals what happened in between. *)
@@ -402,6 +439,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_small_ints;
           test_case "observe allocates nothing" `Quick test_observe_no_alloc;
           test_case "counter blocks" `Quick test_counter_blocks;
+          test_case "histogram delta is the phase's" `Quick test_histogram_delta;
+          test_case "histogram merge" `Quick test_histogram_merge;
         ] );
       ( "trace",
         [
