@@ -28,6 +28,8 @@ and transition = {
   queued : grant Queue.t;
 }
 
+(* A grant sends [data] itself, not a copy: the buffer is never written
+   in place once a kernel may hold it, and [p_write] installs a new one. *)
 type page_rec = { mutable data : bytes; mutable state : state }
 
 type region = {
@@ -64,12 +66,12 @@ let execute_grant t page page_idx = function
     if g_write then begin
       Counters.incr t.stats s_grants;
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
-        ~data:(Bytes.copy page.data) ~lock_value:Prot.none;
+        ~data:page.data ~lock_value:Prot.none;
       page.state <- Writer g_request
     end
     else begin
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
-        ~data:(Bytes.copy page.data) ~lock_value:Prot.write;
+        ~data:page.data ~lock_value:Prot.write;
       page.state <- Readers [ g_request ]
     end
   | Unlock { g_request } ->
@@ -119,14 +121,14 @@ let rec handle_request t region page_idx ~request ~want_write ~has_copy ~specula
     if not want_write then begin
       if not (List.exists (same_port request) rs) then begin
         Rt.data_provided t.rt ~request ~offset:(page_idx * t.page_size)
-          ~data:(Bytes.copy page.data) ~lock_value:Prot.write;
+          ~data:page.data ~lock_value:Prot.write;
         page.state <- Readers (request :: rs)
       end
       else
         (* The kernel re-requested a page it holds (it dropped its copy
            without telling us): just provide again. *)
         Rt.data_provided t.rt ~request ~offset:(page_idx * t.page_size)
-          ~data:(Bytes.copy page.data) ~lock_value:Prot.write
+          ~data:page.data ~lock_value:Prot.write
     end
     else begin
       let others = List.filter (fun r -> not (same_port request r)) rs in
@@ -241,7 +243,13 @@ let policy get =
         Rt.iter_pages rt ~offset ~data (fun ~page:page_idx ~pos ~len ->
             if page_idx < Array.length region.rg_pages then begin
               let page = region.rg_pages.(page_idx) in
-              Bytes.blit data pos page.data 0 (min len (Bytes.length page.data))
+              (* A one-page run's buffer is fresh per data_write: adopt it. *)
+              if Bytes.length data = Bytes.length page.data then page.data <- data
+              else begin
+                let fresh = Bytes.copy page.data in
+                Bytes.blit data pos fresh 0 len;
+                page.data <- fresh
+              end
             end));
     p_lock_completed =
       (fun _ o ~request ~offset ~length ->

@@ -1,4 +1,6 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**'s four state words live in one 32-byte buffer: mutable
+   int64 record fields would be boxed, so every draw would allocate. *)
+type t = Bytes.t
 
 (* splitmix64, used only to expand the seed into xoshiro state. *)
 let splitmix64 state =
@@ -11,24 +13,25 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_le t 0 (logxor s0 s3);
+  Bytes.set_int64_le t 8 (logxor s1 s2);
+  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 let split t =
@@ -48,44 +51,6 @@ let float t bound =
   (* 53 random bits mapped to [0, 1). *)
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
-(* Zipf via the standard power-law inversion approximation: accurate enough
-   for workload skew and requires no O(n) table. *)
-let zipf t ~n ~theta =
-  assert (n > 0);
-  if n = 1 then 0
-  else begin
-    let alpha = 1.0 /. (1.0 -. theta) in
-    let zetan =
-      (* Two-point approximation of the generalized harmonic number. *)
-      let z = ref 0.0 in
-      let steps = min n 10_000 in
-      for i = 1 to steps do
-        z := !z +. (1.0 /. Float.pow (float_of_int i) theta)
-      done;
-      if n > steps then
-        !z +. (Float.pow (float_of_int n) (1.0 -. theta) -. Float.pow (float_of_int steps) (1.0 -. theta)) /. (1.0 -. theta)
-      else !z
-    in
-    let eta =
-      (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
-      /. (1.0 -. (1.0 +. Float.pow 2.0 (-.theta)) /. zetan)
-    in
-    let u = float t 1.0 in
-    let uz = u *. zetan in
-    if uz < 1.0 then 0
-    else if uz < 1.0 +. Float.pow 0.5 theta then 1
-    else
-      let r = int_of_float (float_of_int n *. Float.pow ((eta *. u) -. eta +. 1.0) alpha) in
-      if r >= n then n - 1 else if r < 0 then 0 else r
-  end
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -3,7 +3,10 @@
 
     The generator is splitmix64 (used for seeding) feeding xoshiro256**.
     All experiment randomness must come through this module so that a run
-    is a pure function of its seed. *)
+    is a pure function of its seed.
+
+    The four state words live in one 32-byte buffer, read and written in
+    place, so a draw allocates nothing. *)
 
 type t
 
@@ -24,16 +27,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed with the given mean. *)
-
-val zipf : t -> n:int -> theta:float -> int
-(** Zipf-distributed rank in [\[0, n)]; [theta] near 1.0 gives a classic
-    hot/cold skew. Uses the rejection-inversion-free CDF walk with a
-    precomputed-free approximation suitable for n up to ~1e6. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

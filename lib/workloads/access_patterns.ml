@@ -4,16 +4,6 @@ type op = { ap_page : int; ap_write : bool }
 
 let is_write rng write_ratio = Rng.float rng 1.0 < write_ratio
 
-let sequential ~pages ~ops ~write_ratio rng =
-  List.init ops (fun i -> { ap_page = i mod pages; ap_write = is_write rng write_ratio })
-
-let uniform ~pages ~ops ~write_ratio rng =
-  List.init ops (fun _ -> { ap_page = Rng.int rng pages; ap_write = is_write rng write_ratio })
-
-let zipf ~pages ~ops ~write_ratio ~theta rng =
-  List.init ops (fun _ ->
-      { ap_page = Rng.zipf rng ~n:pages ~theta; ap_write = is_write rng write_ratio })
-
 let working_set ~pages ~ops ~write_ratio ~hot_fraction ~hot_bias rng =
   let hot = max 1 (int_of_float (float_of_int pages *. hot_fraction)) in
   List.init ops (fun _ ->

@@ -1,14 +1,7 @@
-(** Page-reference generators for the migration (E7) and shared-memory
-    (E6) experiments. *)
+(** Page-reference generator for the shared-memory experiment (E6) and
+    bench/perf's [netmem_norma]. *)
 
 type op = { ap_page : int; ap_write : bool }
-
-val sequential : pages:int -> ops:int -> write_ratio:float -> Mach_util.Rng.t -> op list
-(** Cyclic sweep through the pages; every [1/write_ratio]-th access is
-    a write. *)
-
-val uniform : pages:int -> ops:int -> write_ratio:float -> Mach_util.Rng.t -> op list
-val zipf : pages:int -> ops:int -> write_ratio:float -> theta:float -> Mach_util.Rng.t -> op list
 
 val working_set :
   pages:int -> ops:int -> write_ratio:float -> hot_fraction:float -> hot_bias:float ->

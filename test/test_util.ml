@@ -60,29 +60,36 @@ let test_rng_uniformity () =
       Alcotest.(check bool) "roughly uniform" true (abs (c - (n / 10)) < n / 50))
     buckets
 
-let test_rng_zipf_skew () =
-  let rng = Rng.create 11 in
-  let n = 1000 in
-  let hits = Array.make n 0 in
-  for _ = 1 to 10_000 do
-    let v = Rng.zipf rng ~n ~theta:0.99 in
-    Alcotest.(check bool) "zipf in range" true (v >= 0 && v < n);
-    hits.(v) <- hits.(v) + 1
-  done;
-  (* Rank 0 must dominate the median rank. *)
-  Alcotest.(check bool) "skewed head" true (hits.(0) > 20 * max 1 hits.(n / 2))
+(* The stream itself, pinned: a change to the state's representation
+   must not move one drawn value. *)
+let test_rng_golden_stream () =
+  let rng = Rng.create 1 in
+  check Alcotest.(list int64) "bits64, seed 1"
+    [
+      -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+      7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+      1310552918490157286L; 7031611932980406429L;
+    ]
+    (List.init 8 (fun _ -> Rng.bits64 rng));
+  let rng = Rng.create 42 in
+  check Alcotest.(list int) "int 1000, seed 42" [ 685; 775; 752; 48; 369; 646; 188; 601 ]
+    (List.init 8 (fun _ -> Rng.int rng 1000));
+  let parent = Rng.create 7 in
+  let child = Rng.split parent in
+  check Alcotest.int "split child" 300800 (Rng.int child 1_000_000);
+  check Alcotest.int "split parent" 695668 (Rng.int parent 1_000_000);
+  check (Alcotest.float 0.0) "float" 0x1.529dd9ec334p-9 (Rng.float (Rng.create 9) 1.0)
 
-let test_rng_exponential_mean () =
-  let rng = Rng.create 12 in
-  let n = 20_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    let v = Rng.exponential rng ~mean:50.0 in
-    Alcotest.(check bool) "non-negative" true (v >= 0.0);
-    sum := !sum +. v
+let test_rng_draw_allocates_nothing () =
+  let rng = Rng.create 3 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.int rng 1000))
   done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool) "mean near 50" true (abs_float (mean -. 50.0) < 3.0)
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over 10000 draws" words)
+    true (words < 10_000.0)
 
 let test_rng_shuffle_permutes () =
   let rng = Rng.create 13 in
@@ -379,8 +386,8 @@ let () =
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
-          Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "a draw allocates nothing" `Quick test_rng_draw_allocates_nothing;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       ( "stats",

@@ -65,12 +65,15 @@ let test_build_reads_and_writes () =
 
 let test_access_patterns_bounds () =
   let rng = Rng.create 3 in
+  let ws ~hot_fraction ~hot_bias =
+    Access_patterns.working_set ~pages:16 ~ops:100 ~write_ratio:0.3 ~hot_fraction ~hot_bias rng
+  in
+  (* A tiny, a quarter, an all-hot and a cold-biased hot set. *)
   let all =
-    Access_patterns.sequential ~pages:16 ~ops:100 ~write_ratio:0.3 rng
-    @ Access_patterns.uniform ~pages:16 ~ops:100 ~write_ratio:0.3 rng
-    @ Access_patterns.zipf ~pages:16 ~ops:100 ~write_ratio:0.3 ~theta:0.9 rng
-    @ Access_patterns.working_set ~pages:16 ~ops:100 ~write_ratio:0.3 ~hot_fraction:0.25
-        ~hot_bias:0.9 rng
+    ws ~hot_fraction:0.01 ~hot_bias:0.5
+    @ ws ~hot_fraction:0.25 ~hot_bias:0.9
+    @ ws ~hot_fraction:1.0 ~hot_bias:0.5
+    @ ws ~hot_fraction:0.5 ~hot_bias:0.1
   in
   check Alcotest.int "total ops" 400 (List.length all);
   List.iter
@@ -80,7 +83,10 @@ let test_access_patterns_bounds () =
 
 let test_write_ratio_respected () =
   let rng = Rng.create 4 in
-  let ops = Access_patterns.uniform ~pages:8 ~ops:5000 ~write_ratio:0.25 rng in
+  let ops =
+    Access_patterns.working_set ~pages:8 ~ops:5000 ~write_ratio:0.25 ~hot_fraction:0.25
+      ~hot_bias:0.9 rng
+  in
   let writes = List.length (List.filter (fun o -> o.Access_patterns.ap_write) ops) in
   Alcotest.(check bool) "around 25%" true (abs (writes - 1250) < 150)
 
@@ -93,12 +99,6 @@ let test_working_set_locality () =
   let hot_hits = List.length (List.filter (fun o -> o.Access_patterns.ap_page < 10) ops) in
   (* ~90% of accesses on the hot 10%. *)
   Alcotest.(check bool) "locality respected" true (hot_hits > 4200)
-
-let test_sequential_cycles () =
-  let rng = Rng.create 6 in
-  let ops = Access_patterns.sequential ~pages:4 ~ops:10 ~write_ratio:0.0 rng in
-  check Alcotest.(list int) "cyclic sweep" [ 0; 1; 2; 3; 0; 1; 2; 3; 0; 1 ]
-    (List.map (fun o -> o.Access_patterns.ap_page) ops)
 
 let () =
   Alcotest.run "workloads"
@@ -114,6 +114,5 @@ let () =
           Alcotest.test_case "bounds" `Quick test_access_patterns_bounds;
           Alcotest.test_case "write ratio" `Quick test_write_ratio_respected;
           Alcotest.test_case "working-set locality" `Quick test_working_set_locality;
-          Alcotest.test_case "sequential cycles" `Quick test_sequential_cycles;
         ] );
     ]
